@@ -9,16 +9,10 @@ time-ordered evaluation harness (AUC, precision@L, parameter sweeps).
 
 from .adjacency import (
     DegreeVector,
-    HiddenNodeSet,
-    LatentWeightCache,
     WeightedAdjacency,
     build_adjacency,
-    common_neighbors,
     degree_vector,
-    dump_adjacency_tsv,
-    hidden_nodes,
     latent_matrix,
-    latent_weight,
 )
 from .decay import (
     DecayParams,
@@ -37,9 +31,7 @@ from .edges import (
     TemporalEdge,
     TemporalEdgeList,
     TrainTestSplit,
-    khop_filter,
     load_edge_list,
-    multiplicity,
     normalize,
     parse_edge_list,
     serialize,
@@ -60,22 +52,8 @@ from .evaluation import (
     auc,
     build_candidates,
     evaluate_methods,
-    precision_at_l,
     sweep,
 )
-from .scoring import (
-    ALL_METHODS,
-    MethodId,
-    ScoreTable,
-    score_all,
-    score_car,
-    score_cclp,
-    score_cn,
-    score_ja,
-    score_matrix,
-    score_pa,
-    score_ra,
-    score_tlpss,
-)
+from .scoring import ALL_METHODS, MethodId, score_matrix
 
 __version__ = "0.1.0"

@@ -1,39 +1,32 @@
-"""Decayed weighted adjacency, hidden node sets, and latent-edge weights.
+"""Decayed weighted adjacency and latent-edge weights.
 
 The adjacency at reference snapshot ``T`` weights every linked pair by the
-summed decay values of its multi-edges.  On top of it sit the higher-order
-structures used for scoring: for a target pair (x, y), the *hidden nodes* of
-x are neighbors of y that are not neighbors of x but share a neighbor with
-x; the (x, hidden) pairs are *latent edges*, weighted by the decay floor
-times a scale factor built from the common neighbors of the latent pair.
-A latent edge always weighs less than the floor, hence less than any
-single surviving edge weight.
+summed decay values of its multi-edges.  On top of it sit the *latent
+edges* used by TLPSS: a pair at graph distance two is weighted by the decay
+floor times a scale factor built from the pair's common neighbors, so a
+latent edge always weighs less than the floor, hence less than any single
+surviving edge weight.  For a target pair (x, y), the latent edges that
+TLPSS uses run from x to its *hidden nodes*: neighbors of y that are not
+neighbors of x but share a neighbor with x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TextIO
 
 import numpy as np
 import scipy.sparse as sp
 
 from .decay import DecayParams, ExpDecayParams, decay_floor, decay_weights
-from .edges import SnapshotConfig, TemporalEdgeList, multiplicity
+from .edges import SnapshotConfig, TemporalEdgeList
 
 __all__ = [
     "WeightedAdjacency",
     "DegreeVector",
-    "HiddenNodeSet",
     "build_adjacency",
     "degree_vector",
-    "common_neighbors",
-    "hidden_nodes",
-    "latent_weight",
-    "LatentWeightCache",
     "latent_matrix",
-    "dump_adjacency_tsv",
 ]
 
 # COO buffer flush threshold for the bulk latent builder (entries).
@@ -43,44 +36,39 @@ _CHUNK = 4_000_000
 class WeightedAdjacency:
     """Sparse symmetric positive-weight adjacency at one reference snapshot.
 
-    Immutable after construction; safe to share across threads.  Stores, per
-    node, sorted neighbor id / weight / multiplicity arrays plus a frozenset
-    for O(1) membership tests.
+    One CSR matrix, :attr:`weight_csr`, stores both orientations of every
+    linked pair with sorted column indices in each row; :attr:`mult` holds
+    the multi-edge count of each stored entry, aligned with its ``data``.
+    Immutable after construction.
     """
 
     def __init__(
         self,
         n: int,
         reference_time: float,
-        pair_weight: dict[tuple[int, int], float],
-        pair_mult: dict[tuple[int, int], int],
+        lo: np.ndarray,
+        hi: np.ndarray,
+        weight: np.ndarray,
+        mult: np.ndarray,
     ):
+        """From canonical pairs ``lo[k] < hi[k]`` with their weights and
+        multiplicities, each pair given once."""
+        if np.any(lo < 0) or np.any(lo >= hi) or np.any(hi >= n):
+            raise ValueError(f"pairs must be canonical (0 <= i < j < {n})")
+        if not np.all(np.isfinite(weight) & (weight > 0)):
+            raise ValueError("pair weights must be finite and positive")
+        rows = np.concatenate([lo, hi])
+        cols = np.concatenate([hi, lo])
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         self.n = n
         self.reference_time = reference_time
-        self._pair_weight = pair_weight
-        self._pair_mult = pair_mult
-
-        by_node: dict[int, list[tuple[int, float, int]]] = {}
-        for (i, j), w in pair_weight.items():
-            if not (0 <= i < j < n):
-                raise ValueError(f"pair ({i}, {j}) is not canonical for n={n}")
-            if not (np.isfinite(w) and w > 0):
-                raise ValueError(f"pair ({i}, {j}) has non-positive weight {w!r}")
-            m = pair_mult[(i, j)]
-            by_node.setdefault(i, []).append((j, w, m))
-            by_node.setdefault(j, []).append((i, w, m))
-
-        self._nbr_ids: list[np.ndarray] = []
-        self._nbr_wts: list[np.ndarray] = []
-        self._nbr_mult: list[np.ndarray] = []
-        self._nbr_sets: list[frozenset[int]] = []
-        for v in range(n):
-            rows = sorted(by_node.get(v, ()))
-            ids = np.array([r[0] for r in rows], dtype=np.int64)
-            self._nbr_ids.append(ids)
-            self._nbr_wts.append(np.array([r[1] for r in rows], dtype=np.float64))
-            self._nbr_mult.append(np.array([r[2] for r in rows], dtype=np.int64))
-            self._nbr_sets.append(frozenset(int(i) for i in ids))
+        self.weight_csr = sp.csr_matrix(
+            (np.concatenate([weight, weight])[order], cols[order], indptr),
+            shape=(n, n),
+        )
+        self.mult = np.concatenate([mult, mult])[order]
 
     @classmethod
     def from_pair_weights(
@@ -90,67 +78,28 @@ class WeightedAdjacency:
         mults: dict[tuple[int, int], int] | None = None,
         reference_time: float = 0.0,
     ) -> "WeightedAdjacency":
-        """Build directly from canonical-pair weights (diagnostics, tests)."""
+        """Build directly from pair weights in either orientation (tests,
+        diagnostics); multiplicities default to 1."""
         canon = {}
         for (i, j), w in weights.items():
             if i == j:
                 raise ValueError("diagonal entries are not allowed")
-            key = (i, j) if i < j else (j, i)
-            canon[key] = float(w)
-        if mults is None:
-            mult = {k: 1 for k in canon}
-        else:
-            mult = {}
-            for (i, j), m in mults.items():
-                key = (i, j) if i < j else (j, i)
-                mult[key] = int(m)
-            for k in canon:
-                mult.setdefault(k, 1)
-        return cls(n, reference_time, canon, mult)
-
-    def weight(self, i: int, j: int) -> float:
-        """A(i, j); 0.0 for unlinked pairs."""
-        if i > j:
-            i, j = j, i
-        return self._pair_weight.get((i, j), 0.0)
-
-    def mult(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return self._pair_mult.get((i, j), 0)
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self._nbr_ids[v]
-
-    def neighbor_weights(self, v: int) -> np.ndarray:
-        return self._nbr_wts[v]
-
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        return self._nbr_sets[v]
-
-    def pairs(self) -> dict[tuple[int, int], float]:
-        """Read-only view of canonical pair weights."""
-        return dict(self._pair_weight)
+            canon[(min(i, j), max(i, j))] = float(w)
+        mult = {(min(i, j), max(i, j)): int(m) for (i, j), m in (mults or {}).items()}
+        keys = sorted(canon)
+        pairs = np.array(keys, dtype=np.int64).reshape(-1, 2)
+        return cls(
+            n,
+            reference_time,
+            pairs[:, 0],
+            pairs[:, 1],
+            np.array([canon[k] for k in keys], dtype=np.float64),
+            np.array([mult.get(k, 1) for k in keys], dtype=np.int64),
+        )
 
     def __len__(self) -> int:
-        return len(self._pair_weight)
-
-    @cached_property
-    def weight_csr(self) -> sp.csr_matrix:
-        """Symmetric CSR of weights (both orientations stored)."""
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum([len(ids) for ids in self._nbr_ids])
-        indices = (
-            np.concatenate(self._nbr_ids)
-            if indptr[-1]
-            else np.empty(0, dtype=np.int64)
-        )
-        data = (
-            np.concatenate(self._nbr_wts)
-            if indptr[-1]
-            else np.empty(0, dtype=np.float64)
-        )
-        return sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
+        """Number of linked pairs."""
+        return self.weight_csr.nnz // 2
 
     @cached_property
     def indicator_csr(self) -> sp.csr_matrix:
@@ -167,12 +116,6 @@ class DegreeVector:
 
     w: np.ndarray
     d: np.ndarray
-
-
-@dataclass(frozen=True)
-class HiddenNodeSet:
-    endpoint: int
-    nodes: frozenset[int]
 
 
 def build_adjacency(
@@ -194,8 +137,6 @@ def build_adjacency(
         raise ValueError(f"unknown aggregation mode {agg!r}")
     us, vs, ts = train.arrays()
     n = train.node_count
-    if len(us) == 0:
-        return WeightedAdjacency(n, T, {}, {})
     if np.any(us == vs):
         raise ValueError("train list contains self-loops; normalize it first")
     lo = np.minimum(us, vs)
@@ -213,117 +154,17 @@ def build_adjacency(
         latest = np.full(len(uniq), -np.inf)
         np.maximum.at(latest, inverse, ts.astype(np.float64))
         w_pair = decay_weights(T - (latest - cfg.origin) / cfg.period, params)
-
-    pair_weight: dict[tuple[int, int], float] = {}
-    pair_mult: dict[tuple[int, int], int] = {}
-    for k, w, m in zip(uniq, w_pair, counts):
-        pair = (int(k // n), int(k % n))
-        pair_weight[pair] = float(w)
-        pair_mult[pair] = int(m)
-    return WeightedAdjacency(n, T, pair_weight, pair_mult)
+    return WeightedAdjacency(n, T, uniq // n, uniq % n, w_pair, counts)
 
 
 def degree_vector(A: WeightedAdjacency) -> DegreeVector:
-    w = np.array([wts.sum() for wts in A._nbr_wts], dtype=np.float64)
-    d = np.array([len(ids) for ids in A._nbr_ids], dtype=np.int64)
-    return DegreeVector(w=w, d=d)
-
-
-def common_neighbors(A: WeightedAdjacency, x: int, y: int) -> np.ndarray:
-    """Sorted array of nodes adjacent to both x and y (never contains x or y
-    since the graph has no self-loops)."""
-    if x == y:
-        raise ValueError("common neighbors are undefined for a node with itself")
-    return np.intersect1d(A.neighbors(x), A.neighbors(y), assume_unique=True)
-
-
-def hidden_nodes(A: WeightedAdjacency, x: int, y: int) -> HiddenNodeSet:
-    """Hidden nodes of endpoint x for the target pair (x, y): neighbors of y
-    that are not adjacent to x (and are not x itself) but share at least one
-    neighbor with x."""
-    if x == y:
-        raise ValueError("hidden nodes are undefined for a node with itself")
-    sx = A.neighbor_set(x)
-    nodes = frozenset(
-        int(h)
-        for h in A.neighbors(y)
-        if h != x and h not in sx and not sx.isdisjoint(A.neighbor_set(int(h)))
+    W = A.weight_csr
+    # one sum per row slice, so each degree rounds like a plain array sum
+    w = np.array(
+        [W.data[s:e].sum() for s, e in zip(W.indptr[:-1], W.indptr[1:])],
+        dtype=np.float64,
     )
-    return HiddenNodeSet(endpoint=x, nodes=nodes)
-
-
-def latent_weight(
-    A: WeightedAdjacency,
-    train: TemporalEdgeList,
-    i: int,
-    j: int,
-    params: DecayParams | ExpDecayParams,
-) -> float:
-    """Weight of the latent edge (i, j), defined only for non-adjacent pairs.
-
-    Equals ``floor * scale`` with ``floor`` the decay lower bound and
-    ``scale = (1/min(d(i), d(j))) * sum over common neighbors z of
-    (A(i,z) + A(z,j)) / (m(i,z) + m(z,j))``, where ``m`` counts multi-edges.
-    The scale factor lies in [0, 1], so the result is strictly below the
-    floor whenever it is nonzero.
-    """
-    if i == j:
-        raise ValueError("latent weight is undefined for a node with itself")
-    if A.weight(i, j) != 0.0:
-        raise ValueError(f"pair ({i}, {j}) is adjacent; latent weight undefined")
-    floor = decay_floor(params)
-    if floor == 0.0:
-        return 0.0
-    cn = common_neighbors(A, i, j)
-    if len(cn) == 0:
-        return 0.0
-    total = 0.0
-    for z in cn:
-        z = int(z)
-        total += (A.weight(i, z) + A.weight(z, j)) / (
-            multiplicity(train, i, z) + multiplicity(train, z, j)
-        )
-    min_deg = min(len(A.neighbors(i)), len(A.neighbors(j)))
-    return floor * total / min_deg
-
-
-class LatentWeightCache:
-    """Memoizing latent-weight provider over one (adjacency, train, params)
-    triple.
-
-    Concurrent queries are safe: cells are computed from immutable inputs, so
-    a racing duplicate computation writes the same value.  Only queried cells
-    are ever materialized.
-    """
-
-    def __init__(
-        self,
-        A: WeightedAdjacency,
-        train: TemporalEdgeList,
-        params: DecayParams | ExpDecayParams,
-    ):
-        self.A = A
-        self.train = train
-        self.params = params
-        self._memo: dict[tuple[int, int], float] = {}
-
-    def weight(self, i: int, j: int) -> float:
-        if i > j:
-            i, j = j, i
-        hit = self._memo.get((i, j))
-        if hit is not None:
-            return hit
-        value = latent_weight(self.A, self.train, i, j, self.params)
-        self._memo[(i, j)] = value
-        return value
-
-    def queried(self) -> dict[tuple[int, int], float]:
-        return dict(self._memo)
-
-    def dump_tsv(self, out: TextIO) -> None:
-        """Queried latent cells as ``i<TAB>j<TAB>weight`` lines."""
-        for (i, j) in sorted(self._memo):
-            out.write(f"{i}\t{j}\t{self._memo[(i, j)]!r}\n")
+    return DegreeVector(w=w, d=np.diff(W.indptr).astype(np.int64))
 
 
 def latent_matrix(
@@ -331,10 +172,12 @@ def latent_matrix(
 ) -> sp.csr_matrix:
     """All latent-edge weights as a symmetric sparse matrix.
 
-    Supported exactly on pairs at graph distance two, via one pass over
-    two-hop paths: each common neighbor z of a pair (i, j) contributes
-    ``(A(i,z) + A(z,j)) / (m(i,z) + m(z,j))`` to the pair's scale sum.
-    Agrees cell-for-cell with :func:`latent_weight`.
+    Cell (i, j) is ``floor * scale`` with ``floor`` the decay lower bound
+    and ``scale = (1/min(d(i), d(j))) * sum over common neighbors z of
+    (A(i,z) + A(z,j)) / (m(i,z) + m(z,j))``, where ``d`` counts distinct
+    neighbors and ``m`` multi-edges.  The scale lies in [0, 1], so every
+    cell is strictly below the floor.  Supported exactly on pairs at graph
+    distance two, via one pass over two-hop paths.
     """
     n = A.n
     floor = decay_floor(params)
@@ -360,13 +203,16 @@ def latent_matrix(
         buf_v.clear()
         buffered = 0
 
+    W = A.weight_csr
+    deg = np.diff(W.indptr)
     for z in range(n):
-        nb = A._nbr_ids[z]
-        d = len(nb)
+        d = int(deg[z])
         if d < 2:
             continue
-        wt = A._nbr_wts[z]
-        mu = A._nbr_mult[z].astype(np.float64)
+        row = slice(W.indptr[z], W.indptr[z + 1])
+        nb = W.indices[row]
+        wt = W.data[row]
+        mu = A.mult[row].astype(np.float64)
         contrib = (wt[:, None] + wt[None, :]) / (mu[:, None] + mu[None, :])
         np.fill_diagonal(contrib, 0.0)
         buf_i.append(np.repeat(nb, d))
@@ -380,13 +226,12 @@ def latent_matrix(
     coo = acc.tocoo()
     if coo.nnz == 0:
         return acc
-    deg = np.array([len(ids) for ids in A._nbr_ids], dtype=np.float64)
-    vals = floor * coo.data / np.minimum(deg[coo.row], deg[coo.col])
+    vals = floor * coo.data / np.minimum(deg[coo.row], deg[coo.col]).astype(np.float64)
     B = sp.csr_matrix((vals, (coo.row, coo.col)), shape=(n, n))
 
     # Two-hop paths also land on adjacent pairs (triangles); zero those out,
     # latent edges exist only where A does not.
-    adj = A.weight_csr.tocoo()
+    adj = W.tocoo()
     present = np.asarray(B[adj.row, adj.col]).ravel()
     hit = present != 0
     if np.any(hit):
@@ -396,8 +241,3 @@ def latent_matrix(
         B.eliminate_zeros()
     return B
 
-
-def dump_adjacency_tsv(A: WeightedAdjacency, out: TextIO) -> None:
-    """Canonical adjacency cells as ``i<TAB>j<TAB>weight`` lines."""
-    for (i, j) in sorted(A._pair_weight):
-        out.write(f"{i}\t{j}\t{A._pair_weight[(i, j)]!r}\n")

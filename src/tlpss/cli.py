@@ -14,12 +14,13 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .decay import DecayParams, ExpDecayParams
-from .edges import khop_filter, load_edge_list, serialize
+from .edges import load_edge_list, serialize
 from .errors import ConfigError, EvaluationError, SplitError, TlpssError
 from .evaluation import (
     AUC_EXHAUSTIVE_LIMIT,
@@ -66,8 +67,8 @@ def parse_period(value: float | str) -> float:
                 period = float(text)
         except ValueError:
             raise ConfigError(f"cannot parse period {value!r}") from None
-    if not period > 0:
-        raise ConfigError(f"period must be > 0, got {value!r}")
+    if not (math.isfinite(period) and period > 0):
+        raise ConfigError(f"period must be a finite number > 0, got {value!r}")
     return period
 
 
@@ -95,8 +96,6 @@ class ExperimentConfig:
     cclp_mode: str = "local"
     out_dir: str = "runs"
     format: str = "json"
-    subgraph_seeds: int = 0
-    subgraph_hops: int = 2
 
     @classmethod
     def from_sources(cls, file_values: dict | None, flag_values: dict) -> "ExperimentConfig":
@@ -116,6 +115,9 @@ class ExperimentConfig:
         if self.period is None:
             raise ConfigError("a snapshot period is required (e.g. --period 1h)")
         parse_period(self.period)
+        # inputs are normalized so that the earliest edge sits at time 1
+        if not (math.isfinite(self.origin) and self.origin <= 1):
+            raise ConfigError(f"origin must be a finite time <= 1, got {self.origin!r}")
         if not 0 < self.ratio < 1:
             raise ConfigError(f"ratio must lie in (0, 1), got {self.ratio!r}")
         if self.decay not in ("asf", "exp"):
@@ -128,16 +130,20 @@ class ExperimentConfig:
             raise ConfigError(f"top_l must be >= 1, got {self.top_l!r}")
         if self.auc_samples < 1:
             raise ConfigError(f"auc_samples must be >= 1, got {self.auc_samples!r}")
+        if self.auc_exhaustive_limit < 0:
+            raise ConfigError(
+                f"auc_exhaustive_limit must be >= 0, got {self.auc_exhaustive_limit!r}"
+            )
         if self.max_negatives is not None and self.max_negatives < 1:
             raise ConfigError("max_negatives must be >= 1 when given")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if self.agg not in ("sum", "latest"):
             raise ConfigError(f"agg must be 'sum' or 'latest', got {self.agg!r}")
         if self.cclp_mode not in ("local", "global"):
             raise ConfigError(f"cclp_mode must be 'local' or 'global', got {self.cclp_mode!r}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be 'json' or 'csv', got {self.format!r}")
-        if self.subgraph_seeds < 0 or self.subgraph_hops < 0:
-            raise ConfigError("subgraph settings must be non-negative")
 
     def decay_params(self) -> DecayParams | ExpDecayParams:
         if self.decay == "exp":
@@ -156,8 +162,6 @@ class ExperimentConfig:
 
 def _load_dataset(cfg: ExperimentConfig):
     edges, report = load_edge_list(cfg.dataset)
-    if cfg.subgraph_seeds > 0:
-        edges = khop_filter(edges, cfg.subgraph_seeds, cfg.subgraph_hops, cfg.seed)
     buf = io.StringIO()
     serialize(edges, buf)
     digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
@@ -166,7 +170,7 @@ def _load_dataset(cfg: ExperimentConfig):
 
 def _config_digest(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(
-        json.dumps(cfg.resolved_dict(), sort_keys=True).encode()
+        json.dumps(cfg.resolved_dict(), sort_keys=True, allow_nan=False).encode()
     ).hexdigest()
 
 
@@ -177,7 +181,7 @@ def _write_reports_json(path: Path, cfg: ExperimentConfig, digest: str, reports:
         "input_sha256": digest,
         "reports": [r.to_dict() for r in reports],
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_results_csv(path: Path, cfg: ExperimentConfig, digest: str, reports: list[EvalReport]):
@@ -192,7 +196,9 @@ def _write_results_csv(path: Path, cfg: ExperimentConfig, digest: str, reports: 
 
 def _print_reports(cfg: ExperimentConfig, reports: list[EvalReport]):
     if cfg.format == "json":
-        print(json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True))
+        print(
+            json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True, allow_nan=False)
+        )
     else:
         writer = csv.writer(sys.stdout)
         writer.writerow(EvalReport.CSV_FIELDS)
@@ -209,7 +215,9 @@ def cmd_ingest(args) -> int:
     report_path = Path(args.report) if args.report else out_path.with_suffix(
         out_path.suffix + ".report.json"
     )
-    report_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    report_path.write_text(
+        json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    )
     print(
         f"kept {report.edges_kept} edges over {edges.node_count} nodes "
         f"({report.missing_ts_dropped} without timestamps, "
@@ -225,7 +233,7 @@ def _config_from_args(args) -> ExperimentConfig:
             file_values = json.loads(Path(args.config).read_text())
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {args.config}") from None
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -248,8 +256,6 @@ def _config_from_args(args) -> ExperimentConfig:
         "cclp_mode",
         "out_dir",
         "format",
-        "subgraph_seeds",
-        "subgraph_hops",
     )
     flags = {name: getattr(args, name) for name in flag_fields}
     flags["methods"] = args.method if args.method else None
@@ -342,7 +348,7 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; flags override its values")
     sub.add_argument("--dataset", help="path to a timestamped edge list")
     sub.add_argument("--period", help="snapshot period: seconds, duration (1h/1d/1w/1y) or preset name")
-    sub.add_argument("--origin", type=float, help="raw timestamp of snapshot index 0 (default 1)")
+    sub.add_argument("--origin", type=float, help="time of snapshot index 0, at most 1 (default 1)")
     sub.add_argument("--decay", choices=["asf", "exp"], help="decay mode (default asf)")
     sub.add_argument("--p", type=float, help="ASF active-period scale")
     sub.add_argument("--q", type=float, help="ASF stable-floor control")
@@ -366,10 +372,6 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cclp-mode", dest="cclp_mode", choices=["local", "global"])
     sub.add_argument("--out-dir", dest="out_dir", help="output directory (default runs/)")
     sub.add_argument("--format", choices=["json", "csv"], help="stdout format")
-    sub.add_argument("--subgraph-seeds", dest="subgraph_seeds", type=int,
-                     help="if > 0, restrict to a k-hop subgraph around this many random nodes")
-    sub.add_argument("--subgraph-hops", dest="subgraph_hops", type=int,
-                     help="hop radius for --subgraph-seeds (default 2)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,7 +411,7 @@ def main(argv=None) -> int:
     except (SplitError, EvaluationError) as exc:
         print(f"evaluation impossible: {exc}", file=sys.stderr)
         return EXIT_IMPOSSIBLE
-    except (TlpssError, OSError) as exc:
+    except (TlpssError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

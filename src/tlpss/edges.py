@@ -9,7 +9,7 @@ the original ids are kept so files can be written back out.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -30,8 +30,6 @@ __all__ = [
     "load_edge_list",
     "snapshot_index",
     "split_by_time",
-    "multiplicity",
-    "khop_filter",
 ]
 
 
@@ -271,41 +269,3 @@ def split_by_time(lst: TemporalEdgeList, ratio: float) -> TrainTestSplit:
     positives = frozenset(test.pair_counts) - frozenset(train.pair_counts)
     return TrainTestSplit(train=train, test=test, t_split=t_split, positives=positives)
 
-
-def multiplicity(train: TemporalEdgeList, i: int, j: int) -> int:
-    """Number of train edges on the pair (i, j); 0 if unlinked."""
-    if i > j:
-        i, j = j, i
-    return train.pair_counts.get((i, j), 0)
-
-
-def khop_filter(
-    lst: TemporalEdgeList, n_seeds: int, hops: int, seed: int
-) -> TemporalEdgeList:
-    """Optional down-sampling for very large networks: keep only edges whose
-    endpoints both lie within ``hops`` of ``n_seeds`` randomly chosen nodes.
-
-    Node ids and the node count are preserved, so downstream indexing is
-    unaffected.  Off by default everywhere; of no use at the scales this
-    toolkit targets, but cheap insurance for bigger files.
-    """
-    if not lst.edges or n_seeds <= 0:
-        return lst
-    nbrs: dict[int, set[int]] = {}
-    for e in lst.edges:
-        nbrs.setdefault(e.u, set()).add(e.v)
-        nbrs.setdefault(e.v, set()).add(e.u)
-    active = sorted(nbrs)
-    rng = np.random.default_rng(seed)
-    seeds = rng.choice(active, size=min(n_seeds, len(active)), replace=False)
-    kept = set(int(s) for s in seeds)
-    frontier = deque((int(s), 0) for s in seeds)
-    while frontier:
-        node, depth = frontier.popleft()
-        if depth == hops:
-            continue
-        for nxt in nbrs[node]:
-            if nxt not in kept:
-                kept.add(nxt)
-                frontier.append((nxt, depth + 1))
-    return lst.with_edges(e for e in lst.edges if e.u in kept and e.v in kept)

@@ -1,8 +1,8 @@
 """Exception types shared across the toolkit.
 
 The CLI maps these onto exit codes: ConfigError -> 2, data-loading errors
-(ParseError, EmptyDatasetError) -> 3, and errors that make an evaluation
-impossible (SplitError, EvaluationError) -> 4.
+(ParseError, EmptyDatasetError, and input that is not UTF-8) -> 3, and
+errors that make an evaluation impossible (SplitError, EvaluationError) -> 4.
 """
 
 

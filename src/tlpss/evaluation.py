@@ -26,14 +26,13 @@ from .edges import (
     split_by_time,
 )
 from .errors import ConfigError, EvaluationError
-from .scoring import MethodId, ScoreTable, score_matrix
+from .scoring import MethodId, score_matrix
 
 __all__ = [
     "CandidateSet",
     "EvalReport",
     "build_candidates",
     "auc",
-    "precision_at_l",
     "evaluate_methods",
     "sweep",
 ]
@@ -245,19 +244,6 @@ def _precision_from_arrays(
     # Primary key: descending score; ties broken by canonical pair order.
     order = np.lexsort((jj, ii, -scores))
     return float(is_positive[order[:L]].sum() / L)
-
-
-def precision_at_l(
-    table: ScoreTable, positives: Sequence[tuple[int, int]], L: int
-) -> float:
-    """Fraction of true new links among the L best-scored candidate pairs."""
-    pairs = sorted(table.rows)
-    ii = np.array([p[0] for p in pairs], dtype=np.int64)
-    jj = np.array([p[1] for p in pairs], dtype=np.int64)
-    scores = np.array([table.rows[p] for p in pairs], dtype=np.float64)
-    pos = {(min(u, v), max(u, v)) for u, v in positives}
-    is_positive = np.array([p in pos for p in pairs], dtype=bool)
-    return _precision_from_arrays(ii, jj, scores, is_positive, L)
 
 
 @dataclass

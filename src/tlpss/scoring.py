@@ -6,50 +6,24 @@ quantity over latent edges toward the endpoint's hidden nodes.  The six
 baselines are the classical common-neighbor family re-weighted by decayed
 edge weights.
 
-Every score function has two routes: a direct per-pair evaluation and a
-bulk engine built on sparse matrix products that returns the full score
-matrix at once.  Both produce the same values (up to float summation
-order); the bulk route is what makes whole-network candidate scoring
-feasible.
+:func:`score_matrix` is the one scoring engine: it returns every pair's
+score at once, built from sparse matrix products over the adjacency.  The
+brute-force per-pair definitions live in :mod:`tlpss.oracle`, which the
+test suite checks it against.
 """
 
 from __future__ import annotations
 
 import enum
-import json
-from dataclasses import dataclass
-from typing import Iterable, TextIO
 
 import numpy as np
 import scipy.sparse as sp
 
-from .adjacency import (
-    DegreeVector,
-    LatentWeightCache,
-    WeightedAdjacency,
-    common_neighbors,
-    hidden_nodes,
-    latent_matrix,
-)
+from .adjacency import DegreeVector, WeightedAdjacency, latent_matrix
 from .decay import DecayParams, ExpDecayParams
 from .errors import ConfigError
 
-__all__ = [
-    "MethodId",
-    "ScoreTable",
-    "score_cn",
-    "score_ja",
-    "score_pa",
-    "score_ra",
-    "score_car",
-    "score_cclp",
-    "score_tlpss",
-    "score_matrix",
-    "score_all",
-]
-
-# Pair count above which score_all switches to the bulk matrix engine.
-_BULK_THRESHOLD = 512
+__all__ = ["MethodId", "score_matrix"]
 
 
 class MethodId(enum.Enum):
@@ -76,158 +50,10 @@ class MethodId(enum.Enum):
 ALL_METHODS = tuple(MethodId)
 
 
-@dataclass
-class ScoreTable:
-    """Scores for a set of canonical pairs under one method and parameter
-    setting.  Symmetric by construction: the stored key is always (min, max)."""
-
-    method: MethodId
-    params: DecayParams | ExpDecayParams | None
-    rows: dict[tuple[int, int], float]
-
-    def to_tsv(self, out: TextIO) -> None:
-        for (u, v) in sorted(self.rows):
-            out.write(f"{u}\t{v}\t{self.rows[(u, v)]!r}\n")
-
-    def to_json(self, out: TextIO) -> None:
-        payload = {
-            "method": self.method.value,
-            "rows": [[u, v, s] for (u, v), s in sorted(self.rows.items())],
-        }
-        json.dump(payload, out)
-
-
-def score_cn(A: WeightedAdjacency, x: int, y: int) -> float:
-    """Half the total decayed weight hanging between the pair and its common
-    neighbors."""
-    total = 0.0
-    for z in common_neighbors(A, x, y):
-        z = int(z)
-        total += A.weight(x, z) + A.weight(y, z)
-    return 0.5 * total
-
-
-def score_ja(A: WeightedAdjacency, D: DegreeVector, x: int, y: int) -> float:
-    """Common-neighbor score normalized by the endpoints' weighted degrees;
-    0 when both endpoints carry no weight (no evidence either way)."""
-    denom = D.w[x] + D.w[y]
-    if denom == 0.0:
-        return 0.0
-    return score_cn(A, x, y) / denom
-
-
-def score_pa(D: DegreeVector, x: int, y: int) -> float:
-    return float(D.w[x] * D.w[y])
-
-
-def score_ra(A: WeightedAdjacency, D: DegreeVector, x: int, y: int) -> float:
-    """Each common neighbor forwards resource inversely to its weighted degree."""
-    total = 0.0
-    for z in common_neighbors(A, x, y):
-        total += 1.0 / D.w[int(z)]
-    return total
-
-
-def _lcl(A: WeightedAdjacency, cn: np.ndarray) -> float:
-    # Total decayed weight of links among a common-neighbor set, each
-    # unordered link counted once.
-    total = 0.0
-    for a in range(len(cn)):
-        za = int(cn[a])
-        for b in range(a + 1, len(cn)):
-            total += A.weight(za, int(cn[b]))
-    return total
-
-
-def score_car(A: WeightedAdjacency, x: int, y: int) -> float:
-    """Common-neighbor score boosted by the weight of links among the common
-    neighbors themselves."""
-    cn = common_neighbors(A, x, y)
-    if len(cn) < 2:
-        return 0.0
-    lcl = _lcl(A, cn)
-    if lcl == 0.0:
-        return 0.0
-    total = 0.0
-    for z in cn:
-        z = int(z)
-        total += A.weight(x, z) + A.weight(y, z)
-    return 0.5 * total * lcl
-
-
 def _triangle_mass(A: WeightedAdjacency) -> np.ndarray:
     """Per-node total decayed weight of links among the node's neighbors."""
     P = A.indicator_csr
     return 0.5 * np.asarray((P @ A.weight_csr).multiply(P).sum(axis=1)).ravel()
-
-
-def score_cclp(
-    A: WeightedAdjacency, D: DegreeVector, x: int, y: int, mode: str = "local"
-) -> float:
-    """Clustering-coefficient style score over common neighbors.
-
-    ``mode="local"`` (default) credits each common neighbor z with the
-    weighted triangle mass of z's own neighborhood over its pair capacity
-    d(z)(d(z)-1)/2.  ``mode="global"`` instead uses one shared triangle mass,
-    the weight of links among the pair's common neighbors.
-    """
-    cn = common_neighbors(A, x, y)
-    if len(cn) == 0:
-        return 0.0
-    if mode == "local":
-        total = 0.0
-        for z in cn:
-            z = int(z)
-            dz = D.d[z]
-            if dz < 2:
-                continue
-            nb = A.neighbors(z)
-            tri = 0.0
-            for a in range(len(nb)):
-                row = A.neighbor_set(int(nb[a]))
-                for b in range(a + 1, len(nb)):
-                    if int(nb[b]) in row:
-                        tri += A.weight(int(nb[a]), int(nb[b]))
-            total += tri / (dz * (dz - 1) / 2.0)
-        return total
-    if mode == "global":
-        tri = _lcl(A, cn)
-        total = 0.0
-        for z in cn:
-            dz = D.d[int(z)]
-            if dz < 2:
-                continue
-            total += tri / (dz * (dz - 1) / 2.0)
-        return total
-    raise ConfigError(f"unknown cclp mode {mode!r}")
-
-
-def score_tlpss(
-    A: WeightedAdjacency,
-    D: DegreeVector,
-    latent: LatentWeightCache,
-    x: int,
-    y: int,
-) -> float:
-    """Average of the two directed endpoint scores: common-neighbor terms
-    from the adjacency plus hidden-node terms from the latent weights, each
-    divided by the intermediate node's weighted degree."""
-    if x == y:
-        raise ValueError("cannot score a node against itself")
-    direct_x = 0.0
-    direct_y = 0.0
-    for z in common_neighbors(A, x, y):
-        z = int(z)
-        wz = D.w[z]
-        direct_x += A.weight(x, z) / wz
-        direct_y += A.weight(y, z) / wz
-    lat_x = 0.0
-    for h in hidden_nodes(A, x, y).nodes:
-        lat_x += latent.weight(x, h) / D.w[h]
-    lat_y = 0.0
-    for h in hidden_nodes(A, y, x).nodes:
-        lat_y += latent.weight(y, h) / D.w[h]
-    return 0.5 * ((direct_x + lat_x) + (direct_y + lat_y))
 
 
 def _lcl_matrix(A: WeightedAdjacency) -> np.ndarray:
@@ -236,15 +62,21 @@ def _lcl_matrix(A: WeightedAdjacency) -> np.ndarray:
     Edge-centric accumulation: a link (z1, z2) of weight w adds w to every
     pair of nodes adjacent to both z1 and z2.
     """
-    n = A.n
-    out = np.zeros((n, n), dtype=np.float64)
-    for (z1, z2), w in A._pair_weight.items():
-        both = np.intersect1d(
-            A.neighbors(z1), A.neighbors(z2), assume_unique=True
-        )
-        if len(both) < 2:
-            continue
-        out[np.ix_(both, both)] += w
+    W = A.weight_csr
+    ptr, idx = W.indptr, W.indices
+    out = np.zeros((A.n, A.n), dtype=np.float64)
+    # upper-triangle links in row-major order, so every cell sums its links
+    # in one fixed order
+    for z1 in range(A.n):
+        nb1 = idx[ptr[z1] : ptr[z1 + 1]]
+        for k in range(ptr[z1], ptr[z1 + 1]):
+            z2 = idx[k]
+            if z2 < z1:
+                continue
+            both = np.intersect1d(nb1, idx[ptr[z2] : ptr[z2 + 1]], assume_unique=True)
+            if len(both) < 2:
+                continue
+            out[np.ix_(both, both)] += W.data[k]
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -256,13 +88,12 @@ def score_matrix(
     latent_params: DecayParams | ExpDecayParams | None = None,
     cclp_mode: str = "local",
 ) -> np.ndarray:
-    """Full dense score matrix for one method (bulk engine).
+    """Full dense score matrix for one method.
 
     Entry (i, j) is the method's score for the pair; the matrix is symmetric
     with an all-zero diagonal except for PA, whose diagonal is meaningless
     and zeroed anyway.  TLPSS requires ``latent_params``.
     """
-    n = A.n
     P = A.indicator_csr
     W = A.weight_csr
     w = D.w
@@ -301,69 +132,15 @@ def score_matrix(
         if latent_params is None:
             raise ConfigError("TLPSS needs decay parameters for latent weights")
         B = latent_matrix(A, latent_params)
-        s = ((W + B) @ sp.diags(inv_w) @ P).toarray()
+        # divide each column by its node's weighted degree (w > 0 wherever
+        # W + B has an entry), the same rounding as a per-term W[x,z]/w[z]
+        M = (W + B).tocsr()
+        M.data = M.data / w[M.indices]
+        s = (M @ P).toarray()
         out = 0.5 * (s + s.T)
-    else:  # pragma: no cover - closed enum
+    else:
         raise ConfigError(f"unknown method {method!r}")
 
     np.fill_diagonal(out, 0.0)
     return out
 
-
-def _score_pair(
-    A: WeightedAdjacency,
-    D: DegreeVector,
-    latent: LatentWeightCache | None,
-    x: int,
-    y: int,
-    method: MethodId,
-    cclp_mode: str,
-) -> float:
-    if method is MethodId.TLPSS:
-        if latent is None:
-            raise ConfigError("TLPSS needs a latent-weight provider")
-        return score_tlpss(A, D, latent, x, y)
-    if method is MethodId.CN_ASF:
-        return score_cn(A, x, y)
-    if method is MethodId.JA_ASF:
-        return score_ja(A, D, x, y)
-    if method is MethodId.PA_ASF:
-        return score_pa(D, x, y)
-    if method is MethodId.RA_ASF:
-        return score_ra(A, D, x, y)
-    if method is MethodId.CAR_ASF:
-        return score_car(A, x, y)
-    if method is MethodId.CCLP_ASF:
-        return score_cclp(A, D, x, y, mode=cclp_mode)
-    raise ConfigError(f"unknown method {method!r}")  # pragma: no cover
-
-
-def score_all(
-    A: WeightedAdjacency,
-    D: DegreeVector,
-    latent: LatentWeightCache | None,
-    pairs: Iterable[tuple[int, int]],
-    method: MethodId,
-    engine: str = "auto",
-    cclp_mode: str = "local",
-) -> ScoreTable:
-    """Score a set of pairs; the result is independent of pair order and of
-    the engine used (up to float summation order)."""
-    if not isinstance(method, MethodId):
-        raise ConfigError(f"unknown method {method!r}")
-    pair_list = [(min(x, y), max(x, y)) for x, y in pairs]
-    if engine == "auto":
-        engine = "bulk" if len(pair_list) > _BULK_THRESHOLD else "pairwise"
-    if engine == "bulk":
-        latent_params = latent.params if latent is not None else None
-        m = score_matrix(A, D, method, latent_params=latent_params, cclp_mode=cclp_mode)
-        rows = {(x, y): float(m[x, y]) for x, y in pair_list}
-    elif engine == "pairwise":
-        rows = {
-            (x, y): _score_pair(A, D, latent, x, y, method, cclp_mode)
-            for x, y in pair_list
-        }
-    else:
-        raise ConfigError(f"unknown scoring engine {engine!r}")
-    params = latent.params if latent is not None else None
-    return ScoreTable(method=method, params=params, rows=rows)

@@ -18,13 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tlpss.adjacency import (
-    LatentWeightCache,
-    build_adjacency,
-    common_neighbors,
-    degree_vector,
-    latent_matrix,
-)
+from tlpss.adjacency import build_adjacency, degree_vector, latent_matrix
 from tlpss.cli import DEFAULT_PERIODS, parse_period
 from tlpss.decay import DecayParams, asf, asf_array, asf_floor, asf_log_margin
 from tlpss.edges import (
@@ -35,9 +29,9 @@ from tlpss.edges import (
     normalize,
     snapshot_index,
 )
-from tlpss.evaluation import auc, evaluate_methods
+from tlpss.evaluation import _precision_from_arrays, auc, evaluate_methods
 from tlpss.oracle import naive_score, random_decay, random_toy
-from tlpss.scoring import ALL_METHODS, MethodId, score_all, score_tlpss
+from tlpss.scoring import ALL_METHODS, MethodId, score_matrix
 
 # Below this log-margin the ASF value sits closer to its floor than one
 # float64 ulp and saturates; strictness there is asserted on the stable
@@ -135,10 +129,12 @@ def test_criterion_2_latent_weight_bound():
         cfg = SnapshotConfig(period=toy.period)
         A = build_adjacency(lst, snapshot_index(lst.t_max, cfg), params, cfg)
         floor = asf_floor(params)
+        P = A.indicator_csr
+        common = (P @ P).tocsr()
         B = latent_matrix(A, params).tocoo()
         for i, j, b in zip(B.row, B.col, B.data):
-            assert A.weight(int(i), int(j)) == 0.0
-            assert len(common_neighbors(A, int(i), int(j))) > 0
+            assert A.weight_csr[i, j] == 0.0
+            assert common[i, j] > 0
             assert 0.0 < b < floor
             scale = b / floor
             assert 0.0 <= scale <= 1.0
@@ -179,24 +175,23 @@ def test_criterion_3_oracle_equivalence():
     for trial in range(200):
         toy = random_toy(seed=31000 + trial, max_nodes=50)
         params = random_decay(seed=32000 + trial, allow_exp=False)
-        lst, A, D = _toy_stack(toy, params)
-        latent = LatentWeightCache(A, lst, params)
+        _, A, D = _toy_stack(toy, params)
         rng = np.random.default_rng(trial)
         pairs = _sample_pairs(rng, toy.n, 6)
         for method in ALL_METHODS:
-            for engine in ("pairwise", "bulk"):
-                table = score_all(A, D, latent, pairs, method, engine=engine)
-                for (x, y), got in table.rows.items():
-                    ref = naive_score(method, toy, params, x, y)
-                    err = abs(got - ref) / max(abs(ref), 1e-30)
-                    worst = max(worst, err)
-                    assert err <= 1e-9, (trial, method, engine, (x, y), got, ref)
+            m = score_matrix(A, D, method, latent_params=params)
+            for x, y in pairs:
+                got = m[x, y]
+                ref = naive_score(method, toy, params, x, y)
+                err = abs(got - ref) / max(abs(ref), 1e-30)
+                worst = max(worst, err)
+                assert err <= 1e-9, (trial, method, (x, y), got, ref)
     elapsed = time.monotonic() - started
     _report(
         3,
         "oracle equivalence",
         elapsed < 60.0,
-        f"(200 toys, both engines, worst rel err {worst:.1e}, {elapsed:.1f}s)",
+        f"(200 toys, worst rel err {worst:.1e}, {elapsed:.1f}s)",
     )
 
 
@@ -206,16 +201,17 @@ def test_criterion_4_q_zero_reduction():
         toy = random_toy(seed=31000 + trial, max_nodes=50)
         base = random_decay(seed=32000 + trial, allow_exp=False)
         params = DecayParams(p=base.p, q=0.0, a=base.a)
-        lst, A, D = _toy_stack(toy, params)
-        latent = LatentWeightCache(A, lst, params)
+        _, A, D = _toy_stack(toy, params)
+        m = score_matrix(A, D, MethodId.TLPSS, latent_params=params)
+        W = A.weight_csr
         rng = np.random.default_rng(trial)
         for x, y in _sample_pairs(rng, toy.n, 6):
-            cn = common_neighbors(A, x, y)
+            cn = np.intersect1d(W[x].indices, W[y].indices)
             two_sided = 0.5 * (
-                sum(A.weight(x, int(z)) / D.w[int(z)] for z in cn)
-                + sum(A.weight(y, int(z)) / D.w[int(z)] for z in cn)
+                sum(W[x, int(z)] / D.w[int(z)] for z in cn)
+                + sum(W[y, int(z)] / D.w[int(z)] for z in cn)
             )
-            assert score_tlpss(A, D, latent, x, y) == two_sided
+            assert m[x, y] == two_sided
             checked += 1
     _report(4, "q=0 reduction", True, f"(exact equality on {checked} pairs)")
 
@@ -246,23 +242,14 @@ def test_criterion_5_evaluation_correctness():
     assert gap < 0.01
 
     # monotone-transform invariance for AUC and precision@L
-    from tlpss.evaluation import precision_at_l
-    from tlpss.scoring import ScoreTable
-
-    pairs = [(i, j) for i in range(14) for j in range(i + 1, 14)]
-    scores = np.round(rng.uniform(0, 2, size=len(pairs)), 2)
-    positives = [p for p, s in zip(pairs, scores) if s > 1.0][:20]
-    base_rows = dict(zip(pairs, scores.tolist()))
-    base_prec = precision_at_l(
-        ScoreTable(MethodId.CN_ASF, None, base_rows), positives, 15
-    )
+    ii, jj = np.triu_indices(14, k=1)
+    scores = np.round(rng.uniform(0, 2, size=len(ii)), 2)
+    is_positive = np.zeros(len(ii), dtype=bool)
+    is_positive[np.flatnonzero(scores > 1.0)[:20]] = True
+    base_prec = _precision_from_arrays(ii, jj, scores, is_positive, 15)
     base_auc = auc(scores[:30], scores[30:])
     for transform in (lambda v: 2 * v + 7, lambda v: v**3):
-        rows = {p: float(transform(s)) for p, s in base_rows.items()}
-        assert (
-            precision_at_l(ScoreTable(MethodId.CN_ASF, None, rows), positives, 15)
-            == base_prec
-        )
+        assert _precision_from_arrays(ii, jj, transform(scores), is_positive, 15) == base_prec
         assert auc(transform(scores[:30]), transform(scores[30:])) == base_auc
 
     _report(5, "evaluation correctness", True, f"(sampled-vs-exhaustive gap {gap:.4f})")

@@ -1,25 +1,20 @@
 """Tests for the decayed adjacency and the latent-edge machinery."""
 
-import io
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from tlpss.adjacency import (
-    LatentWeightCache,
     WeightedAdjacency,
     build_adjacency,
-    common_neighbors,
     degree_vector,
-    dump_adjacency_tsv,
-    hidden_nodes,
     latent_matrix,
-    latent_weight,
 )
 from tlpss.decay import DecayParams, ExpDecayParams, asf_floor, decay_floor
 from tlpss.edges import SnapshotConfig, TemporalEdge, TemporalEdgeList, normalize, snapshot_index
-from tlpss.oracle import ToyGraph, naive_latent, random_decay, random_toy
+from tlpss.oracle import ToyGraph, naive_hidden, naive_latent, random_decay, random_toy
 
 PARAMS = DecayParams(p=2.0, q=1.0, a=5.0)
 
@@ -41,6 +36,36 @@ def fig_toy(ts=10):
     return ToyGraph(n=8, edges=[(u, v, ts) for u, v in pairs])
 
 
+def weight(A, i, j):
+    """A(i, j); 0.0 for unlinked pairs."""
+    return float(A.weight_csr[i, j])
+
+
+def mult_csr(A):
+    """Multiplicities as a CSR with the adjacency's sparsity pattern."""
+    W = A.weight_csr
+    return sp.csr_matrix((A.mult, W.indices, W.indptr), shape=W.shape)
+
+
+def pairs(A):
+    """Canonical (i < j) pair -> weight."""
+    upper = sp.triu(A.weight_csr, k=1).tocoo()
+    return {(int(i), int(j)): float(w) for i, j, w in zip(upper.row, upper.col, upper.data)}
+
+
+def common_counts(A):
+    """Dense number of common neighbors of every pair."""
+    P = A.indicator_csr
+    return (P @ P).toarray()
+
+
+def hidden_from_latent(A, B, x, y):
+    """Hidden nodes of x for the pair (x, y) read off the production
+    structures: neighbors h of y with a latent edge (x, h).  Valid when the
+    decay floor is positive, so every distance-two pair has a latent edge."""
+    return {int(h) for h in A.weight_csr[y].indices if h != x and B[x, h] > 0}
+
+
 class TestBuildAdjacency:
     def test_single_edge_at_reference(self):
         lst = normalize(TemporalEdgeList([TemporalEdge(0, 1, 5)], 2))
@@ -48,7 +73,7 @@ class TestBuildAdjacency:
         A = build_adjacency(lst, snapshot_index(lst.t_max, cfg), PARAMS, cfg)
         # zero elapsed: weight is the decay value at x=0
         expect = (1 / (1 + math.exp(-PARAMS.a)) + PARAMS.q) / (PARAMS.q + 1)
-        assert A.weight(0, 1) == pytest.approx(expect, rel=1e-14)
+        assert weight(A, 0, 1) == pytest.approx(expect, rel=1e-14)
 
     def test_multi_edges_sum(self):
         lst = normalize(
@@ -61,14 +86,16 @@ class TestBuildAdjacency:
             return (1 / (1 + math.exp(x / 2.0 - 5.0)) + 1.0) / 2.0
 
         # elapsed 4 and 0 snapshots; evaluated independently and added
-        assert A.weight(1, 3) == pytest.approx(direct(4.0) + direct(0.0), rel=1e-12)
-        assert A.mult(1, 3) == 2
+        assert weight(A, 1, 3) == pytest.approx(direct(4.0) + direct(0.0), rel=1e-12)
+        M = mult_csr(A)
+        assert M[1, 3] == 2 and M[3, 1] == 2
 
     def test_weight_bounds_single_edges(self):
         toy = random_toy(3, max_nodes=25, dup_rate=0.0)
         _, A, _ = production_stack(toy, DecayParams(p=1.5, q=1.0))
-        for (i, j), w in A.pairs().items():
-            m = A.mult(i, j)
+        M = mult_csr(A)
+        for (i, j), w in pairs(A).items():
+            m = M[i, j]
             assert w > 0.5 * m  # every edge stays above the floor
             assert w <= m * 0.9966535745378576 * (1 + 1e-12)
 
@@ -82,10 +109,13 @@ class TestBuildAdjacency:
         for seed in range(5):
             toy = random_toy(seed, max_nodes=30)
             _, A, _ = production_stack(toy, random_decay(seed + 50))
-            for (i, j), w in A.pairs().items():
-                assert i < j
-                assert w > 0 and np.isfinite(w)
-                assert A.weight(i, j) == A.weight(j, i)
+            W = A.weight_csr
+            assert W.has_sorted_indices
+            assert np.all(W.diagonal() == 0)
+            assert np.all(W.data > 0) and np.all(np.isfinite(W.data))
+            assert np.array_equal(W.toarray(), W.toarray().T)
+            assert np.array_equal(mult_csr(A).toarray(), mult_csr(A).toarray().T)
+            assert len(A) == len(pairs(A)) == W.nnz // 2
 
     def test_latest_mode_keeps_newest_edge_only(self):
         lst = normalize(
@@ -96,16 +126,24 @@ class TestBuildAdjacency:
         summed = build_adjacency(lst, T, PARAMS, cfg, agg="sum")
         latest = build_adjacency(lst, T, PARAMS, cfg, agg="latest")
         newest = (1 / (1 + math.exp(-5.0)) + 1) / 2
-        assert latest.weight(0, 1) == pytest.approx(newest, rel=1e-14)
-        assert summed.weight(0, 1) > latest.weight(0, 1)
-        assert latest.mult(0, 1) == 2  # multiplicity still counts all edges
+        assert weight(latest, 0, 1) == pytest.approx(newest, rel=1e-14)
+        assert weight(summed, 0, 1) > weight(latest, 0, 1)
+        assert mult_csr(latest)[0, 1] == 2  # multiplicity still counts all edges
 
     def test_exp_decay_mode(self):
         lst = normalize(TemporalEdgeList([TemporalEdge(0, 1, 1), TemporalEdge(1, 2, 5)], 3))
         cfg = SnapshotConfig(period=1.0)
         A = build_adjacency(lst, snapshot_index(lst.t_max, cfg), ExpDecayParams(0.5), cfg)
-        assert A.weight(0, 1) == pytest.approx(math.exp(-2.0), rel=1e-14)
-        assert A.weight(1, 2) == 1.0
+        assert weight(A, 0, 1) == pytest.approx(math.exp(-2.0), rel=1e-14)
+        assert weight(A, 1, 2) == 1.0
+
+    def test_from_pair_weights_validation(self):
+        A = WeightedAdjacency.from_pair_weights(3, {(1, 0): 0.5}, {(0, 1): 4})
+        assert weight(A, 0, 1) == weight(A, 1, 0) == 0.5
+        assert mult_csr(A)[1, 0] == 4
+        for bad in ({(1, 1): 1.0}, {(0, 3): 1.0}, {(0, 1): 0.0}, {(0, 1): float("nan")}):
+            with pytest.raises(ValueError):
+                WeightedAdjacency.from_pair_weights(3, bad)
 
 
 class TestDegreeVector:
@@ -125,77 +163,88 @@ class TestDegreeVector:
         for seed in range(8):
             toy = random_toy(seed, max_nodes=30)
             _, A, D = production_stack(toy, PARAMS)
-            assert D.w.sum() == pytest.approx(2 * sum(A.pairs().values()), rel=1e-12)
+            assert D.w.sum() == pytest.approx(2 * sum(pairs(A).values()), rel=1e-12)
             assert np.all((D.w > 0) == (D.d > 0))
 
 
 class TestNeighborhoodSets:
     def test_common_neighbors_schematic(self):
         _, A, _ = production_stack(fig_toy(), PARAMS)
-        assert list(common_neighbors(A, 0, 1)) == [2, 3, 4]
+        P = A.indicator_csr
+        assert list(P[0].multiply(P[1]).tocsr().indices) == [2, 3, 4]
+        assert common_counts(A)[0, 1] == 3
 
     def test_disjoint_neighborhoods(self):
         A = WeightedAdjacency.from_pair_weights(4, {(0, 1): 1.0, (2, 3): 1.0})
-        assert len(common_neighbors(A, 0, 2)) == 0
+        assert common_counts(A)[0, 2] == 0
 
     def test_symmetric(self):
         toy = random_toy(11, max_nodes=20, min_nodes=12)
         _, A, _ = production_stack(toy, PARAMS)
-        for x in range(5):
-            for y in range(5, 10):
-                np.testing.assert_array_equal(
-                    common_neighbors(A, x, y), common_neighbors(A, y, x)
-                )
+        C = common_counts(A)
+        assert np.array_equal(C, C.T)
 
     def test_hidden_nodes_schematic(self):
-        _, A, _ = production_stack(fig_toy(), PARAMS)
-        assert hidden_nodes(A, 0, 1).nodes == frozenset({5})
-        assert hidden_nodes(A, 1, 0).nodes == frozenset({6, 7})
+        toy = fig_toy()
+        _, A, _ = production_stack(toy, PARAMS)
+        B = latent_matrix(A, PARAMS)
+        assert naive_hidden(toy, PARAMS, 0, 1) == hidden_from_latent(A, B, 0, 1) == {5}
+        assert naive_hidden(toy, PARAMS, 1, 0) == hidden_from_latent(A, B, 1, 0) == {6, 7}
 
     def test_hidden_empty_when_no_extra_neighbors(self):
         # pure butterfly: all of y's neighbors are shared with x
-        A = WeightedAdjacency.from_pair_weights(
-            4, {(0, 2): 1.0, (0, 3): 1.0, (1, 2): 1.0, (1, 3): 1.0}
-        )
-        assert hidden_nodes(A, 0, 1).nodes == frozenset()
+        butterfly = [(0, 2), (0, 3), (1, 2), (1, 3)]
+        A = WeightedAdjacency.from_pair_weights(4, {pair: 1.0 for pair in butterfly})
+        assert hidden_from_latent(A, latent_matrix(A, PARAMS), 0, 1) == set()
+        toy = ToyGraph(n=4, edges=[(u, v, 1) for u, v in butterfly])
+        assert naive_hidden(toy, PARAMS, 0, 1) == set()
 
     def test_hidden_disjoint_from_own_neighborhood(self):
         for seed in range(10):
             toy = random_toy(seed, max_nodes=20)
             _, A, _ = production_stack(toy, PARAMS)
+            B = latent_matrix(A, PARAMS)
+            W = A.weight_csr
             rng = np.random.default_rng(seed)
             for _ in range(10):
-                x, y = rng.integers(0, toy.n, 2)
+                x, y = (int(v) for v in rng.integers(0, toy.n, 2))
                 if x == y:
                     continue
-                hs = hidden_nodes(A, int(x), int(y))
-                assert not (hs.nodes & A.neighbor_set(int(x)))
-                assert hs.nodes <= A.neighbor_set(int(y))
-                assert x not in hs.nodes and y not in hs.nodes
+                hs = naive_hidden(toy, PARAMS, x, y)
+                assert hs == hidden_from_latent(A, B, x, y)
+                assert not (hs & set(W[x].indices.tolist()))
+                assert hs <= set(W[y].indices.tolist())
+                assert x not in hs and y not in hs
 
 
 class TestLatentWeight:
     def test_zero_without_common_neighbors(self):
         A = WeightedAdjacency.from_pair_weights(4, {(0, 1): 1.0, (2, 3): 1.0})
-        lst = normalize(TemporalEdgeList([TemporalEdge(0, 1, 1), TemporalEdge(2, 3, 2)], 4))
-        assert latent_weight(A, lst, 0, 2, PARAMS) == 0.0
+        B = latent_matrix(A, PARAMS)
+        assert B[0, 2] == 0.0 and B.nnz == 0
 
     def test_zero_when_floor_is_zero(self):
         toy = random_toy(4, max_nodes=15)
         params = DecayParams(p=2.0, q=0.0)
-        lst, A, _ = production_stack(toy, params)
+        _, A, _ = production_stack(toy, params)
+        B = latent_matrix(A, params).toarray()
         for i in range(toy.n):
             for j in range(i + 1, toy.n):
-                if A.weight(i, j) == 0.0:
-                    assert latent_weight(A, lst, i, j, params) == 0.0
+                if weight(A, i, j) == 0.0:
+                    assert B[i, j] == 0.0
+                    assert naive_latent(toy, params, i, j) == 0.0
 
     def test_adjacent_pair_rejected(self):
+        """Latent edges exist only between distinct non-adjacent nodes: the
+        oracle rejects the query and the matrix holds no such cell."""
         toy = fig_toy()
-        lst, A, _ = production_stack(toy, PARAMS)
+        _, A, _ = production_stack(toy, PARAMS)
         with pytest.raises(ValueError):
-            latent_weight(A, lst, 0, 2, PARAMS)
-        with pytest.raises(ValueError):
-            latent_weight(A, lst, 3, 3, PARAMS)
+            naive_latent(toy, PARAMS, 0, 2)
+        B = latent_matrix(A, PARAMS).toarray()
+        assert B[0, 2] == 0.0
+        assert np.all(B[A.indicator_csr.toarray() > 0] == 0.0)
+        assert np.all(np.diag(B) == 0.0)
 
     def test_strict_bound_below_floor(self):
         checked = 0
@@ -205,14 +254,16 @@ class TestLatentWeight:
                 p=float(np.random.default_rng(seed).uniform(0.5, 8)),
                 q=float(np.random.default_rng(seed + 1).uniform(0.1, 10)),
             )
-            lst, A, _ = production_stack(toy, params)
+            _, A, _ = production_stack(toy, params)
             floor = asf_floor(params)
+            B = latent_matrix(A, params).toarray()
+            C = common_counts(A)
             for i in range(toy.n):
                 for j in range(i + 1, toy.n):
-                    if A.weight(i, j) != 0.0:
+                    if weight(A, i, j) != 0.0:
                         continue
-                    b = latent_weight(A, lst, i, j, params)
-                    if len(common_neighbors(A, i, j)) == 0:
+                    b = B[i, j]
+                    if C[i, j] == 0:
                         assert b == 0.0
                         continue
                     checked += 1
@@ -224,68 +275,59 @@ class TestLatentWeight:
         for seed in range(15):
             toy = random_toy(seed, max_nodes=18)
             params = random_decay(seed + 90)
-            lst, A, _ = production_stack(toy, params)
+            _, A, _ = production_stack(toy, params)
+            B = latent_matrix(A, params).toarray()
             for i in range(toy.n):
                 for j in range(i + 1, toy.n):
-                    if A.weight(i, j) != 0.0:
+                    if weight(A, i, j) != 0.0:
                         continue
-                    got = latent_weight(A, lst, i, j, params)
                     ref = naive_latent(toy, params, i, j)
-                    assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
+                    assert B[i, j] == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
 
 class TestLatentCache:
-    def test_memoized_and_deterministic(self):
-        toy = fig_toy()
-        lst, A, _ = production_stack(toy, PARAMS)
-        cache = LatentWeightCache(A, lst, PARAMS)
-        first = cache.weight(0, 5)
-        assert cache.weight(5, 0) == first
-        assert cache.queried() == {(0, 5): first}
+    """The latent matrix as the materialized store of every latent cell."""
 
     def test_adjacent_query_rejected(self):
-        toy = fig_toy()
-        lst, A, _ = production_stack(toy, PARAMS)
-        cache = LatentWeightCache(A, lst, PARAMS)
-        with pytest.raises(ValueError):
-            cache.weight(0, 2)
+        toy = random_toy(21, max_nodes=10, min_nodes=10)
+        _, A, _ = production_stack(toy, PARAMS)
+        B = latent_matrix(A, PARAMS)
+        adjacent = pairs(A)
+        assert adjacent
+        for i, j in adjacent:
+            assert B[i, j] == 0.0 and B[j, i] == 0.0
+            with pytest.raises(ValueError):
+                naive_latent(toy, PARAMS, i, j)
 
     def test_materialize_all_matches_brute_force(self):
         toy = random_toy(21, max_nodes=10, min_nodes=10)
-        lst, A, _ = production_stack(toy, PARAMS)
-        cache = LatentWeightCache(A, lst, PARAMS)
+        _, A, _ = production_stack(toy, PARAMS)
+        B = latent_matrix(A, PARAMS).toarray()
         for i in range(10):
             for j in range(i + 1, 10):
-                if A.weight(i, j) == 0.0:
-                    assert cache.weight(i, j) == latent_weight(A, lst, i, j, PARAMS)
-
-    def test_dump_queried_cells(self):
-        toy = fig_toy()
-        lst, A, _ = production_stack(toy, PARAMS)
-        cache = LatentWeightCache(A, lst, PARAMS)
-        cache.weight(0, 5)
-        buf = io.StringIO()
-        cache.dump_tsv(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("0\t5\t")
+                if weight(A, i, j) == 0.0:
+                    ref = naive_latent(toy, PARAMS, i, j)
+                    assert B[i, j] == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
 
 class TestLatentMatrix:
     def test_bulk_equals_per_pair(self):
+        """Every cell of the bulk matrix equals the oracle's per-pair latent
+        weight, including the zero cells on adjacent pairs and the diagonal."""
         for seed in range(10):
             toy = random_toy(seed + 40, max_nodes=22)
             params = random_decay(seed + 140)
-            lst, A, _ = production_stack(toy, params)
+            _, A, _ = production_stack(toy, params)
             B = latent_matrix(A, params).toarray()
             assert np.allclose(B, B.T)
             for i in range(toy.n):
                 for j in range(toy.n):
                     if i == j:
                         assert B[i, j] == 0.0
-                    elif A.weight(i, j) != 0.0:
+                    elif weight(A, i, j) != 0.0:
                         assert B[i, j] == 0.0
                     else:
-                        ref = latent_weight(A, lst, i, j, params)
+                        ref = naive_latent(toy, params, i, j)
                         assert B[i, j] == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
     def test_empty_when_floor_zero(self):
@@ -296,14 +338,6 @@ class TestLatentMatrix:
         assert decay_floor(ExpDecayParams(0.3)) == 0.0
 
 
-class TestDumps:
-    def test_adjacency_tsv(self):
-        A = WeightedAdjacency.from_pair_weights(3, {(0, 1): 0.5, (1, 2): 0.25})
-        buf = io.StringIO()
-        dump_adjacency_tsv(A, buf)
-        assert buf.getvalue() == "0\t1\t0.5\n1\t2\t0.25\n"
-
-
 class TestFloorScaling:
     def test_latent_cells_scale_linearly_with_floor(self):
         """Holding the adjacency and multiplicities fixed, a latent cell is
@@ -311,42 +345,9 @@ class TestFloorScaling:
         proportional to the two floors."""
         weights = {(0, 2): 0.8, (1, 2): 0.7, (0, 3): 0.6, (1, 3): 0.9}
         A = WeightedAdjacency.from_pair_weights(4, weights)
-        train = normalize(
-            TemporalEdgeList([TemporalEdge(u, v, 1) for (u, v) in weights], 4)
-        )
         lo = DecayParams(p=1.0, q=0.5)
         hi = DecayParams(p=1.0, q=2.0)
-        b_lo = latent_weight(A, train, 0, 1, lo)
-        b_hi = latent_weight(A, train, 0, 1, hi)
+        b_lo = latent_matrix(A, lo)[0, 1]
+        b_hi = latent_matrix(A, hi)[0, 1]
         assert b_lo > 0
         assert b_hi * asf_floor(lo) == pytest.approx(b_lo * asf_floor(hi), rel=1e-14)
-
-
-class TestCacheConcurrency:
-    def test_parallel_queries_consistent(self):
-        import threading
-
-        toy = random_toy(66, max_nodes=24, min_nodes=20)
-        params = DecayParams(p=2.0, q=1.0)
-        lst, A, _ = production_stack(toy, params)
-        cache = LatentWeightCache(A, lst, params)
-        pairs = [
-            (i, j)
-            for i in range(toy.n)
-            for j in range(i + 1, toy.n)
-            if A.weight(i, j) == 0.0
-        ]
-        results = [dict() for _ in range(4)]
-
-        def worker(out):
-            for i, j in pairs:
-                out[(i, j)] = cache.weight(i, j)
-
-        threads = [threading.Thread(target=worker, args=(r,)) for r in results]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        expected = {p: latent_weight(A, lst, p[0], p[1], params) for p in pairs}
-        for r in results:
-            assert r == expected

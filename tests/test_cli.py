@@ -116,6 +116,31 @@ class TestEvaluate:
         ]) == 4
 
 
+class TestBadInputs:
+    """Inputs that once ended in a traceback or in non-standard JSON."""
+
+    @pytest.mark.parametrize(
+        "flags, raw, code",
+        [
+            (["--period", "inf"], None, 2),
+            (["--period", "80", "--origin", "1e9"], None, 2),
+            (["--period", "80"], b"1 2 1 40\n2 3 1 \xff\xfe\n", 3),
+            (["--period", "80", "--seed", "-3"], None, 2),
+            (["--period", "80", "--auc-exhaustive-limit", "-5"], None, 2),
+        ],
+        ids=["period-inf", "origin-late", "non-utf8", "seed-negative", "auc-limit-negative"],
+    )
+    def test_ends_in_documented_exit_code(self, dataset, tmp_path, capsys, flags, raw, code):
+        if raw is not None:
+            dataset = tmp_path / "latin.tsv"
+            dataset.write_bytes(raw)
+        out_dir = tmp_path / "run"
+        assert main(["evaluate", "--dataset", str(dataset), *flags, "--out-dir", str(out_dir)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not (out_dir / "report.json").exists()
+
+
 class TestSweep:
     def test_tidy_csv(self, dataset, tmp_path, capsys):
         out_dir = tmp_path / "sw"
@@ -163,15 +188,17 @@ class TestPeriodParsing:
         }
 
     def test_rejects_garbage(self):
-        for bad in ("", "fast", "-1h", "0"):
+        for bad in ("", "fast", "-1h", "0", "inf", "nan", float("inf")):
             with pytest.raises(ConfigError):
                 parse_period(bad)
 
 
 class TestConfigValidation:
     def test_unknown_field_rejected(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_sources({"dataset": "x", "bogus": 1}, {})
+        # subgraph_* were fields of older versions
+        for field in ("bogus", "subgraph_seeds", "subgraph_hops"):
+            with pytest.raises(ConfigError):
+                ExperimentConfig.from_sources({"dataset": "x", field: 1}, {})
 
     def test_ranges_checked(self):
         base = dict(dataset="x", period="1h")

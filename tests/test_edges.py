@@ -4,13 +4,14 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from tlpss.adjacency import build_adjacency
+from tlpss.decay import DecayParams
 from tlpss.edges import (
     SnapshotConfig,
     TemporalEdge,
     TemporalEdgeList,
-    khop_filter,
-    multiplicity,
     normalize,
     parse_edge_list,
     serialize,
@@ -230,25 +231,17 @@ class TestMultiplicity:
             TemporalEdge(1, 2, 3),
         ]
         lst = normalize(TemporalEdgeList(edges, 3))
-        assert multiplicity(lst, 0, 1) == 3
-        assert multiplicity(lst, 1, 0) == 3
-        assert multiplicity(lst, 0, 2) == 0
+        assert lst.pair_counts == {(0, 1): 3, (1, 2): 1}
+        assert (0, 2) not in lst.pair_counts
+        cfg = SnapshotConfig(period=1.0)
+        A = build_adjacency(lst, snapshot_index(lst.t_max, cfg), DecayParams(p=1.0, q=1.0), cfg)
+        W = A.weight_csr
+        mult = sp.csr_matrix((A.mult, W.indices, W.indptr), shape=W.shape)
+        assert mult[0, 1] == mult[1, 0] == 3
+        assert mult[0, 2] == 0
 
     def test_total_multiplicity_is_edge_count(self):
         for seed in range(10):
             lst = normalize(random_list(seed))
             assert sum(lst.pair_counts.values()) == len(lst)
 
-
-class TestKhopFilter:
-    def test_keeps_ids_and_node_count(self):
-        lst = normalize(random_list(1, n=20, n_edges=50))
-        out = khop_filter(lst, n_seeds=2, hops=1, seed=0)
-        assert out.node_count == lst.node_count
-        assert set(out.edges) <= set(lst.edges)
-
-    def test_deterministic(self):
-        lst = normalize(random_list(2, n=20, n_edges=50))
-        a = khop_filter(lst, 3, 2, seed=9)
-        b = khop_filter(lst, 3, 2, seed=9)
-        assert a == b

@@ -7,14 +7,14 @@ from tlpss.decay import DecayParams
 from tlpss.edges import TemporalEdge, TemporalEdgeList, normalize, split_by_time
 from tlpss.errors import ConfigError, EvaluationError
 from tlpss.evaluation import (
+    _precision_from_arrays,
     auc,
     build_candidates,
     evaluate_methods,
-    precision_at_l,
     sweep,
 )
 from tlpss.oracle import ToyGraph, exhaustive_auc, random_toy
-from tlpss.scoring import ALL_METHODS, MethodId, ScoreTable
+from tlpss.scoring import ALL_METHODS, MethodId
 
 
 def toy_list(toy):
@@ -140,29 +140,36 @@ class TestAuc:
         assert auc(pos**3, neg**3, n_comparisons=5000, seed=9) == base_sampled
 
 
-class TestPrecision:
-    def _table(self, rows):
-        return ScoreTable(method=MethodId.CN_ASF, params=None, rows=rows)
+def table_precision(rows, positives, L):
+    """Precision@L over a {canonical pair: score} table, through the
+    array form evaluation ranks candidates with."""
+    pairs = sorted(rows)
+    ii = np.array([p[0] for p in pairs], dtype=np.int64)
+    jj = np.array([p[1] for p in pairs], dtype=np.int64)
+    scores = np.array([rows[p] for p in pairs], dtype=np.float64)
+    is_positive = np.array([p in set(positives) for p in pairs], dtype=bool)
+    return _precision_from_arrays(ii, jj, scores, is_positive, L)
 
+
+class TestPrecision:
     def test_all_hits(self):
         rows = {(0, 1): 3.0, (0, 2): 2.0, (1, 2): 1.0}
-        table = self._table(rows)
-        assert precision_at_l(table, [(0, 1), (0, 2)], 2) == 1.0
+        assert table_precision(rows, [(0, 1), (0, 2)], 2) == 1.0
 
     def test_no_positives_at_all(self):
         rows = {(0, 1): 3.0, (0, 2): 2.0}
-        assert precision_at_l(self._table(rows), [], 2) == 0.0
+        assert table_precision(rows, [], 2) == 0.0
 
     def test_too_few_candidates(self):
         rows = {(0, 1): 3.0}
         with pytest.raises(EvaluationError):
-            precision_at_l(self._table(rows), [(0, 1)], 2)
+            table_precision(rows, [(0, 1)], 2)
 
     def test_tie_at_cut_broken_by_pair_order(self):
         # (0,2) and (1,2) tie; canonical order keeps (0,2) inside the cut
         rows = {(0, 1): 5.0, (0, 2): 1.0, (1, 2): 1.0, (2, 3): 0.5}
-        hit = precision_at_l(self._table(rows), [(0, 2)], 2)
-        miss = precision_at_l(self._table(rows), [(1, 2)], 2)
+        hit = table_precision(rows, [(0, 2)], 2)
+        miss = table_precision(rows, [(1, 2)], 2)
         assert hit == 0.5
         assert miss == 0.0
 
@@ -172,10 +179,10 @@ class TestPrecision:
         scores = np.round(rng.uniform(0, 2, len(pairs)), 2)
         positives = [p for p, s in zip(pairs, scores) if s > 1.2]
         base_rows = dict(zip(pairs, scores.tolist()))
-        base = precision_at_l(self._table(base_rows), positives, 10)
+        base = table_precision(base_rows, positives, 10)
         for transform in (lambda x: 2 * x + 7, lambda x: x**3):
             rows = {p: float(transform(s)) for p, s in base_rows.items()}
-            assert precision_at_l(self._table(rows), positives, 10) == base
+            assert table_precision(rows, positives, 10) == base
 
 
 class TestEvaluateMethods:

@@ -1,34 +1,14 @@
 """Tests for the TLPSS score and the six baseline indices."""
 
-import io
-
 import numpy as np
 import pytest
 
-from tlpss.adjacency import (
-    LatentWeightCache,
-    WeightedAdjacency,
-    build_adjacency,
-    common_neighbors,
-    degree_vector,
-    hidden_nodes,
-)
+from tlpss.adjacency import WeightedAdjacency, build_adjacency, degree_vector
 from tlpss.decay import DecayParams, asf_floor
 from tlpss.edges import SnapshotConfig, TemporalEdge, TemporalEdgeList, normalize, snapshot_index
 from tlpss.errors import ConfigError
-from tlpss.oracle import ToyGraph, naive_score, random_decay, random_toy
-from tlpss.scoring import (
-    ALL_METHODS,
-    MethodId,
-    score_all,
-    score_car,
-    score_cclp,
-    score_cn,
-    score_ja,
-    score_pa,
-    score_ra,
-    score_tlpss,
-)
+from tlpss.oracle import ToyGraph, naive_hidden, naive_score, random_decay, random_toy
+from tlpss.scoring import ALL_METHODS, MethodId, score_matrix
 
 PARAMS = DecayParams(p=2.0, q=1.0, a=5.0)
 
@@ -41,9 +21,15 @@ def production_stack(toy, params):
     return lst, A, degree_vector(A)
 
 
-def latent_for(toy, params):
-    lst, A, D = production_stack(toy, params)
-    return A, D, LatentWeightCache(A, lst, params)
+def toy_scores(toy, params, method, cclp_mode="local"):
+    """Score matrix of one method on a toy graph."""
+    _, A, D = production_stack(toy, params)
+    return score_matrix(A, D, method, latent_params=params, cclp_mode=cclp_mode)
+
+
+def scores(A, method, params=PARAMS, cclp_mode="local"):
+    """Score matrix of one method on a given adjacency."""
+    return score_matrix(A, degree_vector(A), method, latent_params=params, cclp_mode=cclp_mode)
 
 
 def fig_toy(ts=10):
@@ -69,21 +55,19 @@ class TestTlpss:
         from the definitions (common-neighbor part 3/2; latent parts 2/9 and
         1/2 of the floor on the two sides)."""
         params = DecayParams(p=1.0, q=q)
-        A, D, lat = latent_for(fig_toy(), params)
+        m = toy_scores(fig_toy(), params, MethodId.TLPSS)
         expect = 1.5 + asf_floor(params) * 13.0 / 36.0
-        assert score_tlpss(A, D, lat, 0, 1) == pytest.approx(expect, rel=1e-13)
+        assert m[0, 1] == pytest.approx(expect, rel=1e-13)
 
     def test_zero_without_structure(self):
         A = WeightedAdjacency.from_pair_weights(4, {(0, 1): 1.0, (2, 3): 1.0})
-        D = degree_vector(A)
-        lst = normalize(TemporalEdgeList([TemporalEdge(0, 1, 1), TemporalEdge(2, 3, 2)], 4))
-        lat = LatentWeightCache(A, lst, PARAMS)
-        assert score_tlpss(A, D, lat, 0, 2) == 0.0
+        assert scores(A, MethodId.TLPSS)[0, 2] == 0.0
 
     def test_self_pair_rejected(self):
-        A, D, lat = latent_for(fig_toy(), PARAMS)
-        with pytest.raises(ValueError):
-            score_tlpss(A, D, lat, 3, 3)
+        """A node is never its own candidate: every method's diagonal is 0."""
+        for method in ALL_METHODS:
+            m = toy_scores(fig_toy(), PARAMS, method)
+            assert np.all(np.diag(m) == 0.0), method
 
     def test_q_zero_reduces_to_two_sided_ra_exactly(self):
         """With the floor off, TLPSS must equal the plain two-sided
@@ -91,187 +75,152 @@ class TestTlpss:
         for seed in range(25):
             toy = random_toy(seed, max_nodes=25)
             params = DecayParams(p=float(np.random.default_rng(seed).uniform(0.5, 8)), q=0.0)
-            lst, A, D = production_stack(toy, params)
-            lat = LatentWeightCache(A, lst, params)
+            _, A, D = production_stack(toy, params)
+            m = score_matrix(A, D, MethodId.TLPSS, latent_params=params)
+            W = A.weight_csr
             rng = np.random.default_rng(seed + 7)
             for x, y in sample_pairs(rng, toy.n, 8):
-                reduced_x = sum(A.weight(x, int(z)) / D.w[int(z)] for z in common_neighbors(A, x, y))
-                reduced_y = sum(A.weight(y, int(z)) / D.w[int(z)] for z in common_neighbors(A, x, y))
-                assert score_tlpss(A, D, lat, x, y) == 0.5 * (reduced_x + reduced_y)
+                cn = np.intersect1d(W[x].indices, W[y].indices)
+                reduced_x = sum(W[x, int(z)] / D.w[int(z)] for z in cn)
+                reduced_y = sum(W[y, int(z)] / D.w[int(z)] for z in cn)
+                assert m[x, y] == 0.5 * (reduced_x + reduced_y)
 
     def test_positive_iff_cn_or_hidden(self):
         for seed in range(10):
             toy = random_toy(seed + 60, max_nodes=20)
-            A, D, lat = latent_for(toy, PARAMS)
+            _, A, D = production_stack(toy, PARAMS)
+            m = score_matrix(A, D, MethodId.TLPSS, latent_params=PARAMS)
+            P = A.indicator_csr
+            common = (P @ P).toarray()
             rng = np.random.default_rng(seed)
             for x, y in sample_pairs(rng, toy.n, 10):
-                s = score_tlpss(A, D, lat, x, y)
                 has_structure = (
-                    len(common_neighbors(A, x, y)) > 0
-                    or hidden_nodes(A, x, y).nodes
-                    or hidden_nodes(A, y, x).nodes
+                    common[x, y] > 0
+                    or naive_hidden(toy, PARAMS, x, y)
+                    or naive_hidden(toy, PARAMS, y, x)
                 )
-                assert (s > 0) == bool(has_structure)
+                assert (m[x, y] > 0) == bool(has_structure)
 
 
 class TestBaselineValues:
     def test_cn_single_shared_neighbor(self):
         A = WeightedAdjacency.from_pair_weights(3, {(0, 2): 0.8, (1, 2): 0.8})
-        assert score_cn(A, 0, 1) == pytest.approx(0.8, rel=1e-15)
+        assert scores(A, MethodId.CN_ASF)[0, 1] == pytest.approx(0.8, rel=1e-15)
 
     def test_cn_empty(self):
         A = WeightedAdjacency.from_pair_weights(4, {(0, 1): 1.0, (2, 3): 1.0})
-        assert score_cn(A, 0, 2) == 0.0
+        assert scores(A, MethodId.CN_ASF)[0, 2] == 0.0
 
     def test_cn_unit_weights_counts_neighbors(self):
         weights = {(0, z): 1.0 for z in (2, 3, 4)}
         weights.update({(1, z): 1.0 for z in (2, 3, 4)})
         A = WeightedAdjacency.from_pair_weights(5, weights)
-        assert score_cn(A, 0, 1) == 3.0
+        assert scores(A, MethodId.CN_ASF)[0, 1] == 3.0
 
     def test_ja_degenerate_denominator(self):
         A = WeightedAdjacency.from_pair_weights(4, {(2, 3): 1.0})
-        D = degree_vector(A)
-        assert score_ja(A, D, 0, 1) == 0.0
+        assert scores(A, MethodId.JA_ASF)[0, 1] == 0.0
 
     def test_ja_bounded_by_half(self):
         for seed in range(15):
             toy = random_toy(seed, max_nodes=20)
-            _, A, D = production_stack(toy, random_decay(seed + 30))
+            m = toy_scores(toy, random_decay(seed + 30), MethodId.JA_ASF)
             rng = np.random.default_rng(seed)
             for x, y in sample_pairs(rng, toy.n, 10):
-                assert score_ja(A, D, x, y) <= 0.5 + 1e-12
+                assert m[x, y] <= 0.5 + 1e-12
 
     def test_pa_product_and_isolated(self):
         A = WeightedAdjacency.from_pair_weights(4, {(0, 1): 2.0, (1, 2): 3.0})
-        D = degree_vector(A)
-        assert score_pa(D, 0, 2) == pytest.approx(6.0)
-        assert score_pa(D, 0, 3) == 0.0
+        m = scores(A, MethodId.PA_ASF)
+        assert m[0, 2] == pytest.approx(6.0)
+        assert m[0, 3] == 0.0
 
     def test_ra_inverse_degree(self):
         A = WeightedAdjacency.from_pair_weights(3, {(0, 2): 1.0, (1, 2): 1.0})
-        D = degree_vector(A)
-        assert score_ra(A, D, 0, 1) == pytest.approx(0.5)
+        assert scores(A, MethodId.RA_ASF)[0, 1] == pytest.approx(0.5)
 
     def test_ra_unit_weights_classic(self):
         # two shared neighbors of plain degree 2 and 3
         weights = {(0, 2): 1.0, (1, 2): 1.0, (0, 3): 1.0, (1, 3): 1.0, (3, 4): 1.0}
         A = WeightedAdjacency.from_pair_weights(5, weights)
-        D = degree_vector(A)
-        assert score_ra(A, D, 0, 1) == pytest.approx(1 / 2 + 1 / 3, rel=1e-15)
+        assert scores(A, MethodId.RA_ASF)[0, 1] == pytest.approx(1 / 2 + 1 / 3, rel=1e-15)
 
     def test_car_needs_linked_common_neighbors(self):
         weights = {(0, 2): 1.0, (1, 2): 1.0, (0, 3): 1.0, (1, 3): 1.0}
         A = WeightedAdjacency.from_pair_weights(4, weights)
-        assert score_car(A, 0, 1) == 0.0
+        assert scores(A, MethodId.CAR_ASF)[0, 1] == 0.0
 
     def test_car_known_value(self):
         # CN score 1.5 and one common-neighbor link of weight 0.7
         weights = {(0, 2): 0.75, (1, 2): 0.75, (0, 3): 0.75, (1, 3): 0.75, (2, 3): 0.7}
         A = WeightedAdjacency.from_pair_weights(5, weights)
-        cn = score_cn(A, 0, 1)
-        assert cn == pytest.approx(1.5, rel=1e-15)
-        assert score_car(A, 0, 1) == pytest.approx(1.05, rel=1e-15)
+        assert scores(A, MethodId.CN_ASF)[0, 1] == pytest.approx(1.5, rel=1e-15)
+        assert scores(A, MethodId.CAR_ASF)[0, 1] == pytest.approx(1.05, rel=1e-15)
 
     def test_cclp_two_neighbor_triangle(self):
         # z=2 has exactly the neighbors 0, 1 which are linked with weight 0.6
         weights = {(0, 2): 1.0, (1, 2): 1.0, (0, 1): 0.6}
         A = WeightedAdjacency.from_pair_weights(3, weights)
-        D = degree_vector(A)
-        assert score_cclp(A, D, 0, 1) == pytest.approx(0.6, rel=1e-15)
+        assert scores(A, MethodId.CCLP_ASF)[0, 1] == pytest.approx(0.6, rel=1e-15)
 
     def test_cclp_no_triangles(self):
         weights = {(0, 2): 1.0, (1, 2): 1.0}
         A = WeightedAdjacency.from_pair_weights(3, weights)
-        D = degree_vector(A)
-        assert score_cclp(A, D, 0, 1) == 0.0
+        assert scores(A, MethodId.CCLP_ASF)[0, 1] == 0.0
 
     def test_cclp_global_mode_differs_and_matches_oracle(self):
         toy = random_toy(77, max_nodes=18)
-        lst, A, D = production_stack(toy, PARAMS)
+        m = toy_scores(toy, PARAMS, MethodId.CCLP_ASF, cclp_mode="global")
         rng = np.random.default_rng(0)
         for x, y in sample_pairs(rng, toy.n, 10):
-            got = score_cclp(A, D, x, y, mode="global")
             ref = naive_score(MethodId.CCLP_ASF, toy, PARAMS, x, y, cclp_mode="global")
-            assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
+            assert m[x, y] == pytest.approx(ref, rel=1e-12, abs=1e-15)
         with pytest.raises(ConfigError):
-            score_cclp(A, D, 0, 1, mode="banana")
+            toy_scores(toy, PARAMS, MethodId.CCLP_ASF, cclp_mode="banana")
 
 
 class TestSymmetryAndSign:
     def test_all_methods_symmetric(self):
         for seed in range(8):
             toy = random_toy(seed + 20, max_nodes=22)
-            A, D, lat = latent_for(toy, random_decay(seed))
-            rng = np.random.default_rng(seed)
-            for x, y in sample_pairs(rng, toy.n, 6):
-                assert score_tlpss(A, D, lat, x, y) == score_tlpss(A, D, lat, y, x)
-                assert score_cn(A, x, y) == score_cn(A, y, x)
-                assert score_ja(A, D, x, y) == score_ja(A, D, y, x)
-                assert score_pa(D, x, y) == score_pa(D, y, x)
-                assert score_ra(A, D, x, y) == score_ra(A, D, y, x)
-                assert score_car(A, x, y) == score_car(A, y, x)
-                assert score_cclp(A, D, x, y) == score_cclp(A, D, y, x)
+            params = random_decay(seed)
+            for method in ALL_METHODS:
+                m = toy_scores(toy, params, method)
+                assert np.array_equal(m, m.T), method
 
     def test_all_scores_non_negative(self):
         for seed in range(8):
             toy = random_toy(seed + 33, max_nodes=22)
-            A, D, lat = latent_for(toy, random_decay(seed + 3))
-            rng = np.random.default_rng(seed)
-            pairs = sample_pairs(rng, toy.n, 10)
+            params = random_decay(seed + 3)
             for method in ALL_METHODS:
-                table = score_all(A, D, lat, pairs, method, engine="pairwise")
-                assert all(v >= 0 and np.isfinite(v) for v in table.rows.values())
+                m = toy_scores(toy, params, method)
+                assert np.all(m >= 0) and np.all(np.isfinite(m)), method
 
 
 class TestScoreAll:
+    """Scoring every pair at once with score_matrix."""
+
     def test_empty_pairs(self):
-        A, D, lat = latent_for(fig_toy(), PARAMS)
-        table = score_all(A, D, lat, [], MethodId.CN_ASF)
-        assert table.rows == {}
+        """A graph without edges gives every pair a score of 0."""
+        A = WeightedAdjacency.from_pair_weights(5, {})
+        for method in ALL_METHODS:
+            m = scores(A, method)
+            assert m.shape == (5, 5) and not m.any(), method
 
     def test_single_pair_equals_direct_call(self):
-        A, D, lat = latent_for(fig_toy(), PARAMS)
-        table = score_all(A, D, lat, [(0, 1)], MethodId.TLPSS)
-        assert table.rows[(0, 1)] == score_tlpss(A, D, lat, 0, 1)
+        """One cell of the matrix equals a direct per-pair oracle call."""
+        toy = fig_toy()
+        for method in ALL_METHODS:
+            m = toy_scores(toy, PARAMS, method)
+            ref = naive_score(method, toy, PARAMS, 0, 1)
+            assert m[0, 1] == pytest.approx(ref, rel=1e-12, abs=1e-15), method
 
     def test_unknown_method_rejected(self):
-        A, D, lat = latent_for(fig_toy(), PARAMS)
+        _, A, D = production_stack(fig_toy(), PARAMS)
         with pytest.raises(ConfigError):
-            score_all(A, D, lat, [(0, 1)], "TLPSS")
+            score_matrix(A, D, "TLPSS", latent_params=PARAMS)
         with pytest.raises(ConfigError):
-            score_all(A, D, lat, [(0, 1)], MethodId.TLPSS, engine="gpu")
-
-    def test_bulk_equals_pairwise(self):
-        for seed in range(6):
-            toy = random_toy(seed + 5, max_nodes=25)
-            A, D, lat = latent_for(toy, random_decay(seed + 11))
-            pairs = [(i, j) for i in range(toy.n) for j in range(i + 1, toy.n)]
-            for method in ALL_METHODS:
-                bulk = score_all(A, D, lat, pairs, method, engine="bulk")
-                pair = score_all(A, D, lat, pairs, method, engine="pairwise")
-                for key in pairs:
-                    assert bulk.rows[key] == pytest.approx(
-                        pair.rows[key], rel=1e-11, abs=1e-13
-                    )
-
-    def test_order_independence(self):
-        toy = random_toy(9, max_nodes=15)
-        A, D, lat = latent_for(toy, PARAMS)
-        pairs = sample_pairs(np.random.default_rng(1), toy.n, 12)
-        fwd = score_all(A, D, lat, pairs, MethodId.TLPSS, engine="pairwise")
-        rev = score_all(A, D, lat, list(reversed(pairs)), MethodId.TLPSS, engine="pairwise")
-        assert fwd.rows == rev.rows
-
-    def test_exports(self):
-        A, D, lat = latent_for(fig_toy(), PARAMS)
-        table = score_all(A, D, lat, [(0, 1), (0, 5)], MethodId.CN_ASF)
-        tsv = io.StringIO()
-        table.to_tsv(tsv)
-        assert len(tsv.getvalue().strip().splitlines()) == 2
-        js = io.StringIO()
-        table.to_json(js)
-        assert '"method": "CN_ASF"' in js.getvalue()
+            score_matrix(A, D, MethodId.TLPSS)  # no decay parameters for latent weights
 
 
 class TestOracleAgreement:
@@ -280,12 +229,13 @@ class TestOracleAgreement:
         for seed in range(30):
             toy = random_toy(seed + 400, max_nodes=28)
             params = random_decay(seed + 500, allow_exp=True)
-            A, D, lat = latent_for(toy, params)
+            _, A, D = production_stack(toy, params)
             rng = np.random.default_rng(seed)
             pairs = sample_pairs(rng, toy.n, 8)
             for method in ALL_METHODS:
-                table = score_all(A, D, lat, pairs, method, engine="pairwise")
-                for (x, y), got in table.rows.items():
+                m = score_matrix(A, D, method, latent_params=params)
+                for x, y in pairs:
+                    got = m[x, y]
                     ref = naive_score(method, toy, params, x, y)
                     err = abs(got - ref) / max(abs(ref), 1e-30)
                     worst = max(worst, err)
