@@ -20,6 +20,7 @@ import scipy.sparse as sp
 
 from .decay import DecayParams, ExpDecayParams, decay_floor, decay_weights
 from .edges import SnapshotConfig, TemporalEdgeList
+from .errors import ConfigError
 
 __all__ = [
     "WeightedAdjacency",
@@ -154,6 +155,12 @@ def build_adjacency(
         latest = np.full(len(uniq), -np.inf)
         np.maximum.at(latest, inverse, ts.astype(np.float64))
         w_pair = decay_weights(T - (latest - cfg.origin) / cfg.period, params)
+    if not np.all(w_pair > 0):
+        raise ConfigError(
+            f"decay weights of the oldest train links underflow to 0 under {params} "
+            f"with period {cfg.period!r}; use a longer period, larger p or q, or "
+            "smaller theta"
+        )
     return WeightedAdjacency(n, T, uniq // n, uniq % n, w_pair, counts)
 
 

@@ -38,6 +38,8 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_IMPOSSIBLE = 4
 
+_MAX_SWEEP_VALUES = 10_000
+
 _PERIOD_UNITS = {"s": 1.0, "h": 3600.0, "d": 86400.0, "w": 604800.0, "y": 31536000.0}
 
 # Default snapshot periods for the bundled dataset presets (Unix-second data).
@@ -70,6 +72,31 @@ def parse_period(value: float | str) -> float:
     if not (math.isfinite(period) and period > 0):
         raise ConfigError(f"period must be a finite number > 0, got {value!r}")
     return period
+
+
+_NUMBER = (int, float)
+# JSON types each ExperimentConfig field accepts (None where it may be unset)
+_FIELD_TYPES = {
+    "dataset": (str, type(None)),
+    "period": (str, *_NUMBER, type(None)),
+    "origin": _NUMBER,
+    "decay": (str,),
+    "p": _NUMBER,
+    "q": _NUMBER,
+    "a": _NUMBER,
+    "theta": _NUMBER,
+    "ratio": _NUMBER,
+    "methods": (list,),
+    "top_l": (int,),
+    "auc_samples": (int,),
+    "auc_exhaustive_limit": (int,),
+    "max_negatives": (int, type(None)),
+    "seed": (int,),
+    "agg": (str,),
+    "cclp_mode": (str,),
+    "out_dir": (str,),
+    "format": (str,),
+}
 
 
 @dataclass
@@ -110,6 +137,22 @@ class ExperimentConfig:
         return cls(**merged)
 
     def validate(self) -> None:
+        # config files can hold any JSON type; bool is never a number here
+        for f in dataclasses.fields(self):
+            name, types, value = f.name, _FIELD_TYPES[f.name], getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigError(f"{name} has the wrong type: {value!r}")
+            # every number is checked, also those the chosen decay mode ignores,
+            # since all of them are written to the reports
+            if float in types and isinstance(value, _NUMBER):
+                try:
+                    finite = math.isfinite(value)
+                except OverflowError:  # an int beyond the float range
+                    finite = False
+                if not finite:
+                    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if not all(isinstance(m, str) for m in self.methods):
+            raise ConfigError(f"methods must be names, got {self.methods!r}")
         if not self.dataset:
             raise ConfigError("a dataset path is required")
         if self.period is None:
@@ -304,8 +347,13 @@ def _sweep_values(args) -> list[float]:
             start, stop, step = (float(v) for v in args.range.split(":"))
         except ValueError:
             raise ConfigError(f"range must look like start:stop:step, got {args.range!r}") from None
-        if step <= 0:
-            raise ConfigError("range step must be > 0")
+        if not all(math.isfinite(x) for x in (start, stop, step)):
+            raise ConfigError(f"range values must be finite, got {args.range!r}")
+        # a step of one ulp of the endpoints or less may never advance the loop
+        if step <= math.ulp(max(abs(start), abs(stop))):
+            raise ConfigError("range step must be > 0 and change the values it is added to")
+        if (stop - start) / step >= _MAX_SWEEP_VALUES:
+            raise ConfigError(f"range gives more than {_MAX_SWEEP_VALUES} sweep values")
         values = []
         v = start
         while v <= stop + 1e-12:

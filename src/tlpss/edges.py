@@ -152,6 +152,9 @@ class TrainTestSplit:
     positives: frozenset[tuple[int, int]]
 
 
+_TS_LIMIT = 2**62
+
+
 def _parse_ts(token: str) -> int | None:
     try:
         return int(token)
@@ -196,6 +199,9 @@ def parse_edge_list(stream: TextIO) -> tuple[TemporalEdgeList, DropReport]:
         if ts is None:
             report.missing_ts_dropped += 1
             continue
+        if not -_TS_LIMIT < ts < _TS_LIMIT:
+            # so that normalized times, and spans between any two, fit int64
+            raise ParseError(lineno, f"timestamp out of range (|t| < 2**62): {line!r}")
         records.append((u, v, ts))
     if not records:
         raise EmptyDatasetError("no edges with usable timestamps")
@@ -253,7 +259,7 @@ def split_by_time(lst: TemporalEdgeList, ratio: float) -> TrainTestSplit:
     if not 0 < ratio < 1:
         raise ValueError(f"split ratio must lie in (0, 1), got {ratio!r}")
     if not lst.edges:
-        raise ValueError("cannot split an empty edge list")
+        raise SplitError("cannot split an empty edge list")
     ts = np.array([e.ts for e in lst.edges], dtype=np.int64)  # already sorted
     target = ratio * len(ts)
     uniq, counts = np.unique(ts, return_counts=True)

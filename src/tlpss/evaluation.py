@@ -4,8 +4,9 @@ Evaluation is always against a time-ordered split: positives are the pairs
 that appear in the test period without having been linked in train, the
 negative universe is every pair linked in neither.  AUC compares positive
 against negative scores (exhaustively via the rank statistic when feasible,
-otherwise by seeded sampling); precision@L ranks the full non-train-linked
-candidate universe.
+otherwise by seeded sampling); precision@L is the hit rate among the L
+highest-scoring pairs of the non-train-linked candidate universe, selected
+without sorting it, with ties at the cut taken in canonical (i, j) order.
 """
 
 from __future__ import annotations
@@ -241,9 +242,23 @@ def _precision_from_arrays(
         raise EvaluationError("L must be at least 1")
     if len(scores) < L:
         raise EvaluationError(f"only {len(scores)} candidates for precision@{L}")
-    # Primary key: descending score; ties broken by canonical pair order.
-    order = np.lexsort((jj, ii, -scores))
-    return float(is_positive[order[:L]].sum() / L)
+    # The top L by descending score, ties at the cut taken in canonical
+    # (i, j) order: the first L of lexsort((jj, ii, -scores)), without the
+    # sort.  Most baselines score most pairs 0, and partition degenerates on
+    # a long run of equal values, so the cut is sought among the positive
+    # scores whenever L of them exist.
+    pool = scores[scores > 0]
+    if len(pool) < L:
+        pool = scores
+    cut = np.partition(pool, len(pool) - L)[len(pool) - L]
+    above = scores > cut
+    tied = np.flatnonzero(scores == cut)
+    need = L - np.count_nonzero(above)
+    if need < len(tied):
+        key = ii[tied].astype(np.int64) * (int(jj.max()) + 1) + jj[tied]
+        tied = tied[np.argpartition(key, need - 1)[:need]]
+    hits = np.count_nonzero(is_positive & above) + np.count_nonzero(is_positive[tied])
+    return float(hits / L)
 
 
 @dataclass
@@ -275,6 +290,11 @@ def _prepare(
     split = split_by_time(edges, ratio)
     cfg = SnapshotConfig(period=period, origin=origin)
     reference = snapshot_index(split.t_split, cfg)
+    if not np.isfinite(reference):
+        raise ConfigError(
+            f"period {period!r} is too small for this data's time span: "
+            "snapshot indices overflow"
+        )
     candidates = build_candidates(split, edges.node_count, seed, max_negatives)
 
     def pair_arrays(pairs):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -120,20 +121,37 @@ class TestBadInputs:
     """Inputs that once ended in a traceback or in non-standard JSON."""
 
     @pytest.mark.parametrize(
-        "flags, raw, code",
+        "flags, raw, config, code",
         [
-            (["--period", "inf"], None, 2),
-            (["--period", "80", "--origin", "1e9"], None, 2),
-            (["--period", "80"], b"1 2 1 40\n2 3 1 \xff\xfe\n", 3),
-            (["--period", "80", "--seed", "-3"], None, 2),
-            (["--period", "80", "--auc-exhaustive-limit", "-5"], None, 2),
+            (["--period", "inf"], None, None, 2),
+            (["--period", "80", "--origin", "1e9"], None, None, 2),
+            (["--period", "80"], b"1 2 1 40\n2 3 1 \xff\xfe\n", None, 3),
+            (["--period", "80", "--seed", "-3"], None, None, 2),
+            (["--period", "80", "--auc-exhaustive-limit", "-5"], None, None, 2),
+            (["--period", "80"], None, {"ratio": "x"}, 2),
+            (["--period", "1e-320"], None, None, 2),
+            (["--q", "0", "--p", "0.5", "--period", "1"], None, None, 2),
+            (["--decay", "exp", "--theta", "0.9", "--period", "1"], None, None, 2),
+            (["--period", "80"], None, {"theta": float("nan")}, 2),
+            (["--period", "80"], b"1 1 1 5\n2 2 1 9\n", None, 4),
+            (["--period", "80"], b"1 2 1 0\n2 3 1 99999999999999999999\n", None, 3),
         ],
-        ids=["period-inf", "origin-late", "non-utf8", "seed-negative", "auc-limit-negative"],
+        ids=[
+            "period-inf", "origin-late", "non-utf8", "seed-negative", "auc-limit-negative",
+            "config-ratio-string", "period-tiny", "asf-weight-underflow",
+            "exp-weight-underflow", "config-unused-nan", "self-loops-only", "timestamp-huge",
+        ],
     )
-    def test_ends_in_documented_exit_code(self, dataset, tmp_path, capsys, flags, raw, code):
+    def test_ends_in_documented_exit_code(
+        self, dataset, tmp_path, capsys, flags, raw, config, code
+    ):
         if raw is not None:
             dataset = tmp_path / "latin.tsv"
             dataset.write_bytes(raw)
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            flags = ["--config", str(cfg), *flags]
         out_dir = tmp_path / "run"
         assert main(["evaluate", "--dataset", str(dataset), *flags, "--out-dir", str(out_dir)]) == code
         err = capsys.readouterr().err
@@ -164,6 +182,13 @@ class TestSweep:
         ]) == 0
         rows = (out_dir / "sweep.csv").read_text().splitlines()
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("bad", ["0:inf:1", "0:1e9:1", "1e17:1.00000000000000016e17:0.002"])
+    def test_unbounded_range_rejected(self, dataset, tmp_path, capsys, bad):
+        assert main([
+            "sweep", "--dataset", str(dataset), "--period", "80", "--param", "q",
+            "--range", bad, "--out-dir", str(tmp_path / "sw"),
+        ]) == 2
 
     def test_sweep_needs_values(self, dataset, capsys):
         assert main([
@@ -210,6 +235,14 @@ class TestConfigValidation:
             {"agg": "max"},
             {"format": "xml"},
             {"methods": []},
+            # wrong JSON types and numbers that are not finite floats
+            {"ratio": "x"},
+            {"top_l": 5.0},
+            {"seed": True},
+            {"out_dir": 5},
+            {"methods": [1]},
+            {"theta": float("nan")},
+            {"p": 10**400},
         ):
             cfg = ExperimentConfig(**base, **overrides)
             with pytest.raises(ConfigError):
@@ -220,3 +253,137 @@ class TestConfigValidation:
         resolved = cfg.resolved_dict()
         assert resolved["period"] == 3600.0
         assert resolved["methods"] == ["CN_ASF", "TLPSS"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _fuzz_datasets(root, rng):
+    """Small generated edge lists, valid and malformed, keyed by kind."""
+
+    def edge_lines(n, rows, same_ts=False):
+        step = rng.choice([1, 40, 3600])
+        lines = []
+        for row in range(rows):
+            u, v = rng.randint(1, n), rng.randint(1, n)
+            ts = 500 if same_ts else (row - rng.randint(0, 1)) * step  # some ties
+            lines.append(rng.choice([f"{u} {v} {ts}", f"{u} {v} 1 {ts}"]))
+        return lines
+
+    files = {}
+    for k in range(4):
+        files[f"valid{k}"] = "\n".join(
+            ["% generated"] + edge_lines(rng.randint(10, 30), rng.randint(40, 150))
+        ).encode()
+    garbage = edge_lines(12, 60)
+    garbage[rng.randrange(len(garbage))] = rng.choice(["a b c d e", "x y 1 2", "1", "1 2 3 4 5"])
+    files["garbage"] = "\n".join(garbage).encode()
+    files["missing-ts"] = "\n".join(edge_lines(10, 50) + ["3 4", "5 6 1 soon"]).encode()
+    files["empty"] = b""
+    files["comments"] = b"% nothing\n% here\n"
+    files["non-utf8"] = "\n".join(edge_lines(10, 40)).encode() + b"\n1 2 1 \xff\xfe\n"
+    files["single-ts"] = "\n".join(edge_lines(10, 40, same_ts=True)).encode()
+    files["self-loops"] = b"1 1 1 5\n2 2 1 9\n"
+    files["huge-ts"] = b"1 2 1 0\n2 3 1 99999999999999999999\n3 4 1 7\n"
+    paths = {}
+    for name, data in files.items():
+        paths[name] = root / f"{name}.tsv"
+        paths[name].write_bytes(data)
+    paths["missing"] = root / "absent.tsv"
+    paths["directory"] = root
+    return paths
+
+
+# per flag: valid values, then out-of-range, wrong-type and non-finite ones.
+# --auc-samples has no huge value: that many draws would be allocated.
+_FUZZ_FLAGS = {
+    "--period": (
+        ["80", "1h", "contact", "3", "2000"],
+        ["0", "-5", "abc", "", "inf", "nan", "1e-320"],
+    ),
+    "--origin": (["1", "0", "-100"], ["2", "x", "inf", "nan", "-1e308"]),
+    "--p": (["3", "0.5", "10"], ["0", "-1", "x", "inf", "nan"]),
+    "--q": (["0", "1", "10"], ["-1", "x", "inf", "nan"]),
+    "--a": (["5", "0", "-3"], ["x", "inf", "nan"]),
+    "--theta": (["0.5", "0.1"], ["0", "1", "x", "nan"]),
+    "--ratio": (["0.9", "0.5", "0.75"], ["0", "1", "1.5", "x", "nan", "1e-320"]),
+    "--top-l": (["1", "5", "100"], ["0", "-1", "x", str(10**30)]),
+    "--auc-samples": (["1", "7", "1000"], ["0", "-1", "x"]),
+    "--auc-exhaustive-limit": (["0", "10", "10000000"], ["-5", "x"]),
+    "--max-negatives": (["1", "10", str(10**12)], ["0", "-3", "x"]),
+    "--seed": (["0", "7", str(2**70)], ["-1", "x"]),
+    "--method": (["tlpss", "cn", "ja", "pa", "ra", "car", "cclp"], ["pagerank", ""]),
+    "--decay": (["asf", "exp"], ["log"]),
+    "--agg": (["sum", "latest"], ["max"]),
+    "--cclp-mode": (["local", "global"], ["both"]),
+    "--format": (["json", "csv"], ["xml"]),
+}
+_SWEEP_FLAGS = {
+    "--values": (["1,2", "0,0.5", "3"], ["", "x,1", "nan", "inf", "-1,2"]),
+    "--range": (["0:2:1", "1:3:1"], ["0:inf:1", "0:1e9:1", "2:1:1", "0:1:0", "1:nan:1", "a:b:c"]),
+}
+_FUZZ_JSON = [
+    None, True, False, "x", "", [], [1], {}, 0, -1, 1.5, 10**400, float("nan"), float("inf"),
+]
+_CONFIG_FIELDS = [
+    "period", "origin", "decay", "p", "q", "a", "theta", "ratio", "methods", "top_l",
+    "auc_samples", "auc_exhaustive_limit", "max_negatives", "seed", "agg", "cclp_mode",
+    "format",
+]
+
+
+def _fuzz_argv(rng, datasets, run_dir):
+    command = rng.choice(["evaluate", "sweep"])
+    good = rng.random() < 0.6  # mostly-valid argument sets, so runs get far
+    names = list(datasets)
+    name = rng.choice([n for n in names if n.startswith("valid")] if rng.random() < 0.7 else names)
+    argv = [command, "--dataset", str(datasets[name])]
+    if good or rng.random() < 0.8:
+        argv += ["--period", rng.choice(["80", "1h", "2000"])]
+    for flag, (valid, bad) in _FUZZ_FLAGS.items():
+        if rng.random() < 0.3:
+            value = rng.choice(valid if good or rng.random() < 0.5 else bad)
+            argv += [flag, value]
+    if command == "sweep":
+        argv += ["--param", rng.choice(["p", "q"] if good else ["p", "q", "a"])]
+        flag = rng.choice(list(_SWEEP_FLAGS))
+        valid, bad = _SWEEP_FLAGS[flag]
+        argv += [flag, rng.choice(valid if good else bad)]
+    if rng.random() < 0.25:
+        config = {f: rng.choice(_FUZZ_JSON) for f in rng.sample(_CONFIG_FIELDS, rng.randint(1, 3))}
+        path = run_dir.with_suffix(".json")
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    return argv + ["--out-dir", str(run_dir)]
+
+
+class TestFuzz:
+    """Seeded random argument sets and inputs end in a documented exit code
+    and standard JSON."""
+
+    def test_random_cli_runs(self, tmp_path, capsys):
+        rng = random.Random(20261017)
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        datasets = _fuzz_datasets(data_dir, rng)
+        codes = []
+        for k in range(200):
+            run_dir = tmp_path / f"run{k}"
+            argv = _fuzz_argv(rng, datasets, run_dir)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejected a flag
+                code = exc.code
+            captured = capsys.readouterr()
+            assert code in (0, 2, 3, 4), argv
+            assert "Traceback" not in captured.err, argv
+            for written in run_dir.glob("*.json"):
+                json.loads(written.read_text(), parse_constant=_reject_constant)
+            report = run_dir / "report.json"
+            if code == 0 and report.exists():
+                fmt = json.loads(report.read_text())["config"]["format"]
+                if fmt == "json":
+                    json.loads(captured.out, parse_constant=_reject_constant)
+            codes.append(code)
+        assert set(codes) == {0, 2, 3, 4}, codes

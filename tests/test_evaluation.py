@@ -185,6 +185,55 @@ class TestPrecision:
             assert table_precision(rows, positives, 10) == base
 
 
+def lexsort_precision(ii, jj, scores, is_positive, L):
+    """Reference ranking: sort the whole table by descending score, then
+    canonical pair order, and take the first L."""
+    order = np.lexsort((jj, ii, -scores))
+    return float(is_positive[order[:L]].sum() / L)
+
+
+class TestPrecisionSelection:
+    """The top-L selection gives the same float as the full sort."""
+
+    KINDS = ("integer", "mostly-zero", "negative", "few-positive", "continuous")
+
+    @staticmethod
+    def _scores(rng, kind, k):
+        if kind == "integer":  # heavy ties
+            return rng.integers(0, 4, size=k).astype(np.float64)
+        if kind == "mostly-zero":
+            s = rng.integers(1, 3, size=k).astype(np.float64)
+            s[rng.random(k) < 0.75] = 0.0
+            return s
+        if kind == "negative":
+            return -rng.integers(1, 4, size=k).astype(np.float64)
+        if kind == "few-positive":  # zeros and negatives, fewer than k positive
+            s = -rng.integers(0, 3, size=k).astype(np.float64)
+            s[rng.choice(k, size=int(rng.integers(0, k)), replace=False)] = 1.0
+            return s
+        return np.round(rng.normal(size=k), 1)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equals_full_lexsort(self, kind):
+        rng = np.random.default_rng(self.KINDS.index(kind))
+        for t in range(1000):
+            n = int(rng.integers(2, 16))
+            iu, ju = np.triu_indices(n, k=1)
+            k = int(rng.integers(1, len(iu) + 1))
+            pick = rng.choice(len(iu), size=k, replace=False)
+            if t % 2:
+                pick.sort()  # canonical pair order; otherwise shuffled
+            ii, jj = iu[pick].astype(np.int64), ju[pick].astype(np.int64)
+            scores = self._scores(rng, kind, k)
+            is_positive = rng.random(k) < 0.4
+            # L = 1, L = len(scores), a random L, and the smallest L above
+            # the number of positive scores
+            n_above_zero = int(np.count_nonzero(scores > 0))
+            for L in {1, k, int(rng.integers(1, k + 1)), min(n_above_zero + 1, k)}:
+                got = _precision_from_arrays(ii, jj, scores, is_positive, L)
+                assert got == lexsort_precision(ii, jj, scores, is_positive, L)
+
+
 class TestEvaluateMethods:
     def test_reports_are_deterministic_and_consistent(self):
         toy = community_toy()
