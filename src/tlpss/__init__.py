@@ -28,11 +28,11 @@ from .decay import (
 from .edges import (
     DropReport,
     SnapshotConfig,
-    TemporalEdge,
     TemporalEdgeList,
     TrainTestSplit,
     load_edge_list,
     normalize,
+    pair_key,
     parse_edge_list,
     serialize,
     snapshot_index,

@@ -136,18 +136,17 @@ def build_adjacency(
     """
     if agg not in ("sum", "latest"):
         raise ValueError(f"unknown aggregation mode {agg!r}")
-    us, vs, ts = train.arrays()
     n = train.node_count
-    if np.any(us == vs):
+    if np.any(train.u == train.v):
         raise ValueError("train list contains self-loops; normalize it first")
-    lo = np.minimum(us, vs)
-    hi = np.maximum(us, vs)
+    ts = train.ts
     elapsed = T - (ts.astype(np.float64) - cfg.origin) / cfg.period
     if np.any(elapsed < 0):
         raise ValueError("train contains edges later than the reference snapshot")
 
-    keys = lo * n + hi
-    uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    uniq, inverse, counts = np.unique(
+        train.pair_keys(), return_inverse=True, return_counts=True
+    )
     if agg == "sum":
         w_edge = decay_weights(elapsed, params)
         w_pair = np.bincount(inverse, weights=w_edge, minlength=len(uniq))

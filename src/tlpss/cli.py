@@ -39,6 +39,8 @@ EXIT_DATA = 3
 EXIT_IMPOSSIBLE = 4
 
 _MAX_SWEEP_VALUES = 10_000
+# sampled AUC allocates four arrays of this many draws (320 MB at the cap)
+_MAX_AUC_SAMPLES = 10_000_000
 
 _PERIOD_UNITS = {"s": 1.0, "h": 3600.0, "d": 86400.0, "w": 604800.0, "y": 31536000.0}
 
@@ -171,8 +173,10 @@ class ExperimentConfig:
         self.method_ids()
         if self.top_l < 1:
             raise ConfigError(f"top_l must be >= 1, got {self.top_l!r}")
-        if self.auc_samples < 1:
-            raise ConfigError(f"auc_samples must be >= 1, got {self.auc_samples!r}")
+        if not 1 <= self.auc_samples <= _MAX_AUC_SAMPLES:
+            raise ConfigError(
+                f"auc_samples must lie in [1, {_MAX_AUC_SAMPLES}], got {self.auc_samples!r}"
+            )
         if self.auc_exhaustive_limit < 0:
             raise ConfigError(
                 f"auc_exhaustive_limit must be >= 0, got {self.auc_exhaustive_limit!r}"

@@ -5,25 +5,28 @@ Input is the KONECT-style whitespace-separated format, one edge per line:
 is ignored; all edge weighting in this toolkit comes from time decay.
 Node ids are remapped to dense 0-based integers (sorted by original id) and
 the original ids are kept so files can be written back out.
+
+An edge list is three int64 columns.  Every layer names an unordered pair
+by one int64 key, :func:`pair_key` ``= i*n + j`` with ``i < j``; this module
+is the only place that builds keys.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 
 from .errors import EmptyDatasetError, ParseError, SplitError
 
 __all__ = [
-    "TemporalEdge",
     "TemporalEdgeList",
     "DropReport",
     "SnapshotConfig",
     "TrainTestSplit",
+    "pair_key",
+    "upper_triangle_keys",
     "parse_edge_list",
     "normalize",
     "serialize",
@@ -33,76 +36,79 @@ __all__ = [
 ]
 
 
-class TemporalEdge(NamedTuple):
-    u: int
-    v: int
-    ts: int
+def pair_key(i, j, n: int) -> np.ndarray:
+    """Key ``min*n + max`` of each unordered pair of nodes among ``n``: the
+    flat index of the pair's upper-triangle cell in an n x n matrix, so
+    sorting keys gives canonical (i, j) order and ``divmod(key, n)`` gives
+    the pair back."""
+    i = np.asarray(i, dtype=np.int64)
+    j = np.asarray(j, dtype=np.int64)
+    return np.minimum(i, j) * n + np.maximum(i, j)
+
+
+def upper_triangle_keys(n: int) -> np.ndarray:
+    """Sorted keys of all n(n-1)/2 pairs of distinct nodes: the flat indices
+    of the strict upper triangle."""
+    return np.flatnonzero(~np.tri(n, dtype=bool)).astype(np.int64, copy=False)
 
 
 class TemporalEdgeList:
-    """Immutable sequence of timestamped undirected edges, sorted by time.
+    """Immutable columns ``u``, ``v``, ``ts`` (int64) of timestamped
+    undirected edges, sorted by time.
 
     Multi-edges (repeated pairs, equal or distinct timestamps) are allowed.
     The node set is fixed as every id seen when the list was created, even
-    if normalization later leaves some of them without edges.
+    if normalization later leaves some of them without edges; ``node_ids``
+    holds each dense id's original id.
     """
 
-    def __init__(
-        self,
-        edges: Iterable[TemporalEdge],
-        node_count: int,
-        node_ids: Sequence[int] | None = None,
-    ):
-        edges = [TemporalEdge(*e) for e in edges]
-        edges.sort(key=lambda e: e.ts)  # stable: input order preserved on ties
+    def __init__(self, u, v, ts, node_count: int, node_ids=None):
+        ts = np.asarray(ts, dtype=np.int64)
+        order = np.argsort(ts, kind="stable")  # input order preserved on ties
+        self.u = np.asarray(u, dtype=np.int64)[order]
+        self.v = np.asarray(v, dtype=np.int64)[order]
+        self.ts = ts[order]
         if node_ids is None:
-            node_ids = range(node_count)
-        node_ids = tuple(node_ids)
-        if len(node_ids) != node_count:
+            node_ids = np.arange(node_count)
+        self.node_ids = np.array(node_ids, dtype=np.int64)
+        if len(self.node_ids) != node_count:
             raise ValueError("node_ids length must equal node_count")
-        for e in edges:
-            if not (0 <= e.u < node_count and 0 <= e.v < node_count):
-                raise ValueError(f"edge {e} has a node id outside [0, {node_count})")
-        self.edges: tuple[TemporalEdge, ...] = tuple(edges)
+        ends = np.concatenate([self.u, self.v])
+        if len(ends) and not (0 <= ends.min() and ends.max() < node_count):
+            raise ValueError(f"an edge has a node id outside [0, {node_count})")
+        for column in (self.u, self.v, self.ts, self.node_ids):
+            column.flags.writeable = False
         self.node_count = node_count
-        self.node_ids = node_ids
-        self.t_min = self.edges[0].ts if self.edges else None
-        self.t_max = self.edges[-1].ts if self.edges else None
+        self.t_min = int(self.ts[0]) if len(self.ts) else None
+        self.t_max = int(self.ts[-1]) if len(self.ts) else None
+
+    @classmethod
+    def from_records(cls, records, node_count: int) -> "TemporalEdgeList":
+        """From ``(u, v, ts)`` rows in any order, with node ids 0..n-1."""
+        rows = np.asarray(records, dtype=np.int64).reshape(-1, 3)
+        return cls(rows[:, 0], rows[:, 1], rows[:, 2], node_count)
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self.ts)
 
-    def __iter__(self) -> Iterator[TemporalEdge]:
-        return iter(self.edges)
+    def __getitem__(self, index) -> "TemporalEdgeList":
+        """The edges at ``index`` (a slice, mask or index array) over the
+        same fixed node set."""
+        return TemporalEdgeList(
+            self.u[index], self.v[index], self.ts[index], self.node_count, self.node_ids
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TemporalEdgeList):
             return NotImplemented
-        return (
-            self.edges == other.edges
-            and self.node_count == other.node_count
-            and self.node_ids == other.node_ids
+        return self.node_count == other.node_count and all(
+            np.array_equal(getattr(self, c), getattr(other, c))
+            for c in ("u", "v", "ts", "node_ids")
         )
 
-    def with_edges(self, edges: Iterable[TemporalEdge]) -> "TemporalEdgeList":
-        """New list over the same fixed node set."""
-        return TemporalEdgeList(edges, self.node_count, self.node_ids)
-
-    @cached_property
-    def pair_counts(self) -> Counter:
-        """Multiplicity of every canonical (min, max) pair."""
-        return Counter((e.u, e.v) if e.u < e.v else (e.v, e.u) for e in self.edges)
-
-    def linked_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.pair_counts)
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, v, ts) as int64 arrays, in stored (time) order."""
-        if not self.edges:
-            z = np.empty(0, dtype=np.int64)
-            return z, z.copy(), z.copy()
-        a = np.asarray(self.edges, dtype=np.int64)
-        return a[:, 0], a[:, 1], a[:, 2]
+    def pair_keys(self) -> np.ndarray:
+        """:func:`pair_key` of every edge, in stored (time) order."""
+        return pair_key(self.u, self.v, self.node_count)
 
 
 @dataclass
@@ -144,15 +150,17 @@ class SnapshotConfig:
 class TrainTestSplit:
     """Time-ordered split: train holds everything up to and including
     ``t_split``, test everything after.  ``positives`` are the canonical
-    pairs linked in test but not in train — the prediction targets."""
+    pairs linked in test but not in train — the prediction targets — as
+    sorted :func:`pair_key` keys."""
 
     train: TemporalEdgeList
     test: TemporalEdgeList
     t_split: int
-    positives: frozenset[tuple[int, int]]
+    positives: np.ndarray
 
 
 _TS_LIMIT = 2**62
+_ID_LIMIT = 2**63  # node ids are held as int64
 
 
 def _parse_ts(token: str) -> int | None:
@@ -177,7 +185,9 @@ def parse_edge_list(stream: TextIO) -> tuple[TemporalEdgeList, DropReport]:
     raise :class:`ParseError` with the offending line number.  Self-loops
     are kept here and removed by :func:`normalize`.
     """
-    records: list[tuple[int, int, int]] = []
+    us: list[int] = []
+    vs: list[int] = []
+    stamps: list[int] = []
     report = DropReport()
     for lineno, raw in enumerate(stream, start=1):
         report.lines_read += 1
@@ -202,14 +212,17 @@ def parse_edge_list(stream: TextIO) -> tuple[TemporalEdgeList, DropReport]:
         if not -_TS_LIMIT < ts < _TS_LIMIT:
             # so that normalized times, and spans between any two, fit int64
             raise ParseError(lineno, f"timestamp out of range (|t| < 2**62): {line!r}")
-        records.append((u, v, ts))
-    if not records:
+        if not (-_ID_LIMIT <= u < _ID_LIMIT and -_ID_LIMIT <= v < _ID_LIMIT):
+            raise ParseError(lineno, f"node id out of range (int64): {line!r}")
+        us.append(u)
+        vs.append(v)
+        stamps.append(ts)
+    if not stamps:
         raise EmptyDatasetError("no edges with usable timestamps")
 
-    ids = sorted({u for u, _, _ in records} | {v for _, v, _ in records})
-    index = {orig: i for i, orig in enumerate(ids)}
-    edges = [TemporalEdge(index[u], index[v], ts) for u, v, ts in records]
-    result = TemporalEdgeList(edges, len(ids), ids)
+    ids, dense = np.unique(np.array(us + vs, dtype=np.int64), return_inverse=True)
+    m = len(stamps)
+    result = TemporalEdgeList(dense[:m], dense[m:], stamps, len(ids), ids)
     report.edges_kept = len(result)
     return result, report
 
@@ -218,21 +231,25 @@ def normalize(lst: TemporalEdgeList) -> TemporalEdgeList:
     """Drop self-loops, orient every edge as (min, max), and shift timestamps
     so the earliest remaining edge sits at 1.  Idempotent; the node set is
     left untouched."""
-    kept = [e for e in lst.edges if e.u != e.v]
-    if not kept:
-        return lst.with_edges([])
-    shift = 1 - min(e.ts for e in kept)
-    edges = [
-        TemporalEdge(min(e.u, e.v), max(e.u, e.v), e.ts + shift) for e in kept
-    ]
-    return lst.with_edges(edges)
+    kept = lst[lst.u != lst.v]
+    if not len(kept):
+        return kept
+    return TemporalEdgeList(
+        np.minimum(kept.u, kept.v),
+        np.maximum(kept.u, kept.v),
+        kept.ts + (1 - kept.t_min),
+        lst.node_count,
+        lst.node_ids,
+    )
 
 
 def serialize(lst: TemporalEdgeList, out: TextIO) -> None:
     """Write ``src dst timestamp`` lines (original node ids, stored order)."""
     ids = lst.node_ids
-    for e in lst.edges:
-        out.write(f"{ids[e.u]} {ids[e.v]} {e.ts}\n")
+    out.writelines(
+        f"{u} {v} {t}\n"
+        for u, v, t in zip(ids[lst.u].tolist(), ids[lst.v].tolist(), lst.ts.tolist())
+    )
 
 
 def load_edge_list(path) -> tuple[TemporalEdgeList, DropReport]:
@@ -258,9 +275,9 @@ def split_by_time(lst: TemporalEdgeList, ratio: float) -> TrainTestSplit:
     strictly in the future."""
     if not 0 < ratio < 1:
         raise ValueError(f"split ratio must lie in (0, 1), got {ratio!r}")
-    if not lst.edges:
+    if not len(lst):
         raise SplitError("cannot split an empty edge list")
-    ts = np.array([e.ts for e in lst.edges], dtype=np.int64)  # already sorted
+    ts = lst.ts
     target = ratio * len(ts)
     uniq, counts = np.unique(ts, return_counts=True)
     cum = np.cumsum(counts)
@@ -270,8 +287,7 @@ def split_by_time(lst: TemporalEdgeList, ratio: float) -> TrainTestSplit:
             f"all edges fall at or before t={t_split}; no test period remains"
         )
     n_train = int(np.searchsorted(ts, t_split, side="right"))
-    train = lst.with_edges(lst.edges[:n_train])
-    test = lst.with_edges(lst.edges[n_train:])
-    positives = frozenset(test.pair_counts) - frozenset(train.pair_counts)
+    train = lst[:n_train]
+    test = lst[n_train:]
+    positives = np.setdiff1d(test.pair_keys(), train.pair_keys())
     return TrainTestSplit(train=train, test=test, t_split=t_split, positives=positives)
-

@@ -7,6 +7,10 @@ against negative scores (exhaustively via the rank statistic when feasible,
 otherwise by seeded sampling); precision@L is the hit rate among the L
 highest-scoring pairs of the non-train-linked candidate universe, selected
 without sorting it, with ties at the cut taken in canonical (i, j) order.
+
+Pairs are handled as sorted int64 keys (:func:`tlpss.edges.pair_key`); a
+key is also the flat index of the pair's cell in a dense score matrix, so
+scores are gathered with one ``take``.
 """
 
 from __future__ import annotations
@@ -23,8 +27,10 @@ from .edges import (
     SnapshotConfig,
     TemporalEdgeList,
     TrainTestSplit,
+    pair_key,
     snapshot_index,
     split_by_time,
+    upper_triangle_keys,
 )
 from .errors import ConfigError, EvaluationError
 from .scoring import MethodId, score_matrix
@@ -47,11 +53,12 @@ AUC_SAMPLES = 672_400
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Positive pairs, a sampled (or exhaustive) negative pair list, and the
-    size of the full negative universe they were drawn from."""
+    """Positive pairs (sorted), sampled (draw order) or exhaustive (sorted)
+    negative pairs, all as :func:`~tlpss.edges.pair_key` keys, and the size
+    of the full negative universe the negatives were drawn from."""
 
-    positives: tuple[tuple[int, int], ...]
-    sampled_negatives: tuple[tuple[int, int], ...]
+    positives: np.ndarray
+    sampled_negatives: np.ndarray
     universe_size: int
     node_count: int
     seed: int
@@ -125,14 +132,10 @@ class EvalReport:
         ]
 
 
-def _linked_bool(n: int, pairs, out: np.ndarray | None = None) -> np.ndarray:
-    if out is None:
-        out = np.zeros((n, n), dtype=bool)
-    if pairs:
-        arr = np.array(sorted(pairs), dtype=np.int64)
-        out[arr[:, 0], arr[:, 1]] = True
-        out[arr[:, 1], arr[:, 0]] = True
-    return out
+def _upper_keys_without(n: int, sorted_keys: np.ndarray) -> np.ndarray:
+    """Sorted keys of every pair among ``n`` nodes except ``sorted_keys``."""
+    universe = upper_triangle_keys(n)
+    return np.delete(universe, np.searchsorted(universe, sorted_keys))
 
 
 def build_candidates(
@@ -148,11 +151,11 @@ def build_candidates(
     instead of sampled.  The default budget is
     ``min(universe, 10 * positives, 1e6)``.
     """
-    positives = tuple(sorted(split.positives))
-    if not positives:
+    positives = split.positives
+    if not len(positives):
         raise EvaluationError("no new links in the test period; nothing to predict")
     n = node_count
-    linked = split.train.linked_pairs() | split.test.linked_pairs()
+    linked = np.union1d(split.train.pair_keys(), split.test.pair_keys())
     universe_size = n * (n - 1) // 2 - len(linked)
     if universe_size <= 0:
         raise EvaluationError("graph is complete; there are no negative pairs")
@@ -163,45 +166,30 @@ def build_candidates(
     if max_negatives < 1:
         raise EvaluationError("negative sample budget must be at least 1")
 
-    linked_mask = _linked_bool(n, linked)
-    if universe_size <= max_negatives:
-        iu, ju = np.triu_indices(n, k=1)
-        keep = ~linked_mask[iu, ju]
-        negatives = tuple(zip(iu[keep].tolist(), ju[keep].tolist()))
-        return CandidateSet(
-            positives=positives,
-            sampled_negatives=negatives,
-            universe_size=universe_size,
-            node_count=n,
-            seed=seed,
-            exhaustive=True,
-        )
-
-    rng = np.random.default_rng(seed)
-    chosen: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    while len(chosen) < max_negatives:
-        batch = int((max_negatives - len(chosen)) * 2.2) + 64
-        a = rng.integers(0, n, size=batch)
-        b = rng.integers(0, n, size=batch)
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        ok = (lo != hi) & ~linked_mask[lo, hi]
-        for u, v in zip(lo[ok].tolist(), hi[ok].tolist()):
-            pair = (u, v)
-            if pair in seen:
-                continue
-            seen.add(pair)
-            chosen.append(pair)
-            if len(chosen) == max_negatives:
-                break
+    exhaustive = universe_size <= max_negatives
+    if exhaustive:
+        chosen = _upper_keys_without(n, linked)
+    else:
+        # Draw batches of node pairs; keep each unlinked pair the first time
+        # it is drawn, in draw order, until the budget is met.
+        rng = np.random.default_rng(seed)
+        chosen = np.empty(0, dtype=np.int64)
+        while len(chosen) < max_negatives:
+            batch = int((max_negatives - len(chosen)) * 2.2) + 64
+            a = rng.integers(0, n, size=batch)
+            b = rng.integers(0, n, size=batch)
+            keys = pair_key(a, b, n)[a != b]
+            unlinked = linked.take(np.searchsorted(linked, keys), mode="clip") != keys
+            keys = np.concatenate([chosen, keys[unlinked]])
+            _, first = np.unique(keys, return_index=True)
+            chosen = keys[np.sort(first)[:max_negatives]]
     return CandidateSet(
         positives=positives,
-        sampled_negatives=tuple(chosen),
+        sampled_negatives=chosen,
         universe_size=universe_size,
         node_count=n,
         seed=seed,
-        exhaustive=False,
+        exhaustive=exhaustive,
     )
 
 
@@ -236,17 +224,17 @@ def auc(
 
 
 def _precision_from_arrays(
-    ii: np.ndarray, jj: np.ndarray, scores: np.ndarray, is_positive: np.ndarray, L: int
+    keys: np.ndarray, scores: np.ndarray, is_positive: np.ndarray, L: int
 ) -> float:
     if L < 1:
         raise EvaluationError("L must be at least 1")
     if len(scores) < L:
         raise EvaluationError(f"only {len(scores)} candidates for precision@{L}")
     # The top L by descending score, ties at the cut taken in canonical
-    # (i, j) order: the first L of lexsort((jj, ii, -scores)), without the
-    # sort.  Most baselines score most pairs 0, and partition degenerates on
-    # a long run of equal values, so the cut is sought among the positive
-    # scores whenever L of them exist.
+    # (i, j) order, i.e. by pair key: the first L of lexsort((keys, -scores)),
+    # without the sort.  Most baselines score most pairs 0, and partition
+    # degenerates on a long run of equal values, so the cut is sought among
+    # the positive scores whenever L of them exist.
     pool = scores[scores > 0]
     if len(pool) < L:
         pool = scores
@@ -255,26 +243,20 @@ def _precision_from_arrays(
     tied = np.flatnonzero(scores == cut)
     need = L - np.count_nonzero(above)
     if need < len(tied):
-        key = ii[tied].astype(np.int64) * (int(jj.max()) + 1) + jj[tied]
-        tied = tied[np.argpartition(key, need - 1)[:need]]
+        tied = tied[np.argpartition(keys[tied], need - 1)[:need]]
     hits = np.count_nonzero(is_positive & above) + np.count_nonzero(is_positive[tied])
     return float(hits / L)
 
 
 @dataclass
 class _Prepared:
-    """Split, snapshot frame and candidate arrays shared across runs."""
+    """Split, snapshot frame and candidate keys shared across runs."""
 
     split: TrainTestSplit
     cfg: SnapshotConfig
     reference: float
     candidates: CandidateSet
-    pos_ii: np.ndarray
-    pos_jj: np.ndarray
-    neg_ii: np.ndarray
-    neg_jj: np.ndarray
-    cand_ii: np.ndarray  # full non-train-linked universe, for precision
-    cand_jj: np.ndarray
+    cand_keys: np.ndarray  # full non-train-linked universe, for precision
     cand_positive: np.ndarray
     ratio: float
 
@@ -296,33 +278,15 @@ def _prepare(
             "snapshot indices overflow"
         )
     candidates = build_candidates(split, edges.node_count, seed, max_negatives)
-
-    def pair_arrays(pairs):
-        arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        return arr[:, 0], arr[:, 1]
-
-    pos_ii, pos_jj = pair_arrays(candidates.positives)
-    neg_ii, neg_jj = pair_arrays(candidates.sampled_negatives)
-
-    n = edges.node_count
-    train_linked = _linked_bool(n, split.train.linked_pairs())
-    iu, ju = np.triu_indices(n, k=1)
-    keep = ~train_linked[iu, ju]
-    cand_ii = iu[keep].astype(np.int64)
-    cand_jj = ju[keep].astype(np.int64)
-    pos_mask = _linked_bool(n, split.positives)
-    cand_positive = pos_mask[cand_ii, cand_jj]
+    cand_keys = _upper_keys_without(edges.node_count, np.unique(split.train.pair_keys()))
+    cand_positive = np.zeros(len(cand_keys), dtype=bool)
+    cand_positive[np.searchsorted(cand_keys, split.positives)] = True
     return _Prepared(
         split=split,
         cfg=cfg,
         reference=reference,
         candidates=candidates,
-        pos_ii=pos_ii,
-        pos_jj=pos_jj,
-        neg_ii=neg_ii,
-        neg_jj=neg_jj,
-        cand_ii=cand_ii,
-        cand_jj=cand_jj,
+        cand_keys=cand_keys,
         cand_positive=cand_positive,
         ratio=ratio,
     )
@@ -357,9 +321,10 @@ def _run_prepared(
     snapshot = {"period": prep.cfg.period, "origin": prep.cfg.origin}
     reports = []
     for method in methods:
-        m = score_matrix(A, D, method, latent_params=decay, cclp_mode=cclp_mode)
-        pos_scores = m[prep.pos_ii, prep.pos_jj]
-        neg_scores = m[prep.neg_ii, prep.neg_jj]
+        # a pair key is the flat index of the pair's cell
+        m = score_matrix(A, D, method, latent_params=decay, cclp_mode=cclp_mode).ravel()
+        pos_scores = m.take(prep.candidates.positives)
+        neg_scores = m.take(prep.candidates.sampled_negatives)
         n_pairs = len(pos_scores) * len(neg_scores)
         if n_pairs <= auc_exhaustive_limit:
             auc_value = auc(pos_scores, neg_scores)
@@ -367,9 +332,8 @@ def _run_prepared(
         else:
             auc_value = auc(pos_scores, neg_scores, n_comparisons=auc_samples, seed=seed)
             comparisons = auc_samples
-        cand_scores = m[prep.cand_ii, prep.cand_jj]
         prec = _precision_from_arrays(
-            prep.cand_ii, prep.cand_jj, cand_scores, prep.cand_positive, top_l
+            prep.cand_keys, m.take(prep.cand_keys), prep.cand_positive, top_l
         )
         reports.append(
             EvalReport(

@@ -23,10 +23,10 @@ from tlpss.cli import DEFAULT_PERIODS, parse_period
 from tlpss.decay import DecayParams, asf, asf_array, asf_floor, asf_log_margin
 from tlpss.edges import (
     SnapshotConfig,
-    TemporalEdge,
     TemporalEdgeList,
     load_edge_list,
     normalize,
+    pair_key,
     snapshot_index,
 )
 from tlpss.evaluation import _precision_from_arrays, auc, evaluate_methods
@@ -123,7 +123,7 @@ def test_criterion_2_latent_weight_bound():
             q=float(rng.uniform(0.05, 10)),
             a=float(rng.uniform(2, 8)),
         )
-        lst = normalize(TemporalEdgeList([TemporalEdge(*e) for e in toy.edges], toy.n))
+        lst = normalize(TemporalEdgeList.from_records(toy.edges, toy.n))
         if len(lst) == 0:
             continue
         cfg = SnapshotConfig(period=toy.period)
@@ -163,7 +163,7 @@ def _sample_pairs(rng, n, k):
 
 
 def _toy_stack(toy, params):
-    lst = normalize(TemporalEdgeList([TemporalEdge(*e) for e in toy.edges], toy.n))
+    lst = normalize(TemporalEdgeList.from_records(toy.edges, toy.n))
     cfg = SnapshotConfig(period=toy.period)
     A = build_adjacency(lst, snapshot_index(lst.t_max, cfg), params, cfg)
     return lst, A, degree_vector(A)
@@ -242,14 +242,14 @@ def test_criterion_5_evaluation_correctness():
     assert gap < 0.01
 
     # monotone-transform invariance for AUC and precision@L
-    ii, jj = np.triu_indices(14, k=1)
-    scores = np.round(rng.uniform(0, 2, size=len(ii)), 2)
-    is_positive = np.zeros(len(ii), dtype=bool)
+    keys = pair_key(*np.triu_indices(14, k=1), 14)
+    scores = np.round(rng.uniform(0, 2, size=len(keys)), 2)
+    is_positive = np.zeros(len(keys), dtype=bool)
     is_positive[np.flatnonzero(scores > 1.0)[:20]] = True
-    base_prec = _precision_from_arrays(ii, jj, scores, is_positive, 15)
+    base_prec = _precision_from_arrays(keys, scores, is_positive, 15)
     base_auc = auc(scores[:30], scores[30:])
     for transform in (lambda v: 2 * v + 7, lambda v: v**3):
-        assert _precision_from_arrays(ii, jj, transform(scores), is_positive, 15) == base_prec
+        assert _precision_from_arrays(keys, transform(scores), is_positive, 15) == base_prec
         assert auc(transform(scores[:30]), transform(scores[30:])) == base_auc
 
     _report(5, "evaluation correctness", True, f"(sampled-vs-exhaustive gap {gap:.4f})")

@@ -13,7 +13,7 @@ from tlpss.adjacency import (
     latent_matrix,
 )
 from tlpss.decay import DecayParams, ExpDecayParams, asf_floor, decay_floor
-from tlpss.edges import SnapshotConfig, TemporalEdge, TemporalEdgeList, normalize, snapshot_index
+from tlpss.edges import SnapshotConfig, TemporalEdgeList, normalize, snapshot_index
 from tlpss.oracle import ToyGraph, naive_hidden, naive_latent, random_decay, random_toy
 
 PARAMS = DecayParams(p=2.0, q=1.0, a=5.0)
@@ -21,7 +21,7 @@ PARAMS = DecayParams(p=2.0, q=1.0, a=5.0)
 
 def production_stack(toy, params):
     """Normalized list, adjacency at the latest edge time, and degree vector."""
-    lst = normalize(TemporalEdgeList([TemporalEdge(*e) for e in toy.edges], toy.n))
+    lst = normalize(TemporalEdgeList.from_records(toy.edges, toy.n))
     cfg = SnapshotConfig(period=toy.period)
     T = snapshot_index(lst.t_max, cfg)
     A = build_adjacency(lst, T, params, cfg)
@@ -68,7 +68,7 @@ def hidden_from_latent(A, B, x, y):
 
 class TestBuildAdjacency:
     def test_single_edge_at_reference(self):
-        lst = normalize(TemporalEdgeList([TemporalEdge(0, 1, 5)], 2))
+        lst = normalize(TemporalEdgeList.from_records([(0, 1, 5)], 2))
         cfg = SnapshotConfig(period=1.0)
         A = build_adjacency(lst, snapshot_index(lst.t_max, cfg), PARAMS, cfg)
         # zero elapsed: weight is the decay value at x=0
@@ -77,7 +77,7 @@ class TestBuildAdjacency:
 
     def test_multi_edges_sum(self):
         lst = normalize(
-            TemporalEdgeList([TemporalEdge(3, 1, 50), TemporalEdge(1, 3, 60)], 4)
+            TemporalEdgeList.from_records([(3, 1, 50), (1, 3, 60)], 4)
         )
         cfg = SnapshotConfig(period=2.5)
         A = build_adjacency(lst, snapshot_index(lst.t_max, cfg), PARAMS, cfg)
@@ -100,7 +100,7 @@ class TestBuildAdjacency:
             assert w <= m * 0.9966535745378576 * (1 + 1e-12)
 
     def test_edge_later_than_reference_rejected(self):
-        lst = normalize(TemporalEdgeList([TemporalEdge(0, 1, 5), TemporalEdge(1, 2, 9)], 3))
+        lst = normalize(TemporalEdgeList.from_records([(0, 1, 5), (1, 2, 9)], 3))
         cfg = SnapshotConfig(period=1.0)
         with pytest.raises(ValueError):
             build_adjacency(lst, snapshot_index(lst.t_min, cfg), PARAMS, cfg)
@@ -119,7 +119,7 @@ class TestBuildAdjacency:
 
     def test_latest_mode_keeps_newest_edge_only(self):
         lst = normalize(
-            TemporalEdgeList([TemporalEdge(0, 1, 2), TemporalEdge(0, 1, 10)], 2)
+            TemporalEdgeList.from_records([(0, 1, 2), (0, 1, 10)], 2)
         )
         cfg = SnapshotConfig(period=1.0)
         T = snapshot_index(lst.t_max, cfg)
@@ -131,7 +131,7 @@ class TestBuildAdjacency:
         assert mult_csr(latest)[0, 1] == 2  # multiplicity still counts all edges
 
     def test_exp_decay_mode(self):
-        lst = normalize(TemporalEdgeList([TemporalEdge(0, 1, 1), TemporalEdge(1, 2, 5)], 3))
+        lst = normalize(TemporalEdgeList.from_records([(0, 1, 1), (1, 2, 5)], 3))
         cfg = SnapshotConfig(period=1.0)
         A = build_adjacency(lst, snapshot_index(lst.t_max, cfg), ExpDecayParams(0.5), cfg)
         assert weight(A, 0, 1) == pytest.approx(math.exp(-2.0), rel=1e-14)

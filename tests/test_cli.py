@@ -135,11 +135,14 @@ class TestBadInputs:
             (["--period", "80"], None, {"theta": float("nan")}, 2),
             (["--period", "80"], b"1 1 1 5\n2 2 1 9\n", None, 4),
             (["--period", "80"], b"1 2 1 0\n2 3 1 99999999999999999999\n", None, 3),
+            (["--period", "80", "--auc-samples", str(10**30)], None, None, 2),
+            (["--period", "80"], b"1 2 1 0\n99999999999999999999 3 1 7\n2 3 1 9\n", None, 3),
         ],
         ids=[
             "period-inf", "origin-late", "non-utf8", "seed-negative", "auc-limit-negative",
             "config-ratio-string", "period-tiny", "asf-weight-underflow",
             "exp-weight-underflow", "config-unused-nan", "self-loops-only", "timestamp-huge",
+            "auc-samples-huge", "node-id-huge",
         ],
     )
     def test_ends_in_documented_exit_code(
@@ -248,6 +251,12 @@ class TestConfigValidation:
             with pytest.raises(ConfigError):
                 cfg.validate()
 
+    def test_auc_samples_capped(self):
+        base = dict(dataset="x", period="1h")
+        ExperimentConfig(**base, auc_samples=10_000_000).validate()
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**base, auc_samples=10_000_001).validate()
+
     def test_resolved_dict_roundtrips(self):
         cfg = ExperimentConfig(dataset="d", period="1h", methods=["cn", "tlpss"])
         resolved = cfg.resolved_dict()
@@ -286,6 +295,7 @@ def _fuzz_datasets(root, rng):
     files["single-ts"] = "\n".join(edge_lines(10, 40, same_ts=True)).encode()
     files["self-loops"] = b"1 1 1 5\n2 2 1 9\n"
     files["huge-ts"] = b"1 2 1 0\n2 3 1 99999999999999999999\n3 4 1 7\n"
+    files["huge-node-id"] = b"1 2 1 0\n99999999999999999999 3 1 7\n3 4 1 9\n"
     paths = {}
     for name, data in files.items():
         paths[name] = root / f"{name}.tsv"
@@ -296,7 +306,6 @@ def _fuzz_datasets(root, rng):
 
 
 # per flag: valid values, then out-of-range, wrong-type and non-finite ones.
-# --auc-samples has no huge value: that many draws would be allocated.
 _FUZZ_FLAGS = {
     "--period": (
         ["80", "1h", "contact", "3", "2000"],
@@ -309,7 +318,7 @@ _FUZZ_FLAGS = {
     "--theta": (["0.5", "0.1"], ["0", "1", "x", "nan"]),
     "--ratio": (["0.9", "0.5", "0.75"], ["0", "1", "1.5", "x", "nan", "1e-320"]),
     "--top-l": (["1", "5", "100"], ["0", "-1", "x", str(10**30)]),
-    "--auc-samples": (["1", "7", "1000"], ["0", "-1", "x"]),
+    "--auc-samples": (["1", "7", "1000"], ["0", "-1", "x", str(10**30)]),
     "--auc-exhaustive-limit": (["0", "10", "10000000"], ["-5", "x"]),
     "--max-negatives": (["1", "10", str(10**12)], ["0", "-3", "x"]),
     "--seed": (["0", "7", str(2**70)], ["-1", "x"]),

@@ -10,13 +10,14 @@ from tlpss.adjacency import build_adjacency
 from tlpss.decay import DecayParams
 from tlpss.edges import (
     SnapshotConfig,
-    TemporalEdge,
     TemporalEdgeList,
     normalize,
+    pair_key,
     parse_edge_list,
     serialize,
     snapshot_index,
     split_by_time,
+    upper_triangle_keys,
 )
 from tlpss.errors import EmptyDatasetError, ParseError, SplitError
 
@@ -25,14 +26,19 @@ def parse_text(text):
     return parse_edge_list(io.StringIO(text))
 
 
+def rows(lst):
+    """The (u, v, ts) records of a list, in stored order."""
+    return list(zip(lst.u.tolist(), lst.v.tolist(), lst.ts.tolist()))
+
+
 def random_list(seed, n=12, n_edges=40, t_span=30, loops=True):
     rng = np.random.default_rng(seed)
     edges = []
     for _ in range(n_edges):
         u = int(rng.integers(0, n))
         v = u if (loops and rng.random() < 0.08) else int(rng.integers(0, n))
-        edges.append(TemporalEdge(u, v, int(rng.integers(1, t_span))))
-    return TemporalEdgeList(edges, n)
+        edges.append((u, v, int(rng.integers(1, t_span))))
+    return TemporalEdgeList.from_records(edges, n)
 
 
 class TestParse:
@@ -40,7 +46,7 @@ class TestParse:
         lst, report = parse_text("% header\n1 2 1 100\n2 3 1 200\n")
         assert len(lst) == 2
         assert lst.node_count == 3
-        assert sorted(e.ts for e in lst) == [100, 200]
+        assert sorted(lst.ts.tolist()) == [100, 200]
         assert report.lines_read == 3
         assert report.missing_ts_dropped == 0
 
@@ -51,24 +57,24 @@ class TestParse:
 
     def test_self_loop_survives_parse(self):
         lst, _ = parse_text("5 5 1 100\n1 2 1 50\n")
-        assert TemporalEdge(2, 2, 100) in lst.edges  # id 5 remaps to dense 2
+        assert (2, 2, 100) in rows(lst)  # id 5 remaps to dense 2
 
     def test_three_column_lines_use_last_field_as_timestamp(self):
         lst, _ = parse_text("1 2 100\n")
-        assert lst.edges[0].ts == 100
+        assert lst.ts[0] == 100
 
     def test_node_ids_remapped_dense_and_persisted(self):
         lst, _ = parse_text("10 70 1 5\n70 42 1 6\n")
         assert lst.node_count == 3
-        assert lst.node_ids == (10, 42, 70)
-        assert all(0 <= e.u < 3 and 0 <= e.v < 3 for e in lst)
+        assert lst.node_ids.tolist() == [10, 42, 70]
+        assert all(0 <= u < 3 and 0 <= v < 3 for u, v, _ in rows(lst))
 
     def test_sorted_by_time_stable(self):
         lst, _ = parse_text("1 2 1 9\n3 4 1 5\n5 6 1 9\n")
-        assert [e.ts for e in lst] == [5, 9, 9]
+        assert lst.ts.tolist() == [5, 9, 9]
         # input order kept within the tie
-        assert lst.edges[1][:2] != lst.edges[2][:2]
-        assert lst.node_ids[lst.edges[1].u] == 1
+        assert rows(lst)[1][:2] != rows(lst)[2][:2]
+        assert lst.node_ids[lst.u[1]] == 1
 
     def test_malformed_line_raises_with_line_number(self):
         with pytest.raises(ParseError) as err:
@@ -79,6 +85,14 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_text("7\n")
 
+    def test_node_id_beyond_int64_raises_with_line_number(self):
+        for bad in (2**63, -(2**63) - 1):
+            with pytest.raises(ParseError) as err:
+                parse_text(f"1 2 1 5\n{bad} 3 1 6\n")
+            assert err.value.line_number == 2
+        lst, _ = parse_text(f"{2**63 - 1} {-(2**63)} 1 5\n")
+        assert lst.node_ids.tolist() == [-(2**63), 2**63 - 1]
+
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyDatasetError):
             parse_text("% only a comment\n")
@@ -86,18 +100,65 @@ class TestParse:
             parse_text("1 2\n")  # all records lack timestamps
 
 
+class TestColumns:
+    def test_slice_keeps_node_set_and_order(self):
+        lst = random_list(4)
+        part = lst[3:9]
+        assert rows(part) == rows(lst)[3:9]
+        assert part.node_count == lst.node_count
+        assert part.node_ids.tolist() == lst.node_ids.tolist()
+
+    def test_columns_are_read_only(self):
+        lst = random_list(5)
+        for column in (lst.u, lst.v, lst.ts, lst.node_ids):
+            with pytest.raises(ValueError):
+                column[0] = 1
+
+    def test_node_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            TemporalEdgeList.from_records([(0, 3, 1)], 3)
+
+
+class TestPairKeys:
+    def test_key_is_the_flat_upper_cell_either_way_round(self):
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            n = int(rng.integers(2, 40))
+            i, j = rng.integers(0, n, size=(2, 30))
+            keep = i != j
+            i, j = i[keep], j[keep]
+            key = pair_key(i, j, n)
+            assert np.array_equal(key, pair_key(j, i, n))
+            lo, hi = np.minimum(i, j), np.maximum(i, j)
+            assert np.array_equal(key, np.ravel_multi_index((lo, hi), (n, n)))
+            # sorting keys gives canonical (i, j) order
+            assert np.array_equal(np.argsort(key, kind="stable"), np.lexsort((hi, lo)))
+
+    def test_upper_triangle_keys(self):
+        for n in range(0, 13):
+            expected = np.ravel_multi_index(np.triu_indices(n, k=1), (n, n))
+            got = upper_triangle_keys(n)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expected)
+
+    def test_list_keys_follow_stored_order(self):
+        lst = random_list(7)
+        expected = [pair_key(u, v, lst.node_count) for u, v, _ in rows(lst)]
+        assert lst.pair_keys().tolist() == expected
+
+
 class TestNormalize:
     def test_multi_edges_canonicalized_and_shifted(self):
-        lst = TemporalEdgeList([TemporalEdge(3, 1, 50), TemporalEdge(1, 3, 60)], 4)
+        lst = TemporalEdgeList.from_records([(3, 1, 50), (1, 3, 60)], 4)
         out = normalize(lst)
-        assert [tuple(e) for e in out] == [(1, 3, 1), (1, 3, 11)]
+        assert rows(out) == [(1, 3, 1), (1, 3, 11)]
 
     def test_self_loops_removed(self):
-        lst = TemporalEdgeList([TemporalEdge(2, 2, 10)], 3)
+        lst = TemporalEdgeList.from_records([(2, 2, 10)], 3)
         assert len(normalize(lst)) == 0
 
     def test_node_set_fixed(self):
-        lst = TemporalEdgeList([TemporalEdge(2, 2, 10), TemporalEdge(0, 1, 12)], 3)
+        lst = TemporalEdgeList.from_records([(2, 2, 10), (0, 1, 12)], 3)
         out = normalize(lst)
         assert out.node_count == 3  # node 2 stays even with no edges left
 
@@ -109,7 +170,7 @@ class TestNormalize:
             assert once == twice
 
     def test_exact_duplicate_records_kept(self):
-        lst = TemporalEdgeList([TemporalEdge(0, 1, 5), TemporalEdge(0, 1, 5)], 2)
+        lst = TemporalEdgeList.from_records([(0, 1, 5), (0, 1, 5)], 2)
         assert len(normalize(lst)) == 2
 
 
@@ -130,7 +191,7 @@ class TestSerializeRoundtrip:
             buf = io.StringIO()
             serialize(lst, buf)
             back, _ = parse_text(buf.getvalue())
-            assert [tuple(e) for e in back] == [tuple(e) for e in lst]
+            assert rows(back) == rows(lst)
 
 
 class TestSnapshotIndex:
@@ -159,39 +220,33 @@ class TestSnapshotIndex:
 
 class TestSplit:
     def test_exact_nine_to_one(self):
-        edges = [TemporalEdge(i, i + 1, 10 * (i + 1)) for i in range(10)]
-        lst = normalize(TemporalEdgeList(edges, 11))
+        edges = [(i, i + 1, 10 * (i + 1)) for i in range(10)]
+        lst = normalize(TemporalEdgeList.from_records(edges, 11))
         split = split_by_time(lst, 0.9)
         assert len(split.train) == 9
         assert len(split.test) == 1
 
     def test_boundary_ties_go_to_train(self):
         stamps = [1, 2, 3, 4, 5, 5, 5, 9]
-        edges = [TemporalEdge(i, i + 1, t) for i, t in enumerate(stamps)]
-        lst = normalize(TemporalEdgeList(edges, 9))
+        edges = [(i, i + 1, t) for i, t in enumerate(stamps)]
+        lst = normalize(TemporalEdgeList.from_records(edges, 9))
         split = split_by_time(lst, 0.6)
         assert split.t_split == 5
         assert len(split.train) == 7
-        assert max(e.ts for e in split.train) <= split.t_split
-        assert min(e.ts for e in split.test) > split.t_split
+        assert split.train.ts.max() <= split.t_split
+        assert split.test.ts.min() > split.t_split
 
     def test_positives_exclude_train_linked_pairs(self):
         # pair (0,1) appears on both sides; only (2,3) is new in test
-        edges = [
-            TemporalEdge(0, 1, 1),
-            TemporalEdge(1, 2, 2),
-            TemporalEdge(0, 2, 3),
-            TemporalEdge(0, 1, 10),
-            TemporalEdge(2, 3, 11),
-        ]
-        lst = normalize(TemporalEdgeList(edges, 4))
+        edges = [(0, 1, 1), (1, 2, 2), (0, 2, 3), (0, 1, 10), (2, 3, 11)]
+        lst = normalize(TemporalEdgeList.from_records(edges, 4))
         split = split_by_time(lst, 0.6)
         assert split.t_split == 3
-        assert split.positives == frozenset({(2, 3)})
+        assert split.positives.tolist() == [pair_key(2, 3, 4)]
 
     def test_single_timestamp_is_impossible(self):
-        edges = [TemporalEdge(i, i + 1, 7) for i in range(5)]
-        lst = normalize(TemporalEdgeList(edges, 6))
+        edges = [(i, i + 1, 7) for i in range(5)]
+        lst = normalize(TemporalEdgeList.from_records(edges, 6))
         with pytest.raises(SplitError):
             split_by_time(lst, 0.9)
 
@@ -208,10 +263,14 @@ class TestSplit:
                 split = split_by_time(lst, 0.8)
             except SplitError:
                 continue
-            assert max(e.ts for e in split.train) <= split.t_split
-            assert min(e.ts for e in split.test) > split.t_split
+            assert split.train.ts.max() <= split.t_split
+            assert split.test.ts.min() > split.t_split
             assert len(split.train) + len(split.test) == len(lst)
-            assert not (split.positives & split.train.linked_pairs())
+            assert not np.isin(split.positives, split.train.pair_keys()).any()
+            n = lst.node_count
+            new = {pair_key(u, v, n) for u, v, _ in rows(split.test)}
+            new -= {pair_key(u, v, n) for u, v, _ in rows(split.train)}
+            assert split.positives.tolist() == sorted(new)
 
     def test_default_ratio_lands_near_nine_to_one(self):
         # with enough distinct timestamps, tie slack stays small
@@ -222,17 +281,19 @@ class TestSplit:
             assert 0.85 <= share <= 0.95
 
 
+def pair_counts(lst):
+    """Multiplicity of every pair key of a list."""
+    keys, counts = np.unique(lst.pair_keys(), return_counts=True)
+    return dict(zip(keys.tolist(), counts.tolist()))
+
+
 class TestMultiplicity:
     def test_counts_and_symmetry(self):
-        edges = [
-            TemporalEdge(0, 1, 1),
-            TemporalEdge(1, 0, 2),
-            TemporalEdge(0, 1, 2),
-            TemporalEdge(1, 2, 3),
-        ]
-        lst = normalize(TemporalEdgeList(edges, 3))
-        assert lst.pair_counts == {(0, 1): 3, (1, 2): 1}
-        assert (0, 2) not in lst.pair_counts
+        edges = [(0, 1, 1), (1, 0, 2), (0, 1, 2), (1, 2, 3)]
+        lst = normalize(TemporalEdgeList.from_records(edges, 3))
+        counts = pair_counts(lst)
+        assert counts == {pair_key(0, 1, 3): 3, pair_key(1, 2, 3): 1}
+        assert pair_key(0, 2, 3) not in counts
         cfg = SnapshotConfig(period=1.0)
         A = build_adjacency(lst, snapshot_index(lst.t_max, cfg), DecayParams(p=1.0, q=1.0), cfg)
         W = A.weight_csr
@@ -243,5 +304,5 @@ class TestMultiplicity:
     def test_total_multiplicity_is_edge_count(self):
         for seed in range(10):
             lst = normalize(random_list(seed))
-            assert sum(lst.pair_counts.values()) == len(lst)
+            assert sum(pair_counts(lst).values()) == len(lst)
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from tlpss.decay import DecayParams
-from tlpss.edges import TemporalEdge, TemporalEdgeList, normalize, split_by_time
-from tlpss.errors import ConfigError, EvaluationError
+from tlpss.edges import TemporalEdgeList, normalize, pair_key, split_by_time
+from tlpss.errors import ConfigError, EvaluationError, SplitError
 from tlpss.evaluation import (
     _precision_from_arrays,
     auc,
@@ -18,7 +18,7 @@ from tlpss.scoring import ALL_METHODS, MethodId
 
 
 def toy_list(toy):
-    return normalize(TemporalEdgeList([TemporalEdge(*e) for e in toy.edges], toy.n))
+    return normalize(TemporalEdgeList.from_records(toy.edges, toy.n))
 
 
 def community_toy(seed=7, n=48, n_events=420, block=12, span=8000):
@@ -41,19 +41,15 @@ class TestBuildCandidates:
 
     def test_no_positives_rejected(self):
         # pair (0,1) relinked in test: nothing new to predict
-        edges = [TemporalEdge(0, 1, 1), TemporalEdge(0, 2, 2), TemporalEdge(0, 1, 9)]
-        lst = normalize(TemporalEdgeList(edges, 3))
+        edges = [(0, 1, 1), (0, 2, 2), (0, 1, 9)]
+        lst = normalize(TemporalEdgeList.from_records(edges, 3))
         split = split_by_time(lst, 0.6)
         with pytest.raises(EvaluationError):
             build_candidates(split, 3, seed=0)
 
     def test_complete_graph_has_no_negatives(self):
-        edges = [
-            TemporalEdge(0, 1, 1),
-            TemporalEdge(0, 2, 2),
-            TemporalEdge(1, 2, 9),
-        ]
-        lst = normalize(TemporalEdgeList(edges, 3))
+        edges = [(0, 1, 1), (0, 2, 2), (1, 2, 9)]
+        lst = normalize(TemporalEdgeList.from_records(edges, 3))
         split = split_by_time(lst, 0.6)
         with pytest.raises(EvaluationError):
             build_candidates(split, 3, seed=0)
@@ -62,7 +58,7 @@ class TestBuildCandidates:
         toy = random_toy(15, max_nodes=10, min_nodes=10)
         split = self._split(toy)
         cs = build_candidates(split, 10, seed=1)
-        linked = split.train.linked_pairs() | split.test.linked_pairs()
+        linked = set(split.train.pair_keys().tolist()) | set(split.test.pair_keys().tolist())
         assert cs.universe_size == 45 - len(linked)
 
     def test_same_seed_same_sample(self):
@@ -70,9 +66,9 @@ class TestBuildCandidates:
         split = self._split(toy)
         a = build_candidates(split, toy.n, seed=42, max_negatives=50)
         b = build_candidates(split, toy.n, seed=42, max_negatives=50)
-        assert a.sampled_negatives == b.sampled_negatives
+        assert a.sampled_negatives.tolist() == b.sampled_negatives.tolist()
         c = build_candidates(split, toy.n, seed=43, max_negatives=50)
-        assert c.sampled_negatives != a.sampled_negatives
+        assert c.sampled_negatives.tolist() != a.sampled_negatives.tolist()
 
     def test_exhaustive_when_budget_covers_universe(self):
         toy = community_toy(seed=14, n=12, n_events=60, block=6, span=50)
@@ -85,13 +81,99 @@ class TestBuildCandidates:
         toy = community_toy(seed=3)
         split = self._split(toy)
         cs = build_candidates(split, toy.n, seed=5, max_negatives=200)
-        train_pairs = split.train.linked_pairs()
-        test_pairs = split.test.linked_pairs()
-        for pair in cs.sampled_negatives:
+        train_pairs = set(split.train.pair_keys().tolist())
+        test_pairs = set(split.test.pair_keys().tolist())
+        for pair in cs.sampled_negatives.tolist():
             assert pair not in train_pairs and pair not in test_pairs
-        for pair in cs.positives:
+        for pair in cs.positives.tolist():
             assert pair not in train_pairs
-        assert not (set(cs.positives) & set(cs.sampled_negatives))
+        assert not (set(cs.positives.tolist()) & set(cs.sampled_negatives.tolist()))
+
+
+def loop_negatives(split, n, seed, budget):
+    """Negative sampling as a per-pair loop with a seen-set: the reference
+    order the sampled keys must reproduce."""
+    linked = {divmod(k, n) for k in split.train.pair_keys().tolist()}
+    linked |= {divmod(k, n) for k in split.test.pair_keys().tolist()}
+    rng = np.random.default_rng(seed)
+    chosen, seen = [], set()
+    while len(chosen) < budget:
+        batch = int((budget - len(chosen)) * 2.2) + 64
+        a = rng.integers(0, n, size=batch)
+        b = rng.integers(0, n, size=batch)
+        for u, v in zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()):
+            if u == v or (u, v) in linked or (u, v) in seen:
+                continue
+            seen.add((u, v))
+            chosen.append((u, v))
+            if len(chosen) == budget:
+                break
+    return chosen
+
+
+class TestNegativeOrder:
+    """The sampled negatives, in order, decide the sampled AUC bits."""
+
+    def test_equals_per_pair_loop(self):
+        sampled = 0
+        for seed in range(80):
+            toy = random_toy(seed + 4000, max_nodes=40)
+            try:
+                split = split_by_time(toy_list(toy), 0.8)
+            except SplitError:
+                continue
+            if not len(split.positives):
+                continue
+            universe = build_candidates(split, toy.n, seed=seed).universe_size
+            # a budget near the universe makes the loop draw several batches
+            for budget in {max(1, universe // 3), max(1, universe - 1)}:
+                cs = build_candidates(split, toy.n, seed=seed, max_negatives=budget)
+                if cs.exhaustive:
+                    continue
+                got = [divmod(k, toy.n) for k in cs.sampled_negatives.tolist()]
+                assert got == loop_negatives(split, toy.n, seed, budget)
+                sampled += 1
+        assert sampled >= 50
+
+
+class TestBranchPoints:
+    """Just at and just below each exhaustive/sampled switch."""
+
+    KW = dict(period=200.0, decay=DecayParams(p=3.0, q=1.0), methods=[MethodId.TLPSS])
+
+    def _lst(self):
+        return toy_list(community_toy(seed=21, n=40, n_events=300, block=10))
+
+    def test_negatives_exhaustive_at_universe_size(self):
+        lst = self._lst()
+        split = split_by_time(lst, 0.9)
+        universe = build_candidates(split, lst.node_count, seed=0).universe_size
+        full = build_candidates(split, lst.node_count, seed=0, max_negatives=universe)
+        below = build_candidates(split, lst.node_count, seed=0, max_negatives=universe - 1)
+        assert full.exhaustive and not below.exhaustive
+        assert len(full.sampled_negatives) == universe
+        assert len(np.unique(below.sampled_negatives)) == universe - 1
+        assert np.isin(below.sampled_negatives, full.sampled_negatives).all()
+        reports = [
+            evaluate_methods(lst, **self.KW, max_negatives=budget)[0]
+            for budget in (universe, universe - 1)
+        ]
+        assert [r.n_sampled_negatives for r in reports] == [universe, universe - 1]
+        assert abs(reports[0].auc - reports[1].auc) < 0.01
+
+    def test_auc_exhaustive_at_limit(self):
+        lst = self._lst()
+        probe = evaluate_methods(lst, **self.KW)[0]
+        n_pairs = probe.n_positives * probe.n_sampled_negatives
+        at, below = (
+            evaluate_methods(
+                lst, **self.KW, auc_exhaustive_limit=limit, auc_samples=200_000
+            )[0]
+            for limit in (n_pairs, n_pairs - 1)
+        )
+        assert at.comparisons == n_pairs and at.auc == probe.auc
+        assert below.comparisons == 200_000
+        assert abs(at.auc - below.auc) < 0.01
 
 
 class TestAuc:
@@ -144,11 +226,11 @@ def table_precision(rows, positives, L):
     """Precision@L over a {canonical pair: score} table, through the
     array form evaluation ranks candidates with."""
     pairs = sorted(rows)
-    ii = np.array([p[0] for p in pairs], dtype=np.int64)
-    jj = np.array([p[1] for p in pairs], dtype=np.int64)
+    n = max(j for _, j in pairs) + 1
+    keys = np.array([pair_key(i, j, n) for i, j in pairs], dtype=np.int64)
     scores = np.array([rows[p] for p in pairs], dtype=np.float64)
     is_positive = np.array([p in set(positives) for p in pairs], dtype=bool)
-    return _precision_from_arrays(ii, jj, scores, is_positive, L)
+    return _precision_from_arrays(keys, scores, is_positive, L)
 
 
 class TestPrecision:
@@ -224,13 +306,14 @@ class TestPrecisionSelection:
             if t % 2:
                 pick.sort()  # canonical pair order; otherwise shuffled
             ii, jj = iu[pick].astype(np.int64), ju[pick].astype(np.int64)
+            keys = pair_key(ii, jj, n)
             scores = self._scores(rng, kind, k)
             is_positive = rng.random(k) < 0.4
             # L = 1, L = len(scores), a random L, and the smallest L above
             # the number of positive scores
             n_above_zero = int(np.count_nonzero(scores > 0))
             for L in {1, k, int(rng.integers(1, k + 1)), min(n_above_zero + 1, k)}:
-                got = _precision_from_arrays(ii, jj, scores, is_positive, L)
+                got = _precision_from_arrays(keys, scores, is_positive, L)
                 assert got == lexsort_precision(ii, jj, scores, is_positive, L)
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from tlpss.decay import DecayParams
-from tlpss.edges import TemporalEdge, TemporalEdgeList, normalize
+from tlpss.edges import TemporalEdgeList, normalize
 from tlpss.evaluation import evaluate_methods
 from tlpss.oracle import (
     ToyGraph,
@@ -70,7 +70,7 @@ class TestExhaustiveAuc:
             except ValueError:
                 continue
             lst = normalize(
-                TemporalEdgeList([TemporalEdge(*e) for e in toy.edges], toy.n)
+                TemporalEdgeList.from_records(toy.edges, toy.n)
             )
             report = evaluate_methods(
                 lst,

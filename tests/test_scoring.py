@@ -5,7 +5,7 @@ import pytest
 
 from tlpss.adjacency import WeightedAdjacency, build_adjacency, degree_vector
 from tlpss.decay import DecayParams, asf_floor
-from tlpss.edges import SnapshotConfig, TemporalEdge, TemporalEdgeList, normalize, snapshot_index
+from tlpss.edges import SnapshotConfig, TemporalEdgeList, normalize, snapshot_index
 from tlpss.errors import ConfigError
 from tlpss.oracle import ToyGraph, naive_hidden, naive_score, random_decay, random_toy
 from tlpss.scoring import ALL_METHODS, MethodId, score_matrix
@@ -14,7 +14,7 @@ PARAMS = DecayParams(p=2.0, q=1.0, a=5.0)
 
 
 def production_stack(toy, params):
-    lst = normalize(TemporalEdgeList([TemporalEdge(*e) for e in toy.edges], toy.n))
+    lst = normalize(TemporalEdgeList.from_records(toy.edges, toy.n))
     cfg = SnapshotConfig(period=toy.period)
     T = snapshot_index(lst.t_max, cfg)
     A = build_adjacency(lst, T, params, cfg)
