@@ -17,13 +17,11 @@ from .adjacency import (
 from .decay import (
     DecayParams,
     ExpDecayParams,
-    asf,
     asf_array,
     asf_floor,
     asf_log_margin,
     decay_floor,
     decay_weights,
-    exp_decay,
 )
 from .edges import (
     DropReport,

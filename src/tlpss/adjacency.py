@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .decay import DecayParams, ExpDecayParams, decay_floor, decay_weights
-from .edges import SnapshotConfig, TemporalEdgeList
+from .edges import SnapshotConfig, TemporalEdgeList, pair_key
 from .errors import ConfigError
 
 __all__ = [
@@ -232,18 +232,10 @@ def latent_matrix(
     coo = acc.tocoo()
     if coo.nnz == 0:
         return acc
-    vals = floor * coo.data / np.minimum(deg[coo.row], deg[coo.col]).astype(np.float64)
-    B = sp.csr_matrix((vals, (coo.row, coo.col)), shape=(n, n))
-
-    # Two-hop paths also land on adjacent pairs (triangles); zero those out,
+    # Two-hop paths also land on adjacent pairs (triangles); drop those,
     # latent edges exist only where A does not.
     adj = W.tocoo()
-    present = np.asarray(B[adj.row, adj.col]).ravel()
-    hit = present != 0
-    if np.any(hit):
-        B = B - sp.csr_matrix(
-            (present[hit], (adj.row[hit], adj.col[hit])), shape=(n, n)
-        )
-        B.eliminate_zeros()
-    return B
-
+    keep = ~np.isin(pair_key(coo.row, coo.col, n), pair_key(adj.row, adj.col, n))
+    row, col = coo.row[keep], coo.col[keep]
+    vals = floor * coo.data[keep] / np.minimum(deg[row], deg[col]).astype(np.float64)
+    return sp.csr_matrix((vals, (row, col)), shape=(n, n))

@@ -284,27 +284,11 @@ def _config_from_args(args) -> ExperimentConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object")
-    flag_fields = (
-        "dataset",
-        "period",
-        "origin",
-        "decay",
-        "p",
-        "q",
-        "a",
-        "theta",
-        "ratio",
-        "top_l",
-        "auc_samples",
-        "auc_exhaustive_limit",
-        "max_negatives",
-        "seed",
-        "agg",
-        "cclp_mode",
-        "out_dir",
-        "format",
-    )
-    flags = {name: getattr(args, name) for name in flag_fields}
+    flags = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(ExperimentConfig)
+        if f.name != "methods"
+    }
     flags["methods"] = args.method if args.method else None
     cfg = ExperimentConfig.from_sources(file_values, flags)
     cfg.validate()
@@ -462,6 +446,13 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (SplitError, EvaluationError) as exc:
         print(f"evaluation impossible: {exc}", file=sys.stderr)
+        return EXIT_IMPOSSIBLE
+    except MemoryError:
+        print(
+            "evaluation impossible: out of memory (the dense engine holds n x n "
+            "float64 matrices, 8*n*n bytes each)",
+            file=sys.stderr,
+        )
         return EXIT_IMPOSSIBLE
     except (TlpssError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

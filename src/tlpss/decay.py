@@ -1,14 +1,16 @@
 """Time-decay weighting for edge recency.
 
-Two decay modes map elapsed snapshot time to a residual-information weight:
+Two decay modes map arrays of elapsed snapshot times to
+residual-information weights, one vectorized function each:
 
-* the adjusted sigmoid ``asf(x) = (1/(1 + exp(x/p - a)) + q) / (q + 1)``,
-  which models an active phase, a decay phase, and a stable floor of
-  ``q/(q+1)`` that old edges never drop below;
-* a plain exponential ``exp(-theta * (t - s))`` kept as a comparison mode.
+* the adjusted sigmoid (:func:`asf_array`)
+  ``w(x) = (1/(1 + exp(x/p - a)) + q) / (q + 1)``, which models an active
+  phase, a decay phase, and a stable floor of ``q/(q+1)`` that old edges
+  never drop below;
+* a plain exponential ``exp(-theta * x)`` kept as a comparison mode.
 
-Elapsed time ``x`` is measured in (real-valued) snapshot units, not raw
-timestamps.
+:func:`decay_weights` picks the mode from its parameters.  Elapsed time
+``x`` is measured in (real-valued) snapshot units, not raw timestamps.
 """
 
 from __future__ import annotations
@@ -23,11 +25,9 @@ from .errors import ConfigError
 __all__ = [
     "DecayParams",
     "ExpDecayParams",
-    "asf",
     "asf_array",
     "asf_floor",
     "asf_log_margin",
-    "exp_decay",
     "decay_weights",
     "decay_floor",
 ]
@@ -66,47 +66,23 @@ class ExpDecayParams:
             raise ConfigError(f"theta must lie in (0, 1), got {self.theta!r}")
 
 
-def _sigmoid(t: float) -> float:
-    # Branch on sign so neither exp() argument is ever positive.
-    if t >= 0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
-
-
-def _log_sigmoid(t: float) -> float:
-    # log(1/(1+e^-t)), exact in log space even where sigmoid underflows.
-    if t >= 0:
-        return -math.log1p(math.exp(-t))
-    return t - math.log1p(math.exp(t))
-
-
-def _check_elapsed(x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x) or x < 0:
-        raise ValueError(f"elapsed snapshot time must be finite and >= 0, got {x!r}")
+def _elapsed(x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.size and (not np.all(np.isfinite(x)) or np.any(x < 0)):
+        raise ValueError("elapsed snapshot times must be finite and >= 0")
     return x
 
 
-def asf(x: float, params: DecayParams) -> float:
-    """Adjusted-sigmoid weight of an edge that is ``x`` snapshots old.
+def asf_array(x: np.ndarray, params: DecayParams) -> np.ndarray:
+    """Adjusted-sigmoid weights of edges that are ``x`` snapshots old.
 
     Strictly decreasing in ``x``, bounded in
     ``(q/(q+1), (1/(1+exp(-a)) + q)/(q+1)]``.  In float64 the value
     saturates at the lower bound once the sigmoid term underflows; use
     :func:`asf_log_margin` when the distance to the floor matters.
     """
-    x = _check_elapsed(x)
-    return (_sigmoid(params.a - x / params.p) + params.q) / (params.q + 1.0)
-
-
-def asf_array(x: np.ndarray, params: DecayParams) -> np.ndarray:
-    """Vectorized :func:`asf` over an array of elapsed snapshot times."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size and (not np.all(np.isfinite(x)) or np.any(x < 0)):
-        raise ValueError("elapsed snapshot times must be finite and >= 0")
-    t = params.a - x / params.p
-    # Same two-branch evaluation as the scalar path; no overflow possible.
+    t = params.a - _elapsed(x) / params.p
+    # branch on sign so no exp() argument is ever positive: no overflow
     out = np.empty_like(t)
     pos = t >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
@@ -120,36 +96,24 @@ def asf_floor(params: DecayParams) -> float:
     return params.q / (params.q + 1.0)
 
 
-def asf_log_margin(x: float, params: DecayParams) -> float:
-    """``log(asf(x) - asf_floor)``, computed stably.
+def asf_log_margin(x: np.ndarray, params: DecayParams) -> np.ndarray:
+    """``log(asf_array(x) - asf_floor)``, computed stably.
 
     The margin above the floor shrinks like ``exp(a - x/p)`` and underflows
     float64 long before it is mathematically zero; this log-space form stays
     finite and strictly decreasing for all finite ``x``, so order and
-    positivity of the margin can be checked where :func:`asf` saturates.
+    positivity of the margin can be checked where :func:`asf_array`
+    saturates.
     """
-    x = _check_elapsed(x)
-    return _log_sigmoid(params.a - x / params.p) - math.log1p(params.q)
-
-
-def exp_decay(s: float, t: float, params: ExpDecayParams) -> float:
-    """Exponential residual weight ``exp(-theta * (t - s))`` of an edge from
-    snapshot ``s`` observed at snapshot ``t >= s``."""
-    if not (math.isfinite(s) and math.isfinite(t)):
-        raise ValueError("snapshot times must be finite")
-    if t < s:
-        raise ValueError(f"reference snapshot {t} precedes edge snapshot {s}")
-    return math.exp(-params.theta * (t - s))
+    t = params.a - _elapsed(x) / params.p
+    return -np.logaddexp(0.0, -t) - math.log1p(params.q)
 
 
 def decay_weights(elapsed: np.ndarray, params: DecayParams | ExpDecayParams) -> np.ndarray:
     """Weights for an array of elapsed snapshot times under either decay mode."""
     if isinstance(params, DecayParams):
         return asf_array(elapsed, params)
-    elapsed = np.asarray(elapsed, dtype=np.float64)
-    if elapsed.size and (not np.all(np.isfinite(elapsed)) or np.any(elapsed < 0)):
-        raise ValueError("elapsed snapshot times must be finite and >= 0")
-    return np.exp(-params.theta * elapsed)
+    return np.exp(-params.theta * _elapsed(elapsed))
 
 
 def decay_floor(params: DecayParams | ExpDecayParams) -> float:

@@ -13,7 +13,7 @@ is the only place that builds keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TextIO
 
 import numpy as np
@@ -121,12 +121,7 @@ class DropReport:
     self_loops_dropped: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "lines_read": self.lines_read,
-            "edges_kept": self.edges_kept,
-            "missing_ts_dropped": self.missing_ts_dropped,
-            "self_loops_dropped": self.self_loops_dropped,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ scores are gathered with one ``take``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -83,20 +83,7 @@ class EvalReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "decay": self.decay,
-            "snapshot": self.snapshot,
-            "split": self.split,
-            "auc": self.auc,
-            "precision": self.precision,
-            "top_l": self.top_l,
-            "comparisons": self.comparisons,
-            "n_positives": self.n_positives,
-            "n_sampled_negatives": self.n_sampled_negatives,
-            "negative_universe": self.negative_universe,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     CSV_FIELDS = (
         "method",

@@ -59,24 +59,16 @@ def _triangle_mass(A: WeightedAdjacency) -> np.ndarray:
 def _lcl_matrix(A: WeightedAdjacency) -> np.ndarray:
     """Dense matrix of link weight among each pair's common neighbors.
 
-    Edge-centric accumulation: a link (z1, z2) of weight w adds w to every
-    pair of nodes adjacent to both z1 and z2.
+    A link (z1, z2) of weight w adds w to every pair of nodes adjacent to
+    both z1 and z2: row k of ``Q`` marks the nodes that close a triangle
+    with link k, and ``Q.T @ diag(w) @ Q`` sums over those links.
     """
-    W = A.weight_csr
-    ptr, idx = W.indptr, W.indices
-    out = np.zeros((A.n, A.n), dtype=np.float64)
-    # upper-triangle links in row-major order, so every cell sums its links
-    # in one fixed order
-    for z1 in range(A.n):
-        nb1 = idx[ptr[z1] : ptr[z1 + 1]]
-        for k in range(ptr[z1], ptr[z1 + 1]):
-            z2 = idx[k]
-            if z2 < z1:
-                continue
-            both = np.intersect1d(nb1, idx[ptr[z2] : ptr[z2 + 1]], assume_unique=True)
-            if len(both) < 2:
-                continue
-            out[np.ix_(both, both)] += W.data[k]
+    P = A.indicator_csr
+    # upper-triangle links in row-major order; the CSR product adds each
+    # cell's links in that order
+    links = sp.triu(A.weight_csr, k=1).tocoo()
+    Q = P[links.row].multiply(P[links.col])
+    out = (Q.T @ (sp.diags(links.data) @ Q)).toarray()
     np.fill_diagonal(out, 0.0)
     return out
 

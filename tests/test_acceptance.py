@@ -20,7 +20,7 @@ import pytest
 
 from tlpss.adjacency import build_adjacency, degree_vector, latent_matrix
 from tlpss.cli import DEFAULT_PERIODS, parse_period
-from tlpss.decay import DecayParams, asf, asf_array, asf_floor, asf_log_margin
+from tlpss.decay import DecayParams, asf_array, asf_floor, asf_log_margin
 from tlpss.edges import (
     SnapshotConfig,
     TemporalEdgeList,
@@ -64,7 +64,7 @@ def test_criterion_1_asf_properties():
         q = float(rng.uniform(0, 10))
         x = float(rng.uniform(0, 1e4))
         params = DecayParams(p=p, q=q, a=5.0)
-        value = asf(x, params)
+        value = asf_array(x, params)
         floor = asf_floor(params)
         upper = (1.0 / (1.0 + math.exp(-5.0)) + q) / (q + 1.0)
         margin = asf_log_margin(x, params)
@@ -81,13 +81,13 @@ def test_criterion_1_asf_properties():
 
         # strict monotone decrease in x
         x2 = x + float(rng.uniform(1e-3, 1e3))
-        assert asf(x2, params) <= value
+        assert asf_array(x2, params) <= value
         assert asf_log_margin(x2, params) < margin
 
         # pointwise increase in p for x > 0
         if x > 0:
             params2 = DecayParams(p=p + float(rng.uniform(0.01, 5.0)), q=q, a=5.0)
-            assert asf(x, params2) >= value
+            assert asf_array(x, params2) >= value
             assert asf_log_margin(x, params2) > margin
 
     # value-space strictness on grids whose steps are far above resolution

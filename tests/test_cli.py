@@ -161,6 +161,20 @@ class TestBadInputs:
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
         assert not (out_dir / "report.json").exists()
 
+    def test_out_of_memory_ends_in_exit_4(self, dataset, tmp_path, capsys, monkeypatch):
+        def no_memory(n):
+            raise MemoryError(f"cannot hold the keys of {n} nodes")
+
+        monkeypatch.setattr("tlpss.evaluation.upper_triangle_keys", no_memory)
+        out_dir = tmp_path / "run"
+        assert main([
+            "evaluate", "--dataset", str(dataset), "--period", "80", "--out-dir", str(out_dir)
+        ]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert err.startswith("evaluation impossible: out of memory")
+        assert not (out_dir / "report.json").exists()
+
 
 class TestSweep:
     def test_tidy_csv(self, dataset, tmp_path, capsys):

@@ -8,13 +8,11 @@ import pytest
 from tlpss.decay import (
     DecayParams,
     ExpDecayParams,
-    asf,
     asf_array,
     asf_floor,
     asf_log_margin,
     decay_floor,
     decay_weights,
-    exp_decay,
 )
 from tlpss.errors import ConfigError
 
@@ -30,7 +28,7 @@ def random_params(rng):
 class TestAsfValues:
     def test_value_at_zero(self):
         # (1/(1+e^-5) + 1)/2, checked against a 50-digit evaluation
-        got = asf(0.0, DecayParams(p=1.0, q=1.0, a=5.0))
+        got = asf_array(0.0, DecayParams(p=1.0, q=1.0, a=5.0))
         assert got == pytest.approx(0.99665357453785757, rel=1e-14)
 
     def test_matches_plain_formula_where_representable(self):
@@ -42,33 +40,23 @@ class TestAsfValues:
             naive = (1.0 / (1.0 + math.exp(x / params.p - params.a)) + params.q) / (
                 params.q + 1.0
             )
-            assert asf(x, params) == pytest.approx(naive, rel=1e-12)
+            assert asf_array(x, params) == pytest.approx(naive, rel=1e-12)
 
     def test_upper_bound_attained_at_zero(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             params = random_params(rng)
             bound = (1.0 / (1.0 + math.exp(-params.a)) + params.q) / (params.q + 1.0)
-            assert asf(0.0, params) == pytest.approx(bound, rel=1e-15)
-
-    def test_array_matches_scalar(self):
-        params = DecayParams(p=2.5, q=0.7)
-        xs = np.linspace(0, 200, 97)
-        vec = asf_array(xs, params)
-        assert vec.shape == xs.shape
-        for x, v in zip(xs, vec):
-            assert v == asf(float(x), params)
+            assert asf_array(0.0, params) == pytest.approx(bound, rel=1e-15)
 
     def test_rejects_bad_arguments(self):
         params = DecayParams(p=1.0, q=1.0)
-        with pytest.raises(ValueError):
-            asf(-0.5, params)
-        with pytest.raises(ValueError):
-            asf(float("nan"), params)
-        with pytest.raises(ValueError):
-            asf(float("inf"), params)
-        with pytest.raises(ValueError):
-            asf_array(np.array([1.0, -2.0]), params)
+        for bad in (-0.5, float("nan"), float("inf"), np.array([1.0, -2.0])):
+            for fn in (asf_array, asf_log_margin, decay_weights):
+                with pytest.raises(ValueError):
+                    fn(bad, params)
+            with pytest.raises(ValueError):
+                decay_weights(bad, ExpDecayParams(theta=0.5))
 
 
 class TestAsfFloor:
@@ -82,7 +70,7 @@ class TestAsfFloor:
         for _ in range(50):
             params = random_params(rng)
             far = 100.0 * params.p * params.a
-            gap = asf(far, params) - asf_floor(params)
+            gap = asf_array(far, params) - asf_floor(params)
             assert 0.0 <= gap < 1e-9
             # in log space the margin is still finite and positive
             assert math.isfinite(asf_log_margin(far, params))
@@ -102,7 +90,7 @@ class TestAsfMonotonicity:
             params = random_params(rng)
             x1 = float(rng.uniform(0, 1e4))
             x2 = x1 + float(rng.uniform(1e-3, 1e3))
-            assert asf(x1, params) >= asf(x2, params)
+            assert asf_array(x1, params) >= asf_array(x2, params)
             assert asf_log_margin(x1, params) > asf_log_margin(x2, params)
 
     def test_strict_in_value_space_when_representable(self):
@@ -118,7 +106,7 @@ class TestAsfMonotonicity:
             p2 = params.p * float(rng.uniform(1.01, 5.0))
             bigger = DecayParams(p=p2, q=params.q, a=params.a)
             x = float(rng.uniform(1e-3, 1e4))
-            assert asf(x, bigger) >= asf(x, params)
+            assert asf_array(x, bigger) >= asf_array(x, params)
             assert asf_log_margin(x, bigger) > asf_log_margin(x, params)
 
     def test_larger_q_retains_more(self):
@@ -127,26 +115,27 @@ class TestAsfMonotonicity:
             params = random_params(rng)
             higher = DecayParams(p=params.p, q=params.q + float(rng.uniform(0.1, 5)), a=params.a)
             x = float(rng.uniform(0, 100 * params.p))
-            assert asf(x, higher) > asf(x, params)
+            assert asf_array(x, higher) > asf_array(x, params)
 
 
 class TestExpDecay:
     def test_zero_elapsed(self):
-        assert exp_decay(3.0, 3.0, ExpDecayParams(theta=0.3)) == 1.0
+        assert decay_weights(0.0, ExpDecayParams(theta=0.3)) == 1.0
 
     def test_known_value(self):
-        assert exp_decay(0.0, 2.0, ExpDecayParams(theta=0.5)) == pytest.approx(
+        assert decay_weights(2.0, ExpDecayParams(theta=0.5)) == pytest.approx(
             math.exp(-1.0), rel=1e-15
         )
 
     def test_monotone_in_elapsed(self):
         params = ExpDecayParams(theta=0.2)
-        vals = [exp_decay(0.0, t, params) for t in np.linspace(0, 50, 100)]
+        vals = decay_weights(np.linspace(0, 50, 100), params)
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_reference_before_edge_rejected(self):
+        # a reference snapshot 4 before an edge at snapshot 5
         with pytest.raises(ValueError):
-            exp_decay(5.0, 4.0, ExpDecayParams(theta=0.5))
+            decay_weights(4.0 - 5.0, ExpDecayParams(theta=0.5))
 
 
 class TestParamValidation:
@@ -171,7 +160,7 @@ class TestDispatch:
         )
         np.testing.assert_allclose(
             decay_weights(elapsed, exp_params),
-            [exp_decay(0.0, t, exp_params) for t in elapsed],
+            [math.exp(-exp_params.theta * t) for t in elapsed],
             rtol=1e-15,
         )
 
