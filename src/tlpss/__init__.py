@@ -9,10 +9,13 @@ time-ordered evaluation harness (AUC, precision@L, parameter sweeps).
 
 from .adjacency import (
     DegreeVector,
+    LatentPlan,
+    PairLayout,
     WeightedAdjacency,
     build_adjacency,
     degree_vector,
     latent_matrix,
+    pair_layout,
 )
 from .decay import (
     DecayParams,

@@ -8,6 +8,11 @@ latent edge always weighs less than the floor, hence less than any single
 surviving edge weight.  For a target pair (x, y), the latent edges that
 TLPSS uses run from x to its *hidden nodes*: neighbors of y that are not
 neighbors of x but share a neighbor with x.
+
+What depends only on which pairs are linked, not on their weights, is
+built once per train list and shared by every decay parameter set: the
+:class:`PairLayout` of the pairs, and the :class:`LatentPlan` of the
+two-hop pass behind the latent weights.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .decay import DecayParams, ExpDecayParams, decay_floor, decay_weights
-from .edges import SnapshotConfig, TemporalEdgeList, pair_key
+from .edges import SnapshotConfig, TemporalEdgeList
 from .errors import ConfigError
 
 __all__ = [
@@ -28,10 +33,63 @@ __all__ = [
     "build_adjacency",
     "degree_vector",
     "latent_matrix",
+    "LatentPlan",
+    "PairLayout",
+    "pair_layout",
 ]
 
-# COO buffer flush threshold for the bulk latent builder (entries).
+# Two-hop terms per chunk of the latent pass; chunks fix the order in which
+# each latent cell's terms are added, and so its bits.
 _CHUNK = 4_000_000
+# Terms sorted at once while a latent plan is built (whole rows per block).
+# Blocks of 2**20 terms left the sweep-q-hubs peak RSS about 40 MB higher.
+_BLOCK = 1 << 16
+
+
+class PairLayout:
+    """Where each of a set of canonical pairs sits in a symmetric CSR
+    adjacency, independent of the pairs' weights.
+
+    ``keys`` are the pairs' sorted :func:`~tlpss.edges.pair_key` keys;
+    ``order`` maps each stored entry to its pair (an index into the pairs
+    concatenated with themselves, one copy per orientation); ``indptr`` and
+    ``indices`` are the CSR structure with sorted column indices in each
+    row; ``mult`` is the multi-edge count of each stored entry.  For a layout
+    built from a train list, ``inverse`` gives each train edge's pair.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        mult: np.ndarray,
+        inverse: np.ndarray | None = None,
+    ):
+        """From canonical pairs ``lo[k] < hi[k]`` in ascending order, each
+        given once."""
+        if np.any(lo < 0) or np.any(lo >= hi) or np.any(hi >= n):
+            raise ValueError(f"pairs must be canonical (0 <= i < j < {n})")
+        rows = np.concatenate([lo, hi])
+        cols = np.concatenate([hi, lo])
+        self.n = n
+        self.keys = lo * n + hi
+        self.order = np.lexsort((cols, rows))
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
+        self.indices = cols[self.order]
+        self.mult = np.concatenate([mult, mult])[self.order]
+        self.inverse = inverse
+
+
+def pair_layout(train: TemporalEdgeList) -> PairLayout:
+    """The layout of a train list's linked pairs: the part of
+    :func:`build_adjacency` that no decay parameter changes."""
+    n = train.node_count
+    uniq, inverse, counts = np.unique(
+        train.pair_keys(), return_inverse=True, return_counts=True
+    )
+    return PairLayout(n, uniq // n, uniq % n, counts, inverse)
 
 
 class WeightedAdjacency:
@@ -40,36 +98,23 @@ class WeightedAdjacency:
     One CSR matrix, :attr:`weight_csr`, stores both orientations of every
     linked pair with sorted column indices in each row; :attr:`mult` holds
     the multi-edge count of each stored entry, aligned with its ``data``.
+    Adjacencies decayed from one train list share one :attr:`layout`.
     Immutable after construction.
     """
 
-    def __init__(
-        self,
-        n: int,
-        reference_time: float,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        weight: np.ndarray,
-        mult: np.ndarray,
-    ):
-        """From canonical pairs ``lo[k] < hi[k]`` with their weights and
-        multiplicities, each pair given once."""
-        if np.any(lo < 0) or np.any(lo >= hi) or np.any(hi >= n):
-            raise ValueError(f"pairs must be canonical (0 <= i < j < {n})")
+    def __init__(self, layout: PairLayout, reference_time: float, weight: np.ndarray):
+        """From the weight of each of the layout's pairs."""
         if not np.all(np.isfinite(weight) & (weight > 0)):
             raise ValueError("pair weights must be finite and positive")
-        rows = np.concatenate([lo, hi])
-        cols = np.concatenate([hi, lo])
-        order = np.lexsort((cols, rows))
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        n = layout.n
         self.n = n
         self.reference_time = reference_time
+        self.layout = layout
+        data = np.concatenate([weight, weight])[layout.order]
         self.weight_csr = sp.csr_matrix(
-            (np.concatenate([weight, weight])[order], cols[order], indptr),
-            shape=(n, n),
+            (data, layout.indices, layout.indptr), shape=(n, n)
         )
-        self.mult = np.concatenate([mult, mult])[order]
+        self.mult = layout.mult
 
     @classmethod
     def from_pair_weights(
@@ -89,13 +134,14 @@ class WeightedAdjacency:
         mult = {(min(i, j), max(i, j)): int(m) for (i, j), m in (mults or {}).items()}
         keys = sorted(canon)
         pairs = np.array(keys, dtype=np.int64).reshape(-1, 2)
-        return cls(
+        layout = PairLayout(
             n,
-            reference_time,
             pairs[:, 0],
             pairs[:, 1],
-            np.array([canon[k] for k in keys], dtype=np.float64),
             np.array([mult.get(k, 1) for k in keys], dtype=np.int64),
+        )
+        return cls(
+            layout, reference_time, np.array([canon[k] for k in keys], dtype=np.float64)
         )
 
     def __len__(self) -> int:
@@ -125,6 +171,7 @@ def build_adjacency(
     params: DecayParams | ExpDecayParams,
     cfg: SnapshotConfig,
     agg: str = "sum",
+    layout: PairLayout | None = None,
 ) -> WeightedAdjacency:
     """Decayed adjacency at reference snapshot ``T``.
 
@@ -132,27 +179,29 @@ def build_adjacency(
     the sum (``agg="sum"``, the default); ``agg="latest"`` instead keeps only
     the decay weight of the most recent edge on each pair, for sensitivity
     checks of the aggregation choice.  Multiplicities always count all
-    multi-edges regardless of ``agg``.
+    multi-edges regardless of ``agg``.  ``layout`` is ``pair_layout(train)``,
+    for callers that decay one train list under several parameters.
     """
     if agg not in ("sum", "latest"):
         raise ValueError(f"unknown aggregation mode {agg!r}")
-    n = train.node_count
     if np.any(train.u == train.v):
         raise ValueError("train list contains self-loops; normalize it first")
     ts = train.ts
     elapsed = T - (ts.astype(np.float64) - cfg.origin) / cfg.period
     if np.any(elapsed < 0):
         raise ValueError("train contains edges later than the reference snapshot")
+    if layout is None:
+        layout = pair_layout(train)
+    elif layout.n != train.node_count or len(layout.inverse) != len(train):
+        raise ValueError("layout was built from another train list")
 
-    uniq, inverse, counts = np.unique(
-        train.pair_keys(), return_inverse=True, return_counts=True
-    )
+    n_pairs = len(layout.keys)
     if agg == "sum":
         w_edge = decay_weights(elapsed, params)
-        w_pair = np.bincount(inverse, weights=w_edge, minlength=len(uniq))
+        w_pair = np.bincount(layout.inverse, weights=w_edge, minlength=n_pairs)
     else:
-        latest = np.full(len(uniq), -np.inf)
-        np.maximum.at(latest, inverse, ts.astype(np.float64))
+        latest = np.full(n_pairs, -np.inf)
+        np.maximum.at(latest, layout.inverse, ts.astype(np.float64))
         w_pair = decay_weights(T - (latest - cfg.origin) / cfg.period, params)
     if not np.all(w_pair > 0):
         raise ConfigError(
@@ -160,7 +209,7 @@ def build_adjacency(
             f"with period {cfg.period!r}; use a longer period, larger p or q, or "
             "smaller theta"
         )
-    return WeightedAdjacency(n, T, uniq // n, uniq % n, w_pair, counts)
+    return WeightedAdjacency(layout, T, w_pair)
 
 
 def degree_vector(A: WeightedAdjacency) -> DegreeVector:
@@ -173,8 +222,148 @@ def degree_vector(A: WeightedAdjacency) -> DegreeVector:
     return DegreeVector(w=w, d=np.diff(W.indptr).astype(np.int64))
 
 
+class LatentPlan:
+    """The part of :func:`latent_matrix` that no edge weight changes, for
+    adjacencies of one :class:`PairLayout`; built by the first call that
+    needs it and reused by every later one.
+
+    The latent cells are summed from *terms*, one per two-hop path x-z-h
+    with x != h: the value of the term is ``(A(z,x) + A(z,h)) / (m(z,x) +
+    m(z,h))``.  The pass over the centres z adds them in chunks of about
+    ``_CHUNK`` terms, each converted from COO to CSR with its rows sorted by
+    column, and the plan stores every kept term in that order as the two
+    positions of its links in ``weight_csr.data`` (terms landing on the
+    diagonal or on an adjacent pair are dropped).  A cell's terms within a
+    chunk are consecutive, so each block stores one cell index and one length
+    per run instead of a cell per term: about 8 bytes per kept term and 8 per
+    run in all.
+    """
+
+    def __init__(self, layout: PairLayout):
+        self.layout = layout
+        # per block: both link positions of each kept term, and each run's
+        # cell and length
+        self.blocks: list[tuple[np.ndarray, ...]] | None = None
+        # the latent cells, as a CSR structure
+        self.indptr: np.ndarray | None = None
+        self.indices: np.ndarray | None = None
+
+    def cell_sums(self, A: WeightedAdjacency) -> np.ndarray:
+        """Each latent cell's sum of terms under ``A``'s weights, added in
+        the pass's order: term by term within a chunk, then chunk by chunk."""
+        if A.layout is not self.layout:
+            raise ValueError("the latent plan was built for another pair layout")
+        if self.blocks is None:
+            self._build(A.weight_csr)
+        wt = A.weight_csr.data
+        mu = A.mult.astype(np.float64)
+        sums = np.zeros(len(self.indices))
+        for pa, pb, cells, runs in self.blocks:
+            value = wt[pa]
+            value += wt[pb]
+            denom = mu[pa]
+            denom += mu[pb]
+            value /= denom
+            # bincount adds each run's terms one after another; the blocks of
+            # a chunk hold disjoint cells, so each cell gains its chunk sums
+            # in chunk order
+            run_of_term = np.repeat(np.arange(len(cells)), runs)
+            sums[cells] += np.bincount(run_of_term, weights=value, minlength=len(cells))
+        return sums
+
+    def _build(self, W: sp.csr_matrix) -> None:
+        n = W.shape[0]
+        ptr = W.indptr.astype(np.int64)
+        idx = W.indices.astype(np.int64)
+        deg = np.diff(ptr)
+        entry_row = np.repeat(np.arange(n), deg)
+        entry_key = entry_row * n + idx  # ascending: rows sorted, columns sorted
+        mirror = np.searchsorted(entry_key, idx * n + entry_row)
+
+        # the latent cells: pairs with a common neighbor, neither equal nor linked
+        P = sp.csr_matrix((np.ones(len(idx)), idx, ptr), shape=(n, n))
+        two_hop = P @ P
+        two_hop.sort_indices()
+        keys = np.repeat(np.arange(n), np.diff(two_hop.indptr)) * n + two_hop.indices
+        linked = entry_key.take(np.searchsorted(entry_key, keys), mode="clip") == keys
+        cells = keys[(keys // n != keys % n) & ~linked]
+        del P, two_hop, keys, linked
+
+        # the pass takes the centres z = 0, 1, ... with d(z) >= 2 and flushes
+        # its buffer once it holds _CHUNK terms or more
+        size = np.where(deg >= 2, deg * deg, 0)
+        total = np.cumsum(size)
+        chunk_of = np.full(n, -1)
+        start = chunks = 0
+        while start < n and total[-1] > total[start] - size[start]:
+            done = total[start] - size[start]
+            end = min(int(np.searchsorted(total, done + _CHUNK)) + 1, n)
+            chunk_of[start:end] = chunks
+            start, chunks = end, chunks + 1
+        chunk_of[deg < 2] = -1
+
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cells // n, minlength=n), out=self.indptr[1:])
+        self.indices = (cells % n).astype(np.int32)
+        self.blocks = []
+        for chunk in range(chunks):
+            # Within a chunk, CSR row x holds N(z) for each centre z in N(x),
+            # ascending z: the entries (x, z) of W that point into the chunk.
+            sel = np.flatnonzero(chunk_of[idx] == chunk)
+            rows = entry_row[sel]
+            row_first = np.flatnonzero(np.diff(rows, prepend=-1))
+            row_terms = np.add.reduceat(deg[idx[sel]], row_first)
+            row_offset = np.cumsum(row_terms) - row_terms
+            new_block = np.diff(row_offset // _BLOCK, prepend=-1)
+            block_first = row_first[np.flatnonzero(new_block)]
+            for lo, hi in zip(block_first, np.r_[block_first[1:], len(sel)]):
+                # the block's rows own cells[first:last]
+                first = self.indptr[entry_row[sel[lo]]]
+                last = self.indptr[entry_row[sel[hi - 1]] + 1]
+                pa, pb, cell, runs = _plan_block(
+                    sel[lo:hi], ptr, idx, entry_row, mirror, cells[first:last]
+                )
+                self.blocks.append((pa, pb, (cell + first).astype(np.int32), runs))
+
+
+def _plan_block(sel, ptr, idx, entry_row, mirror, cells):
+    """Kept terms of the rows whose entries ``(x, z)`` of W are ``sel``, in
+    the order the chunk's COO-to-CSR conversion leaves them, and their runs."""
+    n = len(ptr) - 1
+    rows = entry_row[sel]
+    centre = idx[sel]
+    d = ptr[centre + 1] - ptr[centre]
+    first = np.cumsum(d) - d
+    pa = np.repeat(mirror[sel], d)  # the link z-x
+    pb = np.repeat(ptr[centre] - first, d) + np.arange(first[-1] + d[-1])  # z-h
+    row_first = np.flatnonzero(np.diff(rows, prepend=-1))
+    indptr = np.r_[0, np.cumsum(np.add.reduceat(d, row_first))]
+    # csr_sort_indices compares columns only, so sorting term ids with the
+    # columns permutes them exactly as it permutes the values.  (A row that
+    # is already sorted repeats no column but its own, and those diagonal
+    # terms are dropped, so skipping its sort changes nothing.)
+    ids = np.arange(len(pb), dtype=np.int32)
+    order = sp.csr_matrix((ids, idx[pb], indptr), shape=(len(row_first), n))
+    order.sort_indices()
+    keys = np.repeat(rows[row_first] * n, np.diff(indptr)) + order.indices
+    # a cell's terms are consecutive; runs on the diagonal or a link are dropped
+    run_first = np.flatnonzero(np.diff(keys, prepend=-1))
+    runs = np.diff(np.r_[run_first, len(keys)])
+    cell = np.searchsorted(cells, keys[run_first])
+    keep = cells.take(cell, mode="clip") == keys[run_first]
+    term = order.data[np.repeat(keep, runs)]
+    return (
+        pa[term].astype(np.int32),
+        pb[term].astype(np.int32),
+        cell[keep],
+        runs[keep].astype(np.int32),
+    )
+
+
 def latent_matrix(
-    A: WeightedAdjacency, params: DecayParams | ExpDecayParams
+    A: WeightedAdjacency,
+    params: DecayParams | ExpDecayParams,
+    plan: LatentPlan | None = None,
 ) -> sp.csr_matrix:
     """All latent-edge weights as a symmetric sparse matrix.
 
@@ -183,59 +372,19 @@ def latent_matrix(
     (A(i,z) + A(z,j)) / (m(i,z) + m(z,j))``, where ``d`` counts distinct
     neighbors and ``m`` multi-edges.  The scale lies in [0, 1], so every
     cell is strictly below the floor.  Supported exactly on pairs at graph
-    distance two, via one pass over two-hop paths.
+    distance two.  Pass one ``plan`` for every adjacency of a train list to
+    do the two-hop bookkeeping once.
     """
     n = A.n
     floor = decay_floor(params)
-    acc = sp.csr_matrix((n, n), dtype=np.float64)
     if floor == 0.0:
-        return acc
-    buf_i: list[np.ndarray] = []
-    buf_j: list[np.ndarray] = []
-    buf_v: list[np.ndarray] = []
-    buffered = 0
-
-    def flush():
-        nonlocal acc, buffered
-        if not buffered:
-            return
-        block = sp.coo_matrix(
-            (np.concatenate(buf_v), (np.concatenate(buf_i), np.concatenate(buf_j))),
-            shape=(n, n),
-        )
-        acc = acc + block.tocsr()
-        buf_i.clear()
-        buf_j.clear()
-        buf_v.clear()
-        buffered = 0
-
-    W = A.weight_csr
-    deg = np.diff(W.indptr)
-    for z in range(n):
-        d = int(deg[z])
-        if d < 2:
-            continue
-        row = slice(W.indptr[z], W.indptr[z + 1])
-        nb = W.indices[row]
-        wt = W.data[row]
-        mu = A.mult[row].astype(np.float64)
-        contrib = (wt[:, None] + wt[None, :]) / (mu[:, None] + mu[None, :])
-        np.fill_diagonal(contrib, 0.0)
-        buf_i.append(np.repeat(nb, d))
-        buf_j.append(np.tile(nb, d))
-        buf_v.append(contrib.ravel())
-        buffered += d * d
-        if buffered >= _CHUNK:
-            flush()
-    flush()
-
-    coo = acc.tocoo()
-    if coo.nnz == 0:
-        return acc
-    # Two-hop paths also land on adjacent pairs (triangles); drop those,
-    # latent edges exist only where A does not.
-    adj = W.tocoo()
-    keep = ~np.isin(pair_key(coo.row, coo.col, n), pair_key(adj.row, adj.col, n))
-    row, col = coo.row[keep], coo.col[keep]
-    vals = floor * coo.data[keep] / np.minimum(deg[row], deg[col]).astype(np.float64)
-    return sp.csr_matrix((vals, (row, col)), shape=(n, n))
+        return sp.csr_matrix((n, n), dtype=np.float64)
+    if plan is None:
+        plan = LatentPlan(A.layout)
+    sums = plan.cell_sums(A)
+    deg = np.diff(A.weight_csr.indptr)
+    min_degree = np.minimum(np.repeat(deg, np.diff(plan.indptr)), deg[plan.indices])
+    return sp.csr_matrix(
+        (floor * sums / min_degree.astype(np.float64), plan.indices, plan.indptr),
+        shape=(n, n),
+    )

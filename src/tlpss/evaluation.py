@@ -19,9 +19,14 @@ from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
-from .adjacency import build_adjacency, degree_vector
+from .adjacency import (
+    LatentPlan,
+    PairLayout,
+    build_adjacency,
+    degree_vector,
+    pair_layout,
+)
 from .decay import DecayParams, ExpDecayParams
 from .edges import (
     SnapshotConfig,
@@ -180,6 +185,18 @@ def build_candidates(
     )
 
 
+def _mid_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``, each tie group given the mean of the ranks it
+    spans (what ``scipy.stats.rankdata`` returns by default)."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    start = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    end = np.r_[start[1:], len(x)]
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat(0.5 * (start + end + 1), end - start)
+    return ranks
+
+
 def auc(
     pos_scores: Sequence[float],
     neg_scores: Sequence[float],
@@ -197,7 +214,7 @@ def auc(
     if len(pos) == 0 or len(neg) == 0:
         raise EvaluationError("AUC needs at least one positive and one negative score")
     if n_comparisons is None:
-        ranks = rankdata(np.concatenate([pos, neg]))
+        ranks = _mid_ranks(np.concatenate([pos, neg]))
         u = ranks[: len(pos)].sum() - len(pos) * (len(pos) + 1) / 2.0
         return float(u / (len(pos) * len(neg)))
     if n_comparisons < 1:
@@ -237,9 +254,11 @@ def _precision_from_arrays(
 
 @dataclass
 class _Prepared:
-    """Split, snapshot frame and candidate keys shared across runs."""
+    """Split, snapshot frame, train pair layout and candidate keys shared
+    across runs."""
 
     split: TrainTestSplit
+    layout: PairLayout
     cfg: SnapshotConfig
     reference: float
     candidates: CandidateSet
@@ -265,11 +284,13 @@ def _prepare(
             "snapshot indices overflow"
         )
     candidates = build_candidates(split, edges.node_count, seed, max_negatives)
-    cand_keys = _upper_keys_without(edges.node_count, np.unique(split.train.pair_keys()))
+    layout = pair_layout(split.train)
+    cand_keys = _upper_keys_without(edges.node_count, layout.keys)
     cand_positive = np.zeros(len(cand_keys), dtype=bool)
     cand_positive[np.searchsorted(cand_keys, split.positives)] = True
     return _Prepared(
         split=split,
+        layout=layout,
         cfg=cfg,
         reference=reference,
         candidates=candidates,
@@ -287,7 +308,7 @@ def _decay_dict(params: DecayParams | ExpDecayParams) -> dict:
 
 def _run_prepared(
     prep: _Prepared,
-    decay: DecayParams | ExpDecayParams,
+    decays: Sequence[DecayParams | ExpDecayParams],
     methods: Sequence[MethodId],
     top_l: int,
     seed: int,
@@ -296,8 +317,7 @@ def _run_prepared(
     agg: str,
     cclp_mode: str,
 ) -> list[EvalReport]:
-    A = build_adjacency(prep.split.train, prep.reference, decay, prep.cfg, agg=agg)
-    D = degree_vector(A)
+    """Reports of every method under each decay parameter set in turn."""
     split_stats = {
         "train_edges": len(prep.split.train),
         "test_edges": len(prep.split.test),
@@ -306,38 +326,52 @@ def _run_prepared(
         "ratio": prep.ratio,
     }
     snapshot = {"period": prep.cfg.period, "origin": prep.cfg.origin}
+    # one two-hop plan serves TLPSS under every parameter set; it is freed
+    # once TLPSS is scored for the last one
+    plan = LatentPlan(prep.layout)
     reports = []
-    for method in methods:
-        # a pair key is the flat index of the pair's cell
-        m = score_matrix(A, D, method, latent_params=decay, cclp_mode=cclp_mode).ravel()
-        pos_scores = m.take(prep.candidates.positives)
-        neg_scores = m.take(prep.candidates.sampled_negatives)
-        n_pairs = len(pos_scores) * len(neg_scores)
-        if n_pairs <= auc_exhaustive_limit:
-            auc_value = auc(pos_scores, neg_scores)
-            comparisons = n_pairs
-        else:
-            auc_value = auc(pos_scores, neg_scores, n_comparisons=auc_samples, seed=seed)
-            comparisons = auc_samples
-        prec = _precision_from_arrays(
-            prep.cand_keys, m.take(prep.cand_keys), prep.cand_positive, top_l
+    for k, decay in enumerate(decays):
+        A = build_adjacency(
+            prep.split.train, prep.reference, decay, prep.cfg, agg=agg, layout=prep.layout
         )
-        reports.append(
-            EvalReport(
-                method=method.value,
-                decay=_decay_dict(decay),
-                snapshot=snapshot,
-                split=split_stats,
-                auc=auc_value,
-                precision=prec,
-                top_l=top_l,
-                comparisons=comparisons,
-                n_positives=len(prep.candidates.positives),
-                n_sampled_negatives=len(prep.candidates.sampled_negatives),
-                negative_universe=prep.candidates.universe_size,
-                seed=seed,
+        D = degree_vector(A)
+        for method in methods:
+            m = score_matrix(
+                A, D, method, latent_params=decay, cclp_mode=cclp_mode, plan=plan
+            ).ravel()
+            if method is MethodId.TLPSS and k == len(decays) - 1:
+                plan = None
+            # a pair key is the flat index of the pair's cell
+            pos_scores = m.take(prep.candidates.positives)
+            neg_scores = m.take(prep.candidates.sampled_negatives)
+            n_pairs = len(pos_scores) * len(neg_scores)
+            if n_pairs <= auc_exhaustive_limit:
+                auc_value = auc(pos_scores, neg_scores)
+                comparisons = n_pairs
+            else:
+                auc_value = auc(
+                    pos_scores, neg_scores, n_comparisons=auc_samples, seed=seed
+                )
+                comparisons = auc_samples
+            prec = _precision_from_arrays(
+                prep.cand_keys, m.take(prep.cand_keys), prep.cand_positive, top_l
             )
-        )
+            reports.append(
+                EvalReport(
+                    method=method.value,
+                    decay=_decay_dict(decay),
+                    snapshot=snapshot,
+                    split=split_stats,
+                    auc=auc_value,
+                    precision=prec,
+                    top_l=top_l,
+                    comparisons=comparisons,
+                    n_positives=len(prep.candidates.positives),
+                    n_sampled_negatives=len(prep.candidates.sampled_negatives),
+                    negative_universe=prep.candidates.universe_size,
+                    seed=seed,
+                )
+            )
     return reports
 
 
@@ -362,7 +396,7 @@ def evaluate_methods(
     prep = _prepare(edges, period, origin, ratio, seed, max_negatives)
     return _run_prepared(
         prep,
-        decay,
+        [decay],
         methods,
         top_l,
         seed,
@@ -400,20 +434,14 @@ def sweep(
     if not values:
         raise ConfigError("sweep needs at least one value")
     prep = _prepare(edges, period, origin, ratio, seed, max_negatives)
-    reports: list[EvalReport] = []
-    for value in values:
-        params = replace(decay, **{param: float(value)})
-        reports.extend(
-            _run_prepared(
-                prep,
-                params,
-                methods,
-                top_l,
-                seed,
-                auc_exhaustive_limit,
-                auc_samples,
-                agg,
-                cclp_mode,
-            )
-        )
-    return reports
+    return _run_prepared(
+        prep,
+        [replace(decay, **{param: float(value)}) for value in values],
+        methods,
+        top_l,
+        seed,
+        auc_exhaustive_limit,
+        auc_samples,
+        agg,
+        cclp_mode,
+    )

@@ -11,6 +11,7 @@ from tlpss.adjacency import (
     build_adjacency,
     degree_vector,
     latent_matrix,
+    pair_layout,
 )
 from tlpss.decay import DecayParams, ExpDecayParams, asf_floor, decay_floor
 from tlpss.edges import SnapshotConfig, TemporalEdgeList, normalize, snapshot_index
@@ -136,6 +137,26 @@ class TestBuildAdjacency:
         A = build_adjacency(lst, snapshot_index(lst.t_max, cfg), ExpDecayParams(0.5), cfg)
         assert weight(A, 0, 1) == pytest.approx(math.exp(-2.0), rel=1e-14)
         assert weight(A, 1, 2) == 1.0
+
+    def test_shared_layout_gives_same_adjacency(self):
+        for trial in range(40):
+            toy = random_toy(seed=61000 + trial, max_nodes=30)
+            lst = normalize(TemporalEdgeList.from_records(toy.edges, toy.n))
+            cfg = SnapshotConfig(period=toy.period)
+            T = snapshot_index(lst.t_max, cfg)
+            layout = pair_layout(lst)
+            for q in (0.0, 1.0, 4.0):
+                params = DecayParams(p=2.0, q=q)
+                for agg in ("sum", "latest"):
+                    shared = build_adjacency(lst, T, params, cfg, agg=agg, layout=layout)
+                    fresh = build_adjacency(lst, T, params, cfg, agg=agg)
+                    for name in ("data", "indices", "indptr"):
+                        assert np.array_equal(
+                            getattr(shared.weight_csr, name), getattr(fresh.weight_csr, name)
+                        )
+                    assert np.array_equal(shared.mult, fresh.mult)
+        with pytest.raises(ValueError):
+            build_adjacency(lst[1:], T, params, cfg, layout=layout)
 
     def test_from_pair_weights_validation(self):
         A = WeightedAdjacency.from_pair_weights(3, {(1, 0): 0.5}, {(0, 1): 4})

@@ -1,12 +1,22 @@
 """Tests for candidate building, AUC, precision@L and sweeps."""
 
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tlpss
+from tlpss import evaluation
+from tlpss.adjacency import LatentPlan
 from tlpss.decay import DecayParams
 from tlpss.edges import TemporalEdgeList, normalize, pair_key, split_by_time
 from tlpss.errors import ConfigError, EvaluationError, SplitError
 from tlpss.evaluation import (
+    _mid_ranks,
     _precision_from_arrays,
     auc,
     build_candidates,
@@ -221,6 +231,26 @@ class TestAuc:
         base_sampled = auc(pos, neg, n_comparisons=5000, seed=9)
         assert auc(pos**3, neg**3, n_comparisons=5000, seed=9) == base_sampled
 
+    def test_mid_ranks_equal_rankdata(self):
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(5)
+        for trial in range(300):
+            size = int(rng.integers(1, 400))
+            values = rng.integers(0, 1 + trial % 12, size=size).astype(float)
+            if trial % 3 == 0:
+                values = np.round(rng.normal(size=size), 1)
+            assert np.array_equal(_mid_ranks(values), rankdata(values))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(tlpss.__file__).parents[1]))
+    code = "import sys, tlpss; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
 
 def table_precision(rows, positives, L):
     """Precision@L over a {canonical pair: score} table, through the
@@ -414,6 +444,52 @@ class TestSweep:
         )
         assert reports[0].auc == direct[0].auc
         assert reports[0].precision == direct[0].precision
+
+    @pytest.mark.parametrize(
+        "param, values", [("q", [0.0, 1.0, 3.0, 1.0]), ("p", [3.0, 0.5, 8.0])]
+    )
+    def test_one_plan_per_sweep_equals_separate_runs(self, monkeypatch, param, values):
+        builds = []
+        build = LatentPlan._build
+
+        def counted(plan, W):
+            builds.append(plan)
+            build(plan, W)
+
+        monkeypatch.setattr(LatentPlan, "_build", counted)
+        lst = toy_list(community_toy(seed=14))
+        params = DecayParams(p=3.0, q=1.0)
+        methods = [MethodId.CN_ASF, MethodId.TLPSS, MethodId.RA_ASF]
+        kwargs = dict(period=200.0, methods=methods, top_l=5, seed=2)
+        swept = sweep(lst, param, values, decay=params, **kwargs)
+        assert len(builds) == 1
+        for k, value in enumerate(values):
+            direct = evaluate_methods(
+                lst, decay=replace(params, **{param: value}), **kwargs
+            )
+            rows = swept[k * len(methods) : (k + 1) * len(methods)]
+            assert [(r.auc, r.precision) for r in rows] == [
+                (r.auc, r.precision) for r in direct
+            ]
+        assert len(builds) == 1 + sum(replace(params, **{param: v}).q > 0 for v in values)
+
+    def test_plan_freed_once_tlpss_is_scored_for_the_last_value(self, monkeypatch):
+        calls = []
+        score = evaluation.score_matrix
+
+        def recorded(A, D, method, **kwargs):
+            calls.append((method, kwargs["plan"] is not None))
+            return score(A, D, method, **kwargs)
+
+        monkeypatch.setattr(evaluation, "score_matrix", recorded)
+        lst = toy_list(community_toy(seed=15))
+        methods = [MethodId.TLPSS, MethodId.CN_ASF]
+        kwargs = dict(period=200.0, decay=DecayParams(p=3.0, q=1.0), methods=methods)
+        evaluate_methods(lst, **kwargs)
+        assert calls == [(MethodId.TLPSS, True), (MethodId.CN_ASF, False)]
+        calls.clear()
+        sweep(lst, "q", [1.0, 2.0], **kwargs)
+        assert [has_plan for _, has_plan in calls] == [True, True, True, False]
 
     def test_bad_sweep_param_rejected(self):
         toy = community_toy(seed=13)

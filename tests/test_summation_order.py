@@ -4,14 +4,22 @@ Criterion 3 compares every method with the oracle to 1e-9, which cannot see
 a change in summation order; such a change can still flip a tied AUC or
 precision comparison.  These tests pin ``_lcl_matrix`` and ``latent_matrix``
 bit for bit to straightforward per-link and gather-and-subtract loops, which
-add each cell's terms in the row-major link order the engine documents.
+add each cell's terms in the row-major link order the engine documents, and
+check that one latent plan gives those bits under every parameter set.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from tlpss.adjacency import build_adjacency, degree_vector, latent_matrix
+from tlpss import adjacency
+from tlpss.adjacency import (
+    LatentPlan,
+    build_adjacency,
+    degree_vector,
+    latent_matrix,
+    pair_layout,
+)
 from tlpss.decay import DecayParams, ExpDecayParams, decay_floor
 from tlpss.edges import SnapshotConfig, TemporalEdgeList, normalize, snapshot_index
 from tlpss.oracle import ToyGraph, random_decay, random_toy
@@ -167,3 +175,61 @@ def test_random_toys_equal_loops(block):
 @pytest.mark.parametrize("q", [0.0, 1.0, 7.0])
 def test_hub_graph_equals_loops(q):
     check_graph(hub_graph(), DecayParams(p=3.0, q=q))
+
+
+# q = 0 has no latent edges, so the plan is first built at the second value
+PLAN_PARAMS = [
+    DecayParams(p=3.0, q=0.0),
+    DecayParams(p=3.0, q=1.0),
+    DecayParams(p=3.0, q=7.0),
+    DecayParams(p=3.0, q=0.5),
+    DecayParams(p=0.7, q=1.0),
+]
+
+
+def check_plan(toy, chunk=4_000_000):
+    """One plan for every parameter set of one train list."""
+    lst = normalize(TemporalEdgeList.from_records(toy.edges, toy.n))
+    cfg = SnapshotConfig(period=toy.period)
+    T = snapshot_index(lst.t_max, cfg)
+    layout = pair_layout(lst)
+    plan = LatentPlan(layout)
+    for params in PLAN_PARAMS:
+        A = build_adjacency(lst, T, params, cfg, layout=layout)
+        assert_same_csr(latent_matrix(A, params, plan), loop_latent(A, params, chunk))
+    return plan, A
+
+
+def test_plan_reused_across_values_on_random_toys():
+    for trial in range(40):
+        check_plan(random_toy(seed=57000 + trial, max_nodes=60))
+
+
+def test_plan_reused_across_values_on_hub_graph():
+    _, A = check_plan(hub_graph())
+    # one chunk whose rows run past 16 terms, where csr_sort_indices leaves
+    # insertion sort for its unstable introsort
+    d = np.diff(A.weight_csr.indptr)
+    centre = np.where(d >= 2, d, 0)
+    assert (centre**2).sum() < adjacency._CHUNK
+    assert (A.indicator_csr @ centre).max() > 16
+
+
+def test_plan_with_many_chunks_and_blocks(monkeypatch):
+    monkeypatch.setattr(adjacency, "_CHUNK", 5_000)
+    monkeypatch.setattr(adjacency, "_BLOCK", 256)
+    plan, A = check_plan(hub_graph(), chunk=5_000)
+    d = np.diff(A.weight_csr.indptr)
+    chunks = (np.where(d >= 2, d, 0) ** 2).sum() / 5_000
+    assert chunks > 3
+    assert len(plan.blocks) > 3 * chunks
+
+
+def test_plan_rejects_another_layout():
+    toy = hub_graph()
+    A, _ = stack(toy, DecayParams(p=3.0, q=1.0))
+    B, _ = stack(toy, DecayParams(p=3.0, q=1.0))
+    plan = LatentPlan(A.layout)
+    latent_matrix(A, DecayParams(p=3.0, q=1.0), plan)
+    with pytest.raises(ValueError):
+        latent_matrix(B, DecayParams(p=3.0, q=1.0), plan)
