@@ -259,6 +259,7 @@ class LatentPlan:
         mu = A.mult.astype(np.float64)
         sums = np.zeros(len(self.indices))
         for pa, pb, cells, runs in self.blocks:
+            pa, pb = pa.astype(np.intp), pb.astype(np.intp)
             value = wt[pa]
             value += wt[pb]
             denom = mu[pa]
@@ -280,14 +281,16 @@ class LatentPlan:
         entry_key = entry_row * n + idx  # ascending: rows sorted, columns sorted
         mirror = np.searchsorted(entry_key, idx * n + entry_row)
 
-        # the latent cells: pairs with a common neighbor, neither equal nor linked
+        # The latent cells: pairs with a common neighbor, neither equal nor
+        # linked.  Adding n + 1 to linked and diagonal cells lifts them above
+        # any count of common neighbors; the sum is symmetric, so its CSC
+        # form lists each row's columns in ascending order.
         P = sp.csr_matrix((np.ones(len(idx)), idx, ptr), shape=(n, n))
-        two_hop = P @ P
-        two_hop.sort_indices()
-        keys = np.repeat(np.arange(n), np.diff(two_hop.indptr)) * n + two_hop.indices
-        linked = entry_key.take(np.searchsorted(entry_key, keys), mode="clip") == keys
-        cells = keys[(keys // n != keys % n) & ~linked]
-        del P, two_hop, keys, linked
+        marked = P @ P
+        marked = (marked + (n + 1) * (P + sp.identity(n, format="csr"))).tocsc()
+        keys = np.repeat(np.arange(n), np.diff(marked.indptr)) * n + marked.indices
+        cells = keys[marked.data <= n]
+        del P, marked, keys
 
         # the pass takes the centres z = 0, 1, ... with d(z) >= 2 and flushes
         # its buffer once it holds _CHUNK terms or more
@@ -321,14 +324,15 @@ class LatentPlan:
                 first = self.indptr[entry_row[sel[lo]]]
                 last = self.indptr[entry_row[sel[hi - 1]] + 1]
                 pa, pb, cell, runs = _plan_block(
-                    sel[lo:hi], ptr, idx, entry_row, mirror, cells[first:last]
+                    sel[lo:hi], ptr, idx, W.indices, entry_row, mirror, cells[first:last]
                 )
                 self.blocks.append((pa, pb, (cell + first).astype(np.int32), runs))
 
 
-def _plan_block(sel, ptr, idx, entry_row, mirror, cells):
+def _plan_block(sel, ptr, idx, cols, entry_row, mirror, cells):
     """Kept terms of the rows whose entries ``(x, z)`` of W are ``sel``, in
-    the order the chunk's COO-to-CSR conversion leaves them, and their runs."""
+    the order the chunk's COO-to-CSR conversion leaves them, and their runs.
+    ``idx`` and ``cols`` are W's column indices as int64 and as stored."""
     n = len(ptr) - 1
     rows = entry_row[sel]
     centre = idx[sel]
@@ -343,14 +347,18 @@ def _plan_block(sel, ptr, idx, entry_row, mirror, cells):
     # is already sorted repeats no column but its own, and those diagonal
     # terms are dropped, so skipping its sort changes nothing.)
     ids = np.arange(len(pb), dtype=np.int32)
-    order = sp.csr_matrix((ids, idx[pb], indptr), shape=(len(row_first), n))
+    order = sp.csr_matrix((ids, cols[pb], indptr), shape=(len(row_first), n))
     order.sort_indices()
-    keys = np.repeat(rows[row_first] * n, np.diff(indptr)) + order.indices
     # a cell's terms are consecutive; runs on the diagonal or a link are dropped
-    run_first = np.flatnonzero(np.diff(keys, prepend=-1))
-    runs = np.diff(np.r_[run_first, len(keys)])
-    cell = np.searchsorted(cells, keys[run_first])
-    keep = cells.take(cell, mode="clip") == keys[run_first]
+    col = order.indices
+    new_run = np.r_[True, col[1:] != col[:-1]]
+    new_run[indptr[:-1]] = True
+    run_first = np.flatnonzero(new_run)
+    runs = np.diff(np.r_[run_first, len(col)])
+    run_row = rows[row_first][np.searchsorted(indptr, run_first, side="right") - 1]
+    keys = run_row * n + col[run_first]
+    cell = np.searchsorted(cells, keys)
+    keep = cells.take(cell, mode="clip") == keys
     term = order.data[np.repeat(keep, runs)]
     return (
         pa[term].astype(np.int32),
