@@ -323,6 +323,8 @@ class LatentPlan:
                 # the block's rows own cells[first:last]
                 first = self.indptr[entry_row[sel[lo]]]
                 last = self.indptr[entry_row[sel[hi - 1]] + 1]
+                if first == last:
+                    continue  # every term of these rows is dropped
                 pa, pb, cell, runs = _plan_block(
                     sel[lo:hi], ptr, idx, W.indices, entry_row, mirror, cells[first:last]
                 )

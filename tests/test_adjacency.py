@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from tlpss import adjacency
 from tlpss.adjacency import (
     WeightedAdjacency,
     build_adjacency,
@@ -350,6 +351,18 @@ class TestLatentMatrix:
                     else:
                         ref = naive_latent(toy, params, i, j)
                         assert B[i, j] == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+    def test_rows_without_latent_cells(self, monkeypatch):
+        # every two-hop pair of a clique is linked, so a triangle has no cell
+        triangle = {(0, 1): 0.8, (1, 2): 0.7, (0, 2): 0.6}
+        A = WeightedAdjacency.from_pair_weights(3, triangle)
+        assert latent_matrix(A, PARAMS).nnz == 0
+        A = WeightedAdjacency.from_pair_weights(6, {**triangle, (3, 4): 0.9, (4, 5): 0.5})
+        whole = latent_matrix(A, PARAMS)
+        monkeypatch.setattr(adjacency, "_BLOCK", 1)  # one block per row
+        by_row = latent_matrix(A, PARAMS)
+        assert whole.nnz == by_row.nnz == 2
+        assert np.array_equal(whole.toarray(), by_row.toarray())
 
     def test_empty_when_floor_zero(self):
         toy = random_toy(5, max_nodes=15)
