@@ -9,7 +9,6 @@ time-ordered evaluation harness (AUC, precision@L, parameter sweeps).
 
 from .adjacency import (
     DegreeVector,
-    LatentPlan,
     PairLayout,
     WeightedAdjacency,
     build_adjacency,

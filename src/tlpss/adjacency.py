@@ -11,8 +11,8 @@ neighbors of x but share a neighbor with x.
 
 What depends only on which pairs are linked, not on their weights, is
 built once per train list and shared by every decay parameter set: the
-:class:`PairLayout` of the pairs, and the :class:`LatentPlan` of the
-two-hop pass behind the latent weights.
+:class:`PairLayout` of the pairs, which builds on first use the
+:class:`LatentPlan` of the two-hop pass behind the latent weights.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "build_adjacency",
     "degree_vector",
     "latent_matrix",
-    "LatentPlan",
     "PairLayout",
     "pair_layout",
 ]
@@ -81,6 +80,12 @@ class PairLayout:
         self.mult = np.concatenate([mult, mult])[self.order]
         self.inverse = inverse
 
+    @cached_property
+    def latent_plan(self) -> "LatentPlan":
+        """The two-hop plan of :func:`latent_matrix` for adjacencies of this
+        layout, cached until popped from ``vars(layout)``."""
+        return LatentPlan(self)
+
 
 def pair_layout(train: TemporalEdgeList) -> PairLayout:
     """The layout of a train list's linked pairs: the part of
@@ -98,17 +103,16 @@ class WeightedAdjacency:
     One CSR matrix, :attr:`weight_csr`, stores both orientations of every
     linked pair with sorted column indices in each row; :attr:`mult` holds
     the multi-edge count of each stored entry, aligned with its ``data``.
-    Adjacencies decayed from one train list share one :attr:`layout`.
-    Immutable after construction.
+    Adjacencies decayed from one train list share one :attr:`layout`, and
+    with it one latent plan.  Immutable after construction.
     """
 
-    def __init__(self, layout: PairLayout, reference_time: float, weight: np.ndarray):
+    def __init__(self, layout: PairLayout, weight: np.ndarray):
         """From the weight of each of the layout's pairs."""
         if not np.all(np.isfinite(weight) & (weight > 0)):
             raise ValueError("pair weights must be finite and positive")
         n = layout.n
         self.n = n
-        self.reference_time = reference_time
         self.layout = layout
         data = np.concatenate([weight, weight])[layout.order]
         self.weight_csr = sp.csr_matrix(
@@ -122,7 +126,6 @@ class WeightedAdjacency:
         n: int,
         weights: dict[tuple[int, int], float],
         mults: dict[tuple[int, int], int] | None = None,
-        reference_time: float = 0.0,
     ) -> "WeightedAdjacency":
         """Build directly from pair weights in either orientation (tests,
         diagnostics); multiplicities default to 1."""
@@ -140,9 +143,7 @@ class WeightedAdjacency:
             pairs[:, 1],
             np.array([mult.get(k, 1) for k in keys], dtype=np.int64),
         )
-        return cls(
-            layout, reference_time, np.array([canon[k] for k in keys], dtype=np.float64)
-        )
+        return cls(layout, np.array([canon[k] for k in keys], dtype=np.float64))
 
     def __len__(self) -> int:
         """Number of linked pairs."""
@@ -209,10 +210,12 @@ def build_adjacency(
             f"with period {cfg.period!r}; use a longer period, larger p or q, or "
             "smaller theta"
         )
-    return WeightedAdjacency(layout, T, w_pair)
+    return WeightedAdjacency(layout, w_pair)
 
 
 def degree_vector(A: WeightedAdjacency) -> DegreeVector:
+    """Each node's weighted degree (its row sum of ``weight_csr``) and
+    distinct-neighbor count."""
     W = A.weight_csr
     # one sum per row slice, so each degree rounds like a plain array sum
     w = np.array(
@@ -224,8 +227,7 @@ def degree_vector(A: WeightedAdjacency) -> DegreeVector:
 
 class LatentPlan:
     """The part of :func:`latent_matrix` that no edge weight changes, for
-    adjacencies of one :class:`PairLayout`; built by the first call that
-    needs it and reused by every later one.
+    adjacencies of one :class:`PairLayout` (its :attr:`~PairLayout.latent_plan`).
 
     The latent cells are summed from *terms*, one per two-hop path x-z-h
     with x != h: the value of the term is ``(A(z,x) + A(z,h)) / (m(z,x) +
@@ -240,42 +242,8 @@ class LatentPlan:
     """
 
     def __init__(self, layout: PairLayout):
-        self.layout = layout
-        # per block: both link positions of each kept term, and each run's
-        # cell and length
-        self.blocks: list[tuple[np.ndarray, ...]] | None = None
-        # the latent cells, as a CSR structure
-        self.indptr: np.ndarray | None = None
-        self.indices: np.ndarray | None = None
-
-    def cell_sums(self, A: WeightedAdjacency) -> np.ndarray:
-        """Each latent cell's sum of terms under ``A``'s weights, added in
-        the pass's order: term by term within a chunk, then chunk by chunk."""
-        if A.layout is not self.layout:
-            raise ValueError("the latent plan was built for another pair layout")
-        if self.blocks is None:
-            self._build(A.weight_csr)
-        wt = A.weight_csr.data
-        mu = A.mult.astype(np.float64)
-        sums = np.zeros(len(self.indices))
-        for pa, pb, cells, runs in self.blocks:
-            pa, pb = pa.astype(np.intp), pb.astype(np.intp)
-            value = wt[pa]
-            value += wt[pb]
-            denom = mu[pa]
-            denom += mu[pb]
-            value /= denom
-            # bincount adds each run's terms one after another; the blocks of
-            # a chunk hold disjoint cells, so each cell gains its chunk sums
-            # in chunk order
-            run_of_term = np.repeat(np.arange(len(cells)), runs)
-            sums[cells] += np.bincount(run_of_term, weights=value, minlength=len(cells))
-        return sums
-
-    def _build(self, W: sp.csr_matrix) -> None:
-        n = W.shape[0]
-        ptr = W.indptr.astype(np.int64)
-        idx = W.indices.astype(np.int64)
+        n = layout.n
+        ptr, idx = layout.indptr, layout.indices
         deg = np.diff(ptr)
         entry_row = np.repeat(np.arange(n), deg)
         entry_key = entry_row * n + idx  # ascending: rows sorted, columns sorted
@@ -305,10 +273,13 @@ class LatentPlan:
             start, chunks = end, chunks + 1
         chunk_of[deg < 2] = -1
 
+        # the latent cells, as a CSR structure
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(cells // n, minlength=n), out=self.indptr[1:])
         self.indices = (cells % n).astype(np.int32)
-        self.blocks = []
+        # per block: both link positions of each kept term, and each run's
+        # cell and length
+        self.blocks: list[tuple[np.ndarray, ...]] = []
         for chunk in range(chunks):
             # Within a chunk, CSR row x holds N(z) for each centre z in N(x),
             # ascending z: the entries (x, z) of W that point into the chunk.
@@ -326,15 +297,34 @@ class LatentPlan:
                 if first == last:
                     continue  # every term of these rows is dropped
                 pa, pb, cell, runs = _plan_block(
-                    sel[lo:hi], ptr, idx, W.indices, entry_row, mirror, cells[first:last]
+                    sel[lo:hi], ptr, idx, entry_row, mirror, cells[first:last]
                 )
                 self.blocks.append((pa, pb, (cell + first).astype(np.int32), runs))
 
+    def cell_sums(self, A: WeightedAdjacency) -> np.ndarray:
+        """Each latent cell's sum of terms under ``A``'s weights, added in
+        the pass's order: term by term within a chunk, then chunk by chunk."""
+        wt = A.weight_csr.data
+        mu = A.mult.astype(np.float64)
+        sums = np.zeros(len(self.indices))
+        for pa, pb, cells, runs in self.blocks:
+            pa, pb = pa.astype(np.intp), pb.astype(np.intp)
+            value = wt[pa]
+            value += wt[pb]
+            denom = mu[pa]
+            denom += mu[pb]
+            value /= denom
+            # bincount adds each run's terms one after another; the blocks of
+            # a chunk hold disjoint cells, so each cell gains its chunk sums
+            # in chunk order
+            run_of_term = np.repeat(np.arange(len(cells)), runs)
+            sums[cells] += np.bincount(run_of_term, weights=value, minlength=len(cells))
+        return sums
 
-def _plan_block(sel, ptr, idx, cols, entry_row, mirror, cells):
+
+def _plan_block(sel, ptr, idx, entry_row, mirror, cells):
     """Kept terms of the rows whose entries ``(x, z)`` of W are ``sel``, in
-    the order the chunk's COO-to-CSR conversion leaves them, and their runs.
-    ``idx`` and ``cols`` are W's column indices as int64 and as stored."""
+    the order the chunk's COO-to-CSR conversion leaves them, and their runs."""
     n = len(ptr) - 1
     rows = entry_row[sel]
     centre = idx[sel]
@@ -349,7 +339,7 @@ def _plan_block(sel, ptr, idx, cols, entry_row, mirror, cells):
     # is already sorted repeats no column but its own, and those diagonal
     # terms are dropped, so skipping its sort changes nothing.)
     ids = np.arange(len(pb), dtype=np.int32)
-    order = sp.csr_matrix((ids, cols[pb], indptr), shape=(len(row_first), n))
+    order = sp.csr_matrix((ids, idx[pb], indptr), shape=(len(row_first), n))
     order.sort_indices()
     # a cell's terms are consecutive; runs on the diagonal or a link are dropped
     col = order.indices
@@ -371,9 +361,7 @@ def _plan_block(sel, ptr, idx, cols, entry_row, mirror, cells):
 
 
 def latent_matrix(
-    A: WeightedAdjacency,
-    params: DecayParams | ExpDecayParams,
-    plan: LatentPlan | None = None,
+    A: WeightedAdjacency, params: DecayParams | ExpDecayParams
 ) -> sp.csr_matrix:
     """All latent-edge weights as a symmetric sparse matrix.
 
@@ -382,15 +370,14 @@ def latent_matrix(
     (A(i,z) + A(z,j)) / (m(i,z) + m(z,j))``, where ``d`` counts distinct
     neighbors and ``m`` multi-edges.  The scale lies in [0, 1], so every
     cell is strictly below the floor.  Supported exactly on pairs at graph
-    distance two.  Pass one ``plan`` for every adjacency of a train list to
-    do the two-hop bookkeeping once.
+    distance two.  The two-hop bookkeeping is ``A.layout.latent_plan``, done
+    once for every adjacency of a train list.
     """
     n = A.n
     floor = decay_floor(params)
     if floor == 0.0:
         return sp.csr_matrix((n, n), dtype=np.float64)
-    if plan is None:
-        plan = LatentPlan(A.layout)
+    plan = A.layout.latent_plan
     sums = plan.cell_sums(A)
     deg = np.diff(A.weight_csr.indptr)
     min_degree = np.minimum(np.repeat(deg, np.diff(plan.indptr)), deg[plan.indices])

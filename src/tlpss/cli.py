@@ -327,9 +327,12 @@ def cmd_evaluate(args) -> int:
 def _sweep_values(args) -> list[float]:
     if args.values:
         try:
-            return [float(v) for v in args.values.split(",") if v.strip() != ""]
+            values = [float(v) for v in args.values.split(",") if v.strip() != ""]
         except ValueError:
             raise ConfigError(f"cannot parse sweep values {args.values!r}") from None
+        if len(values) > _MAX_SWEEP_VALUES:
+            raise ConfigError(f"values give more than {_MAX_SWEEP_VALUES} sweep values")
+        return values
     if args.range:
         try:
             start, stop, step = (float(v) for v in args.range.split(":"))
@@ -357,11 +360,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweeps over p or q require --decay asf")
     values = _sweep_values(args)
     edges, _, digest = _load_dataset(cfg)
-    kwargs = _eval_kwargs(cfg)
-    kwargs.pop("decay")
-    reports = sweep(
-        edges, args.param, values, decay=cfg.decay_params(), **kwargs
-    )
+    reports = sweep(edges, args.param, values, **_eval_kwargs(cfg))
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_reports_json(out_dir / "sweep_reports.json", cfg, digest, reports)

@@ -20,13 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .adjacency import (
-    LatentPlan,
-    PairLayout,
-    build_adjacency,
-    degree_vector,
-    pair_layout,
-)
+from .adjacency import build_adjacency, degree_vector, pair_layout
 from .decay import DecayParams, ExpDecayParams
 from .edges import (
     SnapshotConfig,
@@ -65,8 +59,6 @@ class CandidateSet:
     positives: np.ndarray
     sampled_negatives: np.ndarray
     universe_size: int
-    node_count: int
-    seed: int
     exhaustive: bool
 
 
@@ -179,8 +171,6 @@ def build_candidates(
         positives=positives,
         sampled_negatives=chosen,
         universe_size=universe_size,
-        node_count=n,
-        seed=seed,
         exhaustive=exhaustive,
     )
 
@@ -252,29 +242,29 @@ def _precision_from_arrays(
     return float(hits / L)
 
 
-@dataclass
-class _Prepared:
-    """Split, snapshot frame, train pair layout and candidate keys shared
-    across runs."""
-
-    split: TrainTestSplit
-    layout: PairLayout
-    cfg: SnapshotConfig
-    reference: float
-    candidates: CandidateSet
-    cand_keys: np.ndarray  # full non-train-linked universe, for precision
-    cand_positive: np.ndarray
-    ratio: float
+def _decay_dict(params: DecayParams | ExpDecayParams) -> dict:
+    if isinstance(params, DecayParams):
+        return {"mode": "asf", "p": params.p, "q": params.q, "a": params.a}
+    return {"mode": "exp", "theta": params.theta}
 
 
-def _prepare(
+def _run(
     edges: TemporalEdgeList,
+    decays: Sequence[DecayParams | ExpDecayParams],
+    methods: Sequence[MethodId],
     period: float,
     origin: float,
     ratio: float,
     seed: int,
+    top_l: int,
     max_negatives: int | None,
-) -> _Prepared:
+    auc_exhaustive_limit: int,
+    auc_samples: int,
+    agg: str,
+    cclp_mode: str,
+) -> list[EvalReport]:
+    """Reports of every method under each decay parameter set in turn, all
+    on one split and one candidate set."""
     split = split_by_time(edges, ratio)
     cfg = SnapshotConfig(period=period, origin=origin)
     reference = snapshot_index(split.t_split, cfg)
@@ -285,65 +275,33 @@ def _prepare(
         )
     candidates = build_candidates(split, edges.node_count, seed, max_negatives)
     layout = pair_layout(split.train)
+    # the precision universe: every pair not linked in train
     cand_keys = _upper_keys_without(edges.node_count, layout.keys)
     cand_positive = np.zeros(len(cand_keys), dtype=bool)
     cand_positive[np.searchsorted(cand_keys, split.positives)] = True
-    return _Prepared(
-        split=split,
-        layout=layout,
-        cfg=cfg,
-        reference=reference,
-        candidates=candidates,
-        cand_keys=cand_keys,
-        cand_positive=cand_positive,
-        ratio=ratio,
-    )
-
-
-def _decay_dict(params: DecayParams | ExpDecayParams) -> dict:
-    if isinstance(params, DecayParams):
-        return {"mode": "asf", "p": params.p, "q": params.q, "a": params.a}
-    return {"mode": "exp", "theta": params.theta}
-
-
-def _run_prepared(
-    prep: _Prepared,
-    decays: Sequence[DecayParams | ExpDecayParams],
-    methods: Sequence[MethodId],
-    top_l: int,
-    seed: int,
-    auc_exhaustive_limit: int,
-    auc_samples: int,
-    agg: str,
-    cclp_mode: str,
-) -> list[EvalReport]:
-    """Reports of every method under each decay parameter set in turn."""
     split_stats = {
-        "train_edges": len(prep.split.train),
-        "test_edges": len(prep.split.test),
-        "t_split": prep.split.t_split,
-        "n_positives": len(prep.split.positives),
-        "ratio": prep.ratio,
+        "train_edges": len(split.train),
+        "test_edges": len(split.test),
+        "t_split": split.t_split,
+        "n_positives": len(split.positives),
+        "ratio": ratio,
     }
-    snapshot = {"period": prep.cfg.period, "origin": prep.cfg.origin}
-    # one two-hop plan serves TLPSS under every parameter set; it is freed
-    # once TLPSS is scored for the last one
-    plan = LatentPlan(prep.layout)
+    snapshot = {"period": cfg.period, "origin": cfg.origin}
     reports = []
     for k, decay in enumerate(decays):
-        A = build_adjacency(
-            prep.split.train, prep.reference, decay, prep.cfg, agg=agg, layout=prep.layout
-        )
+        A = build_adjacency(split.train, reference, decay, cfg, agg=agg, layout=layout)
         D = degree_vector(A)
         for method in methods:
             m = score_matrix(
-                A, D, method, latent_params=decay, cclp_mode=cclp_mode, plan=plan
+                A, D, method, latent_params=decay, cclp_mode=cclp_mode
             ).ravel()
+            # the layout's latent plan serves TLPSS under every parameter
+            # set; it is freed once TLPSS is scored for the last one
             if method is MethodId.TLPSS and k == len(decays) - 1:
-                plan = None
+                vars(layout).pop("latent_plan", None)
             # a pair key is the flat index of the pair's cell
-            pos_scores = m.take(prep.candidates.positives)
-            neg_scores = m.take(prep.candidates.sampled_negatives)
+            pos_scores = m.take(candidates.positives)
+            neg_scores = m.take(candidates.sampled_negatives)
             n_pairs = len(pos_scores) * len(neg_scores)
             if n_pairs <= auc_exhaustive_limit:
                 auc_value = auc(pos_scores, neg_scores)
@@ -354,7 +312,7 @@ def _run_prepared(
                 )
                 comparisons = auc_samples
             prec = _precision_from_arrays(
-                prep.cand_keys, m.take(prep.cand_keys), prep.cand_positive, top_l
+                cand_keys, m.take(cand_keys), cand_positive, top_l
             )
             reports.append(
                 EvalReport(
@@ -366,9 +324,9 @@ def _run_prepared(
                     precision=prec,
                     top_l=top_l,
                     comparisons=comparisons,
-                    n_positives=len(prep.candidates.positives),
-                    n_sampled_negatives=len(prep.candidates.sampled_negatives),
-                    negative_universe=prep.candidates.universe_size,
+                    n_positives=len(candidates.positives),
+                    n_sampled_negatives=len(candidates.sampled_negatives),
+                    negative_universe=candidates.universe_size,
                     seed=seed,
                 )
             )
@@ -393,13 +351,16 @@ def evaluate_methods(
 ) -> list[EvalReport]:
     """Run the full pipeline (split, decayed adjacency, scoring, AUC and
     precision@L) for each method on a normalized edge list."""
-    prep = _prepare(edges, period, origin, ratio, seed, max_negatives)
-    return _run_prepared(
-        prep,
+    return _run(
+        edges,
         [decay],
         methods,
-        top_l,
+        period,
+        origin,
+        ratio,
         seed,
+        top_l,
+        max_negatives,
         auc_exhaustive_limit,
         auc_samples,
         agg,
@@ -433,13 +394,16 @@ def sweep(
         raise ConfigError("sweeps over p or q require adjusted-sigmoid decay")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    prep = _prepare(edges, period, origin, ratio, seed, max_negatives)
-    return _run_prepared(
-        prep,
+    return _run(
+        edges,
         [replace(decay, **{param: float(value)}) for value in values],
         methods,
-        top_l,
+        period,
+        origin,
+        ratio,
         seed,
+        top_l,
+        max_negatives,
         auc_exhaustive_limit,
         auc_samples,
         agg,

@@ -19,7 +19,7 @@ import enum
 import numpy as np
 import scipy.sparse as sp
 
-from .adjacency import DegreeVector, LatentPlan, WeightedAdjacency, latent_matrix
+from .adjacency import DegreeVector, WeightedAdjacency, latent_matrix
 from .decay import DecayParams, ExpDecayParams
 from .errors import ConfigError
 
@@ -79,14 +79,14 @@ def score_matrix(
     method: MethodId,
     latent_params: DecayParams | ExpDecayParams | None = None,
     cclp_mode: str = "local",
-    plan: LatentPlan | None = None,
 ) -> np.ndarray:
     """Full dense score matrix for one method.
 
     Entry (i, j) is the method's score for the pair; the matrix is symmetric
     with an all-zero diagonal except for PA, whose diagonal is meaningless
-    and zeroed anyway.  TLPSS requires ``latent_params`` and uses ``plan``
-    for its latent weights (see :func:`~tlpss.adjacency.latent_matrix`).
+    and zeroed anyway.  TLPSS requires ``latent_params`` for its latent
+    weights, and builds ``A.layout.latent_plan`` if it does not exist yet
+    (see :func:`~tlpss.adjacency.latent_matrix`).
     """
     P = A.indicator_csr
     W = A.weight_csr
@@ -127,7 +127,7 @@ def score_matrix(
             raise ConfigError("TLPSS needs decay parameters for latent weights")
         # divide each column by its node's weighted degree (w > 0 wherever
         # W + B has an entry), the same rounding as a per-term W[x,z]/w[z]
-        M = (W + latent_matrix(A, latent_params, plan)).tocsr()
+        M = (W + latent_matrix(A, latent_params)).tocsr()
         M.data = M.data / w[M.indices]
         s = (M @ P).toarray()
         out = 0.5 * (s + s.T)

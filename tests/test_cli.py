@@ -207,6 +207,19 @@ class TestSweep:
             "--range", bad, "--out-dir", str(tmp_path / "sw"),
         ]) == 2
 
+    # the value list is checked before the (missing) dataset is read
+    @pytest.mark.parametrize("count, code", [(10_000, 3), (10_001, 2)])
+    def test_value_list_capped_like_range(self, tmp_path, capsys, count, code):
+        out_dir = tmp_path / "sw"
+        assert main([
+            "sweep", "--dataset", str(tmp_path / "missing.tsv"), "--period", "80",
+            "--param", "q", "--values", ",".join(str(k) for k in range(count)),
+            "--out-dir", str(out_dir),
+        ]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not out_dir.exists()
+
     def test_sweep_needs_values(self, dataset, capsys):
         assert main([
             "sweep", "--dataset", str(dataset), "--period", "80", "--param", "q",

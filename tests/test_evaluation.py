@@ -27,6 +27,19 @@ from tlpss.oracle import ToyGraph, exhaustive_auc, random_toy
 from tlpss.scoring import ALL_METHODS, MethodId
 
 
+def count_plan_builds(monkeypatch):
+    """A list that gains each latent plan as it is constructed."""
+    builds = []
+    init = LatentPlan.__init__
+
+    def counted(plan, layout):
+        builds.append(plan)
+        init(plan, layout)
+
+    monkeypatch.setattr(LatentPlan, "__init__", counted)
+    return builds
+
+
 def toy_list(toy):
     return normalize(TemporalEdgeList.from_records(toy.edges, toy.n))
 
@@ -449,14 +462,7 @@ class TestSweep:
         "param, values", [("q", [0.0, 1.0, 3.0, 1.0]), ("p", [3.0, 0.5, 8.0])]
     )
     def test_one_plan_per_sweep_equals_separate_runs(self, monkeypatch, param, values):
-        builds = []
-        build = LatentPlan._build
-
-        def counted(plan, W):
-            builds.append(plan)
-            build(plan, W)
-
-        monkeypatch.setattr(LatentPlan, "_build", counted)
+        builds = count_plan_builds(monkeypatch)
         lst = toy_list(community_toy(seed=14))
         params = DecayParams(p=3.0, q=1.0)
         methods = [MethodId.CN_ASF, MethodId.TLPSS, MethodId.RA_ASF]
@@ -475,11 +481,15 @@ class TestSweep:
 
     def test_plan_freed_once_tlpss_is_scored_for_the_last_value(self, monkeypatch):
         calls = []
+        layouts = []
         score = evaluation.score_matrix
 
         def recorded(A, D, method, **kwargs):
-            calls.append((method, kwargs["plan"] is not None))
-            return score(A, D, method, **kwargs)
+            out = score(A, D, method, **kwargs)
+            # whether the layout holds a plan once the call returns
+            calls.append((method, "latent_plan" in vars(A.layout)))
+            layouts.append(A.layout)
+            return out
 
         monkeypatch.setattr(evaluation, "score_matrix", recorded)
         lst = toy_list(community_toy(seed=15))
@@ -487,9 +497,25 @@ class TestSweep:
         kwargs = dict(period=200.0, decay=DecayParams(p=3.0, q=1.0), methods=methods)
         evaluate_methods(lst, **kwargs)
         assert calls == [(MethodId.TLPSS, True), (MethodId.CN_ASF, False)]
+        assert "latent_plan" not in vars(layouts[-1])
         calls.clear()
         sweep(lst, "q", [1.0, 2.0], **kwargs)
         assert [has_plan for _, has_plan in calls] == [True, True, True, False]
+        assert len({id(layout) for layout in layouts[2:]}) == 1
+        assert "latent_plan" not in vars(layouts[-1])
+
+    def test_plan_rebuilt_after_it_was_dropped(self, monkeypatch):
+        builds = count_plan_builds(monkeypatch)
+        lst = toy_list(community_toy(seed=16))
+        kwargs = dict(period=200.0, decay=DecayParams(p=3.0, q=1.0), top_l=5, seed=3)
+        methods = [MethodId.TLPSS, MethodId.CN_ASF, MethodId.TLPSS]
+        first, cn, again = evaluate_methods(lst, methods=methods, **kwargs)
+        # dropped after the first TLPSS row, rebuilt for the second
+        assert len(builds) == 2
+        assert cn.method == "CN_ASF"
+        assert again.to_dict() == first.to_dict()
+        (alone,) = evaluate_methods(lst, methods=[MethodId.TLPSS], **kwargs)
+        assert first.to_dict() == alone.to_dict()
 
     def test_bad_sweep_param_rejected(self):
         toy = community_toy(seed=13)

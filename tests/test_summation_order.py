@@ -13,13 +13,7 @@ import pytest
 import scipy.sparse as sp
 
 from tlpss import adjacency
-from tlpss.adjacency import (
-    LatentPlan,
-    build_adjacency,
-    degree_vector,
-    latent_matrix,
-    pair_layout,
-)
+from tlpss.adjacency import build_adjacency, degree_vector, latent_matrix, pair_layout
 from tlpss.decay import DecayParams, ExpDecayParams, decay_floor
 from tlpss.edges import SnapshotConfig, TemporalEdgeList, normalize, snapshot_index
 from tlpss.oracle import ToyGraph, random_decay, random_toy
@@ -188,16 +182,20 @@ PLAN_PARAMS = [
 
 
 def check_plan(toy, chunk=4_000_000):
-    """One plan for every parameter set of one train list."""
+    """One plan, the layout's, for every parameter set of one train list."""
     lst = normalize(TemporalEdgeList.from_records(toy.edges, toy.n))
     cfg = SnapshotConfig(period=toy.period)
     T = snapshot_index(lst.t_max, cfg)
     layout = pair_layout(lst)
-    plan = LatentPlan(layout)
+    plans = []
     for params in PLAN_PARAMS:
         A = build_adjacency(lst, T, params, cfg, layout=layout)
-        assert_same_csr(latent_matrix(A, params, plan), loop_latent(A, params, chunk))
-    return plan, A
+        assert_same_csr(latent_matrix(A, params), loop_latent(A, params, chunk))
+        plans.append(vars(layout).get("latent_plan"))
+    # not built for q = 0, then built once and kept
+    assert plans[0] is None
+    assert all(plan is layout.latent_plan for plan in plans[1:])
+    return layout.latent_plan, A
 
 
 def test_plan_reused_across_values_on_random_toys():
@@ -224,12 +222,3 @@ def test_plan_with_many_chunks_and_blocks(monkeypatch):
     assert chunks > 3
     assert len(plan.blocks) > 3 * chunks
 
-
-def test_plan_rejects_another_layout():
-    toy = hub_graph()
-    A, _ = stack(toy, DecayParams(p=3.0, q=1.0))
-    B, _ = stack(toy, DecayParams(p=3.0, q=1.0))
-    plan = LatentPlan(A.layout)
-    latent_matrix(A, DecayParams(p=3.0, q=1.0), plan)
-    with pytest.raises(ValueError):
-        latent_matrix(B, DecayParams(p=3.0, q=1.0), plan)
