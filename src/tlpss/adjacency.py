@@ -104,7 +104,9 @@ class WeightedAdjacency:
     linked pair with sorted column indices in each row; :attr:`mult` holds
     the multi-edge count of each stored entry, aligned with its ``data``.
     Adjacencies decayed from one train list share one :attr:`layout`, and
-    with it one latent plan.  Immutable after construction.
+    with it one latent plan.  Immutable after construction, apart from
+    :attr:`operands`, where :func:`~tlpss.scoring.score_matrix` keeps what
+    it reuses from one row block to the next.
     """
 
     def __init__(self, layout: PairLayout, weight: np.ndarray):
@@ -119,6 +121,7 @@ class WeightedAdjacency:
             (data, layout.indices, layout.indptr), shape=(n, n)
         )
         self.mult = layout.mult
+        self.operands: dict = {}
 
     @classmethod
     def from_pair_weights(

@@ -170,7 +170,10 @@ class ExperimentConfig:
         self.decay_params()  # range-checks p/q/a or theta
         if not self.methods:
             raise ConfigError("at least one method is required")
-        self.method_ids()
+        ids = self.method_ids()
+        repeated = sorted({m.value for m in ids if ids.count(m) > 1})
+        if repeated:
+            raise ConfigError(f"methods are repeated: {', '.join(repeated)}")
         if self.top_l < 1:
             raise ConfigError(f"top_l must be >= 1, got {self.top_l!r}")
         if not 1 <= self.auc_samples <= _MAX_AUC_SAMPLES:
@@ -448,8 +451,9 @@ def main(argv=None) -> int:
         return EXIT_IMPOSSIBLE
     except MemoryError:
         print(
-            "evaluation impossible: out of memory (the dense engine holds n x n "
-            "float64 matrices, 8*n*n bytes each)",
+            "evaluation impossible: out of memory (scores are held one block of "
+            "2**21 cells at a time, 16 MB per array, but the sparse adjacency, the "
+            "latent weights and their two-hop plan, and the sampled pairs are held whole)",
             file=sys.stderr,
         )
         return EXIT_IMPOSSIBLE

@@ -9,8 +9,11 @@ highest-scoring pairs of the non-train-linked candidate universe, selected
 without sorting it, with ties at the cut taken in canonical (i, j) order.
 
 Pairs are handled as sorted int64 keys (:func:`tlpss.edges.pair_key`); a
-key is also the flat index of the pair's cell in a dense score matrix, so
-scores are gathered with one ``take``.
+key is also the flat index of the pair's cell in the n x n score matrix.
+Evaluation never holds that matrix: it scores blocks of consecutive rows,
+at most ``_BLOCK_CELLS`` cells each, gathers the positives' and negatives'
+scores whose keys fall in the block, and merges the block's best cells
+into a running top L for precision@L.
 """
 
 from __future__ import annotations
@@ -42,6 +45,10 @@ __all__ = [
     "evaluate_methods",
     "sweep",
 ]
+
+# Cells of the score matrix evaluation holds at once: one block of rows,
+# 16 MB of float64 per array of the block.
+_BLOCK_CELLS = 2**21
 
 # Defaults for negative sampling and AUC comparisons.
 MAX_NEGATIVES_CAP = 1_000_000
@@ -242,6 +249,33 @@ def _precision_from_arrays(
     return float(hits / L)
 
 
+def _top_cells(flat: np.ndarray, L: int) -> np.ndarray:
+    """Indices of the top L cells of a block by descending score, ties at
+    the cut taken in ascending index (key) order.  Scores are >= 0 and cells
+    set to -inf are not candidates; a block with fewer than L candidates
+    gives all of them."""
+    # the cut is sought among the positive scores, as in
+    # _precision_from_arrays; with fewer than L of them it is 0
+    pool = flat[flat > 0]
+    cut = 0.0
+    if len(pool) >= L > 0:
+        pool.partition(len(pool) - L)
+        cut = pool[len(pool) - L]
+    above = np.flatnonzero(flat > cut)
+    tied = np.flatnonzero(flat == cut)[: max(L - len(above), 0)]
+    return np.concatenate([above, tied])
+
+
+def _top_merge(keys, scores, more_keys, more_scores, L: int):
+    """The top L of two candidate sets by (score descending, key
+    ascending); the top L of a union is the top L of the sets' top Ls, so
+    merging block by block selects what one pass over all cells would."""
+    keys = np.concatenate([keys, more_keys])
+    scores = np.concatenate([scores, more_scores])
+    order = np.lexsort((keys, -scores))[:L]
+    return keys[order], scores[order]
+
+
 def _decay_dict(params: DecayParams | ExpDecayParams) -> dict:
     if isinstance(params, DecayParams):
         return {"mode": "asf", "p": params.p, "q": params.q, "a": params.a}
@@ -275,10 +309,16 @@ def _run(
         )
     candidates = build_candidates(split, edges.node_count, seed, max_negatives)
     layout = pair_layout(split.train)
-    # the precision universe: every pair not linked in train
-    cand_keys = _upper_keys_without(edges.node_count, layout.keys)
-    cand_positive = np.zeros(len(cand_keys), dtype=bool)
-    cand_positive[np.searchsorted(cand_keys, split.positives)] = True
+    n = edges.node_count
+    # row blocks [r0, r1) of at most _BLOCK_CELLS cells; the keys of a
+    # block's cells are the flat indices [r0*n, r1*n)
+    starts = np.r_[0 : n : max(1, _BLOCK_CELLS // n), n]
+    positives = candidates.positives
+    neg_order = np.argsort(candidates.sampled_negatives, kind="stable")
+    negatives = candidates.sampled_negatives[neg_order]
+    pos_at, neg_at, train_at = (
+        np.searchsorted(keys, starts * n) for keys in (positives, negatives, layout.keys)
+    )
     split_stats = {
         "train_edges": len(split.train),
         "test_edges": len(split.test),
@@ -292,16 +332,35 @@ def _run(
         A = build_adjacency(split.train, reference, decay, cfg, agg=agg, layout=layout)
         D = degree_vector(A)
         for method in methods:
-            m = score_matrix(
-                A, D, method, latent_params=decay, cclp_mode=cclp_mode
-            ).ravel()
-            # the layout's latent plan serves TLPSS under every parameter
-            # set; it is freed once TLPSS is scored for the last one
-            if method is MethodId.TLPSS and k == len(decays) - 1:
-                vars(layout).pop("latent_plan", None)
-            # a pair key is the flat index of the pair's cell
-            pos_scores = m.take(candidates.positives)
-            neg_scores = m.take(candidates.sampled_negatives)
+            pos_scores = np.empty(len(positives))
+            neg_scores = np.empty(len(negatives))
+            top_keys, top_scores = np.empty(0, dtype=np.int64), np.empty(0)
+            for b, (r0, r1) in enumerate(zip(starts[:-1], starts[1:])):
+                block = score_matrix(
+                    A, D, method, latent_params=decay, cclp_mode=cclp_mode, rows=(r0, r1)
+                )
+                if r1 == n:
+                    A.operands.clear()
+                    # the layout's latent plan serves TLPSS under every
+                    # parameter set; it is freed once TLPSS is scored for
+                    # the last one
+                    if method is MethodId.TLPSS and k == len(decays) - 1:
+                        vars(layout).pop("latent_plan", None)
+                flat = block.ravel()
+                base = r0 * n
+                lo, hi = pos_at[b : b + 2]
+                pos_scores[lo:hi] = flat.take(positives[lo:hi] - base)
+                lo, hi = neg_at[b : b + 2]
+                neg_scores[neg_order[lo:hi]] = flat.take(negatives[lo:hi] - base)
+                # the precision universe is every pair not linked in train:
+                # cells (i, j) with j <= i and train-linked cells are out
+                flat[np.tri(r1 - r0, n, r0, dtype=bool).ravel()] = -np.inf
+                lo, hi = train_at[b : b + 2]
+                flat[layout.keys[lo:hi] - base] = -np.inf
+                best = _top_cells(flat, top_l)
+                top_keys, top_scores = _top_merge(
+                    top_keys, top_scores, best + base, flat[best], top_l
+                )
             n_pairs = len(pos_scores) * len(neg_scores)
             if n_pairs <= auc_exhaustive_limit:
                 auc_value = auc(pos_scores, neg_scores)
@@ -312,7 +371,7 @@ def _run(
                 )
                 comparisons = auc_samples
             prec = _precision_from_arrays(
-                cand_keys, m.take(cand_keys), cand_positive, top_l
+                top_keys, top_scores, np.isin(top_keys, positives), top_l
             )
             reports.append(
                 EvalReport(

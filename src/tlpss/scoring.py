@@ -6,10 +6,12 @@ quantity over latent edges toward the endpoint's hidden nodes.  The six
 baselines are the classical common-neighbor family re-weighted by decayed
 edge weights.
 
-:func:`score_matrix` is the one scoring engine: it returns every pair's
-score at once, built from sparse matrix products over the adjacency.  The
-brute-force per-pair definitions live in :mod:`tlpss.oracle`, which the
-test suite checks it against.
+:func:`score_matrix` is the one scoring engine: it returns a block of
+consecutive rows of a method's score matrix (by default all of them),
+built from sparse matrix products over the adjacency, so that evaluation
+can walk the matrix a block at a time.  The brute-force per-pair
+definitions live in :mod:`tlpss.oracle`, which the test suite checks it
+against.
 """
 
 from __future__ import annotations
@@ -56,21 +58,45 @@ def _triangle_mass(A: WeightedAdjacency) -> np.ndarray:
     return 0.5 * np.asarray((P @ A.weight_csr).multiply(P).sum(axis=1)).ravel()
 
 
-def _lcl_matrix(A: WeightedAdjacency) -> np.ndarray:
-    """Dense matrix of link weight among each pair's common neighbors.
-
-    A link (z1, z2) of weight w adds w to every pair of nodes adjacent to
-    both z1 and z2: row k of ``Q`` marks the nodes that close a triangle
-    with link k, and ``Q.T @ diag(w) @ Q`` sums over those links.
-    """
+def _lcl_incidence(A: WeightedAdjacency) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """``Q.T`` and ``diag(w) @ Q``, where row k of ``Q`` marks the nodes
+    that close a triangle with link k (of weight w) of the adjacency."""
     P = A.indicator_csr
     # upper-triangle links in row-major order; the CSR product adds each
     # cell's links in that order
     links = sp.triu(A.weight_csr, k=1).tocoo()
     Q = P[links.row].multiply(P[links.col])
-    out = (Q.T @ (sp.diags(links.data) @ Q)).toarray()
+    return Q.T.tocsr(), (sp.diags(links.data) @ Q).tocsr()
+
+
+def _row_block(X: sp.csr_matrix, r0: int, r1: int) -> sp.csr_matrix:
+    """Rows ``[r0, r1)`` of ``X``; SciPy copies a slice of all rows."""
+    return X if r1 - r0 == X.shape[0] else X[r0:r1]
+
+
+def _lcl_rows(incidence, r0: int, r1: int) -> np.ndarray:
+    """Rows ``[r0, r1)`` of the link weight among each pair's common
+    neighbors: a link (z1, z2) of weight w adds w to every pair of nodes
+    adjacent to both z1 and z2.  The diagonal is left to the caller."""
+    QT, WQ = incidence
+    return (_row_block(QT, r0, r1) @ WQ).toarray()
+
+
+def _lcl_matrix(A: WeightedAdjacency) -> np.ndarray:
+    """Dense matrix of link weight among each pair's common neighbors."""
+    out = _lcl_rows(_lcl_incidence(A), 0, A.n)
     np.fill_diagonal(out, 0.0)
     return out
+
+
+def _operand(A: WeightedAdjacency, D: DegreeVector, key, build):
+    """A row-independent operand of :func:`score_matrix`, built once per
+    adjacency and degree vector and kept in ``A.operands`` until the caller
+    clears it."""
+    entry = A.operands.get(key)
+    if entry is None or entry[0] is not D:
+        entry = A.operands[key] = (D, build())
+    return entry[1]
 
 
 def score_matrix(
@@ -79,61 +105,97 @@ def score_matrix(
     method: MethodId,
     latent_params: DecayParams | ExpDecayParams | None = None,
     cclp_mode: str = "local",
+    rows: tuple[int, int] | None = None,
 ) -> np.ndarray:
-    """Full dense score matrix for one method.
+    """Rows ``[r0, r1)`` of one method's dense score matrix, for
+    ``rows=(r0, r1)``; ``rows=None`` is the whole matrix.
 
     Entry (i, j) is the method's score for the pair; the matrix is symmetric
     with an all-zero diagonal except for PA, whose diagonal is meaningless
-    and zeroed anyway.  TLPSS requires ``latent_params`` for its latent
+    and zeroed anyway.  A block's cells have the bits of the whole matrix's.
+    What does not depend on the rows (the scaled TLPSS operand, the
+    link-triangle incidence, the CCLP coefficients) is built at the first
+    block and kept in ``A.operands``, which a caller scoring block by block
+    clears after the last.  TLPSS requires ``latent_params`` for its latent
     weights, and builds ``A.layout.latent_plan`` if it does not exist yet
     (see :func:`~tlpss.adjacency.latent_matrix`).
     """
+    n = A.n
+    r0, r1 = (0, n) if rows is None else rows
+    if not 0 <= r0 <= r1 <= n:
+        raise ValueError(f"rows {rows!r} are not a range of the {n} rows")
     P = A.indicator_csr
     W = A.weight_csr
     w = D.w
-    inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=w > 0)
+
+    def symmetric(M, MT):
+        """Rows of ``0.5 * (s + s.T)`` for ``s = M @ P``.  Row i of
+        ``P @ M.T`` adds the terms of column i of ``s`` in the same order,
+        ascending shared index, so it stands in for the transposed half of
+        a block that is not the whole matrix."""
+        s = (_row_block(M, r0, r1) @ P).toarray()
+        st = s.T if r1 - r0 == n else (P[r0:r1] @ MT()).toarray()
+        # in place; numpy buffers st where it is a view of s
+        s += st
+        s *= 0.5
+        return s
+
+    def inv(x):
+        return np.divide(1.0, x, out=np.zeros_like(x), where=x > 0)
+
+    def cap():
+        d = D.d.astype(np.float64)
+        return d * (d - 1) / 2.0
 
     if method is MethodId.CN_ASF:
-        m = (W @ P).toarray()
-        out = 0.5 * (m + m.T)
+        out = symmetric(W, lambda: W)
     elif method is MethodId.JA_ASF:
-        m = (W @ P).toarray()
-        cn = 0.5 * (m + m.T)
-        denom = w[:, None] + w[None, :]
-        out = np.divide(cn, denom, out=np.zeros_like(cn), where=denom > 0)
+        # in place: where denom is 0, both nodes are isolated and cn is 0
+        out = symmetric(W, lambda: W)
+        denom = w[r0:r1, None] + w[None, :]
+        np.divide(out, denom, out=out, where=denom > 0)
     elif method is MethodId.PA_ASF:
-        out = np.outer(w, w)
+        out = np.outer(w[r0:r1], w)
     elif method is MethodId.RA_ASF:
-        out = (P @ sp.diags(inv_w) @ P).toarray()
+        L = _operand(A, D, method, lambda: P @ sp.diags(inv(w)))
+        out = (_row_block(L, r0, r1) @ P).toarray()
     elif method is MethodId.CAR_ASF:
-        m = (W @ P).toarray()
-        cn = 0.5 * (m + m.T)
-        out = cn * _lcl_matrix(A)
+        incidence = _operand(A, D, "lcl", lambda: _lcl_incidence(A))
+        out = symmetric(W, lambda: W)
+        out *= _lcl_rows(incidence, r0, r1)
     elif method is MethodId.CCLP_ASF:
-        d = D.d.astype(np.float64)
-        pair_cap = d * (d - 1) / 2.0
-        inv_cap = np.divide(
-            1.0, pair_cap, out=np.zeros_like(pair_cap), where=pair_cap > 0
-        )
         if cclp_mode == "local":
-            coeff = _triangle_mass(A) * inv_cap
-            out = (P @ sp.diags(coeff) @ P).toarray()
+            L = _operand(
+                A, D, method,
+                lambda: P @ sp.diags(_triangle_mass(A) * inv(cap())),
+            )
+            out = (_row_block(L, r0, r1) @ P).toarray()
         elif cclp_mode == "global":
-            out = (P @ sp.diags(inv_cap) @ P).toarray() * _lcl_matrix(A)
+            L = _operand(A, D, (method, "global"), lambda: P @ sp.diags(inv(cap())))
+            incidence = _operand(A, D, "lcl", lambda: _lcl_incidence(A))
+            out = (_row_block(L, r0, r1) @ P).toarray()
+            out *= _lcl_rows(incidence, r0, r1)
         else:
             raise ConfigError(f"unknown cclp mode {cclp_mode!r}")
     elif method is MethodId.TLPSS:
         if latent_params is None:
             raise ConfigError("TLPSS needs decay parameters for latent weights")
-        # divide each column by its node's weighted degree (w > 0 wherever
-        # W + B has an entry), the same rounding as a per-term W[x,z]/w[z]
-        M = (W + latent_matrix(A, latent_params)).tocsr()
-        M.data = M.data / w[M.indices]
-        s = (M @ P).toarray()
-        out = 0.5 * (s + s.T)
+
+        def scaled():
+            # divide each column by its node's weighted degree (w > 0
+            # wherever W + B has an entry), the same rounding as a per-term
+            # W[x,z]/w[z]
+            M = (W + latent_matrix(A, latent_params)).tocsr()
+            M.data /= w[M.indices]
+            return M
+
+        M = _operand(A, D, (method, latent_params), scaled)
+        out = symmetric(
+            M, lambda: _operand(A, D, (method, latent_params, "T"), lambda: M.T.tocsr())
+        )
     else:
         raise ConfigError(f"unknown method {method!r}")
 
-    np.fill_diagonal(out, 0.0)
+    # the block's cells (i, i)
+    out[np.arange(r1 - r0), np.arange(r0, r1)] = 0.0
     return out
-

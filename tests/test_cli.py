@@ -137,12 +137,14 @@ class TestBadInputs:
             (["--period", "80"], b"1 2 1 0\n2 3 1 99999999999999999999\n", None, 3),
             (["--period", "80", "--auc-samples", str(10**30)], None, None, 2),
             (["--period", "80"], b"1 2 1 0\n99999999999999999999 3 1 7\n2 3 1 9\n", None, 3),
+            (["--period", "80", "--method", "tlpss", "--method", "TLPSS", "--method", "cn"],
+             None, None, 2),
         ],
         ids=[
             "period-inf", "origin-late", "non-utf8", "seed-negative", "auc-limit-negative",
             "config-ratio-string", "period-tiny", "asf-weight-underflow",
             "exp-weight-underflow", "config-unused-nan", "self-loops-only", "timestamp-huge",
-            "auc-samples-huge", "node-id-huge",
+            "auc-samples-huge", "node-id-huge", "method-repeated",
         ],
     )
     def test_ends_in_documented_exit_code(
@@ -162,10 +164,10 @@ class TestBadInputs:
         assert not (out_dir / "report.json").exists()
 
     def test_out_of_memory_ends_in_exit_4(self, dataset, tmp_path, capsys, monkeypatch):
-        def no_memory(n):
-            raise MemoryError(f"cannot hold the keys of {n} nodes")
+        def no_memory(A, *args, **kwargs):
+            raise MemoryError(f"cannot hold a score block of {A.n} nodes")
 
-        monkeypatch.setattr("tlpss.evaluation.upper_triangle_keys", no_memory)
+        monkeypatch.setattr("tlpss.evaluation.score_matrix", no_memory)
         out_dir = tmp_path / "run"
         assert main([
             "evaluate", "--dataset", str(dataset), "--period", "80", "--out-dir", str(out_dir)

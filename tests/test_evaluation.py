@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,9 +12,16 @@ import pytest
 
 import tlpss
 from tlpss import evaluation
-from tlpss.adjacency import LatentPlan
+from tlpss.adjacency import LatentPlan, build_adjacency, degree_vector
 from tlpss.decay import DecayParams
-from tlpss.edges import TemporalEdgeList, normalize, pair_key, split_by_time
+from tlpss.edges import (
+    SnapshotConfig,
+    TemporalEdgeList,
+    normalize,
+    pair_key,
+    snapshot_index,
+    split_by_time,
+)
 from tlpss.errors import ConfigError, EvaluationError, SplitError
 from tlpss.evaluation import (
     _mid_ranks,
@@ -24,7 +32,7 @@ from tlpss.evaluation import (
     sweep,
 )
 from tlpss.oracle import ToyGraph, exhaustive_auc, random_toy
-from tlpss.scoring import ALL_METHODS, MethodId
+from tlpss.scoring import ALL_METHODS, MethodId, score_matrix
 
 
 def count_plan_builds(monkeypatch):
@@ -482,27 +490,33 @@ class TestSweep:
     def test_plan_freed_once_tlpss_is_scored_for_the_last_value(self, monkeypatch):
         calls = []
         layouts = []
+        adjacencies = []
         score = evaluation.score_matrix
 
         def recorded(A, D, method, **kwargs):
             out = score(A, D, method, **kwargs)
-            # whether the layout holds a plan once the call returns
+            # whether the layout holds a plan once the block is scored
             calls.append((method, "latent_plan" in vars(A.layout)))
             layouts.append(A.layout)
+            adjacencies.append(A)
             return out
 
         monkeypatch.setattr(evaluation, "score_matrix", recorded)
+        # 48 nodes in blocks of 7 rows: 7 blocks per method and value
+        monkeypatch.setattr(evaluation, "_BLOCK_CELLS", 48 * 7)
         lst = toy_list(community_toy(seed=15))
         methods = [MethodId.TLPSS, MethodId.CN_ASF]
         kwargs = dict(period=200.0, decay=DecayParams(p=3.0, q=1.0), methods=methods)
         evaluate_methods(lst, **kwargs)
-        assert calls == [(MethodId.TLPSS, True), (MethodId.CN_ASF, False)]
+        assert calls == [(MethodId.TLPSS, True)] * 7 + [(MethodId.CN_ASF, False)] * 7
         assert "latent_plan" not in vars(layouts[-1])
         calls.clear()
         sweep(lst, "q", [1.0, 2.0], **kwargs)
-        assert [has_plan for _, has_plan in calls] == [True, True, True, False]
-        assert len({id(layout) for layout in layouts[2:]}) == 1
+        assert [has_plan for _, has_plan in calls] == [True] * 21 + [False] * 7
+        assert len({id(layout) for layout in layouts[14:]}) == 1
         assert "latent_plan" not in vars(layouts[-1])
+        # each method's row-independent operands are dropped after its last block
+        assert all(A.operands == {} for A in adjacencies)
 
     def test_plan_rebuilt_after_it_was_dropped(self, monkeypatch):
         builds = count_plan_builds(monkeypatch)
@@ -529,3 +543,173 @@ class TestSweep:
                 toy_list(toy), "q", [], period=200.0,
                 decay=DecayParams(p=1.0, q=1.0), methods=[MethodId.TLPSS],
             )
+
+
+def tie_toy(seed=21, n=40, block=10):
+    """Community network of 150 distinct train pairs at one timestamp, so
+    that CN and PA scores tie in long runs, and 150 test pairs at a second
+    (split it with ratio 0.5)."""
+    rng = np.random.default_rng(seed)
+
+    def pairs(k):
+        out = set()
+        while len(out) < k:
+            a = int(rng.integers(0, n))
+            b = int((a // block) * block + rng.integers(0, block))
+            if rng.random() < 0.15:
+                b = int(rng.integers(0, n))
+            if a != b:
+                out.add((min(a, b), max(a, b)))
+        return sorted(out)
+
+    edges = [(a, b, 1) for a, b in pairs(150)] + [(a, b, 2) for a, b in pairs(150)]
+    return ToyGraph(n=n, edges=edges, period=1.0)
+
+
+def one_block_and_blocked(monkeypatch, run, cells):
+    """``run()`` with the whole matrix in one block, then with blocks of
+    ``cells`` cells, and the number of blocked score_matrix calls."""
+    whole = run()
+    calls = []
+    score = evaluation.score_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["rows"])
+        return score(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "score_matrix", counted)
+    monkeypatch.setattr(evaluation, "_BLOCK_CELLS", cells)
+    blocked = run()
+    return whole, blocked, calls
+
+
+class TestRowBlocks:
+    """Evaluation scores the matrix a block of rows at a time; where the
+    blocks end changes no report."""
+
+    @pytest.mark.parametrize("cells", [1, 100, 48 * 7 + 5])
+    def test_evaluate_and_sweep_equal_one_block(self, monkeypatch, cells):
+        lst = toy_list(community_toy(seed=17))
+        kwargs = dict(period=200.0, decay=DecayParams(p=3.0, q=1.0), seed=5)
+
+        def run():
+            reports = []
+            for top_l, max_negatives in ((5, None), (150, None), (700, 10**9)):
+                reports += evaluate_methods(
+                    lst, methods=list(ALL_METHODS), top_l=top_l,
+                    max_negatives=max_negatives, **kwargs,
+                )
+            reports += sweep(
+                lst, "q", [0.0, 1.0, 3.0], methods=list(ALL_METHODS), top_l=40,
+                cclp_mode="global", **kwargs,
+            )
+            return [r.to_dict() for r in reports]
+
+        whole, blocked, calls = one_block_and_blocked(monkeypatch, run, cells)
+        assert blocked == whole
+        rows = max(1, cells // 48)
+        assert len(calls) == 6 * 7 * -(-48 // rows)
+        # a block has at most rows * 47 candidates, fewer than top_l = 700
+        assert rows * 47 < 700
+
+    @pytest.mark.parametrize("cells", [1, 90])
+    def test_tied_scores_equal_one_block(self, monkeypatch, cells):
+        lst = toy_list(tie_toy())
+        methods = [MethodId.CN_ASF, MethodId.PA_ASF]
+        params = DecayParams(p=3.0, q=1.0)
+        kwargs = dict(period=1.0, decay=params, methods=methods, ratio=0.5)
+        tops = (5, 60, 300, 600)
+
+        def run():
+            return [
+                r.to_dict()
+                for L in tops
+                for r in evaluate_methods(lst, top_l=L, seed=L, **kwargs)
+            ]
+
+        whole, blocked, calls = one_block_and_blocked(monkeypatch, run, cells)
+        assert blocked == whole
+        assert len(calls) == 4 * 2 * -(-40 // max(1, cells // 40))
+
+        # every cut falls inside a run of tied scores (CN's last among
+        # zeros), and precision equals a full sort of the candidate universe
+        # with ties in canonical pair order; in reverse order it would differ
+        split = split_by_time(lst, 0.5)
+        cfg = SnapshotConfig(period=1.0)
+        A = build_adjacency(split.train, snapshot_index(split.t_split, cfg), params, cfg)
+        D = degree_vector(A)
+        ii, jj = np.triu_indices(A.n, k=1)
+        unlinked = ~np.isin(pair_key(ii, jj, A.n), A.layout.keys)
+        ii, jj = ii[unlinked], jj[unlinked]
+        is_positive = np.isin(pair_key(ii, jj, A.n), split.positives)
+        reports = iter(whole)
+        reversed_differs = 0
+        for L in tops:
+            for method in methods:
+                scores = score_matrix(A, D, method)[ii, jj]
+                ranked = np.sort(scores)[::-1]
+                assert ranked[L] == ranked[L - 1]
+                assert (ranked[L - 1] == 0) == (method is MethodId.CN_ASF and L == 600)
+                expected = lexsort_precision(ii, jj, scores, is_positive, L)
+                assert next(reports)["precision"] == expected
+                reversed_differs += expected != lexsort_precision(
+                    -ii, -jj, scores, is_positive, L
+                )
+        assert reversed_differs >= 4
+
+    @pytest.mark.parametrize("cells", [2**21, 100])
+    def test_sampled_auc_sees_negatives_in_draw_order(self, monkeypatch, cells):
+        monkeypatch.setattr(evaluation, "_BLOCK_CELLS", cells)
+        lst = toy_list(community_toy(seed=19))
+        params = DecayParams(p=3.0, q=1.0)
+        reports = evaluate_methods(
+            lst, period=200.0, decay=params, methods=[MethodId.CN_ASF, MethodId.TLPSS],
+            seed=4, auc_exhaustive_limit=0, auc_samples=5000,
+        )
+        # the same AUC from the whole matrix, gathered in the candidates' order
+        split = split_by_time(lst, 0.9)
+        candidates = build_candidates(split, lst.node_count, 4)
+        assert np.any(np.diff(candidates.sampled_negatives) < 0)
+        cfg = SnapshotConfig(period=200.0)
+        A = build_adjacency(split.train, snapshot_index(split.t_split, cfg), params, cfg)
+        D = degree_vector(A)
+        for report in reports:
+            m = score_matrix(A, D, MethodId(report.method), params).ravel()
+            pos = m.take(candidates.positives)
+            neg = m.take(candidates.sampled_negatives)
+            assert report.auc == auc(pos, neg, n_comparisons=5000, seed=4)
+
+    @pytest.mark.parametrize("cells", [2**21, 100])
+    def test_universe_smaller_than_l_rejected(self, monkeypatch, cells):
+        monkeypatch.setattr(evaluation, "_BLOCK_CELLS", cells)
+        lst = toy_list(community_toy(seed=18))
+        n = lst.node_count
+        train_pairs = len(np.unique(split_by_time(lst, 0.9).train.pair_keys()))
+        universe = n * (n - 1) // 2 - train_pairs
+        kwargs = dict(period=200.0, decay=DecayParams(p=3.0, q=1.0), methods=[MethodId.CN_ASF])
+        (report,) = evaluate_methods(lst, top_l=universe, **kwargs)
+        assert report.top_l == universe
+        message = f"^only {universe} candidates for precision@{universe + 1}$"
+        with pytest.raises(EvaluationError, match=message):
+            evaluate_methods(lst, top_l=universe + 1, **kwargs)
+
+
+def test_peak_memory_below_half_a_dense_matrix():
+    """Evaluating all methods on a sparse 5,000-node graph allocates less
+    than half of one dense n x n float64 matrix at its peak."""
+    rng = np.random.default_rng(23)
+    n, rows = 5000, 12_000
+    lst = normalize(
+        TemporalEdgeList(
+            rng.integers(0, n, rows), rng.integers(0, n, rows), np.arange(1, rows + 1), n
+        )
+    )
+    tracemalloc.start()
+    try:
+        evaluate_methods(
+            lst, period=100.0, decay=DecayParams(p=3.0, q=1.0), methods=list(ALL_METHODS)
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * n

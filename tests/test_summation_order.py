@@ -222,3 +222,48 @@ def test_plan_with_many_chunks_and_blocks(monkeypatch):
     assert chunks > 3
     assert len(plan.blocks) > 3 * chunks
 
+
+
+# every scoring matrix: each method, and CCLP in both modes
+SCORINGS = [(m, "local") for m in MethodId] + [(MethodId.CCLP_ASF, "global")]
+
+
+def uneven_blocks(n, rng):
+    """Row ranges covering all n rows in uneven blocks, the first and last
+    of one row each."""
+    cuts = {0, 1, n - 1, n} | set(rng.integers(1, n, size=4).tolist())
+    cuts = sorted(c for c in cuts if 0 <= c <= n)
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def check_blocks(toy, params, rng):
+    A, D = stack(toy, params)
+    blocks = uneven_blocks(A.n, rng)
+    assert any(r1 - r0 == 1 for r0, r1 in blocks) and len(blocks) > 2
+    for method, mode in SCORINGS:
+        full = score_matrix(A, D, method, latent_params=params, cclp_mode=mode)
+        # each block builds its operands itself, as evaluation does
+        A.operands.clear()
+        parts = [
+            score_matrix(A, D, method, latent_params=params, cclp_mode=mode, rows=rows)
+            for rows in blocks
+        ]
+        A.operands.clear()
+        assert np.array_equal(np.vstack(parts), full), (method, mode)
+
+
+def test_row_blocks_equal_whole_matrix_on_random_toys():
+    rng = np.random.default_rng(58000)
+    for trial in range(40):
+        toy = random_toy(seed=58000 + trial, max_nodes=60, min_nodes=4)
+        params = random_decay(seed=59000 + trial, allow_exp=False)
+        if trial % 2:
+            params = ExpDecayParams(theta=0.1 + 0.8 * (trial % 7) / 7)
+        check_blocks(toy, params, rng)
+
+
+@pytest.mark.parametrize(
+    "params", [DecayParams(p=3.0, q=1.0), DecayParams(p=3.0, q=0.0), ExpDecayParams(0.4)]
+)
+def test_row_blocks_equal_whole_matrix_on_hub_graph(params):
+    check_blocks(hub_graph(), params, np.random.default_rng(60000))
