@@ -452,8 +452,9 @@ def main(argv=None) -> int:
     except MemoryError:
         print(
             "evaluation impossible: out of memory (scores are held one block of "
-            "2**21 cells at a time, 16 MB per array, but the sparse adjacency, the "
-            "latent weights and their two-hop plan, and the sampled pairs are held whole)",
+            "at most 2**21 cells at a time, the upper trapezoid of a range of rows, "
+            "16 MB per array, but the sparse adjacency, the latent weights and their "
+            "two-hop plan, and the sampled pairs are held whole)",
             file=sys.stderr,
         )
         return EXIT_IMPOSSIBLE

@@ -10,10 +10,12 @@ without sorting it, with ties at the cut taken in canonical (i, j) order.
 
 Pairs are handled as sorted int64 keys (:func:`tlpss.edges.pair_key`); a
 key is also the flat index of the pair's cell in the n x n score matrix.
-Evaluation never holds that matrix: it scores blocks of consecutive rows,
-at most ``_BLOCK_CELLS`` cells each, gathers the positives' and negatives'
-scores whose keys fall in the block, and merges the block's best cells
-into a running top L for precision@L.
+Evaluation never holds that matrix, nor scores its cells j < i: it scores
+the upper trapezoids of blocks of consecutive rows, rows [r0, r1) by
+columns [r0, n), at most ``_BLOCK_CELLS`` cells each, gathers the
+positives' and negatives' scores whose keys fall in the block, and merges
+the block's best cells into a running top L for precision@L.  Once that top
+holds L cells, a block offers it only the cells above its L-th score.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ __all__ = [
     "sweep",
 ]
 
-# Cells of the score matrix evaluation holds at once: one block of rows,
+# Cells of the score matrix evaluation holds at once: one trapezoid block,
 # 16 MB of float64 per array of the block.
 _BLOCK_CELLS = 2**21
 
@@ -310,14 +312,32 @@ def _run(
     candidates = build_candidates(split, edges.node_count, seed, max_negatives)
     layout = pair_layout(split.train)
     n = edges.node_count
-    # row blocks [r0, r1) of at most _BLOCK_CELLS cells; the keys of a
-    # block's cells are the flat indices [r0*n, r1*n)
-    starts = np.r_[0 : n : max(1, _BLOCK_CELLS // n), n]
+    if top_l < 1:
+        raise EvaluationError("L must be at least 1")
+    universe = n * (n - 1) // 2 - len(layout.keys)
+    if universe < top_l:
+        raise EvaluationError(f"only {universe} candidates for precision@{top_l}")
+    # trapezoid blocks: rows [r0, r1) by columns [r0, n), at most
+    # _BLOCK_CELLS cells each; their keys are ascending from block to block
+    starts = [0]
+    while starts[-1] < n:
+        r0 = starts[-1]
+        starts.append(min(n, r0 + max(1, _BLOCK_CELLS // (n - r0))))
+    starts = np.array(starts)
+
+    def offsets(keys):
+        """Where each block's keys start in the sorted ``keys``, and each
+        key's offset in its block's flat cells: pair (i, j) is cell
+        (i - r0, j - r0) of the block that starts at row r0."""
+        i, j = np.divmod(keys, n)
+        r0 = starts[np.searchsorted(starts, i, side="right") - 1]
+        return np.searchsorted(keys, starts * n), (i - r0) * (n - r0) + (j - r0)
+
     positives = candidates.positives
     neg_order = np.argsort(candidates.sampled_negatives, kind="stable")
     negatives = candidates.sampled_negatives[neg_order]
-    pos_at, neg_at, train_at = (
-        np.searchsorted(keys, starts * n) for keys in (positives, negatives, layout.keys)
+    (pos_at, pos_off), (neg_at, neg_off), (train_at, train_off) = (
+        offsets(keys) for keys in (positives, negatives, layout.keys)
     )
     split_stats = {
         "train_edges": len(split.train),
@@ -347,19 +367,27 @@ def _run(
                     if method is MethodId.TLPSS and k == len(decays) - 1:
                         vars(layout).pop("latent_plan", None)
                 flat = block.ravel()
-                base = r0 * n
                 lo, hi = pos_at[b : b + 2]
-                pos_scores[lo:hi] = flat.take(positives[lo:hi] - base)
+                pos_scores[lo:hi] = flat.take(pos_off[lo:hi])
                 lo, hi = neg_at[b : b + 2]
-                neg_scores[neg_order[lo:hi]] = flat.take(negatives[lo:hi] - base)
+                neg_scores[neg_order[lo:hi]] = flat.take(neg_off[lo:hi])
                 # the precision universe is every pair not linked in train:
-                # cells (i, j) with j <= i and train-linked cells are out
-                flat[np.tri(r1 - r0, n, r0, dtype=bool).ravel()] = -np.inf
+                # the block's leading triangle (j <= i) and train-linked
+                # cells are out
+                h = r1 - r0
+                block[:, :h][np.tri(h, dtype=bool)] = -np.inf
                 lo, hi = train_at[b : b + 2]
-                flat[layout.keys[lo:hi] - base] = -np.inf
-                best = _top_cells(flat, top_l)
+                flat[train_off[lo:hi]] = -np.inf
+                if len(top_keys) < top_l:
+                    best = _top_cells(flat, top_l)
+                else:
+                    # a cell that ties the L-th score held has a larger key
+                    # than every held cell, so only cells above it can enter
+                    best = np.flatnonzero(flat > top_scores[-1])
+                    best = best[_top_cells(flat[best], top_l)]
+                a, c = np.divmod(best, n - r0)
                 top_keys, top_scores = _top_merge(
-                    top_keys, top_scores, best + base, flat[best], top_l
+                    top_keys, top_scores, (a + r0) * n + c + r0, flat[best], top_l
                 )
             n_pairs = len(pos_scores) * len(neg_scores)
             if n_pairs <= auc_exhaustive_limit:

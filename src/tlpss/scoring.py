@@ -6,12 +6,12 @@ quantity over latent edges toward the endpoint's hidden nodes.  The six
 baselines are the classical common-neighbor family re-weighted by decayed
 edge weights.
 
-:func:`score_matrix` is the one scoring engine: it returns a block of
-consecutive rows of a method's score matrix (by default all of them),
-built from sparse matrix products over the adjacency, so that evaluation
-can walk the matrix a block at a time.  The brute-force per-pair
-definitions live in :mod:`tlpss.oracle`, which the test suite checks it
-against.
+:func:`score_matrix` is the one scoring engine: it returns a method's
+score matrix, or the upper trapezoid of a block of its consecutive rows
+(the rows' cells from the diagonal on), built from sparse matrix products
+over the adjacency, so that evaluation can walk the pairs i < j a block at
+a time.  The brute-force per-pair definitions live in :mod:`tlpss.oracle`,
+which the test suite checks it against.
 """
 
 from __future__ import annotations
@@ -69,22 +69,29 @@ def _lcl_incidence(A: WeightedAdjacency) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return Q.T.tocsr(), (sp.diags(links.data) @ Q).tocsr()
 
 
-def _row_block(X: sp.csr_matrix, r0: int, r1: int) -> sp.csr_matrix:
-    """Rows ``[r0, r1)`` of ``X``; SciPy copies a slice of all rows."""
-    return X if r1 - r0 == X.shape[0] else X[r0:r1]
+def _rows(X: sp.csr_matrix, r0: int, r1: int) -> sp.csr_matrix:
+    """Rows ``[r0, r1)`` of ``X`` on ``X``'s own arrays; a SciPy slice
+    copies them."""
+    ptr = X.indptr
+    return sp.csr_matrix(
+        (X.data[ptr[r0] : ptr[r1]], X.indices[ptr[r0] : ptr[r1]], ptr[r0 : r1 + 1] - ptr[r0]),
+        shape=(r1 - r0, X.shape[1]),
+    )
 
 
-def _lcl_rows(incidence, r0: int, r1: int) -> np.ndarray:
-    """Rows ``[r0, r1)`` of the link weight among each pair's common
-    neighbors: a link (z1, z2) of weight w adds w to every pair of nodes
-    adjacent to both z1 and z2.  The diagonal is left to the caller."""
-    QT, WQ = incidence
-    return (_row_block(QT, r0, r1) @ WQ).toarray()
+def _product(X: sp.csr_matrix, Y: sp.csr_matrix, r0: int, r1: int) -> np.ndarray:
+    """Rows ``[r0, r1)`` and columns ``[r0, n)`` of the dense ``X @ Y``.
+    The CSR product adds each cell's terms in the order of ``X``'s row,
+    ascending shared index, and a row or column slice keeps that order, so
+    the cells have the bits of the whole product's."""
+    return (_rows(X, r0, r1) @ (Y[:, r0:] if r0 else Y)).toarray()
 
 
 def _lcl_matrix(A: WeightedAdjacency) -> np.ndarray:
-    """Dense matrix of link weight among each pair's common neighbors."""
-    out = _lcl_rows(_lcl_incidence(A), 0, A.n)
+    """Dense matrix of link weight among each pair's common neighbors: a
+    link (z1, z2) of weight w adds w to every pair of nodes adjacent to both
+    z1 and z2."""
+    out = _product(*_lcl_incidence(A), 0, A.n)
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -107,8 +114,11 @@ def score_matrix(
     cclp_mode: str = "local",
     rows: tuple[int, int] | None = None,
 ) -> np.ndarray:
-    """Rows ``[r0, r1)`` of one method's dense score matrix, for
-    ``rows=(r0, r1)``; ``rows=None`` is the whole matrix.
+    """One method's dense score matrix, or for ``rows=(r0, r1)`` the block
+    of its rows ``[r0, r1)`` and columns ``[r0, n)``, of shape
+    ``(r1 - r0, n - r0)``: the upper trapezoid that holds every pair
+    ``i < j`` of those rows (block cell ``(a, c)`` is pair
+    ``(r0 + a, r0 + c)``).  ``rows=None`` is the whole matrix.
 
     Entry (i, j) is the method's score for the pair; the matrix is symmetric
     with an all-zero diagonal except for PA, whose diagonal is meaningless
@@ -128,13 +138,14 @@ def score_matrix(
     W = A.weight_csr
     w = D.w
 
-    def symmetric(M, MT):
-        """Rows of ``0.5 * (s + s.T)`` for ``s = M @ P``.  Row i of
+    def symmetric(M):
+        """The block of ``0.5 * (s + s.T)`` for ``s = M @ P``.  Row i of
         ``P @ M.T`` adds the terms of column i of ``s`` in the same order,
         ascending shared index, so it stands in for the transposed half of
-        a block that is not the whole matrix."""
-        s = (_row_block(M, r0, r1) @ P).toarray()
-        st = s.T if r1 - r0 == n else (P[r0:r1] @ MT()).toarray()
+        a block that is not the whole matrix; its columns ``[r0, n)`` need
+        only the rows ``[r0, n)`` of ``M``."""
+        s = _product(M, P, r0, r1)
+        st = s.T if r1 - r0 == n else (_rows(P, r0, r1) @ _rows(M, r0, n).T).toarray()
         # in place; numpy buffers st where it is a view of s
         s += st
         s *= 0.5
@@ -148,33 +159,33 @@ def score_matrix(
         return d * (d - 1) / 2.0
 
     if method is MethodId.CN_ASF:
-        out = symmetric(W, lambda: W)
+        out = symmetric(W)
     elif method is MethodId.JA_ASF:
         # in place: where denom is 0, both nodes are isolated and cn is 0
-        out = symmetric(W, lambda: W)
-        denom = w[r0:r1, None] + w[None, :]
+        out = symmetric(W)
+        denom = w[r0:r1, None] + w[None, r0:]
         np.divide(out, denom, out=out, where=denom > 0)
     elif method is MethodId.PA_ASF:
-        out = np.outer(w[r0:r1], w)
+        out = np.outer(w[r0:r1], w[r0:])
     elif method is MethodId.RA_ASF:
         L = _operand(A, D, method, lambda: P @ sp.diags(inv(w)))
-        out = (_row_block(L, r0, r1) @ P).toarray()
+        out = _product(L, P, r0, r1)
     elif method is MethodId.CAR_ASF:
         incidence = _operand(A, D, "lcl", lambda: _lcl_incidence(A))
-        out = symmetric(W, lambda: W)
-        out *= _lcl_rows(incidence, r0, r1)
+        out = symmetric(W)
+        out *= _product(*incidence, r0, r1)
     elif method is MethodId.CCLP_ASF:
         if cclp_mode == "local":
             L = _operand(
                 A, D, method,
                 lambda: P @ sp.diags(_triangle_mass(A) * inv(cap())),
             )
-            out = (_row_block(L, r0, r1) @ P).toarray()
+            out = _product(L, P, r0, r1)
         elif cclp_mode == "global":
             L = _operand(A, D, (method, "global"), lambda: P @ sp.diags(inv(cap())))
             incidence = _operand(A, D, "lcl", lambda: _lcl_incidence(A))
-            out = (_row_block(L, r0, r1) @ P).toarray()
-            out *= _lcl_rows(incidence, r0, r1)
+            out = _product(L, P, r0, r1)
+            out *= _product(*incidence, r0, r1)
         else:
             raise ConfigError(f"unknown cclp mode {cclp_mode!r}")
     elif method is MethodId.TLPSS:
@@ -189,13 +200,10 @@ def score_matrix(
             M.data /= w[M.indices]
             return M
 
-        M = _operand(A, D, (method, latent_params), scaled)
-        out = symmetric(
-            M, lambda: _operand(A, D, (method, latent_params, "T"), lambda: M.T.tocsr())
-        )
+        out = symmetric(_operand(A, D, (method, latent_params), scaled))
     else:
         raise ConfigError(f"unknown method {method!r}")
 
-    # the block's cells (i, i)
-    out[np.arange(r1 - r0), np.arange(r0, r1)] = 0.0
+    # the block's cells (i, i), its leading diagonal
+    np.fill_diagonal(out, 0.0)
     return out

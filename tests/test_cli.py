@@ -163,6 +163,23 @@ class TestBadInputs:
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
         assert not (out_dir / "report.json").exists()
 
+    def test_top_l_above_the_universe_exits_4_before_scoring(
+        self, dataset, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr("tlpss.evaluation.score_matrix", lambda *a, **k: calls.append(a))
+        out_dir = tmp_path / "run"
+        assert main([
+            "evaluate", "--dataset", str(dataset), "--period", "80", "--method", "pa",
+            "--method", "cn", "--top-l", "8000000", "--out-dir", str(out_dir),
+        ]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert err.startswith("evaluation impossible: only ")
+        assert err.strip().endswith(" candidates for precision@8000000")
+        assert calls == []
+        assert not (out_dir / "report.json").exists()
+
     def test_out_of_memory_ends_in_exit_4(self, dataset, tmp_path, capsys, monkeypatch):
         def no_memory(A, *args, **kwargs):
             raise MemoryError(f"cannot hold a score block of {A.n} nodes")

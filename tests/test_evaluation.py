@@ -502,18 +502,21 @@ class TestSweep:
             return out
 
         monkeypatch.setattr(evaluation, "score_matrix", recorded)
-        # 48 nodes in blocks of 7 rows: 7 blocks per method and value
+        # 48 nodes in blocks of at most 48 * 7 cells: 5 blocks per method
+        # and value
         monkeypatch.setattr(evaluation, "_BLOCK_CELLS", 48 * 7)
+        blocks = len(trapezoid_blocks(48, 48 * 7))
+        assert blocks == 5
         lst = toy_list(community_toy(seed=15))
         methods = [MethodId.TLPSS, MethodId.CN_ASF]
         kwargs = dict(period=200.0, decay=DecayParams(p=3.0, q=1.0), methods=methods)
         evaluate_methods(lst, **kwargs)
-        assert calls == [(MethodId.TLPSS, True)] * 7 + [(MethodId.CN_ASF, False)] * 7
+        assert calls == [(MethodId.TLPSS, True)] * blocks + [(MethodId.CN_ASF, False)] * blocks
         assert "latent_plan" not in vars(layouts[-1])
         calls.clear()
         sweep(lst, "q", [1.0, 2.0], **kwargs)
-        assert [has_plan for _, has_plan in calls] == [True] * 21 + [False] * 7
-        assert len({id(layout) for layout in layouts[14:]}) == 1
+        assert [has_plan for _, has_plan in calls] == [True] * 3 * blocks + [False] * blocks
+        assert len({id(layout) for layout in layouts[2 * blocks :]}) == 1
         assert "latent_plan" not in vars(layouts[-1])
         # each method's row-independent operands are dropped after its last block
         assert all(A.operands == {} for A in adjacencies)
@@ -566,6 +569,17 @@ def tie_toy(seed=21, n=40, block=10):
     return ToyGraph(n=n, edges=edges, period=1.0)
 
 
+def trapezoid_blocks(n, cells):
+    """The row ranges evaluation scores: each block takes as many rows as
+    fit ``cells`` cells of its width ``n - r0``, and at least one."""
+    blocks, r0 = [], 0
+    while r0 < n:
+        r1 = min(n, r0 + max(1, cells // (n - r0)))
+        blocks.append((r0, r1))
+        r0 = r1
+    return blocks
+
+
 def one_block_and_blocked(monkeypatch, run, cells):
     """``run()`` with the whole matrix in one block, then with blocks of
     ``cells`` cells, and the number of blocked score_matrix calls."""
@@ -607,10 +621,11 @@ class TestRowBlocks:
 
         whole, blocked, calls = one_block_and_blocked(monkeypatch, run, cells)
         assert blocked == whole
-        rows = max(1, cells // 48)
-        assert len(calls) == 6 * 7 * -(-48 // rows)
-        # a block has at most rows * 47 candidates, fewer than top_l = 700
-        assert rows * 47 < 700
+        blocks = trapezoid_blocks(48, cells)
+        assert calls == 6 * 7 * blocks
+        assert all((r1 - r0) * (48 - r0) <= cells or r1 - r0 == 1 for r0, r1 in blocks)
+        # a block has fewer candidates (its cells j > i) than top_l = 700
+        assert all(sum(47 - i for i in range(r0, r1)) < 700 for r0, r1 in blocks)
 
     @pytest.mark.parametrize("cells", [1, 90])
     def test_tied_scores_equal_one_block(self, monkeypatch, cells):
@@ -629,7 +644,7 @@ class TestRowBlocks:
 
         whole, blocked, calls = one_block_and_blocked(monkeypatch, run, cells)
         assert blocked == whole
-        assert len(calls) == 4 * 2 * -(-40 // max(1, cells // 40))
+        assert calls == 4 * 2 * trapezoid_blocks(40, cells)
 
         # every cut falls inside a run of tied scores (CN's last among
         # zeros), and precision equals a full sort of the candidate universe
@@ -690,8 +705,55 @@ class TestRowBlocks:
         (report,) = evaluate_methods(lst, top_l=universe, **kwargs)
         assert report.top_l == universe
         message = f"^only {universe} candidates for precision@{universe + 1}$"
+        # rejected before any method is scored
+        monkeypatch.setattr(evaluation, "score_matrix", None)
         with pytest.raises(EvaluationError, match=message):
             evaluate_methods(lst, top_l=universe + 1, **kwargs)
+        with pytest.raises(EvaluationError, match=message):
+            sweep(lst, "q", [0.0, 1.0], top_l=universe + 1, **kwargs)
+
+
+class TestRunningCut:
+    """Once the running top holds L cells, a block offers it only the cells
+    above the L-th score held; that cut belongs to one method under one
+    parameter set."""
+
+    @pytest.mark.parametrize("cells", [2**21, 200, 1])
+    def test_precision_equals_a_full_ranking(self, monkeypatch, cells):
+        monkeypatch.setattr(evaluation, "_BLOCK_CELLS", cells)
+        lst = toy_list(community_toy(seed=17))
+        params = DecayParams(p=3.0, q=1.0)
+        methods = [MethodId.PA_ASF, MethodId.CN_ASF, MethodId.JA_ASF]
+        values = [8.0, 0.5]
+        split = split_by_time(lst, 0.9)
+        cfg = SnapshotConfig(period=200.0)
+        ii, jj = np.triu_indices(lst.node_count, k=1)
+        unlinked = ~np.isin(pair_key(ii, jj, lst.node_count), split.train.pair_keys())
+        ii, jj = ii[unlinked], jj[unlinked]
+        is_positive = np.isin(pair_key(ii, jj, lst.node_count), split.positives)
+        for L in (5, 300):
+            reports = iter(sweep(
+                lst, "p", values, period=200.0, decay=params, methods=methods,
+                top_l=L, seed=5,
+            ))
+            cuts = []
+            for p in values:
+                decay = replace(params, p=p)
+                A = build_adjacency(
+                    split.train, snapshot_index(split.t_split, cfg), decay, cfg
+                )
+                D = degree_vector(A)
+                for method in methods:
+                    scores = score_matrix(A, D, method)[ii, jj]
+                    cuts.append(np.sort(scores)[-L])
+                    expected = lexsort_precision(ii, jj, scores, is_positive, L)
+                    assert next(reports).precision == expected, (L, p, method)
+            # each L-th score is above the next method's and above the same
+            # method's at the next value, so a cut carried over would drop
+            # cells of the next top L
+            pa_8, cn_8, ja_8, pa_05, cn_05, ja_05 = cuts
+            assert pa_8 > cn_8 > ja_8 and pa_05 > cn_05 > ja_05
+            assert pa_8 > pa_05 and cn_8 > cn_05 and ja_8 > ja_05
 
 
 def test_peak_memory_below_half_a_dense_matrix():

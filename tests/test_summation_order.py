@@ -244,12 +244,27 @@ def check_blocks(toy, params, rng):
         full = score_matrix(A, D, method, latent_params=params, cclp_mode=mode)
         # each block builds its operands itself, as evaluation does
         A.operands.clear()
-        parts = [
-            score_matrix(A, D, method, latent_params=params, cclp_mode=mode, rows=rows)
-            for rows in blocks
-        ]
+        for r0, r1 in blocks:
+            block = score_matrix(
+                A, D, method, latent_params=params, cclp_mode=mode, rows=(r0, r1)
+            )
+            assert np.array_equal(block, full[r0:r1, r0:]), (method, mode, r0, r1)
         A.operands.clear()
-        assert np.array_equal(np.vstack(parts), full), (method, mode)
+
+
+def test_block_is_the_upper_trapezoid_with_a_zero_diagonal():
+    A, D = stack(hub_graph(), DecayParams(p=3.0, q=1.0))
+    n = A.n
+    for method, mode in SCORINGS:
+        for r0, r1 in ((0, 1), (0, 7), (5, 40), (n - 3, n), (n, n)):
+            block = score_matrix(
+                A, D, method, latent_params=DecayParams(p=3.0, q=1.0),
+                cclp_mode=mode, rows=(r0, r1),
+            )
+            assert block.shape == (r1 - r0, n - r0)
+            # block cell (a, a) is pair (r0 + a, r0 + a)
+            assert np.all(np.diagonal(block) == 0), (method, mode, r0, r1)
+        A.operands.clear()
 
 
 def test_row_blocks_equal_whole_matrix_on_random_toys():
