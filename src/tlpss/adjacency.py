@@ -13,12 +13,18 @@ What depends only on which pairs are linked, not on their weights, is
 built once per train list and shared by every decay parameter set: the
 :class:`PairLayout` of the pairs, which builds on first use the
 :class:`LatentPlan` of the two-hop pass behind the latent weights.
+
+:func:`pool_map` runs kernels that release the GIL on one thread per CPU
+the process may use; the latent plan and :mod:`tlpss.scoring`'s products
+run their blocks and row parts on it.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,6 +49,36 @@ _CHUNK = 4_000_000
 # Terms sorted at once while a latent plan is built (whole rows per block).
 # Blocks of 2**20 terms left the sweep-q-hubs peak RSS about 40 MB higher.
 _BLOCK = 1 << 16
+
+
+def _workers() -> int:
+    """The CPUs in the process's affinity mask."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call, as on macOS
+        return os.cpu_count() or 1
+
+
+@cache
+def _executor(workers: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(workers, thread_name_prefix="tlpss")
+
+
+def pool_map(fn, items: list):
+    """``map(fn, items)`` with the calls spread over one thread per CPU the
+    process may use, from one pool per process; the results come in the
+    order of the items.  With one CPU, or one item, the calls run in the
+    calling thread.  For kernels that spend their time in native code that
+    releases the GIL (SciPy's sparsetools, numpy's gathers and
+    ``bincount``).
+    """
+    workers = _workers()
+    if workers == 1 or len(items) < 2:
+        return map(fn, items)
+    # Executor.map submits every call at once; when a call raises, or the
+    # caller stops waiting (a KeyboardInterrupt), it cancels the calls not
+    # started yet.
+    return _executor(workers).map(fn, items)
 
 
 class PairLayout:
@@ -241,7 +277,9 @@ class LatentPlan:
     diagonal or on an adjacent pair are dropped).  A cell's terms within a
     chunk are consecutive, so each block stores one cell index and one length
     per run instead of a cell per term: about 8 bytes per kept term and 8 per
-    run in all.
+    run in all.  The blocks are built, and their sums taken, on the threads
+    of :func:`pool_map`; the results are kept and added in block order, so
+    their bits do not depend on the number of threads.
     """
 
     def __init__(self, layout: PairLayout):
@@ -280,9 +318,9 @@ class LatentPlan:
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(cells // n, minlength=n), out=self.indptr[1:])
         self.indices = (cells % n).astype(np.int32)
-        # per block: both link positions of each kept term, and each run's
-        # cell and length
-        self.blocks: list[tuple[np.ndarray, ...]] = []
+        # each block's entries (x, z) of W and the cells [first, last) its
+        # rows own, in pass order
+        jobs = []
         for chunk in range(chunks):
             # Within a chunk, CSR row x holds N(z) for each centre z in N(x),
             # ascending z: the entries (x, z) of W that point into the chunk.
@@ -294,15 +332,21 @@ class LatentPlan:
             new_block = np.diff(row_offset // _BLOCK, prepend=-1)
             block_first = row_first[np.flatnonzero(new_block)]
             for lo, hi in zip(block_first, np.r_[block_first[1:], len(sel)]):
-                # the block's rows own cells[first:last]
                 first = self.indptr[entry_row[sel[lo]]]
                 last = self.indptr[entry_row[sel[hi - 1]] + 1]
-                if first == last:
-                    continue  # every term of these rows is dropped
-                pa, pb, cell, runs = _plan_block(
-                    sel[lo:hi], ptr, idx, entry_row, mirror, cells[first:last]
-                )
-                self.blocks.append((pa, pb, (cell + first).astype(np.int32), runs))
+                if first < last:  # else every term of these rows is dropped
+                    jobs.append((sel[lo:hi], first, last))
+
+        def block(job):
+            sel, first, last = job
+            pa, pb, cell, runs = _plan_block(
+                sel, ptr, idx, entry_row, mirror, cells[first:last]
+            )
+            return pa, pb, (cell + first).astype(np.int32), runs
+
+        # per block: both link positions of each kept term, and each run's
+        # cell and length
+        self.blocks: list[tuple[np.ndarray, ...]] = list(pool_map(block, jobs))
 
     def cell_sums(self, A: WeightedAdjacency) -> np.ndarray:
         """Each latent cell's sum of terms under ``A``'s weights, added in
@@ -310,19 +354,28 @@ class LatentPlan:
         wt = A.weight_csr.data
         mu = A.mult.astype(np.float64)
         sums = np.zeros(len(self.indices))
-        for pa, pb, cells, runs in self.blocks:
-            pa, pb = pa.astype(np.intp), pb.astype(np.intp)
-            value = wt[pa]
-            value += wt[pb]
-            denom = mu[pa]
-            denom += mu[pb]
-            value /= denom
-            # bincount adds each run's terms one after another; the blocks of
-            # a chunk hold disjoint cells, so each cell gains its chunk sums
-            # in chunk order
-            run_of_term = np.repeat(np.arange(len(cells)), runs)
-            sums[cells] += np.bincount(run_of_term, weights=value, minlength=len(cells))
+        # the blocks' run sums are added here in block order, whichever block
+        # finishes first; the blocks of a chunk hold disjoint cells, so each
+        # cell gains its chunk sums in chunk order
+        parts = pool_map(partial(_run_sums, wt, mu), self.blocks)
+        for (_, _, cells, _), part in zip(self.blocks, parts):
+            sums[cells] += part
         return sums
+
+
+def _run_sums(wt, mu, block):
+    """Each run's sum of terms in one plan block, under the link weights
+    ``wt`` and multiplicities ``mu``; ``bincount`` adds a run's terms one
+    after another."""
+    pa, pb, cells, runs = block
+    pa, pb = pa.astype(np.intp), pb.astype(np.intp)
+    value = wt[pa]
+    value += wt[pb]
+    denom = mu[pa]
+    denom += mu[pb]
+    value /= denom
+    run_of_term = np.repeat(np.arange(len(cells)), runs)
+    return np.bincount(run_of_term, weights=value, minlength=len(cells))
 
 
 def _plan_block(sel, ptr, idx, entry_row, mirror, cells):

@@ -10,18 +10,22 @@ edge weights.
 score matrix, or the upper trapezoid of a block of its consecutive rows
 (the rows' cells from the diagonal on), built from sparse matrix products
 over the adjacency, so that evaluation can walk the pairs i < j a block at
-a time.  The brute-force per-pair definitions live in :mod:`tlpss.oracle`,
-which the test suite checks it against.
+a time.  Each product is computed in row parts of at most ``_PART_CELLS``
+cells on one thread per CPU the process may use
+(:func:`~tlpss.adjacency.pool_map`); a cell's bits do not depend on the
+parts or the threads.  The brute-force per-pair definitions live in
+:mod:`tlpss.oracle`, which the test suite checks it against.
 """
 
 from __future__ import annotations
 
 import enum
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 
-from .adjacency import DegreeVector, WeightedAdjacency, latent_matrix
+from .adjacency import DegreeVector, WeightedAdjacency, latent_matrix, pool_map
 from .decay import DecayParams, ExpDecayParams
 from .errors import ConfigError
 
@@ -50,6 +54,13 @@ class MethodId(enum.Enum):
 
 
 ALL_METHODS = tuple(MethodId)
+
+# Cells, or terms, per row part of a dense product.  Memory a worker thread
+# frees stays in that thread's glibc arena, so parts must be small for it to
+# be reused: products cut in halves took the sweep-q-hubs peak RSS from 237
+# to 267 MB.  Each part also costs about 0.1 ms of Python, so parts are not
+# cut smaller than this.
+_PART_CELLS = 2**16
 
 
 def _triangle_mass(A: WeightedAdjacency) -> np.ndarray:
@@ -80,11 +91,42 @@ def _rows(X: sp.csr_matrix, r0: int, r1: int) -> sp.csr_matrix:
 
 
 def _product(X: sp.csr_matrix, Y: sp.csr_matrix, r0: int, r1: int) -> np.ndarray:
-    """Rows ``[r0, r1)`` and columns ``[r0, n)`` of the dense ``X @ Y``.
-    The CSR product adds each cell's terms in the order of ``X``'s row,
-    ascending shared index, and a row or column slice keeps that order, so
-    the cells have the bits of the whole product's."""
-    return (_rows(X, r0, r1) @ (Y[:, r0:] if r0 else Y)).toarray()
+    """Rows ``[r0, r1)`` and columns ``[r0, n)`` of the dense ``X @ Y``,
+    computed in row parts by :func:`_dense`.  The CSR product adds each
+    cell's terms in the order of ``X``'s row, ascending shared index, and a
+    row or column slice keeps that order, so the cells have the bits of the
+    whole product's."""
+    return _dense(_rows(X, r0, r1), Y[:, r0:] if r0 else Y)
+
+
+def _dense(X: sp.csr_matrix, Y: sp.csr_matrix) -> np.ndarray:
+    """The dense ``X @ Y``, computed in row parts on the threads of
+    :func:`~tlpss.adjacency.pool_map`.  A part is one row, or rows with at
+    most ``_PART_CELLS`` cells or at most ``_PART_CELLS`` terms, so the
+    sparse product SciPy builds for a part of several rows has at most
+    ``_PART_CELLS`` entries; a product with few terms gets few parts.  A
+    cell's terms are all in one row, so each cell has the bits of the whole
+    product's."""
+    rows, cols = X.shape[0], Y.shape[1]
+    per_part = max(1, _PART_CELLS // max(cols, 1))
+    # the product's terms before each row: an entry (i, k) of X has one
+    # term per entry of Y's row k
+    terms = np.r_[0, np.cumsum(np.diff(Y.indptr)[X.indices])][X.indptr]
+    bounds = [0]
+    while bounds[-1] < rows:
+        a = bounds[-1]
+        by_terms = int(np.searchsorted(terms, terms[a] + _PART_CELLS, side="right")) - 1
+        bounds.append(min(rows, max(a + per_part, by_terms, a + 1)))
+    out = np.zeros((rows, cols))
+    list(pool_map(partial(_dense_rows, X, Y, out), list(zip(bounds[:-1], bounds[1:]))))
+    return out
+
+
+def _dense_rows(X, Y, out, part):
+    """Rows ``[a, b)`` of the dense ``X @ Y`` for ``part = (a, b)``, written
+    to the same rows of ``out``."""
+    a, b = part
+    (_rows(X, a, b) @ Y).toarray(out=out[a:b])
 
 
 def _lcl_matrix(A: WeightedAdjacency) -> np.ndarray:
@@ -145,7 +187,7 @@ def score_matrix(
         a block that is not the whole matrix; its columns ``[r0, n)`` need
         only the rows ``[r0, n)`` of ``M``."""
         s = _product(M, P, r0, r1)
-        st = s.T if r1 - r0 == n else (_rows(P, r0, r1) @ _rows(M, r0, n).T).toarray()
+        st = s.T if r1 - r0 == n else _dense(_rows(P, r0, r1), _rows(M, r0, n).T.tocsr())
         # in place; numpy buffers st where it is a view of s
         s += st
         s *= 0.5

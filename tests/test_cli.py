@@ -2,6 +2,7 @@
 
 import json
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -193,6 +194,34 @@ class TestBadInputs:
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
         assert err.startswith("evaluation impossible: out of memory")
         assert not (out_dir / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "kernel",
+        ["tlpss.scoring._dense_rows", "tlpss.adjacency._plan_block", "tlpss.adjacency._run_sums"],
+    )
+    def test_out_of_memory_in_a_worker_thread_ends_in_exit_4(
+        self, dataset, tmp_path, capsys, monkeypatch, kernel
+    ):
+        threads = []
+
+        def no_memory(*args):
+            threads.append(threading.current_thread())
+            raise MemoryError("cannot hold a part")
+
+        # two workers, and several row parts and plan blocks to share out
+        monkeypatch.setattr("tlpss.adjacency._workers", lambda: 2)
+        monkeypatch.setattr("tlpss.adjacency._BLOCK", 16)
+        monkeypatch.setattr("tlpss.scoring._PART_CELLS", 64)
+        monkeypatch.setattr(kernel, no_memory)
+        out_dir = tmp_path / "run"
+        assert main([
+            "evaluate", "--dataset", str(dataset), "--period", "80", "--out-dir", str(out_dir)
+        ]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert err.startswith("evaluation impossible: out of memory")
+        assert not (out_dir / "report.json").exists()
+        assert threading.main_thread() not in threads
 
 
 class TestSweep:

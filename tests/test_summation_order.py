@@ -5,14 +5,21 @@ a change in summation order; such a change can still flip a tied AUC or
 precision comparison.  These tests pin ``_lcl_matrix`` and ``latent_matrix``
 bit for bit to straightforward per-link and gather-and-subtract loops, which
 add each cell's terms in the row-major link order the engine documents, and
-check that one latent plan gives those bits under every parameter set.
+check that one latent plan gives those bits under every parameter set, and
+that neither row blocks, row parts nor the number of worker threads changes
+a bit.
 """
+
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from tlpss import adjacency
+from tlpss import adjacency, scoring
 from tlpss.adjacency import build_adjacency, degree_vector, latent_matrix, pair_layout
 from tlpss.decay import DecayParams, ExpDecayParams, decay_floor
 from tlpss.edges import SnapshotConfig, TemporalEdgeList, normalize, snapshot_index
@@ -282,3 +289,138 @@ def test_row_blocks_equal_whole_matrix_on_random_toys():
 )
 def test_row_blocks_equal_whole_matrix_on_hub_graph(params):
     check_blocks(hub_graph(), params, np.random.default_rng(60000))
+
+
+def test_worker_count_changes_no_bit(monkeypatch):
+    # a plan of many chunks and blocks, and products of several row parts
+    monkeypatch.setattr(adjacency, "_CHUNK", 5_000)
+    monkeypatch.setattr(adjacency, "_BLOCK", 256)
+    params = DecayParams(p=3.0, q=1.0)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # threads take turns often
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(adjacency, "_workers", lambda: workers)
+            A, D = stack(hub_graph(), params)
+            got = [latent_matrix(A, params)]
+            for method, mode in SCORINGS:
+                for rows in (None, (0, 1), (0, 250), (250, A.n)):
+                    got.append(
+                        score_matrix(
+                            A, D, method, latent_params=params, cclp_mode=mode, rows=rows
+                        )
+                    )
+                A.operands.clear()
+            results.append(got)
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results[1:]:
+        assert_same_csr(got[0], results[0][0])
+        assert all(np.array_equal(a, b) for a, b in zip(got[1:], results[0][1:]))
+
+
+def test_block_sums_are_added_in_block_order(monkeypatch):
+    """The plan's first block finishes after all the others, and its sums
+    are still added first."""
+    monkeypatch.setattr(adjacency, "_CHUNK", 5_000)
+    monkeypatch.setattr(adjacency, "_BLOCK", 256)
+    monkeypatch.setattr(adjacency, "_workers", lambda: 3)
+    params = DecayParams(p=3.0, q=1.0)
+    A, _ = stack(hub_graph(), params)
+    plan = A.layout.latent_plan
+    # the first block's cells take sums from other chunks too
+    first_cells = plan.blocks[0][2]
+    later = np.concatenate([b[2] for b in plan.blocks[1:]])
+    assert np.isin(first_cells, later).sum() > 50
+    run_sums = adjacency._run_sums
+    others = threading.Semaphore(0)
+
+    def first_finishes_last(wt, mu, block):
+        if block is plan.blocks[0]:
+            for _ in plan.blocks[1:]:
+                assert others.acquire(timeout=30)
+        else:
+            others.release()
+        return run_sums(wt, mu, block)
+
+    monkeypatch.setattr(adjacency, "_run_sums", first_finishes_last)
+    assert_same_csr(latent_matrix(A, params), loop_latent(A, params, chunk=5_000))
+
+
+def dense_in_parts(monkeypatch, X, Y, part_cells):
+    """``scoring._dense(X, Y)`` on 3 threads with parts of at most
+    ``part_cells`` cells or terms, checked against the one-call product;
+    returns the row ranges of its parts, which must cover the rows once
+    each."""
+    monkeypatch.setattr(scoring, "_PART_CELLS", part_cells)
+    monkeypatch.setattr(adjacency, "_workers", lambda: 3)
+    parts = []
+    dense_rows = scoring._dense_rows
+
+    def record(X, Y, out, part):
+        parts.append(tuple(int(r) for r in part))
+        dense_rows(X, Y, out, part)
+
+    monkeypatch.setattr(scoring, "_dense_rows", record)
+    got = scoring._dense(X, Y)
+    assert np.array_equal(got, (X @ Y).toarray())
+    parts.sort()
+    bounds = [0] + [b for _, b in parts]
+    assert [a for a, _ in parts] == bounds[:-1] and bounds[-1] == X.shape[0]
+    row_terms = (X != 0).astype(np.int64) @ np.diff(Y.indptr)
+    for a, b in parts:
+        assert a < b
+        cells, terms = (b - a) * Y.shape[1], row_terms[a:b].sum()
+        assert min(cells, terms) <= part_cells or b - a == 1
+    return parts
+
+
+def random_csr(rng, rows, cols, density):
+    m = sp.random(rows, cols, density=density, random_state=rng, format="csr")
+    m.data = rng.random(m.nnz) * 10 ** rng.uniform(-3, 3, m.nnz)
+    return m
+
+
+def test_row_parts_equal_one_product(monkeypatch):
+    rng = np.random.default_rng(61000)
+    # few terms per cell: the terms bound cuts parts of several rows, and a
+    # hub row with every entry is a part of its own
+    Y = random_csr(rng, 30, 400, 0.02)
+    X = random_csr(rng, 40, 30, 0.1).tolil()
+    X[9, :] = rng.random(30) + 0.5
+    parts = dense_in_parts(monkeypatch, X.tocsr(), Y, 100)
+    assert (9, 10) in parts and len(parts) < 30
+    # many terms per cell: the cells bound cuts parts of 5 rows, across
+    # empty rows (the first and last among them)
+    Y = random_csr(rng, 30, 50, 0.5)
+    X = random_csr(rng, 40, 30, 0.3).tolil()
+    for r in (0, 1, 2, 17, 18, 39):
+        X[r, :] = 0
+    X = X.tocsr()
+    X.eliminate_zeros()
+    assert len(dense_in_parts(monkeypatch, X, Y, 5 * 50)) == 8
+    # a one-row block
+    assert dense_in_parts(monkeypatch, random_csr(rng, 1, 30, 0.5), Y, 50) == [(0, 1)]
+    # no entries, so no terms: one part
+    assert dense_in_parts(monkeypatch, sp.csr_matrix((12, 30)), Y, 50) == [(0, 12)]
+    # more parts than rows would hold: one row per part
+    X = random_csr(rng, 9, 30, 0.3)
+    assert dense_in_parts(monkeypatch, X, Y, 1) == [(r, r + 1) for r in range(9)]
+
+
+def test_interrupt_cancels_the_parts_not_started(monkeypatch):
+    monkeypatch.setattr(adjacency, "_workers", lambda: 2)
+    started = []
+
+    def part(k):
+        started.append(k)
+        if k == 0:
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        time.sleep(0.01)
+
+    with pytest.raises(KeyboardInterrupt):
+        list(adjacency.pool_map(part, list(range(200))))
+    time.sleep(0.1)  # the parts already running end
+    assert len(started) < 50
+
