@@ -13,8 +13,22 @@ over the adjacency, so that evaluation can walk the pairs i < j a block at
 a time.  Each product is computed in row parts of at most ``_PART_CELLS``
 cells on one thread per CPU the process may use
 (:func:`~tlpss.adjacency.pool_map`); a cell's bits do not depend on the
-parts or the threads.  The brute-force per-pair definitions live in
-:mod:`tlpss.oracle`, which the test suite checks it against.
+parts or the threads.
+
+A product whose right factor is the 0/1 adjacency indicator ``P`` (every
+score but PA's and the link-triangle factor of CAR and global CCLP) takes
+one of two routes, chosen per block by counting work in its input.  The
+sparse route is SciPy's sparse x sparse product; its cost is its terms,
+one per entry of the block's rows of the left operand and entry of ``P``'s
+matching row.  The dense-operand route makes a few rows of the left
+operand dense at a time and multiplies them by rows of ``P`` with SciPy's
+CSR x dense kernel; its cost is its multiply-adds and the cells it makes
+dense.  A near-dense operand, TLPSS's on a hub-heavy graph, does about as
+many multiply-adds as terms, but as contiguous ones, and the route is
+taken where its cost is at most ``_DENSE_RATIO`` times the terms.  Both
+routes add each cell's terms in ascending shared index, so they give the
+same bits.  The brute-force per-pair definitions live in
+:mod:`tlpss.oracle`, which the test suite checks the engine against.
 """
 
 from __future__ import annotations
@@ -62,6 +76,19 @@ ALL_METHODS = tuple(MethodId)
 # cut smaller than this.
 _PART_CELLS = 2**16
 
+# A product by the indicator takes the dense-operand route when its
+# multiply-adds and dense cells are at most this many times the sparse
+# product's terms.  Measured per block on one thread on the seed-0 inputs
+# (2-vCPU host), as that ratio, dense route against sparse route:
+# sweep-q-hubs TLPSS at q=1, ratio 1.04 (madds/terms 1.03): 0.080 s against
+# 0.431 s; eval-all-4k TLPSS, five blocks of ratio 1.2 to 3.6 (3.3 for the
+# first): 0.62 s against 1.28 s; sweep-q-hubs CN, or TLPSS at q=0, ratio
+# 11.6: 0.068 s against 0.092 s; eval-all-4k CN, five blocks of ratio 23.6
+# to 69 (62 on average): 0.50 s against 0.15 s, its block of ratio 23.6
+# alone 0.072 s against 0.024 s.  The dense route wins up to 11.6 and loses
+# from 23.6, so the cut lies between the two.
+_DENSE_RATIO = 16
+
 
 def _triangle_mass(A: WeightedAdjacency) -> np.ndarray:
     """Per-node total decayed weight of links among the node's neighbors."""
@@ -99,6 +126,71 @@ def _product(X: sp.csr_matrix, Y: sp.csr_matrix, r0: int, r1: int) -> np.ndarray
     return _dense(_rows(X, r0, r1), Y[:, r0:] if r0 else Y)
 
 
+def _by_indicator(
+    M: sp.csr_matrix, P: sp.csr_matrix, r0: int, r1: int
+) -> tuple[np.ndarray, bool]:
+    """Rows ``[r0, r1)`` and columns ``[r0, n)`` of the dense ``M @ P``
+    for the 0/1 indicator ``P`` of a symmetric adjacency, and whether the
+    dense-operand route computed them.  That route takes ``P[:, C]`` as the
+    rows ``P[C]`` and computes ``M[R] @ P[:, C]`` as ``(P[C] @ Z).T`` for
+    ``Z`` the rows ``R`` of ``M`` made dense and transposed
+    (:func:`_operand_parts`); otherwise :func:`_product` computes the
+    block.  Both give the cells the same bits."""
+    if _dense_route(M, P, r0, r1):
+        out = np.empty((r1 - r0, P.shape[0] - r0))
+        _operand_parts(M, _rows(P, r0, P.shape[0]), r0, r1 - r0, out, add=False)
+        return out, True
+    return _product(M, P, r0, r1), False
+
+
+def _dense_route(M: sp.csr_matrix, P: sp.csr_matrix, r0: int, r1: int) -> bool:
+    """Whether rows ``[r0, r1)`` of ``M @ P`` cost less by the dense-operand
+    route than by SciPy's sparse product, counted in the input: the route's
+    multiply-adds and the cells it makes dense against the sparse product's
+    terms.  It also requires what keeps its bits: ``M`` and ``P`` in
+    canonical form (sorted indices, no duplicates) and ``P`` all ones."""
+    n = P.shape[0]
+    ptr = M.indptr
+    # an entry of M's rows in column k has one term per entry of P's row k
+    terms = int(np.bincount(M.indices[ptr[r0] : ptr[r1]], minlength=n) @ np.diff(P.indptr))
+    cost = (int(P.indptr[n] - P.indptr[r0]) + n) * (r1 - r0)
+    return (
+        cost <= _DENSE_RATIO * terms
+        and M.has_canonical_format
+        and P.has_canonical_format
+        and bool(np.all(P.data == 1.0))
+    )
+
+
+def _operand_parts(M, Q, r0, rows, out, add):
+    """Fill ``out`` from the rows ``[r0, r0 + rows)`` of ``M``, made dense
+    and transposed a few at a time, each part ``Z`` multiplied by SciPy's
+    CSR x dense kernel on the threads of :func:`~tlpss.adjacency.pool_map`:
+    part ``[a, b)`` writes ``(Q @ Z).T`` to ``out[a:b]``, or with ``add``
+    adds ``Q @ Z`` to ``out[:, a:b]``.  A part's ``Z`` has at most
+    ``_PART_CELLS`` cells, or one row of ``M``."""
+    width = max(1, _PART_CELLS // max(M.shape[1], 1))
+    parts = [(a, min(rows, a + width)) for a in range(0, rows, width)]
+    list(pool_map(partial(_operand_rows, M, Q, r0, out, add), parts))
+
+
+def _operand_rows(M, Q, r0, out, add, part):
+    """One part of :func:`_operand_parts`.  Row i of ``Q @ Z`` adds
+    ``Q[i, k] * Z[k]`` to zeros for each entry k of ``Q``'s row i in
+    ascending order.  With ``Q`` all ones, ``1.0 * M[c, k]`` is exact (with
+    or without a fused multiply-add), so cell (i, c) adds the sparse
+    product's terms in its order, ascending shared index, and between them
+    an exact ``+0.0`` for each k where ``M[c, k]`` is not stored, which
+    leaves a sum begun at ``+0.0`` unchanged: the cell has the sparse
+    product's bits."""
+    a, b = part
+    Z = np.ascontiguousarray(_rows(M, r0 + a, r0 + b).toarray().T)
+    if add:
+        out[:, a:b] += Q @ Z
+    else:
+        out[a:b] = (Q @ Z).T
+
+
 def _dense(X: sp.csr_matrix, Y: sp.csr_matrix) -> np.ndarray:
     """The dense ``X @ Y``, computed in row parts on the threads of
     :func:`~tlpss.adjacency.pool_map`.  A part is one row, or rows with at
@@ -117,7 +209,8 @@ def _dense(X: sp.csr_matrix, Y: sp.csr_matrix) -> np.ndarray:
         a = bounds[-1]
         by_terms = int(np.searchsorted(terms, terms[a] + _PART_CELLS, side="right")) - 1
         bounds.append(min(rows, max(a + per_part, by_terms, a + 1)))
-    out = np.zeros((rows, cols))
+    # toarray(out=) zeroes each part's rows before writing them
+    out = np.empty((rows, cols))
     list(pool_map(partial(_dense_rows, X, Y, out), list(zip(bounds[:-1], bounds[1:]))))
     return out
 
@@ -185,11 +278,16 @@ def score_matrix(
         ``P @ M.T`` adds the terms of column i of ``s`` in the same order,
         ascending shared index, so it stands in for the transposed half of
         a block that is not the whole matrix; its columns ``[r0, n)`` need
-        only the rows ``[r0, n)`` of ``M``."""
-        s = _product(M, P, r0, r1)
-        st = s.T if r1 - r0 == n else _dense(_rows(P, r0, r1), _rows(M, r0, n).T.tocsr())
-        # in place; numpy buffers st where it is a view of s
-        s += st
+        only the rows ``[r0, n)`` of ``M``.  The half takes the route ``s``
+        took, and the dense-operand route adds it to ``s`` part by part."""
+        s, dense = _by_indicator(M, P, r0, r1)
+        if r1 - r0 == n:
+            # in place; numpy buffers s.T, a view of s
+            s += s.T
+        elif dense:
+            _operand_parts(M, _rows(P, r0, r1), r0, n - r0, s, add=True)
+        else:
+            s += _dense(_rows(P, r0, r1), _rows(M, r0, n).T.tocsr())
         s *= 0.5
         return s
 
@@ -211,7 +309,7 @@ def score_matrix(
         out = np.outer(w[r0:r1], w[r0:])
     elif method is MethodId.RA_ASF:
         L = _operand(A, D, method, lambda: P @ sp.diags(inv(w)))
-        out = _product(L, P, r0, r1)
+        out = _by_indicator(L, P, r0, r1)[0]
     elif method is MethodId.CAR_ASF:
         incidence = _operand(A, D, "lcl", lambda: _lcl_incidence(A))
         out = symmetric(W)
@@ -222,11 +320,11 @@ def score_matrix(
                 A, D, method,
                 lambda: P @ sp.diags(_triangle_mass(A) * inv(cap())),
             )
-            out = _product(L, P, r0, r1)
+            out = _by_indicator(L, P, r0, r1)[0]
         elif cclp_mode == "global":
             L = _operand(A, D, (method, "global"), lambda: P @ sp.diags(inv(cap())))
             incidence = _operand(A, D, "lcl", lambda: _lcl_incidence(A))
-            out = _product(L, P, r0, r1)
+            out = _by_indicator(L, P, r0, r1)[0]
             out *= _product(*incidence, r0, r1)
         else:
             raise ConfigError(f"unknown cclp mode {cclp_mode!r}")

@@ -87,6 +87,40 @@ class TestEvaluate:
         assert main(args) == 0
         assert (out_dir / "report.json").read_bytes() == first
 
+    def test_each_scoring_route_gives_the_same_bytes(self, dataset, tmp_path, monkeypatch):
+        from tlpss import scoring
+
+        operand_parts = scoring._operand_parts
+        out_dir = tmp_path / "run"
+        artifacts = []
+        # the sparse route everywhere, then the dense-operand route wherever
+        # its operands allow it
+        for ratio in (0, 10**12):
+            monkeypatch.setattr(scoring, "_DENSE_RATIO", ratio)
+            calls = []
+            monkeypatch.setattr(
+                scoring, "_operand_parts",
+                lambda *a, **k: calls.append(1) or operand_parts(*a, **k),
+            )
+            assert main([
+                "evaluate", "--dataset", str(dataset), "--period", "80",
+                "--out-dir", str(out_dir / "evaluate"), "--format", "csv",
+            ]) == 0
+            assert main([
+                "sweep", "--dataset", str(dataset), "--period", "80", "--param", "q",
+                "--range", "0:2:1", "--method", "tlpss", "--method", "cn",
+                "--out-dir", str(out_dir / "sweep"),
+            ]) == 0
+            assert bool(calls) == bool(ratio)
+            artifacts.append([
+                (out_dir / name).read_bytes()
+                for name in (
+                    "evaluate/report.json", "evaluate/results.csv",
+                    "sweep/sweep.csv", "sweep/sweep_reports.json",
+                )
+            ])
+        assert artifacts[0] == artifacts[1]
+
     def test_config_file_with_flag_override(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -197,7 +231,12 @@ class TestBadInputs:
 
     @pytest.mark.parametrize(
         "kernel",
-        ["tlpss.scoring._dense_rows", "tlpss.adjacency._plan_block", "tlpss.adjacency._run_sums"],
+        [
+            "tlpss.scoring._dense_rows",
+            "tlpss.scoring._operand_rows",
+            "tlpss.adjacency._plan_block",
+            "tlpss.adjacency._run_sums",
+        ],
     )
     def test_out_of_memory_in_a_worker_thread_ends_in_exit_4(
         self, dataset, tmp_path, capsys, monkeypatch, kernel

@@ -201,11 +201,13 @@ class TestScoreAll:
     """Scoring every pair at once with score_matrix."""
 
     def test_empty_pairs(self):
-        """A graph without edges gives every pair a score of 0."""
-        A = WeightedAdjacency.from_pair_weights(5, {})
-        for method in ALL_METHODS:
-            m = scores(A, method)
-            assert m.shape == (5, 5) and not m.any(), method
+        """A graph without edges gives every pair a score of 0, also one
+        without nodes."""
+        for n in (5, 0):
+            A = WeightedAdjacency.from_pair_weights(n, {})
+            for method in ALL_METHODS:
+                m = scores(A, method)
+                assert m.shape == (n, n) and not m.any(), method
 
     def test_single_pair_equals_direct_call(self):
         """One cell of the matrix equals a direct per-pair oracle call."""

@@ -6,8 +6,8 @@ precision comparison.  These tests pin ``_lcl_matrix`` and ``latent_matrix``
 bit for bit to straightforward per-link and gather-and-subtract loops, which
 add each cell's terms in the row-major link order the engine documents, and
 check that one latent plan gives those bits under every parameter set, and
-that neither row blocks, row parts nor the number of worker threads changes
-a bit.
+that neither row blocks, row parts, the number of worker threads nor the
+route a product by the adjacency indicator takes changes a bit.
 """
 
 import signal
@@ -424,3 +424,112 @@ def test_interrupt_cancels_the_parts_not_started(monkeypatch):
     time.sleep(0.1)  # the parts already running end
     assert len(started) < 50
 
+
+def random_indicator(rng, n, density):
+    """0/1 indicator of a random symmetric adjacency without loops, in
+    canonical form."""
+    upper = sp.triu(sp.random(n, n, density=density, random_state=rng), k=1)
+    P = (upper + upper.T).tocsr()
+    P.data[:] = 1.0
+    P.sort_indices()
+    return P
+
+
+def operand_with_empty_rows(rng, n, empty):
+    """A random sparse operand with sorted indices whose ``empty`` rows
+    have no entries."""
+    M = random_csr(rng, n, n, 0.5).tolil()
+    for r in empty:
+        M[r, :] = 0
+    M = M.tocsr()
+    M.eliminate_zeros()
+    M.sort_indices()
+    return M
+
+
+def reversed_rows(X):
+    """``X`` with each row's entries stored in descending column order."""
+    ptr = X.indptr
+    order = np.concatenate(
+        [np.arange(ptr[r + 1] - 1, ptr[r] - 1, -1) for r in range(X.shape[0])]
+    )
+    return sp.csr_matrix((X.data[order], X.indices[order], ptr.copy()), shape=X.shape)
+
+
+def by_indicator(monkeypatch, M, P, r0, r1, dense):
+    """``scoring._by_indicator`` with the route forced by the ratio."""
+    monkeypatch.setattr(scoring, "_DENSE_RATIO", 10**12 if dense else 0)
+    return scoring._by_indicator(M, P, r0, r1)
+
+
+def test_dense_operand_route_equals_sparse_route(monkeypatch):
+    rng = np.random.default_rng(62000)
+    n = 60
+    P = random_indicator(rng, n, 0.3)
+    M = operand_with_empty_rows(rng, n, (0, 7, 30, n - 1))
+    whole = (M @ P).toarray()
+    # each cell adds several terms, and their order shows in the bits
+    assert not np.array_equal((reversed_rows(M) @ P).toarray(), whole)
+    blocks = [(0, n), (0, 1), (0, 7), (5, 31), (30, 31), (n - 6, n), (n - 1, n)]
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(adjacency, "_workers", lambda: workers)
+        for width in (1, 2, n):
+            monkeypatch.setattr(scoring, "_PART_CELLS", width * n)
+            for r0, r1 in blocks:
+                got, dense = by_indicator(monkeypatch, M, P, r0, r1, dense=True)
+                ref, sparse = by_indicator(monkeypatch, M, P, r0, r1, dense=False)
+                # a block without entries has no terms, and stays sparse
+                assert dense == (M.indptr[r1] > M.indptr[r0]) and not sparse
+                assert np.array_equal(got, ref), (workers, width, r0, r1)
+                assert np.array_equal(got, whole[r0:r1, r0:]), (workers, width, r0, r1)
+                # the transposed half, P[R] @ M[C].T, added to zeros
+                half = np.zeros((r1 - r0, n - r0))
+                scoring._operand_parts(M, scoring._rows(P, r0, r1), r0, n - r0, half, add=True)
+                sparse_half = scoring._dense(
+                    scoring._rows(P, r0, r1), scoring._rows(M, r0, n).T.tocsr()
+                )
+                assert np.array_equal(half, sparse_half), (workers, width, r0, r1)
+                assert np.array_equal(half, whole.T[r0:r1, r0:]), (workers, width, r0, r1)
+
+
+def test_dense_operand_route_needs_sorted_operand_and_indicator(monkeypatch):
+    rng = np.random.default_rng(63000)
+    n = 60
+    P = random_indicator(rng, n, 0.3)
+    M = operand_with_empty_rows(rng, n, (3,))
+    # the sparse product adds each cell's terms in the operand's stored
+    # order, here descending
+    unsorted = reversed_rows(M)
+    ref = (unsorted @ P).toarray()
+    assert not np.array_equal(ref, (M @ P).toarray())
+    weighted = P.copy()
+    weighted.data = rng.random(P.nnz) + 0.5
+    for r0, r1 in ((0, n), (0, 9), (20, n)):
+        got, dense = by_indicator(monkeypatch, unsorted, P, r0, r1, dense=True)
+        assert not dense and np.array_equal(got, ref[r0:r1, r0:])
+        # a right factor that is not all ones
+        got, dense = by_indicator(monkeypatch, M, weighted, r0, r1, dense=True)
+        assert not dense and np.array_equal(got, (M @ weighted).toarray()[r0:r1, r0:])
+
+
+def test_scoring_routes_give_the_same_matrices(monkeypatch):
+    params = DecayParams(p=3.0, q=1.0)
+    A, D = stack(hub_graph(), params)
+    operand_parts = scoring._operand_parts
+    results = []
+    for ratio in (0, 10**12):
+        monkeypatch.setattr(scoring, "_DENSE_RATIO", ratio)
+        calls = []
+        monkeypatch.setattr(
+            scoring, "_operand_parts", lambda *a, **k: calls.append(1) or operand_parts(*a, **k)
+        )
+        got = []
+        for method, mode in SCORINGS:
+            for rows in (None, (0, 1), (0, 250), (250, A.n)):
+                got.append(
+                    score_matrix(A, D, method, latent_params=params, cclp_mode=mode, rows=rows)
+                )
+            A.operands.clear()
+        assert bool(calls) == bool(ratio)
+        results.append(got)
+    assert all(np.array_equal(a, b) for a, b in zip(*results))
