@@ -81,7 +81,9 @@ def asf_array(x: np.ndarray, params: DecayParams) -> np.ndarray:
     saturates at the lower bound once the sigmoid term underflows; use
     :func:`asf_log_margin` when the distance to the floor matters.
     """
-    t = params.a - _elapsed(x) / params.p
+    # a subnormal p overflows x / p to inf, the exact limit: the floor
+    with np.errstate(over="ignore"):
+        t = params.a - _elapsed(x) / params.p
     # branch on sign so no exp() argument is ever positive: no overflow
     out = np.empty_like(t)
     pos = t >= 0
@@ -105,7 +107,8 @@ def asf_log_margin(x: np.ndarray, params: DecayParams) -> np.ndarray:
     positivity of the margin can be checked where :func:`asf_array`
     saturates.
     """
-    t = params.a - _elapsed(x) / params.p
+    with np.errstate(over="ignore"):  # as in asf_array
+        t = params.a - _elapsed(x) / params.p
     return -np.logaddexp(0.0, -t) - math.log1p(params.q)
 
 

@@ -251,21 +251,25 @@ def _precision_from_arrays(
     return float(hits / L)
 
 
-def _top_cells(flat: np.ndarray, L: int) -> np.ndarray:
-    """Indices of the top L cells of a block by descending score, ties at
-    the cut taken in ascending index (key) order.  Scores are >= 0 and cells
-    set to -inf are not candidates; a block with fewer than L candidates
-    gives all of them."""
-    # the cut is sought among the positive scores, as in
-    # _precision_from_arrays; with fewer than L of them it is 0
-    pool = flat[flat > 0]
-    cut = 0.0
-    if len(pool) >= L > 0:
+def _top_cells(flat: np.ndarray, L: int, floor: float) -> np.ndarray:
+    """Indices of the top L cells above ``floor`` by descending score, ties
+    at the cut taken in ascending index (key) order; with fewer than L
+    cells above the floor, all of them.  Scores are >= 0 and cells set to
+    -inf are not candidates."""
+    # the cut is sought among the positive scores above the floor, as in
+    # _precision_from_arrays; with fewer than L of them all are taken, and
+    # below a negative floor the first cells of score 0 fill the top
+    cut = max(floor, 0.0)
+    above = flat > cut
+    pool = flat[above]
+    if len(pool) >= L:
         pool.partition(len(pool) - L)
         cut = pool[len(pool) - L]
-    above = np.flatnonzero(flat > cut)
-    tied = np.flatnonzero(flat == cut)[: max(L - len(above), 0)]
-    return np.concatenate([above, tied])
+    elif cut == floor:
+        return np.flatnonzero(above)
+    best = np.flatnonzero(flat >= cut)
+    # the cells above the cut, then the first of those at it
+    return best[np.argsort(flat[best] == cut, kind="stable")[:L]]
 
 
 def _top_merge(keys, scores, more_keys, more_scores, L: int):
@@ -378,13 +382,11 @@ def _run(
                 block[:, :h][np.tri(h, dtype=bool)] = -np.inf
                 lo, hi = train_at[b : b + 2]
                 flat[train_off[lo:hi]] = -np.inf
-                if len(top_keys) < top_l:
-                    best = _top_cells(flat, top_l)
-                else:
-                    # a cell that ties the L-th score held has a larger key
-                    # than every held cell, so only cells above it can enter
-                    best = np.flatnonzero(flat > top_scores[-1])
-                    best = best[_top_cells(flat[best], top_l)]
+                # once the top holds L cells, a cell that ties its L-th
+                # score has a larger key than every held cell, so only cells
+                # above it can enter; before that, every candidate can
+                floor = top_scores[-1] if len(top_keys) == top_l else -np.inf
+                best = _top_cells(flat, top_l, floor)
                 a, c = np.divmod(best, n - r0)
                 top_keys, top_scores = _top_merge(
                     top_keys, top_scores, (a + r0) * n + c + r0, flat[best], top_l

@@ -10,10 +10,13 @@ edge weights.
 score matrix, or the upper trapezoid of a block of its consecutive rows
 (the rows' cells from the diagonal on), built from sparse matrix products
 over the adjacency, so that evaluation can walk the pairs i < j a block at
-a time.  Each product is computed in row parts of at most ``_PART_CELLS``
-cells on one thread per CPU the process may use
-(:func:`~tlpss.adjacency.pool_map`); a cell's bits do not depend on the
-parts or the threads.
+a time.  Every product is a block of rows by columns of one primitive,
+:func:`_block`, computed in row parts of at most ``_PART_CELLS`` cells on
+one thread per CPU the process may use (:func:`~tlpss.adjacency.pool_map`);
+a cell's bits do not depend on the parts or the threads.  A symmetric
+score's block ``s`` of ``M @ P`` gets its transposed half as the same
+product over the swapped ranges, rows ``[r0, n)`` by columns ``[r0, r1)``,
+added into ``s.T``.
 
 A product whose right factor is the 0/1 adjacency indicator ``P`` (every
 score but PA's and the link-triangle factor of CAR and global CCLP) takes
@@ -104,7 +107,7 @@ def _lcl_incidence(A: WeightedAdjacency) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     # cell's links in that order
     links = sp.triu(A.weight_csr, k=1).tocoo()
     Q = P[links.row].multiply(P[links.col])
-    return Q.T.tocsr(), (sp.diags(links.data) @ Q).tocsr()
+    return Q.tocsc().T, (sp.diags(links.data) @ Q).tocsr()
 
 
 def _rows(X: sp.csr_matrix, r0: int, r1: int) -> sp.csr_matrix:
@@ -115,32 +118,6 @@ def _rows(X: sp.csr_matrix, r0: int, r1: int) -> sp.csr_matrix:
         (X.data[ptr[r0] : ptr[r1]], X.indices[ptr[r0] : ptr[r1]], ptr[r0 : r1 + 1] - ptr[r0]),
         shape=(r1 - r0, X.shape[1]),
     )
-
-
-def _product(X: sp.csr_matrix, Y: sp.csr_matrix, r0: int, r1: int) -> np.ndarray:
-    """Rows ``[r0, r1)`` and columns ``[r0, n)`` of the dense ``X @ Y``,
-    computed in row parts by :func:`_dense`.  The CSR product adds each
-    cell's terms in the order of ``X``'s row, ascending shared index, and a
-    row or column slice keeps that order, so the cells have the bits of the
-    whole product's."""
-    return _dense(_rows(X, r0, r1), Y[:, r0:] if r0 else Y)
-
-
-def _by_indicator(
-    M: sp.csr_matrix, P: sp.csr_matrix, r0: int, r1: int
-) -> tuple[np.ndarray, bool]:
-    """Rows ``[r0, r1)`` and columns ``[r0, n)`` of the dense ``M @ P``
-    for the 0/1 indicator ``P`` of a symmetric adjacency, and whether the
-    dense-operand route computed them.  That route takes ``P[:, C]`` as the
-    rows ``P[C]`` and computes ``M[R] @ P[:, C]`` as ``(P[C] @ Z).T`` for
-    ``Z`` the rows ``R`` of ``M`` made dense and transposed
-    (:func:`_operand_parts`); otherwise :func:`_product` computes the
-    block.  Both give the cells the same bits."""
-    if _dense_route(M, P, r0, r1):
-        out = np.empty((r1 - r0, P.shape[0] - r0))
-        _operand_parts(M, _rows(P, r0, P.shape[0]), r0, r1 - r0, out, add=False)
-        return out, True
-    return _product(M, P, r0, r1), False
 
 
 def _dense_route(M: sp.csr_matrix, P: sp.csr_matrix, r0: int, r1: int) -> bool:
@@ -162,73 +139,77 @@ def _dense_route(M: sp.csr_matrix, P: sp.csr_matrix, r0: int, r1: int) -> bool:
     )
 
 
-def _operand_parts(M, Q, r0, rows, out, add):
-    """Fill ``out`` from the rows ``[r0, r0 + rows)`` of ``M``, made dense
-    and transposed a few at a time, each part ``Z`` multiplied by SciPy's
-    CSR x dense kernel on the threads of :func:`~tlpss.adjacency.pool_map`:
-    part ``[a, b)`` writes ``(Q @ Z).T`` to ``out[a:b]``, or with ``add``
-    adds ``Q @ Z`` to ``out[:, a:b]``.  A part's ``Z`` has at most
-    ``_PART_CELLS`` cells, or one row of ``M``."""
-    width = max(1, _PART_CELLS // max(M.shape[1], 1))
-    parts = [(a, min(rows, a + width)) for a in range(0, rows, width)]
-    list(pool_map(partial(_operand_rows, M, Q, r0, out, add), parts))
+def _block(M, Y, rows, cols, dense=False, add_to=None):
+    """Rows ``[r0, r1)`` by columns ``[c0, c1)`` of the dense ``M @ Y``, or
+    with ``add_to`` that block added into the view ``add_to``, in row parts
+    on the threads of :func:`~tlpss.adjacency.pool_map`.  The sparse route
+    (:func:`_sparse_rows`) cuts a part at one row, or at most
+    ``_PART_CELLS`` cells or terms, so SciPy's product for a part of several
+    rows has at most ``_PART_CELLS`` entries; it adds each cell's terms in
+    the order of ``M``'s row, which a row or column slice keeps, so the
+    cells have the whole product's bits.  The ``dense`` route
+    (:func:`_dense_rows`) cuts a part at one row of ``M``, or at most
+    ``_PART_CELLS`` cells of it made dense, and takes ``Y[:, C]`` as the
+    rows ``Y[C]`` of a symmetric ``Y``."""
+    (r0, r1), (c0, c1) = rows, cols
+    out = np.empty((r1 - r0, c1 - c0)) if add_to is None else add_to
+    add = add_to is not None
+    terms = None
+    if dense:
+        kernel = partial(_dense_rows, M, r0, _rows(Y, c0, c1), out, add)
+        width = max(1, _PART_CELLS // max(M.shape[1], 1))
+    else:
+        X = _rows(M, r0, r1)
+        if (c0, c1) != (0, Y.shape[1]):
+            Y = Y[:, c0:c1]
+        kernel = partial(_sparse_rows, X, Y, out, add)
+        width = max(1, _PART_CELLS // max(c1 - c0, 1))
+        # the product's terms before each row: an entry (i, k) of X has one
+        # term per entry of Y's row k
+        terms = np.r_[0, np.cumsum(np.diff(Y.indptr)[X.indices])][X.indptr]
+    bounds = [0]
+    while bounds[-1] < r1 - r0:
+        a = bounds[-1]
+        b = a + width
+        if terms is not None:
+            b = max(b, int(np.searchsorted(terms, terms[a] + _PART_CELLS, side="right")) - 1)
+        bounds.append(min(r1 - r0, b))
+    list(pool_map(kernel, list(zip(bounds[:-1], bounds[1:]))))
+    return out
 
 
-def _operand_rows(M, Q, r0, out, add, part):
-    """One part of :func:`_operand_parts`.  Row i of ``Q @ Z`` adds
-    ``Q[i, k] * Z[k]`` to zeros for each entry k of ``Q``'s row i in
-    ascending order.  With ``Q`` all ones, ``1.0 * M[c, k]`` is exact (with
-    or without a fused multiply-add), so cell (i, c) adds the sparse
-    product's terms in its order, ascending shared index, and between them
-    an exact ``+0.0`` for each k where ``M[c, k]`` is not stored, which
-    leaves a sum begun at ``+0.0`` unchanged: the cell has the sparse
-    product's bits."""
+def _sparse_rows(X, Y, out, add, part):
+    """Rows ``[a, b)`` of the dense ``X @ Y`` for ``part = (a, b)``, written
+    to, or added into, the same rows of ``out``."""
+    a, b = part
+    product = _rows(X, a, b) @ Y
+    if add:
+        # out is a block's transpose: adding in the block's own layout
+        # writes its rows contiguously, where numpy would write its columns
+        cols = out[a:b].T
+        cols += product.toarray().T
+    else:
+        # toarray(out=) zeroes the rows before writing them
+        product.toarray(out=out[a:b])
+
+
+def _dense_rows(M, r0, Q, out, add, part):
+    """Rows ``[a, b)`` of :func:`_block`'s dense-operand route: the rows
+    ``[r0 + a, r0 + b)`` of ``M`` made dense and transposed, ``Z``, and
+    ``(Q @ Z).T`` written to, or added into, ``out[a:b]``, with SciPy's CSR
+    x dense kernel.  Row i of ``Q @ Z`` adds ``Q[i, k] * Z[k]`` to zeros
+    for each entry k of ``Q``'s row i in ascending order.  With ``Q`` all
+    ones, ``1.0 * M[c, k]`` is exact (with or without a fused multiply-add),
+    so cell (c, i) adds the sparse product's terms in its order, ascending
+    shared index, and between them an exact ``+0.0`` for each k where
+    ``M[c, k]`` is not stored, which leaves a sum begun at ``+0.0``
+    unchanged: the cell has the sparse product's bits."""
     a, b = part
     Z = np.ascontiguousarray(_rows(M, r0 + a, r0 + b).toarray().T)
     if add:
-        out[:, a:b] += Q @ Z
+        out[a:b] += (Q @ Z).T
     else:
         out[a:b] = (Q @ Z).T
-
-
-def _dense(X: sp.csr_matrix, Y: sp.csr_matrix) -> np.ndarray:
-    """The dense ``X @ Y``, computed in row parts on the threads of
-    :func:`~tlpss.adjacency.pool_map`.  A part is one row, or rows with at
-    most ``_PART_CELLS`` cells or at most ``_PART_CELLS`` terms, so the
-    sparse product SciPy builds for a part of several rows has at most
-    ``_PART_CELLS`` entries; a product with few terms gets few parts.  A
-    cell's terms are all in one row, so each cell has the bits of the whole
-    product's."""
-    rows, cols = X.shape[0], Y.shape[1]
-    per_part = max(1, _PART_CELLS // max(cols, 1))
-    # the product's terms before each row: an entry (i, k) of X has one
-    # term per entry of Y's row k
-    terms = np.r_[0, np.cumsum(np.diff(Y.indptr)[X.indices])][X.indptr]
-    bounds = [0]
-    while bounds[-1] < rows:
-        a = bounds[-1]
-        by_terms = int(np.searchsorted(terms, terms[a] + _PART_CELLS, side="right")) - 1
-        bounds.append(min(rows, max(a + per_part, by_terms, a + 1)))
-    # toarray(out=) zeroes each part's rows before writing them
-    out = np.empty((rows, cols))
-    list(pool_map(partial(_dense_rows, X, Y, out), list(zip(bounds[:-1], bounds[1:]))))
-    return out
-
-
-def _dense_rows(X, Y, out, part):
-    """Rows ``[a, b)`` of the dense ``X @ Y`` for ``part = (a, b)``, written
-    to the same rows of ``out``."""
-    a, b = part
-    (_rows(X, a, b) @ Y).toarray(out=out[a:b])
-
-
-def _lcl_matrix(A: WeightedAdjacency) -> np.ndarray:
-    """Dense matrix of link weight among each pair's common neighbors: a
-    link (z1, z2) of weight w adds w to every pair of nodes adjacent to both
-    z1 and z2."""
-    out = _product(*_lcl_incidence(A), 0, A.n)
-    np.fill_diagonal(out, 0.0)
-    return out
 
 
 def _operand(A: WeightedAdjacency, D: DegreeVector, key, build):
@@ -269,25 +250,24 @@ def score_matrix(
     r0, r1 = (0, n) if rows is None else rows
     if not 0 <= r0 <= r1 <= n:
         raise ValueError(f"rows {rows!r} are not a range of the {n} rows")
+    R, C = (r0, r1), (r0, n)
     P = A.indicator_csr
     W = A.weight_csr
     w = D.w
 
     def symmetric(M):
-        """The block of ``0.5 * (s + s.T)`` for ``s = M @ P``.  Row i of
-        ``P @ M.T`` adds the terms of column i of ``s`` in the same order,
-        ascending shared index, so it stands in for the transposed half of
-        a block that is not the whole matrix; its columns ``[r0, n)`` need
-        only the rows ``[r0, n)`` of ``M``.  The half takes the route ``s``
-        took, and the dense-operand route adds it to ``s`` part by part."""
-        s, dense = _by_indicator(M, P, r0, r1)
+        """The block of ``0.5 * (s + s.T)`` for ``s = M @ P``.  The
+        transposed half of a block that is not the whole matrix is the
+        product over the swapped ranges, ``M[C] @ P[:, R]``, added into the
+        block's transpose by the route ``s`` took; a cell adds its terms in
+        the order the whole matrix's ``s.T`` does."""
+        dense = _dense_route(M, P, r0, r1)
+        s = _block(M, P, R, C, dense)
         if r1 - r0 == n:
             # in place; numpy buffers s.T, a view of s
             s += s.T
-        elif dense:
-            _operand_parts(M, _rows(P, r0, r1), r0, n - r0, s, add=True)
         else:
-            s += _dense(_rows(P, r0, r1), _rows(M, r0, n).T.tocsr())
+            _block(M, P, C, R, dense, add_to=s.T)
         s *= 0.5
         return s
 
@@ -309,23 +289,23 @@ def score_matrix(
         out = np.outer(w[r0:r1], w[r0:])
     elif method is MethodId.RA_ASF:
         L = _operand(A, D, method, lambda: P @ sp.diags(inv(w)))
-        out = _by_indicator(L, P, r0, r1)[0]
+        out = _block(L, P, R, C, _dense_route(L, P, r0, r1))
     elif method is MethodId.CAR_ASF:
         incidence = _operand(A, D, "lcl", lambda: _lcl_incidence(A))
         out = symmetric(W)
-        out *= _product(*incidence, r0, r1)
+        out *= _block(*incidence, R, C)
     elif method is MethodId.CCLP_ASF:
         if cclp_mode == "local":
             L = _operand(
                 A, D, method,
                 lambda: P @ sp.diags(_triangle_mass(A) * inv(cap())),
             )
-            out = _by_indicator(L, P, r0, r1)[0]
+            out = _block(L, P, R, C, _dense_route(L, P, r0, r1))
         elif cclp_mode == "global":
             L = _operand(A, D, (method, "global"), lambda: P @ sp.diags(inv(cap())))
             incidence = _operand(A, D, "lcl", lambda: _lcl_incidence(A))
-            out = _by_indicator(L, P, r0, r1)[0]
-            out *= _product(*incidence, r0, r1)
+            out = _block(L, P, R, C, _dense_route(L, P, r0, r1))
+            out *= _block(*incidence, R, C)
         else:
             raise ConfigError(f"unknown cclp mode {cclp_mode!r}")
     elif method is MethodId.TLPSS:

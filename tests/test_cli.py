@@ -3,6 +3,7 @@
 import json
 import random
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ class TestEvaluate:
     def test_each_scoring_route_gives_the_same_bytes(self, dataset, tmp_path, monkeypatch):
         from tlpss import scoring
 
-        operand_parts = scoring._operand_parts
+        dense_rows = scoring._dense_rows
         out_dir = tmp_path / "run"
         artifacts = []
         # the sparse route everywhere, then the dense-operand route wherever
@@ -99,8 +100,7 @@ class TestEvaluate:
             monkeypatch.setattr(scoring, "_DENSE_RATIO", ratio)
             calls = []
             monkeypatch.setattr(
-                scoring, "_operand_parts",
-                lambda *a, **k: calls.append(1) or operand_parts(*a, **k),
+                scoring, "_dense_rows", lambda *a: calls.append(1) or dense_rows(*a)
             )
             assert main([
                 "evaluate", "--dataset", str(dataset), "--period", "80",
@@ -198,6 +198,21 @@ class TestBadInputs:
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
         assert not (out_dir / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [["evaluate", "--p", "1e-310"], ["sweep", "--param", "p", "--values", "1e-320"]],
+        ids=["evaluate", "sweep"],
+    )
+    def test_subnormal_p_runs_without_a_warning(self, dataset, tmp_path, capsys, args):
+        # every train edge's x / p overflows to inf: each weight is the floor
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([
+                *args, "--dataset", str(dataset), "--period", "80",
+                "--out-dir", str(tmp_path / "run"),
+            ]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_top_l_above_the_universe_exits_4_before_scoring(
         self, dataset, tmp_path, capsys, monkeypatch
     ):
@@ -232,8 +247,8 @@ class TestBadInputs:
     @pytest.mark.parametrize(
         "kernel",
         [
+            "tlpss.scoring._sparse_rows",
             "tlpss.scoring._dense_rows",
-            "tlpss.scoring._operand_rows",
             "tlpss.adjacency._plan_block",
             "tlpss.adjacency._run_sums",
         ],

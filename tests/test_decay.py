@@ -1,6 +1,7 @@
 """Unit and property tests for the decay functions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,18 @@ class TestAsfFloor:
             assert 0.0 <= gap < 1e-9
             # in log space the margin is still finite and positive
             assert math.isfinite(asf_log_margin(far, params))
+
+    def test_subnormal_p_reaches_the_floor_without_a_warning(self):
+        # x / p overflows to inf, the exact limit, and numpy is not to warn
+        params = DecayParams(p=1e-310, q=1.0)
+        x = np.array([0.0, 1.0, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights = asf_array(x, params)
+            margins = asf_log_margin(x, params)
+        assert weights[0] > asf_floor(params)
+        assert np.all(weights[1:] == asf_floor(params))
+        assert np.all(margins[1:] == -np.inf)
 
 
 class TestAsfMonotonicity:

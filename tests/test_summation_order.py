@@ -2,12 +2,13 @@
 
 Criterion 3 compares every method with the oracle to 1e-9, which cannot see
 a change in summation order; such a change can still flip a tied AUC or
-precision comparison.  These tests pin ``_lcl_matrix`` and ``latent_matrix``
-bit for bit to straightforward per-link and gather-and-subtract loops, which
-add each cell's terms in the row-major link order the engine documents, and
-check that one latent plan gives those bits under every parameter set, and
-that neither row blocks, row parts, the number of worker threads nor the
-route a product by the adjacency indicator takes changes a bit.
+precision comparison.  These tests pin the link-triangle incidence product
+and ``latent_matrix`` bit for bit to straightforward per-link and
+gather-and-subtract loops, which add each cell's terms in the row-major link
+order the engine documents, and check that one latent plan gives those bits
+under every parameter set, and that neither row blocks, row parts, the
+number of worker threads nor the route a product by the adjacency indicator
+takes changes a bit.
 """
 
 import signal
@@ -24,7 +25,7 @@ from tlpss.adjacency import build_adjacency, degree_vector, latent_matrix, pair_
 from tlpss.decay import DecayParams, ExpDecayParams, decay_floor
 from tlpss.edges import SnapshotConfig, TemporalEdgeList, normalize, snapshot_index
 from tlpss.oracle import ToyGraph, random_decay, random_toy
-from tlpss.scoring import MethodId, _lcl_matrix, score_matrix
+from tlpss.scoring import MethodId, score_matrix
 
 
 def loop_lcl(A):
@@ -153,7 +154,11 @@ def car_and_global_cclp(A, D, lcl):
 def check_graph(toy, params):
     A, D = stack(toy, params)
     lcl = loop_lcl(A)
-    assert np.array_equal(_lcl_matrix(A), lcl)
+    # link weight among each pair's common neighbors, as CAR and global
+    # CCLP take it
+    got = scoring._block(*scoring._lcl_incidence(A), (0, A.n), (0, A.n))
+    np.fill_diagonal(got, 0.0)
+    assert np.array_equal(got, lcl)
     assert_same_csr(latent_matrix(A, params), loop_latent(A, params))
     car, cclp = car_and_global_cclp(A, D, lcl)
     assert np.array_equal(score_matrix(A, D, MethodId.CAR_ASF), car)
@@ -348,22 +353,22 @@ def test_block_sums_are_added_in_block_order(monkeypatch):
     assert_same_csr(latent_matrix(A, params), loop_latent(A, params, chunk=5_000))
 
 
-def dense_in_parts(monkeypatch, X, Y, part_cells):
-    """``scoring._dense(X, Y)`` on 3 threads with parts of at most
-    ``part_cells`` cells or terms, checked against the one-call product;
-    returns the row ranges of its parts, which must cover the rows once
-    each."""
+def block_in_parts(monkeypatch, X, Y, part_cells):
+    """``scoring._block`` of all of ``X @ Y`` on the sparse route, on 3
+    threads with parts of at most ``part_cells`` cells or terms, checked
+    against the one-call product; returns the row ranges of its parts,
+    which must cover the rows once each."""
     monkeypatch.setattr(scoring, "_PART_CELLS", part_cells)
     monkeypatch.setattr(adjacency, "_workers", lambda: 3)
     parts = []
-    dense_rows = scoring._dense_rows
+    sparse_rows = scoring._sparse_rows
 
-    def record(X, Y, out, part):
+    def record(X, Y, out, add, part):
         parts.append(tuple(int(r) for r in part))
-        dense_rows(X, Y, out, part)
+        sparse_rows(X, Y, out, add, part)
 
-    monkeypatch.setattr(scoring, "_dense_rows", record)
-    got = scoring._dense(X, Y)
+    monkeypatch.setattr(scoring, "_sparse_rows", record)
+    got = scoring._block(X, Y, (0, X.shape[0]), (0, Y.shape[1]))
     assert np.array_equal(got, (X @ Y).toarray())
     parts.sort()
     bounds = [0] + [b for _, b in parts]
@@ -389,7 +394,7 @@ def test_row_parts_equal_one_product(monkeypatch):
     Y = random_csr(rng, 30, 400, 0.02)
     X = random_csr(rng, 40, 30, 0.1).tolil()
     X[9, :] = rng.random(30) + 0.5
-    parts = dense_in_parts(monkeypatch, X.tocsr(), Y, 100)
+    parts = block_in_parts(monkeypatch, X.tocsr(), Y, 100)
     assert (9, 10) in parts and len(parts) < 30
     # many terms per cell: the cells bound cuts parts of 5 rows, across
     # empty rows (the first and last among them)
@@ -399,14 +404,14 @@ def test_row_parts_equal_one_product(monkeypatch):
         X[r, :] = 0
     X = X.tocsr()
     X.eliminate_zeros()
-    assert len(dense_in_parts(monkeypatch, X, Y, 5 * 50)) == 8
+    assert len(block_in_parts(monkeypatch, X, Y, 5 * 50)) == 8
     # a one-row block
-    assert dense_in_parts(monkeypatch, random_csr(rng, 1, 30, 0.5), Y, 50) == [(0, 1)]
+    assert block_in_parts(monkeypatch, random_csr(rng, 1, 30, 0.5), Y, 50) == [(0, 1)]
     # no entries, so no terms: one part
-    assert dense_in_parts(monkeypatch, sp.csr_matrix((12, 30)), Y, 50) == [(0, 12)]
+    assert block_in_parts(monkeypatch, sp.csr_matrix((12, 30)), Y, 50) == [(0, 12)]
     # more parts than rows would hold: one row per part
     X = random_csr(rng, 9, 30, 0.3)
-    assert dense_in_parts(monkeypatch, X, Y, 1) == [(r, r + 1) for r in range(9)]
+    assert block_in_parts(monkeypatch, X, Y, 1) == [(r, r + 1) for r in range(9)]
 
 
 def test_interrupt_cancels_the_parts_not_started(monkeypatch):
@@ -456,10 +461,19 @@ def reversed_rows(X):
     return sp.csr_matrix((X.data[order], X.indices[order], ptr.copy()), shape=X.shape)
 
 
-def by_indicator(monkeypatch, M, P, r0, r1, dense):
-    """``scoring._by_indicator`` with the route forced by the ratio."""
+def route(monkeypatch, M, P, r0, r1, dense):
+    """``scoring._dense_route`` with its verdict forced by the ratio, as
+    far as the operands allow the dense route."""
     monkeypatch.setattr(scoring, "_DENSE_RATIO", 10**12 if dense else 0)
-    return scoring._by_indicator(M, P, r0, r1)
+    return scoring._dense_route(M, P, r0, r1)
+
+
+def transposed_half(M, P, r0, r1, dense):
+    """The transposed half of the block ``(r0, r1)`` of ``M @ P``, the
+    swapped-range product added into zeros through their transpose."""
+    half = np.zeros((r1 - r0, P.shape[0] - r0))
+    scoring._block(M, P, (r0, P.shape[0]), (r0, r1), dense, add_to=half.T)
+    return half
 
 
 def test_dense_operand_route_equals_sparse_route(monkeypatch):
@@ -476,18 +490,16 @@ def test_dense_operand_route_equals_sparse_route(monkeypatch):
         for width in (1, 2, n):
             monkeypatch.setattr(scoring, "_PART_CELLS", width * n)
             for r0, r1 in blocks:
-                got, dense = by_indicator(monkeypatch, M, P, r0, r1, dense=True)
-                ref, sparse = by_indicator(monkeypatch, M, P, r0, r1, dense=False)
                 # a block without entries has no terms, and stays sparse
-                assert dense == (M.indptr[r1] > M.indptr[r0]) and not sparse
+                dense = route(monkeypatch, M, P, r0, r1, dense=True)
+                assert dense == (M.indptr[r1] > M.indptr[r0])
+                assert not route(monkeypatch, M, P, r0, r1, dense=False)
+                got = scoring._block(M, P, (r0, r1), (r0, n), dense=True)
+                ref = scoring._block(M, P, (r0, r1), (r0, n), dense=False)
                 assert np.array_equal(got, ref), (workers, width, r0, r1)
                 assert np.array_equal(got, whole[r0:r1, r0:]), (workers, width, r0, r1)
-                # the transposed half, P[R] @ M[C].T, added to zeros
-                half = np.zeros((r1 - r0, n - r0))
-                scoring._operand_parts(M, scoring._rows(P, r0, r1), r0, n - r0, half, add=True)
-                sparse_half = scoring._dense(
-                    scoring._rows(P, r0, r1), scoring._rows(M, r0, n).T.tocsr()
-                )
+                half = transposed_half(M, P, r0, r1, dense=True)
+                sparse_half = transposed_half(M, P, r0, r1, dense=False)
                 assert np.array_equal(half, sparse_half), (workers, width, r0, r1)
                 assert np.array_equal(half, whole.T[r0:r1, r0:]), (workers, width, r0, r1)
 
@@ -505,23 +517,49 @@ def test_dense_operand_route_needs_sorted_operand_and_indicator(monkeypatch):
     weighted = P.copy()
     weighted.data = rng.random(P.nnz) + 0.5
     for r0, r1 in ((0, n), (0, 9), (20, n)):
-        got, dense = by_indicator(monkeypatch, unsorted, P, r0, r1, dense=True)
+        dense = route(monkeypatch, unsorted, P, r0, r1, dense=True)
+        got = scoring._block(unsorted, P, (r0, r1), (r0, n), dense)
         assert not dense and np.array_equal(got, ref[r0:r1, r0:])
+        # the transposed half adds the terms in the operand's order too
+        half = transposed_half(unsorted, P, r0, r1, dense)
+        assert np.array_equal(half, ref.T[r0:r1, r0:])
         # a right factor that is not all ones
-        got, dense = by_indicator(monkeypatch, M, weighted, r0, r1, dense=True)
+        dense = route(monkeypatch, M, weighted, r0, r1, dense=True)
+        got = scoring._block(M, weighted, (r0, r1), (r0, n), dense)
         assert not dense and np.array_equal(got, (M @ weighted).toarray()[r0:r1, r0:])
+
+
+def test_sparse_transposed_half_of_tlpss_equals_whole_matrix(monkeypatch):
+    """On the sparse route, the transposed half of TLPSS's operand, which
+    is not symmetric, has the whole product's bits in a block below the
+    first row, and so does the block's score."""
+    monkeypatch.setattr(scoring, "_DENSE_RATIO", 0)
+    params = DecayParams(p=3.0, q=1.0)
+    A, D = stack(hub_graph(), params)
+    n, P = A.n, A.indicator_csr
+    full = score_matrix(A, D, MethodId.TLPSS, latent_params=params)
+    ((_, M),) = A.operands.values()
+    assert (M != M.T).nnz > 0
+    whole = scoring._block(M, P, (0, n), (0, n))
+    assert np.array_equal(whole, (M @ P).toarray())
+    assert not np.array_equal(whole, whole.T)
+    for r0, r1 in ((1, 2), (97, 350), (350, n)):
+        assert np.array_equal(transposed_half(M, P, r0, r1, False), whole.T[r0:r1, r0:])
+        block = score_matrix(A, D, MethodId.TLPSS, latent_params=params, rows=(r0, r1))
+        assert np.array_equal(block, full[r0:r1, r0:]), (r0, r1)
+    A.operands.clear()
 
 
 def test_scoring_routes_give_the_same_matrices(monkeypatch):
     params = DecayParams(p=3.0, q=1.0)
     A, D = stack(hub_graph(), params)
-    operand_parts = scoring._operand_parts
+    dense_rows = scoring._dense_rows
     results = []
     for ratio in (0, 10**12):
         monkeypatch.setattr(scoring, "_DENSE_RATIO", ratio)
         calls = []
         monkeypatch.setattr(
-            scoring, "_operand_parts", lambda *a, **k: calls.append(1) or operand_parts(*a, **k)
+            scoring, "_dense_rows", lambda *a: calls.append(1) or dense_rows(*a)
         )
         got = []
         for method, mode in SCORINGS:
