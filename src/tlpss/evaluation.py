@@ -5,8 +5,8 @@ that appear in the test period without having been linked in train, the
 negative universe is every pair linked in neither.  AUC compares positive
 against negative scores (exhaustively via the rank statistic when feasible,
 otherwise by seeded sampling); precision@L is the hit rate among the L
-highest-scoring pairs of the non-train-linked candidate universe, selected
-without sorting it, with ties at the cut taken in canonical (i, j) order.
+highest-scoring pairs of the non-train-linked candidate universe, with ties
+at the cut taken in canonical (i, j) order.
 
 Pairs are handled as sorted int64 keys (:func:`tlpss.edges.pair_key`); a
 key is also the flat index of the pair's cell in the n x n score matrix.
@@ -15,7 +15,9 @@ the upper trapezoids of blocks of consecutive rows, rows [r0, r1) by
 columns [r0, n), at most ``_BLOCK_CELLS`` cells each, gathers the
 positives' and negatives' scores whose keys fall in the block, and merges
 the block's best cells into a running top L for precision@L.  Once that top
-holds L cells, a block offers it only the cells above its L-th score.
+holds L cells, a block offers it only the cells above its L-th score.  One
+lexsort by (score descending, key ascending), :func:`_top`, orders both the
+running top and the L pairs precision@L counts.
 """
 
 from __future__ import annotations
@@ -164,18 +166,23 @@ def build_candidates(
         chosen = _upper_keys_without(n, linked)
     else:
         # Draw batches of node pairs; keep each unlinked pair the first time
-        # it is drawn, in draw order, until the budget is met.
+        # it is drawn, in draw order, until the budget is met.  ``excluded``
+        # (the linked and chosen keys, sorted) changes only when a batch adds
+        # keys, which is rare near the end of a budget close to the universe.
         rng = np.random.default_rng(seed)
-        chosen = np.empty(0, dtype=np.int64)
+        chosen, excluded = np.empty(0, dtype=np.int64), linked
         while len(chosen) < max_negatives:
             batch = int((max_negatives - len(chosen)) * 2.2) + 64
             a = rng.integers(0, n, size=batch)
             b = rng.integers(0, n, size=batch)
             keys = pair_key(a, b, n)[a != b]
-            unlinked = linked.take(np.searchsorted(linked, keys), mode="clip") != keys
-            keys = np.concatenate([chosen, keys[unlinked]])
+            keys = keys[excluded.take(np.searchsorted(excluded, keys), mode="clip") != keys]
             _, first = np.unique(keys, return_index=True)
-            chosen = keys[np.sort(first)[:max_negatives]]
+            new = keys[np.sort(first)[: max_negatives - len(chosen)]]
+            if len(new):
+                chosen = np.concatenate([chosen, new])
+                new = np.sort(new)
+                excluded = np.insert(excluded, np.searchsorted(excluded, new), new)
     return CandidateSet(
         positives=positives,
         sampled_negatives=chosen,
@@ -226,6 +233,12 @@ def auc(
     return float((wins + 0.5 * ties) / n_comparisons)
 
 
+def _top(keys: np.ndarray, scores: np.ndarray, L: int) -> np.ndarray:
+    """Indices of the top L candidates by descending score, ties taken in
+    canonical (i, j) order, i.e. by ascending pair key."""
+    return np.lexsort((keys, -scores))[:L]
+
+
 def _precision_from_arrays(
     keys: np.ndarray, scores: np.ndarray, is_positive: np.ndarray, L: int
 ) -> float:
@@ -233,22 +246,7 @@ def _precision_from_arrays(
         raise EvaluationError("L must be at least 1")
     if len(scores) < L:
         raise EvaluationError(f"only {len(scores)} candidates for precision@{L}")
-    # The top L by descending score, ties at the cut taken in canonical
-    # (i, j) order, i.e. by pair key: the first L of lexsort((keys, -scores)),
-    # without the sort.  Most baselines score most pairs 0, and partition
-    # degenerates on a long run of equal values, so the cut is sought among
-    # the positive scores whenever L of them exist.
-    pool = scores[scores > 0]
-    if len(pool) < L:
-        pool = scores
-    cut = np.partition(pool, len(pool) - L)[len(pool) - L]
-    above = scores > cut
-    tied = np.flatnonzero(scores == cut)
-    need = L - np.count_nonzero(above)
-    if need < len(tied):
-        tied = tied[np.argpartition(keys[tied], need - 1)[:need]]
-    hits = np.count_nonzero(is_positive & above) + np.count_nonzero(is_positive[tied])
-    return float(hits / L)
+    return float(np.count_nonzero(is_positive[_top(keys, scores, L)]) / L)
 
 
 def _top_cells(flat: np.ndarray, L: int, floor: float) -> np.ndarray:
@@ -256,8 +254,9 @@ def _top_cells(flat: np.ndarray, L: int, floor: float) -> np.ndarray:
     at the cut taken in ascending index (key) order; with fewer than L
     cells above the floor, all of them.  Scores are >= 0 and cells set to
     -inf are not candidates."""
-    # the cut is sought among the positive scores above the floor, as in
-    # _precision_from_arrays; with fewer than L of them all are taken, and
+    # most baselines score most cells 0, and partition degenerates on a
+    # long run of equal values, so the cut is sought among the positive
+    # scores above the floor; with fewer than L of them all are taken, and
     # below a negative floor the first cells of score 0 fill the top
     cut = max(floor, 0.0)
     above = flat > cut
@@ -272,16 +271,6 @@ def _top_cells(flat: np.ndarray, L: int, floor: float) -> np.ndarray:
     return best[np.argsort(flat[best] == cut, kind="stable")[:L]]
 
 
-def _top_merge(keys, scores, more_keys, more_scores, L: int):
-    """The top L of two candidate sets by (score descending, key
-    ascending); the top L of a union is the top L of the sets' top Ls, so
-    merging block by block selects what one pass over all cells would."""
-    keys = np.concatenate([keys, more_keys])
-    scores = np.concatenate([scores, more_scores])
-    order = np.lexsort((keys, -scores))[:L]
-    return keys[order], scores[order]
-
-
 def _decay_dict(params: DecayParams | ExpDecayParams) -> dict:
     if isinstance(params, DecayParams):
         return {"mode": "asf", "p": params.p, "q": params.q, "a": params.a}
@@ -291,20 +280,22 @@ def _decay_dict(params: DecayParams | ExpDecayParams) -> dict:
 def _run(
     edges: TemporalEdgeList,
     decays: Sequence[DecayParams | ExpDecayParams],
-    methods: Sequence[MethodId],
+    *,
     period: float,
-    origin: float,
-    ratio: float,
-    seed: int,
-    top_l: int,
-    max_negatives: int | None,
-    auc_exhaustive_limit: int,
-    auc_samples: int,
-    agg: str,
-    cclp_mode: str,
+    methods: Sequence[MethodId],
+    origin: float = 1.0,
+    ratio: float = 0.9,
+    seed: int = 0,
+    top_l: int = 100,
+    max_negatives: int | None = None,
+    auc_exhaustive_limit: int = AUC_EXHAUSTIVE_LIMIT,
+    auc_samples: int = AUC_SAMPLES,
+    agg: str = "sum",
+    cclp_mode: str = "local",
 ) -> list[EvalReport]:
     """Reports of every method under each decay parameter set in turn, all
-    on one split and one candidate set."""
+    on one split and one candidate set.  These keywords and defaults are
+    the options of :func:`evaluate_methods` and :func:`sweep`."""
     split = split_by_time(edges, ratio)
     cfg = SnapshotConfig(period=period, origin=origin)
     reference = snapshot_index(split.t_split, cfg)
@@ -388,9 +379,12 @@ def _run(
                 floor = top_scores[-1] if len(top_keys) == top_l else -np.inf
                 best = _top_cells(flat, top_l, floor)
                 a, c = np.divmod(best, n - r0)
-                top_keys, top_scores = _top_merge(
-                    top_keys, top_scores, (a + r0) * n + c + r0, flat[best], top_l
-                )
+                # the top L of a union is the top L of the parts' top Ls, so
+                # merging block by block selects what one pass would
+                top_keys = np.concatenate([top_keys, (a + r0) * n + c + r0])
+                top_scores = np.concatenate([top_scores, flat[best]])
+                keep = _top(top_keys, top_scores, top_l)
+                top_keys, top_scores = top_keys[keep], top_scores[keep]
             n_pairs = len(pos_scores) * len(neg_scores)
             if n_pairs <= auc_exhaustive_limit:
                 auc_value = auc(pos_scores, neg_scores)
@@ -423,38 +417,14 @@ def _run(
 
 
 def evaluate_methods(
-    edges: TemporalEdgeList,
-    *,
-    period: float,
-    decay: DecayParams | ExpDecayParams,
-    methods: Sequence[MethodId],
-    origin: float = 1.0,
-    ratio: float = 0.9,
-    seed: int = 0,
-    top_l: int = 100,
-    max_negatives: int | None = None,
-    auc_exhaustive_limit: int = AUC_EXHAUSTIVE_LIMIT,
-    auc_samples: int = AUC_SAMPLES,
-    agg: str = "sum",
-    cclp_mode: str = "local",
+    edges: TemporalEdgeList, *, decay: DecayParams | ExpDecayParams, **options
 ) -> list[EvalReport]:
     """Run the full pipeline (split, decayed adjacency, scoring, AUC and
-    precision@L) for each method on a normalized edge list."""
-    return _run(
-        edges,
-        [decay],
-        methods,
-        period,
-        origin,
-        ratio,
-        seed,
-        top_l,
-        max_negatives,
-        auc_exhaustive_limit,
-        auc_samples,
-        agg,
-        cclp_mode,
-    )
+    precision@L) for each method on a normalized edge list.
+
+    ``options`` are the keywords of :func:`_run`: ``period`` and
+    ``methods`` are required, the rest take the defaults declared there."""
+    return _run(edges, [decay], **options)
 
 
 def sweep(
@@ -462,39 +432,17 @@ def sweep(
     param: str,
     values: Sequence[float],
     *,
-    period: float,
     decay: DecayParams,
-    methods: Sequence[MethodId],
-    origin: float = 1.0,
-    ratio: float = 0.9,
-    seed: int = 0,
-    top_l: int = 100,
-    max_negatives: int | None = None,
-    auc_exhaustive_limit: int = AUC_EXHAUSTIVE_LIMIT,
-    auc_samples: int = AUC_SAMPLES,
-    agg: str = "sum",
-    cclp_mode: str = "local",
+    **options,
 ) -> list[EvalReport]:
     """Re-run every method across a range of ``p`` or ``q`` values, holding
-    the split and the sampled candidate set fixed so rows are comparable."""
+    the split and the sampled candidate set fixed so rows are comparable.
+    ``options`` are those of :func:`evaluate_methods`."""
     if param not in ("p", "q"):
         raise ConfigError(f"sweep parameter must be 'p' or 'q', got {param!r}")
     if not isinstance(decay, DecayParams):
         raise ConfigError("sweeps over p or q require adjusted-sigmoid decay")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    return _run(
-        edges,
-        [replace(decay, **{param: float(value)}) for value in values],
-        methods,
-        period,
-        origin,
-        ratio,
-        seed,
-        top_l,
-        max_negatives,
-        auc_exhaustive_limit,
-        auc_samples,
-        agg,
-        cclp_mode,
-    )
+    decays = [replace(decay, **{param: float(value)}) for value in values]
+    return _run(edges, decays, **options)

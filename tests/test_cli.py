@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import inspect
 import json
 import random
 import threading
@@ -8,28 +9,10 @@ import warnings
 import numpy as np
 import pytest
 
+from tlpss import cli, evaluation
 from tlpss.cli import DEFAULT_PERIODS, ExperimentConfig, main, parse_period
 from tlpss.errors import ConfigError
-
-
-@pytest.fixture()
-def dataset(tmp_path):
-    """KONECT-style file with comments, a missing timestamp and a self-loop."""
-    rng = np.random.default_rng(19)
-    lines = ["% synthetic network"]
-    n = 30
-    for t in range(1, 260):
-        a = int(rng.integers(1, n + 1))
-        if rng.random() < 0.75:
-            b = int(((a - 1) // 10) * 10 + rng.integers(1, 11))
-        else:
-            b = int(rng.integers(1, n + 1))
-        lines.append(f"{a} {b} 1 {t * 40}")
-    lines.append("3 4")
-    lines.append("6 6 1 400")
-    path = tmp_path / "net.tsv"
-    path.write_text("\n".join(lines) + "\n")
-    return path
+from tlpss.evaluation import evaluate_methods
 
 
 class TestIngest:
@@ -391,6 +374,17 @@ class TestConfigValidation:
         resolved = cfg.resolved_dict()
         assert resolved["period"] == 3600.0
         assert resolved["methods"] == ["CN_ASF", "TLPSS"]
+
+    def test_library_defaults_equal_the_config_defaults(self, dataset):
+        # the CLI passes every option from ExperimentConfig; a library call
+        # that passes only the required ones must give the same reports
+        cfg = ExperimentConfig(dataset=str(dataset), period=80)
+        edges, _, _ = cli._load_dataset(cfg)
+        options = cli._eval_kwargs(cfg)
+        run_options = set(inspect.signature(evaluation._run).parameters) - {"edges", "decays"}
+        assert set(options) == run_options | {"decay"}
+        required = {name: options[name] for name in ("period", "decay", "methods")}
+        assert evaluate_methods(edges, **required) == evaluate_methods(edges, **options)
 
 
 def _reject_constant(name):

@@ -166,6 +166,19 @@ class TestNegativeOrder:
                 sampled += 1
         assert sampled >= 50
 
+    def test_budget_one_below_universe_on_hundreds_of_nodes(self):
+        # the last pairs of such a budget take thousands of small batches
+        # that rarely find a new pair
+        rng = np.random.default_rng(3)
+        n = 300
+        rows = [(a, b, t) for t, (a, b) in enumerate(rng.integers(0, n, (3 * n, 2)).tolist(), 1)]
+        split = split_by_time(toy_list(ToyGraph(n=n, edges=rows)), 0.8)
+        budget = build_candidates(split, n, seed=0).universe_size - 1
+        cs = build_candidates(split, n, seed=0, max_negatives=budget)
+        assert not cs.exhaustive
+        got = [divmod(k, n) for k in cs.sampled_negatives.tolist()]
+        assert got == loop_negatives(split, n, 0, budget)
+
 
 class TestBranchPoints:
     """Just at and just below each exhaustive/sampled switch."""

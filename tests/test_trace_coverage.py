@@ -3,15 +3,21 @@
 ``perfbench/traced.py`` wraps named functions of the package from outside
 it and reads some of their arguments to count work.  A name that vanishes
 there is only logged as absent and its per-layer metric silently reads 0,
-so this guard loads that file (read-only, without installing anything) and
-checks its tables against the package.
+so this guard loads that file (read-only, without installing anything),
+checks its tables against the package and runs it on both CLI commands.
 """
 
 import ast
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import tlpss
 
 TRACED_PY = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
 
@@ -81,3 +87,28 @@ def test_wrapped_functions_take_the_counted_arguments():
     for name, wanted in reads.items():
         params = set(inspect.signature(functions[name]).parameters)
         assert wanted <= params, (name, wanted - params)
+
+
+def test_every_traced_name_is_called(dataset, tmp_path):
+    traced = _load_traced()
+    env = dict(os.environ, PYTHONPATH=str(Path(tlpss.__file__).parents[1]))
+    called = set()
+    for command in (["evaluate"], ["sweep", "--param", "q", "--range", "0:2:1"]):
+        spans = tmp_path / f"{command[0]}_spans.json"
+        subprocess.run(
+            [
+                sys.executable, "-B", str(TRACED_PY), str(spans), *command,
+                "--dataset", str(dataset), "--period", "80",
+                "--out-dir", str(tmp_path / command[0]),
+            ],
+            env=env, capture_output=True, check=True,
+        )
+        trace = json.loads(spans.read_text())
+        assert trace["absent"] == []
+        called |= {span[0] for span in trace["spans"]}
+    names = {
+        f"{module_name.rsplit('.', 1)[1]}.{name}"
+        for module_name, names in traced.TRACED.items()
+        for name in names
+    }
+    assert names - called == set()
