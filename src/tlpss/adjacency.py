@@ -12,7 +12,10 @@ neighbors of x but share a neighbor with x.
 What depends only on which pairs are linked, not on their weights, is
 built once per train list and shared by every decay parameter set: the
 :class:`PairLayout` of the pairs, which builds on first use the
-:class:`LatentPlan` of the two-hop pass behind the latent weights.
+:class:`LatentPlan` of the two-hop pass behind the latent weights.  A
+layout made for one adjacency alone (``keep_plan=False``, as evaluation
+under one decay setting makes it) keeps no plan: each latent pass builds
+the plan's blocks, sums them and drops them.
 
 :func:`pool_map` runs kernels that release the GIL on one thread per CPU
 the process may use; the latent plan and :mod:`tlpss.scoring`'s products
@@ -24,7 +27,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,6 +94,9 @@ class PairLayout:
     ``indices`` are the CSR structure with sorted column indices in each
     row; ``mult`` is the multi-edge count of each stored entry.  For a layout
     built from a train list, ``inverse`` gives each train edge's pair.
+    ``keep_plan`` says whether :func:`latent_matrix` keeps the layout's
+    :attr:`latent_plan` for the next adjacency, or streams a plan of its
+    own for each call.
     """
 
     def __init__(
@@ -100,6 +106,7 @@ class PairLayout:
         hi: np.ndarray,
         mult: np.ndarray,
         inverse: np.ndarray | None = None,
+        keep_plan: bool = True,
     ):
         """From canonical pairs ``lo[k] < hi[k]`` in ascending order, each
         given once."""
@@ -115,6 +122,7 @@ class PairLayout:
         self.indices = cols[self.order]
         self.mult = np.concatenate([mult, mult])[self.order]
         self.inverse = inverse
+        self.keep_plan = keep_plan
 
     @cached_property
     def latent_plan(self) -> "LatentPlan":
@@ -123,14 +131,15 @@ class PairLayout:
         return LatentPlan(self)
 
 
-def pair_layout(train: TemporalEdgeList) -> PairLayout:
+def pair_layout(train: TemporalEdgeList, keep_plan: bool = True) -> PairLayout:
     """The layout of a train list's linked pairs: the part of
-    :func:`build_adjacency` that no decay parameter changes."""
+    :func:`build_adjacency` that no decay parameter changes.  With
+    ``keep_plan=False`` it keeps no latent plan (see :class:`PairLayout`)."""
     n = train.node_count
     uniq, inverse, counts = np.unique(
         train.pair_keys(), return_inverse=True, return_counts=True
     )
-    return PairLayout(n, uniq // n, uniq % n, counts, inverse)
+    return PairLayout(n, uniq // n, uniq % n, counts, inverse, keep_plan)
 
 
 class WeightedAdjacency:
@@ -278,8 +287,15 @@ class LatentPlan:
     chunk are consecutive, so each block stores one cell index and one length
     per run instead of a cell per term: about 8 bytes per kept term and 8 per
     run in all.  The blocks are built, and their sums taken, on the threads
-    of :func:`pool_map`; the results are kept and added in block order, so
-    their bits do not depend on the number of threads.
+    of :func:`pool_map`; the sums are added in block order, so their bits
+    do not depend on the number of threads.
+
+    A plan of a layout that keeps it (:attr:`PairLayout.keep_plan`) builds
+    its :attr:`blocks` at once and sums them under every adjacency it
+    serves.  Any other plan keeps only what builds them, ``blocks`` is
+    ``None``, and :meth:`cell_sums` builds each block, sums it and drops it
+    in one task: the same kernels, the same bits, and no more than one
+    block per thread in memory.
     """
 
     def __init__(self, layout: PairLayout):
@@ -346,19 +362,30 @@ class LatentPlan:
 
         # per block: both link positions of each kept term, and each run's
         # cell and length
-        self.blocks: list[tuple[np.ndarray, ...]] = list(pool_map(block, jobs))
+        self.blocks: list[tuple[np.ndarray, ...]] | None = None
+        if layout.keep_plan:
+            self.blocks = list(pool_map(block, jobs))
+        else:
+            self._block, self._jobs = block, jobs
 
     def cell_sums(self, A: WeightedAdjacency) -> np.ndarray:
         """Each latent cell's sum of terms under ``A``'s weights, added in
         the pass's order: term by term within a chunk, then chunk by chunk."""
         wt = A.weight_csr.data
         mu = A.mult.astype(np.float64)
+        kept = self.blocks is not None
+
+        def block_sums(item):
+            # a plan that keeps no blocks gets a job, and drops its block
+            # once it is summed
+            block = item if kept else self._block(item)
+            return block[2], _run_sums(wt, mu, block)
+
         sums = np.zeros(len(self.indices))
         # the blocks' run sums are added here in block order, whichever block
         # finishes first; the blocks of a chunk hold disjoint cells, so each
         # cell gains its chunk sums in chunk order
-        parts = pool_map(partial(_run_sums, wt, mu), self.blocks)
-        for (_, _, cells, _), part in zip(self.blocks, parts):
+        for cells, part in pool_map(block_sums, self.blocks if kept else self._jobs):
             sums[cells] += part
         return sums
 
@@ -427,17 +454,20 @@ def latent_matrix(
     neighbors and ``m`` multi-edges.  The scale lies in [0, 1], so every
     cell is strictly below the floor.  Supported exactly on pairs at graph
     distance two.  The two-hop bookkeeping is ``A.layout.latent_plan``, done
-    once for every adjacency of a train list.
+    once for every adjacency of a train list, or for a layout that keeps no
+    plan a :class:`LatentPlan` streamed for this call alone.
     """
     n = A.n
     floor = decay_floor(params)
     if floor == 0.0:
         return sp.csr_matrix((n, n), dtype=np.float64)
-    plan = A.layout.latent_plan
-    sums = plan.cell_sums(A)
+    layout = A.layout
+    plan = layout.latent_plan if layout.keep_plan else LatentPlan(layout)
+    data = plan.cell_sums(A)
     deg = np.diff(A.weight_csr.indptr)
-    min_degree = np.minimum(np.repeat(deg, np.diff(plan.indptr)), deg[plan.indices])
-    return sp.csr_matrix(
-        (floor * sums / min_degree.astype(np.float64), plan.indices, plan.indptr),
-        shape=(n, n),
-    )
+    min_degree = np.repeat(deg, np.diff(plan.indptr))
+    np.minimum(min_degree, deg[plan.indices], out=min_degree)
+    # in place, each cell rounded as floor * sum / float(min_degree)
+    data *= floor
+    data /= min_degree
+    return sp.csr_matrix((data, plan.indices, plan.indptr), shape=(n, n))

@@ -22,6 +22,7 @@ running top and the L pairs precision@L counts.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
@@ -305,7 +306,9 @@ def _run(
             "snapshot indices overflow"
         )
     candidates = build_candidates(split, edges.node_count, seed, max_negatives)
-    layout = pair_layout(split.train)
+    # the latent plan pays for itself only when TLPSS is scored under more
+    # than one decay setting; under one, each latent pass streams its blocks
+    layout = pair_layout(split.train, keep_plan=len(decays) > 1)
     n = edges.node_count
     if top_l < 1:
         raise EvaluationError("L must be at least 1")
@@ -356,9 +359,8 @@ def _run(
                 )
                 if r1 == n:
                     A.operands.clear()
-                    # the layout's latent plan serves TLPSS under every
-                    # parameter set; it is freed once TLPSS is scored for
-                    # the last one
+                    # a kept latent plan serves TLPSS under every parameter
+                    # set; it is freed once TLPSS is scored for the last one
                     if method is MethodId.TLPSS and k == len(decays) - 1:
                         vars(layout).pop("latent_plan", None)
                 flat = block.ravel()
@@ -416,15 +418,42 @@ def _run(
     return reports
 
 
+def _forward(name: str, edges, decays, options: dict) -> list[EvalReport]:
+    """``_run(edges, decays, **options)`` for the public function ``name``,
+    which a ``TypeError`` for an unknown or missing option names."""
+    try:
+        inspect.signature(_run).bind(edges, decays, **options)
+    except TypeError as e:
+        raise TypeError(f"{name}() {e}") from None
+    return _run(edges, decays, **options)
+
+
 def evaluate_methods(
     edges: TemporalEdgeList, *, decay: DecayParams | ExpDecayParams, **options
 ) -> list[EvalReport]:
     """Run the full pipeline (split, decayed adjacency, scoring, AUC and
     precision@L) for each method on a normalized edge list.
 
-    ``options`` are the keywords of :func:`_run`: ``period`` and
-    ``methods`` are required, the rest take the defaults declared there."""
-    return _run(edges, [decay], **options)
+    The ``options``, all keywords:
+
+    - ``period`` (required): the snapshot length, in timestamp units;
+    - ``methods`` (required): the :class:`~tlpss.scoring.MethodId` values
+      to score, one report each, in this order;
+    - ``origin=1.0``: the timestamp of snapshot 0;
+    - ``ratio=0.9``: the share of edges, in time order, in the train part;
+    - ``seed=0``: seeds negative sampling and sampled AUC;
+    - ``top_l=100``: the L of precision@L;
+    - ``max_negatives=None``: the negative sample budget (``None`` is
+      ``min(universe, 10 * positives, 1e6)``);
+    - ``auc_exhaustive_limit=10000000``: AUC compares every positive with
+      every negative up to this many pairs, else samples;
+    - ``auc_samples=672400``: the comparisons of sampled AUC;
+    - ``agg='sum'``: ``'sum'`` or ``'latest'``, see
+      :func:`~tlpss.adjacency.build_adjacency`;
+    - ``cclp_mode='local'``: ``'local'`` or ``'global'`` CCLP.
+
+    Any other keyword raises ``TypeError``."""
+    return _forward("evaluate_methods", edges, [decay], options)
 
 
 def sweep(
@@ -437,7 +466,13 @@ def sweep(
 ) -> list[EvalReport]:
     """Re-run every method across a range of ``p`` or ``q`` values, holding
     the split and the sampled candidate set fixed so rows are comparable.
-    ``options`` are those of :func:`evaluate_methods`."""
+
+    The ``options`` are those of :func:`evaluate_methods`, with the same
+    defaults: ``period`` and ``methods`` (required), ``origin``, ``ratio``,
+    ``seed``, ``top_l``, ``max_negatives``, ``auc_exhaustive_limit``,
+    ``auc_samples``, ``agg`` and ``cclp_mode``; any other keyword raises
+    ``TypeError``.  The two-hop latent plan is built once and serves
+    TLPSS under every value."""
     if param not in ("p", "q"):
         raise ConfigError(f"sweep parameter must be 'p' or 'q', got {param!r}")
     if not isinstance(decay, DecayParams):
@@ -445,4 +480,4 @@ def sweep(
     if not values:
         raise ConfigError("sweep needs at least one value")
     decays = [replace(decay, **{param: float(value)}) for value in values]
-    return _run(edges, decays, **options)
+    return _forward("sweep", edges, decays, options)

@@ -92,6 +92,12 @@ _PART_CELLS = 2**16
 # from 23.6, so the cut lies between the two.
 _DENSE_RATIO = 16
 
+# Rows and columns of the tiles in which a whole-matrix symmetric score adds
+# its transpose: 128 KB per tile.  On a random 1,200 x 1,200 array (2-vCPU
+# host, one thread) tiles of 128 took 6 ms where 64 took 7, 256 took 7 and
+# 512 took 11; numpy's s += s.T, which buffers all of s.T, took 14 to 18.
+_TILE = 128
+
 
 def _triangle_mass(A: WeightedAdjacency) -> np.ndarray:
     """Per-node total decayed weight of links among the node's neighbors."""
@@ -212,6 +218,22 @@ def _dense_rows(M, r0, Q, out, add, part):
         out[a:b] = (Q @ Z).T
 
 
+def _add_transpose(s: np.ndarray) -> None:
+    """``s += s.T`` for a square ``s``, one pair of tiles ``I <= J`` at a
+    time, where numpy would buffer all of ``s.T``: ``t = s[I, J] + s[J,
+    I].T`` goes to ``s[I, J]`` and ``t.T`` to ``s[J, I]``.  Cell (j, i)
+    gets ``s[i, j] + s[j, i]``, the same float as ``s[j, i] + s[i, j]``."""
+    n = len(s)
+    for a in range(0, n, _TILE):
+        I = slice(a, a + _TILE)
+        for b in range(a, n, _TILE):
+            J = slice(b, b + _TILE)
+            t = s[I, J] + s[J, I].T
+            s[I, J] = t
+            if b != a:
+                s[J, I] = t.T
+
+
 def _operand(A: WeightedAdjacency, D: DegreeVector, key, build):
     """A row-independent operand of :func:`score_matrix`, built once per
     adjacency and degree vector and kept in ``A.operands`` until the caller
@@ -243,8 +265,9 @@ def score_matrix(
     link-triangle incidence, the CCLP coefficients) is built at the first
     block and kept in ``A.operands``, which a caller scoring block by block
     clears after the last.  TLPSS requires ``latent_params`` for its latent
-    weights, and builds ``A.layout.latent_plan`` if it does not exist yet
-    (see :func:`~tlpss.adjacency.latent_matrix`).
+    weights, and builds ``A.layout.latent_plan`` if it does not exist yet,
+    or streams a plan where the layout keeps none (see
+    :func:`~tlpss.adjacency.latent_matrix`).
     """
     n = A.n
     r0, r1 = (0, n) if rows is None else rows
@@ -260,12 +283,12 @@ def score_matrix(
         transposed half of a block that is not the whole matrix is the
         product over the swapped ranges, ``M[C] @ P[:, R]``, added into the
         block's transpose by the route ``s`` took; a cell adds its terms in
-        the order the whole matrix's ``s.T`` does."""
+        the order the whole matrix's ``s.T`` does.  The whole matrix adds
+        its own transpose in tiles (:func:`_add_transpose`)."""
         dense = _dense_route(M, P, r0, r1)
         s = _block(M, P, R, C, dense)
         if r1 - r0 == n:
-            # in place; numpy buffers s.T, a view of s
-            s += s.T
+            _add_transpose(s)
         else:
             _block(M, P, C, R, dense, add_to=s.T)
         s *= 0.5

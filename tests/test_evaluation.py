@@ -1,5 +1,6 @@
 """Tests for candidate building, AUC, precision@L and sweeps."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import tlpss
-from tlpss import evaluation
+from tlpss import evaluation, scoring
 from tlpss.adjacency import LatentPlan, build_adjacency, degree_vector
 from tlpss.decay import DecayParams
 from tlpss.edges import (
@@ -400,6 +401,28 @@ class TestEvaluateMethods:
             assert 0.0 <= r.precision <= 1.0
             assert r.split["train_edges"] + r.split["test_edges"] == len(lst)
 
+    def test_unknown_option_names_evaluate_methods(self):
+        lst = toy_list(community_toy(seed=8))
+        kwargs = dict(decay=DecayParams(p=3.0, q=1.0), methods=[MethodId.CN_ASF])
+        with pytest.raises(
+            TypeError,
+            match=r"^evaluate_methods\(\) got an unexpected keyword argument 'bogus'$",
+        ):
+            evaluate_methods(lst, period=200.0, bogus=1, **kwargs)
+        with pytest.raises(TypeError, match=r"^evaluate_methods\(\) missing .*'period'"):
+            evaluate_methods(lst, **kwargs)
+
+    def test_docstrings_list_every_option(self):
+        run = inspect.signature(evaluation._run).parameters.values()
+        options = [p for p in run if p.kind is p.KEYWORD_ONLY]
+        assert len(options) == 11
+        for p in options:
+            assert f"``{p.name}``" in sweep.__doc__
+            if p.default is p.empty:
+                assert f"``{p.name}`` (required)" in evaluate_methods.__doc__
+            else:
+                assert f"``{p.name}={p.default!r}``" in evaluate_methods.__doc__
+
     def test_pa_runs_without_latent_structure(self):
         toy = community_toy(seed=8)
         reports = evaluate_methods(
@@ -448,6 +471,16 @@ class TestSweep:
             methods=[MethodId.TLPSS], top_l=5, seed=4,
         )
         assert [r.to_dict() for r in swept] == [r.to_dict() for r in direct]
+
+    def test_unknown_option_names_sweep(self):
+        lst = toy_list(community_toy(seed=10))
+        kwargs = dict(decay=DecayParams(p=3.0, q=1.0), methods=[MethodId.TLPSS])
+        with pytest.raises(
+            TypeError, match=r"^sweep\(\) got an unexpected keyword argument 'bogus'$"
+        ):
+            sweep(lst, "q", [0.0, 1.0], period=200.0, bogus=1, **kwargs)
+        with pytest.raises(TypeError, match=r"^sweep\(\) missing .*'period'"):
+            sweep(lst, "q", [0.0, 1.0], **kwargs)
 
     def test_q_sweep_produces_row_per_method_value(self):
         toy = community_toy(seed=11)
@@ -524,7 +557,10 @@ class TestSweep:
         methods = [MethodId.TLPSS, MethodId.CN_ASF]
         kwargs = dict(period=200.0, decay=DecayParams(p=3.0, q=1.0), methods=methods)
         evaluate_methods(lst, **kwargs)
-        assert calls == [(MethodId.TLPSS, True)] * blocks + [(MethodId.CN_ASF, False)] * blocks
+        # under one decay setting the layout never holds a plan: the latent
+        # pass streams its blocks
+        assert calls == [(MethodId.TLPSS, False)] * blocks + [(MethodId.CN_ASF, False)] * blocks
+        assert not layouts[-1].keep_plan
         assert "latent_plan" not in vars(layouts[-1])
         calls.clear()
         sweep(lst, "q", [1.0, 2.0], **kwargs)
@@ -546,6 +582,31 @@ class TestSweep:
         assert again.to_dict() == first.to_dict()
         (alone,) = evaluate_methods(lst, methods=[MethodId.TLPSS], **kwargs)
         assert first.to_dict() == alone.to_dict()
+
+    @pytest.mark.parametrize("values", [None, [1.0]])
+    def test_no_plan_kept_under_one_decay_setting(self, monkeypatch, values):
+        builds = count_plan_builds(monkeypatch)
+        kept = []
+        latent_matrix = scoring.latent_matrix
+
+        def recorded(A, params):
+            out = latent_matrix(A, params)
+            kept.append(("latent_plan" in vars(A.layout), builds[-1].blocks))
+            return out
+
+        monkeypatch.setattr(scoring, "latent_matrix", recorded)
+        lst = toy_list(community_toy(seed=17))
+        kwargs = dict(
+            period=200.0, decay=DecayParams(p=3.0, q=1.0), top_l=5,
+            methods=[MethodId.TLPSS, MethodId.CN_ASF, MethodId.TLPSS],
+        )
+        if values is None:
+            evaluate_methods(lst, **kwargs)
+        else:  # a sweep of one value is one decay setting too
+            sweep(lst, "q", values, **kwargs)
+        # one streamed plan per TLPSS row, neither cached nor keeping blocks
+        assert len(builds) == 2
+        assert kept == [(False, None)] * 2
 
     def test_bad_sweep_param_rejected(self):
         toy = community_toy(seed=13)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tlpss import scoring
 from tlpss.adjacency import WeightedAdjacency, build_adjacency, degree_vector
 from tlpss.decay import DecayParams, asf_floor
 from tlpss.edges import SnapshotConfig, TemporalEdgeList, normalize, snapshot_index
@@ -195,6 +196,18 @@ class TestSymmetryAndSign:
             for method in ALL_METHODS:
                 m = toy_scores(toy, params, method)
                 assert np.all(m >= 0) and np.all(np.isfinite(m)), method
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 20])
+def test_tiled_transpose_add_equals_numpy(monkeypatch, n):
+    # tiles of 8: one tile, a whole number of them, and a partial last one
+    monkeypatch.setattr(scoring, "_TILE", 8)
+    rng = np.random.default_rng(62000 + n)
+    s = rng.random((n, n)) * 10.0 ** rng.uniform(-8, 8, (n, n))
+    ref = s.copy()
+    ref += ref.T
+    scoring._add_transpose(s)
+    assert s.tobytes() == ref.tobytes()
 
 
 class TestScoreAll:

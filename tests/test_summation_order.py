@@ -21,7 +21,13 @@ import pytest
 import scipy.sparse as sp
 
 from tlpss import adjacency, scoring
-from tlpss.adjacency import build_adjacency, degree_vector, latent_matrix, pair_layout
+from tlpss.adjacency import (
+    LatentPlan,
+    build_adjacency,
+    degree_vector,
+    latent_matrix,
+    pair_layout,
+)
 from tlpss.decay import DecayParams, ExpDecayParams, decay_floor
 from tlpss.edges import SnapshotConfig, TemporalEdgeList, normalize, snapshot_index
 from tlpss.oracle import ToyGraph, random_decay, random_toy
@@ -234,6 +240,86 @@ def test_plan_with_many_chunks_and_blocks(monkeypatch):
     assert chunks > 3
     assert len(plan.blocks) > 3 * chunks
 
+
+
+def check_streamed(toy, params_list=PLAN_PARAMS):
+    """A layout that keeps no plan gives the kept plan's latent matrices and
+    cell sums bit for bit under every parameter set, and never holds a plan."""
+    lst = normalize(TemporalEdgeList.from_records(toy.edges, toy.n))
+    cfg = SnapshotConfig(period=toy.period)
+    T = snapshot_index(lst.t_max, cfg)
+    kept, streamed = pair_layout(lst), pair_layout(lst, keep_plan=False)
+    for params in params_list:
+        A = build_adjacency(lst, T, params, cfg, layout=kept)
+        B = build_adjacency(lst, T, params, cfg, layout=streamed)
+        assert_same_csr(latent_matrix(B, params), latent_matrix(A, params))
+        if decay_floor(params) > 0:
+            plan = LatentPlan(streamed)
+            assert plan.blocks is None
+            assert plan.cell_sums(B).tobytes() == kept.latent_plan.cell_sums(A).tobytes()
+    assert "latent_plan" not in vars(streamed)
+    return kept.latent_plan
+
+
+def test_streamed_plan_equals_kept_plan_on_random_toys():
+    for trial in range(40):
+        check_streamed(random_toy(seed=57000 + trial, max_nodes=60))
+
+
+def test_streamed_plan_equals_kept_plan_on_hub_graph():
+    check_streamed(hub_graph())
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_streamed_plan_with_many_chunks_and_blocks(monkeypatch, workers):
+    monkeypatch.setattr(adjacency, "_CHUNK", 5_000)
+    monkeypatch.setattr(adjacency, "_BLOCK", 256)
+    monkeypatch.setattr(adjacency, "_workers", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # threads take turns often
+    try:
+        plan = check_streamed(hub_graph(), PLAN_PARAMS[1:2])
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(plan.blocks) > 12
+
+
+def test_streamed_sums_are_added_in_block_order(monkeypatch):
+    """The streamed plan's first block is built and summed after all the
+    others, and its sums are still added first."""
+    monkeypatch.setattr(adjacency, "_CHUNK", 5_000)
+    monkeypatch.setattr(adjacency, "_BLOCK", 256)
+    monkeypatch.setattr(adjacency, "_workers", lambda: 3)
+    params = DecayParams(p=3.0, q=1.0)
+    toy = hub_graph()
+    lst = normalize(TemporalEdgeList.from_records(toy.edges, toy.n))
+    cfg = SnapshotConfig(period=toy.period)
+    A = build_adjacency(
+        lst, snapshot_index(lst.t_max, cfg), params, cfg,
+        layout=pair_layout(lst, keep_plan=False),
+    )
+    kept = LatentPlan(pair_layout(lst)).blocks
+    # the first block's cells take sums from other chunks too
+    first_cells = kept[0][2]
+    assert np.isin(first_cells, np.concatenate([b[2] for b in kept[1:]])).sum() > 50
+    assert sum(np.array_equal(b[2], first_cells) for b in kept) == 1
+    run_sums = adjacency._run_sums
+    others = threading.Semaphore(0)
+    summed = []
+
+    def first_finishes_last(wt, mu, block):
+        summed.append(block)
+        if np.array_equal(block[2], first_cells):
+            for _ in kept[1:]:
+                assert others.acquire(timeout=30)
+        else:
+            others.release()
+        return run_sums(wt, mu, block)
+
+    monkeypatch.setattr(adjacency, "_run_sums", first_finishes_last)
+    assert_same_csr(latent_matrix(A, params), loop_latent(A, params, chunk=5_000))
+    assert len(summed) == len(kept)
+    assert sum(np.array_equal(b[2], first_cells) for b in summed) == 1
 
 
 # every scoring matrix: each method, and CCLP in both modes
