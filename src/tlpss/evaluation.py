@@ -10,19 +10,29 @@ at the cut taken in canonical (i, j) order.
 
 Pairs are handled as sorted int64 keys (:func:`tlpss.edges.pair_key`); a
 key is also the flat index of the pair's cell in the n x n score matrix.
-Evaluation never holds that matrix, nor scores its cells j < i: it scores
-the upper trapezoids of blocks of consecutive rows, rows [r0, r1) by
-columns [r0, n), at most ``_BLOCK_CELLS`` cells each, gathers the
-positives' and negatives' scores whose keys fall in the block, and merges
-the block's best cells into a running top L for precision@L.  Once that top
-holds L cells, a block offers it only the cells above its L-th score.  One
-lexsort by (score descending, key ascending), :func:`_top`, orders both the
-running top and the L pairs precision@L counts.
+Evaluation never holds that matrix: for each method it walks blocks of an
+order of the nodes, rows [a0, a1) by columns [a0, k), at most
+``_BLOCK_CELLS`` cells each, gathers the positives' and negatives' scores
+that fall in each block, and merges the block's best cells into a running
+top L for precision@L.  A method without a per-node bound (JA, TLPSS,
+global CCLP) walks the nodes in order, the upper trapezoids, k = n; once
+the top holds L cells a block offers it only the cells above its L-th
+score.  CN, PA and CAR (``S[x, y] <= (b[x] + b[y]) / 2``) and RA and local
+CCLP (``S[x, y] <= min(b[x], b[y])``, see
+:func:`~tlpss.scoring.score_bound`) walk their nodes by decreasing bound
+and score each row against only the nodes whose bound can still reach the
+cut, a lower bound on the final L-th score that rises with the running
+top; the AUC pairs outside the scored blocks are scored directly
+(:func:`~tlpss.scoring.score_pairs`).  Both give every cell the whole
+matrix's bits.  One lexsort by (score descending, key ascending),
+:func:`_top`, orders both the running top and the L pairs precision@L
+counts.
 """
 
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
@@ -40,7 +50,7 @@ from .edges import (
     upper_triangle_keys,
 )
 from .errors import ConfigError, EvaluationError
-from .scoring import MethodId, score_matrix
+from .scoring import MethodId, score_bound, score_matrix, score_pairs
 
 __all__ = [
     "CandidateSet",
@@ -54,6 +64,18 @@ __all__ = [
 # Cells of the score matrix evaluation holds at once: one trapezoid block,
 # 16 MB of float64 per array of the block.
 _BLOCK_CELLS = 2**21
+
+# The relative margin by which a pair's bound must fall below the cut for
+# the pair to be skipped: a score and its bound are sums of the same terms
+# in different orders, which round apart by about n * 2**-53 at most.
+_MARGIN = 1e-9
+
+# The cut of a method with a bound is first taken from the pairs among this
+# many times the fewest top-bound nodes whose pairs hold L candidates (at
+# most a block's cells).  On the eval-all-4k seed-0 input (L = 100) the five
+# bounded methods took 0.40 s in-process with 2, 3 or 4, 0.47 s with 8 and
+# 0.53 s with 16.
+_PROBE = 4
 
 # Defaults for negative sampling and AUC comparisons.
 MAX_NEGATIVES_CAP = 1_000_000
@@ -250,11 +272,12 @@ def _precision_from_arrays(
     return float(np.count_nonzero(is_positive[_top(keys, scores, L)]) / L)
 
 
-def _top_cells(flat: np.ndarray, L: int, floor: float) -> np.ndarray:
+def _top_cells(flat: np.ndarray, L: int, floor: float, keys=None) -> np.ndarray:
     """Indices of the top L cells above ``floor`` by descending score, ties
-    at the cut taken in ascending index (key) order; with fewer than L
-    cells above the floor, all of them.  Scores are >= 0 and cells set to
-    -inf are not candidates."""
+    at the cut taken in ascending key order: ``keys(cells)`` gives their
+    pair keys, and without it the cells' keys ascend with their indices.
+    With fewer than L cells above the floor, all of them.  Scores are >= 0
+    and cells set to -inf are not candidates."""
     # most baselines score most cells 0, and partition degenerates on a
     # long run of equal values, so the cut is sought among the positive
     # scores above the floor; with fewer than L of them all are taken, and
@@ -268,8 +291,136 @@ def _top_cells(flat: np.ndarray, L: int, floor: float) -> np.ndarray:
     elif cut == floor:
         return np.flatnonzero(above)
     best = np.flatnonzero(flat >= cut)
+    tied = flat[best] == cut
+    ties = best[tied]
+    room = L - (len(best) - len(ties))
+    if keys is not None and len(ties) > room:
+        ties = ties[np.argsort(keys(ties), kind="stable")]
     # the cells above the cut, then the first of those at it
-    return best[np.argsort(flat[best] == cut, kind="stable")[:L]]
+    return np.concatenate([best[~tied], ties[:room]])
+
+
+def _method_top(A, D, method, *, decay, cclp_mode, top_l, auc_keys, train_keys):
+    """One method's scores of the pairs ``auc_keys`` and its top ``top_l``
+    pairs not linked in train (keys and scores, by :func:`_top`).
+
+    Rows are walked in blocks of at most ``_BLOCK_CELLS`` cells, rows
+    ``[a0, a1)`` by columns ``[a0, k)`` of an order of the nodes, each
+    scored by :func:`score_matrix`.  A method with a per-node bound
+    (:func:`~tlpss.scoring.score_bound`) first scores the pairs among its
+    top-bound nodes, ``_PROBE`` times the fewest that hold L candidates;
+    their L-th score is a lower bound on the final one, the cut.  With a
+    positive cut it walks the nodes by decreasing bound and scores a row
+    only against the nodes whose bound can still reach the cut, which
+    rises to the running top's L-th score; a pair is skipped only when its
+    bound is below the cut by more than a relative ``_MARGIN``.  Otherwise
+    it walks the nodes in order, every row against every later node: the
+    upper trapezoids.  The pairs of ``auc_keys`` outside the scored blocks
+    are scored by :func:`score_pairs`."""
+    n = A.n
+    options = dict(latent_params=decay, cclp_mode=cclp_mode)
+    bound = score_bound(A, D, method, cclp_mode)
+    cut = -np.inf
+    if bound is not None:
+        form, beta = bound
+        order = np.argsort(-beta, kind="stable")
+        pos = np.empty(n, dtype=np.int64)
+        pos[order] = np.arange(n)
+        # the candidates among the first K nodes: their pairs less the
+        # train pairs whose later node comes before K
+        i, j = np.divmod(train_keys, n)
+        inside = np.arange(n) * np.arange(1, n + 1) // 2
+        inside -= np.cumsum(np.bincount(np.maximum(pos[i], pos[j]), minlength=n))
+        K = int(np.searchsorted(inside, top_l)) + 1
+        # more nodes, up to a block's cells, give a cut nearer the final
+        K = min(n, max(K, min(_PROBE * K, math.isqrt(_BLOCK_CELLS))))
+        top = order[:K]
+        cells = score_matrix(A, D, method, rows=top, cols=top, **options)
+        key = pair_key(top[:, None], top[None, :], n)
+        linked = train_keys.take(np.searchsorted(train_keys, key), mode="clip") == key
+        cells[np.tri(K, dtype=bool) | linked] = -np.inf
+        cut = np.partition(cells.ravel(), K * K - top_l)[K * K - top_l]
+    if not cut > 0:
+        bound, order, pos = None, None, np.arange(n)
+    else:
+        down = -beta[order]
+
+    def extent(a0, cut):
+        """Under the cut, the end k of row a0's columns [a0, k), every node
+        whose bound with a0's can reach it, and the end of the rows from a0
+        on that have such a node after them."""
+        if bound is None:
+            return n, n
+        reach = cut * (1.0 - _MARGIN)
+        if form == "min":
+            k = int(np.searchsorted(down, -reach, side="right"))
+            return k, k - 1
+        ks = np.searchsorted(down, -(2.0 * reach + down[a0:]), side="right")
+        alone = np.flatnonzero(ks <= np.arange(a0 + 1, n + 1))
+        return int(ks[0]), a0 + int(alone[0]) if len(alone) else n
+
+    def nodes(p):
+        return p if order is None else order[p]
+
+    def by_row(keys):
+        """Each pair's two positions in the order, smaller first, sorted by
+        the first, and the permutation that sorts them."""
+        i, j = np.divmod(keys, n)
+        a, b = pos[i], pos[j]
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        s = np.argsort(a, kind="stable")
+        return a[s], b[s], s
+
+    auc_a, auc_b, auc_s = by_row(auc_keys)
+    train_a, train_b, _ = by_row(train_keys)
+    scores = np.empty(len(auc_keys))
+    done = np.zeros(len(auc_keys), dtype=bool)
+    top_keys, top_scores = np.empty(0, dtype=np.int64), np.empty(0)
+    a0 = 0
+    while a0 < n:
+        held = top_scores[-1] if len(top_keys) == top_l else -np.inf
+        k, end = extent(a0, max(cut, held))
+        if a0 >= end:
+            break
+        a1 = min(end, a0 + max(1, _BLOCK_CELLS // (k - a0)))
+        ends = ((a0, a1), (a0, k)) if order is None else (order[a0:a1], order[a0:k])
+        block = score_matrix(A, D, method, rows=ends[0], cols=ends[1], **options)
+        flat = block.ravel()
+        lo, hi = np.searchsorted(auc_a, [a0, a1])
+        t = lo + np.flatnonzero(auc_b[lo:hi] < k)
+        scores[auc_s[t]] = flat.take((auc_a[t] - a0) * (k - a0) + auc_b[t] - a0)
+        done[auc_s[t]] = True
+        # the precision universe is every pair not linked in train: the
+        # block's leading triangle (j <= i) and train-linked cells are out
+        h = a1 - a0
+        block[:, :h][np.tri(h, dtype=bool)] = -np.inf
+        lo, hi = np.searchsorted(train_a, [a0, a1])
+        t = lo + np.flatnonzero(train_b[lo:hi] < k)
+        flat[(train_a[t] - a0) * (k - a0) + train_b[t] - a0] = -np.inf
+
+        def keys(cells):
+            a, c = np.divmod(cells, k - a0)
+            return pair_key(nodes(a + a0), nodes(c + a0), n)
+
+        if order is None:
+            # a cell that ties the held L-th score has a larger key than
+            # every held cell, so only cells above it can enter
+            best = _top_cells(flat, top_l, held)
+        else:
+            # one at the cut may have a smaller key, and none below it can
+            # enter
+            best = _top_cells(flat, top_l, np.nextafter(max(cut, held), -np.inf), keys)
+        # the top L of a union is the top L of the parts' top Ls, so
+        # merging block by block selects what one pass would
+        top_keys = np.concatenate([top_keys, keys(best)])
+        top_scores = np.concatenate([top_scores, flat[best]])
+        keep = _top(top_keys, top_scores, top_l)
+        top_keys, top_scores = top_keys[keep], top_scores[keep]
+        a0 = a1
+    rest = np.flatnonzero(~done)
+    if len(rest):
+        scores[rest] = score_pairs(A, D, method, auc_keys[rest], **options)
+    return scores, top_keys, top_scores
 
 
 def _decay_dict(params: DecayParams | ExpDecayParams) -> dict:
@@ -315,28 +466,9 @@ def _run(
     universe = n * (n - 1) // 2 - len(layout.keys)
     if universe < top_l:
         raise EvaluationError(f"only {universe} candidates for precision@{top_l}")
-    # trapezoid blocks: rows [r0, r1) by columns [r0, n), at most
-    # _BLOCK_CELLS cells each; their keys are ascending from block to block
-    starts = [0]
-    while starts[-1] < n:
-        r0 = starts[-1]
-        starts.append(min(n, r0 + max(1, _BLOCK_CELLS // (n - r0))))
-    starts = np.array(starts)
-
-    def offsets(keys):
-        """Where each block's keys start in the sorted ``keys``, and each
-        key's offset in its block's flat cells: pair (i, j) is cell
-        (i - r0, j - r0) of the block that starts at row r0."""
-        i, j = np.divmod(keys, n)
-        r0 = starts[np.searchsorted(starts, i, side="right") - 1]
-        return np.searchsorted(keys, starts * n), (i - r0) * (n - r0) + (j - r0)
-
     positives = candidates.positives
     neg_order = np.argsort(candidates.sampled_negatives, kind="stable")
-    negatives = candidates.sampled_negatives[neg_order]
-    (pos_at, pos_off), (neg_at, neg_off), (train_at, train_off) = (
-        offsets(keys) for keys in (positives, negatives, layout.keys)
-    )
+    auc_keys = np.concatenate([positives, candidates.sampled_negatives[neg_order]])
     split_stats = {
         "train_edges": len(split.train),
         "test_edges": len(split.test),
@@ -350,43 +482,18 @@ def _run(
         A = build_adjacency(split.train, reference, decay, cfg, agg=agg, layout=layout)
         D = degree_vector(A)
         for method in methods:
-            pos_scores = np.empty(len(positives))
-            neg_scores = np.empty(len(negatives))
-            top_keys, top_scores = np.empty(0, dtype=np.int64), np.empty(0)
-            for b, (r0, r1) in enumerate(zip(starts[:-1], starts[1:])):
-                block = score_matrix(
-                    A, D, method, latent_params=decay, cclp_mode=cclp_mode, rows=(r0, r1)
-                )
-                if r1 == n:
-                    A.operands.clear()
-                    # a kept latent plan serves TLPSS under every parameter
-                    # set; it is freed once TLPSS is scored for the last one
-                    if method is MethodId.TLPSS and k == len(decays) - 1:
-                        vars(layout).pop("latent_plan", None)
-                flat = block.ravel()
-                lo, hi = pos_at[b : b + 2]
-                pos_scores[lo:hi] = flat.take(pos_off[lo:hi])
-                lo, hi = neg_at[b : b + 2]
-                neg_scores[neg_order[lo:hi]] = flat.take(neg_off[lo:hi])
-                # the precision universe is every pair not linked in train:
-                # the block's leading triangle (j <= i) and train-linked
-                # cells are out
-                h = r1 - r0
-                block[:, :h][np.tri(h, dtype=bool)] = -np.inf
-                lo, hi = train_at[b : b + 2]
-                flat[train_off[lo:hi]] = -np.inf
-                # once the top holds L cells, a cell that ties its L-th
-                # score has a larger key than every held cell, so only cells
-                # above it can enter; before that, every candidate can
-                floor = top_scores[-1] if len(top_keys) == top_l else -np.inf
-                best = _top_cells(flat, top_l, floor)
-                a, c = np.divmod(best, n - r0)
-                # the top L of a union is the top L of the parts' top Ls, so
-                # merging block by block selects what one pass would
-                top_keys = np.concatenate([top_keys, (a + r0) * n + c + r0])
-                top_scores = np.concatenate([top_scores, flat[best]])
-                keep = _top(top_keys, top_scores, top_l)
-                top_keys, top_scores = top_keys[keep], top_scores[keep]
+            scores, top_keys, top_scores = _method_top(
+                A, D, method, decay=decay, cclp_mode=cclp_mode, top_l=top_l,
+                auc_keys=auc_keys, train_keys=layout.keys,
+            )
+            A.operands.clear()
+            # a kept latent plan serves TLPSS under every parameter set; it
+            # is freed once TLPSS is scored for the last one
+            if method is MethodId.TLPSS and k == len(decays) - 1:
+                vars(layout).pop("latent_plan", None)
+            pos_scores = scores[: len(positives)]
+            neg_scores = np.empty(len(neg_order))
+            neg_scores[neg_order] = scores[len(positives) :]
             n_pairs = len(pos_scores) * len(neg_scores)
             if n_pairs <= auc_exhaustive_limit:
                 auc_value = auc(pos_scores, neg_scores)

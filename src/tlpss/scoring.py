@@ -7,28 +7,32 @@ baselines are the classical common-neighbor family re-weighted by decayed
 edge weights.
 
 :func:`score_matrix` is the one scoring engine: it returns a method's
-score matrix, or the upper trapezoid of a block of its consecutive rows
-(the rows' cells from the diagonal on), built from sparse matrix products
-over the adjacency, so that evaluation can walk the pairs i < j a block at
-a time.  Every product is a block of rows by columns of one primitive,
-:func:`_block`, computed in row parts of at most ``_PART_CELLS`` cells on
-one thread per CPU the process may use (:func:`~tlpss.adjacency.pool_map`);
-a cell's bits do not depend on the parts or the threads.  A symmetric
-score's block ``s`` of ``M @ P`` gets its transposed half as the same
-product over the swapped ranges, rows ``[r0, n)`` by columns ``[r0, r1)``,
-added into ``s.T``.
+score matrix, the upper trapezoid of a block of its consecutive rows (the
+rows' cells from the diagonal on), or a block of any rows by any columns,
+built from sparse matrix products over the adjacency, so that evaluation
+can walk the pairs i < j a block at a time.  Every product is a block of
+rows by columns of one primitive, :func:`_block`, computed in row parts of
+at most ``_PART_CELLS`` cells on one thread per CPU the process may use
+(:func:`~tlpss.adjacency.pool_map`); a cell's bits do not depend on the
+parts or the threads.  A symmetric score's block ``s`` of ``M @ P`` gets
+its transposed half as the same product over the swapped rows and columns,
+added into ``s.T``.  :func:`score_pairs` scores a set of pairs from the
+same operands, adding each pair's terms in the order the block products
+add them, and :func:`score_bound` gives the per-node bounds by which
+evaluation leaves out the pairs that cannot reach its top L.
 
 A product whose right factor is the 0/1 adjacency indicator ``P`` (every
 score but PA's and the link-triangle factor of CAR and global CCLP) takes
 one of two routes, chosen per block by counting work in its input.  The
 sparse route is SciPy's sparse x sparse product; its cost is its terms,
 one per entry of the block's rows of the left operand and entry of ``P``'s
-matching row.  The dense-operand route makes a few rows of the left
-operand dense at a time and multiplies them by rows of ``P`` with SciPy's
-CSR x dense kernel; its cost is its multiply-adds and the cells it makes
-dense.  A near-dense operand, TLPSS's on a hub-heavy graph, does about as
-many multiply-adds as terms, but as contiguous ones, and the route is
-taken where its cost is at most ``_DENSE_RATIO`` times the terms.  Both
+matching row in the block's columns.  The dense-operand route makes a few
+rows of the left operand dense at a time and multiplies them by rows of
+``P`` with SciPy's CSR x dense kernel; its cost is its multiply-adds and
+the cells it makes dense.  A near-dense operand, TLPSS's on a hub-heavy
+graph, does about as many multiply-adds as terms, but as contiguous ones,
+and the route is taken where its cost is at most ``_DENSE_RATIO`` times
+the terms; a symmetric score's transposed half counts its own.  Both
 routes add each cell's terms in ascending shared index, so they give the
 same bits.  The brute-force per-pair definitions live in
 :mod:`tlpss.oracle`, which the test suite checks the engine against.
@@ -46,7 +50,7 @@ from .adjacency import DegreeVector, WeightedAdjacency, latent_matrix, pool_map
 from .decay import DecayParams, ExpDecayParams
 from .errors import ConfigError
 
-__all__ = ["MethodId", "score_matrix"]
+__all__ = ["MethodId", "score_bound", "score_matrix", "score_pairs"]
 
 
 class MethodId(enum.Enum):
@@ -98,6 +102,12 @@ _DENSE_RATIO = 16
 # 512 took 11; numpy's s += s.T, which buffers all of s.T, took 14 to 18.
 _TILE = 128
 
+# Terms :func:`_pair_product` looks up per part, on the threads of
+# pool_map.  On the eval-all-4k seed-0 train graph (2-vCPU host), 10,000
+# random pairs of CN's product took 14 ms in one part of 2**18 terms and
+# 9 ms in parts of 2**15 or 2**14.
+_PAIR_TERMS = 2**15
+
 
 def _triangle_mass(A: WeightedAdjacency) -> np.ndarray:
     """Per-node total decayed weight of links among the node's neighbors."""
@@ -116,6 +126,17 @@ def _lcl_incidence(A: WeightedAdjacency) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return Q.tocsc().T, (sp.diags(links.data) @ Q).tocsr()
 
 
+def _inv(x: np.ndarray) -> np.ndarray:
+    return np.divide(1.0, x, out=np.zeros_like(x), where=x > 0)
+
+
+def _cclp_coefficients(A: WeightedAdjacency, D: DegreeVector) -> np.ndarray:
+    """Each node's link weight among its neighbors over their pair count."""
+    d = D.d.astype(np.float64)
+    mass = _operand(A, D, "mass", lambda: _triangle_mass(A))
+    return mass * _inv(d * (d - 1) / 2.0)
+
+
 def _rows(X: sp.csr_matrix, r0: int, r1: int) -> sp.csr_matrix:
     """Rows ``[r0, r1)`` of ``X`` on ``X``'s own arrays; a SciPy slice
     copies them."""
@@ -126,17 +147,30 @@ def _rows(X: sp.csr_matrix, r0: int, r1: int) -> sp.csr_matrix:
     )
 
 
-def _dense_route(M: sp.csr_matrix, P: sp.csr_matrix, r0: int, r1: int) -> bool:
-    """Whether rows ``[r0, r1)`` of ``M @ P`` cost less by the dense-operand
-    route than by SciPy's sparse product, counted in the input: the route's
-    multiply-adds and the cells it makes dense against the sparse product's
-    terms.  It also requires what keeps its bits: ``M`` and ``P`` in
-    canonical form (sorted indices, no duplicates) and ``P`` all ones."""
+def _take(X: sp.csr_matrix, nodes) -> sp.csr_matrix:
+    """The rows ``nodes`` of ``X``, a range ``(r0, r1)`` (on ``X``'s own
+    arrays) or an index array (copied, in its order); a row keeps the
+    order of its entries."""
+    return _rows(X, *nodes) if isinstance(nodes, tuple) else X[nodes]
+
+
+def _ids(nodes) -> np.ndarray:
+    return np.arange(*nodes) if isinstance(nodes, tuple) else nodes
+
+
+def _dense_route(M: sp.csr_matrix, P: sp.csr_matrix, rows, cols) -> bool:
+    """Whether the rows ``rows`` by columns ``cols`` of ``M @ P`` (ranges
+    or index arrays) cost less by the dense-operand route than by SciPy's
+    sparse product, counted in the input: the route's multiply-adds and
+    the cells it makes dense against the sparse product's terms.  It also
+    requires what keeps its bits: ``M`` and ``P`` in canonical form (sorted
+    indices, no duplicates) and ``P`` all ones."""
     n = P.shape[0]
-    ptr = M.indptr
-    # an entry of M's rows in column k has one term per entry of P's row k
-    terms = int(np.bincount(M.indices[ptr[r0] : ptr[r1]], minlength=n) @ np.diff(P.indptr))
-    cost = (int(P.indptr[n] - P.indptr[r0]) + n) * (r1 - r0)
+    X, Q = _take(M, rows), _take(P, cols)
+    # an entry of X in column k has one term per entry of P's row k in the
+    # columns, which by P's symmetry are the entries of Q in column k
+    terms = int(np.bincount(X.indices, minlength=n) @ np.bincount(Q.indices, minlength=n))
+    cost = (Q.nnz + n) * X.shape[0]
     return (
         cost <= _DENSE_RATIO * terms
         and M.has_canonical_format
@@ -146,40 +180,44 @@ def _dense_route(M: sp.csr_matrix, P: sp.csr_matrix, r0: int, r1: int) -> bool:
 
 
 def _block(M, Y, rows, cols, dense=False, add_to=None):
-    """Rows ``[r0, r1)`` by columns ``[c0, c1)`` of the dense ``M @ Y``, or
-    with ``add_to`` that block added into the view ``add_to``, in row parts
-    on the threads of :func:`~tlpss.adjacency.pool_map`.  The sparse route
+    """Rows ``rows`` by columns ``cols`` (ranges ``(start, stop)`` or index
+    arrays) of the dense ``M @ Y``, or with ``add_to`` that block added into
+    the view ``add_to``, in row parts on the threads of
+    :func:`~tlpss.adjacency.pool_map`.  The sparse route
     (:func:`_sparse_rows`) cuts a part at one row, or at most
     ``_PART_CELLS`` cells or terms, so SciPy's product for a part of several
     rows has at most ``_PART_CELLS`` entries; it adds each cell's terms in
-    the order of ``M``'s row, which a row or column slice keeps, so the
+    the order of ``M``'s row, which a row or column selection keeps, so the
     cells have the whole product's bits.  The ``dense`` route
     (:func:`_dense_rows`) cuts a part at one row of ``M``, or at most
-    ``_PART_CELLS`` cells of it made dense, and takes ``Y[:, C]`` as the
-    rows ``Y[C]`` of a symmetric ``Y``."""
-    (r0, r1), (c0, c1) = rows, cols
-    out = np.empty((r1 - r0, c1 - c0)) if add_to is None else add_to
+    ``_PART_CELLS`` cells of it made dense, and takes ``Y[:, cols]`` as the
+    rows ``Y[cols]`` of a symmetric ``Y``."""
+    X = _take(M, rows)
+    n_cols = len(_ids(cols))
+    out = np.empty((X.shape[0], n_cols)) if add_to is None else add_to
     add = add_to is not None
     terms = None
     if dense:
-        kernel = partial(_dense_rows, M, r0, _rows(Y, c0, c1), out, add)
+        kernel = partial(_dense_rows, X, _take(Y, cols), out, add)
         width = max(1, _PART_CELLS // max(M.shape[1], 1))
     else:
-        X = _rows(M, r0, r1)
-        if (c0, c1) != (0, Y.shape[1]):
-            Y = Y[:, c0:c1]
+        if isinstance(cols, tuple):
+            if cols != (0, Y.shape[1]):
+                Y = Y[:, cols[0] : cols[1]]
+        else:
+            Y = Y[:, cols]
         kernel = partial(_sparse_rows, X, Y, out, add)
-        width = max(1, _PART_CELLS // max(c1 - c0, 1))
+        width = max(1, _PART_CELLS // max(n_cols, 1))
         # the product's terms before each row: an entry (i, k) of X has one
         # term per entry of Y's row k
         terms = np.r_[0, np.cumsum(np.diff(Y.indptr)[X.indices])][X.indptr]
     bounds = [0]
-    while bounds[-1] < r1 - r0:
+    while bounds[-1] < X.shape[0]:
         a = bounds[-1]
         b = a + width
         if terms is not None:
             b = max(b, int(np.searchsorted(terms, terms[a] + _PART_CELLS, side="right")) - 1)
-        bounds.append(min(r1 - r0, b))
+        bounds.append(min(X.shape[0], b))
     list(pool_map(kernel, list(zip(bounds[:-1], bounds[1:]))))
     return out
 
@@ -199,23 +237,68 @@ def _sparse_rows(X, Y, out, add, part):
         product.toarray(out=out[a:b])
 
 
-def _dense_rows(M, r0, Q, out, add, part):
+def _dense_rows(X, Q, out, add, part):
     """Rows ``[a, b)`` of :func:`_block`'s dense-operand route: the rows
-    ``[r0 + a, r0 + b)`` of ``M`` made dense and transposed, ``Z``, and
-    ``(Q @ Z).T`` written to, or added into, ``out[a:b]``, with SciPy's CSR
-    x dense kernel.  Row i of ``Q @ Z`` adds ``Q[i, k] * Z[k]`` to zeros
-    for each entry k of ``Q``'s row i in ascending order.  With ``Q`` all
-    ones, ``1.0 * M[c, k]`` is exact (with or without a fused multiply-add),
-    so cell (c, i) adds the sparse product's terms in its order, ascending
+    ``[a, b)`` of ``X`` made dense and transposed, ``Z``, and ``(Q @ Z).T``
+    written to, or added into, ``out[a:b]``, with SciPy's CSR x dense
+    kernel.  Row i of ``Q @ Z`` adds ``Q[i, k] * Z[k]`` to zeros for each
+    entry k of ``Q``'s row i in ascending order.  With ``Q`` all ones,
+    ``1.0 * X[c, k]`` is exact (with or without a fused multiply-add), so
+    cell (c, i) adds the sparse product's terms in its order, ascending
     shared index, and between them an exact ``+0.0`` for each k where
-    ``M[c, k]`` is not stored, which leaves a sum begun at ``+0.0``
+    ``X[c, k]`` is not stored, which leaves a sum begun at ``+0.0``
     unchanged: the cell has the sparse product's bits."""
     a, b = part
-    Z = np.ascontiguousarray(_rows(M, r0 + a, r0 + b).toarray().T)
+    Z = np.ascontiguousarray(_rows(X, a, b).toarray().T)
     if add:
         out[a:b] += (Q @ Z).T
     else:
         out[a:b] = (Q @ Z).T
+
+
+def _pair_product(X: sp.csr_matrix, Y: sp.csr_matrix, i: np.ndarray, j: np.ndarray):
+    """``(X @ Y)[i, j]`` for the pairs of index arrays ``i`` and ``j``.
+    Each cell adds its terms ``X[i, k] * Y[k, j]`` to zero in the order of
+    ``X``'s row i, as SciPy's product does (so also :func:`_block`), with
+    ``np.bincount``, which adds its weights in their order.  The pairs are
+    taken by ascending ``j``, so that the lookups of ``Y[k, j]`` ascend,
+    in parts of at most ``_PAIR_TERMS`` terms looked up (or one pair) on
+    the threads of :func:`~tlpss.adjacency.pool_map`."""
+    Y = Y.tocsc()
+    Y.sort_indices()
+    n_rows = Y.shape[0]
+    # Y's entries as sorted flat indices, column * n_rows + row
+    flat = np.repeat(np.arange(Y.shape[1], dtype=np.int64), np.diff(Y.indptr))
+    flat = flat * n_rows + Y.indices
+    by_j = np.argsort(j, kind="stable")
+    i, j = i[by_j], j[by_j]
+    lengths = np.diff(X.indptr)[i]
+    before = np.r_[0, np.cumsum(lengths)]
+    sums = np.empty(len(i))
+    bounds = [0]
+    while bounds[-1] < len(i):
+        a = bounds[-1]
+        b = int(np.searchsorted(before, before[a] + _PAIR_TERMS, side="right")) - 1
+        bounds.append(max(a + 1, b))
+
+    def part(ends):
+        a, b = ends
+        run = lengths[a:b]
+        pair = np.repeat(np.arange(b - a), run)
+        # each pair's entries of X, in the row's order
+        entry = np.arange(before[b] - before[a]) + np.repeat(
+            X.indptr[i[a:b]] - (before[a:b] - before[a]), run
+        )
+        want = np.repeat(j[a:b].astype(np.int64) * n_rows, run) + X.indices[entry]
+        at = np.searchsorted(flat, want).clip(max=max(len(flat) - 1, 0))
+        hit = flat[at] == want if len(flat) else np.zeros(len(want), dtype=bool)
+        terms = X.data[entry[hit]] * Y.data[at[hit]]
+        sums[a:b] = np.bincount(pair[hit], weights=terms, minlength=b - a)
+
+    list(pool_map(part, list(zip(bounds[:-1], bounds[1:]))))
+    out = np.empty(len(i))
+    out[by_j] = sums
+    return out
 
 
 def _add_transpose(s: np.ndarray) -> None:
@@ -244,94 +327,102 @@ def _operand(A: WeightedAdjacency, D: DegreeVector, key, build):
     return entry[1]
 
 
-def score_matrix(
-    A: WeightedAdjacency,
-    D: DegreeVector,
-    method: MethodId,
-    latent_params: DecayParams | ExpDecayParams | None = None,
-    cclp_mode: str = "local",
-    rows: tuple[int, int] | None = None,
-) -> np.ndarray:
-    """One method's dense score matrix, or for ``rows=(r0, r1)`` the block
-    of its rows ``[r0, r1)`` and columns ``[r0, n)``, of shape
-    ``(r1 - r0, n - r0)``: the upper trapezoid that holds every pair
-    ``i < j`` of those rows (block cell ``(a, c)`` is pair
-    ``(r0 + a, r0 + c)``).  ``rows=None`` is the whole matrix.
+class _Block:
+    """The cells of a block, rows ``rows`` by columns ``cols`` (ranges
+    ``(start, stop)`` or index arrays) of a score matrix, for :func:`_score`."""
 
-    Entry (i, j) is the method's score for the pair; the matrix is symmetric
-    with an all-zero diagonal except for PA, whose diagonal is meaningless
-    and zeroed anyway.  A block's cells have the bits of the whole matrix's.
-    What does not depend on the rows (the scaled TLPSS operand, the
-    link-triangle incidence, the CCLP coefficients) is built at the first
-    block and kept in ``A.operands``, which a caller scoring block by block
-    clears after the last.  TLPSS requires ``latent_params`` for its latent
-    weights, and builds ``A.layout.latent_plan`` if it does not exist yet,
-    or streams a plan where the layout keeps none (see
-    :func:`~tlpss.adjacency.latent_matrix`).
-    """
-    n = A.n
-    r0, r1 = (0, n) if rows is None else rows
-    if not 0 <= r0 <= r1 <= n:
-        raise ValueError(f"rows {rows!r} are not a range of the {n} rows")
-    R, C = (r0, r1), (r0, n)
-    P = A.indicator_csr
-    W = A.weight_csr
-    w = D.w
+    def __init__(self, P, rows, cols):
+        self.P, self.rows, self.cols = P, rows, cols
 
-    def symmetric(M):
+    def ends(self, v):
+        """``v`` at each cell's row and column node, broadcast to the block."""
+        at = [slice(*x) if isinstance(x, tuple) else x for x in (self.rows, self.cols)]
+        return v[at[0]][:, None], v[at[1]][None, :]
+
+    def product(self, X, Y):
+        dense = Y is self.P and _dense_route(X, Y, self.rows, self.cols)
+        return _block(X, Y, self.rows, self.cols, dense)
+
+    def symmetric(self, M):
         """The block of ``0.5 * (s + s.T)`` for ``s = M @ P``.  The
         transposed half of a block that is not the whole matrix is the
-        product over the swapped ranges, ``M[C] @ P[:, R]``, added into the
-        block's transpose by the route ``s`` took; a cell adds its terms in
-        the order the whole matrix's ``s.T`` does.  The whole matrix adds
-        its own transpose in tiles (:func:`_add_transpose`)."""
-        dense = _dense_route(M, P, r0, r1)
-        s = _block(M, P, R, C, dense)
-        if r1 - r0 == n:
+        product over the swapped rows and columns, ``M[cols] @ P[:, rows]``,
+        added into the block's transpose by the route its own count picks;
+        a cell adds its terms in the order the whole matrix's ``s.T`` does.
+        The whole matrix adds its own transpose in tiles
+        (:func:`_add_transpose`)."""
+        P, rows, cols = self.P, self.rows, self.cols
+        s = self.product(M, P)
+        if isinstance(rows, tuple) and rows == cols == (0, P.shape[0]):
             _add_transpose(s)
         else:
-            _block(M, P, C, R, dense, add_to=s.T)
+            _block(M, P, cols, rows, _dense_route(M, P, cols, rows), add_to=s.T)
         s *= 0.5
         return s
 
-    def inv(x):
-        return np.divide(1.0, x, out=np.zeros_like(x), where=x > 0)
 
-    def cap():
-        d = D.d.astype(np.float64)
-        return d * (d - 1) / 2.0
+class _Pairs:
+    """The cells of the pairs ``(i[t], j[t])`` of a score matrix, for
+    :func:`_score`; each is added in the order its block cell adds it."""
 
+    def __init__(self, P, i, j):
+        self.P, self.i, self.j = P, i, j
+
+    def ends(self, v):
+        return v[self.i], v[self.j]
+
+    def product(self, X, Y):
+        return _pair_product(X, Y, self.i, self.j)
+
+    def symmetric(self, M):
+        s = _pair_product(M, self.P, self.i, self.j)
+        s += _pair_product(M, self.P, self.j, self.i)
+        s *= 0.5
+        return s
+
+
+def _score(A, D, method, latent_params, cclp_mode, cells):
+    """One method's scores on ``cells``, a :class:`_Block` or
+    :class:`_Pairs`: every method is one formula over the products and
+    node vectors of the cells."""
+    P = A.indicator_csr
+    W = A.weight_csr
+    w = D.w
     if method is MethodId.CN_ASF:
-        out = symmetric(W)
-    elif method is MethodId.JA_ASF:
+        return cells.symmetric(W)
+    if method is MethodId.JA_ASF:
         # in place: where denom is 0, both nodes are isolated and cn is 0
-        out = symmetric(W)
-        denom = w[r0:r1, None] + w[None, r0:]
+        out = cells.symmetric(W)
+        wx, wy = cells.ends(w)
+        denom = wx + wy
         np.divide(out, denom, out=out, where=denom > 0)
-    elif method is MethodId.PA_ASF:
-        out = np.outer(w[r0:r1], w[r0:])
-    elif method is MethodId.RA_ASF:
-        L = _operand(A, D, method, lambda: P @ sp.diags(inv(w)))
-        out = _block(L, P, R, C, _dense_route(L, P, r0, r1))
-    elif method is MethodId.CAR_ASF:
+        return out
+    if method is MethodId.PA_ASF:
+        wx, wy = cells.ends(w)
+        return wx * wy
+    if method is MethodId.RA_ASF:
+        L = _operand(A, D, method, lambda: P @ sp.diags(_inv(w)))
+        return cells.product(L, P)
+    if method is MethodId.CAR_ASF:
         incidence = _operand(A, D, "lcl", lambda: _lcl_incidence(A))
-        out = symmetric(W)
-        out *= _block(*incidence, R, C)
-    elif method is MethodId.CCLP_ASF:
+        out = cells.symmetric(W)
+        out *= cells.product(*incidence)
+        return out
+    if method is MethodId.CCLP_ASF:
         if cclp_mode == "local":
+            L = _operand(A, D, method, lambda: P @ sp.diags(_cclp_coefficients(A, D)))
+            return cells.product(L, P)
+        if cclp_mode == "global":
+            d = D.d.astype(np.float64)
             L = _operand(
-                A, D, method,
-                lambda: P @ sp.diags(_triangle_mass(A) * inv(cap())),
+                A, D, (method, "global"), lambda: P @ sp.diags(_inv(d * (d - 1) / 2.0))
             )
-            out = _block(L, P, R, C, _dense_route(L, P, r0, r1))
-        elif cclp_mode == "global":
-            L = _operand(A, D, (method, "global"), lambda: P @ sp.diags(inv(cap())))
             incidence = _operand(A, D, "lcl", lambda: _lcl_incidence(A))
-            out = _block(L, P, R, C, _dense_route(L, P, r0, r1))
-            out *= _block(*incidence, R, C)
-        else:
-            raise ConfigError(f"unknown cclp mode {cclp_mode!r}")
-    elif method is MethodId.TLPSS:
+            out = cells.product(L, P)
+            out *= cells.product(*incidence)
+            return out
+        raise ConfigError(f"unknown cclp mode {cclp_mode!r}")
+    if method is MethodId.TLPSS:
         if latent_params is None:
             raise ConfigError("TLPSS needs decay parameters for latent weights")
 
@@ -343,10 +434,103 @@ def score_matrix(
             M.data /= w[M.indices]
             return M
 
-        out = symmetric(_operand(A, D, (method, latent_params), scaled))
-    else:
-        raise ConfigError(f"unknown method {method!r}")
+        return cells.symmetric(_operand(A, D, (method, latent_params), scaled))
+    raise ConfigError(f"unknown method {method!r}")
 
-    # the block's cells (i, i), its leading diagonal
-    np.fill_diagonal(out, 0.0)
+
+def score_matrix(
+    A: WeightedAdjacency,
+    D: DegreeVector,
+    method: MethodId,
+    latent_params: DecayParams | ExpDecayParams | None = None,
+    cclp_mode: str = "local",
+    rows: tuple[int, int] | np.ndarray | None = None,
+    cols: tuple[int, int] | np.ndarray | None = None,
+) -> np.ndarray:
+    """One method's dense score matrix, or for ``rows=(r0, r1)`` the block
+    of its rows ``[r0, r1)`` and columns ``[r0, n)``, of shape
+    ``(r1 - r0, n - r0)``: the upper trapezoid that holds every pair
+    ``i < j`` of those rows (block cell ``(a, c)`` is pair
+    ``(r0 + a, r0 + c)``).  ``rows=None`` is the whole matrix.  With
+    ``cols``, the block is rows ``rows`` by columns ``cols``, each a range
+    ``(start, stop)`` or an array of node indices (cell ``(a, c)`` is pair
+    ``(rows[a], cols[c])``).
+
+    Entry (i, j) is the method's score for the pair; the matrix is symmetric,
+    bit for bit, with an all-zero diagonal except for PA, whose diagonal is
+    meaningless and zeroed anyway.  A block's cells have the bits of the
+    whole matrix's.  What does not depend on the rows (the scaled TLPSS
+    operand, the link-triangle incidence, the CCLP coefficients) is built at
+    the first block and kept in ``A.operands``, which a caller scoring block
+    by block clears after the last.  TLPSS requires ``latent_params`` for
+    its latent weights, and builds ``A.layout.latent_plan`` if it does not
+    exist yet, or streams a plan where the layout keeps none (see
+    :func:`~tlpss.adjacency.latent_matrix`).
+    """
+    n = A.n
+    rows = (0, n) if rows is None else rows
+    if cols is None:
+        if not isinstance(rows, tuple):
+            raise ValueError("rows given as node indices need cols")
+        cols = (rows[0], n)
+    for name, nodes in (("rows", rows), ("cols", cols)):
+        if isinstance(nodes, tuple) and not 0 <= nodes[0] <= nodes[1] <= n:
+            raise ValueError(f"{name} {nodes!r} are not a range of the {n} rows")
+    out = _score(A, D, method, latent_params, cclp_mode, _Block(A.indicator_csr, rows, cols))
+    # the cells whose row and column are one node, (i, i)
+    where = np.full(n, -1)
+    where[_ids(cols)] = np.arange(out.shape[1])
+    col = where[_ids(rows)]
+    row = np.flatnonzero(col >= 0)
+    out[row, col[row]] = 0.0
     return out
+
+
+def score_pairs(
+    A: WeightedAdjacency,
+    D: DegreeVector,
+    method: MethodId,
+    keys: np.ndarray,
+    latent_params: DecayParams | ExpDecayParams | None = None,
+    cclp_mode: str = "local",
+) -> np.ndarray:
+    """One method's scores of the pairs with :func:`~tlpss.edges.pair_key`
+    keys ``keys``, equal bit for bit to their cells of :func:`score_matrix`.
+    It reads the same operands (kept in ``A.operands`` like a block's), and
+    adds each pair's terms in the order the operand's row stores them, the
+    order of the block products, so it scores a few pairs without a
+    block."""
+    i, j = np.divmod(np.asarray(keys, dtype=np.int64), A.n)
+    out = _score(A, D, method, latent_params, cclp_mode, _Pairs(A.indicator_csr, i, j))
+    out[i == j] = 0.0
+    return out
+
+
+def score_bound(
+    A: WeightedAdjacency, D: DegreeVector, method: MethodId, cclp_mode: str = "local"
+) -> tuple[str, np.ndarray] | None:
+    """A per-node bound ``beta`` on a method's scores: ``("sum", beta)``
+    where every score ``S[x, y] <= (beta[x] + beta[y]) / 2``, ``("min",
+    beta)`` where ``S[x, y] <= min(beta[x], beta[y])``, or ``None`` for a
+    method without a useful one (JA's is 1/2, TLPSS's sum form keeps most
+    pairs, global CCLP has none).  Sum form: CN's half sums are at most the
+    weighted degrees ``w``; PA's ``w[x] w[y]`` is at most the mean of the
+    squares; CAR's link mass is at most each end's triangle mass ``m``, so
+    ``beta = w * m``.  Min form: RA and local CCLP add a coefficient per
+    common neighbor, at most all of one end's neighbors' (``P @ (1/w)`` and
+    ``P @ c``).  The bound holds for the exact sums; the floats of a score
+    and of its bound may differ by a relative n * 2**-53 or so."""
+    P, w = A.indicator_csr, D.w
+    if method is MethodId.CN_ASF:
+        return "sum", w
+    if method is MethodId.PA_ASF:
+        return "sum", w * w
+    if method is MethodId.CAR_ASF:
+        # each node's triangle mass, as the column sums of its incidence
+        _, weighted = _operand(A, D, "lcl", lambda: _lcl_incidence(A))
+        return "sum", w * np.asarray(weighted.sum(axis=0)).ravel()
+    if method is MethodId.RA_ASF:
+        return "min", P @ _inv(w)
+    if method is MethodId.CCLP_ASF and cclp_mode == "local":
+        return "min", P @ _cclp_coefficients(A, D)
+    return None

@@ -13,7 +13,8 @@ import pytest
 
 import tlpss
 from tlpss import evaluation, scoring
-from tlpss.adjacency import LatentPlan, build_adjacency, degree_vector
+from tlpss import adjacency
+from tlpss.adjacency import LatentPlan, WeightedAdjacency, build_adjacency, degree_vector
 from tlpss.decay import DecayParams
 from tlpss.edges import (
     SnapshotConfig,
@@ -558,14 +559,22 @@ class TestSweep:
         kwargs = dict(period=200.0, decay=DecayParams(p=3.0, q=1.0), methods=methods)
         evaluate_methods(lst, **kwargs)
         # under one decay setting the layout never holds a plan: the latent
-        # pass streams its blocks
-        assert calls == [(MethodId.TLPSS, False)] * blocks + [(MethodId.CN_ASF, False)] * blocks
+        # pass streams its blocks (CN, which has a bound, walks blocks of
+        # its own)
+        assert calls[:blocks] == [(MethodId.TLPSS, False)] * blocks
+        assert calls[blocks:] and set(calls[blocks:]) == {(MethodId.CN_ASF, False)}
         assert not layouts[-1].keep_plan
         assert "latent_plan" not in vars(layouts[-1])
         calls.clear()
+        swept = len(layouts)
         sweep(lst, "q", [1.0, 2.0], **kwargs)
-        assert [has_plan for _, has_plan in calls] == [True] * 3 * blocks + [False] * blocks
-        assert len({id(layout) for layout in layouts[2 * blocks :]}) == 1
+        tlpss = [t for t, (method, _) in enumerate(calls) if method is MethodId.TLPSS]
+        assert len(tlpss) == 2 * blocks
+        # the plan is kept up to TLPSS's last block and freed after it
+        assert all(has_plan for _, has_plan in calls[: tlpss[-1] + 1])
+        assert calls[tlpss[-1] + 1 :]
+        assert not any(has_plan for _, has_plan in calls[tlpss[-1] + 1 :])
+        assert len({id(layout) for layout in layouts[swept:]}) == 1
         assert "latent_plan" not in vars(layouts[-1])
         # each method's row-independent operands are dropped after its last block
         assert all(A.operands == {} for A in adjacencies)
@@ -655,20 +664,34 @@ def trapezoid_blocks(n, cells):
 
 
 def one_block_and_blocked(monkeypatch, run, cells):
-    """``run()`` with the whole matrix in one block, then with blocks of
-    ``cells`` cells, and the number of blocked score_matrix calls."""
-    whole = run()
+    """``run()`` with the whole matrix in one block and no method's bound,
+    then with blocks of ``cells`` cells and the bounds, and the blocked
+    score_matrix calls as ``(method, cclp_mode, rows, cols)``."""
+    with monkeypatch.context() as patched:
+        patched.setattr(evaluation, "score_bound", lambda *args: None)
+        whole = run()
     calls = []
     score = evaluation.score_matrix
 
     def counted(*args, **kwargs):
-        calls.append(kwargs["rows"])
+        calls.append((args[2], kwargs["cclp_mode"], kwargs["rows"], kwargs["cols"]))
         return score(*args, **kwargs)
 
     monkeypatch.setattr(evaluation, "score_matrix", counted)
     monkeypatch.setattr(evaluation, "_BLOCK_CELLS", cells)
     blocked = run()
     return whole, blocked, calls
+
+
+def size(nodes):
+    """The number of nodes of a range ``(start, stop)`` or index array."""
+    return nodes[1] - nodes[0] if isinstance(nodes, tuple) else len(nodes)
+
+
+def unbounded(method, mode):
+    return method in (MethodId.TLPSS, MethodId.JA_ASF) or (
+        method is MethodId.CCLP_ASF and mode == "global"
+    )
 
 
 class TestRowBlocks:
@@ -696,7 +719,18 @@ class TestRowBlocks:
         whole, blocked, calls = one_block_and_blocked(monkeypatch, run, cells)
         assert blocked == whole
         blocks = trapezoid_blocks(48, cells)
-        assert calls == 6 * 7 * blocks
+        # TLPSS and JA in 6 runs and global CCLP in 3 have no bound and
+        # walk the upper trapezoids
+        walked = [(rows, cols) for method, mode, rows, cols in calls if unbounded(method, mode)]
+        assert walked == 15 * [((r0, r1), (r0, 48)) for r0, r1 in blocks]
+        # the others walk blocks of that size too, after a first square of
+        # their top nodes (rows is cols)
+        bounded = [
+            (rows, cols)
+            for method, mode, rows, cols in calls
+            if not unbounded(method, mode) and rows is not cols
+        ]
+        assert all(size(rows) * size(cols) <= cells or size(rows) == 1 for rows, cols in bounded)
         assert all((r1 - r0) * (48 - r0) <= cells or r1 - r0 == 1 for r0, r1 in blocks)
         # a block has fewer candidates (its cells j > i) than top_l = 700
         assert all(sum(47 - i for i in range(r0, r1)) < 700 for r0, r1 in blocks)
@@ -718,7 +752,10 @@ class TestRowBlocks:
 
         whole, blocked, calls = one_block_and_blocked(monkeypatch, run, cells)
         assert blocked == whole
-        assert calls == 4 * 2 * trapezoid_blocks(40, cells)
+        assert all(
+            size(rows) * size(cols) <= cells or size(rows) == 1 or rows is cols
+            for _, _, rows, cols in calls
+        )
 
         # every cut falls inside a run of tied scores (CN's last among
         # zeros), and precision equals a full sort of the candidate universe
@@ -828,6 +865,136 @@ class TestRunningCut:
             pa_8, cn_8, ja_8, pa_05, cn_05, ja_05 = cuts
             assert pa_8 > cn_8 > ja_8 and pa_05 > cn_05 > ja_05
             assert pa_8 > pa_05 and cn_8 > cn_05 and ja_8 > ja_05
+
+
+def hub_toy(n=300, rows=4000, seed=11):
+    """Heavy-tailed network of communities of 20: a few hubs score the top
+    pairs of every bounded method."""
+    rng = np.random.default_rng(seed)
+    activity = (rng.permutation(n) + 1.0) ** -0.8
+    cdf = np.cumsum(activity)
+    u = np.searchsorted(cdf, rng.random(rows) * cdf[-1], side="right")
+    v = np.searchsorted(cdf, rng.random(rows) * cdf[-1], side="right")
+    local = rng.random(rows) < 0.5
+    v[local] = (u[local] // 20) * 20 + rng.integers(0, 20, local.sum())
+    v = np.minimum(v, n - 1)
+    ts = rng.integers(1, 8000, rows)
+    return ToyGraph(n=n, edges=list(zip(u.tolist(), v.tolist(), ts.tolist())))
+
+
+BOUNDED = [MethodId.CN_ASF, MethodId.PA_ASF, MethodId.RA_ASF, MethodId.CAR_ASF, MethodId.CCLP_ASF]
+
+
+def unit_adjacency(n, pairs):
+    return WeightedAdjacency.from_pair_weights(n, {pair: 1.0 for pair in pairs})
+
+
+def walk(monkeypatch, A, method, top_l, auc_keys, bounded=True):
+    """``evaluation._method_top`` on ``A``, with the method's bound or
+    without any (the unpruned walk), and the (rows, cols) it scored."""
+    calls = []
+    score = evaluation.score_matrix
+
+    def recorded(*args, **kwargs):
+        calls.append((kwargs["rows"], kwargs["cols"]))
+        return score(*args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(evaluation, "score_matrix", recorded)
+        if not bounded:
+            patched.setattr(evaluation, "score_bound", lambda *args: None)
+        out = evaluation._method_top(
+            A, degree_vector(A), method, decay=DecayParams(p=3.0, q=1.0),
+            cclp_mode="local", top_l=top_l, auc_keys=auc_keys, train_keys=A.layout.keys,
+        )
+    A.operands.clear()
+    return out, calls
+
+
+def scored_keys(calls, n):
+    """The keys of the pairs i < j in the blocks of ``calls``."""
+    keys = set()
+    for rows, cols in calls:
+        r, c = (np.arange(*x) if isinstance(x, tuple) else x for x in (rows, cols))
+        i, j = np.meshgrid(r, c, indexing="ij")
+        keep = i != j
+        keys |= set(pair_key(i[keep], j[keep], n).tolist())
+    return keys
+
+
+def assert_same_walk(pruned, unpruned):
+    """The same AUC scores and top L, key for key and bit for bit."""
+    for got, want in zip(pruned, unpruned):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestRegion:
+    """A method with a bound scores only the pairs whose bound can reach
+    the cut; its AUC scores and top L equal the unpruned walk's."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("cells", [2**21, 1])
+    def test_pair_at_the_cut_with_a_smaller_key_enters(self, monkeypatch, workers, cells):
+        monkeypatch.setattr(adjacency, "_workers", lambda: workers)
+        monkeypatch.setattr(evaluation, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(evaluation, "_PROBE", 1)
+        # hub 2 (degree 4) linked to 0 and 1 (degree 2 each), 3 and 6 a
+        # lone link: PA scores pairs (0, 1), (2, 3) and (2, 6) all 4, and
+        # (0, 1), which has the smallest key, is walked after the hub's row
+        n = 7
+        A = unit_adjacency(n, [(0, 2), (1, 2), (2, 4), (2, 5), (0, 4), (1, 5), (3, 6)])
+        auc_keys = pair_key(np.array([0, 0, 3, 4, 3]), np.array([1, 3, 4, 5, 5]), n)
+        pruned, calls = walk(monkeypatch, A, MethodId.PA_ASF, 1, auc_keys)
+        unpruned, _ = walk(monkeypatch, A, MethodId.PA_ASF, 1, auc_keys, bounded=False)
+        assert_same_walk(pruned, unpruned)
+        _, top_keys, top_scores = pruned
+        assert top_keys.tolist() == [pair_key(0, 1, n)] and top_scores.tolist() == [4.0]
+        # its bound, (w0**2 + w1**2) / 2, is the cut itself
+        form, beta = scoring.score_bound(A, degree_vector(A), MethodId.PA_ASF)
+        assert form == "sum" and 0.5 * (beta[0] + beta[1]) == top_scores[-1]
+        # pair (3, 5), bound 2.5, is left out and scored as an AUC pair
+        assert pair_key(3, 5, n) not in scored_keys(calls, n)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("cells", [2**21, 7])
+    def test_zero_cut_walks_the_whole_triangle(self, monkeypatch, workers, cells):
+        monkeypatch.setattr(adjacency, "_workers", lambda: workers)
+        monkeypatch.setattr(evaluation, "_BLOCK_CELLS", cells)
+        # a star, three lone links and five isolated nodes: fewer than 60
+        # of the 99 candidate pairs score above 0 under every bound
+        n = 15
+        A = unit_adjacency(n, [(0, 1), (0, 2), (0, 3), (4, 5), (6, 7), (8, 9)])
+        ii, jj = np.triu_indices(n, k=1)
+        every = pair_key(ii, jj, n)
+        candidates = np.setdiff1d(every, A.layout.keys)
+        assert len(candidates) == 99
+        auc_keys = np.random.default_rng(workers).permutation(candidates)[:40]
+        for method in BOUNDED:
+            pruned, calls = walk(monkeypatch, A, method, 60, auc_keys)
+            unpruned, _ = walk(monkeypatch, A, method, 60, auc_keys, bounded=False)
+            assert_same_walk(pruned, unpruned)
+            assert pruned[2][-1] == 0.0
+            assert scored_keys(calls, n) == set(every.tolist()), method
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_pruned_walk_equals_unpruned_on_a_hub_graph(self, monkeypatch, workers):
+        monkeypatch.setattr(adjacency, "_workers", lambda: workers)
+        lst = toy_list(hub_toy())
+        split = split_by_time(lst, 0.9)
+        cfg = SnapshotConfig(period=200.0)
+        params = DecayParams(p=3.0, q=1.0)
+        A = build_adjacency(split.train, snapshot_index(split.t_split, cfg), params, cfg)
+        candidates = build_candidates(split, lst.node_count, 3)
+        auc_keys = np.concatenate([candidates.positives, candidates.sampled_negatives])
+        n = A.n
+        for cells in (2**21, 3000):
+            monkeypatch.setattr(evaluation, "_BLOCK_CELLS", cells)
+            for method in BOUNDED:
+                for top_l in (1, 100):
+                    pruned, calls = walk(monkeypatch, A, method, top_l, auc_keys)
+                    unpruned, _ = walk(monkeypatch, A, method, top_l, auc_keys, bounded=False)
+                    assert_same_walk(pruned, unpruned)
+                    assert len(scored_keys(calls, n)) < n * (n - 1) // 2, (method, top_l)
 
 
 def test_peak_memory_below_half_a_dense_matrix():

@@ -8,7 +8,8 @@ gather-and-subtract loops, which add each cell's terms in the row-major link
 order the engine documents, and check that one latent plan gives those bits
 under every parameter set, and that neither row blocks, row parts, the
 number of worker threads nor the route a product by the adjacency indicator
-takes changes a bit.
+takes changes a bit.  Blocks of node indices and ``score_pairs``, which adds
+each pair's terms with ``np.bincount``, give the whole matrix's bits too.
 """
 
 import signal
@@ -31,7 +32,7 @@ from tlpss.adjacency import (
 from tlpss.decay import DecayParams, ExpDecayParams, decay_floor
 from tlpss.edges import SnapshotConfig, TemporalEdgeList, normalize, snapshot_index
 from tlpss.oracle import ToyGraph, random_decay, random_toy
-from tlpss.scoring import MethodId, score_matrix
+from tlpss.scoring import MethodId, score_bound, score_matrix, score_pairs
 
 
 def loop_lcl(A):
@@ -551,7 +552,7 @@ def route(monkeypatch, M, P, r0, r1, dense):
     """``scoring._dense_route`` with its verdict forced by the ratio, as
     far as the operands allow the dense route."""
     monkeypatch.setattr(scoring, "_DENSE_RATIO", 10**12 if dense else 0)
-    return scoring._dense_route(M, P, r0, r1)
+    return scoring._dense_route(M, P, (r0, r1), (r0, P.shape[0]))
 
 
 def transposed_half(M, P, r0, r1, dense):
@@ -657,3 +658,104 @@ def test_scoring_routes_give_the_same_matrices(monkeypatch):
         assert bool(calls) == bool(ratio)
         results.append(got)
     assert all(np.array_equal(a, b) for a, b in zip(*results))
+
+
+def check_pairs_and_index_blocks(toy, params, rng):
+    """Every scoring's ``score_pairs`` of every pair, and blocks of random
+    node indices, equal the whole matrix bit for bit, and every score is
+    within its bound."""
+    A, D = stack(toy, params)
+    n = A.n
+    ii, jj = np.triu_indices(n, k=1)
+    keys = ii * n + jj
+    for method, mode in SCORINGS:
+        full = score_matrix(A, D, method, latent_params=params, cclp_mode=mode)
+        A.operands.clear()
+        assert np.array_equal(full, full.T), (method, mode)
+        got = score_pairs(A, D, method, keys, latent_params=params, cclp_mode=mode)
+        assert np.array_equal(got, full[ii, jj]), (method, mode)
+        # in draw order, with repeats and both orientations
+        pick = rng.integers(0, len(keys), size=min(len(keys), 50))
+        flipped = jj[pick] * n + ii[pick]
+        got = score_pairs(A, D, method, flipped, latent_params=params, cclp_mode=mode)
+        assert np.array_equal(got, full[ii[pick], jj[pick]]), (method, mode)
+        rows = rng.permutation(n)[: rng.integers(1, n + 1)]
+        cols = rng.permutation(n)[: rng.integers(1, n + 1)]
+        block = score_matrix(
+            A, D, method, latent_params=params, cclp_mode=mode, rows=rows, cols=cols
+        )
+        assert np.array_equal(block, full[np.ix_(rows, cols)]), (method, mode)
+        bound = score_bound(A, D, method, mode)
+        A.operands.clear()
+        if bound is not None:
+            form, beta = bound
+            if form == "sum":
+                limit = 0.5 * (beta[:, None] + beta[None, :])
+            else:
+                limit = np.minimum(beta[:, None], beta[None, :])
+            assert np.all(full <= limit * (1 + 1e-12)), (method, mode)
+        assert (bound is None) == (
+            method in (MethodId.TLPSS, MethodId.JA_ASF) or mode == "global"
+        )
+
+
+def test_score_pairs_and_index_blocks_equal_whole_matrix_on_random_toys():
+    rng = np.random.default_rng(64000)
+    for trial in range(40):
+        toy = random_toy(seed=64000 + trial, max_nodes=60, min_nodes=4)
+        params = random_decay(seed=65000 + trial, allow_exp=False)
+        if trial % 2:
+            params = ExpDecayParams(theta=0.1 + 0.8 * (trial % 7) / 7)
+        check_pairs_and_index_blocks(toy, params, rng)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_score_pairs_and_index_blocks_equal_whole_matrix_on_hub_graph(monkeypatch, workers):
+    monkeypatch.setattr(adjacency, "_workers", lambda: workers)
+    # several parts of looked-up terms per product
+    monkeypatch.setattr(scoring, "_PAIR_TERMS", 5_000)
+    check_pairs_and_index_blocks(
+        hub_graph(), DecayParams(p=3.0, q=1.0), np.random.default_rng(66000 + workers)
+    )
+
+
+def test_score_pairs_adds_terms_in_the_operand_row_order():
+    """On an operand whose rows are stored in descending column order, as
+    RA's and CCLP's are, a pair's sum follows that order, as the block
+    product's does, and not the ascending one."""
+    rng = np.random.default_rng(67000)
+    n = 60
+    P = random_indicator(rng, n, 0.3)
+    M = reversed_rows(operand_with_empty_rows(rng, n, (3,)))
+    whole = (M @ P).toarray()
+    assert not np.array_equal(whole, (M.sorted_indices() @ P).toarray())
+    ii, jj = np.nonzero(np.ones((n, n), dtype=bool))
+    assert np.array_equal(scoring._pair_product(M, P, ii, jj), whole[ii, jj])
+    rows, cols = rng.permutation(n), rng.permutation(n)[:20]
+    assert np.array_equal(scoring._block(M, P, rows, cols), whole[np.ix_(rows, cols)])
+
+
+def test_transposed_half_takes_the_route_of_its_own_count(monkeypatch):
+    """TLPSS's block (0, 10) on the hub graph costs about 1.5 times its
+    terms on the dense-operand route and its transposed half about 7.9
+    times its own; with the cut at 4 the block goes dense and its half
+    sparse, and the block keeps the whole matrix's bits."""
+    params = DecayParams(p=3.0, q=1.0)
+    A, D = stack(hub_graph(), params)
+    full = score_matrix(A, D, MethodId.TLPSS, latent_params=params)
+    A.operands.clear()
+    monkeypatch.setattr(scoring, "_DENSE_RATIO", 4)
+    routes = []
+    for name in ("_dense_rows", "_sparse_rows"):
+        kernel = getattr(scoring, name)
+
+        def recorded(*args, name=name, kernel=kernel):
+            # (..., out, add, part): whether the part adds into the half
+            routes.append((name, args[-2]))
+            return kernel(*args)
+
+        monkeypatch.setattr(scoring, name, recorded)
+    block = score_matrix(A, D, MethodId.TLPSS, latent_params=params, rows=(0, 10))
+    A.operands.clear()
+    assert set(routes) == {("_dense_rows", False), ("_sparse_rows", True)}
+    assert np.array_equal(block, full[0:10, 0:])
