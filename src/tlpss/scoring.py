@@ -102,6 +102,12 @@ _DENSE_RATIO = 16
 # 512 took 11; numpy's s += s.T, which buffers all of s.T, took 14 to 18.
 _TILE = 128
 
+# Column indices :func:`_column_counts` counts at once, 2 MB as int64.  On
+# the eval-all-4k seed-0 input, `evaluate --method tlpss` peaked at 149 MB
+# with slices of 2**20 and at 145 MB with 2**18 or 2**16 (144 MB when only
+# the forward half was counted).
+_COUNT_SLICE = 2**18
+
 # Terms :func:`_pair_product` looks up per part, on the threads of
 # pool_map.  On the eval-all-4k seed-0 train graph (2-vCPU host), 10,000
 # random pairs of CN's product took 14 ms in one part of 2**18 terms and
@@ -149,13 +155,37 @@ def _rows(X: sp.csr_matrix, r0: int, r1: int) -> sp.csr_matrix:
 
 def _take(X: sp.csr_matrix, nodes) -> sp.csr_matrix:
     """The rows ``nodes`` of ``X``, a range ``(r0, r1)`` (on ``X``'s own
-    arrays) or an index array (copied, in its order); a row keeps the
-    order of its entries."""
+    arrays, which SciPy copies when they are under half of ``X``'s) or an
+    index array (copied, in its order); a row keeps the order of its
+    entries."""
     return _rows(X, *nodes) if isinstance(nodes, tuple) else X[nodes]
+
+
+def _row_indices(X: sp.csr_matrix, nodes) -> np.ndarray:
+    """The column indices of the rows ``nodes`` of ``X``, in order, without
+    building their matrix (a view for a range)."""
+    if isinstance(nodes, tuple):
+        return X.indices[X.indptr[nodes[0]] : X.indptr[nodes[1]]]
+    return X[nodes].indices
 
 
 def _ids(nodes) -> np.ndarray:
     return np.arange(*nodes) if isinstance(nodes, tuple) else nodes
+
+
+def _size(nodes) -> int:
+    return nodes[1] - nodes[0] if isinstance(nodes, tuple) else len(nodes)
+
+
+def _column_counts(indices: np.ndarray, n: int) -> np.ndarray:
+    """How many of ``indices`` fall in each of the ``n`` columns, counted
+    ``_COUNT_SLICE`` at a time, since ``np.bincount`` copies its input to
+    int64: the transposed half of a TLPSS block counts the operand's rows
+    from the block's first to the last, about 2M entries on eval-all-4k."""
+    counts = np.zeros(n, dtype=np.int64)
+    for a in range(0, len(indices), _COUNT_SLICE):
+        counts += np.bincount(indices[a : a + _COUNT_SLICE], minlength=n)
+    return counts
 
 
 def _dense_route(M: sp.csr_matrix, P: sp.csr_matrix, rows, cols) -> bool:
@@ -166,11 +196,12 @@ def _dense_route(M: sp.csr_matrix, P: sp.csr_matrix, rows, cols) -> bool:
     requires what keeps its bits: ``M`` and ``P`` in canonical form (sorted
     indices, no duplicates) and ``P`` all ones."""
     n = P.shape[0]
-    X, Q = _take(M, rows), _take(P, cols)
-    # an entry of X in column k has one term per entry of P's row k in the
-    # columns, which by P's symmetry are the entries of Q in column k
-    terms = int(np.bincount(X.indices, minlength=n) @ np.bincount(Q.indices, minlength=n))
-    cost = (Q.nnz + n) * X.shape[0]
+    ks, qs = _row_indices(M, rows), _row_indices(P, cols)
+    # an entry of M's rows in column k has one term per entry of P's row k
+    # in the columns, which by P's symmetry are the entries k of P's rows
+    # cols
+    terms = int(_column_counts(ks, n) @ _column_counts(qs, n))
+    cost = (len(qs) + n) * _size(rows)
     return (
         cost <= _DENSE_RATIO * terms
         and M.has_canonical_format
@@ -192,15 +223,15 @@ def _block(M, Y, rows, cols, dense=False, add_to=None):
     (:func:`_dense_rows`) cuts a part at one row of ``M``, or at most
     ``_PART_CELLS`` cells of it made dense, and takes ``Y[:, cols]`` as the
     rows ``Y[cols]`` of a symmetric ``Y``."""
-    X = _take(M, rows)
-    n_cols = len(_ids(cols))
-    out = np.empty((X.shape[0], n_cols)) if add_to is None else add_to
+    n_rows, n_cols = _size(rows), _size(cols)
+    out = np.empty((n_rows, n_cols)) if add_to is None else add_to
     add = add_to is not None
     terms = None
     if dense:
-        kernel = partial(_dense_rows, X, _take(Y, cols), out, add)
+        kernel = partial(_dense_rows, M, rows, _take(Y, cols), out, add)
         width = max(1, _PART_CELLS // max(M.shape[1], 1))
     else:
+        X = _take(M, rows)
         if isinstance(cols, tuple):
             if cols != (0, Y.shape[1]):
                 Y = Y[:, cols[0] : cols[1]]
@@ -212,12 +243,12 @@ def _block(M, Y, rows, cols, dense=False, add_to=None):
         # term per entry of Y's row k
         terms = np.r_[0, np.cumsum(np.diff(Y.indptr)[X.indices])][X.indptr]
     bounds = [0]
-    while bounds[-1] < X.shape[0]:
+    while bounds[-1] < n_rows:
         a = bounds[-1]
         b = a + width
         if terms is not None:
             b = max(b, int(np.searchsorted(terms, terms[a] + _PART_CELLS, side="right")) - 1)
-        bounds.append(min(X.shape[0], b))
+        bounds.append(min(n_rows, b))
     list(pool_map(kernel, list(zip(bounds[:-1], bounds[1:]))))
     return out
 
@@ -237,19 +268,20 @@ def _sparse_rows(X, Y, out, add, part):
         product.toarray(out=out[a:b])
 
 
-def _dense_rows(X, Q, out, add, part):
-    """Rows ``[a, b)`` of :func:`_block`'s dense-operand route: the rows
-    ``[a, b)`` of ``X`` made dense and transposed, ``Z``, and ``(Q @ Z).T``
-    written to, or added into, ``out[a:b]``, with SciPy's CSR x dense
-    kernel.  Row i of ``Q @ Z`` adds ``Q[i, k] * Z[k]`` to zeros for each
-    entry k of ``Q``'s row i in ascending order.  With ``Q`` all ones,
-    ``1.0 * X[c, k]`` is exact (with or without a fused multiply-add), so
-    cell (c, i) adds the sparse product's terms in its order, ascending
-    shared index, and between them an exact ``+0.0`` for each k where
-    ``X[c, k]`` is not stored, which leaves a sum begun at ``+0.0``
-    unchanged: the cell has the sparse product's bits."""
+def _dense_rows(M, rows, Q, out, add, part):
+    """Rows ``[a, b)`` of :func:`_block`'s dense-operand route: those of
+    the block's rows ``rows`` of ``M`` made dense and transposed, ``Z``,
+    and ``(Q @ Z).T`` written to, or added into, ``out[a:b]``, with SciPy's
+    CSR x dense kernel.  Row i of ``Q @ Z`` adds ``Q[i, k] * Z[k]`` to
+    zeros for each entry k of ``Q``'s row i in ascending order.  With ``Q``
+    all ones, ``1.0 * M[c, k]`` is exact (with or without a fused
+    multiply-add), so cell (c, i) adds the sparse product's terms in its
+    order, ascending shared index, and between them an exact ``+0.0`` for
+    each k where ``M[c, k]`` is not stored, which leaves a sum begun at
+    ``+0.0`` unchanged: the cell has the sparse product's bits."""
     a, b = part
-    Z = np.ascontiguousarray(_rows(X, a, b).toarray().T)
+    nodes = (rows[0] + a, rows[0] + b) if isinstance(rows, tuple) else rows[a:b]
+    Z = np.ascontiguousarray(_take(M, nodes).toarray().T)
     if add:
         out[a:b] += (Q @ Z).T
     else:
@@ -479,7 +511,7 @@ def score_matrix(
     out = _score(A, D, method, latent_params, cclp_mode, _Block(A.indicator_csr, rows, cols))
     # the cells whose row and column are one node, (i, i)
     where = np.full(n, -1)
-    where[_ids(cols)] = np.arange(out.shape[1])
+    where[_ids(cols)] = np.arange(_size(cols))
     col = where[_ids(rows)]
     row = np.flatnonzero(col >= 0)
     out[row, col[row]] = 0.0
