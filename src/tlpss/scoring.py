@@ -144,8 +144,9 @@ def _cclp_coefficients(A: WeightedAdjacency, D: DegreeVector) -> np.ndarray:
 
 
 def _rows(X: sp.csr_matrix, r0: int, r1: int) -> sp.csr_matrix:
-    """Rows ``[r0, r1)`` of ``X`` on ``X``'s own arrays; a SciPy slice
-    copies them."""
+    """Rows ``[r0, r1)`` of ``X`` on ``X``'s own arrays, where a SciPy
+    slice copies them; SciPy's constructor still copies them when they
+    hold under half of ``X``'s entries."""
     ptr = X.indptr
     return sp.csr_matrix(
         (X.data[ptr[r0] : ptr[r1]], X.indices[ptr[r0] : ptr[r1]], ptr[r0 : r1 + 1] - ptr[r0]),
