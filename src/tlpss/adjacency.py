@@ -14,12 +14,13 @@ built once per train list and shared by every decay parameter set: the
 :class:`PairLayout` of the pairs, which builds on first use the
 :class:`LatentPlan` of the two-hop pass behind the latent weights.  A
 layout made for one adjacency alone (``keep_plan=False``, as evaluation
-under one decay setting makes it) keeps no plan: each latent pass builds
-the plan's blocks, sums them and drops them.
+under one decay setting makes it) keeps no plan: each latent pass finds
+the plan's row sets, each with its own latent cells, sums them and drops
+them.
 
 :func:`pool_map` runs kernels that release the GIL on one thread per CPU
 the process may use; the latent plan and :mod:`tlpss.scoring`'s products
-run their blocks and row parts on it.
+run their row sets and row parts on it.
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ __all__ = [
 # Two-hop terms per chunk of the latent pass; chunks fix the order in which
 # each latent cell's terms are added, and so its bits.
 _CHUNK = 4_000_000
-# Terms sorted at once while a latent plan is built (whole rows per block).
-# Blocks of 2**20 terms left the sweep-q-hubs peak RSS about 40 MB higher.
+# Two-hop terms per row set of the latent plan, counted over all chunks
+# (whole rows per set); a set finds its cells and sums them in one task.
+# Per-chunk blocks of 2**20 terms, which row sets replaced, left the
+# sweep-q-hubs peak RSS about 40 MB higher.
 _BLOCK = 1 << 16
 
 
@@ -281,21 +284,22 @@ class LatentPlan:
     with x != h: the value of the term is ``(A(z,x) + A(z,h)) / (m(z,x) +
     m(z,h))``.  The pass over the centres z adds them in chunks of about
     ``_CHUNK`` terms, each converted from COO to CSR with its rows sorted by
-    column, and the plan stores every kept term in that order as the two
-    positions of its links in ``weight_csr.data`` (terms landing on the
-    diagonal or on an adjacent pair are dropped).  A cell's terms within a
-    chunk are consecutive, so each block stores one cell index and one length
-    per run instead of a cell per term: about 8 bytes per kept term and 8 per
-    run in all.  The blocks are built, and their sums taken, on the threads
-    of :func:`pool_map`; the sums are added in block order, so their bits
-    do not depend on the number of threads.
+    column, so a cell's terms within a chunk are consecutive, a *run*.  The
+    plan cuts the rows into *row sets* of about ``_BLOCK`` terms over all
+    chunks, and each set finds its own cells, the union of its runs that
+    fall on neither the diagonal nor a linked pair.  A set's block stores
+    each kept term, chunk by chunk in each chunk's order, as the two
+    positions of its links in ``weight_csr.data``, and each run's cell and
+    length: about 8 bytes per kept term and 8 per run.  A set adds its
+    cells' chunk sums in chunk order; the sets are found and summed on the
+    threads of :func:`pool_map` and joined in row order, so the bits do not
+    depend on the number of threads.
 
-    A plan of a layout that keeps it (:attr:`PairLayout.keep_plan`) builds
-    its :attr:`blocks` at once and sums them under every adjacency it
-    serves.  Any other plan keeps only what builds them, ``blocks`` is
-    ``None``, and :meth:`cell_sums` builds each block, sums it and drops it
-    in one task: the same kernels, the same bits, and no more than one
-    block per thread in memory.
+    A plan of a layout that keeps it (:attr:`PairLayout.keep_plan`) finds
+    its :attr:`sets` at once and sums them under every adjacency it serves.
+    Any other plan keeps only their row ranges, ``sets`` is ``None``, and
+    :meth:`cells` finds each set, sums it and drops it in one task: the same
+    kernels, the same bits, and no more than one set per thread in memory.
     """
 
     def __init__(self, layout: PairLayout):
@@ -305,17 +309,6 @@ class LatentPlan:
         entry_row = np.repeat(np.arange(n), deg)
         entry_key = entry_row * n + idx  # ascending: rows sorted, columns sorted
         mirror = np.searchsorted(entry_key, idx * n + entry_row)
-
-        # The latent cells: pairs with a common neighbor, neither equal nor
-        # linked.  Adding n + 1 to linked and diagonal cells lifts them above
-        # any count of common neighbors; the sum is symmetric, so its CSC
-        # form lists each row's columns in ascending order.
-        P = sp.csr_matrix((np.ones(len(idx)), idx, ptr), shape=(n, n))
-        marked = P @ P
-        marked = (marked + (n + 1) * (P + sp.identity(n, format="csr"))).tocsc()
-        keys = np.repeat(np.arange(n), np.diff(marked.indptr)) * n + marked.indices
-        cells = keys[marked.data <= n]
-        del P, marked, keys
 
         # the pass takes the centres z = 0, 1, ... with d(z) >= 2 and flushes
         # its buffer once it holds _CHUNK terms or more
@@ -330,64 +323,59 @@ class LatentPlan:
             start, chunks = end, chunks + 1
         chunk_of[deg < 2] = -1
 
-        # the latent cells, as a CSR structure
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cells // n, minlength=n), out=self.indptr[1:])
-        self.indices = (cells % n).astype(np.int32)
-        # each block's entries (x, z) of W and the cells [first, last) its
-        # rows own, in pass order
-        jobs = []
-        for chunk in range(chunks):
-            # Within a chunk, CSR row x holds N(z) for each centre z in N(x),
-            # ascending z: the entries (x, z) of W that point into the chunk.
-            sel = np.flatnonzero(chunk_of[idx] == chunk)
-            rows = entry_row[sel]
-            row_first = np.flatnonzero(np.diff(rows, prepend=-1))
-            row_terms = np.add.reduceat(deg[idx[sel]], row_first)
-            row_offset = np.cumsum(row_terms) - row_terms
-            new_block = np.diff(row_offset // _BLOCK, prepend=-1)
-            block_first = row_first[np.flatnonzero(new_block)]
-            for lo, hi in zip(block_first, np.r_[block_first[1:], len(sel)]):
-                first = self.indptr[entry_row[sel[lo]]]
-                last = self.indptr[entry_row[sel[hi - 1]] + 1]
-                if first < last:  # else every term of these rows is dropped
-                    jobs.append((sel[lo:hi], first, last))
+        # row x has d(z) terms for each centre z in N(x); a set starts at each
+        # row whose terms before it pass a multiple of _BLOCK
+        before = np.r_[0, np.cumsum(np.where(deg >= 2, deg, 0)[idx])][ptr[:-1]]
+        first = np.r_[0, 1 + np.flatnonzero(np.diff(before // _BLOCK))]
+        ranges = list(zip(first, np.r_[first[1:], n]))
 
-        def block(job):
-            sel, first, last = job
-            pa, pb, cell, runs = _plan_block(
-                sel, ptr, idx, entry_row, mirror, cells[first:last]
+        def find(rows):
+            """The set of rows ``[r0, r1)``: each row's count of cells, the
+            cells' columns, and the set's block: both link positions of each
+            kept term, and each run's cell and length, chunk by chunk."""
+            (r0, r1), (e0, e1) = rows, ptr[list(rows)]
+            # the rows' entries (x, z) of W with a centre z, chunk by chunk
+            chunk = chunk_of[idx[e0:e1]]
+            sel = e0 + np.argsort(chunk, kind="stable")[np.count_nonzero(chunk < 0) :]
+            pa, pb, keys, runs = _plan_block(
+                sel, ptr, idx, chunk_of, entry_row, mirror, entry_key[e0:e1]
             )
-            return pa, pb, (cell + first).astype(np.int32), runs
+            # the sorted union of the runs' cells (np.unique may hash)
+            cells = np.sort(keys)
+            cells = cells[np.diff(cells, prepend=-1) != 0]
+            counts = np.bincount(cells // n - r0, minlength=r1 - r0)
+            block = (pa, pb, np.searchsorted(cells, keys).astype(np.int32), runs)
+            return counts, (cells % n).astype(np.int32), block
 
-        # per block: both link positions of each kept term, and each run's
-        # cell and length
-        self.blocks: list[tuple[np.ndarray, ...]] | None = None
+        self.sets: list[tuple] | None = None
         if layout.keep_plan:
-            self.blocks = list(pool_map(block, jobs))
+            self.sets = list(pool_map(find, ranges))
         else:
-            self._block, self._jobs = block, jobs
+            self._find, self._ranges = find, ranges
 
-    def cell_sums(self, A: WeightedAdjacency) -> np.ndarray:
-        """Each latent cell's sum of terms under ``A``'s weights, added in
-        the pass's order: term by term within a chunk, then chunk by chunk."""
+    def cells(self, A: WeightedAdjacency) -> tuple[np.ndarray, ...]:
+        """The latent cells as a CSR structure, ``indptr`` and ``indices``,
+        and each cell's sum of terms under ``A``'s weights, added in the
+        pass's order: term by term within a chunk, then chunk by chunk."""
         wt = A.weight_csr.data
         mu = A.mult.astype(np.float64)
-        kept = self.blocks is not None
+        kept = self.sets is not None
 
-        def block_sums(item):
-            # a plan that keeps no blocks gets a job, and drops its block
-            # once it is summed
-            block = item if kept else self._block(item)
-            return block[2], _run_sums(wt, mu, block)
+        def set_sums(item):
+            # a plan that keeps no sets gets a row range, and drops the set's
+            # block once it is summed; bincount adds each cell's run sums to
+            # 0.0 one after another, in chunk order (and is int64 if empty)
+            counts, cols, block = item if kept else self._find(item)
+            sums = np.bincount(block[2], _run_sums(wt, mu, block), len(cols))
+            return counts, cols, sums.astype(np.float64, copy=False)
 
-        sums = np.zeros(len(self.indices))
-        # the blocks' run sums are added here in block order, whichever block
-        # finishes first; the blocks of a chunk hold disjoint cells, so each
-        # cell gains its chunk sums in chunk order
-        for cells, part in pool_map(block_sums, self.blocks if kept else self._jobs):
-            sums[cells] += part
-        return sums
+        # each set copied here as it comes: memory a worker thread frees
+        # stays in its allocator arena, and worker-made arrays held to the
+        # end raised the 4k-node evaluate's peak RSS
+        items = self.sets if kept else self._ranges
+        parts = [[a.copy() for a in part] for part in pool_map(set_sums, items)]
+        counts, cols, sums = (np.concatenate(p) for p in zip(*parts))
+        return np.r_[0, np.cumsum(counts)], cols, sums
 
 
 def _run_sums(wt, mu, block):
@@ -405,40 +393,47 @@ def _run_sums(wt, mu, block):
     return np.bincount(run_of_term, weights=value, minlength=len(cells))
 
 
-def _plan_block(sel, ptr, idx, entry_row, mirror, cells):
-    """Kept terms of the rows whose entries ``(x, z)`` of W are ``sel``, in
-    the order the chunk's COO-to-CSR conversion leaves them, and their runs."""
+def _plan_block(sel, ptr, idx, chunk_of, entry_row, mirror, entry_key):
+    """Kept terms of the rows whose entries ``(x, z)`` of W are ``sel``
+    (ordered by the chunk of z, then as in W), chunk by chunk in the order
+    each chunk's COO-to-CSR conversion leaves them, and their runs' cell
+    keys and lengths; ``entry_key`` holds the sorted keys of those rows'
+    links."""
     n = len(ptr) - 1
     rows = entry_row[sel]
     centre = idx[sel]
     d = ptr[centre + 1] - ptr[centre]
     first = np.cumsum(d) - d
     pa = np.repeat(mirror[sel], d)  # the link z-x
-    pb = np.repeat(ptr[centre] - first, d) + np.arange(first[-1] + d[-1])  # z-h
-    row_first = np.flatnonzero(np.diff(rows, prepend=-1))
-    indptr = np.r_[0, np.cumsum(np.add.reduceat(d, row_first))]
-    # csr_sort_indices compares columns only, so sorting term ids with the
-    # columns permutes them exactly as it permutes the values.  (A row that
-    # is already sorted repeats no column but its own, and those diagonal
-    # terms are dropped, so skipping its sort changes nothing.)
+    pb = np.repeat(ptr[centre] - first, d) + np.arange(d.sum())  # z-h
+    # one CSR row per chunk and row x, each holding N(z) for each centre z
+    # of the chunk in N(x), ascending z, as the chunk's CSR row x does
+    row_first = np.flatnonzero(np.diff(chunk_of[centre] * n + rows, prepend=-1))
+    indptr = np.r_[0, np.cumsum(d)][np.r_[row_first, len(d)]]
+    # csr_sort_indices sorts each row alone and compares columns only, so
+    # sorting term ids with the columns permutes them exactly as it permutes
+    # the values.  (A row that is already sorted repeats no column but its
+    # own, and those diagonal terms are dropped, so skipping its sort
+    # changes nothing.)
     ids = np.arange(len(pb), dtype=np.int32)
     order = sp.csr_matrix((ids, idx[pb], indptr), shape=(len(row_first), n))
     order.sort_indices()
     # a cell's terms are consecutive; runs on the diagonal or a link are dropped
     col = order.indices
-    new_run = np.r_[True, col[1:] != col[:-1]]
+    new_run = np.diff(col, prepend=-1) != 0
     new_run[indptr[:-1]] = True
     run_first = np.flatnonzero(new_run)
     runs = np.diff(np.r_[run_first, len(col)])
     run_row = rows[row_first][np.searchsorted(indptr, run_first, side="right") - 1]
-    keys = run_row * n + col[run_first]
-    cell = np.searchsorted(cells, keys)
-    keep = cells.take(cell, mode="clip") == keys
+    col = col[run_first]
+    keys = run_row * n + col
+    linked = entry_key.take(np.searchsorted(entry_key, keys), mode="clip") == keys
+    keep = (run_row != col) & ~linked
     term = order.data[np.repeat(keep, runs)]
     return (
         pa[term].astype(np.int32),
         pb[term].astype(np.int32),
-        cell[keep],
+        keys[keep],
         runs[keep].astype(np.int32),
     )
 
@@ -463,11 +458,11 @@ def latent_matrix(
         return sp.csr_matrix((n, n), dtype=np.float64)
     layout = A.layout
     plan = layout.latent_plan if layout.keep_plan else LatentPlan(layout)
-    data = plan.cell_sums(A)
+    indptr, indices, data = plan.cells(A)
     deg = np.diff(A.weight_csr.indptr)
-    min_degree = np.repeat(deg, np.diff(plan.indptr))
-    np.minimum(min_degree, deg[plan.indices], out=min_degree)
+    min_degree = np.repeat(deg, np.diff(indptr))
+    np.minimum(min_degree, deg[indices], out=min_degree)
     # in place, each cell rounded as floor * sum / float(min_degree)
     data *= floor
     data /= min_degree
-    return sp.csr_matrix((data, plan.indices, plan.indptr), shape=(n, n))
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))

@@ -26,7 +26,6 @@ __all__ = [
     "SnapshotConfig",
     "TrainTestSplit",
     "pair_key",
-    "upper_triangle_keys",
     "parse_edge_list",
     "normalize",
     "serialize",
@@ -44,12 +43,6 @@ def pair_key(i, j, n: int) -> np.ndarray:
     i = np.asarray(i, dtype=np.int64)
     j = np.asarray(j, dtype=np.int64)
     return np.minimum(i, j) * n + np.maximum(i, j)
-
-
-def upper_triangle_keys(n: int) -> np.ndarray:
-    """Sorted keys of all n(n-1)/2 pairs of distinct nodes: the flat indices
-    of the strict upper triangle."""
-    return np.flatnonzero(~np.tri(n, dtype=bool)).astype(np.int64, copy=False)
 
 
 class TemporalEdgeList:

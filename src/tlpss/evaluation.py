@@ -47,7 +47,6 @@ from .edges import (
     pair_key,
     snapshot_index,
     split_by_time,
-    upper_triangle_keys,
 )
 from .errors import ConfigError, EvaluationError
 from .scoring import MethodId, score_bound, score_matrix, score_pairs
@@ -150,12 +149,6 @@ class EvalReport:
         ]
 
 
-def _upper_keys_without(n: int, sorted_keys: np.ndarray) -> np.ndarray:
-    """Sorted keys of every pair among ``n`` nodes except ``sorted_keys``."""
-    universe = upper_triangle_keys(n)
-    return np.delete(universe, np.searchsorted(universe, sorted_keys))
-
-
 def build_candidates(
     split: TrainTestSplit,
     node_count: int,
@@ -186,7 +179,11 @@ def build_candidates(
 
     exhaustive = universe_size <= max_negatives
     if exhaustive:
-        chosen = _upper_keys_without(n, linked)
+        # the keys i * n + j, i < j, in order, less the linked ones: the
+        # t-th of them, in row i, is t + (i + 1)(i + 2) / 2
+        row = np.repeat(np.arange(n, dtype=np.int64), np.arange(n - 1, -1, -1))
+        keys = np.arange(len(row), dtype=np.int64) + (row + 1) * (row + 2) // 2
+        chosen = np.delete(keys, np.searchsorted(keys, linked))
     else:
         # Draw batches of node pairs; keep each unlinked pair the first time
         # it is drawn, in draw order, until the budget is met.  ``excluded``
@@ -458,7 +455,7 @@ def _run(
         )
     candidates = build_candidates(split, edges.node_count, seed, max_negatives)
     # the latent plan pays for itself only when TLPSS is scored under more
-    # than one decay setting; under one, each latent pass streams its blocks
+    # than one decay setting; under one, each latent pass streams its row sets
     layout = pair_layout(split.train, keep_plan=len(decays) > 1)
     n = edges.node_count
     if top_l < 1:
@@ -467,8 +464,7 @@ def _run(
     if universe < top_l:
         raise EvaluationError(f"only {universe} candidates for precision@{top_l}")
     positives = candidates.positives
-    neg_order = np.argsort(candidates.sampled_negatives, kind="stable")
-    auc_keys = np.concatenate([positives, candidates.sampled_negatives[neg_order]])
+    auc_keys = np.concatenate([positives, candidates.sampled_negatives])
     split_stats = {
         "train_edges": len(split.train),
         "test_edges": len(split.test),
@@ -491,9 +487,7 @@ def _run(
             # is freed once TLPSS is scored for the last one
             if method is MethodId.TLPSS and k == len(decays) - 1:
                 vars(layout).pop("latent_plan", None)
-            pos_scores = scores[: len(positives)]
-            neg_scores = np.empty(len(neg_order))
-            neg_scores[neg_order] = scores[len(positives) :]
+            pos_scores, neg_scores = scores[: len(positives)], scores[len(positives) :]
             n_pairs = len(pos_scores) * len(neg_scores)
             if n_pairs <= auc_exhaustive_limit:
                 auc_value = auc(pos_scores, neg_scores)

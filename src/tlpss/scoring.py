@@ -96,7 +96,7 @@ _PART_CELLS = 2**16
 # from 23.6, so the cut lies between the two.
 _DENSE_RATIO = 16
 
-# Rows and columns of the tiles in which a whole-matrix symmetric score adds
+# Rows and columns of the tiles in which a square symmetric score block adds
 # its transpose: 128 KB per tile.  On a random 1,200 x 1,200 array (2-vCPU
 # host, one thread) tiles of 128 took 6 ms where 64 took 7, 256 took 7 and
 # 512 took 11; numpy's s += s.T, which buffers all of s.T, took 14 to 18.
@@ -378,15 +378,17 @@ class _Block:
 
     def symmetric(self, M):
         """The block of ``0.5 * (s + s.T)`` for ``s = M @ P``.  The
-        transposed half of a block that is not the whole matrix is the
+        transposed half of a block whose rows are not its columns is the
         product over the swapped rows and columns, ``M[cols] @ P[:, rows]``,
         added into the block's transpose by the route its own count picks;
         a cell adds its terms in the order the whole matrix's ``s.T`` does.
-        The whole matrix adds its own transpose in tiles
+        A block whose rows are its columns (the whole matrix, the last
+        square block of a walk, a bounded method's probe) has that product
+        in ``s`` already, and adds its own transpose in tiles
         (:func:`_add_transpose`)."""
         P, rows, cols = self.P, self.rows, self.cols
         s = self.product(M, P)
-        if isinstance(rows, tuple) and rows == cols == (0, P.shape[0]):
+        if np.array_equal(_ids(rows), _ids(cols)):
             _add_transpose(s)
         else:
             _block(M, P, cols, rows, _dense_route(M, P, cols, rows), add_to=s.T)

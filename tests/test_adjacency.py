@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from tlpss import adjacency
 from tlpss.adjacency import (
+    PairLayout,
     WeightedAdjacency,
     build_adjacency,
     degree_vector,
@@ -362,6 +363,27 @@ class TestLatentMatrix:
         monkeypatch.setattr(adjacency, "_BLOCK", 1)  # one block per row
         by_row = latent_matrix(A, PARAMS)
         assert whole.nnz == by_row.nnz == 2
+        assert np.array_equal(whole.toarray(), by_row.toarray())
+
+    @pytest.mark.parametrize("keep_plan", [True, False])
+    def test_no_pairs_and_rows_without_two_hop_terms(self, monkeypatch, keep_plan):
+        def latent(n, pairs, weights):
+            lo, hi = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+            layout = PairLayout(n, lo, hi, np.ones(len(lo), np.int64), keep_plan=keep_plan)
+            return latent_matrix(WeightedAdjacency(layout, np.array(weights)), PARAMS)
+
+        assert latent(5, [], []).nnz == 0
+        # single links: each centre has one neighbor, so no row has a term
+        assert latent(6, [(0, 1), (2, 3), (4, 5)], [0.8, 0.7, 0.6]).nnz == 0
+        # rows 0-3 and 7 have no term, rows 4 and 6 one latent cell each
+        pairs, weights = [(0, 1), (2, 3), (4, 5), (5, 6)], [0.8, 0.7, 0.6, 0.5]
+        whole = latent(8, pairs, weights)
+        monkeypatch.setattr(adjacency, "_BLOCK", 1)  # one set per row with terms
+        by_row = latent(8, pairs, weights)
+        for B in (whole, by_row):
+            assert B.shape == (8, 8)
+            assert sorted(zip(*B.nonzero())) == [(4, 6), (6, 4)]
+            assert B[4, 6] == B[6, 4] == pytest.approx(decay_floor(PARAMS) * (0.6 + 0.5) / 2)
         assert np.array_equal(whole.toarray(), by_row.toarray())
 
     def test_empty_when_floor_zero(self):

@@ -17,7 +17,6 @@ from tlpss.edges import (
     serialize,
     snapshot_index,
     split_by_time,
-    upper_triangle_keys,
 )
 from tlpss.errors import EmptyDatasetError, ParseError, SplitError
 
@@ -133,13 +132,6 @@ class TestPairKeys:
             assert np.array_equal(key, np.ravel_multi_index((lo, hi), (n, n)))
             # sorting keys gives canonical (i, j) order
             assert np.array_equal(np.argsort(key, kind="stable"), np.lexsort((hi, lo)))
-
-    def test_upper_triangle_keys(self):
-        for n in range(0, 13):
-            expected = np.ravel_multi_index(np.triu_indices(n, k=1), (n, n))
-            got = upper_triangle_keys(n)
-            assert got.dtype == np.int64
-            assert np.array_equal(got, expected)
 
     def test_list_keys_follow_stored_order(self):
         lst = random_list(7)

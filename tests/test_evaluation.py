@@ -104,11 +104,24 @@ class TestBuildCandidates:
         assert c.sampled_negatives.tolist() != a.sampled_negatives.tolist()
 
     def test_exhaustive_when_budget_covers_universe(self):
-        toy = community_toy(seed=14, n=12, n_events=60, block=6, span=50)
-        split = self._split(toy)
-        cs = build_candidates(split, 12, seed=0, max_negatives=10_000)
-        assert cs.exhaustive
-        assert len(cs.sampled_negatives) == cs.universe_size
+        toys = [community_toy(seed=14, n=12, n_events=60, block=6, span=50)]
+        for n in range(3, 13):
+            # random links among nodes 0..n-2, then node n-1's first link
+            rng = np.random.default_rng(n)
+            a, b = rng.integers(0, n - 1, (2, 2 * n))
+            edges = [(int(u), int(v), t + 1) for t, (u, v) in enumerate(zip(a, b)) if u != v]
+            toys.append(ToyGraph(n=n, edges=[(0, 1, 1), *edges, (0, n - 1, 100)], period=1.0))
+        for toy in toys:
+            split = self._split(toy, ratio=0.5)
+            cs = build_candidates(split, toy.n, seed=0, max_negatives=10_000)
+            assert cs.exhaustive
+            assert len(cs.sampled_negatives) == cs.universe_size
+            # the sorted keys of every pair linked in neither part
+            linked = set(split.train.pair_keys().tolist()) | set(split.test.pair_keys().tolist())
+            n = toy.n
+            keys = [i * n + j for i in range(n) for j in range(i + 1, n)]
+            assert cs.sampled_negatives.dtype == np.int64
+            assert cs.sampled_negatives.tolist() == [k for k in keys if k not in linked]
 
     def test_candidates_never_train_linked(self):
         toy = community_toy(seed=3)
@@ -600,7 +613,7 @@ class TestSweep:
 
         def recorded(A, params):
             out = latent_matrix(A, params)
-            kept.append(("latent_plan" in vars(A.layout), builds[-1].blocks))
+            kept.append(("latent_plan" in vars(A.layout), builds[-1].sets))
             return out
 
         monkeypatch.setattr(scoring, "latent_matrix", recorded)
@@ -613,7 +626,7 @@ class TestSweep:
             evaluate_methods(lst, **kwargs)
         else:  # a sweep of one value is one decay setting too
             sweep(lst, "q", values, **kwargs)
-        # one streamed plan per TLPSS row, neither cached nor keeping blocks
+        # one streamed plan per TLPSS row, neither cached nor keeping sets
         assert len(builds) == 2
         assert kept == [(False, None)] * 2
 

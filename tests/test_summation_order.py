@@ -232,6 +232,12 @@ def test_plan_reused_across_values_on_hub_graph():
     assert (A.indicator_csr @ centre).max() > 16
 
 
+def repeated_cells(plan):
+    """Per row set of a kept plan, its runs on a cell that an earlier
+    chunk's run adds to too (a chunk has one run per cell)."""
+    return [len(cell) - len(np.unique(cell)) for _, _, (_, _, cell, _) in plan.sets]
+
+
 def test_plan_with_many_chunks_and_blocks(monkeypatch):
     monkeypatch.setattr(adjacency, "_CHUNK", 5_000)
     monkeypatch.setattr(adjacency, "_BLOCK", 256)
@@ -239,7 +245,13 @@ def test_plan_with_many_chunks_and_blocks(monkeypatch):
     d = np.diff(A.weight_csr.indptr)
     chunks = (np.where(d >= 2, d, 0) ** 2).sum() / 5_000
     assert chunks > 3
-    assert len(plan.blocks) > 3 * chunks
+    # many sets, most of them with cells summed across chunks
+    repeated = repeated_cells(plan)
+    assert len(repeated) > 12 and np.count_nonzero(repeated) > len(repeated) / 2
+    # each set's rows are whole and in order, and own their cells
+    counts = np.concatenate([counts for counts, _, _ in plan.sets])
+    assert len(counts) == A.n
+    assert counts.sum() == latent_matrix(A, PLAN_PARAMS[1]).nnz
 
 
 
@@ -256,10 +268,11 @@ def check_streamed(toy, params_list=PLAN_PARAMS):
         assert_same_csr(latent_matrix(B, params), latent_matrix(A, params))
         if decay_floor(params) > 0:
             plan = LatentPlan(streamed)
-            assert plan.blocks is None
-            assert plan.cell_sums(B).tobytes() == kept.latent_plan.cell_sums(A).tobytes()
+            assert plan.sets is None
+            for got, ref in zip(plan.cells(B), kept.latent_plan.cells(A)):
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
     assert "latent_plan" not in vars(streamed)
-    return kept.latent_plan
+    return kept.latent_plan, A
 
 
 def test_streamed_plan_equals_kept_plan_on_random_toys():
@@ -279,15 +292,19 @@ def test_streamed_plan_with_many_chunks_and_blocks(monkeypatch, workers):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)  # threads take turns often
     try:
-        plan = check_streamed(hub_graph(), PLAN_PARAMS[1:2])
+        plan, A = check_streamed(hub_graph(), PLAN_PARAMS[1:2])
     finally:
         sys.setswitchinterval(interval)
-    assert len(plan.blocks) > 12
+    repeated = repeated_cells(plan)
+    assert len(repeated) > 12 and np.count_nonzero(repeated) > len(repeated) / 2
+    params = PLAN_PARAMS[1]
+    assert_same_csr(latent_matrix(A, params), loop_latent(A, params, chunk=5_000))
 
 
-def test_streamed_sums_are_added_in_block_order(monkeypatch):
-    """The streamed plan's first block is built and summed after all the
-    others, and its sums are still added first."""
+@pytest.mark.parametrize("keep_plan", [True, False], ids=["kept", "streamed"])
+def test_first_row_set_lands_first_when_it_finishes_last(monkeypatch, keep_plan):
+    """The plan's first row set is summed after all the others, and its
+    cells still come first, each with its chunk sums in chunk order."""
     monkeypatch.setattr(adjacency, "_CHUNK", 5_000)
     monkeypatch.setattr(adjacency, "_BLOCK", 256)
     monkeypatch.setattr(adjacency, "_workers", lambda: 3)
@@ -297,30 +314,30 @@ def test_streamed_sums_are_added_in_block_order(monkeypatch):
     cfg = SnapshotConfig(period=toy.period)
     A = build_adjacency(
         lst, snapshot_index(lst.t_max, cfg), params, cfg,
-        layout=pair_layout(lst, keep_plan=False),
+        layout=pair_layout(lst, keep_plan=keep_plan),
     )
-    kept = LatentPlan(pair_layout(lst)).blocks
-    # the first block's cells take sums from other chunks too
-    first_cells = kept[0][2]
-    assert np.isin(first_cells, np.concatenate([b[2] for b in kept[1:]])).sum() > 50
-    assert sum(np.array_equal(b[2], first_cells) for b in kept) == 1
+    plan = LatentPlan(pair_layout(lst))
+    # the first set's cells take sums from several chunks; a block's link
+    # positions tell its set
+    assert repeated_cells(plan)[0] > 50
+    first = plan.sets[0][2][0]
     run_sums = adjacency._run_sums
     others = threading.Semaphore(0)
     summed = []
 
     def first_finishes_last(wt, mu, block):
-        summed.append(block)
-        if np.array_equal(block[2], first_cells):
-            for _ in kept[1:]:
+        if np.array_equal(block[0], first):
+            for _ in plan.sets[1:]:
                 assert others.acquire(timeout=30)
+            summed.append(True)
         else:
+            summed.append(False)
             others.release()
         return run_sums(wt, mu, block)
 
     monkeypatch.setattr(adjacency, "_run_sums", first_finishes_last)
     assert_same_csr(latent_matrix(A, params), loop_latent(A, params, chunk=5_000))
-    assert len(summed) == len(kept)
-    assert sum(np.array_equal(b[2], first_cells) for b in summed) == 1
+    assert summed == [False] * (len(plan.sets) - 1) + [True]
 
 
 # every scoring matrix: each method, and CCLP in both modes
@@ -410,34 +427,6 @@ def test_worker_count_changes_no_bit(monkeypatch):
     for got in results[1:]:
         assert_same_csr(got[0], results[0][0])
         assert all(np.array_equal(a, b) for a, b in zip(got[1:], results[0][1:]))
-
-
-def test_block_sums_are_added_in_block_order(monkeypatch):
-    """The plan's first block finishes after all the others, and its sums
-    are still added first."""
-    monkeypatch.setattr(adjacency, "_CHUNK", 5_000)
-    monkeypatch.setattr(adjacency, "_BLOCK", 256)
-    monkeypatch.setattr(adjacency, "_workers", lambda: 3)
-    params = DecayParams(p=3.0, q=1.0)
-    A, _ = stack(hub_graph(), params)
-    plan = A.layout.latent_plan
-    # the first block's cells take sums from other chunks too
-    first_cells = plan.blocks[0][2]
-    later = np.concatenate([b[2] for b in plan.blocks[1:]])
-    assert np.isin(first_cells, later).sum() > 50
-    run_sums = adjacency._run_sums
-    others = threading.Semaphore(0)
-
-    def first_finishes_last(wt, mu, block):
-        if block is plan.blocks[0]:
-            for _ in plan.blocks[1:]:
-                assert others.acquire(timeout=30)
-        else:
-            others.release()
-        return run_sums(wt, mu, block)
-
-    monkeypatch.setattr(adjacency, "_run_sums", first_finishes_last)
-    assert_same_csr(latent_matrix(A, params), loop_latent(A, params, chunk=5_000))
 
 
 def block_in_parts(monkeypatch, X, Y, part_cells):
