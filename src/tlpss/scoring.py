@@ -16,10 +16,11 @@ at most ``_PART_CELLS`` cells on one thread per CPU the process may use
 (:func:`~tlpss.adjacency.pool_map`); a cell's bits do not depend on the
 parts or the threads.  A symmetric score's block ``s`` of ``M @ P`` gets
 its transposed half as the same product over the swapped rows and columns,
-added into ``s.T``.  :func:`score_pairs` scores a set of pairs from the
-same operands, adding each pair's terms in the order the block products
-add them, and :func:`score_bound` gives the per-node bounds by which
-evaluation leaves out the pairs that cannot reach its top L.
+added into ``s.T``; a block whose rows are its columns adds ``s.T``
+itself.  :func:`score_pairs` scores a set of pairs from the same operands,
+adding each pair's terms in the order the block products add them, and
+:func:`score_bound` gives the per-node bounds by which evaluation leaves
+out the pairs that cannot reach its top L.
 
 A product whose right factor is the 0/1 adjacency indicator ``P`` (every
 score but PA's and the link-triangle factor of CAR and global CCLP) takes
