@@ -133,6 +133,16 @@ class TestPairKeys:
             # sorting keys gives canonical (i, j) order
             assert np.array_equal(np.argsort(key, kind="stable"), np.lexsort((hi, lo)))
 
+    def test_upper_triangle_keys(self):
+        # every pair of distinct nodes, row by row, keys to the sorted flat
+        # indices of the strict upper triangle
+        for n in range(0, 13):
+            i, j = np.triu_indices(n, k=1)
+            got = pair_key(i.astype(np.int64), j.astype(np.int64), n)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.flatnonzero(~np.tri(n, dtype=bool)))
+            assert np.all(np.diff(got) > 0)
+
     def test_list_keys_follow_stored_order(self):
         lst = random_list(7)
         expected = [pair_key(u, v, lst.node_count) for u, v, _ in rows(lst)]
