@@ -19,8 +19,9 @@ the plan's row sets, each with its own latent cells, sums them and drops
 them.
 
 :func:`pool_map` runs kernels that release the GIL on one thread per CPU
-the process may use; the latent plan and :mod:`tlpss.scoring`'s products
-run their row sets and row parts on it.
+the process may use.  The latent plan's row sets and :mod:`tlpss.scoring`'s
+row and pair parts are its tasks, all cut one way by :func:`parts`: runs of
+consecutive rows or pairs of at most ``_PART`` work each.
 """
 
 from __future__ import annotations
@@ -50,11 +51,17 @@ __all__ = [
 # Two-hop terms per chunk of the latent pass; chunks fix the order in which
 # each latent cell's terms are added, and so its bits.
 _CHUNK = 4_000_000
-# Two-hop terms per row set of the latent plan, counted over all chunks
-# (whole rows per set); a set finds its cells and sums them in one task.
-# Per-chunk blocks of 2**20 terms, which row sets replaced, left the
-# sweep-q-hubs peak RSS about 40 MB higher.
-_BLOCK = 1 << 16
+# The most work one task of pool_map holds (see parts): a latent row set's
+# two-hop terms, a row part's cells or product entries, a pair part's
+# looked-up terms, and the column indices scoring counts at once.  Memory a
+# worker thread frees stays in that thread's glibc arena, so tasks must be
+# small for it to be reused: products cut in halves took the sweep-q-hubs
+# peak RSS from 237 to 267 MB, and latent blocks of 2**20 terms left it
+# about 40 MB higher.  Each task also costs about 0.1 ms of Python, so tasks
+# are not cut smaller than this.  On the eval-all-4k seed-0 input,
+# `evaluate --method tlpss` peaked at 145 MB counting 2**16 or 2**18 column
+# indices at once (149 MB with 2**20).
+_PART = 2**16
 
 
 def _workers() -> int:
@@ -85,6 +92,20 @@ def pool_map(fn, items: list):
     # caller stops waiting (a KeyboardInterrupt), it cancels the calls not
     # started yet.
     return _executor(workers).map(fn, items)
+
+
+def parts(before: np.ndarray) -> list[range]:
+    """Runs of consecutive items, the tasks of :func:`pool_map`, each
+    costing at most ``_PART`` in all or holding one item: ``before[t]`` is
+    the summed cost of the items before item t, and ``before[-1]`` that of
+    all.  A run takes as many items as fit; the runs cover the items once,
+    in order, and no items make one empty run."""
+    m, runs, a = len(before) - 1, [], 0
+    while a < m or not runs:
+        b = max(a + 1, int(np.searchsorted(before, before[a] + _PART, side="right")) - 1)
+        runs.append(range(a, min(b, m)))
+        a = b
+    return runs
 
 
 class PairLayout:
@@ -170,31 +191,6 @@ class WeightedAdjacency:
         )
         self.mult = layout.mult
         self.operands: dict = {}
-
-    @classmethod
-    def from_pair_weights(
-        cls,
-        n: int,
-        weights: dict[tuple[int, int], float],
-        mults: dict[tuple[int, int], int] | None = None,
-    ) -> "WeightedAdjacency":
-        """Build directly from pair weights in either orientation (tests,
-        diagnostics); multiplicities default to 1."""
-        canon = {}
-        for (i, j), w in weights.items():
-            if i == j:
-                raise ValueError("diagonal entries are not allowed")
-            canon[(min(i, j), max(i, j))] = float(w)
-        mult = {(min(i, j), max(i, j)): int(m) for (i, j), m in (mults or {}).items()}
-        keys = sorted(canon)
-        pairs = np.array(keys, dtype=np.int64).reshape(-1, 2)
-        layout = PairLayout(
-            n,
-            pairs[:, 0],
-            pairs[:, 1],
-            np.array([mult.get(k, 1) for k in keys], dtype=np.int64),
-        )
-        return cls(layout, np.array([canon[k] for k in keys], dtype=np.float64))
 
     def __len__(self) -> int:
         """Number of linked pairs."""
@@ -285,12 +281,13 @@ class LatentPlan:
     m(z,h))``.  The pass over the centres z adds them in chunks of about
     ``_CHUNK`` terms, each converted from COO to CSR with its rows sorted by
     column, so a cell's terms within a chunk are consecutive, a *run*.  The
-    plan cuts the rows into *row sets* of about ``_BLOCK`` terms over all
-    chunks, and each set finds its own cells, the union of its runs that
-    fall on neither the diagonal nor a linked pair.  A set's block stores
-    each kept term, chunk by chunk in each chunk's order, as the two
-    positions of its links in ``weight_csr.data``, and each run's cell and
-    length: about 8 bytes per kept term and 8 per run.  A set adds its
+    plan cuts the rows by :func:`parts` into *row sets*, ranges of rows of
+    at most ``_PART`` terms over all chunks or of one row, and each set
+    finds its own cells, the union of its runs that fall on neither the
+    diagonal nor a linked pair.  A set's block stores each kept term, chunk
+    by chunk in each chunk's order, as the two positions of its links in
+    ``weight_csr.data``, and each run's cell and length: about 8 bytes per
+    kept term and 8 per run.  A set adds its
     cells' chunk sums in chunk order; the sets are found and summed on the
     threads of :func:`pool_map` and joined in row order, so the bits do not
     depend on the number of threads.
@@ -323,17 +320,15 @@ class LatentPlan:
             start, chunks = end, chunks + 1
         chunk_of[deg < 2] = -1
 
-        # row x has d(z) terms for each centre z in N(x); a set starts at each
-        # row whose terms before it pass a multiple of _BLOCK
-        before = np.r_[0, np.cumsum(np.where(deg >= 2, deg, 0)[idx])][ptr[:-1]]
-        first = np.r_[0, 1 + np.flatnonzero(np.diff(before // _BLOCK))]
-        ranges = list(zip(first, np.r_[first[1:], n]))
+        # row x has d(z) terms for each centre z in N(x)
+        ranges = parts(np.r_[0, np.cumsum(np.where(deg >= 2, deg, 0)[idx])][ptr])
 
         def find(rows):
-            """The set of rows ``[r0, r1)``: each row's count of cells, the
-            cells' columns, and the set's block: both link positions of each
-            kept term, and each run's cell and length, chunk by chunk."""
-            (r0, r1), (e0, e1) = rows, ptr[list(rows)]
+            """The set of rows ``rows``, a range: each row's count of cells,
+            the cells' columns, and the set's block: both link positions of
+            each kept term, and each run's cell and length, chunk by chunk."""
+            r0, r1 = rows.start, rows.stop
+            e0, e1 = ptr[r0], ptr[r1]
             # the rows' entries (x, z) of W with a centre z, chunk by chunk
             chunk = chunk_of[idx[e0:e1]]
             sel = e0 + np.argsort(chunk, kind="stable")[np.count_nonzero(chunk < 0) :]

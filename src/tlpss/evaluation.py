@@ -338,9 +338,11 @@ def _method_top(A, D, method, *, decay, cclp_mode, top_l, auc_keys, train_keys):
         cells[np.tri(K, dtype=bool) | linked] = -np.inf
         cut = np.partition(cells.ravel(), K * K - top_l)[K * K - top_l]
     if not cut > 0:
-        bound, order, pos = None, None, np.arange(n)
+        # blocks of a range of nodes take the operands' rows as slices
+        bound, order, pos = None, range(n), np.arange(n)
     else:
         down = -beta[order]
+    nodes = pos if bound is None else order  # the node at each position
 
     def extent(a0, cut):
         """Under the cut, the end k of row a0's columns [a0, k), every node
@@ -355,9 +357,6 @@ def _method_top(A, D, method, *, decay, cclp_mode, top_l, auc_keys, train_keys):
         ks = np.searchsorted(down, -(2.0 * reach + down[a0:]), side="right")
         alone = np.flatnonzero(ks <= np.arange(a0 + 1, n + 1))
         return int(ks[0]), a0 + int(alone[0]) if len(alone) else n
-
-    def nodes(p):
-        return p if order is None else order[p]
 
     def by_row(keys):
         """Each pair's two positions in the order, smaller first, sorted by
@@ -380,8 +379,7 @@ def _method_top(A, D, method, *, decay, cclp_mode, top_l, auc_keys, train_keys):
         if a0 >= end:
             break
         a1 = min(end, a0 + max(1, _BLOCK_CELLS // (k - a0)))
-        ends = ((a0, a1), (a0, k)) if order is None else (order[a0:a1], order[a0:k])
-        block = score_matrix(A, D, method, rows=ends[0], cols=ends[1], **options)
+        block = score_matrix(A, D, method, rows=order[a0:a1], cols=order[a0:k], **options)
         flat = block.ravel()
         lo, hi = np.searchsorted(auc_a, [a0, a1])
         t = lo + np.flatnonzero(auc_b[lo:hi] < k)
@@ -397,9 +395,9 @@ def _method_top(A, D, method, *, decay, cclp_mode, top_l, auc_keys, train_keys):
 
         def keys(cells):
             a, c = np.divmod(cells, k - a0)
-            return pair_key(nodes(a + a0), nodes(c + a0), n)
+            return pair_key(nodes[a + a0], nodes[c + a0], n)
 
-        if order is None:
+        if bound is None:
             # a cell that ties the held L-th score has a larger key than
             # every held cell, so only cells above it can enter
             best = _top_cells(flat, top_l, held)

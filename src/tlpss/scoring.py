@@ -11,8 +11,11 @@ score matrix, the upper trapezoid of a block of its consecutive rows (the
 rows' cells from the diagonal on), or a block of any rows by any columns,
 built from sparse matrix products over the adjacency, so that evaluation
 can walk the pairs i < j a block at a time.  Every product is a block of
-rows by columns of one primitive, :func:`_block`, computed in row parts of
-at most ``_PART_CELLS`` cells on one thread per CPU the process may use
+rows by columns of one primitive, :func:`_block`.  Below
+:func:`score_matrix`'s entry a run of nodes is a ``range`` and any other
+selection an index array.  Products are computed in row or pair parts cut
+by :func:`~tlpss.adjacency.parts`, at most ``_PART`` cells or terms each,
+on one thread per CPU the process may use
 (:func:`~tlpss.adjacency.pool_map`); a cell's bits do not depend on the
 parts or the threads.  A symmetric score's block ``s`` of ``M @ P`` gets
 its transposed half as the same product over the swapped rows and columns,
@@ -47,7 +50,8 @@ from functools import partial
 import numpy as np
 import scipy.sparse as sp
 
-from .adjacency import DegreeVector, WeightedAdjacency, latent_matrix, pool_map
+from . import adjacency
+from .adjacency import DegreeVector, WeightedAdjacency, latent_matrix, parts, pool_map
 from .decay import DecayParams, ExpDecayParams
 from .errors import ConfigError
 
@@ -77,13 +81,6 @@ class MethodId(enum.Enum):
 
 ALL_METHODS = tuple(MethodId)
 
-# Cells, or terms, per row part of a dense product.  Memory a worker thread
-# frees stays in that thread's glibc arena, so parts must be small for it to
-# be reused: products cut in halves took the sweep-q-hubs peak RSS from 237
-# to 267 MB.  Each part also costs about 0.1 ms of Python, so parts are not
-# cut smaller than this.
-_PART_CELLS = 2**16
-
 # A product by the indicator takes the dense-operand route when its
 # multiply-adds and dense cells are at most this many times the sparse
 # product's terms.  Measured per block on one thread on the seed-0 inputs
@@ -102,18 +99,6 @@ _DENSE_RATIO = 16
 # host, one thread) tiles of 128 took 6 ms where 64 took 7, 256 took 7 and
 # 512 took 11; numpy's s += s.T, which buffers all of s.T, took 14 to 18.
 _TILE = 128
-
-# Column indices :func:`_column_counts` counts at once, 2 MB as int64.  On
-# the eval-all-4k seed-0 input, `evaluate --method tlpss` peaked at 149 MB
-# with slices of 2**20 and at 145 MB with 2**18 or 2**16 (144 MB when only
-# the forward half was counted).
-_COUNT_SLICE = 2**18
-
-# Terms :func:`_pair_product` looks up per part, on the threads of
-# pool_map.  On the eval-all-4k seed-0 train graph (2-vCPU host), 10,000
-# random pairs of CN's product took 14 ms in one part of 2**18 terms and
-# 9 ms in parts of 2**15 or 2**14.
-_PAIR_TERMS = 2**15
 
 
 def _triangle_mass(A: WeightedAdjacency) -> np.ndarray:
@@ -144,150 +129,128 @@ def _cclp_coefficients(A: WeightedAdjacency, D: DegreeVector) -> np.ndarray:
     return mass * _inv(d * (d - 1) / 2.0)
 
 
-def _rows(X: sp.csr_matrix, r0: int, r1: int) -> sp.csr_matrix:
-    """Rows ``[r0, r1)`` of ``X`` on ``X``'s own arrays, where a SciPy
-    slice copies them; SciPy's constructor still copies them when they
-    hold under half of ``X``'s entries."""
-    ptr = X.indptr
-    return sp.csr_matrix(
-        (X.data[ptr[r0] : ptr[r1]], X.indices[ptr[r0] : ptr[r1]], ptr[r0 : r1 + 1] - ptr[r0]),
-        shape=(r1 - r0, X.shape[1]),
-    )
+def _at(nodes):
+    """``nodes`` as numpy and SciPy index them without a copy where they
+    can: a range as a slice, an index array as itself."""
+    return slice(nodes.start, nodes.stop) if isinstance(nodes, range) else nodes
+
+
+def _entries(X: sp.csr_matrix, nodes) -> slice:
+    """The positions of a range of rows' entries in ``X``'s arrays."""
+    return slice(X.indptr[nodes.start], X.indptr[nodes.stop])
 
 
 def _take(X: sp.csr_matrix, nodes) -> sp.csr_matrix:
-    """The rows ``nodes`` of ``X``, a range ``(r0, r1)`` (on ``X``'s own
-    arrays, which SciPy copies when they are under half of ``X``'s) or an
-    index array (copied, in its order); a row keeps the order of its
-    entries."""
-    return _rows(X, *nodes) if isinstance(nodes, tuple) else X[nodes]
+    """The rows ``nodes`` of ``X``, a range or an index array (in its
+    order); a row keeps the order of its entries.  An index array's rows
+    are copied, as are a range's when they hold under half of ``X``'s
+    entries: the range's rows are built on slices of ``X``'s arrays, which
+    SciPy's constructor copies then (``check_format`` prunes them)."""
+    if not isinstance(nodes, range):
+        return X[nodes]
+    at = _entries(X, nodes)
+    ptr = X.indptr[nodes.start : nodes.stop + 1] - at.start
+    return sp.csr_matrix((X.data[at], X.indices[at], ptr), shape=(len(nodes), X.shape[1]))
 
 
 def _row_indices(X: sp.csr_matrix, nodes) -> np.ndarray:
     """The column indices of the rows ``nodes`` of ``X``, in order, without
     building their matrix (a view for a range)."""
-    if isinstance(nodes, tuple):
-        return X.indices[X.indptr[nodes[0]] : X.indptr[nodes[1]]]
-    return X[nodes].indices
-
-
-def _ids(nodes) -> np.ndarray:
-    return np.arange(*nodes) if isinstance(nodes, tuple) else nodes
-
-
-def _size(nodes) -> int:
-    return nodes[1] - nodes[0] if isinstance(nodes, tuple) else len(nodes)
+    return X.indices[_entries(X, nodes)] if isinstance(nodes, range) else X[nodes].indices
 
 
 def _column_counts(indices: np.ndarray, n: int) -> np.ndarray:
     """How many of ``indices`` fall in each of the ``n`` columns, counted
-    ``_COUNT_SLICE`` at a time, since ``np.bincount`` copies its input to
-    int64: the transposed half of a TLPSS block counts the operand's rows
-    from the block's first to the last, about 2M entries on eval-all-4k."""
+    ``_PART`` at a time, since ``np.bincount`` copies its input to int64:
+    the transposed half of a TLPSS block counts the operand's rows from the
+    block's first to the last, about 2M entries on eval-all-4k."""
     counts = np.zeros(n, dtype=np.int64)
-    for a in range(0, len(indices), _COUNT_SLICE):
-        counts += np.bincount(indices[a : a + _COUNT_SLICE], minlength=n)
+    step = adjacency._PART
+    for a in range(0, len(indices), step):
+        counts += np.bincount(indices[a : a + step], minlength=n)
     return counts
 
 
 def _dense_route(M: sp.csr_matrix, P: sp.csr_matrix, rows, cols) -> bool:
     """Whether the rows ``rows`` by columns ``cols`` of ``M @ P`` (ranges
-    or index arrays) cost less by the dense-operand route than by SciPy's
-    sparse product, counted in the input: the route's multiply-adds and
-    the cells it makes dense against the sparse product's terms.  It also
-    requires what keeps its bits: ``M`` and ``P`` in canonical form (sorted
-    indices, no duplicates) and ``P`` all ones."""
+    or index arrays) take the dense-operand route.  It requires what keeps
+    its bits, checked first: ``M`` and ``P`` in canonical form (sorted
+    indices, no duplicates) and ``P`` all ones.  Then it must cost less
+    than SciPy's sparse product, counted in the input: the route's
+    multiply-adds and the cells it makes dense against the sparse
+    product's terms."""
+    if not (M.has_canonical_format and P.has_canonical_format and np.all(P.data == 1.0)):
+        return False
     n = P.shape[0]
     ks, qs = _row_indices(M, rows), _row_indices(P, cols)
     # an entry of M's rows in column k has one term per entry of P's row k
     # in the columns, which by P's symmetry are the entries k of P's rows
     # cols
     terms = int(_column_counts(ks, n) @ _column_counts(qs, n))
-    cost = (len(qs) + n) * _size(rows)
-    return (
-        cost <= _DENSE_RATIO * terms
-        and M.has_canonical_format
-        and P.has_canonical_format
-        and bool(np.all(P.data == 1.0))
-    )
+    return (len(qs) + n) * len(rows) <= _DENSE_RATIO * terms
 
 
 def _block(M, Y, rows, cols, dense=False, add_to=None):
-    """Rows ``rows`` by columns ``cols`` (ranges ``(start, stop)`` or index
-    arrays) of the dense ``M @ Y``, or with ``add_to`` that block added into
-    the view ``add_to``, in row parts on the threads of
-    :func:`~tlpss.adjacency.pool_map`.  The sparse route
-    (:func:`_sparse_rows`) cuts a part at one row, or at most
-    ``_PART_CELLS`` cells or terms, so SciPy's product for a part of several
-    rows has at most ``_PART_CELLS`` entries; it adds each cell's terms in
-    the order of ``M``'s row, which a row or column selection keeps, so the
-    cells have the whole product's bits.  The ``dense`` route
-    (:func:`_dense_rows`) cuts a part at one row of ``M``, or at most
-    ``_PART_CELLS`` cells of it made dense, and takes ``Y[:, cols]`` as the
-    rows ``Y[cols]`` of a symmetric ``Y``."""
-    n_rows, n_cols = _size(rows), _size(cols)
-    out = np.empty((n_rows, n_cols)) if add_to is None else add_to
+    """Rows ``rows`` by columns ``cols`` (ranges or index arrays) of the
+    dense ``M @ Y``, or with ``add_to`` that block added into the view
+    ``add_to``, in row parts (:func:`~tlpss.adjacency.parts`) on the
+    threads of :func:`~tlpss.adjacency.pool_map`.  The sparse route
+    (:func:`_sparse_rows`) costs a row the smaller of its cells and its
+    terms, the most entries SciPy's product can hold for it; it adds each
+    cell's terms in the order of ``M``'s row, which a row or column
+    selection keeps, so the cells have the whole product's bits.  The
+    ``dense`` route (:func:`_dense_rows`) costs a row the cells of ``M``'s
+    row it makes dense, and takes ``Y[:, cols]`` as the rows ``Y[cols]`` of
+    a symmetric ``Y``."""
+    out = np.empty((len(rows), len(cols))) if add_to is None else add_to
     add = add_to is not None
-    terms = None
     if dense:
         kernel = partial(_dense_rows, M, rows, _take(Y, cols), out, add)
-        width = max(1, _PART_CELLS // max(M.shape[1], 1))
+        before = np.arange(len(rows) + 1) * M.shape[1]
     else:
         X = _take(M, rows)
-        if isinstance(cols, tuple):
-            if cols != (0, Y.shape[1]):
-                Y = Y[:, cols[0] : cols[1]]
-        else:
-            Y = Y[:, cols]
+        if not (isinstance(cols, range) and len(cols) == Y.shape[1]):
+            Y = Y[:, _at(cols)]
         kernel = partial(_sparse_rows, X, Y, out, add)
-        width = max(1, _PART_CELLS // max(n_cols, 1))
         # the product's terms before each row: an entry (i, k) of X has one
         # term per entry of Y's row k
         terms = np.r_[0, np.cumsum(np.diff(Y.indptr)[X.indices])][X.indptr]
-    bounds = [0]
-    while bounds[-1] < n_rows:
-        a = bounds[-1]
-        b = a + width
-        if terms is not None:
-            b = max(b, int(np.searchsorted(terms, terms[a] + _PART_CELLS, side="right")) - 1)
-        bounds.append(min(n_rows, b))
-    list(pool_map(kernel, list(zip(bounds[:-1], bounds[1:]))))
+        before = np.r_[0, np.cumsum(np.minimum(np.diff(terms), len(cols)))]
+    list(pool_map(kernel, parts(before)))
     return out
 
 
 def _sparse_rows(X, Y, out, add, part):
-    """Rows ``[a, b)`` of the dense ``X @ Y`` for ``part = (a, b)``, written
-    to, or added into, the same rows of ``out``."""
-    a, b = part
-    product = _rows(X, a, b) @ Y
+    """The rows ``part``, a range, of the dense ``X @ Y``, written to, or
+    added into, the same rows of ``out``."""
+    product = _take(X, part) @ Y
     if add:
         # out is a block's transpose: adding in the block's own layout
         # writes its rows contiguously, where numpy would write its columns
-        cols = out[a:b].T
+        cols = out[_at(part)].T
         cols += product.toarray().T
     else:
         # toarray(out=) zeroes the rows before writing them
-        product.toarray(out=out[a:b])
+        product.toarray(out=out[_at(part)])
 
 
 def _dense_rows(M, rows, Q, out, add, part):
-    """Rows ``[a, b)`` of :func:`_block`'s dense-operand route: those of
-    the block's rows ``rows`` of ``M`` made dense and transposed, ``Z``,
-    and ``(Q @ Z).T`` written to, or added into, ``out[a:b]``, with SciPy's
-    CSR x dense kernel.  Row i of ``Q @ Z`` adds ``Q[i, k] * Z[k]`` to
+    """The rows ``part``, a range, of :func:`_block`'s dense-operand route:
+    those of the block's rows ``rows`` of ``M`` made dense and transposed,
+    ``Z``, and ``(Q @ Z).T`` written to, or added into, ``out[part]``, with
+    SciPy's CSR x dense kernel.  Row i of ``Q @ Z`` adds ``Q[i, k] * Z[k]`` to
     zeros for each entry k of ``Q``'s row i in ascending order.  With ``Q``
     all ones, ``1.0 * M[c, k]`` is exact (with or without a fused
     multiply-add), so cell (c, i) adds the sparse product's terms in its
     order, ascending shared index, and between them an exact ``+0.0`` for
     each k where ``M[c, k]`` is not stored, which leaves a sum begun at
     ``+0.0`` unchanged: the cell has the sparse product's bits."""
-    a, b = part
-    nodes = (rows[0] + a, rows[0] + b) if isinstance(rows, tuple) else rows[a:b]
-    Z = np.ascontiguousarray(_take(M, nodes).toarray().T)
+    at = _at(part)
+    Z = np.ascontiguousarray(_take(M, rows[at]).toarray().T)
     if add:
-        out[a:b] += (Q @ Z).T
+        out[at] += (Q @ Z).T
     else:
-        out[a:b] = (Q @ Z).T
+        out[at] = (Q @ Z).T
 
 
 def _pair_product(X: sp.csr_matrix, Y: sp.csr_matrix, i: np.ndarray, j: np.ndarray):
@@ -296,8 +259,8 @@ def _pair_product(X: sp.csr_matrix, Y: sp.csr_matrix, i: np.ndarray, j: np.ndarr
     ``X``'s row i, as SciPy's product does (so also :func:`_block`), with
     ``np.bincount``, which adds its weights in their order.  The pairs are
     taken by ascending ``j``, so that the lookups of ``Y[k, j]`` ascend,
-    in parts of at most ``_PAIR_TERMS`` terms looked up (or one pair) on
-    the threads of :func:`~tlpss.adjacency.pool_map`."""
+    in parts (:func:`~tlpss.adjacency.parts`) costing a pair its terms
+    looked up, on the threads of :func:`~tlpss.adjacency.pool_map`."""
     Y = Y.tocsc()
     Y.sort_indices()
     n_rows = Y.shape[0]
@@ -309,14 +272,9 @@ def _pair_product(X: sp.csr_matrix, Y: sp.csr_matrix, i: np.ndarray, j: np.ndarr
     lengths = np.diff(X.indptr)[i]
     before = np.r_[0, np.cumsum(lengths)]
     sums = np.empty(len(i))
-    bounds = [0]
-    while bounds[-1] < len(i):
-        a = bounds[-1]
-        b = int(np.searchsorted(before, before[a] + _PAIR_TERMS, side="right")) - 1
-        bounds.append(max(a + 1, b))
 
-    def part(ends):
-        a, b = ends
+    def part(pairs):
+        a, b = pairs.start, pairs.stop
         run = lengths[a:b]
         pair = np.repeat(np.arange(b - a), run)
         # each pair's entries of X, in the row's order
@@ -329,7 +287,7 @@ def _pair_product(X: sp.csr_matrix, Y: sp.csr_matrix, i: np.ndarray, j: np.ndarr
         terms = X.data[entry[hit]] * Y.data[at[hit]]
         sums[a:b] = np.bincount(pair[hit], weights=terms, minlength=b - a)
 
-    list(pool_map(part, list(zip(bounds[:-1], bounds[1:]))))
+    list(pool_map(part, parts(before)))
     out = np.empty(len(i))
     out[by_j] = sums
     return out
@@ -362,16 +320,15 @@ def _operand(A: WeightedAdjacency, D: DegreeVector, key, build):
 
 
 class _Block:
-    """The cells of a block, rows ``rows`` by columns ``cols`` (ranges
-    ``(start, stop)`` or index arrays) of a score matrix, for :func:`_score`."""
+    """The cells of a block, rows ``rows`` by columns ``cols`` (ranges or
+    index arrays) of a score matrix, for :func:`_score`."""
 
     def __init__(self, P, rows, cols):
         self.P, self.rows, self.cols = P, rows, cols
 
     def ends(self, v):
         """``v`` at each cell's row and column node, broadcast to the block."""
-        at = [slice(*x) if isinstance(x, tuple) else x for x in (self.rows, self.cols)]
-        return v[at[0]][:, None], v[at[1]][None, :]
+        return v[_at(self.rows)][:, None], v[_at(self.cols)][None, :]
 
     def product(self, X, Y):
         dense = Y is self.P and _dense_route(X, Y, self.rows, self.cols)
@@ -389,7 +346,7 @@ class _Block:
         (:func:`_add_transpose`)."""
         P, rows, cols = self.P, self.rows, self.cols
         s = self.product(M, P)
-        if np.array_equal(_ids(rows), _ids(cols)):
+        if len(rows) == len(cols) and np.array_equal(rows, cols):
             _add_transpose(s)
         else:
             _block(M, P, cols, rows, _dense_route(M, P, cols, rows), add_to=s.T)
@@ -474,23 +431,41 @@ def _score(A, D, method, latent_params, cclp_mode, cells):
     raise ConfigError(f"unknown method {method!r}")
 
 
+def _nodes(name: str, nodes, n: int):
+    """``nodes`` of :func:`score_matrix` as a range, a ``(start, stop)``
+    converted to one, or as an index array, checked against the ``n``
+    nodes."""
+    if isinstance(nodes, tuple):
+        nodes = range(*nodes)
+    if isinstance(nodes, range):
+        ok = nodes.step == 1 and 0 <= nodes.start <= nodes.stop <= n
+    else:
+        nodes = np.asarray(nodes)
+        ok = nodes.ndim == 1 and np.issubdtype(nodes.dtype, np.integer)
+        ok = ok and (not len(nodes) or 0 <= nodes.min() and nodes.max() < n)
+    if not ok:
+        raise ValueError(f"{name} are neither a range nor node indices of the {n} nodes")
+    return nodes
+
+
 def score_matrix(
     A: WeightedAdjacency,
     D: DegreeVector,
     method: MethodId,
     latent_params: DecayParams | ExpDecayParams | None = None,
     cclp_mode: str = "local",
-    rows: tuple[int, int] | np.ndarray | None = None,
-    cols: tuple[int, int] | np.ndarray | None = None,
+    rows: tuple[int, int] | range | np.ndarray | None = None,
+    cols: tuple[int, int] | range | np.ndarray | None = None,
 ) -> np.ndarray:
-    """One method's dense score matrix, or for ``rows=(r0, r1)`` the block
-    of its rows ``[r0, r1)`` and columns ``[r0, n)``, of shape
-    ``(r1 - r0, n - r0)``: the upper trapezoid that holds every pair
-    ``i < j`` of those rows (block cell ``(a, c)`` is pair
+    """One method's dense score matrix, or for ``rows=range(r0, r1)`` (or
+    ``(r0, r1)``) the block of its rows ``[r0, r1)`` and columns ``[r0,
+    n)``, of shape ``(r1 - r0, n - r0)``: the upper trapezoid that holds
+    every pair ``i < j`` of those rows (block cell ``(a, c)`` is pair
     ``(r0 + a, r0 + c)``).  ``rows=None`` is the whole matrix.  With
     ``cols``, the block is rows ``rows`` by columns ``cols``, each a range
-    ``(start, stop)`` or an array of node indices (cell ``(a, c)`` is pair
-    ``(rows[a], cols[c])``).
+    (or ``(start, stop)``) or a 1-D integer array of node indices (cell
+    ``(a, c)`` is pair ``(rows[a], cols[c])``); anything else, or a node
+    outside ``[0, n)``, raises ``ValueError``.
 
     Entry (i, j) is the method's score for the pair; the matrix is symmetric,
     bit for bit, with an all-zero diagonal except for PA, whose diagonal is
@@ -504,19 +479,17 @@ def score_matrix(
     :func:`~tlpss.adjacency.latent_matrix`).
     """
     n = A.n
-    rows = (0, n) if rows is None else rows
+    rows = _nodes("rows", range(n) if rows is None else rows, n)
     if cols is None:
-        if not isinstance(rows, tuple):
+        if not isinstance(rows, range):
             raise ValueError("rows given as node indices need cols")
-        cols = (rows[0], n)
-    for name, nodes in (("rows", rows), ("cols", cols)):
-        if isinstance(nodes, tuple) and not 0 <= nodes[0] <= nodes[1] <= n:
-            raise ValueError(f"{name} {nodes!r} are not a range of the {n} rows")
+        cols = range(rows.start, n)
+    cols = _nodes("cols", cols, n)
     out = _score(A, D, method, latent_params, cclp_mode, _Block(A.indicator_csr, rows, cols))
     # the cells whose row and column are one node, (i, i)
     where = np.full(n, -1)
-    where[_ids(cols)] = np.arange(_size(cols))
-    col = where[_ids(rows)]
+    where[_at(cols)] = np.arange(len(cols))
+    col = where[_at(rows)]
     row = np.flatnonzero(col >= 0)
     out[row, col[row]] = 0.0
     return out
@@ -535,8 +508,11 @@ def score_pairs(
     It reads the same operands (kept in ``A.operands`` like a block's), and
     adds each pair's terms in the order the operand's row stores them, the
     order of the block products, so it scores a few pairs without a
-    block."""
-    i, j = np.divmod(np.asarray(keys, dtype=np.int64), A.n)
+    block.  A key outside ``[0, n * n)`` raises ``ValueError``."""
+    keys = np.asarray(keys, dtype=np.int64)
+    if keys.size and not (0 <= keys.min() and keys.max() < A.n * A.n):
+        raise ValueError(f"keys are not pair keys of the {A.n} nodes")
+    i, j = np.divmod(keys, A.n)
     out = _score(A, D, method, latent_params, cclp_mode, _Pairs(A.indicator_csr, i, j))
     out[i == j] = 0.0
     return out

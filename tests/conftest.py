@@ -3,6 +3,19 @@
 import numpy as np
 import pytest
 
+from tlpss.adjacency import PairLayout, WeightedAdjacency
+
+
+def adjacency_of(n, weights, mults=None):
+    """The adjacency of ``n`` nodes whose canonical pairs ``(i, j)``,
+    ``i < j``, weigh ``weights[(i, j)]``, each with ``mults[(i, j)]``
+    multi-edges (default 1)."""
+    pairs = sorted(weights)
+    lo, hi = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    mult = np.array([(mults or {}).get(pair, 1) for pair in pairs], dtype=np.int64)
+    weight = np.array([weights[pair] for pair in pairs], dtype=np.float64)
+    return WeightedAdjacency(PairLayout(n, lo, hi, mult), weight)
+
 
 @pytest.fixture()
 def dataset(tmp_path):

@@ -19,6 +19,8 @@ from tlpss.decay import DecayParams, ExpDecayParams, asf_floor, decay_floor
 from tlpss.edges import SnapshotConfig, TemporalEdgeList, normalize, snapshot_index
 from tlpss.oracle import ToyGraph, naive_hidden, naive_latent, random_decay, random_toy
 
+from conftest import adjacency_of
+
 PARAMS = DecayParams(p=2.0, q=1.0, a=5.0)
 
 
@@ -160,24 +162,29 @@ class TestBuildAdjacency:
         with pytest.raises(ValueError):
             build_adjacency(lst[1:], T, params, cfg, layout=layout)
 
-    def test_from_pair_weights_validation(self):
-        A = WeightedAdjacency.from_pair_weights(3, {(1, 0): 0.5}, {(0, 1): 4})
+    def test_constructors_reject_bad_pairs_and_weights(self):
+        A = adjacency_of(3, {(0, 1): 0.5}, {(0, 1): 4})
         assert weight(A, 0, 1) == weight(A, 1, 0) == 0.5
         assert mult_csr(A)[1, 0] == 4
-        for bad in ({(1, 1): 1.0}, {(0, 3): 1.0}, {(0, 1): 0.0}, {(0, 1): float("nan")}):
+        one = np.ones(1, dtype=np.int64)
+        for lo, hi in ((1, 1), (0, 3), (-1, 1), (2, 1)):
             with pytest.raises(ValueError):
-                WeightedAdjacency.from_pair_weights(3, bad)
+                PairLayout(3, np.array([lo]), np.array([hi]), one)
+        layout = PairLayout(3, np.array([0]), np.array([1]), one)
+        for bad in (0.0, float("nan"), -1.0, float("inf")):
+            with pytest.raises(ValueError):
+                WeightedAdjacency(layout, np.array([bad]))
 
 
 class TestDegreeVector:
     def test_isolated_node(self):
-        A = WeightedAdjacency.from_pair_weights(3, {(0, 1): 0.8})
+        A = adjacency_of(3, {(0, 1): 0.8})
         D = degree_vector(A)
         assert D.w[2] == 0.0
         assert D.d[2] == 0
 
     def test_star_center(self):
-        A = WeightedAdjacency.from_pair_weights(4, {(0, 1): 0.9, (0, 2): 0.8, (0, 3): 0.7})
+        A = adjacency_of(4, {(0, 1): 0.9, (0, 2): 0.8, (0, 3): 0.7})
         D = degree_vector(A)
         assert D.w[0] == pytest.approx(2.4, rel=1e-15)
         assert D.d[0] == 3
@@ -198,7 +205,7 @@ class TestNeighborhoodSets:
         assert common_counts(A)[0, 1] == 3
 
     def test_disjoint_neighborhoods(self):
-        A = WeightedAdjacency.from_pair_weights(4, {(0, 1): 1.0, (2, 3): 1.0})
+        A = adjacency_of(4, {(0, 1): 1.0, (2, 3): 1.0})
         assert common_counts(A)[0, 2] == 0
 
     def test_symmetric(self):
@@ -217,7 +224,7 @@ class TestNeighborhoodSets:
     def test_hidden_empty_when_no_extra_neighbors(self):
         # pure butterfly: all of y's neighbors are shared with x
         butterfly = [(0, 2), (0, 3), (1, 2), (1, 3)]
-        A = WeightedAdjacency.from_pair_weights(4, {pair: 1.0 for pair in butterfly})
+        A = adjacency_of(4, {pair: 1.0 for pair in butterfly})
         assert hidden_from_latent(A, latent_matrix(A, PARAMS), 0, 1) == set()
         toy = ToyGraph(n=4, edges=[(u, v, 1) for u, v in butterfly])
         assert naive_hidden(toy, PARAMS, 0, 1) == set()
@@ -242,7 +249,7 @@ class TestNeighborhoodSets:
 
 class TestLatentWeight:
     def test_zero_without_common_neighbors(self):
-        A = WeightedAdjacency.from_pair_weights(4, {(0, 1): 1.0, (2, 3): 1.0})
+        A = adjacency_of(4, {(0, 1): 1.0, (2, 3): 1.0})
         B = latent_matrix(A, PARAMS)
         assert B[0, 2] == 0.0 and B.nnz == 0
 
@@ -356,11 +363,11 @@ class TestLatentMatrix:
     def test_rows_without_latent_cells(self, monkeypatch):
         # every two-hop pair of a clique is linked, so a triangle has no cell
         triangle = {(0, 1): 0.8, (1, 2): 0.7, (0, 2): 0.6}
-        A = WeightedAdjacency.from_pair_weights(3, triangle)
+        A = adjacency_of(3, triangle)
         assert latent_matrix(A, PARAMS).nnz == 0
-        A = WeightedAdjacency.from_pair_weights(6, {**triangle, (3, 4): 0.9, (4, 5): 0.5})
+        A = adjacency_of(6, {**triangle, (3, 4): 0.9, (4, 5): 0.5})
         whole = latent_matrix(A, PARAMS)
-        monkeypatch.setattr(adjacency, "_BLOCK", 1)  # one block per row
+        monkeypatch.setattr(adjacency, "_PART", 1)  # one set per row
         by_row = latent_matrix(A, PARAMS)
         assert whole.nnz == by_row.nnz == 2
         assert np.array_equal(whole.toarray(), by_row.toarray())
@@ -378,7 +385,7 @@ class TestLatentMatrix:
         # rows 0-3 and 7 have no term, rows 4 and 6 one latent cell each
         pairs, weights = [(0, 1), (2, 3), (4, 5), (5, 6)], [0.8, 0.7, 0.6, 0.5]
         whole = latent(8, pairs, weights)
-        monkeypatch.setattr(adjacency, "_BLOCK", 1)  # one set per row with terms
+        monkeypatch.setattr(adjacency, "_PART", 1)  # one set per row with terms
         by_row = latent(8, pairs, weights)
         for B in (whole, by_row):
             assert B.shape == (8, 8)
@@ -394,13 +401,51 @@ class TestLatentMatrix:
         assert decay_floor(ExpDecayParams(0.3)) == 0.0
 
 
+class TestParts:
+    """``adjacency.parts``, the one rule by which work is cut into the
+    tasks of ``pool_map``."""
+
+    def cut(self, monkeypatch, costs, part):
+        """The runs of items of ``costs`` for ``_PART = part``, as (start,
+        stop), checked to cover the items once, in order, each as long as
+        fits."""
+        monkeypatch.setattr(adjacency, "_PART", part)
+        costs = np.asarray(costs, dtype=np.int64)
+        runs = adjacency.parts(np.r_[0, np.cumsum(costs)])
+        assert all(isinstance(r, range) and r.step == 1 for r in runs)
+        assert [r.start for r in runs] == [0] + [r.stop for r in runs[:-1]]
+        assert runs[-1].stop == len(costs)
+        for r in runs:
+            assert costs[r.start : r.stop].sum() <= part or len(r) == 1
+            assert r.stop == len(costs) or costs[r.start : r.stop + 1].sum() > part
+        return [(r.start, r.stop) for r in runs]
+
+    def test_no_items_make_one_empty_run(self, monkeypatch):
+        assert self.cut(monkeypatch, [], 10) == [(0, 0)]
+
+    def test_zero_cost_items_join_a_run(self, monkeypatch):
+        assert self.cut(monkeypatch, [0] * 5, 10) == [(0, 5)]
+        assert self.cut(monkeypatch, [0, 4, 0, 6, 0, 1, 0], 10) == [(0, 5), (5, 7)]
+
+    def test_item_above_the_part_is_a_run_of_its_own(self, monkeypatch):
+        assert self.cut(monkeypatch, [25], 10) == [(0, 1)]
+        assert self.cut(monkeypatch, [3, 25, 4, 4, 4], 10) == [(0, 1), (1, 2), (2, 4), (4, 5)]
+
+    def test_random_costs(self, monkeypatch):
+        rng = np.random.default_rng(69000)
+        for trial in range(200):
+            costs = rng.integers(0, 30, rng.integers(0, 60))
+            costs[rng.random(len(costs)) < 0.3] = 0
+            self.cut(monkeypatch, costs, int(rng.integers(1, 80)))
+
+
 class TestFloorScaling:
     def test_latent_cells_scale_linearly_with_floor(self):
         """Holding the adjacency and multiplicities fixed, a latent cell is
         the floor times a fixed scale factor, so cells at two q values are
         proportional to the two floors."""
         weights = {(0, 2): 0.8, (1, 2): 0.7, (0, 3): 0.6, (1, 3): 0.9}
-        A = WeightedAdjacency.from_pair_weights(4, weights)
+        A = adjacency_of(4, weights)
         lo = DecayParams(p=1.0, q=0.5)
         hi = DecayParams(p=1.0, q=2.0)
         b_lo = latent_matrix(A, lo)[0, 1]

@@ -247,8 +247,7 @@ class TestBadInputs:
 
         # two workers, and several row parts and plan blocks to share out
         monkeypatch.setattr("tlpss.adjacency._workers", lambda: 2)
-        monkeypatch.setattr("tlpss.adjacency._BLOCK", 16)
-        monkeypatch.setattr("tlpss.scoring._PART_CELLS", 64)
+        monkeypatch.setattr("tlpss.adjacency._PART", 16)
         monkeypatch.setattr(kernel, no_memory)
         out_dir = tmp_path / "run"
         assert main([

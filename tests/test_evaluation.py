@@ -14,7 +14,7 @@ import pytest
 import tlpss
 from tlpss import evaluation, scoring
 from tlpss import adjacency
-from tlpss.adjacency import LatentPlan, WeightedAdjacency, build_adjacency, degree_vector
+from tlpss.adjacency import LatentPlan, build_adjacency, degree_vector
 from tlpss.decay import DecayParams
 from tlpss.edges import (
     SnapshotConfig,
@@ -35,6 +35,8 @@ from tlpss.evaluation import (
 )
 from tlpss.oracle import ToyGraph, exhaustive_auc, random_toy
 from tlpss.scoring import ALL_METHODS, MethodId, score_matrix
+
+from conftest import adjacency_of
 
 
 def count_plan_builds(monkeypatch):
@@ -696,11 +698,6 @@ def one_block_and_blocked(monkeypatch, run, cells):
     return whole, blocked, calls
 
 
-def size(nodes):
-    """The number of nodes of a range ``(start, stop)`` or index array."""
-    return nodes[1] - nodes[0] if isinstance(nodes, tuple) else len(nodes)
-
-
 def unbounded(method, mode):
     return method in (MethodId.TLPSS, MethodId.JA_ASF) or (
         method is MethodId.CCLP_ASF and mode == "global"
@@ -735,7 +732,7 @@ class TestRowBlocks:
         # TLPSS and JA in 6 runs and global CCLP in 3 have no bound and
         # walk the upper trapezoids
         walked = [(rows, cols) for method, mode, rows, cols in calls if unbounded(method, mode)]
-        assert walked == 15 * [((r0, r1), (r0, 48)) for r0, r1 in blocks]
+        assert walked == 15 * [(range(r0, r1), range(r0, 48)) for r0, r1 in blocks]
         # the others walk blocks of that size too, after a first square of
         # their top nodes (rows is cols)
         bounded = [
@@ -743,7 +740,7 @@ class TestRowBlocks:
             for method, mode, rows, cols in calls
             if not unbounded(method, mode) and rows is not cols
         ]
-        assert all(size(rows) * size(cols) <= cells or size(rows) == 1 for rows, cols in bounded)
+        assert all(len(rows) * len(cols) <= cells or len(rows) == 1 for rows, cols in bounded)
         assert all((r1 - r0) * (48 - r0) <= cells or r1 - r0 == 1 for r0, r1 in blocks)
         # a block has fewer candidates (its cells j > i) than top_l = 700
         assert all(sum(47 - i for i in range(r0, r1)) < 700 for r0, r1 in blocks)
@@ -766,7 +763,7 @@ class TestRowBlocks:
         whole, blocked, calls = one_block_and_blocked(monkeypatch, run, cells)
         assert blocked == whole
         assert all(
-            size(rows) * size(cols) <= cells or size(rows) == 1 or rows is cols
+            len(rows) * len(cols) <= cells or len(rows) == 1 or rows is cols
             for _, _, rows, cols in calls
         )
 
@@ -899,7 +896,7 @@ BOUNDED = [MethodId.CN_ASF, MethodId.PA_ASF, MethodId.RA_ASF, MethodId.CAR_ASF, 
 
 
 def unit_adjacency(n, pairs):
-    return WeightedAdjacency.from_pair_weights(n, {pair: 1.0 for pair in pairs})
+    return adjacency_of(n, {pair: 1.0 for pair in pairs})
 
 
 def walk(monkeypatch, A, method, top_l, auc_keys, bounded=True):

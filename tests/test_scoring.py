@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from tlpss import scoring
-from tlpss.adjacency import WeightedAdjacency, build_adjacency, degree_vector
+from tlpss.adjacency import build_adjacency, degree_vector
 from tlpss.decay import DecayParams, asf_floor
 from tlpss.edges import SnapshotConfig, TemporalEdgeList, normalize, snapshot_index
 from tlpss.errors import ConfigError
 from tlpss.oracle import ToyGraph, naive_hidden, naive_score, random_decay, random_toy
 from tlpss.scoring import ALL_METHODS, MethodId, score_matrix
+
+from conftest import adjacency_of
 
 PARAMS = DecayParams(p=2.0, q=1.0, a=5.0)
 
@@ -61,7 +63,7 @@ class TestTlpss:
         assert m[0, 1] == pytest.approx(expect, rel=1e-13)
 
     def test_zero_without_structure(self):
-        A = WeightedAdjacency.from_pair_weights(4, {(0, 1): 1.0, (2, 3): 1.0})
+        A = adjacency_of(4, {(0, 1): 1.0, (2, 3): 1.0})
         assert scores(A, MethodId.TLPSS)[0, 2] == 0.0
 
     def test_self_pair_rejected(self):
@@ -105,21 +107,21 @@ class TestTlpss:
 
 class TestBaselineValues:
     def test_cn_single_shared_neighbor(self):
-        A = WeightedAdjacency.from_pair_weights(3, {(0, 2): 0.8, (1, 2): 0.8})
+        A = adjacency_of(3, {(0, 2): 0.8, (1, 2): 0.8})
         assert scores(A, MethodId.CN_ASF)[0, 1] == pytest.approx(0.8, rel=1e-15)
 
     def test_cn_empty(self):
-        A = WeightedAdjacency.from_pair_weights(4, {(0, 1): 1.0, (2, 3): 1.0})
+        A = adjacency_of(4, {(0, 1): 1.0, (2, 3): 1.0})
         assert scores(A, MethodId.CN_ASF)[0, 2] == 0.0
 
     def test_cn_unit_weights_counts_neighbors(self):
         weights = {(0, z): 1.0 for z in (2, 3, 4)}
         weights.update({(1, z): 1.0 for z in (2, 3, 4)})
-        A = WeightedAdjacency.from_pair_weights(5, weights)
+        A = adjacency_of(5, weights)
         assert scores(A, MethodId.CN_ASF)[0, 1] == 3.0
 
     def test_ja_degenerate_denominator(self):
-        A = WeightedAdjacency.from_pair_weights(4, {(2, 3): 1.0})
+        A = adjacency_of(4, {(2, 3): 1.0})
         assert scores(A, MethodId.JA_ASF)[0, 1] == 0.0
 
     def test_ja_bounded_by_half(self):
@@ -131,42 +133,42 @@ class TestBaselineValues:
                 assert m[x, y] <= 0.5 + 1e-12
 
     def test_pa_product_and_isolated(self):
-        A = WeightedAdjacency.from_pair_weights(4, {(0, 1): 2.0, (1, 2): 3.0})
+        A = adjacency_of(4, {(0, 1): 2.0, (1, 2): 3.0})
         m = scores(A, MethodId.PA_ASF)
         assert m[0, 2] == pytest.approx(6.0)
         assert m[0, 3] == 0.0
 
     def test_ra_inverse_degree(self):
-        A = WeightedAdjacency.from_pair_weights(3, {(0, 2): 1.0, (1, 2): 1.0})
+        A = adjacency_of(3, {(0, 2): 1.0, (1, 2): 1.0})
         assert scores(A, MethodId.RA_ASF)[0, 1] == pytest.approx(0.5)
 
     def test_ra_unit_weights_classic(self):
         # two shared neighbors of plain degree 2 and 3
         weights = {(0, 2): 1.0, (1, 2): 1.0, (0, 3): 1.0, (1, 3): 1.0, (3, 4): 1.0}
-        A = WeightedAdjacency.from_pair_weights(5, weights)
+        A = adjacency_of(5, weights)
         assert scores(A, MethodId.RA_ASF)[0, 1] == pytest.approx(1 / 2 + 1 / 3, rel=1e-15)
 
     def test_car_needs_linked_common_neighbors(self):
         weights = {(0, 2): 1.0, (1, 2): 1.0, (0, 3): 1.0, (1, 3): 1.0}
-        A = WeightedAdjacency.from_pair_weights(4, weights)
+        A = adjacency_of(4, weights)
         assert scores(A, MethodId.CAR_ASF)[0, 1] == 0.0
 
     def test_car_known_value(self):
         # CN score 1.5 and one common-neighbor link of weight 0.7
         weights = {(0, 2): 0.75, (1, 2): 0.75, (0, 3): 0.75, (1, 3): 0.75, (2, 3): 0.7}
-        A = WeightedAdjacency.from_pair_weights(5, weights)
+        A = adjacency_of(5, weights)
         assert scores(A, MethodId.CN_ASF)[0, 1] == pytest.approx(1.5, rel=1e-15)
         assert scores(A, MethodId.CAR_ASF)[0, 1] == pytest.approx(1.05, rel=1e-15)
 
     def test_cclp_two_neighbor_triangle(self):
         # z=2 has exactly the neighbors 0, 1 which are linked with weight 0.6
         weights = {(0, 2): 1.0, (1, 2): 1.0, (0, 1): 0.6}
-        A = WeightedAdjacency.from_pair_weights(3, weights)
+        A = adjacency_of(3, weights)
         assert scores(A, MethodId.CCLP_ASF)[0, 1] == pytest.approx(0.6, rel=1e-15)
 
     def test_cclp_no_triangles(self):
         weights = {(0, 2): 1.0, (1, 2): 1.0}
-        A = WeightedAdjacency.from_pair_weights(3, weights)
+        A = adjacency_of(3, weights)
         assert scores(A, MethodId.CCLP_ASF)[0, 1] == 0.0
 
     def test_cclp_global_mode_differs_and_matches_oracle(self):
@@ -217,7 +219,7 @@ class TestScoreAll:
         """A graph without edges gives every pair a score of 0, also one
         without nodes."""
         for n in (5, 0):
-            A = WeightedAdjacency.from_pair_weights(n, {})
+            A = adjacency_of(n, {})
             for method in ALL_METHODS:
                 m = scores(A, method)
                 assert m.shape == (n, n) and not m.any(), method
@@ -229,6 +231,46 @@ class TestScoreAll:
             m = toy_scores(toy, PARAMS, method)
             ref = naive_score(method, toy, PARAMS, 0, 1)
             assert m[0, 1] == pytest.approx(ref, rel=1e-12, abs=1e-15), method
+
+    def test_range_and_start_stop_pair_give_the_same_block(self):
+        _, A, D = production_stack(random_toy(7, max_nodes=30, min_nodes=20), PARAMS)
+        n = A.n
+        for method in ALL_METHODS:
+            for r0, r1 in ((0, n), (0, 1), (3, 11), (n - 1, n), (n, n)):
+                pair = score_matrix(A, D, method, latent_params=PARAMS, rows=(r0, r1))
+                run = score_matrix(A, D, method, latent_params=PARAMS, rows=range(r0, r1))
+                assert pair.shape == (r1 - r0, n - r0) and np.array_equal(pair, run)
+            pair = score_matrix(A, D, method, latent_params=PARAMS, rows=(2, 9), cols=(4, n))
+            run = score_matrix(
+                A, D, method, latent_params=PARAMS, rows=range(2, 9), cols=range(4, n)
+            )
+            assert np.array_equal(pair, run)
+            A.operands.clear()
+
+    def test_nodes_and_keys_outside_the_graph_rejected(self):
+        A = adjacency_of(4, {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0})
+        D = degree_vector(A)
+        cn = MethodId.CN_ASF
+        nodes = np.array([0, 3])
+        bad_nodes = (
+            np.array([-1]), np.array([4]), np.array([[0, 1]]), np.array([0.0, 1.0]),
+            np.array([True, False]),
+        )
+        for bad in bad_nodes:
+            with pytest.raises(ValueError, match="^rows "):
+                score_matrix(A, D, cn, rows=bad, cols=nodes)
+            with pytest.raises(ValueError, match="^cols "):
+                score_matrix(A, D, cn, rows=nodes, cols=bad)
+        for bad in ((2, 5), (3, 1), (-1, 2), range(0, 4, 2)):
+            with pytest.raises(ValueError, match="^rows "):
+                score_matrix(A, D, cn, rows=bad)
+        for bad in ([-1], [16], [3, 100]):
+            with pytest.raises(ValueError, match="^keys "):
+                scoring.score_pairs(A, D, cn, np.array(bad))
+        # the first and last node, and the first and last key, are in
+        full = score_matrix(A, D, cn)
+        assert np.array_equal(score_matrix(A, D, cn, rows=nodes, cols=nodes), full[0::3, 0::3])
+        assert np.array_equal(scoring.score_pairs(A, D, cn, np.array([0, 15])), [0.0, 0.0])
 
     def test_unknown_method_rejected(self):
         _, A, D = production_stack(fig_toy(), PARAMS)

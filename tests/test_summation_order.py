@@ -163,7 +163,7 @@ def check_graph(toy, params):
     lcl = loop_lcl(A)
     # link weight among each pair's common neighbors, as CAR and global
     # CCLP take it
-    got = scoring._block(*scoring._lcl_incidence(A), (0, A.n), (0, A.n))
+    got = scoring._block(*scoring._lcl_incidence(A), range(A.n), range(A.n))
     np.fill_diagonal(got, 0.0)
     assert np.array_equal(got, lcl)
     assert_same_csr(latent_matrix(A, params), loop_latent(A, params))
@@ -240,7 +240,7 @@ def repeated_cells(plan):
 
 def test_plan_with_many_chunks_and_blocks(monkeypatch):
     monkeypatch.setattr(adjacency, "_CHUNK", 5_000)
-    monkeypatch.setattr(adjacency, "_BLOCK", 256)
+    monkeypatch.setattr(adjacency, "_PART", 256)
     plan, A = check_plan(hub_graph(), chunk=5_000)
     d = np.diff(A.weight_csr.indptr)
     chunks = (np.where(d >= 2, d, 0) ** 2).sum() / 5_000
@@ -287,7 +287,7 @@ def test_streamed_plan_equals_kept_plan_on_hub_graph():
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_streamed_plan_with_many_chunks_and_blocks(monkeypatch, workers):
     monkeypatch.setattr(adjacency, "_CHUNK", 5_000)
-    monkeypatch.setattr(adjacency, "_BLOCK", 256)
+    monkeypatch.setattr(adjacency, "_PART", 256)
     monkeypatch.setattr(adjacency, "_workers", lambda: workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)  # threads take turns often
@@ -306,7 +306,7 @@ def test_first_row_set_lands_first_when_it_finishes_last(monkeypatch, keep_plan)
     """The plan's first row set is summed after all the others, and its
     cells still come first, each with its chunk sums in chunk order."""
     monkeypatch.setattr(adjacency, "_CHUNK", 5_000)
-    monkeypatch.setattr(adjacency, "_BLOCK", 256)
+    monkeypatch.setattr(adjacency, "_PART", 256)
     monkeypatch.setattr(adjacency, "_workers", lambda: 3)
     params = DecayParams(p=3.0, q=1.0)
     toy = hub_graph()
@@ -403,7 +403,7 @@ def test_row_blocks_equal_whole_matrix_on_hub_graph(params):
 def test_worker_count_changes_no_bit(monkeypatch):
     # a plan of many chunks and blocks, and products of several row parts
     monkeypatch.setattr(adjacency, "_CHUNK", 5_000)
-    monkeypatch.setattr(adjacency, "_BLOCK", 256)
+    monkeypatch.setattr(adjacency, "_PART", 256)
     params = DecayParams(p=3.0, q=1.0)
     results = []
     interval = sys.getswitchinterval()
@@ -431,29 +431,32 @@ def test_worker_count_changes_no_bit(monkeypatch):
 
 def block_in_parts(monkeypatch, X, Y, part_cells):
     """``scoring._block`` of all of ``X @ Y`` on the sparse route, on 3
-    threads with parts of at most ``part_cells`` cells or terms, checked
-    against the one-call product; returns the row ranges of its parts,
-    which must cover the rows once each."""
-    monkeypatch.setattr(scoring, "_PART_CELLS", part_cells)
+    threads with ``_PART = part_cells``, checked against the one-call
+    product; returns the row ranges of its parts, which must cover the rows
+    once each.  A row costs the smaller of its cells and its terms; a part
+    costs at most ``part_cells`` or is one row, and ends only where the
+    next row would not fit."""
+    monkeypatch.setattr(adjacency, "_PART", part_cells)
     monkeypatch.setattr(adjacency, "_workers", lambda: 3)
     parts = []
     sparse_rows = scoring._sparse_rows
 
     def record(X, Y, out, add, part):
-        parts.append(tuple(int(r) for r in part))
+        parts.append((part.start, part.stop))
         sparse_rows(X, Y, out, add, part)
 
     monkeypatch.setattr(scoring, "_sparse_rows", record)
-    got = scoring._block(X, Y, (0, X.shape[0]), (0, Y.shape[1]))
+    got = scoring._block(X, Y, range(X.shape[0]), range(Y.shape[1]))
     assert np.array_equal(got, (X @ Y).toarray())
     parts.sort()
     bounds = [0] + [b for _, b in parts]
     assert [a for a, _ in parts] == bounds[:-1] and bounds[-1] == X.shape[0]
     row_terms = (X != 0).astype(np.int64) @ np.diff(Y.indptr)
+    cost = np.minimum(row_terms, Y.shape[1])
     for a, b in parts:
         assert a < b
-        cells, terms = (b - a) * Y.shape[1], row_terms[a:b].sum()
-        assert min(cells, terms) <= part_cells or b - a == 1
+        assert cost[a:b].sum() <= part_cells or b - a == 1
+        assert b == X.shape[0] or cost[a : b + 1].sum() > part_cells
     return parts
 
 
@@ -472,15 +475,15 @@ def test_row_parts_equal_one_product(monkeypatch):
     X[9, :] = rng.random(30) + 0.5
     parts = block_in_parts(monkeypatch, X.tocsr(), Y, 100)
     assert (9, 10) in parts and len(parts) < 30
-    # many terms per cell: the cells bound cuts parts of 5 rows, across
-    # empty rows (the first and last among them)
+    # many terms per cell: a row costs its cells, so a part holds 5 rows
+    # with entries and the empty rows among them (the first and last too)
     Y = random_csr(rng, 30, 50, 0.5)
     X = random_csr(rng, 40, 30, 0.3).tolil()
     for r in (0, 1, 2, 17, 18, 39):
         X[r, :] = 0
     X = X.tocsr()
     X.eliminate_zeros()
-    assert len(block_in_parts(monkeypatch, X, Y, 5 * 50)) == 8
+    assert len(block_in_parts(monkeypatch, X, Y, 5 * 50)) == 7
     # a one-row block
     assert block_in_parts(monkeypatch, random_csr(rng, 1, 30, 0.5), Y, 50) == [(0, 1)]
     # no entries, so no terms: one part
@@ -541,14 +544,14 @@ def route(monkeypatch, M, P, r0, r1, dense):
     """``scoring._dense_route`` with its verdict forced by the ratio, as
     far as the operands allow the dense route."""
     monkeypatch.setattr(scoring, "_DENSE_RATIO", 10**12 if dense else 0)
-    return scoring._dense_route(M, P, (r0, r1), (r0, P.shape[0]))
+    return scoring._dense_route(M, P, range(r0, r1), range(r0, P.shape[0]))
 
 
 def transposed_half(M, P, r0, r1, dense):
     """The transposed half of the block ``(r0, r1)`` of ``M @ P``, the
     swapped-range product added into zeros through their transpose."""
     half = np.zeros((r1 - r0, P.shape[0] - r0))
-    scoring._block(M, P, (r0, P.shape[0]), (r0, r1), dense, add_to=half.T)
+    scoring._block(M, P, range(r0, P.shape[0]), range(r0, r1), dense, add_to=half.T)
     return half
 
 
@@ -564,14 +567,14 @@ def test_dense_operand_route_equals_sparse_route(monkeypatch):
     for workers in (1, 2, 3):
         monkeypatch.setattr(adjacency, "_workers", lambda: workers)
         for width in (1, 2, n):
-            monkeypatch.setattr(scoring, "_PART_CELLS", width * n)
+            monkeypatch.setattr(adjacency, "_PART", width * n)
             for r0, r1 in blocks:
                 # a block without entries has no terms, and stays sparse
                 dense = route(monkeypatch, M, P, r0, r1, dense=True)
                 assert dense == (M.indptr[r1] > M.indptr[r0])
                 assert not route(monkeypatch, M, P, r0, r1, dense=False)
-                got = scoring._block(M, P, (r0, r1), (r0, n), dense=True)
-                ref = scoring._block(M, P, (r0, r1), (r0, n), dense=False)
+                got = scoring._block(M, P, range(r0, r1), range(r0, n), dense=True)
+                ref = scoring._block(M, P, range(r0, r1), range(r0, n), dense=False)
                 assert np.array_equal(got, ref), (workers, width, r0, r1)
                 assert np.array_equal(got, whole[r0:r1, r0:]), (workers, width, r0, r1)
                 half = transposed_half(M, P, r0, r1, dense=True)
@@ -594,15 +597,40 @@ def test_dense_operand_route_needs_sorted_operand_and_indicator(monkeypatch):
     weighted.data = rng.random(P.nnz) + 0.5
     for r0, r1 in ((0, n), (0, 9), (20, n)):
         dense = route(monkeypatch, unsorted, P, r0, r1, dense=True)
-        got = scoring._block(unsorted, P, (r0, r1), (r0, n), dense)
+        got = scoring._block(unsorted, P, range(r0, r1), range(r0, n), dense)
         assert not dense and np.array_equal(got, ref[r0:r1, r0:])
         # the transposed half adds the terms in the operand's order too
         half = transposed_half(unsorted, P, r0, r1, dense)
         assert np.array_equal(half, ref.T[r0:r1, r0:])
         # a right factor that is not all ones
         dense = route(monkeypatch, M, weighted, r0, r1, dense=True)
-        got = scoring._block(M, weighted, (r0, r1), (r0, n), dense)
+        got = scoring._block(M, weighted, range(r0, r1), range(r0, n), dense)
         assert not dense and np.array_equal(got, (M @ weighted).toarray()[r0:r1, r0:])
+
+
+def test_dense_route_counts_no_term_of_a_non_canonical_operand(monkeypatch):
+    """An operand not in canonical form, as RA's ``P @ diags(1/w)`` comes
+    out of SciPy's product, or a right factor that is not all ones, never
+    takes the dense-operand route, and its terms are never counted."""
+    rng = np.random.default_rng(68000)
+    n = 60
+    P = random_indicator(rng, n, 0.3)
+    M = operand_with_empty_rows(rng, n, (3,))
+    weighted = P.copy()
+    weighted.data = rng.random(P.nnz) + 0.5
+    L = P @ sp.diags(rng.random(n) + 0.5)
+    assert not L.has_canonical_format
+    counted = []
+    column_counts = scoring._column_counts
+    monkeypatch.setattr(
+        scoring, "_column_counts", lambda *a: counted.append(1) or column_counts(*a)
+    )
+    monkeypatch.setattr(scoring, "_DENSE_RATIO", 10**12)
+    for X, Y in ((reversed_rows(M), P), (L, P), (M, weighted)):
+        for rows, cols in ((range(n), range(n)), (range(5, 9), rng.permutation(n)[:7])):
+            assert not scoring._dense_route(X, Y, rows, cols)
+    assert counted == []
+    assert scoring._dense_route(M, P, range(n), range(n)) and counted
 
 
 def test_sparse_transposed_half_of_tlpss_equals_whole_matrix(monkeypatch):
@@ -616,7 +644,7 @@ def test_sparse_transposed_half_of_tlpss_equals_whole_matrix(monkeypatch):
     full = score_matrix(A, D, MethodId.TLPSS, latent_params=params)
     ((_, M),) = A.operands.values()
     assert (M != M.T).nnz > 0
-    whole = scoring._block(M, P, (0, n), (0, n))
+    whole = scoring._block(M, P, range(n), range(n))
     assert np.array_equal(whole, (M @ P).toarray())
     assert not np.array_equal(whole, whole.T)
     for r0, r1 in ((1, 2), (97, 350), (350, n)):
@@ -702,7 +730,7 @@ def test_score_pairs_and_index_blocks_equal_whole_matrix_on_random_toys():
 def test_score_pairs_and_index_blocks_equal_whole_matrix_on_hub_graph(monkeypatch, workers):
     monkeypatch.setattr(adjacency, "_workers", lambda: workers)
     # several parts of looked-up terms per product
-    monkeypatch.setattr(scoring, "_PAIR_TERMS", 5_000)
+    monkeypatch.setattr(adjacency, "_PART", 5_000)
     check_pairs_and_index_blocks(
         hub_graph(), DecayParams(p=3.0, q=1.0), np.random.default_rng(66000 + workers)
     )
