@@ -16,8 +16,10 @@ import io
 import json
 import math
 import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import UnionType
 
 from .decay import DecayParams, ExpDecayParams
 from .edges import load_edge_list, serialize
@@ -77,28 +79,6 @@ def parse_period(value: float | str) -> float:
 
 
 _NUMBER = (int, float)
-# JSON types each ExperimentConfig field accepts (None where it may be unset)
-_FIELD_TYPES = {
-    "dataset": (str, type(None)),
-    "period": (str, *_NUMBER, type(None)),
-    "origin": _NUMBER,
-    "decay": (str,),
-    "p": _NUMBER,
-    "q": _NUMBER,
-    "a": _NUMBER,
-    "theta": _NUMBER,
-    "ratio": _NUMBER,
-    "methods": (list,),
-    "top_l": (int,),
-    "auc_samples": (int,),
-    "auc_exhaustive_limit": (int,),
-    "max_negatives": (int, type(None)),
-    "seed": (int,),
-    "agg": (str,),
-    "cclp_mode": (str,),
-    "out_dir": (str,),
-    "format": (str,),
-}
 
 
 @dataclass
@@ -208,6 +188,22 @@ class ExperimentConfig:
         out["period"] = parse_period(self.period)
         out["methods"] = [m.value for m in self.method_ids()]
         return out
+
+
+def _json_types(hint) -> tuple:
+    """The JSON types a field annotated ``hint`` accepts: a float field also
+    takes an int, and ``list[str]`` means a list."""
+    union = typing.get_origin(hint) in (typing.Union, UnionType)
+    args = typing.get_args(hint) if union else (hint,)
+    return tuple(
+        t for a in args for t in (_NUMBER if a is float else (typing.get_origin(a) or a,))
+    )
+
+
+# JSON types each ExperimentConfig field accepts (None where it may be unset)
+_FIELD_TYPES = {
+    name: _json_types(hint) for name, hint in typing.get_type_hints(ExperimentConfig).items()
+}
 
 
 def _load_dataset(cfg: ExperimentConfig):

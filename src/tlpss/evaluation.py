@@ -13,26 +13,27 @@ key is also the flat index of the pair's cell in the n x n score matrix.
 Evaluation never holds that matrix: for each method it walks blocks of an
 order of the nodes, rows [a0, a1) by columns [a0, k), at most
 ``_BLOCK_CELLS`` cells each, gathers the positives' and negatives' scores
-that fall in each block, and merges the block's best cells into a running
-top L for precision@L.  A method without a per-node bound (JA, TLPSS,
-global CCLP) walks the nodes in order, the upper trapezoids, k = n; once
-the top holds L cells a block offers it only the cells above its L-th
-score.  CN, PA and CAR (``S[x, y] <= (b[x] + b[y]) / 2``) and RA and local
-CCLP (``S[x, y] <= min(b[x], b[y])``, see
-:func:`~tlpss.scoring.score_bound`) walk their nodes by decreasing bound
-and score each row against only the nodes whose bound can still reach the
-cut, a lower bound on the final L-th score that rises with the running
-top; the AUC pairs outside the scored blocks are scored directly
+that fall in each block, and merges the block's best cells of positive
+score into a running top L for precision@L.  The cut is the top's L-th
+score once it holds L cells, and 0 before.  A method without a per-node
+bound (JA, TLPSS, global CCLP) walks the nodes in order, the upper
+trapezoids, k = n.  CN, PA and CAR (``S[x, y] <= (b[x] + b[y]) / 2``) and
+RA and local CCLP (``S[x, y] <= min(b[x], b[y])``, see
+:func:`~tlpss.scoring.score_bound`) walk their nodes by decreasing bound,
+the first block one row against every node, and score each row against
+only the nodes whose bound can still reach the cut; the AUC pairs outside
+the scored blocks are scored directly
 (:func:`~tlpss.scoring.score_pairs`).  Both give every cell the whole
-matrix's bits.  One lexsort by (score descending, key ascending),
-:func:`_top`, orders both the running top and the L pairs precision@L
-counts.
+matrix's bits.  A top that holds fewer than L cells when the walk ends
+holds every pair of positive score, and the smallest unlinked keys outside
+it, all of score 0, complete it.  One lexsort by (score descending, key
+ascending), :func:`_top`, orders both the running top and the L pairs
+precision@L counts.
 """
 
 from __future__ import annotations
 
 import inspect
-import math
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
@@ -68,13 +69,6 @@ _BLOCK_CELLS = 2**21
 # the pair to be skipped: a score and its bound are sums of the same terms
 # in different orders, which round apart by about n * 2**-53 at most.
 _MARGIN = 1e-9
-
-# The cut of a method with a bound is first taken from the pairs among this
-# many times the fewest top-bound nodes whose pairs hold L candidates (at
-# most a block's cells).  On the eval-all-4k seed-0 input (L = 100) the five
-# bounded methods took 0.40 s in-process with 2, 3 or 4, 0.47 s with 8 and
-# 0.53 s with 16.
-_PROBE = 4
 
 # Defaults for negative sampling and AUC comparisons.
 MAX_NEGATIVES_CAP = 1_000_000
@@ -149,6 +143,19 @@ class EvalReport:
         ]
 
 
+def _first_unlinked(n: int, excluded: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` smallest keys ``i * n + j``, ``i < j``, that are not in
+    the sorted key array ``excluded``, in ascending order."""
+    # at most len(excluded) of the first count + len(excluded) keys are
+    # excluded; the t-th key, in row i, is t + (i + 1)(i + 2) / 2
+    m = min(count + len(excluded), n * (n - 1) // 2)
+    sizes = np.arange(n - 1, -1, -1, dtype=np.int64)
+    rows = int(np.searchsorted(np.cumsum(sizes), m)) + 1
+    row = np.repeat(np.arange(rows, dtype=np.int64), sizes[:rows])[:m]
+    keys = np.arange(m, dtype=np.int64) + (row + 1) * (row + 2) // 2
+    return keys[np.isin(keys, excluded, assume_unique=True, invert=True)][:count]
+
+
 def build_candidates(
     split: TrainTestSplit,
     node_count: int,
@@ -179,11 +186,7 @@ def build_candidates(
 
     exhaustive = universe_size <= max_negatives
     if exhaustive:
-        # the keys i * n + j, i < j, in order, less the linked ones: the
-        # t-th of them, in row i, is t + (i + 1)(i + 2) / 2
-        row = np.repeat(np.arange(n, dtype=np.int64), np.arange(n - 1, -1, -1))
-        keys = np.arange(len(row), dtype=np.int64) + (row + 1) * (row + 2) // 2
-        chosen = np.delete(keys, np.searchsorted(keys, linked))
+        chosen = _first_unlinked(n, linked, universe_size)
     else:
         # Draw batches of node pairs; keep each unlinked pair the first time
         # it is drawn, in draw order, until the budget is met.  ``excluded``
@@ -273,20 +276,17 @@ def _top_cells(flat: np.ndarray, L: int, floor: float, keys=None) -> np.ndarray:
     """Indices of the top L cells above ``floor`` by descending score, ties
     at the cut taken in ascending key order: ``keys(cells)`` gives their
     pair keys, and without it the cells' keys ascend with their indices.
-    With fewer than L cells above the floor, all of them.  Scores are >= 0
-    and cells set to -inf are not candidates."""
+    With at most L cells above the floor, all of them.  The floor is >= 0,
+    so cells of score 0 and cells set to -inf are never taken."""
     # most baselines score most cells 0, and partition degenerates on a
-    # long run of equal values, so the cut is sought among the positive
-    # scores above the floor; with fewer than L of them all are taken, and
-    # below a negative floor the first cells of score 0 fill the top
-    cut = max(floor, 0.0)
-    above = flat > cut
+    # long run of equal values, so the cut is sought among the scores above
+    # the floor
+    above = flat > floor
     pool = flat[above]
-    if len(pool) >= L:
-        pool.partition(len(pool) - L)
-        cut = pool[len(pool) - L]
-    elif cut == floor:
+    if len(pool) <= L:
         return np.flatnonzero(above)
+    pool.partition(len(pool) - L)
+    cut = pool[len(pool) - L]
     best = np.flatnonzero(flat >= cut)
     tied = flat[best] == cut
     ties = best[tied]
@@ -303,46 +303,32 @@ def _method_top(A, D, method, *, decay, cclp_mode, top_l, auc_keys, train_keys):
 
     Rows are walked in blocks of at most ``_BLOCK_CELLS`` cells, rows
     ``[a0, a1)`` by columns ``[a0, k)`` of an order of the nodes, each
-    scored by :func:`score_matrix`.  A method with a per-node bound
-    (:func:`~tlpss.scoring.score_bound`) first scores the pairs among its
-    top-bound nodes, ``_PROBE`` times the fewest that hold L candidates;
-    their L-th score is a lower bound on the final one, the cut.  With a
-    positive cut it walks the nodes by decreasing bound and scores a row
-    only against the nodes whose bound can still reach the cut, which
-    rises to the running top's L-th score; a pair is skipped only when its
-    bound is below the cut by more than a relative ``_MARGIN``.  Otherwise
-    it walks the nodes in order, every row against every later node: the
-    upper trapezoids.  The pairs of ``auc_keys`` outside the scored blocks
-    are scored by :func:`score_pairs`."""
+    scored by :func:`score_matrix`.  No cell of score 0 enters the running
+    top, and the cut is the top's L-th score once it holds L cells, 0
+    before.  A method with a per-node bound
+    (:func:`~tlpss.scoring.score_bound`) walks the nodes by decreasing
+    bound, its first block one row against every node, and scores a row
+    only against the nodes whose bound can still reach the cut; a pair is
+    skipped only when its bound is below the cut by more than a relative
+    ``_MARGIN``.  A method without one walks the nodes in order, every row
+    against every later node: the upper trapezoids.  A walk that ends with
+    fewer than L cells in the top has scored every pair, so the smallest
+    keys not linked in train and not in the top, all of score 0, complete
+    it.  The pairs of ``auc_keys`` outside the scored blocks are scored by
+    :func:`score_pairs`."""
     n = A.n
     options = dict(latent_params=decay, cclp_mode=cclp_mode)
     bound = score_bound(A, D, method, cclp_mode)
-    cut = -np.inf
-    if bound is not None:
+    if bound is None:
+        # blocks of a range of nodes take the operands' rows as slices
+        order, pos = range(n), np.arange(n)
+        nodes = pos  # the node at each position
+    else:
         form, beta = bound
-        order = np.argsort(-beta, kind="stable")
+        order = nodes = np.argsort(-beta, kind="stable")
         pos = np.empty(n, dtype=np.int64)
         pos[order] = np.arange(n)
-        # the candidates among the first K nodes: their pairs less the
-        # train pairs whose later node comes before K
-        i, j = np.divmod(train_keys, n)
-        inside = np.arange(n) * np.arange(1, n + 1) // 2
-        inside -= np.cumsum(np.bincount(np.maximum(pos[i], pos[j]), minlength=n))
-        K = int(np.searchsorted(inside, top_l)) + 1
-        # more nodes, up to a block's cells, give a cut nearer the final
-        K = min(n, max(K, min(_PROBE * K, math.isqrt(_BLOCK_CELLS))))
-        top = order[:K]
-        cells = score_matrix(A, D, method, rows=top, cols=top, **options)
-        key = pair_key(top[:, None], top[None, :], n)
-        linked = train_keys.take(np.searchsorted(train_keys, key), mode="clip") == key
-        cells[np.tri(K, dtype=bool) | linked] = -np.inf
-        cut = np.partition(cells.ravel(), K * K - top_l)[K * K - top_l]
-    if not cut > 0:
-        # blocks of a range of nodes take the operands' rows as slices
-        bound, order, pos = None, range(n), np.arange(n)
-    else:
         down = -beta[order]
-    nodes = pos if bound is None else order  # the node at each position
 
     def extent(a0, cut):
         """Under the cut, the end k of row a0's columns [a0, k), every node
@@ -374,11 +360,13 @@ def _method_top(A, D, method, *, decay, cclp_mode, top_l, auc_keys, train_keys):
     top_keys, top_scores = np.empty(0, dtype=np.int64), np.empty(0)
     a0 = 0
     while a0 < n:
-        held = top_scores[-1] if len(top_keys) == top_l else -np.inf
-        k, end = extent(a0, max(cut, held))
+        cut = top_scores[-1] if len(top_keys) == top_l else 0.0
+        k, end = extent(a0, cut)
         if a0 >= end:
             break
-        a1 = min(end, a0 + max(1, _BLOCK_CELLS // (k - a0)))
+        # a bounded walk's first row, against every node, sets its first cut
+        rows = 1 if bound is not None and a0 == 0 else max(1, _BLOCK_CELLS // (k - a0))
+        a1 = min(end, a0 + rows)
         block = score_matrix(A, D, method, rows=order[a0:a1], cols=order[a0:k], **options)
         flat = block.ravel()
         lo, hi = np.searchsorted(auc_a, [a0, a1])
@@ -398,13 +386,13 @@ def _method_top(A, D, method, *, decay, cclp_mode, top_l, auc_keys, train_keys):
             return pair_key(nodes[a + a0], nodes[c + a0], n)
 
         if bound is None:
-            # a cell that ties the held L-th score has a larger key than
-            # every held cell, so only cells above it can enter
-            best = _top_cells(flat, top_l, held)
+            # a cell that ties the cut has a larger key than every held
+            # cell, so only cells above it can enter
+            best = _top_cells(flat, top_l, cut)
         else:
             # one at the cut may have a smaller key, and none below it can
-            # enter
-            best = _top_cells(flat, top_l, np.nextafter(max(cut, held), -np.inf), keys)
+            # enter; a cut of 0 stays 0, so that no cell of score 0 enters
+            best = _top_cells(flat, top_l, np.nextafter(cut, 0.0), keys)
         # the top L of a union is the top L of the parts' top Ls, so
         # merging block by block selects what one pass would
         top_keys = np.concatenate([top_keys, keys(best)])
@@ -412,6 +400,10 @@ def _method_top(A, D, method, *, decay, cclp_mode, top_l, auc_keys, train_keys):
         keep = _top(top_keys, top_scores, top_l)
         top_keys, top_scores = top_keys[keep], top_scores[keep]
         a0 = a1
+    if len(top_keys) < top_l:
+        tail = _first_unlinked(n, np.union1d(train_keys, top_keys), top_l - len(top_keys))
+        top_keys = np.concatenate([top_keys, tail])
+        top_scores = np.concatenate([top_scores, np.zeros(len(tail))])
     rest = np.flatnonzero(~done)
     if len(rest):
         scores[rest] = score_pairs(A, D, method, auc_keys[rest], **options)

@@ -340,9 +340,9 @@ class _Block:
         product over the swapped rows and columns, ``M[cols] @ P[:, rows]``,
         added into the block's transpose by the route its own count picks;
         a cell adds its terms in the order the whole matrix's ``s.T`` does.
-        A block whose rows are its columns (the whole matrix, the last
-        square block of a walk, a bounded method's probe) has that product
-        in ``s`` already, and adds its own transpose in tiles
+        A block whose rows are its columns (the whole matrix, the one block
+        of a walk over a small graph, the last square block of a walk) has
+        that product in ``s`` already, and adds its own transpose in tiles
         (:func:`_add_transpose`)."""
         P, rows, cols = self.P, self.rows, self.cols
         s = self.product(M, P)
@@ -432,11 +432,8 @@ def _score(A, D, method, latent_params, cclp_mode, cells):
 
 
 def _nodes(name: str, nodes, n: int):
-    """``nodes`` of :func:`score_matrix` as a range, a ``(start, stop)``
-    converted to one, or as an index array, checked against the ``n``
-    nodes."""
-    if isinstance(nodes, tuple):
-        nodes = range(*nodes)
+    """``nodes`` of :func:`score_matrix` as a range or as an index array,
+    checked against the ``n`` nodes."""
     if isinstance(nodes, range):
         ok = nodes.step == 1 and 0 <= nodes.start <= nodes.stop <= n
     else:
@@ -454,18 +451,17 @@ def score_matrix(
     method: MethodId,
     latent_params: DecayParams | ExpDecayParams | None = None,
     cclp_mode: str = "local",
-    rows: tuple[int, int] | range | np.ndarray | None = None,
-    cols: tuple[int, int] | range | np.ndarray | None = None,
+    rows: range | np.ndarray | None = None,
+    cols: range | np.ndarray | None = None,
 ) -> np.ndarray:
-    """One method's dense score matrix, or for ``rows=range(r0, r1)`` (or
-    ``(r0, r1)``) the block of its rows ``[r0, r1)`` and columns ``[r0,
-    n)``, of shape ``(r1 - r0, n - r0)``: the upper trapezoid that holds
-    every pair ``i < j`` of those rows (block cell ``(a, c)`` is pair
-    ``(r0 + a, r0 + c)``).  ``rows=None`` is the whole matrix.  With
-    ``cols``, the block is rows ``rows`` by columns ``cols``, each a range
-    (or ``(start, stop)``) or a 1-D integer array of node indices (cell
-    ``(a, c)`` is pair ``(rows[a], cols[c])``); anything else, or a node
-    outside ``[0, n)``, raises ``ValueError``.
+    """One method's dense score matrix, or for ``rows=range(r0, r1)`` the
+    block of its rows ``[r0, r1)`` and columns ``[r0, n)``, of shape
+    ``(r1 - r0, n - r0)``: the upper trapezoid that holds every pair ``i <
+    j`` of those rows (block cell ``(a, c)`` is pair ``(r0 + a, r0 +
+    c)``).  ``rows=None`` is the whole matrix.  With ``cols``, the block is
+    rows ``rows`` by columns ``cols``, each a range or a 1-D integer array
+    of node indices (cell ``(a, c)`` is pair ``(rows[a], cols[c])``);
+    anything else, or a node outside ``[0, n)``, raises ``ValueError``.
 
     Entry (i, j) is the method's score for the pair; the matrix is symmetric,
     bit for bit, with an all-zero diagonal except for PA, whose diagonal is

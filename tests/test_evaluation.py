@@ -733,12 +733,9 @@ class TestRowBlocks:
         # walk the upper trapezoids
         walked = [(rows, cols) for method, mode, rows, cols in calls if unbounded(method, mode)]
         assert walked == 15 * [(range(r0, r1), range(r0, 48)) for r0, r1 in blocks]
-        # the others walk blocks of that size too, after a first square of
-        # their top nodes (rows is cols)
+        # the others walk blocks of that size too, after a first row
         bounded = [
-            (rows, cols)
-            for method, mode, rows, cols in calls
-            if not unbounded(method, mode) and rows is not cols
+            (rows, cols) for method, mode, rows, cols in calls if not unbounded(method, mode)
         ]
         assert all(len(rows) * len(cols) <= cells or len(rows) == 1 for rows, cols in bounded)
         assert all((r1 - r0) * (48 - r0) <= cells or r1 - r0 == 1 for r0, r1 in blocks)
@@ -762,10 +759,7 @@ class TestRowBlocks:
 
         whole, blocked, calls = one_block_and_blocked(monkeypatch, run, cells)
         assert blocked == whole
-        assert all(
-            len(rows) * len(cols) <= cells or len(rows) == 1 or rows is cols
-            for _, _, rows, cols in calls
-        )
+        assert all(len(rows) * len(cols) <= cells or len(rows) == 1 for _, _, rows, cols in calls)
 
         # every cut falls inside a run of tied scores (CN's last among
         # zeros), and precision equals a full sort of the candidate universe
@@ -925,8 +919,7 @@ def scored_keys(calls, n):
     """The keys of the pairs i < j in the blocks of ``calls``."""
     keys = set()
     for rows, cols in calls:
-        r, c = (np.arange(*x) if isinstance(x, tuple) else x for x in (rows, cols))
-        i, j = np.meshgrid(r, c, indexing="ij")
+        i, j = np.meshgrid(rows, cols, indexing="ij")
         keep = i != j
         keys |= set(pair_key(i[keep], j[keep], n).tolist())
     return keys
@@ -947,7 +940,6 @@ class TestRegion:
     def test_pair_at_the_cut_with_a_smaller_key_enters(self, monkeypatch, workers, cells):
         monkeypatch.setattr(adjacency, "_workers", lambda: workers)
         monkeypatch.setattr(evaluation, "_BLOCK_CELLS", cells)
-        monkeypatch.setattr(evaluation, "_PROBE", 1)
         # hub 2 (degree 4) linked to 0 and 1 (degree 2 each), 3 and 6 a
         # lone link: PA scores pairs (0, 1), (2, 3) and (2, 6) all 4, and
         # (0, 1), which has the smallest key, is walked after the hub's row
@@ -1005,6 +997,63 @@ class TestRegion:
                     unpruned, _ = walk(monkeypatch, A, method, top_l, auc_keys, bounded=False)
                     assert_same_walk(pruned, unpruned)
                     assert len(scored_keys(calls, n)) < n * (n - 1) // 2, (method, top_l)
+
+
+class TestZeroTail:
+    """No cell of score 0 enters the running top; a walk whose top holds
+    fewer than L cells completes it with the smallest unlinked keys outside
+    it, all of score 0."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("cells", [2**21, 7])
+    def test_top_equals_a_full_lexsort(self, monkeypatch, workers, cells):
+        monkeypatch.setattr(adjacency, "_workers", lambda: workers)
+        monkeypatch.setattr(evaluation, "_BLOCK_CELLS", cells)
+        # a square with one diagonal (CAR scores the pair across it), a
+        # star, two lone links and four isolated nodes: a few dozen of the
+        # 110 candidate pairs score above 0
+        n = 16
+        A = unit_adjacency(n, [
+            (0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (4, 5), (4, 6), (4, 7), (8, 9), (10, 11),
+        ])
+        D = degree_vector(A)
+        ii, jj = np.triu_indices(n, k=1)
+        linked = np.isin(pair_key(ii, jj, n), A.layout.keys)
+        ii, jj = ii[~linked], jj[~linked]
+        keys = pair_key(ii, jj, n)
+        assert len(keys) == 110
+        auc_keys = np.random.default_rng(workers).permutation(keys)[:30]
+        is_positive = np.isin(keys, auc_keys[:10])
+        for method in (MethodId.CN_ASF, MethodId.CAR_ASF, MethodId.JA_ASF):
+            full = score_matrix(A, D, method)
+            A.operands.clear()
+            scores = full[ii, jj]
+            positive = np.count_nonzero(scores > 0)
+            for L in (positive + 1, 40, 110):
+                assert 0 < positive < L, (method, L)
+                (auc_scores, top_keys, top_scores), _ = walk(monkeypatch, A, method, L, auc_keys)
+                assert np.array_equal(auc_scores, full.ravel()[auc_keys])
+                order = np.lexsort((keys, -scores))[:L]
+                assert top_keys.tolist() == keys[order].tolist(), (method, L)
+                assert np.array_equal(top_scores, scores[order])
+                assert not top_scores[positive:].any()
+                precision = _precision_from_arrays(
+                    top_keys, top_scores, np.isin(top_keys, auc_keys[:10]), L
+                )
+                assert precision == lexsort_precision(ii, jj, scores, is_positive, L)
+
+    def test_first_unlinked_equals_brute_force(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 13):
+            ii, jj = np.triu_indices(n, k=1)
+            every = pair_key(ii, jj, n)
+            sizes = {0, 1, len(every) // 3, len(every) - 1, len(every)}
+            for size in sorted(sizes & set(range(len(every) + 1))):
+                excluded = np.sort(rng.choice(every, size, replace=False))
+                free = np.setdiff1d(every, excluded)
+                for count in range(len(every) + 1):
+                    got = evaluation._first_unlinked(n, excluded, count)
+                    assert got.dtype == np.int64 and got.tolist() == free[:count].tolist()
 
 
 def test_peak_memory_below_half_a_dense_matrix():

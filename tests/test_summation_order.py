@@ -362,7 +362,7 @@ def check_blocks(toy, params, rng):
         A.operands.clear()
         for r0, r1 in blocks:
             block = score_matrix(
-                A, D, method, latent_params=params, cclp_mode=mode, rows=(r0, r1)
+                A, D, method, latent_params=params, cclp_mode=mode, rows=range(r0, r1)
             )
             assert np.array_equal(block, full[r0:r1, r0:]), (method, mode, r0, r1)
         A.operands.clear()
@@ -375,7 +375,7 @@ def test_block_is_the_upper_trapezoid_with_a_zero_diagonal():
         for r0, r1 in ((0, 1), (0, 7), (5, 40), (n - 3, n), (n, n)):
             block = score_matrix(
                 A, D, method, latent_params=DecayParams(p=3.0, q=1.0),
-                cclp_mode=mode, rows=(r0, r1),
+                cclp_mode=mode, rows=range(r0, r1),
             )
             assert block.shape == (r1 - r0, n - r0)
             # block cell (a, a) is pair (r0 + a, r0 + a)
@@ -414,7 +414,7 @@ def test_worker_count_changes_no_bit(monkeypatch):
             A, D = stack(hub_graph(), params)
             got = [latent_matrix(A, params)]
             for method, mode in SCORINGS:
-                for rows in (None, (0, 1), (0, 250), (250, A.n)):
+                for rows in (None, range(0, 1), range(0, 250), range(250, A.n)):
                     got.append(
                         score_matrix(
                             A, D, method, latent_params=params, cclp_mode=mode, rows=rows
@@ -649,7 +649,7 @@ def test_sparse_transposed_half_of_tlpss_equals_whole_matrix(monkeypatch):
     assert not np.array_equal(whole, whole.T)
     for r0, r1 in ((1, 2), (97, 350), (350, n)):
         assert np.array_equal(transposed_half(M, P, r0, r1, False), whole.T[r0:r1, r0:])
-        block = score_matrix(A, D, MethodId.TLPSS, latent_params=params, rows=(r0, r1))
+        block = score_matrix(A, D, MethodId.TLPSS, latent_params=params, rows=range(r0, r1))
         assert np.array_equal(block, full[r0:r1, r0:]), (r0, r1)
     A.operands.clear()
 
@@ -667,7 +667,7 @@ def test_scoring_routes_give_the_same_matrices(monkeypatch):
         )
         got = []
         for method, mode in SCORINGS:
-            for rows in (None, (0, 1), (0, 250), (250, A.n)):
+            for rows in (None, range(0, 1), range(0, 250), range(250, A.n)):
                 got.append(
                     score_matrix(A, D, method, latent_params=params, cclp_mode=mode, rows=rows)
                 )
@@ -772,7 +772,7 @@ def test_transposed_half_takes_the_route_of_its_own_count(monkeypatch):
             return kernel(*args)
 
         monkeypatch.setattr(scoring, name, recorded)
-    block = score_matrix(A, D, MethodId.TLPSS, latent_params=params, rows=(0, 10))
+    block = score_matrix(A, D, MethodId.TLPSS, latent_params=params, rows=range(0, 10))
     A.operands.clear()
     assert set(routes) == {("_dense_rows", False), ("_sparse_rows", True)}
     assert np.array_equal(block, full[0:10, 0:])
