@@ -294,8 +294,8 @@ class LatentPlan:
 
     A plan of a layout that keeps it (:attr:`PairLayout.keep_plan`) finds
     its :attr:`sets` at once and sums them under every adjacency it serves.
-    Any other plan keeps only their row ranges, ``sets`` is ``None``, and
-    :meth:`cells` finds each set, sums it and drops it in one task: the same
+    In any other plan each item of ``sets`` is a set's row range, and
+    :meth:`cells` finds the set, sums it and drops it in one task: the same
     kernels, the same bits, and no more than one set per thread in memory.
     """
 
@@ -342,11 +342,9 @@ class LatentPlan:
             block = (pa, pb, np.searchsorted(cells, keys).astype(np.int32), runs)
             return counts, (cells % n).astype(np.int32), block
 
-        self.sets: list[tuple] | None = None
-        if layout.keep_plan:
-            self.sets = list(pool_map(find, ranges))
-        else:
-            self._find, self._ranges = find, ranges
+        # a kept plan drops find, which holds three int64 arrays per link entry
+        self._find = None if layout.keep_plan else find
+        self.sets = list(pool_map(find, ranges)) if layout.keep_plan else ranges
 
     def cells(self, A: WeightedAdjacency) -> tuple[np.ndarray, ...]:
         """The latent cells as a CSR structure, ``indptr`` and ``indices``,
@@ -354,21 +352,19 @@ class LatentPlan:
         pass's order: term by term within a chunk, then chunk by chunk."""
         wt = A.weight_csr.data
         mu = A.mult.astype(np.float64)
-        kept = self.sets is not None
 
         def set_sums(item):
             # a plan that keeps no sets gets a row range, and drops the set's
             # block once it is summed; bincount adds each cell's run sums to
             # 0.0 one after another, in chunk order (and is int64 if empty)
-            counts, cols, block = item if kept else self._find(item)
+            counts, cols, block = self._find(item) if isinstance(item, range) else item
             sums = np.bincount(block[2], _run_sums(wt, mu, block), len(cols))
             return counts, cols, sums.astype(np.float64, copy=False)
 
         # each set copied here as it comes: memory a worker thread frees
         # stays in its allocator arena, and worker-made arrays held to the
         # end raised the 4k-node evaluate's peak RSS
-        items = self.sets if kept else self._ranges
-        parts = [[a.copy() for a in part] for part in pool_map(set_sums, items)]
+        parts = [[a.copy() for a in part] for part in pool_map(set_sums, self.sets)]
         counts, cols, sums = (np.concatenate(p) for p in zip(*parts))
         return np.r_[0, np.cumsum(counts)], cols, sums
 

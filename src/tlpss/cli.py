@@ -230,14 +230,18 @@ def _write_reports_json(path: Path, cfg: ExperimentConfig, digest: str, reports:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
+def _write_csv(fh, reports: list[EvalReport], **trailer):
+    """``CSV_FIELDS`` and ``trailer``'s names, then each report's row and ``trailer``'s values."""
+    writer = csv.writer(fh)
+    writer.writerow([*EvalReport.CSV_FIELDS, *trailer])
+    for r in reports:
+        writer.writerow([*r.csv_row(), *trailer.values()])
+
+
 def _write_results_csv(path: Path, cfg: ExperimentConfig, digest: str, reports: list[EvalReport]):
     # every row stays traceable to the resolved config and input on its own
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(EvalReport.CSV_FIELDS) + ["input_sha256", "config_sha256"])
-        trailer = [digest, _config_digest(cfg)]
-        for r in reports:
-            writer.writerow(r.csv_row() + trailer)
+        _write_csv(fh, reports, input_sha256=digest, config_sha256=_config_digest(cfg))
 
 
 def _print_reports(cfg: ExperimentConfig, reports: list[EvalReport]):
@@ -246,10 +250,7 @@ def _print_reports(cfg: ExperimentConfig, reports: list[EvalReport]):
             json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True, allow_nan=False)
         )
     else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(EvalReport.CSV_FIELDS)
-        for r in reports:
-            writer.writerow(r.csv_row())
+        _write_csv(sys.stdout, reports)
 
 
 def cmd_ingest(args) -> int:
@@ -447,9 +448,9 @@ def main(argv=None) -> int:
         return EXIT_IMPOSSIBLE
     except MemoryError:
         print(
-            "evaluation impossible: out of memory (scores are held one block of "
-            "at most 2**21 cells at a time, the upper trapezoid of a range of rows, "
-            "16 MB per array, but the sparse adjacency, the latent weights and their "
+            "evaluation impossible: out of memory (scores are held one block of at most "
+            "2**21 cells, 16 MB per array, at a time: rows against the later nodes, or "
+            "those a bound can reach; the sparse adjacency, the latent weights and their "
             "two-hop plan, and the sampled pairs are held whole)",
             file=sys.stderr,
         )

@@ -241,8 +241,9 @@ def serialize(lst: TemporalEdgeList, out: TextIO) -> None:
 
 
 def load_edge_list(path) -> tuple[TemporalEdgeList, DropReport]:
-    """Parse and normalize a file, returning the final drop report."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Parse and normalize a UTF-8 file (a leading byte-order mark is
+    skipped), returning the final drop report."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         parsed, report = parse_edge_list(fh)
     cleaned = normalize(parsed)
     report.self_loops_dropped = len(parsed) - len(cleaned)

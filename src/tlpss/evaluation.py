@@ -13,16 +13,17 @@ key is also the flat index of the pair's cell in the n x n score matrix.
 Evaluation never holds that matrix: for each method it walks blocks of an
 order of the nodes, rows [a0, a1) by columns [a0, k), at most
 ``_BLOCK_CELLS`` cells each, gathers the positives' and negatives' scores
-that fall in each block, and merges the block's best cells of positive
-score into a running top L for precision@L.  The cut is the top's L-th
-score once it holds L cells, and 0 before.  A method without a per-node
-bound (JA, TLPSS, global CCLP) walks the nodes in order, the upper
-trapezoids, k = n.  CN, PA and CAR (``S[x, y] <= (b[x] + b[y]) / 2``) and
-RA and local CCLP (``S[x, y] <= min(b[x], b[y])``, see
-:func:`~tlpss.scoring.score_bound`) walk their nodes by decreasing bound,
-the first block one row against every node, and score each row against
-only the nodes whose bound can still reach the cut; the AUC pairs outside
-the scored blocks are scored directly
+that fall in each block, and merges the block's best cells into a running
+top L for precision@L.  The cut is the top's L-th score once it holds L
+cells, and 0 before.  Every walk offers the top, by one rule
+(:func:`_top_cells`), a block's best L cells of positive score at or above
+the cut.  A method without a per-node bound (JA, TLPSS, global CCLP) walks
+the nodes in order, the upper trapezoids, k = n.  CN, PA and CAR
+(``S[x, y] <= (b[x] + b[y]) / 2``) and RA and local CCLP
+(``S[x, y] <= min(b[x], b[y])``, see :func:`~tlpss.scoring.score_bound`)
+walk their nodes by decreasing bound, the first block one row against every
+node, and score each row against only the nodes whose bound can still reach
+the cut; the AUC pairs outside the scored blocks are scored directly
 (:func:`~tlpss.scoring.score_pairs`).  Both give every cell the whole
 matrix's bits.  A top that holds fewer than L cells when the walk ends
 holds every pair of positive score, and the smallest unlinked keys outside
@@ -126,21 +127,10 @@ class EvalReport:
     )
 
     def csv_row(self) -> list:
-        return [
-            self.method,
-            self.decay.get("p", ""),
-            self.decay.get("q", ""),
-            self.decay.get("a", ""),
-            self.decay.get("theta", ""),
-            self.snapshot["period"],
-            self.split["ratio"],
-            self.auc,
-            self.precision,
-            self.top_l,
-            self.comparisons,
-            self.n_positives,
-            self.seed,
-        ]
+        """The values of :attr:`CSV_FIELDS`, each a field of the report or
+        of its ``decay``, ``snapshot`` or ``split``, ``""`` where absent."""
+        own = {**self.split, **self.snapshot, **self.decay, **vars(self)}
+        return [own.get(name, "") for name in self.CSV_FIELDS]
 
 
 def _first_unlinked(n: int, excluded: np.ndarray, count: int) -> np.ndarray:
@@ -272,12 +262,12 @@ def _precision_from_arrays(
     return float(np.count_nonzero(is_positive[_top(keys, scores, L)]) / L)
 
 
-def _top_cells(flat: np.ndarray, L: int, floor: float, keys=None) -> np.ndarray:
+def _top_cells(flat: np.ndarray, L: int, floor: float, keys) -> np.ndarray:
     """Indices of the top L cells above ``floor`` by descending score, ties
-    at the cut taken in ascending key order: ``keys(cells)`` gives their
-    pair keys, and without it the cells' keys ascend with their indices.
-    With at most L cells above the floor, all of them.  The floor is >= 0,
-    so cells of score 0 and cells set to -inf are never taken."""
+    at the cut taken in ascending key order, ``keys(cells)`` giving their
+    pair keys.  With at most L cells above the floor, all of them.  The
+    floor is >= 0, so cells of score 0 and cells set to -inf are never
+    taken."""
     # most baselines score most cells 0, and partition degenerates on a
     # long run of equal values, so the cut is sought among the scores above
     # the floor
@@ -291,7 +281,7 @@ def _top_cells(flat: np.ndarray, L: int, floor: float, keys=None) -> np.ndarray:
     tied = flat[best] == cut
     ties = best[tied]
     room = L - (len(best) - len(ties))
-    if keys is not None and len(ties) > room:
+    if len(ties) > room:
         ties = ties[np.argsort(keys(ties), kind="stable")]
     # the cells above the cut, then the first of those at it
     return np.concatenate([best[~tied], ties[:room]])
@@ -303,19 +293,19 @@ def _method_top(A, D, method, *, decay, cclp_mode, top_l, auc_keys, train_keys):
 
     Rows are walked in blocks of at most ``_BLOCK_CELLS`` cells, rows
     ``[a0, a1)`` by columns ``[a0, k)`` of an order of the nodes, each
-    scored by :func:`score_matrix`.  No cell of score 0 enters the running
-    top, and the cut is the top's L-th score once it holds L cells, 0
-    before.  A method with a per-node bound
-    (:func:`~tlpss.scoring.score_bound`) walks the nodes by decreasing
-    bound, its first block one row against every node, and scores a row
-    only against the nodes whose bound can still reach the cut; a pair is
-    skipped only when its bound is below the cut by more than a relative
-    ``_MARGIN``.  A method without one walks the nodes in order, every row
-    against every later node: the upper trapezoids.  A walk that ends with
-    fewer than L cells in the top has scored every pair, so the smallest
-    keys not linked in train and not in the top, all of score 0, complete
-    it.  The pairs of ``auc_keys`` outside the scored blocks are scored by
-    :func:`score_pairs`."""
+    scored by :func:`score_matrix`.  The cut is the top's L-th score once
+    it holds L cells, 0 before, and every block offers the top, by one
+    rule, its best L cells of positive score at or above the cut.  A method
+    with a per-node bound (:func:`~tlpss.scoring.score_bound`) walks the
+    nodes by decreasing bound, its first block one row against every node,
+    and scores a row only against the nodes whose bound can still reach the
+    cut; a pair is skipped only when its bound is below the cut by more
+    than a relative ``_MARGIN``.  A method without one walks the nodes in
+    order, every row against every later node: the upper trapezoids.  A
+    walk that ends with fewer than L cells in the top has scored every
+    pair, so the smallest keys not linked in train and not in the top, all
+    of score 0, complete it.  The pairs of ``auc_keys`` outside the scored
+    blocks are scored by :func:`score_pairs`."""
     n = A.n
     options = dict(latent_params=decay, cclp_mode=cclp_mode)
     bound = score_bound(A, D, method, cclp_mode)
@@ -385,14 +375,10 @@ def _method_top(A, D, method, *, decay, cclp_mode, top_l, auc_keys, train_keys):
             a, c = np.divmod(cells, k - a0)
             return pair_key(nodes[a + a0], nodes[c + a0], n)
 
-        if bound is None:
-            # a cell that ties the cut has a larger key than every held
-            # cell, so only cells above it can enter
-            best = _top_cells(flat, top_l, cut)
-        else:
-            # one at the cut may have a smaller key, and none below it can
-            # enter; a cut of 0 stays 0, so that no cell of score 0 enters
-            best = _top_cells(flat, top_l, np.nextafter(cut, 0.0), keys)
+        # a cell at the cut may have a smaller key than a held one (in node
+        # order it never has, and _top drops it), and none below it can
+        # enter; a cut of 0 stays 0, so that no cell of score 0 enters
+        best = _top_cells(flat, top_l, np.nextafter(cut, 0.0), keys)
         # the top L of a union is the top L of the parts' top Ls, so
         # merging block by block selects what one pass would
         top_keys = np.concatenate([top_keys, keys(best)])
@@ -479,14 +465,9 @@ def _run(
                 vars(layout).pop("latent_plan", None)
             pos_scores, neg_scores = scores[: len(positives)], scores[len(positives) :]
             n_pairs = len(pos_scores) * len(neg_scores)
-            if n_pairs <= auc_exhaustive_limit:
-                auc_value = auc(pos_scores, neg_scores)
-                comparisons = n_pairs
-            else:
-                auc_value = auc(
-                    pos_scores, neg_scores, n_comparisons=auc_samples, seed=seed
-                )
-                comparisons = auc_samples
+            sampled = auc_samples if n_pairs > auc_exhaustive_limit else None
+            auc_value = auc(pos_scores, neg_scores, n_comparisons=sampled, seed=seed)
+            comparisons = sampled or n_pairs
             prec = _precision_from_arrays(
                 top_keys, top_scores, np.isin(top_keys, positives), top_l
             )

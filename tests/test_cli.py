@@ -13,7 +13,7 @@ import pytest
 from tlpss import cli, evaluation
 from tlpss.cli import DEFAULT_PERIODS, ExperimentConfig, main, parse_period
 from tlpss.errors import ConfigError
-from tlpss.evaluation import evaluate_methods
+from tlpss.evaluation import EvalReport, evaluate_methods
 
 
 class TestIngest:
@@ -39,6 +39,27 @@ class TestIngest:
         src = tmp_path / "empty.tsv"
         src.write_text("% nothing here\n")
         assert main(["ingest", str(src), str(tmp_path / "out.tsv")]) == 3
+
+    @pytest.mark.parametrize("first", ["comment", "edge"])
+    def test_byte_order_mark_is_skipped(self, dataset, tmp_path, capsys, first):
+        lines = dataset.read_text().splitlines(keepends=True)
+        assert lines[0].startswith("%")
+        plain = tmp_path / "plain.tsv"
+        plain.write_text("".join(lines if first == "comment" else lines[1:]))
+        marked = tmp_path / "marked.tsv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outputs = []
+        for src in (plain, marked):
+            out = tmp_path / f"{src.stem}.out.tsv"
+            assert main(["ingest", str(src), str(out)]) == 0
+            run = tmp_path / f"{src.stem}.run"
+            assert main([
+                "evaluate", "--dataset", str(src), "--period", "80", "--method", "cn",
+                "--top-l", "5", "--out-dir", str(run),
+            ]) == 0
+            digest = json.loads((run / "report.json").read_text())["input_sha256"]
+            outputs.append((out.read_bytes(), digest))
+        assert outputs[1] == outputs[0]
 
 
 class TestEvaluate:
@@ -265,6 +286,37 @@ class TestBadInputs:
         assert err.startswith("evaluation impossible: out of memory")
         assert not (out_dir / "report.json").exists()
         assert threads
+
+
+    def test_csv_columns(self, dataset, tmp_path, capsys):
+        fields = (
+            "method,p,q,a,theta,period,ratio,auc,precision,top_l,comparisons,"
+            "n_positives,seed"
+        )
+        out_dir = tmp_path / "run"
+        assert main([
+            "evaluate", "--dataset", str(dataset), "--period", "80", "--method", "cn",
+            "--top-l", "5", "--out-dir", str(out_dir), "--format", "csv",
+        ]) == 0
+        header = (out_dir / "results.csv").read_text().splitlines()[0]
+        assert header == fields + ",input_sha256,config_sha256"
+        assert capsys.readouterr().out.splitlines()[0] == fields
+        # each column is the report's own field (n_positives is the
+        # report's, not the split's) or its decay's, snapshot's or split's,
+        # and empty where the decay has no such parameter
+        common = dict(
+            snapshot={"period": 80.0, "origin": 1.0},
+            split={"train_edges": 9, "test_edges": 2, "t_split": 40, "n_positives": 4,
+                   "ratio": 0.9},
+            auc=0.75, precision=0.2, top_l=5, comparisons=12, n_positives=3,
+            n_sampled_negatives=4, negative_universe=30, seed=7,
+        )
+        asf = EvalReport(
+            method="TLPSS", decay={"mode": "asf", "p": 3.0, "q": 1.0, "a": 2.0}, **common
+        )
+        exp = EvalReport(method="CN_ASF", decay={"mode": "exp", "theta": 0.5}, **common)
+        assert asf.csv_row() == ["TLPSS", 3.0, 1.0, 2.0, "", 80.0, 0.9, 0.75, 0.2, 5, 12, 3, 7]
+        assert exp.csv_row() == ["CN_ASF", "", "", "", 0.5, 80.0, 0.9, 0.75, 0.2, 5, 12, 3, 7]
 
 
 class TestSweep:

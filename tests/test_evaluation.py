@@ -615,7 +615,8 @@ class TestSweep:
 
         def recorded(A, params):
             out = latent_matrix(A, params)
-            kept.append(("latent_plan" in vars(A.layout), builds[-1].sets))
+            streamed = all(isinstance(item, range) for item in builds[-1].sets)
+            kept.append(("latent_plan" in vars(A.layout), streamed))
             return out
 
         monkeypatch.setattr(scoring, "latent_matrix", recorded)
@@ -628,9 +629,10 @@ class TestSweep:
             evaluate_methods(lst, **kwargs)
         else:  # a sweep of one value is one decay setting too
             sweep(lst, "q", values, **kwargs)
-        # one streamed plan per TLPSS row, neither cached nor keeping sets
+        # one streamed plan per TLPSS row, neither cached nor keeping sets,
+        # only their row ranges
         assert len(builds) == 2
-        assert kept == [(False, None)] * 2
+        assert kept == [(False, True)] * 2
 
     def test_bad_sweep_param_rejected(self):
         toy = community_toy(seed=13)
@@ -760,6 +762,18 @@ class TestRowBlocks:
         whole, blocked, calls = one_block_and_blocked(monkeypatch, run, cells)
         assert blocked == whole
         assert all(len(rows) * len(cols) <= cells or len(rows) == 1 for _, _, rows, cols in calls)
+        # the node-order walk, in blocks of that size, offers the cells that
+        # tie the cut by the same rule
+        calls.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(evaluation, "score_bound", lambda *args: None)
+            assert run() == whole
+        n = lst.node_count
+        walked = trapezoid_blocks(n, cells)
+        assert len(walked) > 1
+        assert [(rows, cols) for _, _, rows, cols in calls] == len(methods) * len(tops) * [
+            (range(r0, r1), range(r0, n)) for r0, r1 in walked
+        ]
 
         # every cut falls inside a run of tied scores (CN's last among
         # zeros), and precision equals a full sort of the candidate universe
