@@ -451,9 +451,13 @@ def latent_matrix(
     plan = layout.latent_plan if layout.keep_plan else LatentPlan(layout)
     indptr, indices, data = plan.cells(A)
     deg = np.diff(A.weight_csr.indptr)
-    min_degree = np.repeat(deg, np.diff(indptr))
-    np.minimum(min_degree, deg[indices], out=min_degree)
-    # in place, each cell rounded as floor * sum / float(min_degree)
-    data *= floor
-    data /= min_degree
+    # in place, each cell rounded as floor * sum / float(min_degree), one
+    # row part at a time so that no array holds a degree per cell
+    for rows in parts(indptr):
+        r0, r1 = rows.start, rows.stop
+        cells = slice(indptr[r0], indptr[r1])
+        min_degree = np.repeat(deg[r0:r1], np.diff(indptr[r0 : r1 + 1]))
+        np.minimum(min_degree, deg[indices[cells]], out=min_degree)
+        data[cells] *= floor
+        data[cells] /= min_degree
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))

@@ -6,6 +6,15 @@ is ignored; all edge weighting in this toolkit comes from time decay.
 Node ids are remapped to dense 0-based integers (sorted by original id) and
 the original ids are kept so files can be written back out.
 
+A stream's lines are read in runs of about ``_READ_CHARS`` characters.  A
+run of plain integer rows, as KONECT files hold, is parsed in one C-level
+pass (:func:`_read_bulk`): its leading blank and ``%`` comment lines, then
+rows of 3 or 4 integer fields, the same count in every row, made of ASCII
+digits, signs, spaces and tabs, CR only at a line's end, timestamps inside
++-2**62.  Every other run is read line by line (:func:`_read_lines`), the
+one place that raises :class:`ParseError`; a line that both readers take
+reads the same in both.
+
 An edge list is three int64 columns.  Every layer names an unordered pair
 by one int64 key, :func:`pair_key` ``= i*n + j`` with ``i < j``; this module
 is the only place that builds keys.
@@ -13,6 +22,7 @@ is the only place that builds keys.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import asdict, dataclass
 from typing import TextIO
 
@@ -149,6 +159,8 @@ class TrainTestSplit:
 
 _TS_LIMIT = 2**62
 _ID_LIMIT = 2**63  # node ids are held as int64
+_READ_CHARS = 2**20  # bounds the lines parse_edge_list holds at once
+_SERIALIZE_ROWS = 2**14  # and the text serialize does
 
 
 def _parse_ts(token: str) -> int | None:
@@ -172,13 +184,85 @@ def parse_edge_list(stream: TextIO) -> tuple[TemporalEdgeList, DropReport]:
     report; lines that are not ``src dst [weight] timestamp`` shaped at all
     raise :class:`ParseError` with the offending line number.  Self-loops
     are kept here and removed by :func:`normalize`.
+
+    Runs of lines of plain integer rows are parsed in bulk, any other line
+    by line, with the same results (see :func:`_read_columns`).
     """
+    report = DropReport()
+    us, vs, stamps = _read_columns(stream, report)
+    if not len(stamps):
+        raise EmptyDatasetError("no edges with usable timestamps")
+
+    ids, dense = np.unique(np.concatenate([us, vs]), return_inverse=True)
+    m = len(stamps)
+    result = TemporalEdgeList(dense[:m], dense[m:], stamps, len(ids), ids)
+    report.edges_kept = len(result)
+    return result, report
+
+
+def _read_columns(stream: TextIO, report: DropReport) -> list[np.ndarray]:
+    """The ``u``, ``v`` and timestamp columns of the stream's records, from
+    its lines (as iterating it gives them) read ``_READ_CHARS`` characters
+    at a time: each run by :func:`_read_bulk` where it can, else by
+    :func:`_read_lines`.  Counts the lines in ``report``."""
+    empty = np.zeros(0, dtype=np.int64)
+    parts = [(empty, empty, empty)]
+    while lines := stream.readlines(_READ_CHARS):
+        columns = _read_bulk(lines)
+        if columns is None:
+            columns = _read_lines(lines, report.lines_read + 1, report)
+        report.lines_read += len(lines)
+        parts.append(columns)
+    return [np.concatenate(c) for c in zip(*parts)]
+
+
+# the characters of a data line that _read_bulk reads (any other, a
+# non-ASCII one encoded as "?", sends its run line by line, where str.split
+# and int() take more whitespace and digits)
+_BULK_CHARS = b"0123456789+- \t\r\n"
+
+
+def _read_bulk(lines: list[str]):
+    """The ``u``, ``v`` and timestamp columns of ``lines`` in one C-level
+    parse, or None where a line may read otherwise than in
+    :func:`_read_lines`.  Read here: leading blank and ``%`` comment lines,
+    then rows of 3 or 4 integer fields (the same count in every row) made
+    of ASCII digits, signs, spaces and tabs, blank lines among them, with
+    timestamps inside +-2**62.  ``np.loadtxt`` takes each line as one row
+    and rejects a line with a line break before its end, as a stream read
+    with ``newline="\r"`` can give."""
+    start = 0
+    for line in lines:
+        head = line.strip()
+        if head and not head.startswith("%"):
+            break
+        start += 1
+    body = lines[start:]
+    if "".join(body).encode("ascii", "replace").translate(None, _BULK_CHARS):
+        return None
+    with warnings.catch_warnings():
+        # numpy 1.x parses a field that is no int64, such as one beyond its
+        # range, through a float with a DeprecationWarning; every version
+        # warns on input without rows
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
+        except (ValueError, Warning):
+            return None
+    ts = table[:, -1]
+    if table.shape[1] not in (3, 4) or not np.all((-_TS_LIMIT < ts) & (ts < _TS_LIMIT)):
+        return None
+    return table[:, 0], table[:, 1], ts
+
+
+def _read_lines(lines: list[str], first: int, report: DropReport):
+    """The ``u``, ``v`` and timestamp columns of ``lines``, numbered from
+    ``first``, one line at a time, counting records without a timestamp in
+    ``report``."""
     us: list[int] = []
     vs: list[int] = []
     stamps: list[int] = []
-    report = DropReport()
-    for lineno, raw in enumerate(stream, start=1):
-        report.lines_read += 1
+    for lineno, raw in enumerate(lines, start=first):
         line = raw.strip()
         if not line or line.startswith("%"):
             continue
@@ -205,14 +289,7 @@ def parse_edge_list(stream: TextIO) -> tuple[TemporalEdgeList, DropReport]:
         us.append(u)
         vs.append(v)
         stamps.append(ts)
-    if not stamps:
-        raise EmptyDatasetError("no edges with usable timestamps")
-
-    ids, dense = np.unique(np.array(us + vs, dtype=np.int64), return_inverse=True)
-    m = len(stamps)
-    result = TemporalEdgeList(dense[:m], dense[m:], stamps, len(ids), ids)
-    report.edges_kept = len(result)
-    return result, report
+    return tuple(np.array(c, dtype=np.int64) for c in (us, vs, stamps))
 
 
 def normalize(lst: TemporalEdgeList) -> TemporalEdgeList:
@@ -232,12 +309,13 @@ def normalize(lst: TemporalEdgeList) -> TemporalEdgeList:
 
 
 def serialize(lst: TemporalEdgeList, out: TextIO) -> None:
-    """Write ``src dst timestamp`` lines (original node ids, stored order)."""
+    """Write ``src dst timestamp`` lines (original node ids, stored order),
+    ``_SERIALIZE_ROWS`` rows to each ``%``-format call."""
     ids = lst.node_ids
-    out.writelines(
-        f"{u} {v} {t}\n"
-        for u, v, t in zip(ids[lst.u].tolist(), ids[lst.v].tolist(), lst.ts.tolist())
-    )
+    for start in range(0, len(lst), _SERIALIZE_ROWS):
+        part = slice(start, start + _SERIALIZE_ROWS)
+        rows = np.column_stack([ids[lst.u[part]], ids[lst.v[part]], lst.ts[part]])
+        out.write("%d %d %d\n" * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def load_edge_list(path) -> tuple[TemporalEdgeList, DropReport]:

@@ -1,5 +1,9 @@
 """Fixtures shared by the test modules."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,25 @@ def adjacency_of(n, weights, mults=None):
     mult = np.array([(mults or {}).get(pair, 1) for pair in pairs], dtype=np.int64)
     weight = np.array([weights[pair] for pair in pairs], dtype=np.float64)
     return WeightedAdjacency(PairLayout(n, lo, hi, mult), weight)
+
+
+GEN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+
+
+def load_gen():
+    """``perfbench/gen.py``, the benchmark's input generator, as a module,
+    without writing its bytecode."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PY)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+        del sys.modules[spec.name]
+    return module
 
 
 @pytest.fixture()

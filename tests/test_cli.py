@@ -62,6 +62,54 @@ class TestIngest:
         assert outputs[1] == outputs[0]
 
 
+    def test_input_fingerprint(self, tmp_path, capsys):
+        # negative ids, ids at the int64 limits, 1- to 18-digit normalized
+        # times and CRLF lines; the digest was recorded before bulk reading
+        lo, hi = -(2**63), 2**63 - 1
+        rows = [
+            (lo, -3, -7), (-1, -3, 4), (-1, 0, 115), (5, 0, 1226), (5, hi, 12337),
+            (12, hi, 123448), (12, 40, 1234559), (lo, 40, 12345670), (lo, -1, 123456781),
+            (5, 5, -8), (0, -3, 1234567882), (-1, 5, 12345678893), (hi, 0, 123456789004),
+            (5, 12, 1234567890115), (40, hi, 12345678901226), (12, lo, 123456789012337),
+            (-3, 40, 1234567890123448), (-3, lo, 12345678901234559),
+            (-1, 0, 123456789012345670), (lo, 0, 199999999999999992),
+            (5, -3, 299999999999999992),
+        ]
+        src = tmp_path / "raw.tsv"
+        src.write_bytes(b"% fingerprint\r\n" + b"".join(b"%d %d 1 %d\r\n" % r for r in rows))
+        out = tmp_path / "norm.tsv"
+        assert main(["ingest", str(src), str(out)]) == 0
+        assert out.read_text() == (
+            "-9223372036854775808 -3 1\n"
+            "-3 -1 12\n"
+            "-1 0 123\n"
+            "0 5 1234\n"
+            "5 9223372036854775807 12345\n"
+            "12 9223372036854775807 123456\n"
+            "12 40 1234567\n"
+            "-9223372036854775808 40 12345678\n"
+            "-9223372036854775808 -1 123456789\n"
+            "-3 0 1234567890\n"
+            "-1 5 12345678901\n"
+            "0 9223372036854775807 123456789012\n"
+            "5 12 1234567890123\n"
+            "40 9223372036854775807 12345678901234\n"
+            "-9223372036854775808 12 123456789012345\n"
+            "-3 40 1234567890123456\n"
+            "-9223372036854775808 -3 12345678901234567\n"
+            "-1 0 123456789012345678\n"
+            "-9223372036854775808 0 200000000000000000\n"
+            "-3 5 300000000000000000\n"
+        )
+        run = tmp_path / "run"
+        assert main([
+            "evaluate", "--dataset", str(src), "--period", "1e16", "--method", "cn",
+            "--top-l", "5", "--out-dir", str(run),
+        ]) == 0
+        digest = json.loads((run / "report.json").read_text())["input_sha256"]
+        assert digest == "155d3135f7d3bc41a34feeb065adf9835f30080874142d236e5491a64a3b2453"
+
+
 class TestEvaluate:
     def test_writes_reports_and_csv(self, dataset, tmp_path, capsys):
         out_dir = tmp_path / "run"

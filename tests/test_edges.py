@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import load_gen
+from tlpss import edges
 from tlpss.adjacency import build_adjacency
 from tlpss.decay import DecayParams
 from tlpss.edges import (
+    DropReport,
     SnapshotConfig,
     TemporalEdgeList,
+    load_edge_list,
     normalize,
     pair_key,
     parse_edge_list,
@@ -97,6 +101,213 @@ class TestParse:
             parse_text("% only a comment\n")
         with pytest.raises(EmptyDatasetError):
             parse_text("1 2\n")  # all records lack timestamps
+
+
+def _loop_ts(token):
+    try:
+        return int(token)
+    except ValueError:
+        pass
+    try:
+        f = float(token)
+    except ValueError:
+        return None
+    if np.isfinite(f) and f == int(f):
+        return int(f)
+    return None
+
+
+def loop_parse(stream):
+    """The reader of every input before bulk reading, one line at a time:
+    the oracle of :func:`parse_edge_list`."""
+    us, vs, stamps = [], [], []
+    report = DropReport()
+    for lineno, raw in enumerate(stream, start=1):
+        report.lines_read += 1
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        fields = line.split()
+        if len(fields) < 2 or len(fields) > 4:
+            raise ParseError(lineno, f"expected 2-4 columns, got {len(fields)}: {line!r}")
+        try:
+            u = int(fields[0])
+            v = int(fields[1])
+        except ValueError:
+            raise ParseError(lineno, f"non-integer node id in {line!r}") from None
+        if len(fields) == 2:
+            report.missing_ts_dropped += 1
+            continue
+        ts = _loop_ts(fields[-1])
+        if ts is None:
+            report.missing_ts_dropped += 1
+            continue
+        if not -(2**62) < ts < 2**62:
+            raise ParseError(lineno, f"timestamp out of range (|t| < 2**62): {line!r}")
+        if not (-(2**63) <= u < 2**63 and -(2**63) <= v < 2**63):
+            raise ParseError(lineno, f"node id out of range (int64): {line!r}")
+        us.append(u)
+        vs.append(v)
+        stamps.append(ts)
+    if not stamps:
+        raise EmptyDatasetError("no edges with usable timestamps")
+    ids, dense = np.unique(np.array(us + vs, dtype=np.int64), return_inverse=True)
+    m = len(stamps)
+    result = TemporalEdgeList(dense[:m], dense[m:], stamps, len(ids), ids)
+    report.edges_kept = len(result)
+    return result, report
+
+
+def outcome(read, *args):
+    """What ``read(*args)`` gives: the list and report, or the error."""
+    try:
+        return read(*args)
+    except (ParseError, EmptyDatasetError) as err:
+        return type(err), str(err), getattr(err, "line_number", None)
+
+
+# tokens that int() or float() read otherwise than np.loadtxt, or not at all
+ODD_TOKENS = [
+    "1_0", "1.0", "1e3", "nan", "inf", "-", "+-3", "3-", "0x1f", "\u0663", "\uff11\uff12",
+    "5.5", "%", "1%", "x", str(2**63), str(-(2**63) - 1), str(2**62), str(-(2**62)), "9" * 30,
+]
+# int() and np.loadtxt read these alike
+PLAIN_TOKENS = ["+5", "007", "-0", str(2**63 - 1), str(-(2**63)), str(2**62 - 1), str(1 - 2**62)]
+# whitespace to str.split() that a bulk-read file holds none of
+ODD_SPACES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u2003"]
+
+
+def fuzz_lines(rng):
+    """The lines of a random KONECT-style file, each with its ending: rows
+    of 3 or 4 fields, with each hazard struck at a rate drawn per file, so
+    that many files have none or one."""
+    rate = float(rng.choice([0.0, 0.02, 0.06, 0.2]))
+
+    def hit():
+        return rng.random() < rate
+
+    def pick(options):
+        return str(options[int(rng.integers(0, len(options)))])
+
+    width = int(rng.choice([3, 4]))
+    lines = [pick(["% sym unweighted", "  % 9 3 3", "%", "\t%x", "% été", ""])
+             for _ in range(int(rng.integers(0, 3)))]
+    for _ in range(int(rng.integers(0, 9))):
+        if hit():
+            lines.append(pick(["", "  \t", "% mid", "  %", "7", "-"]))
+            continue
+        k = int(rng.integers(2, 6)) if hit() else width
+        fields = [str(int(x)) for x in rng.integers(-4, 9, size=k)]
+        if k >= 3:
+            fields[-1] = str(int(rng.integers(-50, 50)))
+        if rng.random() < 0.2:
+            fields[int(rng.integers(0, k))] = pick(PLAIN_TOKENS)
+        if hit():
+            fields[int(rng.integers(0, k))] = pick(ODD_TOKENS)
+        if hit():  # a mid-line comment mark, alone or on a field
+            at = int(rng.integers(0, k))
+            if rng.random() < 0.5:
+                fields.insert(at, "%")
+            else:
+                fields[at] += "%"
+        seps = [pick([" ", "\t", "  ", " \t "]) for _ in fields]
+        if hit():
+            seps[int(rng.integers(0, len(seps)))] = pick(ODD_SPACES)
+        lead = pick([" ", "\t"]) if rng.random() < 0.1 else ""
+        lines.append(lead + "".join(f + sep for f, sep in zip(fields, seps)).rstrip(" \t"))
+    ends = [pick(["\r", "", "\r\r\n"]) if hit() else pick(["\n", "\n", "\r\n"]) for _ in lines]
+    if rng.random() < 0.2:
+        ends[-1:] = [""]
+    return [line + end for line, end in zip(lines, ends)]
+
+
+class TestBulkRead:
+    """parse_edge_list reads each run of lines of plain rows in bulk and
+    every other run line by line; both must read each file as the line
+    loop does, whatever the length of the runs."""
+
+    @pytest.fixture()
+    def loop_calls(self, monkeypatch):
+        calls = []
+        read_lines = edges._read_lines
+
+        def counted(*args):
+            calls.append(1)
+            return read_lines(*args)
+
+        monkeypatch.setattr(edges, "_read_lines", counted)
+        return calls
+
+    @staticmethod
+    def read_size(rng, monkeypatch):
+        """Runs of one line, a few lines, or the whole of a fuzzed file."""
+        monkeypatch.setattr(edges, "_READ_CHARS", int(rng.choice([1, 16, 64, 2**20])))
+
+    def test_fuzzed_text_streams_read_as_the_loop_reads(self, loop_calls, monkeypatch):
+        rng = np.random.default_rng(20)
+        n, looped = 1500, 0
+        for case in range(n):
+            text = "".join(fuzz_lines(rng))
+            self.read_size(rng, monkeypatch)
+            calls = len(loop_calls)
+            want = outcome(loop_parse, io.StringIO(text))
+            assert outcome(parse_edge_list, io.StringIO(text)) == want, (case, text)
+            looped += len(loop_calls) > calls
+        # both readers take a good share of the files
+        assert 0.25 * n < looped < 0.75 * n
+
+    @pytest.mark.parametrize("newline", [None, "", "\n", "\r", "\r\n"])
+    def test_every_newline_mode_reads_as_the_loop_reads(self, newline, monkeypatch):
+        rng = np.random.default_rng(21)
+        for case in range(300):
+            data = "".join(fuzz_lines(rng)).encode()
+            self.read_size(rng, monkeypatch)
+
+            def stream():
+                return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline)
+
+            assert outcome(parse_edge_list, stream()) == outcome(loop_parse, stream()), (case, data)
+
+    def test_files_with_byte_order_marks_load_as_the_loop_loads(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(22)
+        for case in range(300):
+            path = tmp_path / f"{case}.tsv"
+            bom = b"\xef\xbb\xbf" if rng.random() < 0.5 else b""
+            path.write_bytes(bom + "".join(fuzz_lines(rng)).encode())
+            self.read_size(rng, monkeypatch)
+            got = outcome(load_edge_list, path)
+            with monkeypatch.context() as patch:
+                patch.setattr(edges, "parse_edge_list", loop_parse)
+                assert got == outcome(load_edge_list, path), (case, path.read_bytes())
+
+    def test_timestamp_limits(self, loop_calls):
+        for ts in (2**62, -(2**62)):
+            with pytest.raises(ParseError) as err:
+                parse_text(f"% c\n1 2 1 5\n3 4 1 {ts}\n")
+            assert err.value.line_number == 3
+        assert len(loop_calls) == 2
+        lst, _ = parse_text(f"1 2 1 {2**62 - 1}\r\n3 4 1 {1 - 2**62}\r\n")
+        assert lst.ts.tolist() == [1 - 2**62, 2**62 - 1]
+        assert len(loop_calls) == 2
+
+    @pytest.mark.parametrize("read_chars", [2**12, edges._READ_CHARS])
+    def test_benchmark_shaped_file_is_read_in_bulk(self, tmp_path, monkeypatch, read_chars):
+        gen = load_gen()
+        data, made = gen.generate(gen.GraphSpec(nodes=300, rows=3000), 0)
+        path = tmp_path / "input.tsv"
+        path.write_bytes(data)
+        with monkeypatch.context() as patch:
+            patch.setattr(edges, "parse_edge_list", loop_parse)
+            want = load_edge_list(path)
+
+        def refuse(*args):
+            raise AssertionError("a benchmark-shaped file went through the line loop")
+
+        monkeypatch.setattr(edges, "_read_lines", refuse)
+        monkeypatch.setattr(edges, "_READ_CHARS", read_chars)
+        got = load_edge_list(path)
+        assert got == want
+        assert got[1].lines_read == made.header_lines + 3000
 
 
 class TestColumns:

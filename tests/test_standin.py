@@ -11,7 +11,6 @@ precision.  It is marked ``slow``, which the default run deselects::
     python -m pytest -m slow tests/test_standin.py
 """
 
-import importlib.util
 import os
 import subprocess
 import sys
@@ -21,29 +20,14 @@ from pathlib import Path
 import pytest
 
 import tlpss
+from conftest import load_gen
 
-GEN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
 METHODS = ["tlpss", "cn", "ja", "pa", "ra", "car", "cclp"]
-
-
-def _load_gen():
-    """``perfbench/gen.py`` as a module, without writing its bytecode."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PY)
-    module = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up by name
-    sys.modules[spec.name] = module
-    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = saved
-        del sys.modules[spec.name]
-    return module
 
 
 @pytest.mark.slow
 def test_all_methods_on_a_20k_node_stand_in_within_budget(tmp_path):
-    gen = _load_gen()
+    gen = load_gen()
     data, _ = gen.generate(gen.GraphSpec(nodes=20000, rows=240000), 0)
     dataset = tmp_path / "g20k.tsv"
     dataset.write_bytes(data)
