@@ -16,7 +16,10 @@ built once per train list and shared by every decay parameter set: the
 layout made for one adjacency alone (``keep_plan=False``, as evaluation
 under one decay setting makes it) keeps no plan: each latent pass finds
 the plan's row sets, each with its own latent cells, sums them and drops
-them.
+them.  The caller makes the layout, and so sets the plan's lifetime:
+``A = build_adjacency(train, T, params, cfg, pair_layout(train, keep_plan))``.
+``A`` keeps its decay as ``A.params``, and ``latent_matrix(A)`` takes its
+floor from it, so edge weights and latent floor come from one ``q``.
 
 :func:`pool_map` runs kernels that release the GIL on one thread per CPU
 the process may use.  The latent plan's row sets and :mod:`tlpss.scoring`'s
@@ -171,20 +174,24 @@ class WeightedAdjacency:
 
     One CSR matrix, :attr:`weight_csr`, stores both orientations of every
     linked pair with sorted column indices in each row; :attr:`mult` holds
-    the multi-edge count of each stored entry, aligned with its ``data``.
-    Adjacencies decayed from one train list share one :attr:`layout`, and
-    with it one latent plan.  Immutable after construction, apart from
+    the multi-edge count of each stored entry, aligned with its ``data``;
+    :attr:`params` is the decay the weights were made under.  Adjacencies
+    decayed from one train list share one :attr:`layout`, and with it one
+    latent plan.  Immutable after construction, apart from
     :attr:`operands`, where :func:`~tlpss.scoring.score_matrix` keeps what
     it reuses from one row block to the next.
     """
 
-    def __init__(self, layout: PairLayout, weight: np.ndarray):
-        """From the weight of each of the layout's pairs."""
+    def __init__(
+        self, layout: PairLayout, weight: np.ndarray, params: DecayParams | ExpDecayParams
+    ):
+        """From the weight of each of the layout's pairs under ``params``."""
         if not np.all(np.isfinite(weight) & (weight > 0)):
             raise ValueError("pair weights must be finite and positive")
         n = layout.n
         self.n = n
         self.layout = layout
+        self.params = params
         data = np.concatenate([weight, weight])[layout.order]
         self.weight_csr = sp.csr_matrix(
             (data, layout.indices, layout.indptr), shape=(n, n)
@@ -218,17 +225,19 @@ def build_adjacency(
     T: float,
     params: DecayParams | ExpDecayParams,
     cfg: SnapshotConfig,
+    layout: PairLayout,
     agg: str = "sum",
-    layout: PairLayout | None = None,
 ) -> WeightedAdjacency:
-    """Decayed adjacency at reference snapshot ``T``.
+    """Decayed adjacency at reference snapshot ``T`` under ``params``, which
+    it keeps (:attr:`WeightedAdjacency.params`), on the caller's ``layout``,
+    ``pair_layout(train, keep_plan)``; a layout of another train list raises
+    ``ValueError``.
 
     Every multi-edge contributes its own decay weight and the pair weight is
     the sum (``agg="sum"``, the default); ``agg="latest"`` instead keeps only
     the decay weight of the most recent edge on each pair, for sensitivity
     checks of the aggregation choice.  Multiplicities always count all
-    multi-edges regardless of ``agg``.  ``layout`` is ``pair_layout(train)``,
-    for callers that decay one train list under several parameters.
+    multi-edges regardless of ``agg``.
     """
     if agg not in ("sum", "latest"):
         raise ValueError(f"unknown aggregation mode {agg!r}")
@@ -238,18 +247,17 @@ def build_adjacency(
     elapsed = T - (ts.astype(np.float64) - cfg.origin) / cfg.period
     if np.any(elapsed < 0):
         raise ValueError("train contains edges later than the reference snapshot")
-    if layout is None:
-        layout = pair_layout(train)
-    elif layout.n != train.node_count or len(layout.inverse) != len(train):
+    inverse = layout.inverse
+    if layout.n != train.node_count or inverse is None or len(inverse) != len(train):
         raise ValueError("layout was built from another train list")
 
     n_pairs = len(layout.keys)
     if agg == "sum":
         w_edge = decay_weights(elapsed, params)
-        w_pair = np.bincount(layout.inverse, weights=w_edge, minlength=n_pairs)
+        w_pair = np.bincount(inverse, weights=w_edge, minlength=n_pairs)
     else:
         latest = np.full(n_pairs, -np.inf)
-        np.maximum.at(latest, layout.inverse, ts.astype(np.float64))
+        np.maximum.at(latest, inverse, ts.astype(np.float64))
         w_pair = decay_weights(T - (latest - cfg.origin) / cfg.period, params)
     if not np.all(w_pair > 0):
         raise ConfigError(
@@ -257,7 +265,7 @@ def build_adjacency(
             f"with period {cfg.period!r}; use a longer period, larger p or q, or "
             "smaller theta"
         )
-    return WeightedAdjacency(layout, w_pair)
+    return WeightedAdjacency(layout, w_pair, params)
 
 
 def degree_vector(A: WeightedAdjacency) -> DegreeVector:
@@ -429,22 +437,21 @@ def _plan_block(sel, ptr, idx, chunk_of, entry_row, mirror, entry_key):
     )
 
 
-def latent_matrix(
-    A: WeightedAdjacency, params: DecayParams | ExpDecayParams
-) -> sp.csr_matrix:
-    """All latent-edge weights as a symmetric sparse matrix.
+def latent_matrix(A: WeightedAdjacency) -> sp.csr_matrix:
+    """All latent-edge weights of ``A`` as a symmetric sparse matrix.
 
-    Cell (i, j) is ``floor * scale`` with ``floor`` the decay lower bound
-    and ``scale = (1/min(d(i), d(j))) * sum over common neighbors z of
-    (A(i,z) + A(z,j)) / (m(i,z) + m(z,j))``, where ``d`` counts distinct
-    neighbors and ``m`` multi-edges.  The scale lies in [0, 1], so every
+    Cell (i, j) is ``floor * scale`` with ``floor`` the lower bound of
+    ``A``'s decay ``A.params``, the one its edge weights were made under,
+    and ``scale = (1/min(d(i), d(j))) * sum over common neighbors z of (A(i,z)
+    + A(z,j)) / (m(i,z) + m(z,j))``, where ``d`` counts distinct neighbors
+    and ``m`` multi-edges.  The scale lies in [0, 1], so every
     cell is strictly below the floor.  Supported exactly on pairs at graph
     distance two.  The two-hop bookkeeping is ``A.layout.latent_plan``, done
     once for every adjacency of a train list, or for a layout that keeps no
     plan a :class:`LatentPlan` streamed for this call alone.
     """
     n = A.n
-    floor = decay_floor(params)
+    floor = decay_floor(A.params)
     if floor == 0.0:
         return sp.csr_matrix((n, n), dtype=np.float64)
     layout = A.layout

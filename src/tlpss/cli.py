@@ -25,6 +25,7 @@ from .decay import DecayParams, ExpDecayParams
 from .edges import load_edge_list, serialize
 from .errors import ConfigError, EvaluationError, SplitError, TlpssError
 from .evaluation import (
+    _BLOCK_CELLS,
     AUC_EXHAUSTIVE_LIMIT,
     AUC_SAMPLES,
     EvalReport,
@@ -449,9 +450,9 @@ def main(argv=None) -> int:
     except MemoryError:
         print(
             "evaluation impossible: out of memory (scores are held one block of at most "
-            "2**21 cells, 16 MB per array, at a time: rows against the later nodes, or "
-            "those a bound can reach; the sparse adjacency, the latent weights and their "
-            "two-hop plan, and the sampled pairs are held whole)",
+            f"{_BLOCK_CELLS:,} cells, {_BLOCK_CELLS * 8 // 2**20} MB per array, at a time: "
+            "rows against the later nodes, or those a bound can reach; the sparse adjacency, "
+            "the latent weights and their two-hop plan, and the sampled pairs are held whole)",
             file=sys.stderr,
         )
         return EXIT_IMPOSSIBLE

@@ -66,10 +66,13 @@ class TemporalEdgeList:
     """
 
     def __init__(self, u, v, ts, node_count: int, node_ids=None):
-        ts = np.asarray(ts, dtype=np.int64)
+        u, v, ts = (np.asarray(c, dtype=np.int64) for c in (u, v, ts))
+        if not (u.ndim == v.ndim == ts.ndim == 1 and len(u) == len(v) == len(ts)):
+            shapes = f"{u.shape}, {v.shape}, {ts.shape}"
+            raise ValueError(f"columns u, v, ts must be 1-D of one length, not of shapes {shapes}")
         order = np.argsort(ts, kind="stable")  # input order preserved on ties
-        self.u = np.asarray(u, dtype=np.int64)[order]
-        self.v = np.asarray(v, dtype=np.int64)[order]
+        self.u = u[order]
+        self.v = v[order]
         self.ts = ts[order]
         if node_ids is None:
             node_ids = np.arange(node_count)
@@ -84,12 +87,6 @@ class TemporalEdgeList:
         self.node_count = node_count
         self.t_min = int(self.ts[0]) if len(self.ts) else None
         self.t_max = int(self.ts[-1]) if len(self.ts) else None
-
-    @classmethod
-    def from_records(cls, records, node_count: int) -> "TemporalEdgeList":
-        """From ``(u, v, ts)`` rows in any order, with node ids 0..n-1."""
-        rows = np.asarray(records, dtype=np.int64).reshape(-1, 3)
-        return cls(rows[:, 0], rows[:, 1], rows[:, 2], node_count)
 
     def __len__(self) -> int:
         return len(self.ts)

@@ -287,7 +287,7 @@ def _top_cells(flat: np.ndarray, L: int, floor: float, keys) -> np.ndarray:
     return np.concatenate([best[~tied], ties[:room]])
 
 
-def _method_top(A, D, method, *, decay, cclp_mode, top_l, auc_keys, train_keys):
+def _method_top(A, D, method, *, cclp_mode, top_l, auc_keys, train_keys):
     """One method's scores of the pairs ``auc_keys`` and its top ``top_l``
     pairs not linked in train (keys and scores, by :func:`_top`).
 
@@ -307,7 +307,6 @@ def _method_top(A, D, method, *, decay, cclp_mode, top_l, auc_keys, train_keys):
     of score 0, complete it.  The pairs of ``auc_keys`` outside the scored
     blocks are scored by :func:`score_pairs`."""
     n = A.n
-    options = dict(latent_params=decay, cclp_mode=cclp_mode)
     bound = score_bound(A, D, method, cclp_mode)
     if bound is None:
         # blocks of a range of nodes take the operands' rows as slices
@@ -357,7 +356,7 @@ def _method_top(A, D, method, *, decay, cclp_mode, top_l, auc_keys, train_keys):
         # a bounded walk's first row, against every node, sets its first cut
         rows = 1 if bound is not None and a0 == 0 else max(1, _BLOCK_CELLS // (k - a0))
         a1 = min(end, a0 + rows)
-        block = score_matrix(A, D, method, rows=order[a0:a1], cols=order[a0:k], **options)
+        block = score_matrix(A, D, method, order[a0:a1], order[a0:k], cclp_mode)
         flat = block.ravel()
         lo, hi = np.searchsorted(auc_a, [a0, a1])
         t = lo + np.flatnonzero(auc_b[lo:hi] < k)
@@ -392,7 +391,7 @@ def _method_top(A, D, method, *, decay, cclp_mode, top_l, auc_keys, train_keys):
         top_scores = np.concatenate([top_scores, np.zeros(len(tail))])
     rest = np.flatnonzero(~done)
     if len(rest):
-        scores[rest] = score_pairs(A, D, method, auc_keys[rest], **options)
+        scores[rest] = score_pairs(A, D, method, auc_keys[rest], cclp_mode)
     return scores, top_keys, top_scores
 
 
@@ -451,11 +450,11 @@ def _run(
     snapshot = {"period": cfg.period, "origin": cfg.origin}
     reports = []
     for k, decay in enumerate(decays):
-        A = build_adjacency(split.train, reference, decay, cfg, agg=agg, layout=layout)
+        A = build_adjacency(split.train, reference, decay, cfg, layout, agg)
         D = degree_vector(A)
         for method in methods:
             scores, top_keys, top_scores = _method_top(
-                A, D, method, decay=decay, cclp_mode=cclp_mode, top_l=top_l,
+                A, D, method, cclp_mode=cclp_mode, top_l=top_l,
                 auc_keys=auc_keys, train_keys=layout.keys,
             )
             A.operands.clear()

@@ -6,16 +6,15 @@ quantity over latent edges toward the endpoint's hidden nodes.  The six
 baselines are the classical common-neighbor family re-weighted by decayed
 edge weights.
 
-:func:`score_matrix` is the one scoring engine: it returns a method's
-score matrix, the upper trapezoid of a block of its consecutive rows (the
-rows' cells from the diagonal on), or a block of any rows by any columns,
-built from sparse matrix products over the adjacency, so that evaluation
-can walk the pairs i < j a block at a time.  Every product is a block of
-rows by columns of one primitive, :func:`_block`.  Below
-:func:`score_matrix`'s entry a run of nodes is a ``range`` and any other
-selection an index array.  Products are computed in row or pair parts cut
-by :func:`~tlpss.adjacency.parts`, at most ``_PART`` cells or terms each,
-on one thread per CPU the process may use
+:func:`score_matrix` is the one scoring engine, called in one form,
+``score_matrix(A, D, method, rows, cols)``: a method's scores on a block
+of rows by columns, each a ``range`` of nodes or an index array, built
+from sparse matrix products over the adjacency, so that evaluation can
+walk the pairs i < j a block at a time.  TLPSS's latent weights are those
+of the adjacency's own decay, ``A.params``.  Every product is a block of
+rows by columns of one primitive, :func:`_block`, computed in row or pair
+parts cut by :func:`~tlpss.adjacency.parts`, at most ``_PART`` cells or
+terms each, on one thread per CPU the process may use
 (:func:`~tlpss.adjacency.pool_map`); a cell's bits do not depend on the
 parts or the threads.  A symmetric score's block ``s`` of ``M @ P`` gets
 its transposed half as the same product over the swapped rows and columns,
@@ -52,7 +51,6 @@ import scipy.sparse as sp
 
 from . import adjacency
 from .adjacency import DegreeVector, WeightedAdjacency, latent_matrix, parts, pool_map
-from .decay import DecayParams, ExpDecayParams
 from .errors import ConfigError
 
 __all__ = ["MethodId", "score_bound", "score_matrix", "score_pairs"]
@@ -374,7 +372,7 @@ class _Pairs:
         return s
 
 
-def _score(A, D, method, latent_params, cclp_mode, cells):
+def _score(A, D, method, cclp_mode, cells):
     """One method's scores on ``cells``, a :class:`_Block` or
     :class:`_Pairs`: every method is one formula over the products and
     node vectors of the cells."""
@@ -416,19 +414,23 @@ def _score(A, D, method, latent_params, cclp_mode, cells):
             return out
         raise ConfigError(f"unknown cclp mode {cclp_mode!r}")
     if method is MethodId.TLPSS:
-        if latent_params is None:
-            raise ConfigError("TLPSS needs decay parameters for latent weights")
-
         def scaled():
             # divide each column by its node's weighted degree (w > 0
             # wherever W + B has an entry), the same rounding as a per-term
             # W[x,z]/w[z]
-            M = (W + latent_matrix(A, latent_params)).tocsr()
+            M = (W + latent_matrix(A)).tocsr()
             M.data /= w[M.indices]
             return M
 
-        return cells.symmetric(_operand(A, D, (method, latent_params), scaled))
+        return cells.symmetric(_operand(A, D, method, scaled))
     raise ConfigError(f"unknown method {method!r}")
+
+
+def _indices(x, n: int):
+    """``x`` as a 1-D integer array of values in ``[0, n)``, else ``None``."""
+    x = np.asarray(x)
+    ok = x.ndim == 1 and np.issubdtype(x.dtype, np.integer)
+    return x if ok and (not len(x) or 0 <= x.min() and x.max() < n) else None
 
 
 def _nodes(name: str, nodes, n: int):
@@ -437,9 +439,8 @@ def _nodes(name: str, nodes, n: int):
     if isinstance(nodes, range):
         ok = nodes.step == 1 and 0 <= nodes.start <= nodes.stop <= n
     else:
-        nodes = np.asarray(nodes)
-        ok = nodes.ndim == 1 and np.issubdtype(nodes.dtype, np.integer)
-        ok = ok and (not len(nodes) or 0 <= nodes.min() and nodes.max() < n)
+        nodes = _indices(nodes, n)
+        ok = nodes is not None
     if not ok:
         raise ValueError(f"{name} are neither a range nor node indices of the {n} nodes")
     return nodes
@@ -449,19 +450,16 @@ def score_matrix(
     A: WeightedAdjacency,
     D: DegreeVector,
     method: MethodId,
-    latent_params: DecayParams | ExpDecayParams | None = None,
+    rows: range | np.ndarray,
+    cols: range | np.ndarray,
     cclp_mode: str = "local",
-    rows: range | np.ndarray | None = None,
-    cols: range | np.ndarray | None = None,
 ) -> np.ndarray:
-    """One method's dense score matrix, or for ``rows=range(r0, r1)`` the
-    block of its rows ``[r0, r1)`` and columns ``[r0, n)``, of shape
-    ``(r1 - r0, n - r0)``: the upper trapezoid that holds every pair ``i <
-    j`` of those rows (block cell ``(a, c)`` is pair ``(r0 + a, r0 +
-    c)``).  ``rows=None`` is the whole matrix.  With ``cols``, the block is
-    rows ``rows`` by columns ``cols``, each a range or a 1-D integer array
-    of node indices (cell ``(a, c)`` is pair ``(rows[a], cols[c])``);
-    anything else, or a node outside ``[0, n)``, raises ``ValueError``.
+    """One method's scores on the block of rows ``rows`` by columns
+    ``cols``, each a range of consecutive nodes or a 1-D integer array of
+    node indices: cell ``(a, c)`` is pair ``(rows[a], cols[c])``.  Anything
+    else, or a node outside ``[0, n)``, raises ``ValueError``.  The whole
+    matrix is ``score_matrix(A, degree_vector(A), method, range(n),
+    range(n))``.
 
     Entry (i, j) is the method's score for the pair; the matrix is symmetric,
     bit for bit, with an all-zero diagonal except for PA, whose diagonal is
@@ -469,19 +467,14 @@ def score_matrix(
     whole matrix's.  What does not depend on the rows (the scaled TLPSS
     operand, the link-triangle incidence, the CCLP coefficients) is built at
     the first block and kept in ``A.operands``, which a caller scoring block
-    by block clears after the last.  TLPSS requires ``latent_params`` for
-    its latent weights, and builds ``A.layout.latent_plan`` if it does not
-    exist yet, or streams a plan where the layout keeps none (see
-    :func:`~tlpss.adjacency.latent_matrix`).
+    by block clears after the last.  TLPSS takes its latent weights from
+    :func:`~tlpss.adjacency.latent_matrix` under ``A.params``, the decay of
+    the edge weights, and builds ``A.layout.latent_plan`` if it does not
+    exist yet, or streams a plan where the layout keeps none.
     """
     n = A.n
-    rows = _nodes("rows", range(n) if rows is None else rows, n)
-    if cols is None:
-        if not isinstance(rows, range):
-            raise ValueError("rows given as node indices need cols")
-        cols = range(rows.start, n)
-    cols = _nodes("cols", cols, n)
-    out = _score(A, D, method, latent_params, cclp_mode, _Block(A.indicator_csr, rows, cols))
+    rows, cols = _nodes("rows", rows, n), _nodes("cols", cols, n)
+    out = _score(A, D, method, cclp_mode, _Block(A.indicator_csr, rows, cols))
     # the cells whose row and column are one node, (i, i)
     where = np.full(n, -1)
     where[_at(cols)] = np.arange(len(cols))
@@ -496,7 +489,6 @@ def score_pairs(
     D: DegreeVector,
     method: MethodId,
     keys: np.ndarray,
-    latent_params: DecayParams | ExpDecayParams | None = None,
     cclp_mode: str = "local",
 ) -> np.ndarray:
     """One method's scores of the pairs with :func:`~tlpss.edges.pair_key`
@@ -504,12 +496,13 @@ def score_pairs(
     It reads the same operands (kept in ``A.operands`` like a block's), and
     adds each pair's terms in the order the operand's row stores them, the
     order of the block products, so it scores a few pairs without a
-    block.  A key outside ``[0, n * n)`` raises ``ValueError``."""
-    keys = np.asarray(keys, dtype=np.int64)
-    if keys.size and not (0 <= keys.min() and keys.max() < A.n * A.n):
-        raise ValueError(f"keys are not pair keys of the {A.n} nodes")
-    i, j = np.divmod(keys, A.n)
-    out = _score(A, D, method, latent_params, cclp_mode, _Pairs(A.indicator_csr, i, j))
+    block.  Keys that are not a 1-D integer array, or a key outside ``[0,
+    n * n)``, raise ``ValueError``."""
+    checked = _indices(keys, A.n * A.n)
+    if checked is None:
+        raise ValueError(f"keys are not a 1-D integer array of pair keys of the {A.n} nodes")
+    i, j = np.divmod(checked.astype(np.int64, copy=False), A.n)
+    out = _score(A, D, method, cclp_mode, _Pairs(A.indicator_csr, i, j))
     out[i == j] = 0.0
     return out
 

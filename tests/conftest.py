@@ -8,17 +8,27 @@ import numpy as np
 import pytest
 
 from tlpss.adjacency import PairLayout, WeightedAdjacency
+from tlpss.decay import DecayParams
+from tlpss.edges import TemporalEdgeList
 
 
-def adjacency_of(n, weights, mults=None):
+def edge_list(records, node_count):
+    """The :class:`TemporalEdgeList` of ``(u, v, ts)`` rows in any order,
+    with node ids 0..n-1."""
+    rows = np.asarray(records, dtype=np.int64).reshape(-1, 3)
+    return TemporalEdgeList(rows[:, 0], rows[:, 1], rows[:, 2], node_count)
+
+
+def adjacency_of(n, weights, mults=None, params=DecayParams(p=2.0, q=1.0, a=5.0)):
     """The adjacency of ``n`` nodes whose canonical pairs ``(i, j)``,
     ``i < j``, weigh ``weights[(i, j)]``, each with ``mults[(i, j)]``
-    multi-edges (default 1)."""
+    multi-edges (default 1), taken as made under the decay ``params``,
+    whose floor its latent weights scale."""
     pairs = sorted(weights)
     lo, hi = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     mult = np.array([(mults or {}).get(pair, 1) for pair in pairs], dtype=np.int64)
     weight = np.array([weights[pair] for pair in pairs], dtype=np.float64)
-    return WeightedAdjacency(PairLayout(n, lo, hi, mult), weight)
+    return WeightedAdjacency(PairLayout(n, lo, hi, mult), weight, params)
 
 
 GEN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"

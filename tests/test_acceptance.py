@@ -18,12 +18,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tlpss.adjacency import build_adjacency, degree_vector, latent_matrix
+from tlpss.adjacency import build_adjacency, degree_vector, latent_matrix, pair_layout
 from tlpss.cli import DEFAULT_PERIODS, parse_period
 from tlpss.decay import DecayParams, asf_array, asf_floor, asf_log_margin
 from tlpss.edges import (
     SnapshotConfig,
-    TemporalEdgeList,
     load_edge_list,
     normalize,
     pair_key,
@@ -32,6 +31,8 @@ from tlpss.edges import (
 from tlpss.evaluation import _precision_from_arrays, auc, evaluate_methods
 from tlpss.oracle import naive_score, random_decay, random_toy
 from tlpss.scoring import ALL_METHODS, MethodId, score_matrix
+
+from conftest import edge_list
 
 # Below this log-margin the ASF value sits closer to its floor than one
 # float64 ulp and saturates; strictness there is asserted on the stable
@@ -123,15 +124,15 @@ def test_criterion_2_latent_weight_bound():
             q=float(rng.uniform(0.05, 10)),
             a=float(rng.uniform(2, 8)),
         )
-        lst = normalize(TemporalEdgeList.from_records(toy.edges, toy.n))
+        lst = normalize(edge_list(toy.edges, toy.n))
         if len(lst) == 0:
             continue
         cfg = SnapshotConfig(period=toy.period)
-        A = build_adjacency(lst, snapshot_index(lst.t_max, cfg), params, cfg)
+        A = build_adjacency(lst, snapshot_index(lst.t_max, cfg), params, cfg, pair_layout(lst))
         floor = asf_floor(params)
         P = A.indicator_csr
         common = (P @ P).tocsr()
-        B = latent_matrix(A, params).tocoo()
+        B = latent_matrix(A).tocoo()
         for i, j, b in zip(B.row, B.col, B.data):
             assert A.weight_csr[i, j] == 0.0
             assert common[i, j] > 0
@@ -163,9 +164,9 @@ def _sample_pairs(rng, n, k):
 
 
 def _toy_stack(toy, params):
-    lst = normalize(TemporalEdgeList.from_records(toy.edges, toy.n))
+    lst = normalize(edge_list(toy.edges, toy.n))
     cfg = SnapshotConfig(period=toy.period)
-    A = build_adjacency(lst, snapshot_index(lst.t_max, cfg), params, cfg)
+    A = build_adjacency(lst, snapshot_index(lst.t_max, cfg), params, cfg, pair_layout(lst))
     return lst, A, degree_vector(A)
 
 
@@ -179,7 +180,7 @@ def test_criterion_3_oracle_equivalence():
         rng = np.random.default_rng(trial)
         pairs = _sample_pairs(rng, toy.n, 6)
         for method in ALL_METHODS:
-            m = score_matrix(A, D, method, latent_params=params)
+            m = score_matrix(A, D, method, range(A.n), range(A.n))
             for x, y in pairs:
                 got = m[x, y]
                 ref = naive_score(method, toy, params, x, y)
@@ -202,7 +203,7 @@ def test_criterion_4_q_zero_reduction():
         base = random_decay(seed=32000 + trial, allow_exp=False)
         params = DecayParams(p=base.p, q=0.0, a=base.a)
         _, A, D = _toy_stack(toy, params)
-        m = score_matrix(A, D, MethodId.TLPSS, latent_params=params)
+        m = score_matrix(A, D, MethodId.TLPSS, range(A.n), range(A.n))
         W = A.weight_csr
         rng = np.random.default_rng(trial)
         for x, y in _sample_pairs(rng, toy.n, 6):

@@ -16,20 +16,20 @@ from tlpss.adjacency import (
     pair_layout,
 )
 from tlpss.decay import DecayParams, ExpDecayParams, asf_floor, decay_floor
-from tlpss.edges import SnapshotConfig, TemporalEdgeList, normalize, snapshot_index
+from tlpss.edges import SnapshotConfig, normalize, snapshot_index
 from tlpss.oracle import ToyGraph, naive_hidden, naive_latent, random_decay, random_toy
 
-from conftest import adjacency_of
+from conftest import adjacency_of, edge_list
 
 PARAMS = DecayParams(p=2.0, q=1.0, a=5.0)
 
 
 def production_stack(toy, params):
     """Normalized list, adjacency at the latest edge time, and degree vector."""
-    lst = normalize(TemporalEdgeList.from_records(toy.edges, toy.n))
+    lst = normalize(edge_list(toy.edges, toy.n))
     cfg = SnapshotConfig(period=toy.period)
     T = snapshot_index(lst.t_max, cfg)
-    A = build_adjacency(lst, T, params, cfg)
+    A = build_adjacency(lst, T, params, cfg, pair_layout(lst))
     return lst, A, degree_vector(A)
 
 
@@ -73,19 +73,19 @@ def hidden_from_latent(A, B, x, y):
 
 class TestBuildAdjacency:
     def test_single_edge_at_reference(self):
-        lst = normalize(TemporalEdgeList.from_records([(0, 1, 5)], 2))
+        lst = normalize(edge_list([(0, 1, 5)], 2))
         cfg = SnapshotConfig(period=1.0)
-        A = build_adjacency(lst, snapshot_index(lst.t_max, cfg), PARAMS, cfg)
+        A = build_adjacency(lst, snapshot_index(lst.t_max, cfg), PARAMS, cfg, pair_layout(lst))
         # zero elapsed: weight is the decay value at x=0
         expect = (1 / (1 + math.exp(-PARAMS.a)) + PARAMS.q) / (PARAMS.q + 1)
         assert weight(A, 0, 1) == pytest.approx(expect, rel=1e-14)
 
     def test_multi_edges_sum(self):
         lst = normalize(
-            TemporalEdgeList.from_records([(3, 1, 50), (1, 3, 60)], 4)
+            edge_list([(3, 1, 50), (1, 3, 60)], 4)
         )
         cfg = SnapshotConfig(period=2.5)
-        A = build_adjacency(lst, snapshot_index(lst.t_max, cfg), PARAMS, cfg)
+        A = build_adjacency(lst, snapshot_index(lst.t_max, cfg), PARAMS, cfg, pair_layout(lst))
 
         def direct(x):
             return (1 / (1 + math.exp(x / 2.0 - 5.0)) + 1.0) / 2.0
@@ -105,10 +105,10 @@ class TestBuildAdjacency:
             assert w <= m * 0.9966535745378576 * (1 + 1e-12)
 
     def test_edge_later_than_reference_rejected(self):
-        lst = normalize(TemporalEdgeList.from_records([(0, 1, 5), (1, 2, 9)], 3))
+        lst = normalize(edge_list([(0, 1, 5), (1, 2, 9)], 3))
         cfg = SnapshotConfig(period=1.0)
         with pytest.raises(ValueError):
-            build_adjacency(lst, snapshot_index(lst.t_min, cfg), PARAMS, cfg)
+            build_adjacency(lst, snapshot_index(lst.t_min, cfg), PARAMS, cfg, pair_layout(lst))
 
     def test_symmetry_no_diagonal_no_zeros(self):
         for seed in range(5):
@@ -124,43 +124,56 @@ class TestBuildAdjacency:
 
     def test_latest_mode_keeps_newest_edge_only(self):
         lst = normalize(
-            TemporalEdgeList.from_records([(0, 1, 2), (0, 1, 10)], 2)
+            edge_list([(0, 1, 2), (0, 1, 10)], 2)
         )
         cfg = SnapshotConfig(period=1.0)
         T = snapshot_index(lst.t_max, cfg)
-        summed = build_adjacency(lst, T, PARAMS, cfg, agg="sum")
-        latest = build_adjacency(lst, T, PARAMS, cfg, agg="latest")
+        summed = build_adjacency(lst, T, PARAMS, cfg, pair_layout(lst), agg="sum")
+        latest = build_adjacency(lst, T, PARAMS, cfg, pair_layout(lst), agg="latest")
         newest = (1 / (1 + math.exp(-5.0)) + 1) / 2
         assert weight(latest, 0, 1) == pytest.approx(newest, rel=1e-14)
         assert weight(summed, 0, 1) > weight(latest, 0, 1)
         assert mult_csr(latest)[0, 1] == 2  # multiplicity still counts all edges
 
     def test_exp_decay_mode(self):
-        lst = normalize(TemporalEdgeList.from_records([(0, 1, 1), (1, 2, 5)], 3))
+        lst = normalize(edge_list([(0, 1, 1), (1, 2, 5)], 3))
         cfg = SnapshotConfig(period=1.0)
-        A = build_adjacency(lst, snapshot_index(lst.t_max, cfg), ExpDecayParams(0.5), cfg)
+        A = build_adjacency(
+            lst, snapshot_index(lst.t_max, cfg), ExpDecayParams(0.5), cfg, pair_layout(lst)
+        )
         assert weight(A, 0, 1) == pytest.approx(math.exp(-2.0), rel=1e-14)
         assert weight(A, 1, 2) == 1.0
 
     def test_shared_layout_gives_same_adjacency(self):
         for trial in range(40):
             toy = random_toy(seed=61000 + trial, max_nodes=30)
-            lst = normalize(TemporalEdgeList.from_records(toy.edges, toy.n))
+            lst = normalize(edge_list(toy.edges, toy.n))
             cfg = SnapshotConfig(period=toy.period)
             T = snapshot_index(lst.t_max, cfg)
             layout = pair_layout(lst)
             for q in (0.0, 1.0, 4.0):
                 params = DecayParams(p=2.0, q=q)
                 for agg in ("sum", "latest"):
-                    shared = build_adjacency(lst, T, params, cfg, agg=agg, layout=layout)
-                    fresh = build_adjacency(lst, T, params, cfg, agg=agg)
+                    shared = build_adjacency(lst, T, params, cfg, layout, agg)
+                    fresh = build_adjacency(lst, T, params, cfg, pair_layout(lst), agg)
+                    assert shared.params is fresh.params is params
                     for name in ("data", "indices", "indptr"):
                         assert np.array_equal(
                             getattr(shared.weight_csr, name), getattr(fresh.weight_csr, name)
                         )
                     assert np.array_equal(shared.mult, fresh.mult)
-        with pytest.raises(ValueError):
-            build_adjacency(lst[1:], T, params, cfg, layout=layout)
+        with pytest.raises(ValueError, match="another train list"):
+            build_adjacency(lst[1:], T, params, cfg, layout)
+
+    def test_layout_not_made_from_a_train_list_rejected(self):
+        """A layout made from pairs has no train edge's pair to sum, so
+        ``build_adjacency`` rejects it as it does another list's layout."""
+        lst = normalize(edge_list([(0, 1, 5), (1, 2, 9)], 3))
+        cfg = SnapshotConfig(period=1.0)
+        one = np.ones(2, dtype=np.int64)
+        layout = PairLayout(3, np.array([0, 1]), np.array([1, 2]), one)
+        with pytest.raises(ValueError, match="another train list"):
+            build_adjacency(lst, snapshot_index(lst.t_max, cfg), PARAMS, cfg, layout)
 
     def test_constructors_reject_bad_pairs_and_weights(self):
         A = adjacency_of(3, {(0, 1): 0.5}, {(0, 1): 4})
@@ -173,7 +186,7 @@ class TestBuildAdjacency:
         layout = PairLayout(3, np.array([0]), np.array([1]), one)
         for bad in (0.0, float("nan"), -1.0, float("inf")):
             with pytest.raises(ValueError):
-                WeightedAdjacency(layout, np.array([bad]))
+                WeightedAdjacency(layout, np.array([bad]), PARAMS)
 
 
 class TestDegreeVector:
@@ -217,7 +230,7 @@ class TestNeighborhoodSets:
     def test_hidden_nodes_schematic(self):
         toy = fig_toy()
         _, A, _ = production_stack(toy, PARAMS)
-        B = latent_matrix(A, PARAMS)
+        B = latent_matrix(A)
         assert naive_hidden(toy, PARAMS, 0, 1) == hidden_from_latent(A, B, 0, 1) == {5}
         assert naive_hidden(toy, PARAMS, 1, 0) == hidden_from_latent(A, B, 1, 0) == {6, 7}
 
@@ -225,7 +238,7 @@ class TestNeighborhoodSets:
         # pure butterfly: all of y's neighbors are shared with x
         butterfly = [(0, 2), (0, 3), (1, 2), (1, 3)]
         A = adjacency_of(4, {pair: 1.0 for pair in butterfly})
-        assert hidden_from_latent(A, latent_matrix(A, PARAMS), 0, 1) == set()
+        assert hidden_from_latent(A, latent_matrix(A), 0, 1) == set()
         toy = ToyGraph(n=4, edges=[(u, v, 1) for u, v in butterfly])
         assert naive_hidden(toy, PARAMS, 0, 1) == set()
 
@@ -233,7 +246,7 @@ class TestNeighborhoodSets:
         for seed in range(10):
             toy = random_toy(seed, max_nodes=20)
             _, A, _ = production_stack(toy, PARAMS)
-            B = latent_matrix(A, PARAMS)
+            B = latent_matrix(A)
             W = A.weight_csr
             rng = np.random.default_rng(seed)
             for _ in range(10):
@@ -250,14 +263,14 @@ class TestNeighborhoodSets:
 class TestLatentWeight:
     def test_zero_without_common_neighbors(self):
         A = adjacency_of(4, {(0, 1): 1.0, (2, 3): 1.0})
-        B = latent_matrix(A, PARAMS)
+        B = latent_matrix(A)
         assert B[0, 2] == 0.0 and B.nnz == 0
 
     def test_zero_when_floor_is_zero(self):
         toy = random_toy(4, max_nodes=15)
         params = DecayParams(p=2.0, q=0.0)
         _, A, _ = production_stack(toy, params)
-        B = latent_matrix(A, params).toarray()
+        B = latent_matrix(A).toarray()
         for i in range(toy.n):
             for j in range(i + 1, toy.n):
                 if weight(A, i, j) == 0.0:
@@ -271,7 +284,7 @@ class TestLatentWeight:
         _, A, _ = production_stack(toy, PARAMS)
         with pytest.raises(ValueError):
             naive_latent(toy, PARAMS, 0, 2)
-        B = latent_matrix(A, PARAMS).toarray()
+        B = latent_matrix(A).toarray()
         assert B[0, 2] == 0.0
         assert np.all(B[A.indicator_csr.toarray() > 0] == 0.0)
         assert np.all(np.diag(B) == 0.0)
@@ -286,7 +299,7 @@ class TestLatentWeight:
             )
             _, A, _ = production_stack(toy, params)
             floor = asf_floor(params)
-            B = latent_matrix(A, params).toarray()
+            B = latent_matrix(A).toarray()
             C = common_counts(A)
             for i in range(toy.n):
                 for j in range(i + 1, toy.n):
@@ -306,7 +319,7 @@ class TestLatentWeight:
             toy = random_toy(seed, max_nodes=18)
             params = random_decay(seed + 90)
             _, A, _ = production_stack(toy, params)
-            B = latent_matrix(A, params).toarray()
+            B = latent_matrix(A).toarray()
             for i in range(toy.n):
                 for j in range(i + 1, toy.n):
                     if weight(A, i, j) != 0.0:
@@ -321,7 +334,7 @@ class TestLatentCache:
     def test_adjacent_query_rejected(self):
         toy = random_toy(21, max_nodes=10, min_nodes=10)
         _, A, _ = production_stack(toy, PARAMS)
-        B = latent_matrix(A, PARAMS)
+        B = latent_matrix(A)
         adjacent = pairs(A)
         assert adjacent
         for i, j in adjacent:
@@ -332,7 +345,7 @@ class TestLatentCache:
     def test_materialize_all_matches_brute_force(self):
         toy = random_toy(21, max_nodes=10, min_nodes=10)
         _, A, _ = production_stack(toy, PARAMS)
-        B = latent_matrix(A, PARAMS).toarray()
+        B = latent_matrix(A).toarray()
         for i in range(10):
             for j in range(i + 1, 10):
                 if weight(A, i, j) == 0.0:
@@ -348,7 +361,7 @@ class TestLatentMatrix:
             toy = random_toy(seed + 40, max_nodes=22)
             params = random_decay(seed + 140)
             _, A, _ = production_stack(toy, params)
-            B = latent_matrix(A, params).toarray()
+            B = latent_matrix(A).toarray()
             assert np.allclose(B, B.T)
             for i in range(toy.n):
                 for j in range(toy.n):
@@ -364,11 +377,11 @@ class TestLatentMatrix:
         # every two-hop pair of a clique is linked, so a triangle has no cell
         triangle = {(0, 1): 0.8, (1, 2): 0.7, (0, 2): 0.6}
         A = adjacency_of(3, triangle)
-        assert latent_matrix(A, PARAMS).nnz == 0
+        assert latent_matrix(A).nnz == 0
         A = adjacency_of(6, {**triangle, (3, 4): 0.9, (4, 5): 0.5})
-        whole = latent_matrix(A, PARAMS)
+        whole = latent_matrix(A)
         monkeypatch.setattr(adjacency, "_PART", 1)  # one set per row
-        by_row = latent_matrix(A, PARAMS)
+        by_row = latent_matrix(A)
         assert whole.nnz == by_row.nnz == 2
         assert np.array_equal(whole.toarray(), by_row.toarray())
 
@@ -377,7 +390,7 @@ class TestLatentMatrix:
         def latent(n, pairs, weights):
             lo, hi = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
             layout = PairLayout(n, lo, hi, np.ones(len(lo), np.int64), keep_plan=keep_plan)
-            return latent_matrix(WeightedAdjacency(layout, np.array(weights)), PARAMS)
+            return latent_matrix(WeightedAdjacency(layout, np.array(weights), PARAMS))
 
         assert latent(5, [], []).nnz == 0
         # single links: each centre has one neighbor, so no row has a term
@@ -397,7 +410,7 @@ class TestLatentMatrix:
         toy = random_toy(5, max_nodes=15)
         params = DecayParams(p=1.0, q=0.0)
         _, A, _ = production_stack(toy, params)
-        assert latent_matrix(A, params).nnz == 0
+        assert latent_matrix(A).nnz == 0
         assert decay_floor(ExpDecayParams(0.3)) == 0.0
 
 
@@ -445,10 +458,9 @@ class TestFloorScaling:
         the floor times a fixed scale factor, so cells at two q values are
         proportional to the two floors."""
         weights = {(0, 2): 0.8, (1, 2): 0.7, (0, 3): 0.6, (1, 3): 0.9}
-        A = adjacency_of(4, weights)
         lo = DecayParams(p=1.0, q=0.5)
         hi = DecayParams(p=1.0, q=2.0)
-        b_lo = latent_matrix(A, lo)[0, 1]
-        b_hi = latent_matrix(A, hi)[0, 1]
+        b_lo = latent_matrix(adjacency_of(4, weights, params=lo))[0, 1]
+        b_hi = latent_matrix(adjacency_of(4, weights, params=hi))[0, 1]
         assert b_lo > 0
         assert b_hi * asf_floor(lo) == pytest.approx(b_lo * asf_floor(hi), rel=1e-14)

@@ -295,6 +295,9 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
         assert err.startswith("evaluation impossible: out of memory")
+        # the block size it names is evaluation's own
+        cells = evaluation._BLOCK_CELLS
+        assert f" {cells:,} cells, {cells * 8 // 2**20} MB per array," in err
         assert not (out_dir / "report.json").exists()
 
     @pytest.mark.parametrize(

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import load_gen
+from conftest import edge_list, load_gen
 from tlpss import edges
-from tlpss.adjacency import build_adjacency
+from tlpss.adjacency import build_adjacency, pair_layout
 from tlpss.decay import DecayParams
 from tlpss.edges import (
     DropReport,
@@ -41,7 +41,7 @@ def random_list(seed, n=12, n_edges=40, t_span=30, loops=True):
         u = int(rng.integers(0, n))
         v = u if (loops and rng.random() < 0.08) else int(rng.integers(0, n))
         edges.append((u, v, int(rng.integers(1, t_span))))
-    return TemporalEdgeList.from_records(edges, n)
+    return edge_list(edges, n)
 
 
 class TestParse:
@@ -326,7 +326,18 @@ class TestColumns:
 
     def test_node_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            TemporalEdgeList.from_records([(0, 3, 1)], 3)
+            edge_list([(0, 3, 1)], 3)
+
+    def test_columns_of_unequal_length_or_not_1d_rejected(self):
+        """Neither a short ``ts`` (which would drop edges), a short ``u``
+        nor 2-D columns (which would fail on an index) are taken."""
+        for u, v, ts, shapes in (
+            ([0, 1, 2], [1, 2, 0], [5, 6], r"\(3,\), \(3,\), \(2,\)"),
+            ([0, 1], [1, 2, 0], [5, 6, 7], r"\(2,\), \(3,\), \(3,\)"),
+            ([[0, 1]], [[1, 2]], [[5, 6]], r"\(1, 2\), \(1, 2\), \(1, 2\)"),
+        ):
+            with pytest.raises(ValueError, match=f"1-D of one length, not of shapes {shapes}$"):
+                TemporalEdgeList(u, v, ts, 3)
 
 
 class TestPairKeys:
@@ -362,16 +373,16 @@ class TestPairKeys:
 
 class TestNormalize:
     def test_multi_edges_canonicalized_and_shifted(self):
-        lst = TemporalEdgeList.from_records([(3, 1, 50), (1, 3, 60)], 4)
+        lst = edge_list([(3, 1, 50), (1, 3, 60)], 4)
         out = normalize(lst)
         assert rows(out) == [(1, 3, 1), (1, 3, 11)]
 
     def test_self_loops_removed(self):
-        lst = TemporalEdgeList.from_records([(2, 2, 10)], 3)
+        lst = edge_list([(2, 2, 10)], 3)
         assert len(normalize(lst)) == 0
 
     def test_node_set_fixed(self):
-        lst = TemporalEdgeList.from_records([(2, 2, 10), (0, 1, 12)], 3)
+        lst = edge_list([(2, 2, 10), (0, 1, 12)], 3)
         out = normalize(lst)
         assert out.node_count == 3  # node 2 stays even with no edges left
 
@@ -383,7 +394,7 @@ class TestNormalize:
             assert once == twice
 
     def test_exact_duplicate_records_kept(self):
-        lst = TemporalEdgeList.from_records([(0, 1, 5), (0, 1, 5)], 2)
+        lst = edge_list([(0, 1, 5), (0, 1, 5)], 2)
         assert len(normalize(lst)) == 2
 
 
@@ -434,7 +445,7 @@ class TestSnapshotIndex:
 class TestSplit:
     def test_exact_nine_to_one(self):
         edges = [(i, i + 1, 10 * (i + 1)) for i in range(10)]
-        lst = normalize(TemporalEdgeList.from_records(edges, 11))
+        lst = normalize(edge_list(edges, 11))
         split = split_by_time(lst, 0.9)
         assert len(split.train) == 9
         assert len(split.test) == 1
@@ -442,7 +453,7 @@ class TestSplit:
     def test_boundary_ties_go_to_train(self):
         stamps = [1, 2, 3, 4, 5, 5, 5, 9]
         edges = [(i, i + 1, t) for i, t in enumerate(stamps)]
-        lst = normalize(TemporalEdgeList.from_records(edges, 9))
+        lst = normalize(edge_list(edges, 9))
         split = split_by_time(lst, 0.6)
         assert split.t_split == 5
         assert len(split.train) == 7
@@ -452,14 +463,14 @@ class TestSplit:
     def test_positives_exclude_train_linked_pairs(self):
         # pair (0,1) appears on both sides; only (2,3) is new in test
         edges = [(0, 1, 1), (1, 2, 2), (0, 2, 3), (0, 1, 10), (2, 3, 11)]
-        lst = normalize(TemporalEdgeList.from_records(edges, 4))
+        lst = normalize(edge_list(edges, 4))
         split = split_by_time(lst, 0.6)
         assert split.t_split == 3
         assert split.positives.tolist() == [pair_key(2, 3, 4)]
 
     def test_single_timestamp_is_impossible(self):
         edges = [(i, i + 1, 7) for i in range(5)]
-        lst = normalize(TemporalEdgeList.from_records(edges, 6))
+        lst = normalize(edge_list(edges, 6))
         with pytest.raises(SplitError):
             split_by_time(lst, 0.9)
 
@@ -503,12 +514,14 @@ def pair_counts(lst):
 class TestMultiplicity:
     def test_counts_and_symmetry(self):
         edges = [(0, 1, 1), (1, 0, 2), (0, 1, 2), (1, 2, 3)]
-        lst = normalize(TemporalEdgeList.from_records(edges, 3))
+        lst = normalize(edge_list(edges, 3))
         counts = pair_counts(lst)
         assert counts == {pair_key(0, 1, 3): 3, pair_key(1, 2, 3): 1}
         assert pair_key(0, 2, 3) not in counts
         cfg = SnapshotConfig(period=1.0)
-        A = build_adjacency(lst, snapshot_index(lst.t_max, cfg), DecayParams(p=1.0, q=1.0), cfg)
+        A = build_adjacency(
+            lst, snapshot_index(lst.t_max, cfg), DecayParams(p=1.0, q=1.0), cfg, pair_layout(lst)
+        )
         W = A.weight_csr
         mult = sp.csr_matrix((A.mult, W.indices, W.indptr), shape=W.shape)
         assert mult[0, 1] == mult[1, 0] == 3

@@ -14,7 +14,7 @@ import pytest
 import tlpss
 from tlpss import evaluation, scoring
 from tlpss import adjacency
-from tlpss.adjacency import LatentPlan, build_adjacency, degree_vector
+from tlpss.adjacency import LatentPlan, build_adjacency, degree_vector, pair_layout
 from tlpss.decay import DecayParams
 from tlpss.edges import (
     SnapshotConfig,
@@ -36,7 +36,7 @@ from tlpss.evaluation import (
 from tlpss.oracle import ToyGraph, exhaustive_auc, random_toy
 from tlpss.scoring import ALL_METHODS, MethodId, score_matrix
 
-from conftest import adjacency_of
+from conftest import adjacency_of, edge_list
 
 
 def count_plan_builds(monkeypatch):
@@ -53,7 +53,7 @@ def count_plan_builds(monkeypatch):
 
 
 def toy_list(toy):
-    return normalize(TemporalEdgeList.from_records(toy.edges, toy.n))
+    return normalize(edge_list(toy.edges, toy.n))
 
 
 def community_toy(seed=7, n=48, n_events=420, block=12, span=8000):
@@ -77,14 +77,14 @@ class TestBuildCandidates:
     def test_no_positives_rejected(self):
         # pair (0,1) relinked in test: nothing new to predict
         edges = [(0, 1, 1), (0, 2, 2), (0, 1, 9)]
-        lst = normalize(TemporalEdgeList.from_records(edges, 3))
+        lst = normalize(edge_list(edges, 3))
         split = split_by_time(lst, 0.6)
         with pytest.raises(EvaluationError):
             build_candidates(split, 3, seed=0)
 
     def test_complete_graph_has_no_negatives(self):
         edges = [(0, 1, 1), (0, 2, 2), (1, 2, 9)]
-        lst = normalize(TemporalEdgeList.from_records(edges, 3))
+        lst = normalize(edge_list(edges, 3))
         split = split_by_time(lst, 0.6)
         with pytest.raises(EvaluationError):
             build_candidates(split, 3, seed=0)
@@ -555,8 +555,8 @@ class TestSweep:
         adjacencies = []
         score = evaluation.score_matrix
 
-        def recorded(A, D, method, **kwargs):
-            out = score(A, D, method, **kwargs)
+        def recorded(A, D, method, *args):
+            out = score(A, D, method, *args)
             # whether the layout holds a plan once the block is scored
             calls.append((method, "latent_plan" in vars(A.layout)))
             layouts.append(A.layout)
@@ -613,8 +613,8 @@ class TestSweep:
         kept = []
         latent_matrix = scoring.latent_matrix
 
-        def recorded(A, params):
-            out = latent_matrix(A, params)
+        def recorded(A):
+            out = latent_matrix(A)
             streamed = all(isinstance(item, range) for item in builds[-1].sets)
             kept.append(("latent_plan" in vars(A.layout), streamed))
             return out
@@ -690,9 +690,9 @@ def one_block_and_blocked(monkeypatch, run, cells):
     calls = []
     score = evaluation.score_matrix
 
-    def counted(*args, **kwargs):
-        calls.append((args[2], kwargs["cclp_mode"], kwargs["rows"], kwargs["cols"]))
-        return score(*args, **kwargs)
+    def counted(A, D, method, rows, cols, cclp_mode):
+        calls.append((method, cclp_mode, rows, cols))
+        return score(A, D, method, rows, cols, cclp_mode)
 
     monkeypatch.setattr(evaluation, "score_matrix", counted)
     monkeypatch.setattr(evaluation, "_BLOCK_CELLS", cells)
@@ -780,7 +780,9 @@ class TestRowBlocks:
         # with ties in canonical pair order; in reverse order it would differ
         split = split_by_time(lst, 0.5)
         cfg = SnapshotConfig(period=1.0)
-        A = build_adjacency(split.train, snapshot_index(split.t_split, cfg), params, cfg)
+        A = build_adjacency(
+            split.train, snapshot_index(split.t_split, cfg), params, cfg, pair_layout(split.train)
+        )
         D = degree_vector(A)
         ii, jj = np.triu_indices(A.n, k=1)
         unlinked = ~np.isin(pair_key(ii, jj, A.n), A.layout.keys)
@@ -790,7 +792,7 @@ class TestRowBlocks:
         reversed_differs = 0
         for L in tops:
             for method in methods:
-                scores = score_matrix(A, D, method)[ii, jj]
+                scores = score_matrix(A, D, method, range(A.n), range(A.n))[ii, jj]
                 ranked = np.sort(scores)[::-1]
                 assert ranked[L] == ranked[L - 1]
                 assert (ranked[L - 1] == 0) == (method is MethodId.CN_ASF and L == 600)
@@ -815,10 +817,12 @@ class TestRowBlocks:
         candidates = build_candidates(split, lst.node_count, 4)
         assert np.any(np.diff(candidates.sampled_negatives) < 0)
         cfg = SnapshotConfig(period=200.0)
-        A = build_adjacency(split.train, snapshot_index(split.t_split, cfg), params, cfg)
+        A = build_adjacency(
+            split.train, snapshot_index(split.t_split, cfg), params, cfg, pair_layout(split.train)
+        )
         D = degree_vector(A)
         for report in reports:
-            m = score_matrix(A, D, MethodId(report.method), params).ravel()
+            m = score_matrix(A, D, MethodId(report.method), range(A.n), range(A.n)).ravel()
             pos = m.take(candidates.positives)
             neg = m.take(candidates.sampled_negatives)
             assert report.auc == auc(pos, neg, n_comparisons=5000, seed=4)
@@ -869,11 +873,12 @@ class TestRunningCut:
             for p in values:
                 decay = replace(params, p=p)
                 A = build_adjacency(
-                    split.train, snapshot_index(split.t_split, cfg), decay, cfg
+                    split.train, snapshot_index(split.t_split, cfg), decay, cfg,
+                    pair_layout(split.train),
                 )
                 D = degree_vector(A)
                 for method in methods:
-                    scores = score_matrix(A, D, method)[ii, jj]
+                    scores = score_matrix(A, D, method, range(A.n), range(A.n))[ii, jj]
                     cuts.append(np.sort(scores)[-L])
                     expected = lexsort_precision(ii, jj, scores, is_positive, L)
                     assert next(reports).precision == expected, (L, p, method)
@@ -913,17 +918,17 @@ def walk(monkeypatch, A, method, top_l, auc_keys, bounded=True):
     calls = []
     score = evaluation.score_matrix
 
-    def recorded(*args, **kwargs):
-        calls.append((kwargs["rows"], kwargs["cols"]))
-        return score(*args, **kwargs)
+    def recorded(A, D, method, rows, cols, cclp_mode):
+        calls.append((rows, cols))
+        return score(A, D, method, rows, cols, cclp_mode)
 
     with monkeypatch.context() as patched:
         patched.setattr(evaluation, "score_matrix", recorded)
         if not bounded:
             patched.setattr(evaluation, "score_bound", lambda *args: None)
         out = evaluation._method_top(
-            A, degree_vector(A), method, decay=DecayParams(p=3.0, q=1.0),
-            cclp_mode="local", top_l=top_l, auc_keys=auc_keys, train_keys=A.layout.keys,
+            A, degree_vector(A), method, cclp_mode="local", top_l=top_l,
+            auc_keys=auc_keys, train_keys=A.layout.keys,
         )
     A.operands.clear()
     return out, calls
@@ -999,7 +1004,9 @@ class TestRegion:
         split = split_by_time(lst, 0.9)
         cfg = SnapshotConfig(period=200.0)
         params = DecayParams(p=3.0, q=1.0)
-        A = build_adjacency(split.train, snapshot_index(split.t_split, cfg), params, cfg)
+        A = build_adjacency(
+            split.train, snapshot_index(split.t_split, cfg), params, cfg, pair_layout(split.train)
+        )
         candidates = build_candidates(split, lst.node_count, 3)
         auc_keys = np.concatenate([candidates.positives, candidates.sampled_negatives])
         n = A.n
@@ -1039,7 +1046,7 @@ class TestZeroTail:
         auc_keys = np.random.default_rng(workers).permutation(keys)[:30]
         is_positive = np.isin(keys, auc_keys[:10])
         for method in (MethodId.CN_ASF, MethodId.CAR_ASF, MethodId.JA_ASF):
-            full = score_matrix(A, D, method)
+            full = score_matrix(A, D, method, range(n), range(n))
             A.operands.clear()
             scores = full[ii, jj]
             positive = np.count_nonzero(scores > 0)

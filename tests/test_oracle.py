@@ -3,7 +3,7 @@
 import pytest
 
 from tlpss.decay import DecayParams
-from tlpss.edges import TemporalEdgeList, normalize
+from tlpss.edges import normalize
 from tlpss.evaluation import evaluate_methods
 from tlpss.oracle import (
     ToyGraph,
@@ -13,6 +13,8 @@ from tlpss.oracle import (
     random_toy,
 )
 from tlpss.scoring import MethodId
+
+from conftest import edge_list
 
 PARAMS = DecayParams(p=2.0, q=1.0)
 
@@ -70,7 +72,7 @@ class TestExhaustiveAuc:
             except ValueError:
                 continue
             lst = normalize(
-                TemporalEdgeList.from_records(toy.edges, toy.n)
+                edge_list(toy.edges, toy.n)
             )
             report = evaluate_methods(
                 lst,

@@ -4,35 +4,35 @@ import numpy as np
 import pytest
 
 from tlpss import scoring
-from tlpss.adjacency import build_adjacency, degree_vector
+from tlpss.adjacency import build_adjacency, degree_vector, pair_layout
 from tlpss.decay import DecayParams, asf_floor
-from tlpss.edges import SnapshotConfig, TemporalEdgeList, normalize, snapshot_index
+from tlpss.edges import SnapshotConfig, normalize, snapshot_index
 from tlpss.errors import ConfigError
 from tlpss.oracle import ToyGraph, naive_hidden, naive_score, random_decay, random_toy
 from tlpss.scoring import ALL_METHODS, MethodId, score_matrix
 
-from conftest import adjacency_of
+from conftest import adjacency_of, edge_list
 
 PARAMS = DecayParams(p=2.0, q=1.0, a=5.0)
 
 
 def production_stack(toy, params):
-    lst = normalize(TemporalEdgeList.from_records(toy.edges, toy.n))
+    lst = normalize(edge_list(toy.edges, toy.n))
     cfg = SnapshotConfig(period=toy.period)
     T = snapshot_index(lst.t_max, cfg)
-    A = build_adjacency(lst, T, params, cfg)
+    A = build_adjacency(lst, T, params, cfg, pair_layout(lst))
     return lst, A, degree_vector(A)
 
 
 def toy_scores(toy, params, method, cclp_mode="local"):
     """Score matrix of one method on a toy graph."""
     _, A, D = production_stack(toy, params)
-    return score_matrix(A, D, method, latent_params=params, cclp_mode=cclp_mode)
+    return score_matrix(A, D, method, range(A.n), range(A.n), cclp_mode)
 
 
-def scores(A, method, params=PARAMS, cclp_mode="local"):
+def scores(A, method, cclp_mode="local"):
     """Score matrix of one method on a given adjacency."""
-    return score_matrix(A, degree_vector(A), method, latent_params=params, cclp_mode=cclp_mode)
+    return score_matrix(A, degree_vector(A), method, range(A.n), range(A.n), cclp_mode)
 
 
 def fig_toy(ts=10):
@@ -79,7 +79,7 @@ class TestTlpss:
             toy = random_toy(seed, max_nodes=25)
             params = DecayParams(p=float(np.random.default_rng(seed).uniform(0.5, 8)), q=0.0)
             _, A, D = production_stack(toy, params)
-            m = score_matrix(A, D, MethodId.TLPSS, latent_params=params)
+            m = score_matrix(A, D, MethodId.TLPSS, range(A.n), range(A.n))
             W = A.weight_csr
             rng = np.random.default_rng(seed + 7)
             for x, y in sample_pairs(rng, toy.n, 8):
@@ -92,7 +92,7 @@ class TestTlpss:
         for seed in range(10):
             toy = random_toy(seed + 60, max_nodes=20)
             _, A, D = production_stack(toy, PARAMS)
-            m = score_matrix(A, D, MethodId.TLPSS, latent_params=PARAMS)
+            m = score_matrix(A, D, MethodId.TLPSS, range(A.n), range(A.n))
             P = A.indicator_csr
             common = (P @ P).toarray()
             rng = np.random.default_rng(seed)
@@ -237,18 +237,11 @@ class TestScoreAll:
         n = A.n
         for method in ALL_METHODS:
             for r0, r1 in ((0, n), (0, 1), (3, 11), (n - 1, n), (n, n)):
-                run = score_matrix(A, D, method, latent_params=PARAMS, rows=range(r0, r1))
-                nodes = score_matrix(
-                    A, D, method, latent_params=PARAMS,
-                    rows=np.arange(r0, r1), cols=np.arange(r0, n),
-                )
+                run = score_matrix(A, D, method, range(r0, r1), range(r0, n))
+                nodes = score_matrix(A, D, method, np.arange(r0, r1), np.arange(r0, n))
                 assert run.shape == (r1 - r0, n - r0) and np.array_equal(run, nodes)
-            run = score_matrix(
-                A, D, method, latent_params=PARAMS, rows=range(2, 9), cols=range(4, n)
-            )
-            nodes = score_matrix(
-                A, D, method, latent_params=PARAMS, rows=np.arange(2, 9), cols=np.arange(4, n)
-            )
+            run = score_matrix(A, D, method, range(2, 9), range(4, n))
+            nodes = score_matrix(A, D, method, np.arange(2, 9), np.arange(4, n))
             assert np.array_equal(run, nodes)
             A.operands.clear()
 
@@ -263,26 +256,28 @@ class TestScoreAll:
         )
         for bad in bad_nodes:
             with pytest.raises(ValueError, match="^rows "):
-                score_matrix(A, D, cn, rows=bad, cols=nodes)
+                score_matrix(A, D, cn, bad, nodes)
             with pytest.raises(ValueError, match="^cols "):
-                score_matrix(A, D, cn, rows=nodes, cols=bad)
+                score_matrix(A, D, cn, nodes, bad)
         for bad in (range(2, 5), range(3, 1), range(-1, 2), range(0, 4, 2)):
             with pytest.raises(ValueError, match="^rows "):
-                score_matrix(A, D, cn, rows=bad)
-        for bad in ([-1], [16], [3, 100]):
+                score_matrix(A, D, cn, bad, range(4))
+            with pytest.raises(ValueError, match="^cols "):
+                score_matrix(A, D, cn, range(4), bad)
+        # keys out of range, not integers (never rounded to a key) or not 1-D
+        bad_keys = ([-1], [16], [3, 100], [1.7, 2.2], [[1, 2]], [True, False])
+        for bad in bad_keys:
             with pytest.raises(ValueError, match="^keys "):
                 scoring.score_pairs(A, D, cn, np.array(bad))
         # the first and last node, and the first and last key, are in
-        full = score_matrix(A, D, cn)
-        assert np.array_equal(score_matrix(A, D, cn, rows=nodes, cols=nodes), full[0::3, 0::3])
+        full = score_matrix(A, D, cn, range(4), range(4))
+        assert np.array_equal(score_matrix(A, D, cn, nodes, nodes), full[0::3, 0::3])
         assert np.array_equal(scoring.score_pairs(A, D, cn, np.array([0, 15])), [0.0, 0.0])
 
     def test_unknown_method_rejected(self):
         _, A, D = production_stack(fig_toy(), PARAMS)
         with pytest.raises(ConfigError):
-            score_matrix(A, D, "TLPSS", latent_params=PARAMS)
-        with pytest.raises(ConfigError):
-            score_matrix(A, D, MethodId.TLPSS)  # no decay parameters for latent weights
+            score_matrix(A, D, "TLPSS", range(A.n), range(A.n))
 
 
 class TestOracleAgreement:
@@ -295,7 +290,7 @@ class TestOracleAgreement:
             rng = np.random.default_rng(seed)
             pairs = sample_pairs(rng, toy.n, 8)
             for method in ALL_METHODS:
-                m = score_matrix(A, D, method, latent_params=params)
+                m = score_matrix(A, D, method, range(A.n), range(A.n))
                 for x, y in pairs:
                     got = m[x, y]
                     ref = naive_score(method, toy, params, x, y)

@@ -30,9 +30,11 @@ from tlpss.adjacency import (
     pair_layout,
 )
 from tlpss.decay import DecayParams, ExpDecayParams, decay_floor
-from tlpss.edges import SnapshotConfig, TemporalEdgeList, normalize, snapshot_index
+from tlpss.edges import SnapshotConfig, normalize, snapshot_index
 from tlpss.oracle import ToyGraph, random_decay, random_toy
 from tlpss.scoring import MethodId, score_bound, score_matrix, score_pairs
+
+from conftest import edge_list
 
 
 def loop_lcl(A):
@@ -113,9 +115,9 @@ def loop_latent(A, params, chunk=4_000_000):
 
 
 def stack(toy, params):
-    lst = normalize(TemporalEdgeList.from_records(toy.edges, toy.n))
+    lst = normalize(edge_list(toy.edges, toy.n))
     cfg = SnapshotConfig(period=toy.period)
-    A = build_adjacency(lst, snapshot_index(lst.t_max, cfg), params, cfg)
+    A = build_adjacency(lst, snapshot_index(lst.t_max, cfg), params, cfg, pair_layout(lst))
     return A, degree_vector(A)
 
 
@@ -166,12 +168,11 @@ def check_graph(toy, params):
     got = scoring._block(*scoring._lcl_incidence(A), range(A.n), range(A.n))
     np.fill_diagonal(got, 0.0)
     assert np.array_equal(got, lcl)
-    assert_same_csr(latent_matrix(A, params), loop_latent(A, params))
+    assert_same_csr(latent_matrix(A), loop_latent(A, params))
     car, cclp = car_and_global_cclp(A, D, lcl)
-    assert np.array_equal(score_matrix(A, D, MethodId.CAR_ASF), car)
-    assert np.array_equal(
-        score_matrix(A, D, MethodId.CCLP_ASF, cclp_mode="global"), cclp
-    )
+    nodes = range(A.n)
+    assert np.array_equal(score_matrix(A, D, MethodId.CAR_ASF, nodes, nodes), car)
+    assert np.array_equal(score_matrix(A, D, MethodId.CCLP_ASF, nodes, nodes, "global"), cclp)
 
 
 @pytest.mark.parametrize("block", range(3))
@@ -202,14 +203,14 @@ PLAN_PARAMS = [
 
 def check_plan(toy, chunk=4_000_000):
     """One plan, the layout's, for every parameter set of one train list."""
-    lst = normalize(TemporalEdgeList.from_records(toy.edges, toy.n))
+    lst = normalize(edge_list(toy.edges, toy.n))
     cfg = SnapshotConfig(period=toy.period)
     T = snapshot_index(lst.t_max, cfg)
     layout = pair_layout(lst)
     plans = []
     for params in PLAN_PARAMS:
-        A = build_adjacency(lst, T, params, cfg, layout=layout)
-        assert_same_csr(latent_matrix(A, params), loop_latent(A, params, chunk))
+        A = build_adjacency(lst, T, params, cfg, layout)
+        assert_same_csr(latent_matrix(A), loop_latent(A, params, chunk))
         plans.append(vars(layout).get("latent_plan"))
     # not built for q = 0, then built once and kept
     assert plans[0] is None
@@ -251,21 +252,21 @@ def test_plan_with_many_chunks_and_blocks(monkeypatch):
     # each set's rows are whole and in order, and own their cells
     counts = np.concatenate([counts for counts, _, _ in plan.sets])
     assert len(counts) == A.n
-    assert counts.sum() == latent_matrix(A, PLAN_PARAMS[1]).nnz
+    assert counts.sum() == latent_matrix(A).nnz
 
 
 
 def check_streamed(toy, params_list=PLAN_PARAMS):
     """A layout that keeps no plan gives the kept plan's latent matrices and
     cell sums bit for bit under every parameter set, and never holds a plan."""
-    lst = normalize(TemporalEdgeList.from_records(toy.edges, toy.n))
+    lst = normalize(edge_list(toy.edges, toy.n))
     cfg = SnapshotConfig(period=toy.period)
     T = snapshot_index(lst.t_max, cfg)
     kept, streamed = pair_layout(lst), pair_layout(lst, keep_plan=False)
     for params in params_list:
-        A = build_adjacency(lst, T, params, cfg, layout=kept)
-        B = build_adjacency(lst, T, params, cfg, layout=streamed)
-        assert_same_csr(latent_matrix(B, params), latent_matrix(A, params))
+        A = build_adjacency(lst, T, params, cfg, kept)
+        B = build_adjacency(lst, T, params, cfg, streamed)
+        assert_same_csr(latent_matrix(B), latent_matrix(A))
         if decay_floor(params) > 0:
             plan = LatentPlan(streamed)
             assert all(isinstance(item, range) for item in plan.sets)
@@ -297,8 +298,7 @@ def test_streamed_plan_with_many_chunks_and_blocks(monkeypatch, workers):
         sys.setswitchinterval(interval)
     repeated = repeated_cells(plan)
     assert len(repeated) > 12 and np.count_nonzero(repeated) > len(repeated) / 2
-    params = PLAN_PARAMS[1]
-    assert_same_csr(latent_matrix(A, params), loop_latent(A, params, chunk=5_000))
+    assert_same_csr(latent_matrix(A), loop_latent(A, PLAN_PARAMS[1], chunk=5_000))
 
 
 @pytest.mark.parametrize("keep_plan", [True, False], ids=["kept", "streamed"])
@@ -310,11 +310,10 @@ def test_first_row_set_lands_first_when_it_finishes_last(monkeypatch, keep_plan)
     monkeypatch.setattr(adjacency, "_workers", lambda: 3)
     params = DecayParams(p=3.0, q=1.0)
     toy = hub_graph()
-    lst = normalize(TemporalEdgeList.from_records(toy.edges, toy.n))
+    lst = normalize(edge_list(toy.edges, toy.n))
     cfg = SnapshotConfig(period=toy.period)
     A = build_adjacency(
-        lst, snapshot_index(lst.t_max, cfg), params, cfg,
-        layout=pair_layout(lst, keep_plan=keep_plan),
+        lst, snapshot_index(lst.t_max, cfg), params, cfg, pair_layout(lst, keep_plan)
     )
     plan = LatentPlan(pair_layout(lst))
     # the first set's cells take sums from several chunks; a block's link
@@ -336,7 +335,7 @@ def test_first_row_set_lands_first_when_it_finishes_last(monkeypatch, keep_plan)
         return run_sums(wt, mu, block)
 
     monkeypatch.setattr(adjacency, "_run_sums", first_finishes_last)
-    assert_same_csr(latent_matrix(A, params), loop_latent(A, params, chunk=5_000))
+    assert_same_csr(latent_matrix(A), loop_latent(A, params, chunk=5_000))
     assert summed == [False] * (len(plan.sets) - 1) + [True]
 
 
@@ -357,13 +356,11 @@ def check_blocks(toy, params, rng):
     blocks = uneven_blocks(A.n, rng)
     assert any(r1 - r0 == 1 for r0, r1 in blocks) and len(blocks) > 2
     for method, mode in SCORINGS:
-        full = score_matrix(A, D, method, latent_params=params, cclp_mode=mode)
+        full = score_matrix(A, D, method, range(A.n), range(A.n), mode)
         # each block builds its operands itself, as evaluation does
         A.operands.clear()
         for r0, r1 in blocks:
-            block = score_matrix(
-                A, D, method, latent_params=params, cclp_mode=mode, rows=range(r0, r1)
-            )
+            block = score_matrix(A, D, method, range(r0, r1), range(r0, A.n), mode)
             assert np.array_equal(block, full[r0:r1, r0:]), (method, mode, r0, r1)
         A.operands.clear()
 
@@ -373,10 +370,7 @@ def test_block_is_the_upper_trapezoid_with_a_zero_diagonal():
     n = A.n
     for method, mode in SCORINGS:
         for r0, r1 in ((0, 1), (0, 7), (5, 40), (n - 3, n), (n, n)):
-            block = score_matrix(
-                A, D, method, latent_params=DecayParams(p=3.0, q=1.0),
-                cclp_mode=mode, rows=range(r0, r1),
-            )
+            block = score_matrix(A, D, method, range(r0, r1), range(r0, n), mode)
             assert block.shape == (r1 - r0, n - r0)
             # block cell (a, a) is pair (r0 + a, r0 + a)
             assert np.all(np.diagonal(block) == 0), (method, mode, r0, r1)
@@ -412,14 +406,10 @@ def test_worker_count_changes_no_bit(monkeypatch):
         for workers in (1, 2, 3):
             monkeypatch.setattr(adjacency, "_workers", lambda: workers)
             A, D = stack(hub_graph(), params)
-            got = [latent_matrix(A, params)]
+            got = [latent_matrix(A)]
             for method, mode in SCORINGS:
-                for rows in (None, range(0, 1), range(0, 250), range(250, A.n)):
-                    got.append(
-                        score_matrix(
-                            A, D, method, latent_params=params, cclp_mode=mode, rows=rows
-                        )
-                    )
+                for r0, r1 in ((0, A.n), (0, 1), (0, 250), (250, A.n)):
+                    got.append(score_matrix(A, D, method, range(r0, r1), range(r0, A.n), mode))
                 A.operands.clear()
             results.append(got)
     finally:
@@ -641,7 +631,7 @@ def test_sparse_transposed_half_of_tlpss_equals_whole_matrix(monkeypatch):
     params = DecayParams(p=3.0, q=1.0)
     A, D = stack(hub_graph(), params)
     n, P = A.n, A.indicator_csr
-    full = score_matrix(A, D, MethodId.TLPSS, latent_params=params)
+    full = score_matrix(A, D, MethodId.TLPSS, range(n), range(n))
     ((_, M),) = A.operands.values()
     assert (M != M.T).nnz > 0
     whole = scoring._block(M, P, range(n), range(n))
@@ -649,7 +639,7 @@ def test_sparse_transposed_half_of_tlpss_equals_whole_matrix(monkeypatch):
     assert not np.array_equal(whole, whole.T)
     for r0, r1 in ((1, 2), (97, 350), (350, n)):
         assert np.array_equal(transposed_half(M, P, r0, r1, False), whole.T[r0:r1, r0:])
-        block = score_matrix(A, D, MethodId.TLPSS, latent_params=params, rows=range(r0, r1))
+        block = score_matrix(A, D, MethodId.TLPSS, range(r0, r1), range(r0, n))
         assert np.array_equal(block, full[r0:r1, r0:]), (r0, r1)
     A.operands.clear()
 
@@ -667,10 +657,8 @@ def test_scoring_routes_give_the_same_matrices(monkeypatch):
         )
         got = []
         for method, mode in SCORINGS:
-            for rows in (None, range(0, 1), range(0, 250), range(250, A.n)):
-                got.append(
-                    score_matrix(A, D, method, latent_params=params, cclp_mode=mode, rows=rows)
-                )
+            for r0, r1 in ((0, A.n), (0, 1), (0, 250), (250, A.n)):
+                got.append(score_matrix(A, D, method, range(r0, r1), range(r0, A.n), mode))
             A.operands.clear()
         assert bool(calls) == bool(ratio)
         results.append(got)
@@ -686,21 +674,19 @@ def check_pairs_and_index_blocks(toy, params, rng):
     ii, jj = np.triu_indices(n, k=1)
     keys = ii * n + jj
     for method, mode in SCORINGS:
-        full = score_matrix(A, D, method, latent_params=params, cclp_mode=mode)
+        full = score_matrix(A, D, method, range(n), range(n), mode)
         A.operands.clear()
         assert np.array_equal(full, full.T), (method, mode)
-        got = score_pairs(A, D, method, keys, latent_params=params, cclp_mode=mode)
+        got = score_pairs(A, D, method, keys, mode)
         assert np.array_equal(got, full[ii, jj]), (method, mode)
         # in draw order, with repeats and both orientations
         pick = rng.integers(0, len(keys), size=min(len(keys), 50))
         flipped = jj[pick] * n + ii[pick]
-        got = score_pairs(A, D, method, flipped, latent_params=params, cclp_mode=mode)
+        got = score_pairs(A, D, method, flipped, mode)
         assert np.array_equal(got, full[ii[pick], jj[pick]]), (method, mode)
         rows = rng.permutation(n)[: rng.integers(1, n + 1)]
         cols = rng.permutation(n)[: rng.integers(1, n + 1)]
-        block = score_matrix(
-            A, D, method, latent_params=params, cclp_mode=mode, rows=rows, cols=cols
-        )
+        block = score_matrix(A, D, method, rows, cols, mode)
         assert np.array_equal(block, full[np.ix_(rows, cols)]), (method, mode)
         bound = score_bound(A, D, method, mode)
         A.operands.clear()
@@ -759,7 +745,7 @@ def test_transposed_half_takes_the_route_of_its_own_count(monkeypatch):
     sparse, and the block keeps the whole matrix's bits."""
     params = DecayParams(p=3.0, q=1.0)
     A, D = stack(hub_graph(), params)
-    full = score_matrix(A, D, MethodId.TLPSS, latent_params=params)
+    full = score_matrix(A, D, MethodId.TLPSS, range(A.n), range(A.n))
     A.operands.clear()
     monkeypatch.setattr(scoring, "_DENSE_RATIO", 4)
     routes = []
@@ -772,7 +758,7 @@ def test_transposed_half_takes_the_route_of_its_own_count(monkeypatch):
             return kernel(*args)
 
         monkeypatch.setattr(scoring, name, recorded)
-    block = score_matrix(A, D, MethodId.TLPSS, latent_params=params, rows=range(0, 10))
+    block = score_matrix(A, D, MethodId.TLPSS, range(0, 10), range(0, A.n))
     A.operands.clear()
     assert set(routes) == {("_dense_rows", False), ("_sparse_rows", True)}
     assert np.array_equal(block, full[0:10, 0:])
