@@ -55,7 +55,7 @@ __all__ = [
 # each latent cell's terms are added, and so its bits.
 _CHUNK = 4_000_000
 # The most work one task of pool_map holds (see parts): a latent row set's
-# two-hop terms, a row part's cells or product entries, a pair part's
+# two-hop terms, a row part's cells, those its rows write, a pair part's
 # looked-up terms, and the column indices scoring counts at once.  Memory a
 # worker thread frees stays in that thread's glibc arena, so tasks must be
 # small for it to be reused: products cut in halves took the sweep-q-hubs

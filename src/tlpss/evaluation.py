@@ -82,12 +82,12 @@ AUC_SAMPLES = 672_400
 class CandidateSet:
     """Positive pairs (sorted), sampled (draw order) or exhaustive (sorted)
     negative pairs, all as :func:`~tlpss.edges.pair_key` keys, and the size
-    of the full negative universe the negatives were drawn from."""
+    of the full negative universe the negatives were drawn from; the
+    negatives are exhaustive when there are ``universe_size`` of them."""
 
     positives: np.ndarray
     sampled_negatives: np.ndarray
     universe_size: int
-    exhaustive: bool
 
 
 @dataclass(frozen=True)
@@ -174,8 +174,7 @@ def build_candidates(
     if max_negatives < 1:
         raise EvaluationError("negative sample budget must be at least 1")
 
-    exhaustive = universe_size <= max_negatives
-    if exhaustive:
+    if universe_size <= max_negatives:
         chosen = _first_unlinked(n, linked, universe_size)
     else:
         # Draw batches of node pairs; keep each unlinked pair the first time
@@ -196,12 +195,7 @@ def build_candidates(
                 chosen = np.concatenate([chosen, new])
                 new = np.sort(new)
                 excluded = np.insert(excluded, np.searchsorted(excluded, new), new)
-    return CandidateSet(
-        positives=positives,
-        sampled_negatives=chosen,
-        universe_size=universe_size,
-        exhaustive=exhaustive,
-    )
+    return CandidateSet(positives=positives, sampled_negatives=chosen, universe_size=universe_size)
 
 
 def _mid_ranks(x: np.ndarray) -> np.ndarray:

@@ -12,9 +12,10 @@ of rows by columns, each a ``range`` of nodes or an index array, built
 from sparse matrix products over the adjacency, so that evaluation can
 walk the pairs i < j a block at a time.  TLPSS's latent weights are those
 of the adjacency's own decay, ``A.params``.  Every product is a block of
-rows by columns of one primitive, :func:`_block`, computed in row or pair
-parts cut by :func:`~tlpss.adjacency.parts`, at most ``_PART`` cells or
-terms each, on one thread per CPU the process may use
+rows by columns of one primitive, :func:`_block`, computed in row parts
+cut by :func:`~tlpss.adjacency.parts`, at most ``_PART`` cells each (a row
+costs its cells), or in pair parts of at most ``_PART`` terms looked up,
+on one thread per CPU the process may use
 (:func:`~tlpss.adjacency.pool_map`); a cell's bits do not depend on the
 parts or the threads.  A symmetric score's block ``s`` of ``M @ P`` gets
 its transposed half as the same product over the swapped rows and columns,
@@ -192,29 +193,27 @@ def _block(M, Y, rows, cols, dense=False, add_to=None):
     """Rows ``rows`` by columns ``cols`` (ranges or index arrays) of the
     dense ``M @ Y``, or with ``add_to`` that block added into the view
     ``add_to``, in row parts (:func:`~tlpss.adjacency.parts`) on the
-    threads of :func:`~tlpss.adjacency.pool_map`.  The sparse route
-    (:func:`_sparse_rows`) costs a row the smaller of its cells and its
-    terms, the most entries SciPy's product can hold for it; it adds each
-    cell's terms in the order of ``M``'s row, which a row or column
+    threads of :func:`~tlpss.adjacency.pool_map`.  A row costs the dense
+    cells it writes: on the sparse route (:func:`_sparse_rows`) its row of
+    the block, the most entries SciPy's product can hold for it, found
+    without a pass over the operand's entries; on the ``dense`` route
+    (:func:`_dense_rows`) ``M``'s row made dense.  The sparse route adds
+    each cell's terms in the order of ``M``'s row, which a row or column
     selection keeps, so the cells have the whole product's bits.  The
-    ``dense`` route (:func:`_dense_rows`) costs a row the cells of ``M``'s
-    row it makes dense, and takes ``Y[:, cols]`` as the rows ``Y[cols]`` of
-    a symmetric ``Y``."""
+    ``dense`` route takes ``Y[:, cols]`` as the rows ``Y[cols]`` of a
+    symmetric ``Y``."""
     out = np.empty((len(rows), len(cols))) if add_to is None else add_to
     add = add_to is not None
     if dense:
         kernel = partial(_dense_rows, M, rows, _take(Y, cols), out, add)
-        before = np.arange(len(rows) + 1) * M.shape[1]
+        width = M.shape[1]
     else:
         X = _take(M, rows)
         if not (isinstance(cols, range) and len(cols) == Y.shape[1]):
             Y = Y[:, _at(cols)]
         kernel = partial(_sparse_rows, X, Y, out, add)
-        # the product's terms before each row: an entry (i, k) of X has one
-        # term per entry of Y's row k
-        terms = np.r_[0, np.cumsum(np.diff(Y.indptr)[X.indices])][X.indptr]
-        before = np.r_[0, np.cumsum(np.minimum(np.diff(terms), len(cols)))]
-    list(pool_map(kernel, parts(before)))
+        width = len(cols)
+    list(pool_map(kernel, parts(np.arange(len(rows) + 1) * width)))
     return out
 
 

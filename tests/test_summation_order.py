@@ -10,12 +10,15 @@ under every parameter set, and that neither row blocks, row parts, the
 number of worker threads nor the route a product by the adjacency indicator
 takes changes a bit.  Blocks of node indices and ``score_pairs``, which adds
 each pair's terms with ``np.bincount``, give the whole matrix's bits too.
+Row parts cost a row its cells, so cutting a block allocates nothing the
+size of its operand's entries.
 """
 
 import signal
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -423,9 +426,9 @@ def block_in_parts(monkeypatch, X, Y, part_cells):
     """``scoring._block`` of all of ``X @ Y`` on the sparse route, on 3
     threads with ``_PART = part_cells``, checked against the one-call
     product; returns the row ranges of its parts, which must cover the rows
-    once each.  A row costs the smaller of its cells and its terms; a part
-    costs at most ``part_cells`` or is one row, and ends only where the
-    next row would not fit."""
+    once each.  A row costs its cells, ``Y.shape[1]``, whatever its terms;
+    a part costs at most ``part_cells`` or is one row, and ends only where
+    the next row would not fit."""
     monkeypatch.setattr(adjacency, "_PART", part_cells)
     monkeypatch.setattr(adjacency, "_workers", lambda: 3)
     parts = []
@@ -441,8 +444,7 @@ def block_in_parts(monkeypatch, X, Y, part_cells):
     parts.sort()
     bounds = [0] + [b for _, b in parts]
     assert [a for a, _ in parts] == bounds[:-1] and bounds[-1] == X.shape[0]
-    row_terms = (X != 0).astype(np.int64) @ np.diff(Y.indptr)
-    cost = np.minimum(row_terms, Y.shape[1])
+    cost = np.full(X.shape[0], Y.shape[1])
     for a, b in parts:
         assert a < b
         assert cost[a:b].sum() <= part_cells or b - a == 1
@@ -458,29 +460,50 @@ def random_csr(rng, rows, cols, density):
 
 def test_row_parts_equal_one_product(monkeypatch):
     rng = np.random.default_rng(61000)
-    # few terms per cell: the terms bound cuts parts of several rows, and a
-    # hub row with every entry is a part of its own
+    # far fewer terms than cells per row: a row still costs its 400 cells,
+    # so a part holds 1000 // 400 rows
     Y = random_csr(rng, 30, 400, 0.02)
-    X = random_csr(rng, 40, 30, 0.1).tolil()
-    X[9, :] = rng.random(30) + 0.5
-    parts = block_in_parts(monkeypatch, X.tocsr(), Y, 100)
-    assert (9, 10) in parts and len(parts) < 30
-    # many terms per cell: a row costs its cells, so a part holds 5 rows
-    # with entries and the empty rows among them (the first and last too)
+    X = random_csr(rng, 40, 30, 0.1)
+    assert block_in_parts(monkeypatch, X, Y, 1000) == [(r, r + 2) for r in range(0, 40, 2)]
+    # many terms per cell: a hub row with every entry and the empty rows
+    # (the first and last too) cost their 50 cells like any other, so a
+    # part holds 5 rows
     Y = random_csr(rng, 30, 50, 0.5)
     X = random_csr(rng, 40, 30, 0.3).tolil()
+    X[9, :] = rng.random(30) + 0.5
     for r in (0, 1, 2, 17, 18, 39):
         X[r, :] = 0
     X = X.tocsr()
     X.eliminate_zeros()
-    assert len(block_in_parts(monkeypatch, X, Y, 5 * 50)) == 7
+    assert block_in_parts(monkeypatch, X, Y, 5 * 50) == [(r, r + 5) for r in range(0, 40, 5)]
     # a one-row block
     assert block_in_parts(monkeypatch, random_csr(rng, 1, 30, 0.5), Y, 50) == [(0, 1)]
-    # no entries, so no terms: one part
-    assert block_in_parts(monkeypatch, sp.csr_matrix((12, 30)), Y, 50) == [(0, 12)]
+    # no entries, so no terms, but each row still writes its cells
+    assert block_in_parts(monkeypatch, sp.csr_matrix((12, 30)), Y, 100) == [
+        (r, r + 2) for r in range(0, 12, 2)
+    ]
     # more parts than rows would hold: one row per part
     X = random_csr(rng, 9, 30, 0.3)
     assert block_in_parts(monkeypatch, X, Y, 1) == [(r, r + 1) for r in range(9)]
+
+
+def test_sparse_block_allocates_nothing_per_operand_entry():
+    """Cutting a sparse-route block into parts allocates nothing the size
+    of its left operand's entries: a block of 5,000 rows by 8 columns of an
+    operand with 1.25M entries peaks near its 0.3 MB output."""
+    rng = np.random.default_rng(61001)
+    X = random_csr(rng, 5000, 5000, 0.05)
+    X.sort_indices()
+    Y = random_csr(rng, 5000, 5000, 0.002)
+    expected = (X @ Y[:, :8]).toarray()
+    tracemalloc.start()
+    try:
+        got = scoring._block(X, Y, range(0, 5000), range(0, 8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, expected)
+    assert peak < X.nnz * 2
 
 
 def test_interrupt_cancels_the_parts_not_started(monkeypatch):
