@@ -15,8 +15,8 @@ built once per train list and shared by every decay parameter set: the
 :class:`LatentPlan` of the two-hop pass behind the latent weights.  A
 layout made for one adjacency alone (``keep_plan=False``, as evaluation
 under one decay setting makes it) keeps no plan: each latent pass finds
-the plan's row sets, each with its own latent cells, sums them and drops
-them.  The caller makes the layout, and so sets the plan's lifetime:
+the plan's row sets, each with its own latent cells, weighs them and drops
+them.  The caller makes the layout, which keeps the plan as long as it lives:
 ``A = build_adjacency(train, T, params, cfg, pair_layout(train, keep_plan))``.
 ``A`` keeps its decay as ``A.params``, and ``latent_matrix(A)`` takes its
 floor from it, so edge weights and latent floor come from one ``q``.
@@ -154,7 +154,7 @@ class PairLayout:
     @cached_property
     def latent_plan(self) -> "LatentPlan":
         """The two-hop plan of :func:`latent_matrix` for adjacencies of this
-        layout, cached until popped from ``vars(layout)``."""
+        layout, built on first use and kept with the layout."""
         return LatentPlan(self)
 
 
@@ -295,16 +295,17 @@ class LatentPlan:
     diagonal nor a linked pair.  A set's block stores each kept term, chunk
     by chunk in each chunk's order, as the two positions of its links in
     ``weight_csr.data``, and each run's cell and length: about 8 bytes per
-    kept term and 8 per run.  A set adds its
-    cells' chunk sums in chunk order; the sets are found and summed on the
-    threads of :func:`pool_map` and joined in row order, so the bits do not
-    depend on the number of threads.
+    kept term and 8 per run.  A set adds its cells' chunk sums in chunk
+    order and weighs them; the sets are found and weighed on the threads of
+    :func:`pool_map` and joined in row order, so the bits do not depend on
+    the number of threads.
 
-    A plan of a layout that keeps it (:attr:`PairLayout.keep_plan`) finds
-    its :attr:`sets` at once and sums them under every adjacency it serves.
-    In any other plan each item of ``sets`` is a set's row range, and
-    :meth:`cells` finds the set, sums it and drops it in one task: the same
-    kernels, the same bits, and no more than one set per thread in memory.
+    :attr:`rows` holds the sets' row ranges.  A plan of a layout that keeps
+    it (:attr:`PairLayout.keep_plan`) finds its :attr:`sets` at once and
+    weighs them under every adjacency it serves.  In any other plan
+    ``sets`` is ``rows``, and :meth:`cells` finds a set, weighs it and
+    drops it in one task: the same kernels, the same bits, and no more than
+    one set per thread in memory.
     """
 
     def __init__(self, layout: PairLayout):
@@ -352,27 +353,37 @@ class LatentPlan:
 
         # a kept plan drops find, which holds three int64 arrays per link entry
         self._find = None if layout.keep_plan else find
+        self.rows = ranges
         self.sets = list(pool_map(find, ranges)) if layout.keep_plan else ranges
 
     def cells(self, A: WeightedAdjacency) -> tuple[np.ndarray, ...]:
         """The latent cells as a CSR structure, ``indptr`` and ``indices``,
-        and each cell's sum of terms under ``A``'s weights, added in the
-        pass's order: term by term within a chunk, then chunk by chunk."""
+        and each cell's weight under ``A`` (see :func:`latent_matrix`), its
+        terms added in the pass's order: term by term within a chunk, then
+        chunk by chunk."""
         wt = A.weight_csr.data
         mu = A.mult.astype(np.float64)
+        floor = decay_floor(A.params)
+        deg = np.diff(A.weight_csr.indptr)
 
-        def set_sums(item):
+        def set_weights(task):
             # a plan that keeps no sets gets a row range, and drops the set's
             # block once it is summed; bincount adds each cell's run sums to
             # 0.0 one after another, in chunk order (and is int64 if empty)
+            rows, item = task
             counts, cols, block = self._find(item) if isinstance(item, range) else item
             sums = np.bincount(block[2], _run_sums(wt, mu, block), len(cols))
-            return counts, cols, sums.astype(np.float64, copy=False)
+            sums = sums.astype(np.float64, copy=False)
+            # in place, each cell rounded as floor * sum / float(min_degree)
+            sums *= floor
+            sums /= np.minimum(np.repeat(deg[rows.start : rows.stop], counts), deg[cols])
+            return counts, cols, sums
 
         # each set copied here as it comes: memory a worker thread frees
         # stays in its allocator arena, and worker-made arrays held to the
         # end raised the 4k-node evaluate's peak RSS
-        parts = [[a.copy() for a in part] for part in pool_map(set_sums, self.sets)]
+        tasks = list(zip(self.rows, self.sets))
+        parts = [[a.copy() for a in part] for part in pool_map(set_weights, tasks)]
         counts, cols, sums = (np.concatenate(p) for p in zip(*parts))
         return np.r_[0, np.cumsum(counts)], cols, sums
 
@@ -448,23 +459,13 @@ def latent_matrix(A: WeightedAdjacency) -> sp.csr_matrix:
     cell is strictly below the floor.  Supported exactly on pairs at graph
     distance two.  The two-hop bookkeeping is ``A.layout.latent_plan``, done
     once for every adjacency of a train list, or for a layout that keeps no
-    plan a :class:`LatentPlan` streamed for this call alone.
+    plan a :class:`LatentPlan` streamed for this call alone, whose row sets
+    weigh their own cells (:meth:`LatentPlan.cells`).
     """
     n = A.n
-    floor = decay_floor(A.params)
-    if floor == 0.0:
+    if decay_floor(A.params) == 0.0:
         return sp.csr_matrix((n, n), dtype=np.float64)
     layout = A.layout
     plan = layout.latent_plan if layout.keep_plan else LatentPlan(layout)
     indptr, indices, data = plan.cells(A)
-    deg = np.diff(A.weight_csr.indptr)
-    # in place, each cell rounded as floor * sum / float(min_degree), one
-    # row part at a time so that no array holds a degree per cell
-    for rows in parts(indptr):
-        r0, r1 = rows.start, rows.stop
-        cells = slice(indptr[r0], indptr[r1])
-        min_degree = np.repeat(deg[r0:r1], np.diff(indptr[r0 : r1 + 1]))
-        np.minimum(min_degree, deg[indices[cells]], out=min_degree)
-        data[cells] *= floor
-        data[cells] /= min_degree
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))

@@ -390,9 +390,7 @@ def _method_top(A, D, method, *, cclp_mode, top_l, auc_keys, train_keys):
 
 
 def _decay_dict(params: DecayParams | ExpDecayParams) -> dict:
-    if isinstance(params, DecayParams):
-        return {"mode": "asf", "p": params.p, "q": params.q, "a": params.a}
-    return {"mode": "exp", "theta": params.theta}
+    return {"mode": "asf" if isinstance(params, DecayParams) else "exp", **asdict(params)}
 
 
 def _run(
@@ -443,7 +441,7 @@ def _run(
     }
     snapshot = {"period": cfg.period, "origin": cfg.origin}
     reports = []
-    for k, decay in enumerate(decays):
+    for decay in decays:
         A = build_adjacency(split.train, reference, decay, cfg, layout, agg)
         D = degree_vector(A)
         for method in methods:
@@ -452,10 +450,6 @@ def _run(
                 auc_keys=auc_keys, train_keys=layout.keys,
             )
             A.operands.clear()
-            # a kept latent plan serves TLPSS under every parameter set; it
-            # is freed once TLPSS is scored for the last one
-            if method is MethodId.TLPSS and k == len(decays) - 1:
-                vars(layout).pop("latent_plan", None)
             pos_scores, neg_scores = scores[: len(positives)], scores[len(positives) :]
             n_pairs = len(pos_scores) * len(neg_scores)
             sampled = auc_samples if n_pairs > auc_exhaustive_limit else None

@@ -197,30 +197,30 @@ def _block(M, Y, rows, cols, dense=False, add_to=None):
     cells it writes: on the sparse route (:func:`_sparse_rows`) its row of
     the block, the most entries SciPy's product can hold for it, found
     without a pass over the operand's entries; on the ``dense`` route
-    (:func:`_dense_rows`) ``M``'s row made dense.  The sparse route adds
-    each cell's terms in the order of ``M``'s row, which a row or column
-    selection keeps, so the cells have the whole product's bits.  The
-    ``dense`` route takes ``Y[:, cols]`` as the rows ``Y[cols]`` of a
-    symmetric ``Y``."""
+    (:func:`_dense_rows`) ``M``'s row made dense.  Each part takes its own
+    rows of ``M``.  The sparse route adds each cell's terms in the order of
+    ``M``'s row, which a row or column selection keeps, so the cells have
+    the whole product's bits.  The ``dense`` route takes ``Y[:, cols]`` as
+    the rows ``Y[cols]`` of a symmetric ``Y``."""
     out = np.empty((len(rows), len(cols))) if add_to is None else add_to
     add = add_to is not None
     if dense:
         kernel = partial(_dense_rows, M, rows, _take(Y, cols), out, add)
         width = M.shape[1]
     else:
-        X = _take(M, rows)
         if not (isinstance(cols, range) and len(cols) == Y.shape[1]):
             Y = Y[:, _at(cols)]
-        kernel = partial(_sparse_rows, X, Y, out, add)
+        kernel = partial(_sparse_rows, M, rows, Y, out, add)
         width = len(cols)
     list(pool_map(kernel, parts(np.arange(len(rows) + 1) * width)))
     return out
 
 
-def _sparse_rows(X, Y, out, add, part):
-    """The rows ``part``, a range, of the dense ``X @ Y``, written to, or
-    added into, the same rows of ``out``."""
-    product = _take(X, part) @ Y
+def _sparse_rows(M, rows, Y, out, add, part):
+    """The rows ``part``, a range, of :func:`_block`'s sparse route: those
+    of the block's rows ``rows`` of ``M``, taken by this part alone, times
+    ``Y``, made dense and written to, or added into, ``out[part]``."""
+    product = _take(M, rows[_at(part)]) @ Y
     if add:
         # out is a block's transpose: adding in the block's own layout
         # writes its rows contiguously, where numpy would write its columns

@@ -547,7 +547,8 @@ class TestSweep:
             ]
         assert len(builds) == 1 + sum(replace(params, **{param: v}).q > 0 for v in values)
 
-    def test_plan_freed_once_tlpss_is_scored_for_the_last_value(self, monkeypatch):
+    def test_plan_kept_by_its_layout_for_every_value(self, monkeypatch):
+        builds = count_plan_builds(monkeypatch)
         calls = []
         layouts = []
         adjacencies = []
@@ -579,16 +580,17 @@ class TestSweep:
         assert not layouts[-1].keep_plan
         assert "latent_plan" not in vars(layouts[-1])
         calls.clear()
+        builds.clear()
         swept = len(layouts)
         sweep(lst, "q", [1.0, 2.0], **kwargs)
         tlpss = [t for t, (method, _) in enumerate(calls) if method is MethodId.TLPSS]
-        assert len(tlpss) == 2 * blocks
-        # the plan is kept up to TLPSS's last block and freed after it
-        assert all(has_plan for _, has_plan in calls[: tlpss[-1] + 1])
-        assert calls[tlpss[-1] + 1 :]
-        assert not any(has_plan for _, has_plan in calls[tlpss[-1] + 1 :])
+        assert len(tlpss) == 2 * blocks and tlpss[-1] + 1 < len(calls)
+        # one plan, built for TLPSS's first block and held for every block
+        # of every value, and still the layout's when the sweep returns
+        assert len(builds) == 1
+        assert all(has_plan for _, has_plan in calls)
         assert len({id(layout) for layout in layouts[swept:]}) == 1
-        assert "latent_plan" not in vars(layouts[-1])
+        assert vars(layouts[-1])["latent_plan"] is builds[0]
         # each method's row-independent operands are dropped after its last block
         assert all(A.operands == {} for A in adjacencies)
 

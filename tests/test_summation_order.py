@@ -11,7 +11,8 @@ number of worker threads nor the route a product by the adjacency indicator
 takes changes a bit.  Blocks of node indices and ``score_pairs``, which adds
 each pair's terms with ``np.bincount``, give the whole matrix's bits too.
 Row parts cost a row its cells, so cutting a block allocates nothing the
-size of its operand's entries.
+size of its operand's entries, and each part takes its own operand rows, so
+no block's worth of them is copied.
 """
 
 import signal
@@ -434,9 +435,9 @@ def block_in_parts(monkeypatch, X, Y, part_cells):
     parts = []
     sparse_rows = scoring._sparse_rows
 
-    def record(X, Y, out, add, part):
+    def record(M, rows, Y, out, add, part):
         parts.append((part.start, part.stop))
-        sparse_rows(X, Y, out, add, part)
+        sparse_rows(M, rows, Y, out, add, part)
 
     monkeypatch.setattr(scoring, "_sparse_rows", record)
     got = scoring._block(X, Y, range(X.shape[0]), range(Y.shape[1]))
@@ -504,6 +505,29 @@ def test_sparse_block_allocates_nothing_per_operand_entry():
         tracemalloc.stop()
     assert np.array_equal(got, expected)
     assert peak < X.nnz * 2
+
+
+def test_sparse_block_copies_no_block_of_operand_rows(monkeypatch):
+    """Each part of a sparse-route block takes its own rows of the left
+    operand: rows 2600-4999 of an operand with 1.25M entries hold under
+    half of them, so a copy of all of them (12 bytes an entry) would peak
+    above 8 bytes an entry, where two threads' parts stay near 4."""
+    monkeypatch.setattr(adjacency, "_workers", lambda: 2)
+    X = sp.random(5000, 5000, density=0.05, format="csr", random_state=1)
+    Y = sp.random(5000, 512, density=0.01, format="csr", random_state=2)
+    X.sort_indices()
+    Y.sort_indices()
+    rows = range(2600, 5000)
+    entries = X.indptr[rows.stop] - X.indptr[rows.start]
+    out = np.zeros((len(rows), 512))
+    tracemalloc.start()
+    try:
+        scoring._block(X, Y, rows, range(0, 512), add_to=out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, (X[2600:5000] @ Y).toarray())
+    assert peak < 8 * entries
 
 
 def test_interrupt_cancels_the_parts_not_started(monkeypatch):
