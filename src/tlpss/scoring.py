@@ -220,15 +220,16 @@ def _sparse_rows(M, rows, Y, out, add, part):
     """The rows ``part``, a range, of :func:`_block`'s sparse route: those
     of the block's rows ``rows`` of ``M``, taken by this part alone, times
     ``Y``, made dense and written to, or added into, ``out[part]``."""
-    product = _take(M, rows[_at(part)]) @ Y
+    at = _at(part)
+    product = _take(M, rows[at]) @ Y
     if add:
         # out is a block's transpose: adding in the block's own layout
         # writes its rows contiguously, where numpy would write its columns
-        cols = out[_at(part)].T
+        cols = out[at].T
         cols += product.toarray().T
     else:
         # toarray(out=) zeroes the rows before writing them
-        product.toarray(out=out[_at(part)])
+        product.toarray(out=out[at])
 
 
 def _dense_rows(M, rows, Q, out, add, part):
