@@ -12,13 +12,15 @@ Pairs are handled as sorted int64 keys (:func:`tlpss.edges.pair_key`); a
 key is also the flat index of the pair's cell in the n x n score matrix.
 Evaluation never holds that matrix: for each method it walks blocks of an
 order of the nodes, rows [a0, a1) by columns [a0, k), at most
-``_BLOCK_CELLS`` cells each, gathers the positives' and negatives' scores
-that fall in each block, and merges the block's best cells into a running
-top L for precision@L.  The cut is the top's L-th score once it holds L
-cells, and 0 before.  Every walk offers the top, by one rule
-(:func:`_top_cells`), a block's best L cells of positive score at or above
-the cut.  A method without a per-node bound (JA, TLPSS, global CCLP) walks
-the nodes in order, the upper trapezoids, k = n.  CN, PA and CAR
+``_BLOCK_CELLS`` cells each and one at a time (a block is freed before the
+next is scored), gathers the positives' and negatives' scores that fall in
+each block, and merges the block's best cells into a running top L for
+precision@L.  The cut is the top's L-th score once it holds L cells, and
+0 before.  Every walk offers the top, by one rule (:func:`_top_cells`), a
+block's best L cells of positive score at or above the cut, found from a
+pool of at most L + ``adjacency._PART`` of the block's scores, never a
+copy of the block.  A method without a per-node bound (JA, TLPSS, global
+CCLP) walks the nodes in order, the upper trapezoids, k = n.  CN, PA and CAR
 (``S[x, y] <= (b[x] + b[y]) / 2``) and RA and local CCLP
 (``S[x, y] <= min(b[x], b[y])``, see :func:`~tlpss.scoring.score_bound`)
 walk their nodes by decreasing bound, the first block one row against every
@@ -40,6 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import adjacency
 from .adjacency import build_adjacency, degree_vector, pair_layout
 from .decay import DecayParams, ExpDecayParams
 from .edges import (
@@ -63,7 +66,9 @@ __all__ = [
 ]
 
 # Cells of the score matrix evaluation holds at once: one trapezoid block,
-# 16 MB of float64 per array of the block.
+# 16 MB of float64 per array of the block.  A walk frees each block before
+# it scores the next, and finds a block's top L from a pool of at most
+# L + adjacency._PART of its scores.
 _BLOCK_CELLS = 2**21
 
 # The relative margin by which a pair's bound must fall below the cut for
@@ -261,16 +266,29 @@ def _top_cells(flat: np.ndarray, L: int, floor: float, keys) -> np.ndarray:
     at the cut taken in ascending key order, ``keys(cells)`` giving their
     pair keys.  With at most L cells above the floor, all of them.  The
     floor is >= 0, so cells of score 0 and cells set to -inf are never
-    taken."""
+    taken.  The L-th score above the floor, the cut, is found from a pool
+    of at most L + ``_PART`` scores, never a copy of the block."""
     # most baselines score most cells 0, and partition degenerates on a
     # long run of equal values, so the cut is sought among the scores above
     # the floor
     above = flat > floor
-    pool = flat[above]
-    if len(pool) <= L:
+    count = np.count_nonzero(above)
+    if count <= L:
         return np.flatnonzero(above)
-    pool.partition(len(pool) - L)
-    cut = pool[len(pool) - L]
+    if count <= L + adjacency._PART:
+        pool = flat[above]
+    else:
+        # a part at a time, each offering the pool only its scores above the
+        # pool's L-th, which no score at or below can change
+        pool, low = np.empty(0), floor
+        for a in range(0, len(flat), adjacency._PART):
+            part = flat[a : a + adjacency._PART]
+            pool = np.concatenate([pool, part[part > low]])
+            if len(pool) > L:
+                pool = np.partition(pool, len(pool) - L)[len(pool) - L :]
+                low = pool[0]
+    del above
+    cut = np.partition(pool, len(pool) - L)[len(pool) - L]
     best = np.flatnonzero(flat >= cut)
     tied = flat[best] == cut
     ties = best[tied]
@@ -287,7 +305,9 @@ def _method_top(A, D, method, *, cclp_mode, top_l, auc_keys, train_keys):
 
     Rows are walked in blocks of at most ``_BLOCK_CELLS`` cells, rows
     ``[a0, a1)`` by columns ``[a0, k)`` of an order of the nodes, each
-    scored by :func:`score_matrix`.  The cut is the top's L-th score once
+    scored by :func:`score_matrix` once the previous block is freed, so the
+    walk holds one block and its top's pool of at most L + ``_PART``
+    scores (:func:`_top_cells`).  The cut is the top's L-th score once
     it holds L cells, 0 before, and every block offers the top, by one
     rule, its best L cells of positive score at or above the cut.  A method
     with a per-node bound (:func:`~tlpss.scoring.score_bound`) walks the
@@ -378,6 +398,8 @@ def _method_top(A, D, method, *, cclp_mode, top_l, auc_keys, train_keys):
         top_scores = np.concatenate([top_scores, flat[best]])
         keep = _top(top_keys, top_scores, top_l)
         top_keys, top_scores = top_keys[keep], top_scores[keep]
+        # no view of this block may outlive it into the next one's scoring
+        del block, flat, best
         a0 = a1
     if len(top_keys) < top_l:
         tail = _first_unlinked(n, np.union1d(train_keys, top_keys), top_l - len(top_keys))

@@ -382,11 +382,16 @@ def _score(A, D, method, cclp_mode, cells):
     if method is MethodId.CN_ASF:
         return cells.symmetric(W)
     if method is MethodId.JA_ASF:
-        # in place: where denom is 0, both nodes are isolated and cn is 0
+        # in place, a run of rows of at most _PART cells at a time (a pair
+        # is a row of one cell): where denom is 0, both nodes are isolated
+        # and cn is 0
         out = cells.symmetric(W)
-        wx, wy = cells.ends(w)
-        denom = wx + wy
-        np.divide(out, denom, out=out, where=denom > 0)
+        wx, wy = np.broadcast_arrays(*cells.ends(w))
+        step = max(1, adjacency._PART // max(1, out[:1].size))
+        for a in range(0, len(out), step):
+            denom = wx[a : a + step] + wy[a : a + step]
+            run = out[a : a + step]
+            np.divide(run, denom, out=run, where=denom > 0)
         return out
     if method is MethodId.PA_ASF:
         wx, wy = cells.ends(w)

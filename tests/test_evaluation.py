@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -1075,6 +1076,104 @@ class TestZeroTail:
                 for count in range(len(every) + 1):
                     got = evaluation._first_unlinked(n, excluded, count)
                     assert got.dtype == np.int64 and got.tolist() == free[:count].tolist()
+
+
+class TestOneBlock:
+    """A walk holds one score block at a time: no block that score_matrix
+    returned is alive when the next is scored."""
+
+    @pytest.mark.parametrize("method", [MethodId.TLPSS, MethodId.CN_ASF])
+    def test_each_block_is_freed_before_the_next(self, monkeypatch, method):
+        monkeypatch.setattr(evaluation, "_BLOCK_CELLS", 100)
+        blocks = []
+        score = evaluation.score_matrix
+
+        def held(*args):
+            assert all(block() is None for block in blocks)
+            out = score(*args)
+            blocks.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(evaluation, "score_matrix", held)
+        lst = toy_list(community_toy(seed=17))
+        (report,) = evaluate_methods(
+            lst, period=200.0, decay=DecayParams(p=3.0, q=1.0), methods=[method], seed=5,
+        )
+        # TLPSS walks the upper trapezoids, CN a first row and then blocks
+        # in bound order
+        assert len(blocks) > 10
+        assert all(block() is None for block in blocks)
+
+
+def copy_and_partition_top(flat, L, floor, keys):
+    """The top L cells above ``floor`` from a copy of every score above it,
+    partitioned whole: the selection ``_top_cells`` must keep."""
+    above = flat > floor
+    pool = flat[above]
+    if len(pool) <= L:
+        return np.flatnonzero(above)
+    pool.partition(len(pool) - L)
+    cut = pool[len(pool) - L]
+    best = np.flatnonzero(flat >= cut)
+    tied = flat[best] == cut
+    ties = best[tied]
+    room = L - (len(best) - len(ties))
+    if len(ties) > room:
+        ties = ties[np.argsort(keys(ties), kind="stable")]
+    return np.concatenate([best[~tied], ties[:room]])
+
+
+class TestTopCells:
+    """A block's top L cells come from a pool of at most L + _PART scores,
+    never a copy of the block, and are the cells a copy of every score
+    above the floor selects."""
+
+    def test_selection_equals_copy_and_partition(self, monkeypatch):
+        monkeypatch.setattr(adjacency, "_PART", 64)
+        rng = np.random.default_rng(29)
+        partition = np.partition
+        for size in (1, 63, 64, 65, 130, 500, 1001, 4099):
+            # long runs of ties, zeros and cells set to -inf
+            values = np.r_[0.0, -np.inf, 1.0, 2.0, 2.5, 3.0, rng.random(5) * 4.0]
+            flat = rng.choice(values, size, p=[0.3, 0.1] + [0.6 / 9] * 9)
+            flat[rng.random(size) < 0.2] = rng.random() * 4.0
+            perm = rng.permutation(size)
+
+            def keys(cells):
+                return perm[cells]
+
+            for L in (1, 7, 100):
+                for floor in (0.0, 1.5, flat.max() + 1.0):
+                    sizes = []
+
+                    def spy(a, kth, *args, **kwargs):
+                        sizes.append(len(a))
+                        return partition(a, kth, *args, **kwargs)
+
+                    with monkeypatch.context() as patched:
+                        patched.setattr(np, "partition", spy)
+                        got = evaluation._top_cells(flat, L, floor, keys)
+                    want = copy_and_partition_top(flat, L, floor, keys)
+                    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+                    above = np.count_nonzero(flat > floor)
+                    assert len(got) == min(L, above)
+                    # the cut is found only among more than L scores, and
+                    # from at most L + _PART of them at once
+                    assert bool(sizes) == (above > L), (size, L, floor)
+                    assert max(sizes, default=0) <= L + 64
+
+    def test_traced_memory_of_a_full_block(self):
+        flat = np.random.default_rng(31).random(2**21) + 0.5
+        tracemalloc.start()
+        try:
+            got = evaluation._top_cells(flat, 100, 0.0, lambda cells: cells)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a copy of the block's 2**21 scores above the floor is 16 MB
+        assert peak < 8 * 2**20
+        want = copy_and_partition_top(flat, 100, 0.0, lambda cells: cells)
+        assert got.tolist() == want.tolist()
 
 
 def test_peak_memory_below_half_a_dense_matrix():
