@@ -19,7 +19,9 @@ the plan's row sets, each with its own latent cells, weighs them and drops
 them.  The caller makes the layout, which keeps the plan as long as it lives:
 ``A = build_adjacency(train, T, params, cfg, pair_layout(train, keep_plan))``.
 ``A`` keeps its decay as ``A.params``, and ``latent_matrix(A)`` takes its
-floor from it, so edge weights and latent floor come from one ``q``.
+floor from it, so edge weights and latent floor come from one ``q``;
+``latent_matrix(A, w)`` gives TLPSS's operand ``(W + B)/w`` from the same
+row sets, each writing its rows of it, so ``B`` is never built whole.
 
 :func:`pool_map` runs kernels that release the GIL on one thread per CPU
 the process may use.  The latent plan's row sets and :mod:`tlpss.scoring`'s
@@ -36,6 +38,7 @@ from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .decay import DecayParams, ExpDecayParams, decay_floor, decay_weights
 from .edges import SnapshotConfig, TemporalEdgeList
@@ -293,12 +296,16 @@ class LatentPlan:
     at most ``_PART`` terms over all chunks or of one row, and each set
     finds its own cells, the union of its runs that fall on neither the
     diagonal nor a linked pair.  A set's block stores each kept term, chunk
-    by chunk in each chunk's order, as the two positions of its links in
-    ``weight_csr.data``, and each run's cell and length: about 8 bytes per
-    kept term and 8 per run.  A set adds its cells' chunk sums in chunk
-    order and weighs them; the sets are found and weighed on the threads of
-    :func:`pool_map` and joined in row order, so the bits do not depend on
-    the number of threads.
+    by chunk in each chunk's order, by its two links' positions in
+    ``weight_csr.data``, both in the centre's row: the first as int32, the
+    second as its offset from the first; and each run's cell and length.
+    The offsets, cells and lengths each take the narrowest integer type that
+    holds them (:func:`_narrow`), so a kept term costs 6 bytes and a run 4
+    where those fit in 16 bits, as on every set of the benchmark's graphs.
+    A set adds its cells' chunk sums in chunk order and weighs them; the
+    sets are found and weighed on the threads of :func:`pool_map` and
+    written in row order, so the bits do not depend on the number of
+    threads.
 
     :attr:`rows` holds the sets' row ranges.  A plan of a layout that keeps
     it (:attr:`PairLayout.keep_plan`) finds its :attr:`sets` at once and
@@ -334,21 +341,22 @@ class LatentPlan:
 
         def find(rows):
             """The set of rows ``rows``, a range: each row's count of cells,
-            the cells' columns, and the set's block: both link positions of
-            each kept term, and each run's cell and length, chunk by chunk."""
+            the cells' columns, and the set's block: each kept term's first
+            link position and its second's offset from it, and each run's
+            cell and length, chunk by chunk."""
             r0, r1 = rows.start, rows.stop
             e0, e1 = ptr[r0], ptr[r1]
             # the rows' entries (x, z) of W with a centre z, chunk by chunk
             chunk = chunk_of[idx[e0:e1]]
             sel = e0 + np.argsort(chunk, kind="stable")[np.count_nonzero(chunk < 0) :]
-            pa, pb, keys, runs = _plan_block(
+            pa, off, keys, runs = _plan_block(
                 sel, ptr, idx, chunk_of, entry_row, mirror, entry_key[e0:e1]
             )
             # the sorted union of the runs' cells (np.unique may hash)
             cells = np.sort(keys)
             cells = cells[np.diff(cells, prepend=-1) != 0]
             counts = np.bincount(cells // n - r0, minlength=r1 - r0)
-            block = (pa, pb, np.searchsorted(cells, keys).astype(np.int32), runs)
+            block = (pa, off, _narrow(np.searchsorted(cells, keys)), runs)
             return counts, (cells % n).astype(np.int32), block
 
         # a kept plan drops find, which holds three int64 arrays per link entry
@@ -356,17 +364,26 @@ class LatentPlan:
         self.rows = ranges
         self.sets = list(pool_map(find, ranges)) if layout.keep_plan else ranges
 
-    def cells(self, A: WeightedAdjacency) -> tuple[np.ndarray, ...]:
+    def cells(self, A: WeightedAdjacency, w: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
         """The latent cells as a CSR structure, ``indptr`` and ``indices``,
         and each cell's weight under ``A`` (see :func:`latent_matrix`), its
         terms added in the pass's order: term by term within a chunk, then
-        chunk by chunk."""
-        wt = A.weight_csr.data
+        chunk by chunk.  With ``w``, the same arrays of TLPSS's operand
+        ``(W + B)/w`` instead: each set's task merges its rows' links of
+        ``W = A.weight_csr`` with its cells (:func:`_with_links`).
+
+        The calling thread writes each finished set, in set order, into
+        arrays it allocates once: as many entries as a kept plan's cells
+        (and links), and for a streamed plan a bound on them
+        (:func:`_cell_bound`) whose unwritten tail is trimmed in place."""
+        W = A.weight_csr
+        wt = W.data
         mu = A.mult.astype(np.float64)
         floor = decay_floor(A.params)
-        deg = np.diff(A.weight_csr.indptr)
+        deg = np.diff(W.indptr)
+        entry_row = None if w is None else np.repeat(np.arange(A.n), deg)
 
-        def set_weights(task):
+        def set_rows(task):
             # a plan that keeps no sets gets a row range, and drops the set's
             # block once it is summed; bincount adds each cell's run sums to
             # 0.0 one after another, in chunk order (and is int64 if empty)
@@ -374,26 +391,89 @@ class LatentPlan:
             counts, cols, block = self._find(item) if isinstance(item, range) else item
             sums = np.bincount(block[2], _run_sums(wt, mu, block), len(cols))
             sums = sums.astype(np.float64, copy=False)
+            row = np.repeat(np.arange(rows.start, rows.stop), counts)
             # in place, each cell rounded as floor * sum / float(min_degree)
             sums *= floor
-            sums /= np.minimum(np.repeat(deg[rows.start : rows.stop], counts), deg[cols])
-            return counts, cols, sums
+            sums /= np.minimum(deg[row], deg[cols])
+            if w is None:
+                return counts, cols, sums
+            return _with_links(W, entry_row, rows, counts, row, cols, sums, w)
 
-        # each set copied here as it comes: memory a worker thread frees
-        # stays in its allocator arena, and worker-made arrays held to the
-        # end raised the 4k-node evaluate's peak RSS
-        tasks = list(zip(self.rows, self.sets))
-        parts = [[a.copy() for a in part] for part in pool_map(set_weights, tasks)]
-        counts, cols, sums = (np.concatenate(p) for p in zip(*parts))
-        return np.r_[0, np.cumsum(counts)], cols, sums
+        size = sum(len(s[1]) for s in self.sets) if self._find is None else _cell_bound(W)
+        size += 0 if w is None else W.nnz
+        itype = np.int32 if size < 2**31 else np.int64
+        indptr = np.zeros(A.n + 1, dtype=itype)
+        indices = np.empty(size, dtype=itype)
+        data = np.empty(size)
+        # each set is copied in as it comes and its task's arrays dropped:
+        # memory a worker thread frees stays in its allocator arena
+        end = 0
+        for rows, (counts, cols, values) in zip(
+            self.rows, pool_map(set_rows, list(zip(self.rows, self.sets)))
+        ):
+            start, end = end, end + len(cols)
+            indices[start:end] = cols
+            data[start:end] = values
+            indptr[rows.start + 1 : rows.stop + 1] = start + np.cumsum(counts)
+        # realloc: the pages past the end were never written, and a large
+        # array shrinks where it is
+        indices.resize(end, refcheck=False)
+        data.resize(end, refcheck=False)
+        return indptr, indices, data
+
+
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """``a`` as the first of int16, uint16 and int32 that holds all its
+    values (int32 holds every offset, cell index and run length of a plan,
+    each less than the node count)."""
+    lo, hi = (int(a.min()), int(a.max())) if len(a) else (0, 0)
+    for t in (np.int16, np.uint16):
+        if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max:
+            return a.astype(t)
+    return a.astype(np.int32)
+
+
+def _cell_bound(W: sp.csr_matrix) -> int:
+    """At least the number of latent cells of ``W``'s graph: the nonzeros
+    of ``P @ P``, counted by SciPy's first product pass, which builds
+    nothing, less the diagonal cell of each node with a link."""
+    n = W.shape[0]
+    pairs = _sparsetools.csr_matmat_maxnnz(n, n, W.indptr, W.indices, W.indptr, W.indices)
+    return int(pairs) - int(np.count_nonzero(np.diff(W.indptr)))
+
+
+def _with_links(W, entry_row, rows, counts, row, cols, sums, w):
+    """The rows ``rows`` of TLPSS's operand ``(W + B)/w``, as a set's row
+    counts, columns and values: the set's links in ``W`` (``entry_row``
+    holds each entry's row) and its latent cells (in row ``row``, column
+    ``cols``, weight ``sums``), which never share a cell, merged in column
+    order within each row, each value divided by ``w`` of its column.  A
+    value is its link's weight or its cell's, as ``W + B`` adds it to 0.0,
+    and its quotient rounds as ``(W + B).data / w[indices]`` does."""
+    n = W.shape[1]
+    e = slice(W.indptr[rows.start], W.indptr[rows.stop])
+    link_key = entry_row[e] * n + W.indices[e]
+    # each link's place: the cells before it, and the links before it
+    at = np.searchsorted(row * n + cols, link_key) + np.arange(len(link_key))
+    latent = np.ones(len(cols) + len(link_key), dtype=bool)
+    latent[at] = False
+    out_cols = np.empty(len(latent), dtype=cols.dtype)
+    out_cols[at] = W.indices[e]
+    out_cols[latent] = cols
+    out = np.empty(len(latent))
+    out[at] = W.data[e]
+    out[latent] = sums
+    out /= w[out_cols]
+    return counts + np.diff(W.indptr[rows.start : rows.stop + 1]), out_cols, out
 
 
 def _run_sums(wt, mu, block):
     """Each run's sum of terms in one plan block, under the link weights
     ``wt`` and multiplicities ``mu``; ``bincount`` adds a run's terms one
     after another."""
-    pa, pb, cells, runs = block
-    pa, pb = pa.astype(np.intp), pb.astype(np.intp)
+    pa, off, cells, runs = block
+    pa = pa.astype(np.intp)
+    pb = pa + off
     value = wt[pa]
     value += wt[pb]
     denom = mu[pa]
@@ -406,7 +486,8 @@ def _run_sums(wt, mu, block):
 def _plan_block(sel, ptr, idx, chunk_of, entry_row, mirror, entry_key):
     """Kept terms of the rows whose entries ``(x, z)`` of W are ``sel``
     (ordered by the chunk of z, then as in W), chunk by chunk in the order
-    each chunk's COO-to-CSR conversion leaves them, and their runs' cell
+    each chunk's COO-to-CSR conversion leaves them, as the position of the
+    link z-x and the offset of the link z-h from it, and their runs' cell
     keys and lengths; ``entry_key`` holds the sorted keys of those rows'
     links."""
     n = len(ptr) - 1
@@ -440,19 +521,22 @@ def _plan_block(sel, ptr, idx, chunk_of, entry_row, mirror, entry_key):
     linked = entry_key.take(np.searchsorted(entry_key, keys), mode="clip") == keys
     keep = (run_row != col) & ~linked
     term = order.data[np.repeat(keep, runs)]
-    return (
-        pa[term].astype(np.int32),
-        pb[term].astype(np.int32),
-        keys[keep],
-        runs[keep].astype(np.int32),
-    )
+    pa, pb = pa[term], pb[term]
+    return pa.astype(np.int32), _narrow(pb - pa), keys[keep], _narrow(runs[keep])
 
 
-def latent_matrix(A: WeightedAdjacency) -> sp.csr_matrix:
-    """All latent-edge weights of ``A`` as a symmetric sparse matrix.
+def latent_matrix(A: WeightedAdjacency, w: np.ndarray | None = None) -> sp.csr_matrix:
+    """All latent-edge weights of ``A`` as a symmetric sparse matrix ``B``,
+    or with ``w``, each node's weighted degree, TLPSS's operand ``(W + B)/w``
+    for ``W = A.weight_csr``: every entry of ``W + B`` divided by ``w`` of
+    its column, with the structure and bits of ``(W + B).tocsr()`` followed
+    by ``data /= w[indices]`` (``w > 0`` wherever ``W + B`` has an entry),
+    save that a latent weight that underflows to 0.0 (a decay floor near
+    the smallest float) stays stored where ``W + B`` drops it; it adds
+    ``+0.0`` to a product's sums, which changes no score.
 
-    Cell (i, j) is ``floor * scale`` with ``floor`` the lower bound of
-    ``A``'s decay ``A.params``, the one its edge weights were made under,
+    Cell (i, j) of ``B`` is ``floor * scale`` with ``floor`` the lower bound
+    of ``A``'s decay ``A.params``, the one its edge weights were made under,
     and ``scale = (1/min(d(i), d(j))) * sum over common neighbors z of (A(i,z)
     + A(z,j)) / (m(i,z) + m(z,j))``, where ``d`` counts distinct neighbors
     and ``m`` multi-edges.  The scale lies in [0, 1], so every
@@ -460,12 +544,17 @@ def latent_matrix(A: WeightedAdjacency) -> sp.csr_matrix:
     distance two.  The two-hop bookkeeping is ``A.layout.latent_plan``, done
     once for every adjacency of a train list, or for a layout that keeps no
     plan a :class:`LatentPlan` streamed for this call alone, whose row sets
-    weigh their own cells (:meth:`LatentPlan.cells`).
+    weigh their own cells and write their own rows, one writer for both
+    matrices (:meth:`LatentPlan.cells`): the operand is built without a
+    whole ``B``.
     """
     n = A.n
     if decay_floor(A.params) == 0.0:
-        return sp.csr_matrix((n, n), dtype=np.float64)
+        if w is None:
+            return sp.csr_matrix((n, n), dtype=np.float64)
+        W = A.weight_csr
+        return sp.csr_matrix((W.data / w[W.indices], W.indices, W.indptr), shape=(n, n))
     layout = A.layout
     plan = layout.latent_plan if layout.keep_plan else LatentPlan(layout)
-    indptr, indices, data = plan.cells(A)
+    indptr, indices, data = plan.cells(A, w)
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))

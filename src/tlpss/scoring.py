@@ -11,11 +11,13 @@ edge weights.
 of rows by columns, each a ``range`` of nodes or an index array, built
 from sparse matrix products over the adjacency, so that evaluation can
 walk the pairs i < j a block at a time.  TLPSS's latent weights are those
-of the adjacency's own decay, ``A.params``.  Every product is a block of
-rows by columns of one primitive, :func:`_block`, computed in row parts
-cut by :func:`~tlpss.adjacency.parts`, at most ``_PART`` cells each (a row
-costs its cells), or in pair parts of at most ``_PART`` terms looked up,
-on one thread per CPU the process may use
+of the adjacency's own decay, ``A.params``, and its operand ``(W + B)/w``
+comes from :func:`~tlpss.adjacency.latent_matrix`, which writes it from
+the latent pass's row sets without building ``B``.  Every product is a
+block of rows by columns of one primitive, :func:`_block`, computed in
+row parts cut by :func:`~tlpss.adjacency.parts`, at most ``_PART`` cells
+each (a row costs its cells), or in pair parts of at most ``_PART`` terms
+looked up, on one thread per CPU the process may use
 (:func:`~tlpss.adjacency.pool_map`); a cell's bits do not depend on the
 parts or the threads.  A symmetric score's block ``s`` of ``M @ P`` gets
 its transposed half as the same product over the swapped rows and columns,
@@ -101,9 +103,25 @@ _TILE = 128
 
 
 def _triangle_mass(A: WeightedAdjacency) -> np.ndarray:
-    """Per-node total decayed weight of links among the node's neighbors."""
+    """Per-node total decayed weight of links among the node's neighbors,
+    in row parts (:func:`_triangle_rows`) costing a row its two-hop terms,
+    on the threads of :func:`~tlpss.adjacency.pool_map`, so no whole ``P @
+    W`` is built."""
     P = A.indicator_csr
-    return 0.5 * np.asarray((P @ A.weight_csr).multiply(P).sum(axis=1)).ravel()
+    mass = np.empty(A.n)
+    terms = np.r_[0, np.cumsum(np.diff(P.indptr)[P.indices])][P.indptr]
+    list(pool_map(partial(_triangle_rows, P, A.weight_csr, mass), parts(terms)))
+    return 0.5 * mass
+
+
+def _triangle_rows(P, W, mass, part):
+    """The rows ``part``, a range, of ``(P @ W).multiply(P).sum(axis=1)``,
+    written to ``mass[part]``, by the same SciPy calls on those rows alone:
+    the product, the element-wise product and SciPy's pairwise row sums
+    each work row by row and keep a row's entries in the same order, so
+    each row has the whole product's bits."""
+    rows = _take(P, part)
+    mass[_at(part)] = np.asarray((rows @ W).multiply(rows).sum(axis=1)).ravel()
 
 
 def _lcl_incidence(A: WeightedAdjacency) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -419,15 +437,9 @@ def _score(A, D, method, cclp_mode, cells):
             return out
         raise ConfigError(f"unknown cclp mode {cclp_mode!r}")
     if method is MethodId.TLPSS:
-        def scaled():
-            # divide each column by its node's weighted degree (w > 0
-            # wherever W + B has an entry), the same rounding as a per-term
-            # W[x,z]/w[z]
-            M = (W + latent_matrix(A)).tocsr()
-            M.data /= w[M.indices]
-            return M
-
-        return cells.symmetric(_operand(A, D, method, scaled))
+        # each column divided by its node's weighted degree, the same
+        # rounding as a per-term W[x,z]/w[z]
+        return cells.symmetric(_operand(A, D, method, lambda: latent_matrix(A, w)))
     raise ConfigError(f"unknown method {method!r}")
 
 
@@ -472,10 +484,11 @@ def score_matrix(
     whole matrix's.  What does not depend on the rows (the scaled TLPSS
     operand, the link-triangle incidence, the CCLP coefficients) is built at
     the first block and kept in ``A.operands``, which a caller scoring block
-    by block clears after the last.  TLPSS takes its latent weights from
-    :func:`~tlpss.adjacency.latent_matrix` under ``A.params``, the decay of
-    the edge weights, and builds ``A.layout.latent_plan`` if it does not
-    exist yet, or streams a plan where the layout keeps none.
+    by block clears after the last.  TLPSS takes its operand from
+    :func:`~tlpss.adjacency.latent_matrix` with ``D.w``, its latent weights
+    under ``A.params``, the decay of the edge weights, and builds
+    ``A.layout.latent_plan`` if it does not exist yet, or streams a plan
+    where the layout keeps none.
     """
     n = A.n
     rows, cols = _nodes("rows", rows, n), _nodes("cols", cols, n)

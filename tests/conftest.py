@@ -10,6 +10,7 @@ import pytest
 from tlpss.adjacency import PairLayout, WeightedAdjacency
 from tlpss.decay import DecayParams
 from tlpss.edges import TemporalEdgeList
+from tlpss.oracle import ToyGraph
 
 
 def edge_list(records, node_count):
@@ -29,6 +30,21 @@ def adjacency_of(n, weights, mults=None, params=DecayParams(p=2.0, q=1.0, a=5.0)
     mult = np.array([(mults or {}).get(pair, 1) for pair in pairs], dtype=np.int64)
     weight = np.array([weights[pair] for pair in pairs], dtype=np.float64)
     return WeightedAdjacency(PairLayout(n, lo, hi, mult), weight, params)
+
+
+def hub_graph(n=600, rows=9000, seed=11):
+    """Heavy-tailed multigraph with community links, so that most links
+    close triangles and many pairs share several of them."""
+    rng = np.random.default_rng(seed)
+    activity = (rng.permutation(n) + 1.0) ** -0.8
+    cdf = np.cumsum(activity)
+    u = np.searchsorted(cdf, rng.random(rows) * cdf[-1], side="right")
+    v = np.searchsorted(cdf, rng.random(rows) * cdf[-1], side="right")
+    local = rng.random(rows) < 0.5
+    v[local] = (u[local] // 20) * 20 + rng.integers(0, 20, local.sum())
+    v = np.minimum(v, n - 1)
+    ts = rng.integers(1, 200, rows)
+    return ToyGraph(n=n, edges=list(zip(u.tolist(), v.tolist(), ts.tolist())), period=5.0)
 
 
 GEN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"

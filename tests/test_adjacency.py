@@ -1,6 +1,7 @@
 """Tests for the decayed adjacency and the latent-edge machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.sparse as sp
 
 from tlpss import adjacency
 from tlpss.adjacency import (
+    LatentPlan,
     PairLayout,
     WeightedAdjacency,
     build_adjacency,
@@ -19,7 +21,7 @@ from tlpss.decay import DecayParams, ExpDecayParams, asf_floor, decay_floor
 from tlpss.edges import SnapshotConfig, normalize, snapshot_index
 from tlpss.oracle import ToyGraph, naive_hidden, naive_latent, random_decay, random_toy
 
-from conftest import adjacency_of, edge_list
+from conftest import adjacency_of, edge_list, hub_graph
 
 PARAMS = DecayParams(p=2.0, q=1.0, a=5.0)
 
@@ -412,6 +414,150 @@ class TestLatentMatrix:
         _, A, _ = production_stack(toy, params)
         assert latent_matrix(A).nnz == 0
         assert decay_floor(ExpDecayParams(0.3)) == 0.0
+
+
+def whole_operand(A, w):
+    """TLPSS's operand as it is built whole: ``W + B``, then each entry
+    over ``w`` of its column."""
+    M = (A.weight_csr + latent_matrix(A)).tocsr()
+    M.data /= w[M.indices]
+    return M
+
+
+def assert_same_bits(got, ref):
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert got.data.dtype == ref.data.dtype and got.data.tobytes() == ref.data.tobytes()
+
+
+class TestOperand:
+    """``latent_matrix(A, w)``, TLPSS's operand ``(W + B)/w`` written from
+    the latent pass's row sets, against the whole construction, in every
+    entry and bit: toys, the hub graph, many chunks and row sets, kept and
+    streamed plans, one and two worker threads, and the decays of floor 0
+    (q = 0 and exponential), whose operand is ``W/w``."""
+
+    DECAYS = [
+        DecayParams(p=3.0, q=1.0),
+        DecayParams(p=3.0, q=0.0),
+        DecayParams(p=0.7, q=7.0),
+        ExpDecayParams(theta=0.3),
+    ]
+
+    def check(self, toy, decays, keep_plan):
+        lst = normalize(edge_list(toy.edges, toy.n))
+        cfg = SnapshotConfig(period=toy.period)
+        T = snapshot_index(lst.t_max, cfg)
+        layout = pair_layout(lst, keep_plan)
+        for params in decays:
+            A = build_adjacency(lst, T, params, cfg, layout)
+            w = degree_vector(A).w
+            assert_same_bits(latent_matrix(A, w), whole_operand(A, w))
+        return lst
+
+    @pytest.mark.parametrize("keep_plan", [True, False], ids=["kept", "streamed"])
+    def test_random_toys(self, keep_plan):
+        for trial in range(40):
+            toy = random_toy(seed=58000 + trial, max_nodes=60)
+            self.check(toy, [random_decay(59000 + trial, allow_exp=True)] + self.DECAYS, keep_plan)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("keep_plan", [True, False], ids=["kept", "streamed"])
+    @pytest.mark.parametrize("cut", ["whole", "chunks_and_sets"])
+    def test_hub_graph(self, monkeypatch, workers, keep_plan, cut):
+        monkeypatch.setattr(adjacency, "_workers", lambda: workers)
+        if cut == "chunks_and_sets":
+            monkeypatch.setattr(adjacency, "_CHUNK", 5_000)
+            monkeypatch.setattr(adjacency, "_PART", 256)
+        lst = self.check(hub_graph(), self.DECAYS, keep_plan)
+        sets = len(LatentPlan(pair_layout(lst, keep_plan)).rows)
+        assert sets > 100 if cut == "chunks_and_sets" else sets > 1
+
+    @pytest.mark.parametrize("keep_plan", [True, False], ids=["kept", "streamed"])
+    def test_no_pairs_and_rows_without_cells(self, monkeypatch, keep_plan):
+        monkeypatch.setattr(adjacency, "_PART", 1)  # one set per row with terms
+        for n, pairs in [
+            (5, []),
+            (6, [(0, 1), (2, 3), (4, 5)]),
+            (8, [(0, 1), (2, 3), (4, 5), (5, 6)]),
+            (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)]),
+        ]:
+            lo, hi = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+            layout = PairLayout(n, lo, hi, np.ones(len(lo), np.int64), keep_plan=keep_plan)
+            A = WeightedAdjacency(layout, np.linspace(0.9, 0.5, len(lo)), PARAMS)
+            w = degree_vector(A).w
+            assert_same_bits(latent_matrix(A, w), whole_operand(A, w))
+
+    @pytest.mark.parametrize("keep_plan", [True, False], ids=["kept", "streamed"])
+    def test_traced_peak_of_a_many_set_operand(self, monkeypatch, keep_plan):
+        """Each set's rows go straight into the operand's arrays: no copies
+        of the sets are joined and no whole latent matrix is built, which
+        took the peak to twice the operand.  One thread, so that finished
+        sets are written as they come; a random graph of 1,500 nodes and
+        mean degree 32, so that no one row's terms weigh much beside the
+        operand's 1.1M entries, and a streamed plan's arrays per link
+        (and its bound on the cells, :func:`adjacency._cell_bound`) little."""
+        monkeypatch.setattr(adjacency, "_PART", 1024)
+        monkeypatch.setattr(adjacency, "_workers", lambda: 1)
+        rng = np.random.default_rng(60000)
+        edges = rng.integers([0, 0, 1], [1500, 1500, 200], size=(24000, 3))
+        lst = normalize(edge_list(edges, 1500))
+        cfg = SnapshotConfig(period=5.0)
+        layout = pair_layout(lst, keep_plan)
+        A = build_adjacency(lst, snapshot_index(lst.t_max, cfg), PARAMS, cfg, layout)
+        w = degree_vector(A).w
+        if keep_plan:
+            assert len(layout.latent_plan.sets) > 100  # built before tracing
+        tracemalloc.start()
+        try:
+            M = latent_matrix(A, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert M.nnz > 1_000_000
+        assert peak < 1.3 * (M.data.nbytes + M.indices.nbytes + M.indptr.nbytes)
+
+
+class TestNarrow:
+    """The one rule by which a kept plan stores its offsets, cell indices
+    and run lengths: the first of int16, uint16 and int32 that holds them."""
+
+    @pytest.mark.parametrize(
+        "values, dtype",
+        [
+            ([], np.int16),
+            ([-32768, 0, 32767], np.int16),
+            ([-32769, 0], np.int32),
+            ([-1, 32768], np.int32),
+            ([0, 32768], np.uint16),
+            ([1, 65535], np.uint16),
+            ([0, 65536], np.int32),
+            ([-(2**31), 2**31 - 1], np.int32),
+        ],
+    )
+    def test_narrowest_type_that_holds_the_values(self, values, dtype):
+        a = np.array(values, dtype=np.int64)
+        got = adjacency._narrow(a)
+        assert got.dtype == dtype and np.array_equal(got, a)
+
+    @pytest.mark.parametrize("keep_plan", [True, False], ids=["kept", "streamed"])
+    def test_types_do_not_change_a_bit(self, monkeypatch, keep_plan):
+        """Plans stored in 16-bit types and in int32 give the same bits."""
+        monkeypatch.setattr(adjacency, "_PART", 256)
+        toy = hub_graph()
+        lst = normalize(edge_list(toy.edges, toy.n))
+        cfg = SnapshotConfig(period=toy.period)
+        T = snapshot_index(lst.t_max, cfg)
+
+        def operand():
+            A = build_adjacency(lst, T, PARAMS, cfg, pair_layout(lst, keep_plan))
+            return latent_matrix(A, degree_vector(A).w)
+
+        narrow = operand()
+        types = {b.dtype for _, _, block in LatentPlan(pair_layout(lst)).sets for b in block[1:]}
+        assert types == {np.dtype(np.int16)}
+        monkeypatch.setattr(adjacency, "_narrow", lambda a: a.astype(np.int32))
+        assert_same_bits(operand(), narrow)
 
 
 class TestParts:

@@ -305,8 +305,10 @@ class TestBadInputs:
         [
             "tlpss.scoring._sparse_rows",
             "tlpss.scoring._dense_rows",
+            "tlpss.scoring._triangle_rows",
             "tlpss.adjacency._plan_block",
             "tlpss.adjacency._run_sums",
+            "tlpss.adjacency._with_links",
         ],
     )
     def test_out_of_memory_in_a_worker_thread_ends_in_exit_4(

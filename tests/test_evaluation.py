@@ -614,8 +614,9 @@ class TestSweep:
         kept = []
         latent_matrix = scoring.latent_matrix
 
-        def recorded(A):
-            out = latent_matrix(A)
+        def recorded(A, w):
+            # TLPSS's operand, (W + B)/w, from the latent pass's row sets
+            out = latent_matrix(A, w)
             streamed = all(isinstance(item, range) for item in builds[-1].sets)
             kept.append(("latent_plan" in vars(A.layout), streamed))
             return out

@@ -35,10 +35,10 @@ from tlpss.adjacency import (
 )
 from tlpss.decay import DecayParams, ExpDecayParams, decay_floor
 from tlpss.edges import SnapshotConfig, normalize, snapshot_index
-from tlpss.oracle import ToyGraph, random_decay, random_toy
+from tlpss.oracle import random_decay, random_toy
 from tlpss.scoring import MethodId, score_bound, score_matrix, score_pairs
 
-from conftest import edge_list
+from conftest import edge_list, hub_graph
 
 
 def loop_lcl(A):
@@ -123,21 +123,6 @@ def stack(toy, params):
     cfg = SnapshotConfig(period=toy.period)
     A = build_adjacency(lst, snapshot_index(lst.t_max, cfg), params, cfg, pair_layout(lst))
     return A, degree_vector(A)
-
-
-def hub_graph(n=600, rows=9000, seed=11):
-    """Heavy-tailed multigraph with community links, so that most links
-    close triangles and many pairs share several of them."""
-    rng = np.random.default_rng(seed)
-    activity = (rng.permutation(n) + 1.0) ** -0.8
-    cdf = np.cumsum(activity)
-    u = np.searchsorted(cdf, rng.random(rows) * cdf[-1], side="right")
-    v = np.searchsorted(cdf, rng.random(rows) * cdf[-1], side="right")
-    local = rng.random(rows) < 0.5
-    v[local] = (u[local] // 20) * 20 + rng.integers(0, 20, local.sum())
-    v = np.minimum(v, n - 1)
-    ts = rng.integers(1, 200, rows)
-    return ToyGraph(n=n, edges=list(zip(u.tolist(), v.tolist(), ts.tolist())), period=5.0)
 
 
 def assert_same_csr(got, ref):
@@ -305,10 +290,10 @@ def test_streamed_plan_with_many_chunks_and_blocks(monkeypatch, workers):
     assert_same_csr(latent_matrix(A), loop_latent(A, PLAN_PARAMS[1], chunk=5_000))
 
 
-@pytest.mark.parametrize("keep_plan", [True, False], ids=["kept", "streamed"])
-def test_first_row_set_lands_first_when_it_finishes_last(monkeypatch, keep_plan):
-    """The plan's first row set is summed after all the others, and its
-    cells still come first, each with its chunk sums in chunk order."""
+def first_set_summed_last(monkeypatch, keep_plan):
+    """The hub graph's adjacency, its decay, and the record of which row set
+    ``_run_sums`` sums, with the plan's first row set held back until all
+    the others are summed, and the number of sets."""
     monkeypatch.setattr(adjacency, "_CHUNK", 5_000)
     monkeypatch.setattr(adjacency, "_PART", 256)
     monkeypatch.setattr(adjacency, "_workers", lambda: 3)
@@ -339,8 +324,54 @@ def test_first_row_set_lands_first_when_it_finishes_last(monkeypatch, keep_plan)
         return run_sums(wt, mu, block)
 
     monkeypatch.setattr(adjacency, "_run_sums", first_finishes_last)
+    return A, params, summed, len(plan.sets)
+
+
+@pytest.mark.parametrize("keep_plan", [True, False], ids=["kept", "streamed"])
+def test_first_row_set_lands_first_when_it_finishes_last(monkeypatch, keep_plan):
+    """The plan's first row set is summed after all the others, and its
+    cells still come first, each with its chunk sums in chunk order."""
+    A, params, summed, sets = first_set_summed_last(monkeypatch, keep_plan)
     assert_same_csr(latent_matrix(A), loop_latent(A, params, chunk=5_000))
-    assert summed == [False] * (len(plan.sets) - 1) + [True]
+    assert summed == [False] * (sets - 1) + [True]
+
+
+@pytest.mark.parametrize("keep_plan", [True, False], ids=["kept", "streamed"])
+def test_first_row_set_lands_first_in_the_operand(monkeypatch, keep_plan):
+    """So do its rows of TLPSS's operand, links and cells merged."""
+    A, params, summed, sets = first_set_summed_last(monkeypatch, keep_plan)
+    w = degree_vector(A).w
+    ref = (A.weight_csr + loop_latent(A, params, chunk=5_000)).tocsr()
+    ref.data /= w[ref.indices]
+    assert_same_csr(latent_matrix(A, w), ref)
+    assert summed == [False] * (sets - 1) + [True]
+
+
+def whole_triangle_mass(A):
+    """Local CCLP's triangle mass from the whole two-hop product."""
+    P = A.indicator_csr
+    return 0.5 * np.asarray((P @ A.weight_csr).multiply(P).sum(axis=1)).ravel()
+
+
+@pytest.mark.parametrize("part", [2**16, 64, 1])
+def test_triangle_mass_in_row_parts_equals_the_whole_product(monkeypatch, part):
+    """SciPy's product, element-wise product and pairwise row sums, made on
+    row parts on two threads, give each node the whole product's bits."""
+    monkeypatch.setattr(adjacency, "_PART", part)
+    monkeypatch.setattr(adjacency, "_workers", lambda: 2)
+    cuts = []
+    monkeypatch.setattr(
+        scoring, "parts", lambda before: cuts.append(adjacency.parts(before)) or cuts[-1]
+    )
+    for trial in range(-1, 30):
+        toy = hub_graph() if trial < 0 else random_toy(seed=58000 + trial, max_nodes=60)
+        A, _ = stack(toy, DecayParams(p=3.0, q=1.0))
+        cuts.clear()
+        got = scoring._triangle_mass(A)
+        assert got.tobytes() == whole_triangle_mass(A).tobytes()
+        if trial < 0:
+            # the hub graph's two-hop terms fill several parts of 2**16
+            assert len(cuts) == 1 and len(cuts[0]) > (1 if part == 2**16 else 100)
 
 
 # every scoring matrix: each method, and CCLP in both modes
