@@ -19,9 +19,9 @@ precision@L.  The cut is the top's L-th score once it holds L cells, and
 0 before.  Every walk offers the top, by one rule (:func:`_top_cells`), a
 block's best L cells of positive score at or above the cut, found from a
 pool of at most L + ``adjacency._PART`` of the block's scores, never a
-copy of the block.  A method without a per-node bound (JA, TLPSS, global
-CCLP) walks the nodes in order, the upper trapezoids, k = n.  CN, PA and CAR
-(``S[x, y] <= (b[x] + b[y]) / 2``) and RA and local CCLP
+copy of the block.  A method without a per-node bound (JA, TLPSS) walks
+the nodes in order, the upper trapezoids, k = n.  CN, PA and CAR
+(``S[x, y] <= (b[x] + b[y]) / 2``) and RA and both CCLP modes
 (``S[x, y] <= min(b[x], b[y])``, see :func:`~tlpss.scoring.score_bound`)
 walk their nodes by decreasing bound, the first block one row against every
 node, and score each row against only the nodes whose bound can still reach

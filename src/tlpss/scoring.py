@@ -19,11 +19,11 @@ row parts cut by :func:`~tlpss.adjacency.parts`, at most ``_PART`` cells
 each (a row costs its cells), or in pair parts of at most ``_PART`` terms
 looked up, on one thread per CPU the process may use
 (:func:`~tlpss.adjacency.pool_map`); a cell's bits do not depend on the
-parts or the threads.  A symmetric score's block ``s`` of ``M @ P`` gets
-its transposed half as the same product over the swapped rows and columns,
-added into ``s.T``; a block whose rows are its columns adds ``s.T``
-itself.  :func:`score_pairs` scores a set of pairs from the same operands,
-adding each pair's terms in the order the block products add them, and
+parts or the threads.  A symmetric score's block ``s`` of ``M @ P`` adds
+the transpose of its leading square, where its columns begin with its
+rows, and gets the rest of its transposed half as one sparse product over
+the swapped rows and columns.  :func:`score_pairs` scores pairs from the
+same operands, adding each pair's terms in the block products' order, and
 :func:`score_bound` gives the per-node bounds by which evaluation leaves
 out the pairs that cannot reach its top L.
 
@@ -38,9 +38,9 @@ rows of the left operand dense at a time and multiplies them by rows of
 the cells it makes dense.  A near-dense operand, TLPSS's on a hub-heavy
 graph, does about as many multiply-adds as terms, but as contiguous ones,
 and the route is taken where its cost is at most ``_DENSE_RATIO`` times
-the terms; a symmetric score's transposed half counts its own.  Both
-routes add each cell's terms in ascending shared index, so they give the
-same bits.  The brute-force per-pair definitions live in
+the terms of the block's own rows; a transposed half is always sparse.
+Both routes add each cell's terms in ascending shared index, so they give
+the same bits.  The brute-force per-pair definitions live in
 :mod:`tlpss.oracle`, which the test suite checks the engine against.
 """
 
@@ -126,24 +126,34 @@ def _triangle_rows(P, W, mass, part):
 
 def _lcl_incidence(A: WeightedAdjacency) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """``Q.T`` and ``diag(w) @ Q``, where row k of ``Q`` marks the nodes
-    that close a triangle with link k (of weight w) of the adjacency."""
+    that close a triangle with link k (of weight w) of the adjacency, built
+    in runs of links costing their ends' degrees (:func:`_common_neighbors`)
+    and joined in link order; its entries are exact 1.0s."""
     P = A.indicator_csr
     # upper-triangle links in row-major order; the CSR product adds each
     # cell's links in that order
     links = sp.triu(A.weight_csr, k=1).tocoo()
-    Q = P[links.row].multiply(P[links.col])
+    d = np.diff(P.indptr)
+    cost = np.r_[0, np.cumsum(d[links.row] + d[links.col])]
+    runs = pool_map(partial(_common_neighbors, P, links.row, links.col), parts(cost))
+    Q = sp.vstack(list(runs), format="csr")
     return Q.tocsc().T, (sp.diags(links.data) @ Q).tocsr()
+
+
+def _common_neighbors(P, u, v, run):
+    """The rows ``run`` (a range) of ``Q``: common neighbors of ``u`` and ``v``."""
+    return P[u[_at(run)]].multiply(P[v[_at(run)]])
 
 
 def _inv(x: np.ndarray) -> np.ndarray:
     return np.divide(1.0, x, out=np.zeros_like(x), where=x > 0)
 
 
-def _cclp_coefficients(A: WeightedAdjacency, D: DegreeVector) -> np.ndarray:
-    """Each node's link weight among its neighbors over their pair count."""
+def _cclp_terms(A: WeightedAdjacency, D: DegreeVector) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's one over the pair count of its neighbors, ``1/C(d, 2)``,
+    and its triangle mass, the link weight among them."""
     d = D.d.astype(np.float64)
-    mass = _operand(A, D, "mass", lambda: _triangle_mass(A))
-    return mass * _inv(d * (d - 1) / 2.0)
+    return _inv(d * (d - 1) / 2.0), _operand(A, D, "mass", lambda: _triangle_mass(A))
 
 
 def _at(nodes):
@@ -176,18 +186,6 @@ def _row_indices(X: sp.csr_matrix, nodes) -> np.ndarray:
     return X.indices[_entries(X, nodes)] if isinstance(nodes, range) else X[nodes].indices
 
 
-def _column_counts(indices: np.ndarray, n: int) -> np.ndarray:
-    """How many of ``indices`` fall in each of the ``n`` columns, counted
-    ``_PART`` at a time, since ``np.bincount`` copies its input to int64:
-    the transposed half of a TLPSS block counts the operand's rows from the
-    block's first to the last, about 2M entries on eval-all-4k."""
-    counts = np.zeros(n, dtype=np.int64)
-    step = adjacency._PART
-    for a in range(0, len(indices), step):
-        counts += np.bincount(indices[a : a + step], minlength=n)
-    return counts
-
-
 def _dense_route(M: sp.csr_matrix, P: sp.csr_matrix, rows, cols) -> bool:
     """Whether the rows ``rows`` by columns ``cols`` of ``M @ P`` (ranges
     or index arrays) take the dense-operand route.  It requires what keeps
@@ -203,32 +201,31 @@ def _dense_route(M: sp.csr_matrix, P: sp.csr_matrix, rows, cols) -> bool:
     # an entry of M's rows in column k has one term per entry of P's row k
     # in the columns, which by P's symmetry are the entries k of P's rows
     # cols
-    terms = int(_column_counts(ks, n) @ _column_counts(qs, n))
+    terms = int(np.bincount(ks, minlength=n) @ np.bincount(qs, minlength=n))
     return (len(qs) + n) * len(rows) <= _DENSE_RATIO * terms
 
 
 def _block(M, Y, rows, cols, dense=False, add_to=None):
     """Rows ``rows`` by columns ``cols`` (ranges or index arrays) of the
-    dense ``M @ Y``, or with ``add_to`` that block added into the view
-    ``add_to``, in row parts (:func:`~tlpss.adjacency.parts`) on the
-    threads of :func:`~tlpss.adjacency.pool_map`.  A row costs the dense
-    cells it writes: on the sparse route (:func:`_sparse_rows`) its row of
-    the block, the most entries SciPy's product can hold for it, found
-    without a pass over the operand's entries; on the ``dense`` route
+    dense ``M @ Y``, or on the sparse route with ``add_to`` that block added
+    into the view ``add_to``, in row parts (:func:`~tlpss.adjacency.parts`)
+    on the threads of :func:`~tlpss.adjacency.pool_map`.  A row costs the
+    dense cells it writes: on the sparse route (:func:`_sparse_rows`) its
+    row of the block, the most entries SciPy's product can hold for it,
+    found without a pass over the operand's entries; on the ``dense`` route
     (:func:`_dense_rows`) ``M``'s row made dense.  Each part takes its own
     rows of ``M``.  The sparse route adds each cell's terms in the order of
     ``M``'s row, which a row or column selection keeps, so the cells have
     the whole product's bits.  The ``dense`` route takes ``Y[:, cols]`` as
     the rows ``Y[cols]`` of a symmetric ``Y``."""
     out = np.empty((len(rows), len(cols))) if add_to is None else add_to
-    add = add_to is not None
     if dense:
-        kernel = partial(_dense_rows, M, rows, _take(Y, cols), out, add)
+        kernel = partial(_dense_rows, M, rows, _take(Y, cols), out)
         width = M.shape[1]
     else:
         if not (isinstance(cols, range) and len(cols) == Y.shape[1]):
             Y = Y[:, _at(cols)]
-        kernel = partial(_sparse_rows, M, rows, Y, out, add)
+        kernel = partial(_sparse_rows, M, rows, Y, out, add_to is not None)
         width = len(cols)
     list(pool_map(kernel, parts(np.arange(len(rows) + 1) * width)))
     return out
@@ -250,10 +247,10 @@ def _sparse_rows(M, rows, Y, out, add, part):
         product.toarray(out=out[at])
 
 
-def _dense_rows(M, rows, Q, out, add, part):
+def _dense_rows(M, rows, Q, out, part):
     """The rows ``part``, a range, of :func:`_block`'s dense-operand route:
     those of the block's rows ``rows`` of ``M`` made dense and transposed,
-    ``Z``, and ``(Q @ Z).T`` written to, or added into, ``out[part]``, with
+    ``Z``, and ``(Q @ Z).T`` written to ``out[part]``, with
     SciPy's CSR x dense kernel.  Row i of ``Q @ Z`` adds ``Q[i, k] * Z[k]`` to
     zeros for each entry k of ``Q``'s row i in ascending order.  With ``Q``
     all ones, ``1.0 * M[c, k]`` is exact (with or without a fused
@@ -263,10 +260,7 @@ def _dense_rows(M, rows, Q, out, add, part):
     ``+0.0`` unchanged: the cell has the sparse product's bits."""
     at = _at(part)
     Z = np.ascontiguousarray(_take(M, rows[at]).toarray().T)
-    if add:
-        out[at] += (Q @ Z).T
-    else:
-        out[at] = (Q @ Z).T
+    out[at] = (Q @ Z).T
 
 
 def _pair_product(X: sp.csr_matrix, Y: sp.csr_matrix, i: np.ndarray, j: np.ndarray):
@@ -351,21 +345,21 @@ class _Block:
         return _block(X, Y, self.rows, self.cols, dense)
 
     def symmetric(self, M):
-        """The block of ``0.5 * (s + s.T)`` for ``s = M @ P``.  The
-        transposed half of a block whose rows are not its columns is the
-        product over the swapped rows and columns, ``M[cols] @ P[:, rows]``,
-        added into the block's transpose by the route its own count picks;
-        a cell adds its terms in the order the whole matrix's ``s.T`` does.
-        A block whose rows are its columns (the whole matrix, the one block
-        of a walk over a small graph, the last square block of a walk) has
-        that product in ``s`` already, and adds its own transpose in tiles
-        (:func:`_add_transpose`)."""
+        """The block of ``0.5 * (s + s.T)`` for ``s = M @ P``.  Where the
+        columns begin with the rows, as in every block of a walk and in the
+        whole matrix, the leading square ``s[:h, :h]``, ``h = len(rows)``,
+        holds its own transposed half and adds its transpose in tiles
+        (:func:`_add_transpose`); otherwise ``h = 0``.  The columns past
+        the square get theirs as one sparse-route product over the swapped
+        rows and columns, ``M[cols[h:]] @ P[:, rows]``, added into ``s[:,
+        h:].T``.  Either way a cell adds the two sums the whole matrix's
+        ``s + s.T`` adds, each of its terms in the order of ``M``'s row."""
         P, rows, cols = self.P, self.rows, self.cols
         s = self.product(M, P)
-        if len(rows) == len(cols) and np.array_equal(rows, cols):
-            _add_transpose(s)
-        else:
-            _block(M, P, cols, rows, _dense_route(M, P, cols, rows), add_to=s.T)
+        h = len(rows) if np.array_equal(cols[: len(rows)], rows) else 0
+        _add_transpose(s[:h, :h])
+        if h < len(cols):
+            _block(M, P, cols[h:], rows, add_to=s[:, h:].T)
         s *= 0.5
         return s
 
@@ -424,13 +418,10 @@ def _score(A, D, method, cclp_mode, cells):
         return out
     if method is MethodId.CCLP_ASF:
         if cclp_mode == "local":
-            L = _operand(A, D, method, lambda: P @ sp.diags(_cclp_coefficients(A, D)))
+            L = _operand(A, D, method, lambda: P @ sp.diags(np.multiply(*_cclp_terms(A, D))))
             return cells.product(L, P)
         if cclp_mode == "global":
-            d = D.d.astype(np.float64)
-            L = _operand(
-                A, D, (method, "global"), lambda: P @ sp.diags(_inv(d * (d - 1) / 2.0))
-            )
+            L = _operand(A, D, (method, "global"), lambda: P @ sp.diags(_cclp_terms(A, D)[0]))
             incidence = _operand(A, D, "lcl", lambda: _lcl_incidence(A))
             out = cells.product(L, P)
             out *= cells.product(*incidence)
@@ -532,13 +523,15 @@ def score_bound(
     where every score ``S[x, y] <= (beta[x] + beta[y]) / 2``, ``("min",
     beta)`` where ``S[x, y] <= min(beta[x], beta[y])``, or ``None`` for a
     method without a useful one (JA's is 1/2, TLPSS's sum form keeps most
-    pairs, global CCLP has none).  Sum form: CN's half sums are at most the
-    weighted degrees ``w``; PA's ``w[x] w[y]`` is at most the mean of the
-    squares; CAR's link mass is at most each end's triangle mass ``m``, so
-    ``beta = w * m``.  Min form: RA and local CCLP add a coefficient per
-    common neighbor, at most all of one end's neighbors' (``P @ (1/w)`` and
-    ``P @ c``).  The bound holds for the exact sums; the floats of a score
-    and of its bound may differ by a relative n * 2**-53 or so."""
+    pairs).  Sum form: CN's half sums are at most the weighted degrees
+    ``w``; PA's ``w[x] w[y]`` is at most the mean of the squares; CAR's
+    link mass is at most each end's triangle mass ``m``, so ``beta = w *
+    m``.  Min form: RA and local CCLP add a coefficient per common
+    neighbor, at most all of one end's neighbors' (``P @ (1/w)`` and ``P @
+    c``); global CCLP's sum of ``1/C(d, 2)`` is at most one end's ``a``
+    and its link mass at most that end's ``m``, so ``beta = a * m``.  The
+    bound holds for the exact sums; the floats of a score and of its bound
+    may differ by a relative n * 2**-53 or so."""
     P, w = A.indicator_csr, D.w
     if method is MethodId.CN_ASF:
         return "sum", w
@@ -550,6 +543,7 @@ def score_bound(
         return "sum", w * np.asarray(weighted.sum(axis=0)).ravel()
     if method is MethodId.RA_ASF:
         return "min", P @ _inv(w)
-    if method is MethodId.CCLP_ASF and cclp_mode == "local":
-        return "min", P @ _cclp_coefficients(A, D)
+    if method is MethodId.CCLP_ASF:
+        per_pair, mass = _cclp_terms(A, D)
+        return "min", P @ (per_pair * mass) if cclp_mode == "local" else (P @ per_pair) * mass
     return None

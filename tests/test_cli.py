@@ -306,6 +306,7 @@ class TestBadInputs:
             "tlpss.scoring._sparse_rows",
             "tlpss.scoring._dense_rows",
             "tlpss.scoring._triangle_rows",
+            "tlpss.scoring._common_neighbors",
             "tlpss.adjacency._plan_block",
             "tlpss.adjacency._run_sums",
             "tlpss.adjacency._with_links",

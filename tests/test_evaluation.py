@@ -702,10 +702,8 @@ def one_block_and_blocked(monkeypatch, run, cells):
     return whole, blocked, calls
 
 
-def unbounded(method, mode):
-    return method in (MethodId.TLPSS, MethodId.JA_ASF) or (
-        method is MethodId.CCLP_ASF and mode == "global"
-    )
+def unbounded(method):
+    return method in (MethodId.TLPSS, MethodId.JA_ASF)
 
 
 class TestRowBlocks:
@@ -733,13 +731,13 @@ class TestRowBlocks:
         whole, blocked, calls = one_block_and_blocked(monkeypatch, run, cells)
         assert blocked == whole
         blocks = trapezoid_blocks(48, cells)
-        # TLPSS and JA in 6 runs and global CCLP in 3 have no bound and
-        # walk the upper trapezoids
-        walked = [(rows, cols) for method, mode, rows, cols in calls if unbounded(method, mode)]
-        assert walked == 15 * [(range(r0, r1), range(r0, 48)) for r0, r1 in blocks]
+        # TLPSS and JA in 6 runs have no bound and walk the upper
+        # trapezoids
+        walked = [(rows, cols) for method, mode, rows, cols in calls if unbounded(method)]
+        assert walked == 12 * [(range(r0, r1), range(r0, 48)) for r0, r1 in blocks]
         # the others walk blocks of that size too, after a first row
         bounded = [
-            (rows, cols) for method, mode, rows, cols in calls if not unbounded(method, mode)
+            (rows, cols) for method, mode, rows, cols in calls if not unbounded(method)
         ]
         assert all(len(rows) * len(cols) <= cells or len(rows) == 1 for rows, cols in bounded)
         assert all((r1 - r0) * (48 - r0) <= cells or r1 - r0 == 1 for r0, r1 in blocks)
@@ -914,7 +912,7 @@ def unit_adjacency(n, pairs):
     return adjacency_of(n, {pair: 1.0 for pair in pairs})
 
 
-def walk(monkeypatch, A, method, top_l, auc_keys, bounded=True):
+def walk(monkeypatch, A, method, top_l, auc_keys, bounded=True, cclp_mode="local"):
     """``evaluation._method_top`` on ``A``, with the method's bound or
     without any (the unpruned walk), and the (rows, cols) it scored."""
     calls = []
@@ -929,7 +927,7 @@ def walk(monkeypatch, A, method, top_l, auc_keys, bounded=True):
         if not bounded:
             patched.setattr(evaluation, "score_bound", lambda *args: None)
         out = evaluation._method_top(
-            A, degree_vector(A), method, cclp_mode="local", top_l=top_l,
+            A, degree_vector(A), method, cclp_mode=cclp_mode, top_l=top_l,
             auc_keys=auc_keys, train_keys=A.layout.keys,
         )
     A.operands.clear()
@@ -1020,6 +1018,34 @@ class TestRegion:
                     unpruned, _ = walk(monkeypatch, A, method, top_l, auc_keys, bounded=False)
                     assert_same_walk(pruned, unpruned)
                     assert len(scored_keys(calls, n)) < n * (n - 1) // 2, (method, top_l)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_global_cclp_pruned_walk_equals_unpruned(self, monkeypatch, workers):
+        """Global CCLP's min-form bound, ``(P @ 1/C(d, 2)) * m``, leaves
+        pairs out and keeps the unbounded walk's AUC scores and top L."""
+        monkeypatch.setattr(adjacency, "_workers", lambda: workers)
+        lst = toy_list(hub_toy())
+        split = split_by_time(lst, 0.9)
+        cfg = SnapshotConfig(period=200.0)
+        A = build_adjacency(
+            split.train, snapshot_index(split.t_split, cfg), DecayParams(p=3.0, q=1.0), cfg,
+            pair_layout(split.train),
+        )
+        candidates = build_candidates(split, lst.node_count, 3)
+        auc_keys = np.concatenate([candidates.positives, candidates.sampled_negatives])
+        n, cclp = A.n, MethodId.CCLP_ASF
+        form, _ = scoring.score_bound(A, degree_vector(A), cclp, "global")
+        A.operands.clear()
+        assert form == "min"
+        for cells in (2**21, 3000):
+            monkeypatch.setattr(evaluation, "_BLOCK_CELLS", cells)
+            for top_l in (1, 100):
+                pruned, calls = walk(monkeypatch, A, cclp, top_l, auc_keys, cclp_mode="global")
+                unpruned, _ = walk(
+                    monkeypatch, A, cclp, top_l, auc_keys, bounded=False, cclp_mode="global"
+                )
+                assert_same_walk(pruned, unpruned)
+                assert len(scored_keys(calls, n)) < n * (n - 1) // 2, top_l
 
 
 class TestZeroTail:

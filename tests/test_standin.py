@@ -2,11 +2,13 @@
 
 The KONECT files cannot be downloaded here, so the paper's claims cannot be
 checked; what can be checked is that a run of their order finishes within
-its budgets.  This runs ``tlpss evaluate`` with all seven methods on
-``GraphSpec(nodes=20000, rows=240000)`` of ``perfbench/gen.py`` (loaded
-read-only), seed 0, in a child process, and asserts its wall time (under
-300 s, criterion 6's budget) and peak RSS (under 2 GB), not its AUC or
-precision.  It is marked ``slow``, which the default run deselects::
+its budgets.  This runs ``tlpss evaluate`` on ``GraphSpec(nodes=20000,
+rows=240000)`` of ``perfbench/gen.py`` (loaded read-only), seed 0, in a
+child process: once with all seven methods, and once with CAR and global
+CCLP, which share the link-triangle incidence.  It asserts each run's wall
+time (under 300 s, criterion 6's budget) and peak RSS (under 2 GB), not its
+AUC or precision.  The tests are marked ``slow``, which the default run
+deselects::
 
     python -m pytest -m slow tests/test_standin.py
 """
@@ -25,17 +27,22 @@ from conftest import load_gen
 METHODS = ["tlpss", "cn", "ja", "pa", "ra", "car", "cclp"]
 
 
-@pytest.mark.slow
-def test_all_methods_on_a_20k_node_stand_in_within_budget(tmp_path):
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
     gen = load_gen()
     data, _ = gen.generate(gen.GraphSpec(nodes=20000, rows=240000), 0)
-    dataset = tmp_path / "g20k.tsv"
-    dataset.write_bytes(data)
+    path = tmp_path_factory.mktemp("standin") / "g20k.tsv"
+    path.write_bytes(data)
+    return path
+
+
+def assert_within_budget(dataset, out_dir, *options):
+    """``tlpss evaluate`` on ``dataset`` with ``options`` ends in exit 0
+    within 300 s and 2 GB peak RSS."""
     args = [
         sys.executable, "-m", "tlpss.cli", "evaluate", "--dataset", str(dataset),
         "--period", "1h", "--p", "3", "--q", "1", "--top-l", "100",
-        *[a for m in METHODS for a in ("--method", m)],
-        "--out-dir", str(tmp_path / "out"),
+        *options, "--out-dir", str(out_dir),
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(tlpss.__file__).parents[1]))
     start = time.perf_counter()
@@ -46,3 +53,14 @@ def test_all_methods_on_a_20k_node_stand_in_within_budget(tmp_path):
     assert wall < 300.0
     # ru_maxrss is in kilobytes on Linux
     assert usage.ru_maxrss * 1024 < 2 * 2**30
+
+
+@pytest.mark.slow
+def test_all_methods_on_a_20k_node_stand_in_within_budget(dataset, tmp_path):
+    assert_within_budget(dataset, tmp_path, *[a for m in METHODS for a in ("--method", m)])
+
+
+@pytest.mark.slow
+def test_car_and_global_cclp_on_a_20k_node_stand_in_within_budget(dataset, tmp_path):
+    options = ["--method", "car", "--method", "cclp", "--cclp-mode", "global"]
+    assert_within_budget(dataset, tmp_path, *options)

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from tlpss import adjacency, scoring
+from tlpss import adjacency, evaluation, scoring
 from tlpss.adjacency import (
     LatentPlan,
     build_adjacency,
@@ -374,6 +374,42 @@ def test_triangle_mass_in_row_parts_equals_the_whole_product(monkeypatch, part):
             assert len(cuts) == 1 and len(cuts[0]) > (1 if part == 2**16 else 100)
 
 
+def whole_incidence(A):
+    """CAR's and global CCLP's link-triangle incidence operands from ``Q``
+    built whole, every upper-triangle link's two rows of ``P`` at once."""
+    P = A.indicator_csr
+    links = sp.triu(A.weight_csr, k=1).tocoo()
+    Q = P[links.row].multiply(P[links.col])
+    return Q.tocsc().T, (sp.diags(links.data) @ Q).tocsr()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("part", [2**16, 64, 1])
+def test_incidence_in_link_runs_equals_the_whole_product(monkeypatch, workers, part):
+    """``Q`` built in runs of links and joined in link order, and so both
+    operands made from it, ``Q.T`` (whose arrays are ``Q``'s CSC arrays)
+    and ``diag(w) @ Q``, have the whole construction's arrays, entry for
+    entry and in the same stored order."""
+    monkeypatch.setattr(adjacency, "_PART", part)
+    monkeypatch.setattr(adjacency, "_workers", lambda: workers)
+    cuts = []
+    monkeypatch.setattr(
+        scoring, "parts", lambda before: cuts.append(adjacency.parts(before)) or cuts[-1]
+    )
+    for trial in range(-1, 20):
+        toy = hub_graph() if trial < 0 else random_toy(seed=58500 + trial, max_nodes=60)
+        A, _ = stack(toy, DecayParams(p=3.0, q=1.0))
+        cuts.clear()
+        for got, want in zip(scoring._lcl_incidence(A), whole_incidence(A)):
+            assert type(got) is type(want) and got.shape == want.shape
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (trial, name)
+        if trial < 0:
+            # the hub graph's links fill several runs of 2**16
+            assert len(cuts) == 1 and len(cuts[0]) > (1 if part == 2**16 else 100)
+
+
 # every scoring matrix: each method, and CCLP in both modes
 SCORINGS = [(m, "local") for m in MethodId] + [(MethodId.CCLP_ASF, "global")]
 
@@ -615,11 +651,12 @@ def route(monkeypatch, M, P, r0, r1, dense):
     return scoring._dense_route(M, P, range(r0, r1), range(r0, P.shape[0]))
 
 
-def transposed_half(M, P, r0, r1, dense):
+def transposed_half(M, P, r0, r1):
     """The transposed half of the block ``(r0, r1)`` of ``M @ P``, the
-    swapped-range product added into zeros through their transpose."""
+    swapped-range product on the sparse route added into zeros through
+    their transpose."""
     half = np.zeros((r1 - r0, P.shape[0] - r0))
-    scoring._block(M, P, range(r0, P.shape[0]), range(r0, r1), dense, add_to=half.T)
+    scoring._block(M, P, range(r0, P.shape[0]), range(r0, r1), add_to=half.T)
     return half
 
 
@@ -645,9 +682,8 @@ def test_dense_operand_route_equals_sparse_route(monkeypatch):
                 ref = scoring._block(M, P, range(r0, r1), range(r0, n), dense=False)
                 assert np.array_equal(got, ref), (workers, width, r0, r1)
                 assert np.array_equal(got, whole[r0:r1, r0:]), (workers, width, r0, r1)
-                half = transposed_half(M, P, r0, r1, dense=True)
-                sparse_half = transposed_half(M, P, r0, r1, dense=False)
-                assert np.array_equal(half, sparse_half), (workers, width, r0, r1)
+                # the transposed half, always on the sparse route
+                half = transposed_half(M, P, r0, r1)
                 assert np.array_equal(half, whole.T[r0:r1, r0:]), (workers, width, r0, r1)
 
 
@@ -668,7 +704,7 @@ def test_dense_operand_route_needs_sorted_operand_and_indicator(monkeypatch):
         got = scoring._block(unsorted, P, range(r0, r1), range(r0, n), dense)
         assert not dense and np.array_equal(got, ref[r0:r1, r0:])
         # the transposed half adds the terms in the operand's order too
-        half = transposed_half(unsorted, P, r0, r1, dense)
+        half = transposed_half(unsorted, P, r0, r1)
         assert np.array_equal(half, ref.T[r0:r1, r0:])
         # a right factor that is not all ones
         dense = route(monkeypatch, M, weighted, r0, r1, dense=True)
@@ -679,7 +715,8 @@ def test_dense_operand_route_needs_sorted_operand_and_indicator(monkeypatch):
 def test_dense_route_counts_no_term_of_a_non_canonical_operand(monkeypatch):
     """An operand not in canonical form, as RA's ``P @ diags(1/w)`` comes
     out of SciPy's product, or a right factor that is not all ones, never
-    takes the dense-operand route, and its terms are never counted."""
+    takes the dense-operand route, and its terms are never counted: no
+    row's column indices are read."""
     rng = np.random.default_rng(68000)
     n = 60
     P = random_indicator(rng, n, 0.3)
@@ -689,9 +726,9 @@ def test_dense_route_counts_no_term_of_a_non_canonical_operand(monkeypatch):
     L = P @ sp.diags(rng.random(n) + 0.5)
     assert not L.has_canonical_format
     counted = []
-    column_counts = scoring._column_counts
+    row_indices = scoring._row_indices
     monkeypatch.setattr(
-        scoring, "_column_counts", lambda *a: counted.append(1) or column_counts(*a)
+        scoring, "_row_indices", lambda *a: counted.append(1) or row_indices(*a)
     )
     monkeypatch.setattr(scoring, "_DENSE_RATIO", 10**12)
     for X, Y in ((reversed_rows(M), P), (L, P), (M, weighted)):
@@ -716,7 +753,7 @@ def test_sparse_transposed_half_of_tlpss_equals_whole_matrix(monkeypatch):
     assert np.array_equal(whole, (M @ P).toarray())
     assert not np.array_equal(whole, whole.T)
     for r0, r1 in ((1, 2), (97, 350), (350, n)):
-        assert np.array_equal(transposed_half(M, P, r0, r1, False), whole.T[r0:r1, r0:])
+        assert np.array_equal(transposed_half(M, P, r0, r1), whole.T[r0:r1, r0:])
         block = score_matrix(A, D, MethodId.TLPSS, range(r0, r1), range(r0, n))
         assert np.array_equal(block, full[r0:r1, r0:]), (r0, r1)
     A.operands.clear()
@@ -775,9 +812,7 @@ def check_pairs_and_index_blocks(toy, params, rng):
             else:
                 limit = np.minimum(beta[:, None], beta[None, :])
             assert np.all(full <= limit * (1 + 1e-12)), (method, mode)
-        assert (bound is None) == (
-            method in (MethodId.TLPSS, MethodId.JA_ASF) or mode == "global"
-        )
+        assert (bound is None) == (method in (MethodId.TLPSS, MethodId.JA_ASF))
 
 
 def test_score_pairs_and_index_blocks_equal_whole_matrix_on_random_toys():
@@ -816,27 +851,77 @@ def test_score_pairs_adds_terms_in_the_operand_row_order():
     assert np.array_equal(scoring._block(M, P, rows, cols), whole[np.ix_(rows, cols)])
 
 
-def test_transposed_half_takes_the_route_of_its_own_count(monkeypatch):
-    """TLPSS's block (0, 10) on the hub graph costs about 1.5 times its
-    terms on the dense-operand route and its transposed half about 7.9
-    times its own; with the cut at 4 the block goes dense and its half
-    sparse, and the block keeps the whole matrix's bits."""
+def test_transposed_half_takes_the_sparse_route(monkeypatch):
+    """TLPSS's block (0, 10) on the hub graph goes dense with the cut high
+    enough; its leading square adds its own transpose, and the columns past
+    it get their transposed half on the sparse route whatever the cut, so
+    the dense route only writes.  The block keeps the whole matrix's
+    bits."""
     params = DecayParams(p=3.0, q=1.0)
     A, D = stack(hub_graph(), params)
     full = score_matrix(A, D, MethodId.TLPSS, range(A.n), range(A.n))
     A.operands.clear()
-    monkeypatch.setattr(scoring, "_DENSE_RATIO", 4)
+    monkeypatch.setattr(scoring, "_DENSE_RATIO", 10**12)
     routes = []
     for name in ("_dense_rows", "_sparse_rows"):
         kernel = getattr(scoring, name)
 
         def recorded(*args, name=name, kernel=kernel):
-            # (..., out, add, part): whether the part adds into the half
-            routes.append((name, args[-2]))
+            # _sparse_rows(..., out, add, part): whether the part adds
+            routes.append((name, args[-2] if name == "_sparse_rows" else None))
             return kernel(*args)
 
         monkeypatch.setattr(scoring, name, recorded)
     block = score_matrix(A, D, MethodId.TLPSS, range(0, 10), range(0, A.n))
     A.operands.clear()
-    assert set(routes) == {("_dense_rows", False), ("_sparse_rows", True)}
+    assert set(routes) == {("_dense_rows", None), ("_sparse_rows", True)}
     assert np.array_equal(block, full[0:10, 0:])
+
+
+@pytest.mark.parametrize(
+    "method", [MethodId.TLPSS, MethodId.CN_ASF, MethodId.JA_ASF, MethodId.CAR_ASF]
+)
+def test_walk_block_adds_one_swapped_product_past_its_square(monkeypatch, method):
+    """In a walk, bounded (node arrays) or not (ranges), every symmetric
+    block's columns begin with its rows.  The route is counted once per
+    block, for the forward product; a non-square block's swapped product
+    takes exactly the columns past its rows, on the sparse route, and a
+    square block takes none."""
+    monkeypatch.setattr(evaluation, "_BLOCK_CELLS", 30_000)
+    A, D = stack(hub_graph(), DecayParams(p=3.0, q=1.0))
+    blocks = []
+    symmetric, block, dense_route = scoring._Block.symmetric, scoring._block, scoring._dense_route
+
+    def spied_symmetric(self, M):
+        blocks.append((self.rows, self.cols, [], []))
+        return symmetric(self, M)
+
+    def spied_block(M, Y, rows, cols, dense=False, add_to=None):
+        if add_to is not None:
+            blocks[-1][2].append((rows, cols, dense))
+        return block(M, Y, rows, cols, dense, add_to)
+
+    def spied_route(M, P, rows, cols):
+        blocks[-1][3].append((rows, cols))
+        return dense_route(M, P, rows, cols)
+
+    monkeypatch.setattr(scoring._Block, "symmetric", spied_symmetric)
+    monkeypatch.setattr(scoring, "_block", spied_block)
+    monkeypatch.setattr(scoring, "_dense_route", spied_route)
+    evaluation._method_top(
+        A, D, method, cclp_mode="local", top_l=100,
+        auc_keys=np.empty(0, dtype=np.int64), train_keys=A.layout.keys,
+    )
+    A.operands.clear()
+    assert any(len(rows) < len(cols) for rows, cols, _, _ in blocks)
+    for rows, cols, halves, routes in blocks:
+        h = len(rows)
+        assert np.array_equal(cols[:h], rows)
+        ((route_rows, route_cols),) = routes
+        assert route_rows is rows and route_cols is cols
+        if h == len(cols):
+            assert halves == []
+        else:
+            ((half_rows, half_cols, dense),) = halves
+            assert np.array_equal(half_rows, cols[h:]) and len(half_rows) == len(cols) - h
+            assert half_cols is rows and not dense
