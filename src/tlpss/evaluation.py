@@ -20,12 +20,12 @@ precision@L.  The cut is the top's L-th score once it holds L cells, and
 block's best L cells of positive score at or above the cut, found from a
 pool of at most L + ``adjacency._PART`` of the block's scores, never a
 copy of the block.  A method without a per-node bound (JA, TLPSS) walks
-the nodes in order, the upper trapezoids, k = n.  CN, PA and CAR
-(``S[x, y] <= (b[x] + b[y]) / 2``) and RA and both CCLP modes
-(``S[x, y] <= min(b[x], b[y])``, see :func:`~tlpss.scoring.score_bound`)
-walk their nodes by decreasing bound, the first block one row against every
-node, and score each row against only the nodes whose bound can still reach
-the cut; the AUC pairs outside the scored blocks are scored directly
+the nodes in order, the upper trapezoids, k = n.  CN, PA, RA, CAR and both
+CCLP modes (``S[x, y] <= min(b[x], b[y])``, see
+:func:`~tlpss.scoring.score_bound`) walk their nodes by decreasing bound,
+the first block one row against every node, and then the upper triangle of
+the first k nodes, those whose bound can still reach the cut; the AUC pairs
+outside the scored blocks are scored directly
 (:func:`~tlpss.scoring.score_pairs`).  Both give every cell the whole
 matrix's bits.  A top that holds fewer than L cells when the walk ends
 holds every pair of positive score, and the smallest unlinked keys outside
@@ -310,11 +310,12 @@ def _method_top(A, D, method, *, cclp_mode, top_l, auc_keys, train_keys):
     scores (:func:`_top_cells`).  The cut is the top's L-th score once
     it holds L cells, 0 before, and every block offers the top, by one
     rule, its best L cells of positive score at or above the cut.  A method
-    with a per-node bound (:func:`~tlpss.scoring.score_bound`) walks the
-    nodes by decreasing bound, its first block one row against every node,
-    and scores a row only against the nodes whose bound can still reach the
-    cut; a pair is skipped only when its bound is below the cut by more
-    than a relative ``_MARGIN``.  A method without one walks the nodes in
+    with a per-node bound (:func:`~tlpss.scoring.score_bound`), ``S[x, y]
+    <= min(b[x], b[y])``, walks the nodes by decreasing bound, its first
+    block one row against every node, and then the upper triangle of the
+    first k nodes, those whose bound can still reach the cut; a pair is
+    skipped only when its bound is below the cut by more than a relative
+    ``_MARGIN``.  A method without one walks the nodes in
     order, every row against every later node: the upper trapezoids.  A
     walk that ends with fewer than L cells in the top has scored every
     pair, so the smallest keys not linked in train and not in the top, all
@@ -327,25 +328,18 @@ def _method_top(A, D, method, *, cclp_mode, top_l, auc_keys, train_keys):
         order, pos = range(n), np.arange(n)
         nodes = pos  # the node at each position
     else:
-        form, beta = bound
-        order = nodes = np.argsort(-beta, kind="stable")
+        order = nodes = np.argsort(-bound, kind="stable")
         pos = np.empty(n, dtype=np.int64)
         pos[order] = np.arange(n)
-        down = -beta[order]
+        down = -bound[order]
 
-    def extent(a0, cut):
-        """Under the cut, the end k of row a0's columns [a0, k), every node
-        whose bound with a0's can reach it, and the end of the rows from a0
-        on that have such a node after them."""
+    def extent(cut):
+        """Under the cut, the end k of the columns, the first k nodes, whose
+        bound can reach it, and of the rows, all but the last of them."""
         if bound is None:
             return n, n
-        reach = cut * (1.0 - _MARGIN)
-        if form == "min":
-            k = int(np.searchsorted(down, -reach, side="right"))
-            return k, k - 1
-        ks = np.searchsorted(down, -(2.0 * reach + down[a0:]), side="right")
-        alone = np.flatnonzero(ks <= np.arange(a0 + 1, n + 1))
-        return int(ks[0]), a0 + int(alone[0]) if len(alone) else n
+        k = int(np.searchsorted(down, -cut * (1.0 - _MARGIN), side="right"))
+        return k, k - 1
 
     def by_row(keys):
         """Each pair's two positions in the order, smaller first, sorted by
@@ -364,7 +358,7 @@ def _method_top(A, D, method, *, cclp_mode, top_l, auc_keys, train_keys):
     a0 = 0
     while a0 < n:
         cut = top_scores[-1] if len(top_keys) == top_l else 0.0
-        k, end = extent(a0, cut)
+        k, end = extent(cut)
         if a0 >= end:
             break
         # a bounded walk's first row, against every node, sets its first cut

@@ -24,8 +24,8 @@ the transpose of its leading square, where its columns begin with its
 rows, and gets the rest of its transposed half as one sparse product over
 the swapped rows and columns.  :func:`score_pairs` scores pairs from the
 same operands, adding each pair's terms in the block products' order, and
-:func:`score_bound` gives the per-node bounds by which evaluation leaves
-out the pairs that cannot reach its top L.
+:func:`score_bound` gives a per-node bound, ``S[x, y] <= min(b[x], b[y])``,
+by which evaluation leaves out the pairs that cannot reach its top L.
 
 A product whose right factor is the 0/1 adjacency indicator ``P`` (every
 score but PA's and the link-triangle factor of CAR and global CCLP) takes
@@ -149,11 +149,20 @@ def _inv(x: np.ndarray) -> np.ndarray:
     return np.divide(1.0, x, out=np.zeros_like(x), where=x > 0)
 
 
-def _cclp_terms(A: WeightedAdjacency, D: DegreeVector) -> tuple[np.ndarray, np.ndarray]:
-    """Each node's one over the pair count of its neighbors, ``1/C(d, 2)``,
-    and its triangle mass, the link weight among them."""
-    d = D.d.astype(np.float64)
-    return _inv(d * (d - 1) / 2.0), _operand(A, D, "mass", lambda: _triangle_mass(A))
+def _pair_share(D: DegreeVector) -> np.ndarray:
+    """Each node's one over the pair count of its neighbors, ``1/C(d, 2)``."""
+    return _inv(D.d.astype(np.float64) * (D.d - 1) / 2.0)
+
+
+def _local_cclp(A: WeightedAdjacency, D: DegreeVector) -> np.ndarray:
+    """Local CCLP's coefficient per node: its triangle mass over ``C(d, 2)``."""
+    return _operand(A, D, "local cclp", lambda: _pair_share(D) * _triangle_mass(A))
+
+
+def _link_mass(A: WeightedAdjacency, D: DegreeVector) -> np.ndarray:
+    """Each node's triangle mass, the column sums of the incidence."""
+    _, weighted = _operand(A, D, "lcl", lambda: _lcl_incidence(A))
+    return np.asarray(weighted.sum(axis=0)).ravel()
 
 
 def _at(nodes):
@@ -418,10 +427,10 @@ def _score(A, D, method, cclp_mode, cells):
         return out
     if method is MethodId.CCLP_ASF:
         if cclp_mode == "local":
-            L = _operand(A, D, method, lambda: P @ sp.diags(np.multiply(*_cclp_terms(A, D))))
+            L = _operand(A, D, method, lambda: P @ sp.diags(_local_cclp(A, D)))
             return cells.product(L, P)
         if cclp_mode == "global":
-            L = _operand(A, D, (method, "global"), lambda: P @ sp.diags(_cclp_terms(A, D)[0]))
+            L = _operand(A, D, (method, "global"), lambda: P @ sp.diags(_pair_share(D)))
             incidence = _operand(A, D, "lcl", lambda: _lcl_incidence(A))
             out = cells.product(L, P)
             out *= cells.product(*incidence)
@@ -518,32 +527,27 @@ def score_pairs(
 
 def score_bound(
     A: WeightedAdjacency, D: DegreeVector, method: MethodId, cclp_mode: str = "local"
-) -> tuple[str, np.ndarray] | None:
-    """A per-node bound ``beta`` on a method's scores: ``("sum", beta)``
-    where every score ``S[x, y] <= (beta[x] + beta[y]) / 2``, ``("min",
-    beta)`` where ``S[x, y] <= min(beta[x], beta[y])``, or ``None`` for a
-    method without a useful one (JA's is 1/2, TLPSS's sum form keeps most
-    pairs).  Sum form: CN's half sums are at most the weighted degrees
-    ``w``; PA's ``w[x] w[y]`` is at most the mean of the squares; CAR's
-    link mass is at most each end's triangle mass ``m``, so ``beta = w *
-    m``.  Min form: RA and local CCLP add a coefficient per common
-    neighbor, at most all of one end's neighbors' (``P @ (1/w)`` and ``P @
-    c``); global CCLP's sum of ``1/C(d, 2)`` is at most one end's ``a``
-    and its link mass at most that end's ``m``, so ``beta = a * m``.  The
-    bound holds for the exact sums; the floats of a score and of its bound
-    may differ by a relative n * 2**-53 or so."""
+) -> np.ndarray | None:
+    """A per-node bound ``b``, ``S[x, y] <= min(b[x], b[y])``, or ``None``
+    (JA's is 1/2; TLPSS's analogue keeps most pairs).  Over the common
+    neighbors z, CN's half sums of ``W[x, z]`` and ``W[y, z]`` are at most
+    ``w[x]`` and ``kappa[x]``, x's neighbors' heaviest link weights summed;
+    PA's ``w[x] w[y]`` is at most ``w[x] max(w)``; RA and both CCLP modes
+    add a coefficient per common neighbor, at most all of x's neighbors'.
+    CAR and global CCLP multiply by the link mass among the common
+    neighbors, at most x's triangle mass.  The bound holds for the exact
+    sums; a score's and its bound's floats may differ by a relative n *
+    2**-53 or so."""
     P, w = A.indicator_csr, D.w
-    if method is MethodId.CN_ASF:
-        return "sum", w
+    if method in (MethodId.CN_ASF, MethodId.CAR_ASF):
+        beta = 0.5 * (w + P @ A.weight_csr.max(axis=1).toarray().ravel())
+        return beta if method is MethodId.CN_ASF else beta * _link_mass(A, D)
     if method is MethodId.PA_ASF:
-        return "sum", w * w
-    if method is MethodId.CAR_ASF:
-        # each node's triangle mass, as the column sums of its incidence
-        _, weighted = _operand(A, D, "lcl", lambda: _lcl_incidence(A))
-        return "sum", w * np.asarray(weighted.sum(axis=0)).ravel()
+        return w * w.max(initial=0.0)
     if method is MethodId.RA_ASF:
-        return "min", P @ _inv(w)
+        return P @ _inv(w)
     if method is MethodId.CCLP_ASF:
-        per_pair, mass = _cclp_terms(A, D)
-        return "min", P @ (per_pair * mass) if cclp_mode == "local" else (P @ per_pair) * mass
+        if cclp_mode == "local":
+            return P @ _local_cclp(A, D)
+        return (P @ _pair_share(D)) * _link_mass(A, D)
     return None

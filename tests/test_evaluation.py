@@ -961,7 +961,8 @@ class TestRegion:
         monkeypatch.setattr(evaluation, "_BLOCK_CELLS", cells)
         # hub 2 (degree 4) linked to 0 and 1 (degree 2 each), 3 and 6 a
         # lone link: PA scores pairs (0, 1), (2, 3) and (2, 6) all 4, and
-        # (0, 1), which has the smallest key, is walked after the hub's row
+        # (0, 1), which has the smallest key, is walked after the hub's row,
+        # whose best cell (2, 3) sets the cut
         n = 7
         A = unit_adjacency(n, [(0, 2), (1, 2), (2, 4), (2, 5), (0, 4), (1, 5), (3, 6)])
         auc_keys = pair_key(np.array([0, 0, 3, 4, 3]), np.array([1, 3, 4, 5, 5]), n)
@@ -970,11 +971,13 @@ class TestRegion:
         assert_same_walk(pruned, unpruned)
         _, top_keys, top_scores = pruned
         assert top_keys.tolist() == [pair_key(0, 1, n)] and top_scores.tolist() == [4.0]
-        # its bound, (w0**2 + w1**2) / 2, is the cut itself
-        form, beta = scoring.score_bound(A, degree_vector(A), MethodId.PA_ASF)
-        assert form == "sum" and 0.5 * (beta[0] + beta[1]) == top_scores[-1]
-        # pair (3, 5), bound 2.5, is left out and scored as an AUC pair
-        assert pair_key(3, 5, n) not in scored_keys(calls, n)
+        # the bound w * max(w) of nodes 3 and 6, the lowest, is the cut
+        # itself, so no pair is left out: pair (3, 5), of score 2, is walked
+        D = degree_vector(A)
+        beta = scoring.score_bound(A, D, MethodId.PA_ASF)
+        assert beta.tolist() == (D.w * 4.0).tolist() and beta.min() == top_scores[-1]
+        every = pair_key(*np.triu_indices(n, k=1), n)
+        assert scored_keys(calls, n) == set(every.tolist())
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("cells", [2**21, 7])
@@ -1021,8 +1024,9 @@ class TestRegion:
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_global_cclp_pruned_walk_equals_unpruned(self, monkeypatch, workers):
-        """Global CCLP's min-form bound, ``(P @ 1/C(d, 2)) * m``, leaves
-        pairs out and keeps the unbounded walk's AUC scores and top L."""
+        """Global CCLP's bound, ``(P @ 1/C(d, 2)) * m``, leaves pairs out
+        and keeps the unbounded walk's AUC scores and top L; neither walk
+        builds the triangle mass that only local CCLP scores with."""
         monkeypatch.setattr(adjacency, "_workers", lambda: workers)
         lst = toy_list(hub_toy())
         split = split_by_time(lst, 0.9)
@@ -1034,9 +1038,14 @@ class TestRegion:
         candidates = build_candidates(split, lst.node_count, 3)
         auc_keys = np.concatenate([candidates.positives, candidates.sampled_negatives])
         n, cclp = A.n, MethodId.CCLP_ASF
-        form, _ = scoring.score_bound(A, degree_vector(A), cclp, "global")
+
+        def unbuilt(A):
+            raise AssertionError("global CCLP built the triangle mass")
+
+        monkeypatch.setattr(scoring, "_triangle_mass", unbuilt)
+        beta = scoring.score_bound(A, degree_vector(A), cclp, "global")
         A.operands.clear()
-        assert form == "min"
+        assert beta.shape == (n,)
         for cells in (2**21, 3000):
             monkeypatch.setattr(evaluation, "_BLOCK_CELLS", cells)
             for top_l in (1, 100):

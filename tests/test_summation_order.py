@@ -803,16 +803,12 @@ def check_pairs_and_index_blocks(toy, params, rng):
         cols = rng.permutation(n)[: rng.integers(1, n + 1)]
         block = score_matrix(A, D, method, rows, cols, mode)
         assert np.array_equal(block, full[np.ix_(rows, cols)]), (method, mode)
-        bound = score_bound(A, D, method, mode)
+        beta = score_bound(A, D, method, mode)
         A.operands.clear()
-        if bound is not None:
-            form, beta = bound
-            if form == "sum":
-                limit = 0.5 * (beta[:, None] + beta[None, :])
-            else:
-                limit = np.minimum(beta[:, None], beta[None, :])
+        if beta is not None:
+            limit = np.minimum(beta[:, None], beta[None, :])
             assert np.all(full <= limit * (1 + 1e-12)), (method, mode)
-        assert (bound is None) == (method in (MethodId.TLPSS, MethodId.JA_ASF))
+        assert (beta is None) == (method in (MethodId.TLPSS, MethodId.JA_ASF))
 
 
 def test_score_pairs_and_index_blocks_equal_whole_matrix_on_random_toys():
