@@ -451,7 +451,7 @@ def main(argv=None) -> int:
         print(
             "evaluation impossible: out of memory (scores are held one block of at most "
             f"{_BLOCK_CELLS:,} cells, {_BLOCK_CELLS * 8 // 2**20} MB per array, at a time: "
-            "rows against the later nodes, or those a bound can reach; the sparse adjacency, "
+            "rows against the later nodes a bound can reach; the sparse adjacency, "
             "the latent weights and their two-hop plan, and the sampled pairs are held whole)",
             file=sys.stderr,
         )

@@ -19,17 +19,15 @@ precision@L.  The cut is the top's L-th score once it holds L cells, and
 0 before.  Every walk offers the top, by one rule (:func:`_top_cells`), a
 block's best L cells of positive score at or above the cut, found from a
 pool of at most L + ``adjacency._PART`` of the block's scores, never a
-copy of the block.  A method without a per-node bound (JA, TLPSS) walks
-the nodes in order, the upper trapezoids, k = n.  CN, PA, RA, CAR and both
-CCLP modes (``S[x, y] <= min(b[x], b[y])``, see
-:func:`~tlpss.scoring.score_bound`) walk their nodes by decreasing bound,
-the first block one row against every node, and then the upper triangle of
-the first k nodes, those whose bound can still reach the cut; the AUC pairs
-outside the scored blocks are scored directly
-(:func:`~tlpss.scoring.score_pairs`).  Both give every cell the whole
-matrix's bits.  A top that holds fewer than L cells when the walk ends
-holds every pair of positive score, and the smallest unlinked keys outside
-it, all of score 0, complete it.  One lexsort by (score descending, key
+copy of the block.  Every method has a per-node bound, ``S[x, y] <=
+min(b[x], b[y])`` (:func:`~tlpss.scoring.score_bound`), and every walk
+takes its nodes by decreasing bound, the first block one row against every
+node, and then the upper triangle of the first k nodes, those whose bound
+can still reach the cut; the AUC pairs outside the scored blocks are scored
+directly (:func:`~tlpss.scoring.score_pairs`), with the whole matrix's
+bits.  A top that holds fewer than L cells when the walk ends holds every
+pair of positive score, and the smallest unlinked keys outside it, all of
+score 0, complete it.  One lexsort by (score descending, key
 ascending), :func:`_top`, orders both the running top and the L pairs
 precision@L counts.
 """
@@ -65,7 +63,7 @@ __all__ = [
     "sweep",
 ]
 
-# Cells of the score matrix evaluation holds at once: one trapezoid block,
+# Cells of the score matrix evaluation holds at once: one block of a walk,
 # 16 MB of float64 per array of the block.  A walk frees each block before
 # it scores the next, and finds a block's top L from a pool of at most
 # L + adjacency._PART of its scores.
@@ -309,37 +307,21 @@ def _method_top(A, D, method, *, cclp_mode, top_l, auc_keys, train_keys):
     walk holds one block and its top's pool of at most L + ``_PART``
     scores (:func:`_top_cells`).  The cut is the top's L-th score once
     it holds L cells, 0 before, and every block offers the top, by one
-    rule, its best L cells of positive score at or above the cut.  A method
-    with a per-node bound (:func:`~tlpss.scoring.score_bound`), ``S[x, y]
-    <= min(b[x], b[y])``, walks the nodes by decreasing bound, its first
-    block one row against every node, and then the upper triangle of the
-    first k nodes, those whose bound can still reach the cut; a pair is
-    skipped only when its bound is below the cut by more than a relative
-    ``_MARGIN``.  A method without one walks the nodes in
-    order, every row against every later node: the upper trapezoids.  A
-    walk that ends with fewer than L cells in the top has scored every
-    pair, so the smallest keys not linked in train and not in the top, all
-    of score 0, complete it.  The pairs of ``auc_keys`` outside the scored
-    blocks are scored by :func:`score_pairs`."""
+    rule, its best L cells of positive score at or above the cut.  The
+    nodes go by decreasing per-node bound (:func:`score_bound`, ``S[x, y]
+    <= min(b[x], b[y])``): the first block is one row against every node,
+    and then the upper triangle of the first k nodes, those whose bound can
+    still reach the cut; a pair is skipped only when its bound is below the
+    cut by more than a relative ``_MARGIN``.  A walk that ends with fewer
+    than L cells in the top has scored every pair, so the smallest keys not
+    linked in train and not in the top, all of score 0, complete it.  The
+    pairs of ``auc_keys`` outside the scored blocks are scored by
+    :func:`score_pairs`."""
     n = A.n
     bound = score_bound(A, D, method, cclp_mode)
-    if bound is None:
-        # blocks of a range of nodes take the operands' rows as slices
-        order, pos = range(n), np.arange(n)
-        nodes = pos  # the node at each position
-    else:
-        order = nodes = np.argsort(-bound, kind="stable")
-        pos = np.empty(n, dtype=np.int64)
-        pos[order] = np.arange(n)
-        down = -bound[order]
-
-    def extent(cut):
-        """Under the cut, the end k of the columns, the first k nodes, whose
-        bound can reach it, and of the rows, all but the last of them."""
-        if bound is None:
-            return n, n
-        k = int(np.searchsorted(down, -cut * (1.0 - _MARGIN), side="right"))
-        return k, k - 1
+    order = np.argsort(-bound, kind="stable")
+    pos = np.argsort(order)  # the position of each node in the order
+    down = -bound[order]
 
     def by_row(keys):
         """Each pair's two positions in the order, smaller first, sorted by
@@ -358,12 +340,13 @@ def _method_top(A, D, method, *, cclp_mode, top_l, auc_keys, train_keys):
     a0 = 0
     while a0 < n:
         cut = top_scores[-1] if len(top_keys) == top_l else 0.0
-        k, end = extent(cut)
-        if a0 >= end:
+        # the columns are the first k nodes, whose bound can reach the cut
+        k = int(np.searchsorted(down, -cut * (1.0 - _MARGIN), side="right"))
+        if a0 >= k - 1:
             break
-        # a bounded walk's first row, against every node, sets its first cut
-        rows = 1 if bound is not None and a0 == 0 else max(1, _BLOCK_CELLS // (k - a0))
-        a1 = min(end, a0 + rows)
+        # the first row, against every node, sets the first cut
+        rows = 1 if a0 == 0 else max(1, _BLOCK_CELLS // (k - a0))
+        a1 = min(k - 1, a0 + rows)
         block = score_matrix(A, D, method, order[a0:a1], order[a0:k], cclp_mode)
         flat = block.ravel()
         lo, hi = np.searchsorted(auc_a, [a0, a1])
@@ -380,7 +363,7 @@ def _method_top(A, D, method, *, cclp_mode, top_l, auc_keys, train_keys):
 
         def keys(cells):
             a, c = np.divmod(cells, k - a0)
-            return pair_key(nodes[a + a0], nodes[c + a0], n)
+            return pair_key(order[a + a0], order[c + a0], n)
 
         # a cell at the cut may have a smaller key than a held one (in node
         # order it never has, and _top drops it), and none below it can

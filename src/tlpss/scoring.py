@@ -15,17 +15,19 @@ of the adjacency's own decay, ``A.params``, and its operand ``(W + B)/w``
 comes from :func:`~tlpss.adjacency.latent_matrix`, which writes it from
 the latent pass's row sets without building ``B``.  Every product is a
 block of rows by columns of one primitive, :func:`_block`, computed in
-row parts cut by :func:`~tlpss.adjacency.parts`, at most ``_PART`` cells
-each (a row costs its cells), or in pair parts of at most ``_PART`` terms
-looked up, on one thread per CPU the process may use
-(:func:`~tlpss.adjacency.pool_map`); a cell's bits do not depend on the
-parts or the threads.  A symmetric score's block ``s`` of ``M @ P`` adds
-the transpose of its leading square, where its columns begin with its
-rows, and gets the rest of its transposed half as one sparse product over
-the swapped rows and columns.  :func:`score_pairs` scores pairs from the
-same operands, adding each pair's terms in the block products' order, and
-:func:`score_bound` gives a per-node bound, ``S[x, y] <= min(b[x], b[y])``,
-by which evaluation leaves out the pairs that cannot reach its top L.
+row parts cut by :func:`~tlpss.adjacency.parts`, each costing at most
+``_PART`` (a row costs its cells, on the sparse route also its operand
+entries), or in pair parts of at most ``_PART`` terms looked up, on one
+thread per CPU the process may use (:func:`~tlpss.adjacency.pool_map`); a
+cell's bits do not depend on the parts or the threads.  A symmetric
+score's block ``s`` of ``M @ P`` adds the transpose of its leading
+square, where its columns begin with its rows, and gets the rest of its
+transposed half as one sparse product over the swapped rows and columns
+(one row's as one pass over ``M``).  :func:`score_pairs` scores pairs
+from the same operands, adding each pair's terms in the block products'
+order, and :func:`score_bound` gives every method a per-node bound,
+``S[x, y] <= min(b[x], b[y])``, by which evaluation leaves out the pairs
+that cannot reach its top L.
 
 A product whose right factor is the 0/1 adjacency indicator ``P`` (every
 score but PA's and the link-triangle factor of CAR and global CCLP) takes
@@ -38,7 +40,7 @@ rows of the left operand dense at a time and multiplies them by rows of
 the cells it makes dense.  A near-dense operand, TLPSS's on a hub-heavy
 graph, does about as many multiply-adds as terms, but as contiguous ones,
 and the route is taken where its cost is at most ``_DENSE_RATIO`` times
-the terms of the block's own rows; a transposed half is always sparse.
+the terms of the block's own rows; a transposed half never takes it.
 Both routes add each cell's terms in ascending shared index, so they give
 the same bits.  The brute-force per-pair definitions live in
 :mod:`tlpss.oracle`, which the test suite checks the engine against.
@@ -189,10 +191,15 @@ def _take(X: sp.csr_matrix, nodes) -> sp.csr_matrix:
     return sp.csr_matrix((X.data[at], X.indices[at], ptr), shape=(len(nodes), X.shape[1]))
 
 
-def _row_indices(X: sp.csr_matrix, nodes) -> np.ndarray:
-    """The column indices of the rows ``nodes`` of ``X``, in order, without
-    building their matrix (a view for a range)."""
-    return X.indices[_entries(X, nodes)] if isinstance(nodes, range) else X[nodes].indices
+def _column_counts(X: sp.csr_matrix, nodes) -> np.ndarray:
+    """Each column's entries in the rows ``nodes`` of ``X``, an index
+    array's rows read a part (:func:`~tlpss.adjacency.parts`) at a time."""
+    if isinstance(nodes, range):
+        return np.bincount(X.indices[_entries(X, nodes)], minlength=X.shape[1])
+    counts = np.zeros(X.shape[1], dtype=np.int64)
+    for part in parts(np.r_[0, np.cumsum(np.diff(X.indptr)[nodes])]):
+        counts += np.bincount(X[nodes[_at(part)]].indices, minlength=X.shape[1])
+    return counts
 
 
 def _dense_route(M: sp.csr_matrix, P: sp.csr_matrix, rows, cols) -> bool:
@@ -205,23 +212,21 @@ def _dense_route(M: sp.csr_matrix, P: sp.csr_matrix, rows, cols) -> bool:
     product's terms."""
     if not (M.has_canonical_format and P.has_canonical_format and np.all(P.data == 1.0)):
         return False
-    n = P.shape[0]
-    ks, qs = _row_indices(M, rows), _row_indices(P, cols)
+    qs = _column_counts(P, cols)
     # an entry of M's rows in column k has one term per entry of P's row k
     # in the columns, which by P's symmetry are the entries k of P's rows
     # cols
-    terms = int(np.bincount(ks, minlength=n) @ np.bincount(qs, minlength=n))
-    return (len(qs) + n) * len(rows) <= _DENSE_RATIO * terms
+    terms = int(_column_counts(M, rows) @ qs)
+    return (int(qs.sum()) + P.shape[0]) * len(rows) <= _DENSE_RATIO * terms
 
 
 def _block(M, Y, rows, cols, dense=False, add_to=None):
     """Rows ``rows`` by columns ``cols`` (ranges or index arrays) of the
     dense ``M @ Y``, or on the sparse route with ``add_to`` that block added
     into the view ``add_to``, in row parts (:func:`~tlpss.adjacency.parts`)
-    on the threads of :func:`~tlpss.adjacency.pool_map`.  A row costs the
-    dense cells it writes: on the sparse route (:func:`_sparse_rows`) its
-    row of the block, the most entries SciPy's product can hold for it,
-    found without a pass over the operand's entries; on the ``dense`` route
+    on the threads of :func:`~tlpss.adjacency.pool_map`.  A row costs, on
+    the sparse route (:func:`_sparse_rows`), the cells it writes and the
+    entries of ``M``'s row it copies; on the ``dense`` route
     (:func:`_dense_rows`) ``M``'s row made dense.  Each part takes its own
     rows of ``M``.  The sparse route adds each cell's terms in the order of
     ``M``'s row, which a row or column selection keeps, so the cells have
@@ -230,13 +235,13 @@ def _block(M, Y, rows, cols, dense=False, add_to=None):
     out = np.empty((len(rows), len(cols))) if add_to is None else add_to
     if dense:
         kernel = partial(_dense_rows, M, rows, _take(Y, cols), out)
-        width = M.shape[1]
+        cost = np.full(len(rows), M.shape[1])
     else:
         if not (isinstance(cols, range) and len(cols) == Y.shape[1]):
             Y = Y[:, _at(cols)]
         kernel = partial(_sparse_rows, M, rows, Y, out, add_to is not None)
-        width = len(cols)
-    list(pool_map(kernel, parts(np.arange(len(rows) + 1) * width)))
+        cost = len(cols) + np.diff(M.indptr)[_at(rows)]
+    list(pool_map(kernel, parts(np.r_[0, np.cumsum(cost)])))
     return out
 
 
@@ -359,15 +364,18 @@ class _Block:
         whole matrix, the leading square ``s[:h, :h]``, ``h = len(rows)``,
         holds its own transposed half and adds its transpose in tiles
         (:func:`_add_transpose`); otherwise ``h = 0``.  The columns past
-        the square get theirs as one sparse-route product over the swapped
-        rows and columns, ``M[cols[h:]] @ P[:, rows]``, added into ``s[:,
-        h:].T``.  Either way a cell adds the two sums the whole matrix's
-        ``s + s.T`` adds, each of its terms in the order of ``M``'s row."""
+        the square get theirs as one sparse-route product, ``M[cols[h:]] @
+        P[:, rows]``, added into ``s[:, h:].T``; one row's is ``M`` times
+        its row of ``P`` made dense, exact ``+0.0`` terms added off it.  A
+        cell adds the two sums the whole matrix's ``s + s.T`` adds, each of
+        its terms in the order of ``M``'s row."""
         P, rows, cols = self.P, self.rows, self.cols
         s = self.product(M, P)
         h = len(rows) if np.array_equal(cols[: len(rows)], rows) else 0
         _add_transpose(s[:h, :h])
-        if h < len(cols):
+        if h < len(cols) and len(rows) == 1:
+            s[0, h:] += (M @ _take(P, rows).toarray().ravel())[_at(cols[h:])]
+        elif h < len(cols):
             _block(M, P, cols[h:], rows, add_to=s[:, h:].T)
         s *= 0.5
         return s
@@ -452,12 +460,15 @@ def _indices(x, n: int):
 
 def _nodes(name: str, nodes, n: int):
     """``nodes`` of :func:`score_matrix` as a range or as an index array,
-    checked against the ``n`` nodes."""
+    checked against the ``n`` nodes; an ascending run of consecutive nodes
+    becomes a range, whose operand rows are read as slices."""
     if isinstance(nodes, range):
         ok = nodes.step == 1 and 0 <= nodes.start <= nodes.stop <= n
     else:
         nodes = _indices(nodes, n)
         ok = nodes is not None
+        if ok and len(nodes) and np.all(np.diff(nodes) == 1):
+            nodes = range(int(nodes[0]), int(nodes[-1]) + 1)
     if not ok:
         raise ValueError(f"{name} are neither a range nor node indices of the {n} nodes")
     return nodes
@@ -478,27 +489,25 @@ def score_matrix(
     matrix is ``score_matrix(A, degree_vector(A), method, range(n),
     range(n))``.
 
-    Entry (i, j) is the method's score for the pair; the matrix is symmetric,
-    bit for bit, with an all-zero diagonal except for PA, whose diagonal is
-    meaningless and zeroed anyway.  A block's cells have the bits of the
-    whole matrix's.  What does not depend on the rows (the scaled TLPSS
-    operand, the link-triangle incidence, the CCLP coefficients) is built at
-    the first block and kept in ``A.operands``, which a caller scoring block
-    by block clears after the last.  TLPSS takes its operand from
+    Entry (i, j) is the method's score for the pair; the matrix is
+    symmetric, bit for bit, and every cell (i, i) is 0, also where i
+    repeats.  A block's cells have the bits of the whole matrix's.  What
+    does not depend on the rows (the scaled TLPSS operand, the
+    link-triangle incidence, the CCLP coefficients) is built at the first
+    block and kept in ``A.operands``, which a caller scoring block by block
+    clears after the last.  TLPSS takes its operand from
     :func:`~tlpss.adjacency.latent_matrix` with ``D.w``, its latent weights
     under ``A.params``, the decay of the edge weights, and builds
     ``A.layout.latent_plan`` if it does not exist yet, or streams a plan
     where the layout keeps none.
     """
-    n = A.n
-    rows, cols = _nodes("rows", rows, n), _nodes("cols", cols, n)
+    rows, cols = _nodes("rows", rows, A.n), _nodes("cols", cols, A.n)
     out = _score(A, D, method, cclp_mode, _Block(A.indicator_csr, rows, cols))
-    # the cells whose row and column are one node, (i, i)
-    where = np.full(n, -1)
-    where[_at(cols)] = np.arange(len(cols))
-    col = where[_at(rows)]
-    row = np.flatnonzero(col >= 0)
-    out[row, col[row]] = 0.0
+    # every cell (i, i), found with at most a bool per cell
+    r, c = (np.arange(x.start, x.stop) if isinstance(x, range) else x for x in (rows, cols))
+    keep = np.flatnonzero(np.bincount(r, minlength=A.n)[c])
+    a, b = np.nonzero(r[:, None] == c[keep])
+    out[a, keep[b]] = 0.0
     return out
 
 
@@ -527,21 +536,23 @@ def score_pairs(
 
 def score_bound(
     A: WeightedAdjacency, D: DegreeVector, method: MethodId, cclp_mode: str = "local"
-) -> np.ndarray | None:
-    """A per-node bound ``b``, ``S[x, y] <= min(b[x], b[y])``, or ``None``
-    (JA's is 1/2; TLPSS's analogue keeps most pairs).  Over the common
-    neighbors z, CN's half sums of ``W[x, z]`` and ``W[y, z]`` are at most
-    ``w[x]`` and ``kappa[x]``, x's neighbors' heaviest link weights summed;
-    PA's ``w[x] w[y]`` is at most ``w[x] max(w)``; RA and both CCLP modes
-    add a coefficient per common neighbor, at most all of x's neighbors'.
-    CAR and global CCLP multiply by the link mass among the common
-    neighbors, at most x's triangle mass.  The bound holds for the exact
-    sums; a score's and its bound's floats may differ by a relative n *
-    2**-53 or so."""
+) -> np.ndarray:
+    """A per-node bound ``b``, ``S[x, y] <= min(b[x], b[y])``.  JA's CN
+    is at most ``(w[x] + w[y])/2``.  Over the common neighbors z, CN's half
+    sums of ``W[x, z]`` and ``W[y, z]`` are at most ``w[x]`` and
+    ``kappa[x]``, x's neighbors' heaviest link weights summed; TLPSS's of
+    ``M[x, z]`` and ``M[y, z]`` at most ``M``'s row sum at x and the sum
+    over x's neighbors of ``M``'s column maximum, z's heaviest link weight
+    over ``w[z]`` (a latent weight is below the decay floor, a link weight
+    at or above it).  PA's ``w[x] w[y]`` is at most ``w[x] max(w)``; RA
+    and both CCLP modes add a coefficient per common neighbor, at most all
+    of x's neighbors'.  CAR and global CCLP multiply by the link mass among
+    the common neighbors, at most x's triangle mass.  The bound holds for
+    the exact sums; a score's and its bound's floats may differ by a
+    relative n * 2**-53 or so."""
     P, w = A.indicator_csr, D.w
-    if method in (MethodId.CN_ASF, MethodId.CAR_ASF):
-        beta = 0.5 * (w + P @ A.weight_csr.max(axis=1).toarray().ravel())
-        return beta if method is MethodId.CN_ASF else beta * _link_mass(A, D)
+    if method is MethodId.JA_ASF:
+        return np.full(A.n, 0.5)
     if method is MethodId.PA_ASF:
         return w * w.max(initial=0.0)
     if method is MethodId.RA_ASF:
@@ -550,4 +561,9 @@ def score_bound(
         if cclp_mode == "local":
             return P @ _local_cclp(A, D)
         return (P @ _pair_share(D)) * _link_mass(A, D)
-    return None
+    heaviest = A.weight_csr.max(axis=1).toarray().ravel()
+    if method is MethodId.TLPSS:
+        M = _operand(A, D, method, lambda: latent_matrix(A, w))
+        return 0.5 * (M @ np.ones(A.n) + P @ (heaviest * _inv(w)))
+    beta = 0.5 * (w + P @ heaviest)
+    return beta if method is MethodId.CN_ASF else beta * _link_mass(A, D)

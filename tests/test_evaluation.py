@@ -16,7 +16,7 @@ import tlpss
 from tlpss import evaluation, scoring
 from tlpss import adjacency
 from tlpss.adjacency import LatentPlan, build_adjacency, degree_vector, pair_layout
-from tlpss.decay import DecayParams
+from tlpss.decay import DecayParams, ExpDecayParams
 from tlpss.edges import (
     SnapshotConfig,
     TemporalEdgeList,
@@ -564,18 +564,17 @@ class TestSweep:
             return out
 
         monkeypatch.setattr(evaluation, "score_matrix", recorded)
-        # 48 nodes in blocks of at most 48 * 7 cells: 5 blocks per method
-        # and value
+        # 48 nodes in blocks of at most 48 * 7 cells: several blocks per
+        # method and value
         monkeypatch.setattr(evaluation, "_BLOCK_CELLS", 48 * 7)
-        blocks = len(trapezoid_blocks(48, 48 * 7))
-        assert blocks == 5
         lst = toy_list(community_toy(seed=15))
         methods = [MethodId.TLPSS, MethodId.CN_ASF]
         kwargs = dict(period=200.0, decay=DecayParams(p=3.0, q=1.0), methods=methods)
         evaluate_methods(lst, **kwargs)
+        blocks = next(t for t, (method, _) in enumerate(calls) if method is not MethodId.TLPSS)
+        assert blocks > 2
         # under one decay setting the layout never holds a plan: the latent
-        # pass streams its blocks (CN, which has a bound, walks blocks of
-        # its own)
+        # pass streams its blocks (CN walks blocks of its own)
         assert calls[:blocks] == [(MethodId.TLPSS, False)] * blocks
         assert calls[blocks:] and set(calls[blocks:]) == {(MethodId.CN_ASF, False)}
         assert not layouts[-1].keep_plan
@@ -585,7 +584,7 @@ class TestSweep:
         swept = len(layouts)
         sweep(lst, "q", [1.0, 2.0], **kwargs)
         tlpss = [t for t, (method, _) in enumerate(calls) if method is MethodId.TLPSS]
-        assert len(tlpss) == 2 * blocks and tlpss[-1] + 1 < len(calls)
+        assert len(tlpss) > 2 * 2 and tlpss[-1] + 1 < len(calls)
         # one plan, built for TLPSS's first block and held for every block
         # of every value, and still the layout's when the sweep returns
         assert len(builds) == 1
@@ -671,23 +670,30 @@ def tie_toy(seed=21, n=40, block=10):
     return ToyGraph(n=n, edges=edges, period=1.0)
 
 
-def trapezoid_blocks(n, cells):
-    """The row ranges evaluation scores: each block takes as many rows as
-    fit ``cells`` cells of its width ``n - r0``, and at least one."""
-    blocks, r0 = [], 0
-    while r0 < n:
-        r1 = min(n, r0 + max(1, cells // (n - r0)))
+def infinite_bound(A, *args):
+    """A bound no cut reaches: the walk takes the nodes in order and scores
+    every pair, the unpruned walk."""
+    return np.full(A.n, np.inf)
+
+
+def node_order_blocks(n, cells):
+    """The row ranges of an unpruned walk: a first row against every node,
+    then blocks of as many rows as fit ``cells`` cells of their width ``n -
+    r0``, and at least one, up to the last row but one."""
+    blocks, r0 = [(0, 1)], 1
+    while r0 < n - 1:
+        r1 = min(n - 1, r0 + max(1, cells // (n - r0)))
         blocks.append((r0, r1))
         r0 = r1
     return blocks
 
 
 def one_block_and_blocked(monkeypatch, run, cells):
-    """``run()`` with the whole matrix in one block and no method's bound,
-    then with blocks of ``cells`` cells and the bounds, and the blocked
-    score_matrix calls as ``(method, cclp_mode, rows, cols)``."""
+    """``run()`` unpruned, after a first row the rest of the matrix in one
+    block, then with blocks of ``cells`` cells and the bounds, and the
+    blocked score_matrix calls as ``(method, cclp_mode, rows, cols)``."""
     with monkeypatch.context() as patched:
-        patched.setattr(evaluation, "score_bound", lambda *args: None)
+        patched.setattr(evaluation, "score_bound", infinite_bound)
         whole = run()
     calls = []
     score = evaluation.score_matrix
@@ -700,10 +706,6 @@ def one_block_and_blocked(monkeypatch, run, cells):
     monkeypatch.setattr(evaluation, "_BLOCK_CELLS", cells)
     blocked = run()
     return whole, blocked, calls
-
-
-def unbounded(method):
-    return method in (MethodId.TLPSS, MethodId.JA_ASF)
 
 
 class TestRowBlocks:
@@ -730,19 +732,16 @@ class TestRowBlocks:
 
         whole, blocked, calls = one_block_and_blocked(monkeypatch, run, cells)
         assert blocked == whole
-        blocks = trapezoid_blocks(48, cells)
-        # TLPSS and JA in 6 runs have no bound and walk the upper
-        # trapezoids
-        walked = [(rows, cols) for method, mode, rows, cols in calls if unbounded(method)]
-        assert walked == 12 * [(range(r0, r1), range(r0, 48)) for r0, r1 in blocks]
-        # the others walk blocks of that size too, after a first row
-        bounded = [
-            (rows, cols) for method, mode, rows, cols in calls if not unbounded(method)
-        ]
-        assert all(len(rows) * len(cols) <= cells or len(rows) == 1 for rows, cols in bounded)
-        assert all((r1 - r0) * (48 - r0) <= cells or r1 - r0 == 1 for r0, r1 in blocks)
+        # every method in 6 runs walks one shape: a first row against all
+        # 48 nodes, then blocks of at most that many cells, or of one row,
+        # none against all 48
+        first = [t for t, (_, _, rows, cols) in enumerate(calls) if len(cols) == 48]
+        assert len(first) == 6 * len(ALL_METHODS)
+        assert all(len(calls[t][2]) == 1 for t in first)
+        assert all(calls[t][0] is not calls[t - 1][0] for t in first[1:])
+        assert all(len(rows) * len(cols) <= cells or len(rows) == 1 for *_, rows, cols in calls)
         # a block has fewer candidates (its cells j > i) than top_l = 700
-        assert all(sum(47 - i for i in range(r0, r1)) < 700 for r0, r1 in blocks)
+        assert all(len(rows) * len(cols) < 700 for *_, rows, cols in calls)
 
     @pytest.mark.parametrize("cells", [1, 90])
     def test_tied_scores_equal_one_block(self, monkeypatch, cells):
@@ -766,14 +765,14 @@ class TestRowBlocks:
         # tie the cut by the same rule
         calls.clear()
         with monkeypatch.context() as patched:
-            patched.setattr(evaluation, "score_bound", lambda *args: None)
+            patched.setattr(evaluation, "score_bound", infinite_bound)
             assert run() == whole
         n = lst.node_count
-        walked = trapezoid_blocks(n, cells)
-        assert len(walked) > 1
-        assert [(rows, cols) for _, _, rows, cols in calls] == len(methods) * len(tops) * [
-            (range(r0, r1), range(r0, n)) for r0, r1 in walked
-        ]
+        walked = node_order_blocks(n, cells)
+        assert len(walked) > 2
+        assert [(rows.tolist(), cols.tolist()) for _, _, rows, cols in calls] == len(
+            methods
+        ) * len(tops) * [(list(range(r0, r1)), list(range(r0, n))) for r0, r1 in walked]
 
         # every cut falls inside a run of tied scores (CN's last among
         # zeros), and precision equals a full sort of the candidate universe
@@ -913,8 +912,8 @@ def unit_adjacency(n, pairs):
 
 
 def walk(monkeypatch, A, method, top_l, auc_keys, bounded=True, cclp_mode="local"):
-    """``evaluation._method_top`` on ``A``, with the method's bound or
-    without any (the unpruned walk), and the (rows, cols) it scored."""
+    """``evaluation._method_top`` on ``A``, with the method's bound or an
+    infinite one (the unpruned walk), and the (rows, cols) it scored."""
     calls = []
     score = evaluation.score_matrix
 
@@ -925,7 +924,7 @@ def walk(monkeypatch, A, method, top_l, auc_keys, bounded=True, cclp_mode="local
     with monkeypatch.context() as patched:
         patched.setattr(evaluation, "score_matrix", recorded)
         if not bounded:
-            patched.setattr(evaluation, "score_bound", lambda *args: None)
+            patched.setattr(evaluation, "score_bound", infinite_bound)
         out = evaluation._method_top(
             A, degree_vector(A), method, cclp_mode=cclp_mode, top_l=top_l,
             auc_keys=auc_keys, train_keys=A.layout.keys,
@@ -1057,6 +1056,42 @@ class TestRegion:
                 assert len(scored_keys(calls, n)) < n * (n - 1) // 2, top_l
 
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_tlpss_and_ja_walks_equal_unpruned(self, monkeypatch, workers):
+        """TLPSS's bound, ``(M @ 1 + P @ (h/w))/2``, and JA's
+        1/2 keep the unpruned walk's AUC scores and top L, key for key and
+        bit for bit, under the adjusted sigmoid with and without a floor,
+        exponential decay and the latest-link aggregation; TLPSS's leaves
+        pairs out."""
+        monkeypatch.setattr(adjacency, "_workers", lambda: workers)
+        lst = toy_list(hub_toy())
+        split = split_by_time(lst, 0.9)
+        cfg = SnapshotConfig(period=200.0)
+        layout = pair_layout(split.train)
+        candidates = build_candidates(split, lst.node_count, 3)
+        auc_keys = np.concatenate([candidates.positives, candidates.sampled_negatives])
+        T = snapshot_index(split.t_split, cfg)
+        settings = [
+            (DecayParams(p=3.0, q=1.0), "sum"),
+            (DecayParams(p=3.0, q=0.0), "sum"),
+            (ExpDecayParams(theta=0.4), "sum"),
+            (DecayParams(p=3.0, q=1.0), "latest"),
+        ]
+        for params, agg in settings:
+            A = build_adjacency(split.train, T, params, cfg, layout, agg)
+            n = A.n
+            for cells in (2**21, 3000):
+                monkeypatch.setattr(evaluation, "_BLOCK_CELLS", cells)
+                for method in (MethodId.TLPSS, MethodId.JA_ASF):
+                    for top_l in (1, 10):
+                        pruned, calls = walk(monkeypatch, A, method, top_l, auc_keys)
+                        unpruned, _ = walk(monkeypatch, A, method, top_l, auc_keys, bounded=False)
+                        assert_same_walk(pruned, unpruned)
+                        if method is MethodId.TLPSS:
+                            scored = len(scored_keys(calls, n))
+                            assert scored < n * (n - 1) // 2, (params, agg, top_l)
+
+
 class TestZeroTail:
     """No cell of score 0 enters the running top; a walk whose top holds
     fewer than L cells completes it with the smallest unlinked keys outside
@@ -1135,8 +1170,7 @@ class TestOneBlock:
         (report,) = evaluate_methods(
             lst, period=200.0, decay=DecayParams(p=3.0, q=1.0), methods=[method], seed=5,
         )
-        # TLPSS walks the upper trapezoids, CN a first row and then blocks
-        # in bound order
+        # a first row and then blocks in bound order
         assert len(blocks) > 10
         assert all(block() is None for block in blocks)
 

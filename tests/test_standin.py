@@ -4,8 +4,9 @@ The KONECT files cannot be downloaded here, so the paper's claims cannot be
 checked; what can be checked is that a run of their order finishes within
 its budgets.  This runs ``tlpss evaluate`` on ``GraphSpec(nodes=20000,
 rows=240000)`` of ``perfbench/gen.py`` (loaded read-only), seed 0, in a
-child process: once with all seven methods, and once with CAR and global
-CCLP, which share the link-triangle incidence.  It asserts each run's wall
+child process: once with all seven methods, once with CAR and global
+CCLP, which share the link-triangle incidence, and once with TLPSS and JA,
+whose walks are timed apart from the other methods'.  It asserts each run's wall
 time (under 300 s, criterion 6's budget) and peak RSS (under 2 GB), not its
 AUC or precision.  The tests are marked ``slow``, which the default run
 deselects::
@@ -64,3 +65,8 @@ def test_all_methods_on_a_20k_node_stand_in_within_budget(dataset, tmp_path):
 def test_car_and_global_cclp_on_a_20k_node_stand_in_within_budget(dataset, tmp_path):
     options = ["--method", "car", "--method", "cclp", "--cclp-mode", "global"]
     assert_within_budget(dataset, tmp_path, *options)
+
+
+@pytest.mark.slow
+def test_tlpss_and_ja_on_a_20k_node_stand_in_within_budget(dataset, tmp_path):
+    assert_within_budget(dataset, tmp_path, "--method", "tlpss", "--method", "ja")

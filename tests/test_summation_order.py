@@ -38,7 +38,7 @@ from tlpss.edges import SnapshotConfig, normalize, snapshot_index
 from tlpss.oracle import random_decay, random_toy
 from tlpss.scoring import MethodId, score_bound, score_matrix, score_pairs
 
-from conftest import edge_list, hub_graph
+from conftest import adjacency_of, edge_list, hub_graph
 
 
 def loop_lcl(A):
@@ -494,9 +494,10 @@ def block_in_parts(monkeypatch, X, Y, part_cells):
     """``scoring._block`` of all of ``X @ Y`` on the sparse route, on 3
     threads with ``_PART = part_cells``, checked against the one-call
     product; returns the row ranges of its parts, which must cover the rows
-    once each.  A row costs its cells, ``Y.shape[1]``, whatever its terms;
-    a part costs at most ``part_cells`` or is one row, and ends only where
-    the next row would not fit."""
+    once each.  A row costs its cells, ``Y.shape[1]``, plus its entries of
+    ``X``, which the part copies, whatever its terms; a part costs at most
+    ``part_cells`` or is one row, and ends only where the next row would
+    not fit."""
     monkeypatch.setattr(adjacency, "_PART", part_cells)
     monkeypatch.setattr(adjacency, "_workers", lambda: 3)
     parts = []
@@ -512,7 +513,7 @@ def block_in_parts(monkeypatch, X, Y, part_cells):
     parts.sort()
     bounds = [0] + [b for _, b in parts]
     assert [a for a, _ in parts] == bounds[:-1] and bounds[-1] == X.shape[0]
-    cost = np.full(X.shape[0], Y.shape[1])
+    cost = Y.shape[1] + np.diff(X.indptr)
     for a, b in parts:
         assert a < b
         assert cost[a:b].sum() <= part_cells or b - a == 1
@@ -528,22 +529,22 @@ def random_csr(rng, rows, cols, density):
 
 def test_row_parts_equal_one_product(monkeypatch):
     rng = np.random.default_rng(61000)
-    # far fewer terms than cells per row: a row still costs its 400 cells,
-    # so a part holds 1000 // 400 rows
+    # far fewer terms than cells per row: a row still costs its 400 cells
+    # and its few entries, so a part holds 1000 // 400 rows
     Y = random_csr(rng, 30, 400, 0.02)
     X = random_csr(rng, 40, 30, 0.1)
+    assert np.diff(X.indptr).max() <= 100
     assert block_in_parts(monkeypatch, X, Y, 1000) == [(r, r + 2) for r in range(0, 40, 2)]
-    # many terms per cell: a hub row with every entry and the empty rows
-    # (the first and last too) cost their 50 cells like any other, so a
-    # part holds 5 rows
+    # many terms per cell: the empty rows (the first and last too) cost
+    # their 50 cells, a row of 30 entries 80 whatever its terms, so the
+    # runs of empty rows share parts of 5 and the full rows take parts of 3
     Y = random_csr(rng, 30, 50, 0.5)
-    X = random_csr(rng, 40, 30, 0.3).tolil()
-    X[9, :] = rng.random(30) + 0.5
-    for r in (0, 1, 2, 17, 18, 39):
-        X[r, :] = 0
+    X = sp.lil_matrix((40, 30))
+    for r in range(10, 40):
+        X[r, :] = rng.random(30) + 0.5
     X = X.tocsr()
-    X.eliminate_zeros()
-    assert block_in_parts(monkeypatch, X, Y, 5 * 50) == [(r, r + 5) for r in range(0, 40, 5)]
+    expected = [(0, 5), (5, 10)] + [(r, min(r + 3, 40)) for r in range(10, 40, 3)]
+    assert block_in_parts(monkeypatch, X, Y, 5 * 50) == expected
     # a one-row block
     assert block_in_parts(monkeypatch, random_csr(rng, 1, 30, 0.5), Y, 50) == [(0, 1)]
     # no entries, so no terms, but each row still writes its cells
@@ -553,6 +554,84 @@ def test_row_parts_equal_one_product(monkeypatch):
     # more parts than rows would hold: one row per part
     X = random_csr(rng, 9, 30, 0.3)
     assert block_in_parts(monkeypatch, X, Y, 1) == [(r, r + 1) for r in range(9)]
+
+
+def test_short_block_copies_a_part_of_the_operand_at_a_time(monkeypatch):
+    """A block of two rows against every node gets its transposed half
+    from every other row of TLPSS's operand, two cells each.  With
+    ``_PART`` of 4,096, those rows are cut into parts that each copy at
+    most about ``_PART`` of the operand's entries (or hold one row), and
+    the block keeps the whole matrix's bits."""
+    monkeypatch.setattr(adjacency, "_workers", lambda: 2)
+    A, D = stack(hub_graph(), DecayParams(p=3.0, q=1.0))
+    full = score_matrix(A, D, MethodId.TLPSS, range(A.n), range(A.n))
+    M = A.operands[MethodId.TLPSS][1]
+    A.operands.clear()
+    monkeypatch.setattr(adjacency, "_PART", 4096)
+    assert M.nnz > 10 * 4096
+    copied = []
+    sparse_rows = scoring._sparse_rows
+
+    def record(M, rows, Y, out, add, part):
+        if add:
+            copied.append((len(part), int(np.diff(M.indptr)[rows[part.start : part.stop]].sum())))
+        sparse_rows(M, rows, Y, out, add, part)
+
+    monkeypatch.setattr(scoring, "_sparse_rows", record)
+    order = np.argsort(-D.w, kind="stable")
+    block = score_matrix(A, D, MethodId.TLPSS, order[:2], order)
+    assert np.array_equal(block, full[np.ix_(order[:2], order)])
+    assert len(copied) > 10
+    assert sum(entries for _, entries in copied) == M.nnz - M[order[:2]].nnz
+    assert all(2 * rows + entries <= 4096 or rows == 1 for rows, entries in copied)
+
+
+def test_consecutive_index_array_takes_the_range_path(monkeypatch):
+    """An ascending run of consecutive nodes given as an index array scores
+    its range's cells, and reaches the products as that range, whose
+    operand rows are read as slices; any other array stays an array."""
+    A, D = stack(hub_graph(), DecayParams(p=3.0, q=1.0))
+    n = A.n
+    assert scoring._nodes("rows", np.arange(5, 40), n) == range(5, 40)
+    assert scoring._nodes("rows", np.array([7]), n) == range(7, 8)
+    for other in ([5, 6, 8], [7, 6, 5], [5, 5, 6], [5, 6, 6, 7], []):
+        got = scoring._nodes("rows", np.array(other, dtype=np.int64), n)
+        assert isinstance(got, np.ndarray) and got.tolist() == other
+    taken = []
+    take = scoring._take
+
+    def recorded(X, nodes):
+        taken.append(type(nodes))
+        return take(X, nodes)
+
+    monkeypatch.setattr(scoring, "_take", recorded)
+    for method, mode in SCORINGS:
+        full = score_matrix(A, D, method, range(n), range(n), mode)
+        A.operands.clear()
+        taken.clear()
+        got = score_matrix(A, D, method, np.arange(5, 40), np.arange(5, n), mode)
+        assert np.array_equal(got, full[5:40, 5:]), (method, mode)
+        assert set(taken) <= {range}, (method, mode)
+        gapped = np.r_[5:20, 21:40]
+        got = score_matrix(A, D, method, gapped, np.arange(5, n), mode)
+        assert np.array_equal(got, full[gapped, 5:]), (method, mode)
+        A.operands.clear()
+        assert (np.ndarray in taken) == (method is not MethodId.PA_ASF), (method, mode)
+
+
+def test_cells_of_one_node_are_zero_with_repeated_nodes():
+    """Every cell whose row node is its column node is 0, also where the
+    node repeats in the rows or in the columns, for every method."""
+    A = adjacency_of(4, {(0, 1): 1.0, (1, 2): 2.0, (0, 2): 1.5, (2, 3): 1.0})
+    D = degree_vector(A)
+    for method, mode in SCORINGS:
+        full = score_matrix(A, D, method, range(4), range(4), mode)
+        A.operands.clear()
+        assert not np.diagonal(full).any(), (method, mode)
+        for rows, cols in (([2], [2, 2, 0]), ([2, 2, 0], [2]), ([3, 1, 3, 0], [0, 3, 3, 1, 0])):
+            block = score_matrix(A, D, method, np.array(rows), np.array(cols), mode)
+            A.operands.clear()
+            assert np.array_equal(block, full[np.ix_(rows, cols)]), (method, mode, rows, cols)
 
 
 def test_sparse_block_allocates_nothing_per_operand_entry():
@@ -726,9 +805,9 @@ def test_dense_route_counts_no_term_of_a_non_canonical_operand(monkeypatch):
     L = P @ sp.diags(rng.random(n) + 0.5)
     assert not L.has_canonical_format
     counted = []
-    row_indices = scoring._row_indices
+    column_counts = scoring._column_counts
     monkeypatch.setattr(
-        scoring, "_row_indices", lambda *a: counted.append(1) or row_indices(*a)
+        scoring, "_column_counts", lambda *a: counted.append(1) or column_counts(*a)
     )
     monkeypatch.setattr(scoring, "_DENSE_RATIO", 10**12)
     for X, Y in ((reversed_rows(M), P), (L, P), (M, weighted)):
@@ -803,12 +882,16 @@ def check_pairs_and_index_blocks(toy, params, rng):
         cols = rng.permutation(n)[: rng.integers(1, n + 1)]
         block = score_matrix(A, D, method, rows, cols, mode)
         assert np.array_equal(block, full[np.ix_(rows, cols)]), (method, mode)
+        # with repeats in the rows and the columns: every cell of one node
+        # is 0
+        rows, cols = rng.integers(0, n, size=(2, n + 3))
+        block = score_matrix(A, D, method, rows, cols, mode)
+        assert np.array_equal(block, full[np.ix_(rows, cols)]), (method, mode)
         beta = score_bound(A, D, method, mode)
         A.operands.clear()
-        if beta is not None:
-            limit = np.minimum(beta[:, None], beta[None, :])
-            assert np.all(full <= limit * (1 + 1e-12)), (method, mode)
-        assert (beta is None) == (method in (MethodId.TLPSS, MethodId.JA_ASF))
+        assert beta.shape == (n,)
+        limit = np.minimum(beta[:, None], beta[None, :])
+        assert np.all(full <= limit * (1 + 1e-12)), (method, mode)
 
 
 def test_score_pairs_and_index_blocks_equal_whole_matrix_on_random_toys():
@@ -878,11 +961,12 @@ def test_transposed_half_takes_the_sparse_route(monkeypatch):
     "method", [MethodId.TLPSS, MethodId.CN_ASF, MethodId.JA_ASF, MethodId.CAR_ASF]
 )
 def test_walk_block_adds_one_swapped_product_past_its_square(monkeypatch, method):
-    """In a walk, bounded (node arrays) or not (ranges), every symmetric
-    block's columns begin with its rows.  The route is counted once per
-    block, for the forward product; a non-square block's swapped product
-    takes exactly the columns past its rows, on the sparse route, and a
-    square block takes none."""
+    """In a walk, of node arrays or, where the bound order is the node
+    order (JA), of ranges, every symmetric block's columns begin with its
+    rows.  The route is counted once per block, for the forward product; a
+    non-square block's swapped product takes exactly the columns past its
+    rows, on the sparse route, and a square block takes none, nor does the
+    first block, one row, whose half is one pass over the operand."""
     monkeypatch.setattr(evaluation, "_BLOCK_CELLS", 30_000)
     A, D = stack(hub_graph(), DecayParams(p=3.0, q=1.0))
     blocks = []
@@ -909,13 +993,14 @@ def test_walk_block_adds_one_swapped_product_past_its_square(monkeypatch, method
         auc_keys=np.empty(0, dtype=np.int64), train_keys=A.layout.keys,
     )
     A.operands.clear()
-    assert any(len(rows) < len(cols) for rows, cols, _, _ in blocks)
+    assert len(blocks[0][0]) == 1
+    assert any(1 < len(rows) < len(cols) for rows, cols, _, _ in blocks)
     for rows, cols, halves, routes in blocks:
         h = len(rows)
         assert np.array_equal(cols[:h], rows)
         ((route_rows, route_cols),) = routes
         assert route_rows is rows and route_cols is cols
-        if h == len(cols):
+        if h == len(cols) or h == 1:
             assert halves == []
         else:
             ((half_rows, half_cols, dense),) = halves
