@@ -41,7 +41,7 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from .decay import DecayParams, ExpDecayParams, decay_floor, decay_weights
-from .edges import SnapshotConfig, TemporalEdgeList
+from .edges import SnapshotConfig, TemporalEdgeList, distinct
 from .errors import ConfigError
 
 __all__ = [
@@ -293,19 +293,19 @@ class LatentPlan:
     ``_CHUNK`` terms, each converted from COO to CSR with its rows sorted by
     column, so a cell's terms within a chunk are consecutive, a *run*.  The
     plan cuts the rows by :func:`parts` into *row sets*, ranges of rows of
-    at most ``_PART`` terms over all chunks or of one row, and each set
-    finds its own cells, the union of its runs that fall on neither the
-    diagonal nor a linked pair.  A set's block stores each kept term, chunk
-    by chunk in each chunk's order, by its two links' positions in
-    ``weight_csr.data``, both in the centre's row: the first as int32, the
-    second as its offset from the first; and each run's cell and length.
-    The offsets, cells and lengths each take the narrowest integer type that
-    holds them (:func:`_narrow`), so a kept term costs 6 bytes and a run 4
-    where those fit in 16 bits, as on every set of the benchmark's graphs.
-    A set adds its cells' chunk sums in chunk order and weighs them; the
-    sets are found and weighed on the threads of :func:`pool_map` and
-    written in row order, so the bits do not depend on the number of
-    threads.
+    at most ``_PART`` two-hop paths over all chunks or of one row, and each
+    set finds its own cells, the union of its runs that fall on neither the
+    diagonal nor a linked pair.  A set's block stores its links (x, z) with
+    a centre once, chunk by chunk, as int32 positions in ``weight_csr``;
+    those give its paths, each link followed by every link of z's row.  It
+    stores each kept term, chunk by chunk in each chunk's order, by its
+    path's index among the set's paths; and each run's cell and length,
+    all in the narrowest unsigned type that holds them (:func:`_narrow`):
+    a kept term costs at most 2 bytes in a set of more than one row, a run
+    3 on the benchmark's hub-heavy graph.  A set values its paths, adds its
+    cells' chunk sums in chunk order and weighs them; the sets are found and
+    weighed on the threads of :func:`pool_map` and written in row order, so
+    the bits do not depend on the number of threads.
 
     :attr:`rows` holds the sets' row ranges.  A plan of a layout that keeps
     it (:attr:`PairLayout.keep_plan`) finds its :attr:`sets` at once and
@@ -321,7 +321,6 @@ class LatentPlan:
         deg = np.diff(ptr)
         entry_row = np.repeat(np.arange(n), deg)
         entry_key = entry_row * n + idx  # ascending: rows sorted, columns sorted
-        mirror = np.searchsorted(entry_key, idx * n + entry_row)
 
         # the pass takes the centres z = 0, 1, ... with d(z) >= 2 and flushes
         # its buffer once it holds _CHUNK terms or more
@@ -341,25 +340,21 @@ class LatentPlan:
 
         def find(rows):
             """The set of rows ``rows``, a range: each row's count of cells,
-            the cells' columns, and the set's block: each kept term's first
-            link position and its second's offset from it, and each run's
-            cell and length, chunk by chunk."""
+            the cells' columns, and the set's block: its links (x, z) with a
+            centre, each kept term's path index, and each run's cell and
+            length, chunk by chunk."""
             r0, r1 = rows.start, rows.stop
             e0, e1 = ptr[r0], ptr[r1]
             # the rows' entries (x, z) of W with a centre z, chunk by chunk
             chunk = chunk_of[idx[e0:e1]]
             sel = e0 + np.argsort(chunk, kind="stable")[np.count_nonzero(chunk < 0) :]
-            pa, off, keys, runs = _plan_block(
-                sel, ptr, idx, chunk_of, entry_row, mirror, entry_key[e0:e1]
-            )
-            # the sorted union of the runs' cells (np.unique may hash)
-            cells = np.sort(keys)
-            cells = cells[np.diff(cells, prepend=-1) != 0]
+            path, keys, runs = _plan_block(sel, ptr, idx, chunk_of, entry_row, entry_key[e0:e1])
+            cells = distinct(keys)  # the sorted union of the runs' cells
             counts = np.bincount(cells // n - r0, minlength=r1 - r0)
-            block = (pa, off, _narrow(np.searchsorted(cells, keys)), runs)
+            block = (sel.astype(np.int32), path, _narrow(np.searchsorted(cells, keys)), runs)
             return counts, (cells % n).astype(np.int32), block
 
-        # a kept plan drops find, which holds three int64 arrays per link entry
+        # a kept plan drops find, which holds two int64 arrays per link entry
         self._find = None if layout.keep_plan else find
         self.rows = ranges
         self.sets = list(pool_map(find, ranges)) if layout.keep_plan else ranges
@@ -377,8 +372,9 @@ class LatentPlan:
         (and links), and for a streamed plan a bound on them
         (:func:`_cell_bound`) whose unwritten tail is trimmed in place."""
         W = A.weight_csr
-        wt = W.data
-        mu = A.mult.astype(np.float64)
+        # each link's weight and multiplicity, added at once by complex adds
+        link = np.empty(W.nnz, dtype=np.complex128)
+        link.real, link.imag = W.data, A.mult
         floor = decay_floor(A.params)
         deg = np.diff(W.indptr)
         entry_row = None if w is None else np.repeat(np.arange(A.n), deg)
@@ -389,7 +385,7 @@ class LatentPlan:
             # 0.0 one after another, in chunk order (and is int64 if empty)
             rows, item = task
             counts, cols, block = self._find(item) if isinstance(item, range) else item
-            sums = np.bincount(block[2], _run_sums(wt, mu, block), len(cols))
+            sums = np.bincount(block[2], _run_sums(W, link, block), len(cols))
             sums = sums.astype(np.float64, copy=False)
             row = np.repeat(np.arange(rows.start, rows.stop), counts)
             # in place, each cell rounded as floor * sum / float(min_degree)
@@ -423,12 +419,12 @@ class LatentPlan:
 
 
 def _narrow(a: np.ndarray) -> np.ndarray:
-    """``a`` as the first of int16, uint16 and int32 that holds all its
-    values (int32 holds every offset, cell index and run length of a plan,
-    each less than the node count)."""
-    lo, hi = (int(a.min()), int(a.max())) if len(a) else (0, 0)
-    for t in (np.int16, np.uint16):
-        if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max:
+    """``a``, never negative, as the first of uint8, uint16 and int32 that
+    holds its largest value (int32 holds every path index, cell index and
+    run length of a plan, each less than one row's two-hop paths)."""
+    hi = int(a.max()) if len(a) else 0
+    for t in (np.uint8, np.uint16):
+        if hi <= np.iinfo(t).max:
             return a.astype(t)
     return a.astype(np.int32)
 
@@ -467,42 +463,48 @@ def _with_links(W, entry_row, rows, counts, row, cols, sums, w):
     return counts + np.diff(W.indptr[rows.start : rows.stop + 1]), out_cols, out
 
 
-def _run_sums(wt, mu, block):
-    """Each run's sum of terms in one plan block, under the link weights
-    ``wt`` and multiplicities ``mu``; ``bincount`` adds a run's terms one
-    after another."""
-    pa, off, cells, runs = block
-    pa = pa.astype(np.intp)
-    pb = pa + off
-    value = wt[pa]
-    value += wt[pb]
-    denom = mu[pa]
-    denom += mu[pb]
-    value /= denom
-    run_of_term = np.repeat(np.arange(len(cells)), runs)
-    return np.bincount(run_of_term, weights=value, minlength=len(cells))
+def _run_sums(W, link, block):
+    """Each run's sum of terms in one plan block, under ``W``'s links, each
+    its weight plus its multiplicity times 1j in ``link``, its terms added
+    one after another to 0.0 as ``bincount`` adds them."""
+    sel, path, _, runs = block
+    ptr, idx = W.indptr, W.indices
+    centre = idx[sel]
+    d = ptr[centre + 1] - ptr[centre]
+    # every path x-z-h in path order: SciPy's C copy of z's row of links (and
+    # columns), plus the link (x, z), which holds the pair's values as (z, x)
+    value, cols = np.empty(d.sum(), dtype=link.dtype), np.empty(d.sum(), dtype=idx.dtype)
+    _sparsetools.csr_row_index(len(centre), centre, ptr, idx, link, cols, value)
+    value += np.repeat(link[sel], d)
+    # a CSR row per run, its terms' paths as columns of weight 1.0: SciPy's
+    # product with the values gathers and adds them in one C loop
+    start = np.zeros(len(runs) + 1, dtype=idx.dtype)
+    np.cumsum(runs, dtype=idx.dtype, out=start[1:])
+    sums = np.zeros(len(runs))
+    args = start, path.astype(idx.dtype), np.ones(len(path)), value.real / value.imag, sums
+    _sparsetools.csr_matvec(len(runs), len(value), *args)
+    return sums
 
 
-def _plan_block(sel, ptr, idx, chunk_of, entry_row, mirror, entry_key):
+def _plan_block(sel, ptr, idx, chunk_of, entry_row, entry_key):
     """Kept terms of the rows whose entries ``(x, z)`` of W are ``sel``
     (ordered by the chunk of z, then as in W), chunk by chunk in the order
-    each chunk's COO-to-CSR conversion leaves them, as the position of the
-    link z-x and the offset of the link z-h from it, and their runs' cell
-    keys and lengths; ``entry_key`` holds the sorted keys of those rows'
-    links."""
+    each chunk's COO-to-CSR conversion leaves them, as their paths' indices
+    among the paths x-z-h in the order of ``sel`` then of z's row, and
+    their runs' cell keys and lengths; ``entry_key`` holds the sorted keys
+    of those rows' links."""
     n = len(ptr) - 1
     rows = entry_row[sel]
     centre = idx[sel]
     d = ptr[centre + 1] - ptr[centre]
     first = np.cumsum(d) - d
-    pa = np.repeat(mirror[sel], d)  # the link z-x
     pb = np.repeat(ptr[centre] - first, d) + np.arange(d.sum())  # z-h
     # one CSR row per chunk and row x, each holding N(z) for each centre z
     # of the chunk in N(x), ascending z, as the chunk's CSR row x does
     row_first = np.flatnonzero(np.diff(chunk_of[centre] * n + rows, prepend=-1))
     indptr = np.r_[0, np.cumsum(d)][np.r_[row_first, len(d)]]
     # csr_sort_indices sorts each row alone and compares columns only, so
-    # sorting term ids with the columns permutes them exactly as it permutes
+    # sorting path ids with the columns permutes them exactly as it permutes
     # the values.  (A row that is already sorted repeats no column but its
     # own, and those diagonal terms are dropped, so skipping its sort
     # changes nothing.)
@@ -520,9 +522,7 @@ def _plan_block(sel, ptr, idx, chunk_of, entry_row, mirror, entry_key):
     keys = run_row * n + col
     linked = entry_key.take(np.searchsorted(entry_key, keys), mode="clip") == keys
     keep = (run_row != col) & ~linked
-    term = order.data[np.repeat(keep, runs)]
-    pa, pb = pa[term], pb[term]
-    return pa.astype(np.int32), _narrow(pb - pa), keys[keep], _narrow(runs[keep])
+    return _narrow(order.data[np.repeat(keep, runs)]), keys[keep], _narrow(runs[keep])
 
 
 def latent_matrix(A: WeightedAdjacency, w: np.ndarray | None = None) -> sp.csr_matrix:

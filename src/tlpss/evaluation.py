@@ -47,6 +47,7 @@ from .edges import (
     SnapshotConfig,
     TemporalEdgeList,
     TrainTestSplit,
+    distinct,
     pair_key,
     snapshot_index,
     split_by_time,
@@ -166,7 +167,7 @@ def build_candidates(
     if not len(positives):
         raise EvaluationError("no new links in the test period; nothing to predict")
     n = node_count
-    linked = np.union1d(split.train.pair_keys(), split.test.pair_keys())
+    linked = distinct(np.concatenate([split.train.pair_keys(), split.test.pair_keys()]))
     universe_size = n * (n - 1) // 2 - len(linked)
     if universe_size <= 0:
         raise EvaluationError("graph is complete; there are no negative pairs")
@@ -379,7 +380,8 @@ def _method_top(A, D, method, *, cclp_mode, top_l, auc_keys, train_keys):
         del block, flat, best
         a0 = a1
     if len(top_keys) < top_l:
-        tail = _first_unlinked(n, np.union1d(train_keys, top_keys), top_l - len(top_keys))
+        excluded = distinct(np.concatenate([train_keys, top_keys]))
+        tail = _first_unlinked(n, excluded, top_l - len(top_keys))
         top_keys = np.concatenate([top_keys, tail])
         top_scores = np.concatenate([top_scores, np.zeros(len(tail))])
     rest = np.flatnonzero(~done)

@@ -519,20 +519,21 @@ class TestOperand:
 
 
 class TestNarrow:
-    """The one rule by which a kept plan stores its offsets, cell indices
-    and run lengths: the first of int16, uint16 and int32 that holds them."""
+    """The one rule by which a kept plan stores its path indices, cell
+    indices and run lengths, none of them negative: the first of uint8,
+    uint16 and int32 that holds them."""
 
     @pytest.mark.parametrize(
         "values, dtype",
         [
-            ([], np.int16),
-            ([-32768, 0, 32767], np.int16),
-            ([-32769, 0], np.int32),
-            ([-1, 32768], np.int32),
-            ([0, 32768], np.uint16),
-            ([1, 65535], np.uint16),
+            ([], np.uint8),
+            ([0, 255], np.uint8),
             ([0, 65536], np.int32),
-            ([-(2**31), 2**31 - 1], np.int32),
+            ([3, 70000, 0], np.int32),
+            ([0, 256], np.uint16),
+            ([1, 65535], np.uint16),
+            ([65536], np.int32),
+            ([0, 2**31 - 1], np.int32),
         ],
     )
     def test_narrowest_type_that_holds_the_values(self, values, dtype):
@@ -542,7 +543,8 @@ class TestNarrow:
 
     @pytest.mark.parametrize("keep_plan", [True, False], ids=["kept", "streamed"])
     def test_types_do_not_change_a_bit(self, monkeypatch, keep_plan):
-        """Plans stored in 16-bit types and in int32 give the same bits."""
+        """Plans stored in 8- and 16-bit types and in int32 give the same
+        bits."""
         monkeypatch.setattr(adjacency, "_PART", 256)
         toy = hub_graph()
         lst = normalize(edge_list(toy.edges, toy.n))
@@ -555,9 +557,61 @@ class TestNarrow:
 
         narrow = operand()
         types = {b.dtype for _, _, block in LatentPlan(pair_layout(lst)).sets for b in block[1:]}
-        assert types == {np.dtype(np.int16)}
+        assert types == {np.dtype(np.uint8), np.dtype(np.uint16)}
         monkeypatch.setattr(adjacency, "_narrow", lambda a: a.astype(np.int32))
         assert_same_bits(operand(), narrow)
+
+
+def wide_row_layout(keep_plan):
+    """Node 0 linked to 1,024 nodes Z in 128 groups of 8, each group linked
+    to all of 64 nodes of its own: row 0 has 1,024 * 65 = 66,560 two-hop
+    paths, more than 2**16, and every other row at most 1,536."""
+    groups = np.arange(1024) // 8
+    pairs = [(0, z) for z in range(1, 1025)]
+    pairs += [(z, 1025 + 64 * g + h) for z, g in zip(range(1, 1025), groups) for h in range(64)]
+    lo, hi = np.array(pairs).T
+    mult = np.random.default_rng(61000).integers(1, 4, len(lo))
+    return PairLayout(1025 + 64 * 128, lo, hi, mult, keep_plan=keep_plan)
+
+
+class TestPathIndex:
+    """A kept term is stored as its path's index among its row set's
+    two-hop paths: at most 2 bytes in a set of more than one row, whose
+    paths number at most ``_PART``, and int32 only in a row of more."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("keep_plan", [True, False], ids=["kept", "streamed"])
+    def test_one_row_set_past_2_16_paths_stores_int32_indices(
+        self, monkeypatch, workers, keep_plan
+    ):
+        monkeypatch.setattr(adjacency, "_workers", lambda: workers)
+        layout = wide_row_layout(keep_plan)
+        weight = np.random.default_rng(61001).uniform(0.5, 3.0, len(layout.keys))
+        A = WeightedAdjacency(layout, weight, PARAMS)
+        w = degree_vector(A).w
+        assert_same_bits(latent_matrix(A, w), whole_operand(A, w))
+        if keep_plan:
+            plan = layout.latent_plan
+            path = plan.sets[0][2][1]
+            assert plan.rows[0] == range(0, 1)
+            assert path.dtype == np.int32 and path.max() >= 2**16
+            assert all(block[1].itemsize <= 2 for _, _, block in plan.sets[1:])
+
+    def test_multi_row_sets_hold_two_bytes_a_kept_term(self):
+        toy = hub_graph()
+        lst = normalize(edge_list(toy.edges, toy.n))
+        layout = pair_layout(lst)
+        plan, ptr = LatentPlan(layout), layout.indptr
+        sets = zip(plan.rows, plan.sets)
+        multi = [(rows, block) for rows, (_, _, block) in sets if len(rows) > 1]
+        assert len(multi) > 5
+        for rows, (sel, path, cells, runs) in multi:
+            # one int32 per link (x, z) with a centre, one path index per
+            # kept term, and one cell index and length per run
+            assert sel.dtype == np.int32
+            assert len(sel) <= ptr[rows.stop] - ptr[rows.start]
+            assert path.dtype in (np.uint8, np.uint16) and len(path) == runs.sum()
+            assert len(cells) == len(runs) and runs.min() >= 1
 
 
 class TestParts:

@@ -14,6 +14,7 @@ from tlpss.edges import (
     DropReport,
     SnapshotConfig,
     TemporalEdgeList,
+    distinct,
     load_edge_list,
     normalize,
     pair_key,
@@ -369,6 +370,35 @@ class TestPairKeys:
         lst = random_list(7)
         expected = [pair_key(u, v, lst.node_count) for u, v, _ in rows(lst)]
         assert lst.pair_keys().tolist() == expected
+
+
+class TestDistinct:
+    """``distinct``, the one sort behind the split's positives and
+    evaluation's linked keys, against numpy's set functions."""
+
+    def check(self, a, b):
+        union = distinct(np.concatenate([a, b]))
+        ref = np.union1d(a, b)
+        assert union.dtype == ref.dtype and np.array_equal(union, ref)
+        for x, y in ((a, b), (b, a)):
+            got, ref = distinct(x, y), np.setdiff1d(x, y)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            got, ref = distinct(x), np.unique(x)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    def test_keys_with_duplicates(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            high = int(rng.integers(1, 60))
+            a, b = (rng.integers(0, high, rng.integers(0, 80)) for _ in range(2))
+            self.check(a, b)
+
+    def test_empty_arrays(self):
+        empty, keys = np.empty(0, dtype=np.int64), np.array([5, 2, 5, 9], dtype=np.int64)
+        self.check(empty, empty)
+        self.check(empty, keys)
+        self.check(keys, empty)
+        assert distinct(keys, keys).tolist() == []
 
 
 class TestNormalize:

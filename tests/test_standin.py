@@ -6,7 +6,9 @@ its budgets.  This runs ``tlpss evaluate`` on ``GraphSpec(nodes=20000,
 rows=240000)`` of ``perfbench/gen.py`` (loaded read-only), seed 0, in a
 child process: once with all seven methods, once with CAR and global
 CCLP, which share the link-triangle incidence, and once with TLPSS and JA,
-whose walks are timed apart from the other methods'.  It asserts each run's wall
+whose walks are timed apart from the other methods'; and ``tlpss sweep``
+over two values of q with TLPSS, which keeps one latent plan for both
+values.  It asserts each run's wall
 time (under 300 s, criterion 6's budget) and peak RSS (under 2 GB), not its
 AUC or precision.  The tests are marked ``slow``, which the default run
 deselects::
@@ -37,11 +39,11 @@ def dataset(tmp_path_factory):
     return path
 
 
-def assert_within_budget(dataset, out_dir, *options):
-    """``tlpss evaluate`` on ``dataset`` with ``options`` ends in exit 0
-    within 300 s and 2 GB peak RSS."""
+def assert_within_budget(dataset, out_dir, *options, command="evaluate"):
+    """``tlpss evaluate`` (or ``command``) on ``dataset`` with ``options``
+    ends in exit 0 within 300 s and 2 GB peak RSS."""
     args = [
-        sys.executable, "-m", "tlpss.cli", "evaluate", "--dataset", str(dataset),
+        sys.executable, "-m", "tlpss.cli", command, "--dataset", str(dataset),
         "--period", "1h", "--p", "3", "--q", "1", "--top-l", "100",
         *options, "--out-dir", str(out_dir),
     ]
@@ -70,3 +72,9 @@ def test_car_and_global_cclp_on_a_20k_node_stand_in_within_budget(dataset, tmp_p
 @pytest.mark.slow
 def test_tlpss_and_ja_on_a_20k_node_stand_in_within_budget(dataset, tmp_path):
     assert_within_budget(dataset, tmp_path, "--method", "tlpss", "--method", "ja")
+
+
+@pytest.mark.slow
+def test_tlpss_q_sweep_on_a_20k_node_stand_in_within_budget(dataset, tmp_path):
+    options = ["--param", "q", "--range", "1:2:1", "--method", "tlpss"]
+    assert_within_budget(dataset, tmp_path, *options, command="sweep")

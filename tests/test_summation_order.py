@@ -313,7 +313,7 @@ def first_set_summed_last(monkeypatch, keep_plan):
     others = threading.Semaphore(0)
     summed = []
 
-    def first_finishes_last(wt, mu, block):
+    def first_finishes_last(W, link, block):
         if np.array_equal(block[0], first):
             for _ in plan.sets[1:]:
                 assert others.acquire(timeout=30)
@@ -321,7 +321,7 @@ def first_set_summed_last(monkeypatch, keep_plan):
         else:
             summed.append(False)
             others.release()
-        return run_sums(wt, mu, block)
+        return run_sums(W, link, block)
 
     monkeypatch.setattr(adjacency, "_run_sums", first_finishes_last)
     return A, params, summed, len(plan.sets)
