@@ -21,15 +21,15 @@ block's best L cells of positive score at or above the cut, found from a
 pool of at most L + ``adjacency._PART`` of the block's scores, never a
 copy of the block.  Every method has a per-node bound, ``S[x, y] <=
 min(b[x], b[y])`` (:func:`~tlpss.scoring.score_bound`), and every walk
-takes its nodes by decreasing bound, the first block one row against every
-node, and then the upper triangle of the first k nodes, those whose bound
-can still reach the cut; the AUC pairs outside the scored blocks are scored
-directly (:func:`~tlpss.scoring.score_pairs`), with the whole matrix's
-bits.  A top that holds fewer than L cells when the walk ends holds every
-pair of positive score, and the smallest unlinked keys outside it, all of
-score 0, complete it.  One lexsort by (score descending, key
-ascending), :func:`_top`, orders both the running top and the L pairs
-precision@L counts.
+takes its nodes by decreasing bound and scores the upper triangle of the
+first k nodes, those whose bound can still reach the cut, in blocks of
+one shape; the AUC pairs outside the scored blocks are scored directly
+(:func:`~tlpss.scoring.score_pairs`), with the whole matrix's bits.  A
+top that holds fewer than L cells when the walk ends holds every pair of
+positive score, and the smallest unlinked keys outside it, all of score 0,
+complete it.  One lexsort by (score descending, key ascending),
+:func:`_top`, orders both the running top and the L pairs precision@L
+counts.
 """
 
 from __future__ import annotations
@@ -310,14 +310,14 @@ def _method_top(A, D, method, *, cclp_mode, top_l, auc_keys, train_keys):
     it holds L cells, 0 before, and every block offers the top, by one
     rule, its best L cells of positive score at or above the cut.  The
     nodes go by decreasing per-node bound (:func:`score_bound`, ``S[x, y]
-    <= min(b[x], b[y])``): the first block is one row against every node,
-    and then the upper triangle of the first k nodes, those whose bound can
-    still reach the cut; a pair is skipped only when its bound is below the
-    cut by more than a relative ``_MARGIN``.  A walk that ends with fewer
-    than L cells in the top has scored every pair, so the smallest keys not
-    linked in train and not in the top, all of score 0, complete it.  The
-    pairs of ``auc_keys`` outside the scored blocks are scored by
-    :func:`score_pairs`."""
+    <= min(b[x], b[y])``), and the walk scores the upper triangle of the
+    first k nodes, those whose bound can still reach the cut, in blocks of
+    ``max(1, _BLOCK_CELLS // (k - a0))`` rows; a pair is skipped only when
+    its bound is below the cut by more than a relative ``_MARGIN``.  A walk
+    that ends with fewer than L cells in the top has scored every pair, so
+    the smallest keys not linked in train and not in the top, all of score
+    0, complete it.  The pairs of ``auc_keys`` outside the scored blocks
+    are scored by :func:`score_pairs`."""
     n = A.n
     bound = score_bound(A, D, method, cclp_mode)
     order = np.argsort(-bound, kind="stable")
@@ -345,9 +345,7 @@ def _method_top(A, D, method, *, cclp_mode, top_l, auc_keys, train_keys):
         k = int(np.searchsorted(down, -cut * (1.0 - _MARGIN), side="right"))
         if a0 >= k - 1:
             break
-        # the first row, against every node, sets the first cut
-        rows = 1 if a0 == 0 else max(1, _BLOCK_CELLS // (k - a0))
-        a1 = min(k - 1, a0 + rows)
+        a1 = min(k - 1, a0 + max(1, _BLOCK_CELLS // (k - a0)))
         block = score_matrix(A, D, method, order[a0:a1], order[a0:k], cclp_mode)
         flat = block.ravel()
         lo, hi = np.searchsorted(auc_a, [a0, a1])

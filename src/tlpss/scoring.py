@@ -22,12 +22,11 @@ thread per CPU the process may use (:func:`~tlpss.adjacency.pool_map`); a
 cell's bits do not depend on the parts or the threads.  A symmetric
 score's block ``s`` of ``M @ P`` adds the transpose of its leading
 square, where its columns begin with its rows, and gets the rest of its
-transposed half as one sparse product over the swapped rows and columns
-(one row's as one pass over ``M``).  :func:`score_pairs` scores pairs
-from the same operands, adding each pair's terms in the block products'
-order, and :func:`score_bound` gives every method a per-node bound,
-``S[x, y] <= min(b[x], b[y])``, by which evaluation leaves out the pairs
-that cannot reach its top L.
+transposed half as one sparse product over the swapped rows and columns.
+:func:`score_pairs` scores pairs from the same operands, adding each
+pair's terms in the block products' order, and :func:`score_bound` gives
+every method a per-node bound, ``S[x, y] <= min(b[x], b[y])``, by which
+evaluation leaves out the pairs that cannot reach its top L.
 
 A product whose right factor is the 0/1 adjacency indicator ``P`` (every
 score but PA's and the link-triangle factor of CAR and global CCLP) takes
@@ -365,17 +364,14 @@ class _Block:
         holds its own transposed half and adds its transpose in tiles
         (:func:`_add_transpose`); otherwise ``h = 0``.  The columns past
         the square get theirs as one sparse-route product, ``M[cols[h:]] @
-        P[:, rows]``, added into ``s[:, h:].T``; one row's is ``M`` times
-        its row of ``P`` made dense, exact ``+0.0`` terms added off it.  A
-        cell adds the two sums the whole matrix's ``s + s.T`` adds, each of
-        its terms in the order of ``M``'s row."""
+        P[:, rows]``, added into ``s[:, h:].T``, whatever the block's
+        height.  A cell adds the two sums the whole matrix's ``s + s.T``
+        adds, each of its terms in the order of ``M``'s row."""
         P, rows, cols = self.P, self.rows, self.cols
         s = self.product(M, P)
         h = len(rows) if np.array_equal(cols[: len(rows)], rows) else 0
         _add_transpose(s[:h, :h])
-        if h < len(cols) and len(rows) == 1:
-            s[0, h:] += (M @ _take(P, rows).toarray().ravel())[_at(cols[h:])]
-        elif h < len(cols):
+        if h < len(cols):
             _block(M, P, cols[h:], rows, add_to=s[:, h:].T)
         s *= 0.5
         return s

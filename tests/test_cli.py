@@ -320,8 +320,8 @@ class TestBadInputs:
         run = getattr(importlib.import_module(module), name)
 
         def no_memory(*args):
-            # a task the calling thread runs itself, such as a bounded
-            # method's one-row first block, runs as it would
+            # a task the calling thread runs itself, the one task of a
+            # call that pool_map does not share out, runs as it would
             if threading.current_thread() is threading.main_thread():
                 return run(*args)
             threads.append(threading.current_thread())

@@ -677,10 +677,10 @@ def infinite_bound(A, *args):
 
 
 def node_order_blocks(n, cells):
-    """The row ranges of an unpruned walk: a first row against every node,
-    then blocks of as many rows as fit ``cells`` cells of their width ``n -
-    r0``, and at least one, up to the last row but one."""
-    blocks, r0 = [(0, 1)], 1
+    """The row ranges of an unpruned walk: blocks of as many rows as fit
+    ``cells`` cells of their width ``n - r0``, and at least one, up to the
+    last row but one."""
+    blocks, r0 = [], 0
     while r0 < n - 1:
         r1 = min(n - 1, r0 + max(1, cells // (n - r0)))
         blocks.append((r0, r1))
@@ -689,9 +689,9 @@ def node_order_blocks(n, cells):
 
 
 def one_block_and_blocked(monkeypatch, run, cells):
-    """``run()`` unpruned, after a first row the rest of the matrix in one
-    block, then with blocks of ``cells`` cells and the bounds, and the
-    blocked score_matrix calls as ``(method, cclp_mode, rows, cols)``."""
+    """``run()`` unpruned, the matrix in one block, then with blocks of
+    ``cells`` cells and the bounds, and the blocked score_matrix calls as
+    ``(method, cclp_mode, rows, cols)``."""
     with monkeypatch.context() as patched:
         patched.setattr(evaluation, "score_bound", infinite_bound)
         whole = run()
@@ -732,12 +732,12 @@ class TestRowBlocks:
 
         whole, blocked, calls = one_block_and_blocked(monkeypatch, run, cells)
         assert blocked == whole
-        # every method in 6 runs walks one shape: a first row against all
-        # 48 nodes, then blocks of at most that many cells, or of one row,
-        # none against all 48
+        # every method in 6 runs walks one shape: blocks of as many rows as
+        # fit that many cells of their width, or of one row, the first
+        # against all 48 nodes and no other
         first = [t for t, (_, _, rows, cols) in enumerate(calls) if len(cols) == 48]
         assert len(first) == 6 * len(ALL_METHODS)
-        assert all(len(calls[t][2]) == 1 for t in first)
+        assert all(len(calls[t][2]) == max(1, cells // 48) for t in first)
         assert all(calls[t][0] is not calls[t - 1][0] for t in first[1:])
         assert all(len(rows) * len(cols) <= cells or len(rows) == 1 for *_, rows, cols in calls)
         # a block has fewer candidates (its cells j > i) than top_l = 700
@@ -943,6 +943,15 @@ def scored_keys(calls, n):
     return keys
 
 
+def assert_pruned(calls, n, cells, case):
+    """A walk in blocks of ``cells`` cells leaves pairs out; one that fits
+    the whole matrix in its first block makes no other."""
+    if cells < n * n:
+        assert len(scored_keys(calls, n)) < n * (n - 1) // 2, case
+    else:
+        assert len(calls) == 1, case
+
+
 def assert_same_walk(pruned, unpruned):
     """The same AUC scores and top L, key for key and bit for bit."""
     for got, want in zip(pruned, unpruned):
@@ -1019,7 +1028,7 @@ class TestRegion:
                     pruned, calls = walk(monkeypatch, A, method, top_l, auc_keys)
                     unpruned, _ = walk(monkeypatch, A, method, top_l, auc_keys, bounded=False)
                     assert_same_walk(pruned, unpruned)
-                    assert len(scored_keys(calls, n)) < n * (n - 1) // 2, (method, top_l)
+                    assert_pruned(calls, n, cells, (method, top_l))
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_global_cclp_pruned_walk_equals_unpruned(self, monkeypatch, workers):
@@ -1053,7 +1062,7 @@ class TestRegion:
                     monkeypatch, A, cclp, top_l, auc_keys, bounded=False, cclp_mode="global"
                 )
                 assert_same_walk(pruned, unpruned)
-                assert len(scored_keys(calls, n)) < n * (n - 1) // 2, top_l
+                assert_pruned(calls, n, cells, top_l)
 
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -1088,8 +1097,7 @@ class TestRegion:
                         unpruned, _ = walk(monkeypatch, A, method, top_l, auc_keys, bounded=False)
                         assert_same_walk(pruned, unpruned)
                         if method is MethodId.TLPSS:
-                            scored = len(scored_keys(calls, n))
-                            assert scored < n * (n - 1) // 2, (params, agg, top_l)
+                            assert_pruned(calls, n, cells, (params, agg, top_l))
 
 
 class TestZeroTail:
@@ -1170,9 +1178,37 @@ class TestOneBlock:
         (report,) = evaluate_methods(
             lst, period=200.0, decay=DecayParams(p=3.0, q=1.0), methods=[method], seed=5,
         )
-        # a first row and then blocks in bound order
+        # blocks in bound order
         assert len(blocks) > 10
         assert all(block() is None for block in blocks)
+
+
+@pytest.mark.parametrize("cclp_mode", ["local", "global"])
+def test_a_matrix_of_one_block_is_one_call_per_method(monkeypatch, cclp_mode):
+    """Where the whole matrix fits one block, a walk's first block holds
+    every pair i < j: each method is one score_matrix call per decay
+    setting, which the benchmark's traced call count relies on."""
+    calls = []
+    score = evaluation.score_matrix
+
+    def counted(A, D, method, rows, cols, cclp_mode):
+        calls.append((method, len(rows), len(cols)))
+        return score(A, D, method, rows, cols, cclp_mode)
+
+    monkeypatch.setattr(evaluation, "score_matrix", counted)
+    lst = toy_list(community_toy(seed=17))
+    n = lst.node_count
+    assert n * n <= evaluation._BLOCK_CELLS
+    kwargs = dict(
+        period=200.0, decay=DecayParams(p=3.0, q=1.0), methods=list(ALL_METHODS),
+        cclp_mode=cclp_mode, seed=5,
+    )
+    one_each = [(method, n - 1, n) for method in ALL_METHODS]
+    evaluate_methods(lst, **kwargs)
+    assert calls == one_each
+    calls.clear()
+    sweep(lst, "q", [0.0, 1.0], **kwargs)
+    assert calls == 2 * one_each
 
 
 def copy_and_partition_top(flat, L, floor, keys):

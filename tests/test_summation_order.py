@@ -965,8 +965,7 @@ def test_walk_block_adds_one_swapped_product_past_its_square(monkeypatch, method
     order (JA), of ranges, every symmetric block's columns begin with its
     rows.  The route is counted once per block, for the forward product; a
     non-square block's swapped product takes exactly the columns past its
-    rows, on the sparse route, and a square block takes none, nor does the
-    first block, one row, whose half is one pass over the operand."""
+    rows, on the sparse route, and a square block takes none."""
     monkeypatch.setattr(evaluation, "_BLOCK_CELLS", 30_000)
     A, D = stack(hub_graph(), DecayParams(p=3.0, q=1.0))
     blocks = []
@@ -993,14 +992,13 @@ def test_walk_block_adds_one_swapped_product_past_its_square(monkeypatch, method
         auc_keys=np.empty(0, dtype=np.int64), train_keys=A.layout.keys,
     )
     A.operands.clear()
-    assert len(blocks[0][0]) == 1
     assert any(1 < len(rows) < len(cols) for rows, cols, _, _ in blocks)
     for rows, cols, halves, routes in blocks:
         h = len(rows)
         assert np.array_equal(cols[:h], rows)
         ((route_rows, route_cols),) = routes
         assert route_rows is rows and route_cols is cols
-        if h == len(cols) or h == 1:
+        if h == len(cols):
             assert halves == []
         else:
             ((half_rows, half_cols, dense),) = halves
