@@ -21,12 +21,14 @@ them.  The caller makes the layout, which keeps the plan as long as it lives:
 ``A`` keeps its decay as ``A.params``, and ``latent_matrix(A)`` takes its
 floor from it, so edge weights and latent floor come from one ``q``;
 ``latent_matrix(A, w)`` gives TLPSS's operand ``(W + B)/w`` from the same
-row sets, each writing its rows of it, so ``B`` is never built whole.
+row sets, each making its rows' entries above the diagonal and their
+mirrors, so ``B`` is never built whole.
 
 :func:`pool_map` runs kernels that release the GIL on one thread per CPU
 the process may use.  The latent plan's row sets and :mod:`tlpss.scoring`'s
 row and pair parts are its tasks, all cut one way by :func:`parts`: runs of
-consecutive rows or pairs of at most ``_PART`` work each.
+consecutive rows or pairs of at most ``_PART`` work each; the latent pass's
+mirror fill takes runs of row sets.
 """
 
 from __future__ import annotations
@@ -100,15 +102,16 @@ def pool_map(fn, items: list):
     return _executor(workers).map(fn, items)
 
 
-def parts(before: np.ndarray) -> list[range]:
+def parts(before: np.ndarray, limit: int | None = None) -> list[range]:
     """Runs of consecutive items, the tasks of :func:`pool_map`, each
-    costing at most ``_PART`` in all or holding one item: ``before[t]`` is
-    the summed cost of the items before item t, and ``before[-1]`` that of
-    all.  A run takes as many items as fit; the runs cover the items once,
-    in order, and no items make one empty run."""
+    costing at most ``limit`` (by default ``_PART``) in all or holding one
+    item: ``before[t]`` is the summed cost of the items before item t, and
+    ``before[-1]`` that of all.  A run takes as many items as fit; the runs
+    cover the items once, in order, and no items make one empty run."""
+    limit = _PART if limit is None else limit
     m, runs, a = len(before) - 1, [], 0
     while a < m or not runs:
-        b = max(a + 1, int(np.searchsorted(before, before[a] + _PART, side="right")) - 1)
+        b = max(a + 1, int(np.searchsorted(before, before[a] + limit, side="right")) - 1)
         runs.append(range(a, min(b, m)))
         a = b
     return runs
@@ -289,30 +292,33 @@ class LatentPlan:
 
     The latent cells are summed from *terms*, one per two-hop path x-z-h
     with x != h: the value of the term is ``(A(z,x) + A(z,h)) / (m(z,x) +
-    m(z,h))``.  The pass over the centres z adds them in chunks of about
-    ``_CHUNK`` terms, each converted from COO to CSR with its rows sorted by
-    column, so a cell's terms within a chunk are consecutive, a *run*.  The
-    plan cuts the rows by :func:`parts` into *row sets*, ranges of rows of
-    at most ``_PART`` two-hop paths over all chunks or of one row, and each
-    set finds its own cells, the union of its runs that fall on neither the
-    diagonal nor a linked pair.  A set's block stores its links (x, z) with
-    a centre once, chunk by chunk, as int32 positions in ``weight_csr``;
-    those give its paths, each link followed by every link of z's row.  It
-    stores each kept term, chunk by chunk in each chunk's order, by its
-    path's index among the set's paths; and each run's cell and length,
-    all in the narrowest unsigned type that holds them (:func:`_narrow`):
-    a kept term costs at most 2 bytes in a set of more than one row, a run
-    3 on the benchmark's hub-heavy graph.  A set values its paths, adds its
-    cells' chunk sums in chunk order and weighs them; the sets are found and
-    weighed on the threads of :func:`pool_map` and written in row order, so
-    the bits do not depend on the number of threads.
+    m(z,h))``, the same for x-z-h as for h-z-x.  So the plan sums each
+    unordered pair once, as its cell (x, h) with x < h, from the paths x-z-h
+    with h > x alone, and the cell's weight is written to (h, x) too.  The
+    pass over the centres z adds the terms in chunks of about ``_CHUNK``
+    full two-hop paths; within a chunk, a cell's terms are consecutive, a
+    *run*, in ascending order of their centres, the same for (x, h) as it
+    would be for (h, x), so ``B`` is bit-symmetric.  The plan cuts the rows
+    by :func:`parts` into *row sets*, ranges of rows of at most ``_PART``
+    such paths or of one row, and each set finds its own cells, the union
+    of its runs that fall on no linked pair.  A set's block stores the
+    mirror (z, x) of each of its links (x, z) with a path, chunk by chunk,
+    as int32 positions in ``weight_csr``; its paths are the entries of z's
+    row past (z, x).  It stores each kept term, chunk by chunk in each
+    chunk's order, by its path's index among the set's paths; and each
+    run's cell and length, all in the narrowest unsigned type that holds
+    them (:func:`_narrow`): a kept term costs at most 2 bytes in a set of
+    more than one row.  A set values its paths, adds its cells' chunk sums
+    in chunk order and weighs them; the sets are found and weighed on the
+    threads of :func:`pool_map` and written in row order, so the bits do
+    not depend on the number of threads.
 
     :attr:`rows` holds the sets' row ranges.  A plan of a layout that keeps
     it (:attr:`PairLayout.keep_plan`) finds its :attr:`sets` at once and
     weighs them under every adjacency it serves.  In any other plan
     ``sets`` is ``rows``, and :meth:`cells` finds a set, weighs it and
-    drops it in one task: the same kernels, the same bits, and no more than
-    one set per thread in memory.
+    drops it in one task: the same kernels, the same writer, the same bits,
+    and no more than one set per thread in memory.
     """
 
     def __init__(self, layout: PairLayout):
@@ -320,10 +326,13 @@ class LatentPlan:
         ptr, idx = layout.indptr, layout.indices
         deg = np.diff(ptr)
         entry_row = np.repeat(np.arange(n), deg)
-        entry_key = entry_row * n + idx  # ascending: rows sorted, columns sorted
+        # link (x, z)'s paths x-z-h with h > x are the entries of z's row
+        # past its mirror entry (z, x), found among the ascending keys
+        mirror = np.searchsorted(entry_row * n + idx, idx * n + entry_row).astype(np.int32)
+        half = ptr[idx + 1] - mirror - 1
 
         # the pass takes the centres z = 0, 1, ... with d(z) >= 2 and flushes
-        # its buffer once it holds _CHUNK terms or more
+        # its buffer once it holds _CHUNK paths or more
         size = np.where(deg >= 2, deg * deg, 0)
         total = np.cumsum(size)
         chunk_of = np.full(n, -1)
@@ -333,53 +342,58 @@ class LatentPlan:
             end = min(int(np.searchsorted(total, done + _CHUNK)) + 1, n)
             chunk_of[start:end] = chunks
             start, chunks = end, chunks + 1
-        chunk_of[deg < 2] = -1
 
-        # row x has d(z) terms for each centre z in N(x)
-        ranges = parts(np.r_[0, np.cumsum(np.where(deg >= 2, deg, 0)[idx])][ptr])
+        ranges = parts(np.r_[0, np.cumsum(half)][ptr])
 
         def find(rows):
             """The set of rows ``rows``, a range: each row's count of cells,
-            the cells' columns, and the set's block: its links (x, z) with a
-            centre, each kept term's path index, and each run's cell and
-            length, chunk by chunk."""
+            the cells' columns, and the set's block: the mirrors of its
+            links (x, z) with a path, each kept term's path index, and each
+            run's cell and length, chunk by chunk."""
             r0, r1 = rows.start, rows.stop
             e0, e1 = ptr[r0], ptr[r1]
-            # the rows' entries (x, z) of W with a centre z, chunk by chunk
-            chunk = chunk_of[idx[e0:e1]]
-            sel = e0 + np.argsort(chunk, kind="stable")[np.count_nonzero(chunk < 0) :]
-            path, keys, runs = _plan_block(sel, ptr, idx, chunk_of, entry_row, entry_key[e0:e1])
+            row = np.repeat(np.arange(r0, r1), deg[r0:r1])
+            m = mirror[e0:e1]
+            # the rows' links (x, z) with a path, chunk by chunk
+            e = np.flatnonzero(ptr[idx[e0:e1] + 1] - m - 1)
+            e = e[np.argsort(chunk_of[idx[e0 + e]], kind="stable")]
+            links = row * n + idx[e0:e1]  # the rows' links' keys, ascending
+            path, keys, runs = _plan_block(row[e], idx[e0 + e], m[e], ptr, idx, chunk_of, links)
             cells = distinct(keys)  # the sorted union of the runs' cells
             counts = np.bincount(cells // n - r0, minlength=r1 - r0)
-            block = (sel.astype(np.int32), path, _narrow(np.searchsorted(cells, keys)), runs)
+            block = (m[e], path, _narrow(np.searchsorted(cells, keys)), runs)
             return counts, (cells % n).astype(np.int32), block
 
-        # a kept plan drops find, which holds two int64 arrays per link entry
+        # a kept plan drops find, which holds an int32 per link entry
         self._find = None if layout.keep_plan else find
         self.rows = ranges
         self.sets = list(pool_map(find, ranges)) if layout.keep_plan else ranges
 
-    def cells(self, A: WeightedAdjacency, w: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-        """The latent cells as a CSR structure, ``indptr`` and ``indices``,
-        and each cell's weight under ``A`` (see :func:`latent_matrix`), its
-        terms added in the pass's order: term by term within a chunk, then
-        chunk by chunk.  With ``w``, the same arrays of TLPSS's operand
-        ``(W + B)/w`` instead: each set's task merges its rows' links of
-        ``W = A.weight_csr`` with its cells (:func:`_with_links`).
+    def cells(self, A: WeightedAdjacency, w: np.ndarray) -> tuple[np.ndarray, ...]:
+        """TLPSS's operand ``(W + B)/w`` (see :func:`latent_matrix`) as a CSR
+        structure, ``indptr`` and ``indices``, and its values.  Each set's
+        task makes its rows' entries above the diagonal: its links (x, c) of
+        ``W = A.weight_csr`` with c > x merged with its latent cells
+        (:func:`_with_links`), each cell's terms added in the pass's order,
+        term by term within a chunk, then chunk by chunk.  An entry (x, c)
+        over ``w[c]`` is also its mirror (c, x) over ``w[x]``.
 
         The calling thread writes each finished set, in set order, into
-        arrays it allocates once: as many entries as a kept plan's cells
-        (and links), and for a streamed plan a bound on them
-        (:func:`_cell_bound`) whose unwritten tail is trimmed in place."""
+        arrays it allocates once, of twice the entries above the diagonal:
+        a kept plan's, and for a streamed plan a bound on them
+        (:func:`_cell_bound`), whose unwritten tail is trimmed in place.
+        Row x's own entries follow its mirrored ones, (x, y) for the
+        entries (y, x) of the rows before it, which are all written by then,
+        so each row is written where it ends up; :func:`_mirror` then
+        fills in the mirrors and divides every value by ``w``."""
         W = A.weight_csr
         # each link's weight and multiplicity, added at once by complex adds
         link = np.empty(W.nnz, dtype=np.complex128)
         link.real, link.imag = W.data, A.mult
         floor = decay_floor(A.params)
-        deg = np.diff(W.indptr)
-        entry_row = None if w is None else np.repeat(np.arange(A.n), deg)
+        n, deg = A.n, np.diff(W.indptr)
 
-        def set_rows(task):
+        def triangle(task):
             # a plan that keeps no sets gets a row range, and drops the set's
             # block once it is summed; bincount adds each cell's run sums to
             # 0.0 one after another, in chunk order (and is int64 if empty)
@@ -391,30 +405,47 @@ class LatentPlan:
             # in place, each cell rounded as floor * sum / float(min_degree)
             sums *= floor
             sums /= np.minimum(deg[row], deg[cols])
-            if w is None:
-                return counts, cols, sums
-            return _with_links(W, entry_row, rows, counts, row, cols, sums, w)
+            counts, cols, values = _with_links(W, rows, counts, row, cols, sums)
+            # the mirrored entries the set gives each column c > rows.start
+            return counts, cols, values, np.bincount(cols - rows.start, minlength=n - rows.start)
 
-        size = sum(len(s[1]) for s in self.sets) if self._find is None else _cell_bound(W)
-        size += 0 if w is None else W.nnz
+        # twice the entries above the diagonal: a kept plan's, or for a
+        # streamed plan a bound on them (the pages past the end that the
+        # rows leave unwritten are never touched)
+        cells = sum(len(s[1]) for s in self.sets) if self._find is None else _cell_bound(W) // 2
+        size = 2 * (cells + W.nnz // 2)
         itype = np.int32 if size < 2**31 else np.int64
-        indptr = np.zeros(A.n + 1, dtype=itype)
+        indptr = np.zeros(n + 1, dtype=itype)
+        below = np.zeros(n, dtype=itype)  # each row's mirrored entries so far
         indices = np.empty(size, dtype=itype)
         data = np.empty(size)
-        # each set is copied in as it comes and its task's arrays dropped:
-        # memory a worker thread frees stays in its allocator arena
-        end = 0
-        for rows, (counts, cols, values) in zip(
-            self.rows, pool_map(set_rows, list(zip(self.rows, self.sets)))
+        # the tasks of _mirror: runs of about as many sets each, and the
+        # mirrored entries that the rows before a run give each column
+        runs = 4 * _workers()
+        firsts = {len(self.rows) * t // runs for t in range(runs)}
+        starts = []
+        for i, (rows, (counts, cols, values, mirrored)) in enumerate(
+            zip(self.rows, pool_map(triangle, list(zip(self.rows, self.sets))))
         ):
-            start, end = end, end + len(cols)
-            indices[start:end] = cols
-            data[start:end] = values
-            indptr[rows.start + 1 : rows.stop + 1] = start + np.cumsum(counts)
-        # realloc: the pages past the end were never written, and a large
-        # array shrinks where it is
-        indices.resize(end, refcheck=False)
-        data.resize(end, refcheck=False)
+            r0, r1 = rows.start, rows.stop
+            if i in firsts:
+                starts.append((r0, below.copy()))
+            below[r0:] += mirrored
+            # each row's mirrored entries, then its own
+            sizes = np.stack((below[r0:r1], counts), axis=1)
+            ends = indptr[r0 + 1 : r1 + 1]
+            np.cumsum(sizes.sum(axis=1), out=ends)
+            ends += indptr[r0]
+            own = np.repeat(np.tile([False, True], r1 - r0), sizes.ravel())
+            indices[indptr[r0] : indptr[r1]][own] = cols
+            data[indptr[r0] : indptr[r1]][own] = values
+        del link  # mirroring reads none of it
+        # realloc: a large array shrinks where it is
+        indices.resize(indptr[-1], refcheck=False)
+        data.resize(indptr[-1], refcheck=False)
+        stops = [r0 for r0, _ in starts[1:]] + [n]
+        tasks = [(range(r0, r1), done) for (r0, done), r1 in zip(starts, stops)]
+        _mirror(indptr, below, indices, data, w, tasks)
         return indptr, indices, data
 
 
@@ -438,91 +469,150 @@ def _cell_bound(W: sp.csr_matrix) -> int:
     return int(pairs) - int(np.count_nonzero(np.diff(W.indptr)))
 
 
-def _with_links(W, entry_row, rows, counts, row, cols, sums, w):
-    """The rows ``rows`` of TLPSS's operand ``(W + B)/w``, as a set's row
-    counts, columns and values: the set's links in ``W`` (``entry_row``
-    holds each entry's row) and its latent cells (in row ``row``, column
-    ``cols``, weight ``sums``), which never share a cell, merged in column
-    order within each row, each value divided by ``w`` of its column.  A
-    value is its link's weight or its cell's, as ``W + B`` adds it to 0.0,
-    and its quotient rounds as ``(W + B).data / w[indices]`` does."""
+def _with_links(W, rows, counts, row, cols, sums):
+    """The rows ``rows`` of the upper triangle of ``W + B``, as a set's row
+    counts, columns and values: the set's links (x, c) in ``W`` with c > x
+    and its latent cells (in row ``row``, column ``cols``, weight ``sums``),
+    which never share a cell, merged in column order within each row.  A
+    value is its link's weight or its cell's, as ``W + B`` adds it to 0.0."""
     n = W.shape[1]
     e = slice(W.indptr[rows.start], W.indptr[rows.stop])
-    link_key = entry_row[e] * n + W.indices[e]
+    deg = np.diff(W.indptr[rows.start : rows.stop + 1])
+    link_row, link_col = np.repeat(np.arange(rows.start, rows.stop), deg), W.indices[e]
+    up = link_col > link_row
+    link_row, link_col = link_row[up], link_col[up]
     # each link's place: the cells before it, and the links before it
-    at = np.searchsorted(row * n + cols, link_key) + np.arange(len(link_key))
-    latent = np.ones(len(cols) + len(link_key), dtype=bool)
+    at = np.searchsorted(row * n + cols, link_row * n + link_col) + np.arange(len(link_col))
+    latent = np.ones(len(cols) + len(link_col), dtype=bool)
     latent[at] = False
     out_cols = np.empty(len(latent), dtype=cols.dtype)
-    out_cols[at] = W.indices[e]
+    out_cols[at] = link_col
     out_cols[latent] = cols
     out = np.empty(len(latent))
-    out[at] = W.data[e]
+    out[at] = W.data[e][up]
     out[latent] = sums
-    out /= w[out_cols]
-    return counts + np.diff(W.indptr[rows.start : rows.stop + 1]), out_cols, out
+    return counts + np.bincount(link_row - rows.start, minlength=len(rows)), out_cols, out
+
+
+def _mirror(indptr, below, indices, data, w, tasks):
+    """Fill in, in place, the mirrored entries of a symmetric matrix with
+    row pointers ``indptr`` whose entries above the diagonal are written,
+    each row's after room for its ``below`` mirrored ones; then divide every
+    value by ``w`` of its column, as ``data /= w[indices]`` divides it.
+
+    Each task is a range of rows and, for each column, the mirrored entries
+    that the rows before them give it.  The tasks run on the threads of
+    :func:`pool_map` and write disjoint slots.  A task takes its rows a
+    block at a time: SciPy's CSR-to-CSC counting sort orders a block's
+    entries by column, each column's in row order, and each column's run is
+    written to the column's next free slots."""
+    n = len(indptr) - 1
+    first = indptr[:-1] + below  # where each row's own entries start
+    size = indptr[1:] - first
+    # a block holds at least four entries per column pointer of its sort
+    step = max(_PART, 4 * n)
+
+    def fill(task):
+        rows, done = task
+        free = indptr[:-1] + done  # each column's next free slot
+        for block in parts(np.r_[0, np.cumsum(size[rows.start : rows.stop])], step):
+            a, b = rows.start + block.start, rows.start + block.stop
+            ptr = np.zeros(b - a + 1, dtype=indptr.dtype)
+            np.cumsum(size[a:b], out=ptr[1:])
+            cols, vals = _slices(first[a:b], indptr[a + 1 : b + 1], indices, data)
+            col_ptr = np.empty(n + 1, dtype=indptr.dtype)
+            row, val = np.empty_like(cols), np.empty_like(vals)
+            _sparsetools.csr_tocsc(b - a, n, ptr, cols, vals, col_ptr, row, val)
+            count = np.diff(col_ptr)
+            at = np.arange(len(row))
+            at += np.repeat(free - col_ptr[:-1], count)
+            free += count
+            indices[at] = row + a
+            data[at] = val
+
+    def divide(task):
+        rows, end = task[0], indptr[task[0].stop]
+        for start in range(indptr[rows.start], end, step):
+            part = slice(start, min(start + step, end))
+            data[part] /= w[indices[part]]
+
+    list(pool_map(fill, tasks))
+    list(pool_map(divide, tasks))
+
+
+def _slices(start, stop, indices, values):
+    """The slices ``[start, stop)`` of ``indices`` and of ``values``, one
+    after another: SciPy's C copy of rows, each slice given as a row."""
+    bounds = np.empty(2 * len(start), dtype=indices.dtype)
+    bounds[0::2], bounds[1::2] = start, stop
+    every_other = np.arange(0, len(bounds), 2, dtype=indices.dtype)
+    size = int((stop - start).sum())
+    out = np.empty(size, dtype=indices.dtype), np.empty(size, dtype=values.dtype)
+    _sparsetools.csr_row_index(len(start), every_other, bounds, indices, values, *out)
+    return out
 
 
 def _run_sums(W, link, block):
     """Each run's sum of terms in one plan block, under ``W``'s links, each
     its weight plus its multiplicity times 1j in ``link``, its terms added
     one after another to 0.0 as ``bincount`` adds them."""
-    sel, path, _, runs = block
+    mirror, path, _, runs = block
     ptr, idx = W.indptr, W.indices
-    centre = idx[sel]
-    d = ptr[centre + 1] - ptr[centre]
-    # every path x-z-h in path order: SciPy's C copy of z's row of links (and
-    # columns), plus the link (x, z), which holds the pair's values as (z, x)
-    value, cols = np.empty(d.sum(), dtype=link.dtype), np.empty(d.sum(), dtype=idx.dtype)
-    _sparsetools.csr_row_index(len(centre), centre, ptr, idx, link, cols, value)
-    value += np.repeat(link[sel], d)
+    start = mirror + 1
+    stop = ptr[np.searchsorted(ptr, mirror, side="right")]
+    # every path x-z-h in path order: z's row past (z, x), plus the link's
+    # values at (z, x)
+    value = _slices(start, stop, idx, link)[1]
+    value += np.repeat(link[mirror], stop - start)
+    term = value.real / value.imag
+    del value
     # a CSR row per run, its terms' paths as columns of weight 1.0: SciPy's
     # product with the values gathers and adds them in one C loop
-    start = np.zeros(len(runs) + 1, dtype=idx.dtype)
-    np.cumsum(runs, dtype=idx.dtype, out=start[1:])
+    first = np.zeros(len(runs) + 1, dtype=idx.dtype)
+    np.cumsum(runs, dtype=idx.dtype, out=first[1:])
     sums = np.zeros(len(runs))
-    args = start, path.astype(idx.dtype), np.ones(len(path)), value.real / value.imag, sums
-    _sparsetools.csr_matvec(len(runs), len(value), *args)
+    args = first, path.astype(idx.dtype), np.ones(len(path)), term, sums
+    _sparsetools.csr_matvec(len(runs), len(term), *args)
     return sums
 
 
-def _plan_block(sel, ptr, idx, chunk_of, entry_row, entry_key):
-    """Kept terms of the rows whose entries ``(x, z)`` of W are ``sel``
-    (ordered by the chunk of z, then as in W), chunk by chunk in the order
-    each chunk's COO-to-CSR conversion leaves them, as their paths' indices
-    among the paths x-z-h in the order of ``sel`` then of z's row, and
-    their runs' cell keys and lengths; ``entry_key`` holds the sorted keys
-    of those rows' links."""
+def _plan_block(rows, centre, mirror, ptr, idx, chunk_of, entry_key):
+    """Kept terms of the links (x, z) with a path, x in ``rows`` and z in
+    ``centre`` (ordered by the chunk of z, then as in W), chunk by chunk,
+    each chunk's terms ordered by row, then column, then centre, as their
+    paths' indices among the paths x-z-h, h past x in z's row (from
+    ``mirror``, the position of (z, x)), in link order then as in z's row;
+    and their runs' cell keys and lengths.  ``entry_key`` holds the sorted
+    keys of those rows' links."""
     n = len(ptr) - 1
-    rows = entry_row[sel]
-    centre = idx[sel]
-    d = ptr[centre + 1] - ptr[centre]
+    d = ptr[centre + 1] - mirror - 1
     first = np.cumsum(d) - d
-    pb = np.repeat(ptr[centre] - first, d) + np.arange(d.sum())  # z-h
-    # one CSR row per chunk and row x, each holding N(z) for each centre z
-    # of the chunk in N(x), ascending z, as the chunk's CSR row x does
-    row_first = np.flatnonzero(np.diff(chunk_of[centre] * n + rows, prepend=-1))
-    indptr = np.r_[0, np.cumsum(d)][np.r_[row_first, len(d)]]
-    # csr_sort_indices sorts each row alone and compares columns only, so
-    # sorting path ids with the columns permutes them exactly as it permutes
-    # the values.  (A row that is already sorted repeats no column but its
-    # own, and those diagonal terms are dropped, so skipping its sort
-    # changes nothing.)
-    ids = np.arange(len(pb), dtype=np.int32)
-    order = sp.csr_matrix((ids, idx[pb], indptr), shape=(len(row_first), n))
-    order.sort_indices()
-    # a cell's terms are consecutive; runs on the diagonal or a link are dropped
-    col = order.indices
-    new_run = np.diff(col, prepend=-1) != 0
-    new_run[indptr[:-1]] = True
+    at = np.repeat(mirror + 1 - first, d)
+    at += np.arange(len(at))
+    h = idx[at]
+    del at
+    # one segment per chunk and row x, each holding N(z) past x for each
+    # centre z of the chunk in N(x), ascending z
+    seg_first = np.flatnonzero(np.diff(chunk_of[centre] * n + rows, prepend=-1))
+    seg_start = first[seg_first]
+    # a stable sort by segment, then column: each run's terms in path order
+    key = np.repeat(np.arange(len(seg_start)) * n, np.diff(np.r_[seg_start, len(h)]))
+    key += h
+    order = np.argsort(key, kind="stable")
+    del key
+    col = h[order]
+    del h
+    # a cell's terms are consecutive; runs on a link are dropped
+    new_run = np.empty(len(col), dtype=bool)
+    np.not_equal(col[1:], col[:-1], out=new_run[1:])
+    new_run[seg_start] = True
     run_first = np.flatnonzero(new_run)
     runs = np.diff(np.r_[run_first, len(col)])
-    run_row = rows[row_first][np.searchsorted(indptr, run_first, side="right") - 1]
-    col = col[run_first]
-    keys = run_row * n + col
-    linked = entry_key.take(np.searchsorted(entry_key, keys), mode="clip") == keys
-    keep = (run_row != col) & ~linked
-    return _narrow(order.data[np.repeat(keep, runs)]), keys[keep], _narrow(runs[keep])
+    keys = rows[seg_first][np.searchsorted(seg_start, run_first, side="right") - 1] * n
+    keys += col[run_first]
+    del col, run_first
+    keep = entry_key.take(np.searchsorted(entry_key, keys), mode="clip") != keys
+    return _narrow(order[np.repeat(keep, runs)]), keys[keep], _narrow(runs[keep])
 
 
 def latent_matrix(A: WeightedAdjacency, w: np.ndarray | None = None) -> sp.csr_matrix:
@@ -541,20 +631,30 @@ def latent_matrix(A: WeightedAdjacency, w: np.ndarray | None = None) -> sp.csr_m
     + A(z,j)) / (m(i,z) + m(z,j))``, where ``d`` counts distinct neighbors
     and ``m`` multi-edges.  The scale lies in [0, 1], so every
     cell is strictly below the floor.  Supported exactly on pairs at graph
-    distance two.  The two-hop bookkeeping is ``A.layout.latent_plan``, done
-    once for every adjacency of a train list, or for a layout that keeps no
-    plan a :class:`LatentPlan` streamed for this call alone, whose row sets
-    weigh their own cells and write their own rows, one writer for both
-    matrices (:meth:`LatentPlan.cells`): the operand is built without a
-    whole ``B``.
+    distance two, and bit-symmetric: the sum is made once for i < j, its
+    terms in ascending order of z within each chunk of the pass, and written
+    to both cells.  The two-hop bookkeeping is ``A.layout.latent_plan``,
+    done once for every adjacency of a train list, or for a layout that
+    keeps no plan a :class:`LatentPlan` streamed for this call alone, whose
+    row sets weigh their own cells and write their own rows
+    (:meth:`LatentPlan.cells`): the operand is built without a whole ``B``.
+    ``B`` itself is the operand for ``w = 1`` less ``W``'s entries, with
+    which it shares no cell, each ``x / 1.0 == x``.
     """
-    n = A.n
+    n, W = A.n, A.weight_csr
+    ones = w is None
+    w = np.ones(n) if ones else w
     if decay_floor(A.params) == 0.0:
-        if w is None:
-            return sp.csr_matrix((n, n), dtype=np.float64)
-        W = A.weight_csr
-        return sp.csr_matrix((W.data / w[W.indices], W.indices, W.indptr), shape=(n, n))
-    layout = A.layout
-    plan = layout.latent_plan if layout.keep_plan else LatentPlan(layout)
-    indptr, indices, data = plan.cells(A, w)
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        M = sp.csr_matrix((W.data / w[W.indices], W.indices, W.indptr), shape=(n, n))
+    else:
+        layout = A.layout
+        plan = layout.latent_plan if layout.keep_plan else LatentPlan(layout)
+        indptr, indices, data = plan.cells(A, w)
+        M = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    if not ones:
+        return M
+    link_key = np.repeat(np.arange(n), np.diff(W.indptr)) * n + W.indices
+    key = np.repeat(np.arange(n), np.diff(M.indptr)) * n + M.indices
+    latent = link_key.take(np.searchsorted(link_key, key), mode="clip") != key
+    indptr = np.r_[0, np.cumsum(latent)][M.indptr]
+    return sp.csr_matrix((M.data[latent], M.indices[latent], indptr), shape=(n, n))

@@ -564,14 +564,15 @@ class TestNarrow:
 
 def wide_row_layout(keep_plan):
     """Node 0 linked to 1,024 nodes Z in 128 groups of 8, each group linked
-    to all of 64 nodes of its own: row 0 has 1,024 * 65 = 66,560 two-hop
-    paths, more than 2**16, and every other row at most 1,536."""
+    to all of 65 nodes of its own: row 0 has 1,024 * 65 = 66,560 two-hop
+    paths x-z-h with h > x, more than 2**16, and every other row at most
+    1,023 + 65 * 7 = 1,478."""
     groups = np.arange(1024) // 8
     pairs = [(0, z) for z in range(1, 1025)]
-    pairs += [(z, 1025 + 64 * g + h) for z, g in zip(range(1, 1025), groups) for h in range(64)]
+    pairs += [(z, 1025 + 65 * g + h) for z, g in zip(range(1, 1025), groups) for h in range(65)]
     lo, hi = np.array(pairs).T
     mult = np.random.default_rng(61000).integers(1, 4, len(lo))
-    return PairLayout(1025 + 64 * 128, lo, hi, mult, keep_plan=keep_plan)
+    return PairLayout(1025 + 65 * 128, lo, hi, mult, keep_plan=keep_plan)
 
 
 class TestPathIndex:
@@ -598,16 +599,21 @@ class TestPathIndex:
             assert all(block[1].itemsize <= 2 for _, _, block in plan.sets[1:])
 
     def test_multi_row_sets_hold_two_bytes_a_kept_term(self):
-        toy = hub_graph()
+        # a hub graph of twice the usual rows: sets of up to _PART paths
+        # past their rows' own nodes, several of them with path indices
+        # close to 2**16 - 1
+        toy = hub_graph(rows=18000)
         lst = normalize(edge_list(toy.edges, toy.n))
         layout = pair_layout(lst)
         plan, ptr = LatentPlan(layout), layout.indptr
         sets = zip(plan.rows, plan.sets)
         multi = [(rows, block) for rows, (_, _, block) in sets if len(rows) > 1]
         assert len(multi) > 5
+        assert max(int(block[1].max()) for _, block in multi) >= 2**16 - 2**10
         for rows, (sel, path, cells, runs) in multi:
-            # one int32 per link (x, z) with a centre, one path index per
-            # kept term, and one cell index and length per run
+            # one int32 per link (x, z) with a path, the position of its
+            # mirror (z, x), one path index per kept term, and one cell
+            # index and length per run
             assert sel.dtype == np.int32
             assert len(sel) <= ptr[rows.stop] - ptr[rows.start]
             assert path.dtype in (np.uint8, np.uint16) and len(path) == runs.sum()

@@ -3,10 +3,11 @@
 Criterion 3 compares every method with the oracle to 1e-9, which cannot see
 a change in summation order; such a change can still flip a tied AUC or
 precision comparison.  These tests pin the link-triangle incidence product
-and ``latent_matrix`` bit for bit to straightforward per-link and
-gather-and-subtract loops, which add each cell's terms in the row-major link
-order the engine documents, and check that one latent plan gives those bits
-under every parameter set, and that neither row blocks, row parts, the
+and ``latent_matrix`` bit for bit to straightforward loops, which add each
+cell's terms in the order the engine documents (row-major link order; for a
+latent cell, ascending centre order within each chunk of the two-hop pass),
+and check that ``B`` is bit-symmetric, that one latent plan gives those
+bits under every parameter set, and that neither row blocks, row parts, the
 number of worker threads nor the route a product by the adjacency indicator
 takes changes a bit.  Blocks of node indices and ``score_pairs``, which adds
 each pair's terms with ``np.bincount``, give the whole matrix's bits too.
@@ -62,29 +63,28 @@ def loop_lcl(A):
 
 
 def loop_latent(A, params, chunk=4_000_000):
-    """Chunked two-hop pass over every node's neighbor pairs, then the
-    adjacent pairs gathered from the full matrix and subtracted out."""
+    """Chunked two-hop pass over every node's neighbor pairs: within a
+    chunk, each cell adds its terms one after another to 0.0 in ascending
+    order of their centres (``np.add.at`` adds in index order), then the
+    chunk sums in chunk order; the pairs that are linked are dropped."""
     n = A.n
     floor = decay_floor(params)
-    acc = sp.csr_matrix((n, n), dtype=np.float64)
     if floor == 0.0:
-        return acc
-    buf_i, buf_j, buf_v = [], [], []
-
-    def flush(acc):
-        if not buf_v:
-            return acc
-        block = sp.coo_matrix(
-            (np.concatenate(buf_v), (np.concatenate(buf_i), np.concatenate(buf_j))),
-            shape=(n, n),
-        )
-        buf_i.clear()
-        buf_j.clear()
-        buf_v.clear()
-        return acc + block.tocsr()
-
+        return sp.csr_matrix((n, n), dtype=np.float64)
     W = A.weight_csr
     deg = np.diff(W.indptr)
+    total = np.zeros(n * n)
+    seen = np.zeros(n * n, dtype=bool)
+    cells, terms = [], []
+
+    def flush():
+        if cells:
+            part = np.zeros(n * n)
+            np.add.at(part, np.concatenate(cells), np.concatenate(terms))
+            np.add(total, part, out=total)
+            cells.clear()
+            terms.clear()
+
     buffered = 0
     for z in range(n):
         d = int(deg[z])
@@ -93,29 +93,23 @@ def loop_latent(A, params, chunk=4_000_000):
         row = slice(W.indptr[z], W.indptr[z + 1])
         nb, wt = W.indices[row], W.data[row]
         mu = A.mult[row].astype(np.float64)
-        contrib = (wt[:, None] + wt[None, :]) / (mu[:, None] + mu[None, :])
-        np.fill_diagonal(contrib, 0.0)
-        buf_i.append(np.repeat(nb, d))
-        buf_j.append(np.tile(nb, d))
-        buf_v.append(contrib.ravel())
+        off = ~np.eye(d, dtype=bool)
+        # the path x-z-h for x = nb[i], h = nb[j]
+        cell = nb[:, None] * n + nb[None, :]
+        cells.append(cell[off])
+        terms.append(((wt[:, None] + wt[None, :]) / (mu[:, None] + mu[None, :]))[off])
+        seen[cell[off]] = True
         buffered += d * d
         if buffered >= chunk:
-            acc = flush(acc)
+            flush()
             buffered = 0
-    acc = flush(acc)
+    flush()
 
-    coo = acc.tocoo()
-    if coo.nnz == 0:
-        return acc
-    vals = floor * coo.data / np.minimum(deg[coo.row], deg[coo.col]).astype(np.float64)
-    B = sp.csr_matrix((vals, (coo.row, coo.col)), shape=(n, n))
     adj = W.tocoo()
-    present = np.asarray(B[adj.row, adj.col]).ravel()
-    hit = present != 0
-    if np.any(hit):
-        B = B - sp.csr_matrix((present[hit], (adj.row[hit], adj.col[hit])), shape=(n, n))
-        B.eliminate_zeros()
-    return B
+    seen[adj.row * n + adj.col] = False
+    rows, cols = np.divmod(np.flatnonzero(seen), n)
+    vals = floor * total[rows * n + cols] / np.minimum(deg[rows], deg[cols]).astype(np.float64)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 def stack(toy, params):
@@ -214,8 +208,8 @@ def test_plan_reused_across_values_on_random_toys():
 
 def test_plan_reused_across_values_on_hub_graph():
     _, A = check_plan(hub_graph())
-    # one chunk whose rows run past 16 terms, where csr_sort_indices leaves
-    # insertion sort for its unstable introsort
+    # one chunk whose rows run past 16 terms, beyond which an unstable sort
+    # of a row's columns (SciPy's csr_sort_indices) reorders a cell's terms
     d = np.diff(A.weight_csr.indptr)
     centre = np.where(d >= 2, d, 0)
     assert (centre**2).sum() < adjacency._CHUNK
@@ -238,16 +232,18 @@ def test_plan_with_many_chunks_and_blocks(monkeypatch):
     # many sets, most of them with cells summed across chunks
     repeated = repeated_cells(plan)
     assert len(repeated) > 12 and np.count_nonzero(repeated) > len(repeated) / 2
-    # each set's rows are whole and in order, and own their cells
+    # each set's rows are whole and in order, and own their cells above
+    # the diagonal, half of B's
     counts = np.concatenate([counts for counts, _, _ in plan.sets])
     assert len(counts) == A.n
-    assert counts.sum() == latent_matrix(A).nnz
+    assert 2 * counts.sum() == latent_matrix(A).nnz
 
 
 
 def check_streamed(toy, params_list=PLAN_PARAMS):
     """A layout that keeps no plan gives the kept plan's latent matrices and
-    cell sums bit for bit under every parameter set, and never holds a plan."""
+    operand arrays bit for bit under every parameter set, and never holds a
+    plan."""
     lst = normalize(edge_list(toy.edges, toy.n))
     cfg = SnapshotConfig(period=toy.period)
     T = snapshot_index(lst.t_max, cfg)
@@ -259,7 +255,8 @@ def check_streamed(toy, params_list=PLAN_PARAMS):
         if decay_floor(params) > 0:
             plan = LatentPlan(streamed)
             assert all(isinstance(item, range) for item in plan.sets)
-            for got, ref in zip(plan.cells(B), kept.latent_plan.cells(A)):
+            w = degree_vector(A).w
+            for got, ref in zip(plan.cells(B, w), kept.latent_plan.cells(A, w)):
                 assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
     assert "latent_plan" not in vars(streamed)
     return kept.latent_plan, A
@@ -345,6 +342,70 @@ def test_first_row_set_lands_first_in_the_operand(monkeypatch, keep_plan):
     ref.data /= w[ref.indices]
     assert_same_csr(latent_matrix(A, w), ref)
     assert summed == [False] * (sets - 1) + [True]
+
+
+def check_symmetric(toy, params, keep_plan):
+    """``B`` and ``W + B``, the operand for ``w = 1``, equal their
+    transposes bit for bit, and the operand for the degrees is ``W + B``'s
+    bits over ``w`` of each column."""
+    lst = normalize(edge_list(toy.edges, toy.n))
+    cfg = SnapshotConfig(period=toy.period)
+    layout = pair_layout(lst, keep_plan)
+    A = build_adjacency(lst, snapshot_index(lst.t_max, cfg), params, cfg, layout)
+    B = latent_matrix(A)
+    assert_same_csr(B, B.T)
+    U = latent_matrix(A, np.ones(A.n))
+    assert_same_csr(U, U.T)
+    w = degree_vector(A).w
+    M = U.copy()
+    M.data = U.data / w[U.indices]
+    assert_same_csr(latent_matrix(A, w), M)
+    return A, B
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("keep_plan", [True, False], ids=["kept", "streamed"])
+def test_latent_matrix_is_bit_symmetric(monkeypatch, workers, keep_plan):
+    """Each unordered pair is summed once, its terms in ascending order of
+    their centres within a chunk, and written to both its cells: on toys,
+    the hub graph, whose rows run past the 16 terms up to which SciPy's
+    sort of a row's columns kept their order, and the hub graph in many
+    chunks and row sets, whose tasks write to one pair of arrays (a kept
+    plan's) while threads take turns often."""
+    monkeypatch.setattr(adjacency, "_workers", lambda: workers)
+    params = DecayParams(p=3.0, q=1.0)
+    for trial in range(20):
+        check_symmetric(random_toy(seed=59500 + trial, max_nodes=60), params, keep_plan)
+    _, B = check_symmetric(hub_graph(), params, keep_plan)
+    assert B.nnz > 100_000
+    monkeypatch.setattr(adjacency, "_CHUNK", 5_000)
+    monkeypatch.setattr(adjacency, "_PART", 256)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        A, _ = check_symmetric(hub_graph(), DecayParams(p=0.7, q=7.0), keep_plan)
+    finally:
+        sys.setswitchinterval(interval)
+    d = np.diff(A.weight_csr.indptr)
+    assert (np.where(d >= 2, d, 0) ** 2).sum() / 5_000 > 3
+    assert len(LatentPlan(A.layout).rows) > 100
+
+
+def test_kept_plan_holds_only_cells_above_the_diagonal(monkeypatch):
+    """A kept plan's sets hold the cells (x, h) with h > x, B's upper
+    triangle, each once."""
+    for chunk, part in [(4_000_000, 2**16), (5_000, 256)]:
+        monkeypatch.setattr(adjacency, "_CHUNK", chunk)
+        monkeypatch.setattr(adjacency, "_PART", part)
+        for toy in [hub_graph()] + [random_toy(seed=59600 + t, max_nodes=60) for t in range(10)]:
+            A, _ = stack(toy, DecayParams(p=3.0, q=1.0))
+            plan = A.layout.latent_plan
+            sets = zip(plan.rows, plan.sets)
+            rows = np.concatenate([np.repeat(np.arange(r.start, r.stop), s[0]) for r, s in sets])
+            cols = np.concatenate([s[1] for s in plan.sets])
+            assert np.all(cols > rows)
+            upper = sp.triu(latent_matrix(A), k=1).tocoo()
+            assert np.array_equal(rows * A.n + cols, upper.row * A.n + upper.col)
 
 
 def whole_triangle_mass(A):
