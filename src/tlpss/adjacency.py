@@ -5,9 +5,11 @@ summed decay values of its multi-edges.  On top of it sit the *latent
 edges* used by TLPSS: a pair at graph distance two is weighted by the decay
 floor times a scale factor built from the pair's common neighbors, so a
 latent edge always weighs less than the floor, hence less than any single
-surviving edge weight.  For a target pair (x, y), the latent edges that
-TLPSS uses run from x to its *hidden nodes*: neighbors of y that are not
-neighbors of x but share a neighbor with x.
+surviving edge weight; the scale's sum over the common neighbors is added
+one neighbor after another, in ascending order, as the oracle adds it.  For
+a target pair (x, y), the latent edges that TLPSS uses run from x to its
+*hidden nodes*: neighbors of y that are not neighbors of x but share a
+neighbor with x.
 
 What depends only on which pairs are linked, not on their weights, is
 built once per train list and shared by every decay parameter set: the
@@ -43,7 +45,7 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from .decay import DecayParams, ExpDecayParams, decay_floor, decay_weights
-from .edges import SnapshotConfig, TemporalEdgeList, distinct
+from .edges import SnapshotConfig, TemporalEdgeList
 from .errors import ConfigError
 
 __all__ = [
@@ -56,9 +58,6 @@ __all__ = [
     "pair_layout",
 ]
 
-# Two-hop terms per chunk of the latent pass; chunks fix the order in which
-# each latent cell's terms are added, and so its bits.
-_CHUNK = 4_000_000
 # The most work one task of pool_map holds (see parts): a latent row set's
 # two-hop terms, a row part's cells, those its rows write, a pair part's
 # looked-up terms, and the column indices scoring counts at once.  Memory a
@@ -294,24 +293,21 @@ class LatentPlan:
     with x != h: the value of the term is ``(A(z,x) + A(z,h)) / (m(z,x) +
     m(z,h))``, the same for x-z-h as for h-z-x.  So the plan sums each
     unordered pair once, as its cell (x, h) with x < h, from the paths x-z-h
-    with h > x alone, and the cell's weight is written to (h, x) too.  The
-    pass over the centres z adds the terms in chunks of about ``_CHUNK``
-    full two-hop paths; within a chunk, a cell's terms are consecutive, a
-    *run*, in ascending order of their centres, the same for (x, h) as it
-    would be for (h, x), so ``B`` is bit-symmetric.  The plan cuts the rows
-    by :func:`parts` into *row sets*, ranges of rows of at most ``_PART``
-    such paths or of one row, and each set finds its own cells, the union
-    of its runs that fall on no linked pair.  A set's block stores the
-    mirror (z, x) of each of its links (x, z) with a path, chunk by chunk,
+    with h > x alone, and the cell's weight is written to (h, x) too.  A
+    cell is one sum, its terms added one after another to 0.0 in ascending
+    order of their centres, an order (h, x) shares, so ``B`` is bit-symmetric.
+    The plan cuts the rows by :func:`parts` into *row sets*, ranges of rows
+    of at most ``_PART`` such paths or of one row, and each set finds its
+    own cells, those of its paths that fall on no linked pair.  A set's
+    block stores the mirror (z, x) of each of its links (x, z) with a path,
     as int32 positions in ``weight_csr``; its paths are the entries of z's
-    row past (z, x).  It stores each kept term, chunk by chunk in each
-    chunk's order, by its path's index among the set's paths; and each
-    run's cell and length, all in the narrowest unsigned type that holds
-    them (:func:`_narrow`): a kept term costs at most 2 bytes in a set of
-    more than one row.  A set values its paths, adds its cells' chunk sums
-    in chunk order and weighs them; the sets are found and weighed on the
-    threads of :func:`pool_map` and written in row order, so the bits do
-    not depend on the number of threads.
+    row past (z, x).  It stores each kept term, cell by cell, by its path's
+    index among the set's paths, and each cell's count of terms, both in
+    the narrowest unsigned type that holds them (:func:`_narrow`): a kept
+    term costs at most 2 bytes in a set of more than one row.  A set values
+    its paths, sums its cells and weighs them; the sets are found and
+    weighed on the threads of :func:`pool_map` and written in row order, so
+    the bits do not depend on the number of threads.
 
     :attr:`rows` holds the sets' row ranges.  A plan of a layout that keeps
     it (:attr:`PairLayout.keep_plan`) finds its :attr:`sets` at once and
@@ -329,40 +325,22 @@ class LatentPlan:
         # link (x, z)'s paths x-z-h with h > x are the entries of z's row
         # past its mirror entry (z, x), found among the ascending keys
         mirror = np.searchsorted(entry_row * n + idx, idx * n + entry_row).astype(np.int32)
-        half = ptr[idx + 1] - mirror - 1
-
-        # the pass takes the centres z = 0, 1, ... with d(z) >= 2 and flushes
-        # its buffer once it holds _CHUNK paths or more
-        size = np.where(deg >= 2, deg * deg, 0)
-        total = np.cumsum(size)
-        chunk_of = np.full(n, -1)
-        start = chunks = 0
-        while start < n and total[-1] > total[start] - size[start]:
-            done = total[start] - size[start]
-            end = min(int(np.searchsorted(total, done + _CHUNK)) + 1, n)
-            chunk_of[start:end] = chunks
-            start, chunks = end, chunks + 1
-
-        ranges = parts(np.r_[0, np.cumsum(half)][ptr])
+        ranges = parts(np.r_[0, np.cumsum(ptr[idx + 1] - mirror - 1)][ptr])
 
         def find(rows):
             """The set of rows ``rows``, a range: each row's count of cells,
             the cells' columns, and the set's block: the mirrors of its
             links (x, z) with a path, each kept term's path index, and each
-            run's cell and length, chunk by chunk."""
+            cell's count of terms."""
             r0, r1 = rows.start, rows.stop
             e0, e1 = ptr[r0], ptr[r1]
             row = np.repeat(np.arange(r0, r1), deg[r0:r1])
             m = mirror[e0:e1]
-            # the rows' links (x, z) with a path, chunk by chunk
-            e = np.flatnonzero(ptr[idx[e0:e1] + 1] - m - 1)
-            e = e[np.argsort(chunk_of[idx[e0 + e]], kind="stable")]
+            e = np.flatnonzero(ptr[idx[e0:e1] + 1] - m - 1)  # links with a path
             links = row * n + idx[e0:e1]  # the rows' links' keys, ascending
-            path, keys, runs = _plan_block(row[e], idx[e0 + e], m[e], ptr, idx, chunk_of, links)
-            cells = distinct(keys)  # the sorted union of the runs' cells
-            counts = np.bincount(cells // n - r0, minlength=r1 - r0)
-            block = (m[e], path, _narrow(np.searchsorted(cells, keys)), runs)
-            return counts, (cells % n).astype(np.int32), block
+            path, keys, terms = _plan_block(row[e], idx[e0 + e], m[e], ptr, idx, links)
+            counts = np.bincount(keys // n - r0, minlength=r1 - r0)
+            return counts, (keys % n).astype(np.int32), (m[e], path, terms)
 
         # a kept plan drops find, which holds an int32 per link entry
         self._find = None if layout.keep_plan else find
@@ -374,9 +352,8 @@ class LatentPlan:
         structure, ``indptr`` and ``indices``, and its values.  Each set's
         task makes its rows' entries above the diagonal: its links (x, c) of
         ``W = A.weight_csr`` with c > x merged with its latent cells
-        (:func:`_with_links`), each cell's terms added in the pass's order,
-        term by term within a chunk, then chunk by chunk.  An entry (x, c)
-        over ``w[c]`` is also its mirror (c, x) over ``w[x]``.
+        (:func:`_with_links`), each cell one sum of its terms.  An entry
+        (x, c) over ``w[c]`` is also its mirror (c, x) over ``w[x]``.
 
         The calling thread writes each finished set, in set order, into
         arrays it allocates once, of twice the entries above the diagonal:
@@ -395,12 +372,10 @@ class LatentPlan:
 
         def triangle(task):
             # a plan that keeps no sets gets a row range, and drops the set's
-            # block once it is summed; bincount adds each cell's run sums to
-            # 0.0 one after another, in chunk order (and is int64 if empty)
+            # block once it is summed
             rows, item = task
             counts, cols, block = self._find(item) if isinstance(item, range) else item
-            sums = np.bincount(block[2], _run_sums(W, link, block), len(cols))
-            sums = sums.astype(np.float64, copy=False)
+            sums = _run_sums(W, link, block)
             row = np.repeat(np.arange(rows.start, rows.stop), counts)
             # in place, each cell rounded as floor * sum / float(min_degree)
             sums *= floor
@@ -451,8 +426,8 @@ class LatentPlan:
 
 def _narrow(a: np.ndarray) -> np.ndarray:
     """``a``, never negative, as the first of uint8, uint16 and int32 that
-    holds its largest value (int32 holds every path index, cell index and
-    run length of a plan, each less than one row's two-hop paths)."""
+    holds its largest value (int32 holds every path index and term count
+    of a plan, each less than one row's two-hop paths)."""
     hi = int(a.max()) if len(a) else 0
     for t in (np.uint8, np.uint16):
         if hi <= np.iinfo(t).max:
@@ -553,10 +528,10 @@ def _slices(start, stop, indices, values):
 
 
 def _run_sums(W, link, block):
-    """Each run's sum of terms in one plan block, under ``W``'s links, each
-    its weight plus its multiplicity times 1j in ``link``, its terms added
-    one after another to 0.0 as ``bincount`` adds them."""
-    mirror, path, _, runs = block
+    """Each cell's sum of terms in one plan block, under ``W``'s links, each
+    its weight plus its multiplicity times 1j in ``link``: its terms added
+    one after another to 0.0, in the block's order."""
+    mirror, path, terms = block
     ptr, idx = W.indptr, W.indices
     start = mirror + 1
     stop = ptr[np.searchsorted(ptr, mirror, side="right")]
@@ -566,24 +541,23 @@ def _run_sums(W, link, block):
     value += np.repeat(link[mirror], stop - start)
     term = value.real / value.imag
     del value
-    # a CSR row per run, its terms' paths as columns of weight 1.0: SciPy's
+    # a CSR row per cell, its terms' paths as columns of weight 1.0: SciPy's
     # product with the values gathers and adds them in one C loop
-    first = np.zeros(len(runs) + 1, dtype=idx.dtype)
-    np.cumsum(runs, dtype=idx.dtype, out=first[1:])
-    sums = np.zeros(len(runs))
+    first = np.zeros(len(terms) + 1, dtype=idx.dtype)
+    np.cumsum(terms, dtype=idx.dtype, out=first[1:])
+    sums = np.zeros(len(terms))
     args = first, path.astype(idx.dtype), np.ones(len(path)), term, sums
-    _sparsetools.csr_matvec(len(runs), len(term), *args)
+    _sparsetools.csr_matvec(len(terms), len(term), *args)
     return sums
 
 
-def _plan_block(rows, centre, mirror, ptr, idx, chunk_of, entry_key):
+def _plan_block(rows, centre, mirror, ptr, idx, entry_key):
     """Kept terms of the links (x, z) with a path, x in ``rows`` and z in
-    ``centre`` (ordered by the chunk of z, then as in W), chunk by chunk,
-    each chunk's terms ordered by row, then column, then centre, as their
-    paths' indices among the paths x-z-h, h past x in z's row (from
+    ``centre`` (in W's order), ordered by row, then column, then centre, as
+    their paths' indices among the paths x-z-h, h past x in z's row (from
     ``mirror``, the position of (z, x)), in link order then as in z's row;
-    and their runs' cell keys and lengths.  ``entry_key`` holds the sorted
-    keys of those rows' links."""
+    and their cells' keys and counts of terms.  ``entry_key`` holds the
+    sorted keys of those rows' links."""
     n = len(ptr) - 1
     d = ptr[centre + 1] - mirror - 1
     first = np.cumsum(d) - d
@@ -591,28 +565,28 @@ def _plan_block(rows, centre, mirror, ptr, idx, chunk_of, entry_key):
     at += np.arange(len(at))
     h = idx[at]
     del at
-    # one segment per chunk and row x, each holding N(z) past x for each
-    # centre z of the chunk in N(x), ascending z
-    seg_first = np.flatnonzero(np.diff(chunk_of[centre] * n + rows, prepend=-1))
-    seg_start = first[seg_first]
-    # a stable sort by segment, then column: each run's terms in path order
-    key = np.repeat(np.arange(len(seg_start)) * n, np.diff(np.r_[seg_start, len(h)]))
+    # a stable sort by row, then column: each cell's terms in path order,
+    # which is ascending centre order
+    key = np.repeat(rows * n, d)
     key += h
     order = np.argsort(key, kind="stable")
     del key
     col = h[order]
     del h
-    # a cell's terms are consecutive; runs on a link are dropped
-    new_run = np.empty(len(col), dtype=bool)
-    np.not_equal(col[1:], col[:-1], out=new_run[1:])
-    new_run[seg_start] = True
-    run_first = np.flatnonzero(new_run)
-    runs = np.diff(np.r_[run_first, len(col)])
-    keys = rows[seg_first][np.searchsorted(seg_start, run_first, side="right") - 1] * n
-    keys += col[run_first]
-    del col, run_first
+    # where each row's paths start; a cell's terms are consecutive
+    row_first = np.flatnonzero(np.diff(rows, prepend=-1))
+    row_start = first[row_first]
+    new_cell = np.empty(len(col), dtype=bool)
+    np.not_equal(col[1:], col[:-1], out=new_cell[1:])
+    new_cell[row_start] = True
+    cell_first = np.flatnonzero(new_cell)
+    terms = np.diff(np.r_[cell_first, len(col)])
+    keys = rows[row_first][np.searchsorted(row_start, cell_first, side="right") - 1] * n
+    keys += col[cell_first]
+    del col, cell_first
+    # cells on a link are dropped
     keep = entry_key.take(np.searchsorted(entry_key, keys), mode="clip") != keys
-    return _narrow(order[np.repeat(keep, runs)]), keys[keep], _narrow(runs[keep])
+    return _narrow(order[np.repeat(keep, terms)]), keys[keep], _narrow(terms[keep])
 
 
 def latent_matrix(A: WeightedAdjacency, w: np.ndarray | None = None) -> sp.csr_matrix:
@@ -632,8 +606,8 @@ def latent_matrix(A: WeightedAdjacency, w: np.ndarray | None = None) -> sp.csr_m
     and ``m`` multi-edges.  The scale lies in [0, 1], so every
     cell is strictly below the floor.  Supported exactly on pairs at graph
     distance two, and bit-symmetric: the sum is made once for i < j, its
-    terms in ascending order of z within each chunk of the pass, and written
-    to both cells.  The two-hop bookkeeping is ``A.layout.latent_plan``,
+    terms added one after another in ascending order of z, and written to
+    both cells.  The two-hop bookkeeping is ``A.layout.latent_plan``,
     done once for every adjacency of a train list, or for a layout that
     keeps no plan a :class:`LatentPlan` streamed for this call alone, whose
     row sets weigh their own cells and write their own rows

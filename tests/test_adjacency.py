@@ -433,7 +433,7 @@ def assert_same_bits(got, ref):
 class TestOperand:
     """``latent_matrix(A, w)``, TLPSS's operand ``(W + B)/w`` written from
     the latent pass's row sets, against the whole construction, in every
-    entry and bit: toys, the hub graph, many chunks and row sets, kept and
+    entry and bit: toys, the hub graph, many row sets, kept and
     streamed plans, one and two worker threads, and the decays of floor 0
     (q = 0 and exponential), whose operand is ``W/w``."""
 
@@ -467,7 +467,6 @@ class TestOperand:
     def test_hub_graph(self, monkeypatch, workers, keep_plan, cut):
         monkeypatch.setattr(adjacency, "_workers", lambda: workers)
         if cut == "chunks_and_sets":
-            monkeypatch.setattr(adjacency, "_CHUNK", 5_000)
             monkeypatch.setattr(adjacency, "_PART", 256)
         lst = self.check(hub_graph(), self.DECAYS, keep_plan)
         sets = len(LatentPlan(pair_layout(lst, keep_plan)).rows)
@@ -519,9 +518,9 @@ class TestOperand:
 
 
 class TestNarrow:
-    """The one rule by which a kept plan stores its path indices, cell
-    indices and run lengths, none of them negative: the first of uint8,
-    uint16 and int32 that holds them."""
+    """The one rule by which a kept plan stores its path indices and term
+    counts, none of them negative: the first of uint8, uint16 and int32
+    that holds them."""
 
     @pytest.mark.parametrize(
         "values, dtype",
@@ -610,14 +609,14 @@ class TestPathIndex:
         multi = [(rows, block) for rows, (_, _, block) in sets if len(rows) > 1]
         assert len(multi) > 5
         assert max(int(block[1].max()) for _, block in multi) >= 2**16 - 2**10
-        for rows, (sel, path, cells, runs) in multi:
+        for rows, (sel, path, terms) in multi:
             # one int32 per link (x, z) with a path, the position of its
-            # mirror (z, x), one path index per kept term, and one cell
-            # index and length per run
+            # mirror (z, x), one path index per kept term, and one term
+            # count per kept cell
             assert sel.dtype == np.int32
             assert len(sel) <= ptr[rows.stop] - ptr[rows.start]
-            assert path.dtype in (np.uint8, np.uint16) and len(path) == runs.sum()
-            assert len(cells) == len(runs) and runs.min() >= 1
+            assert path.dtype in (np.uint8, np.uint16) and len(path) == terms.sum()
+            assert terms.min() >= 1
 
 
 class TestParts:

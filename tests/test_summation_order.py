@@ -5,11 +5,11 @@ a change in summation order; such a change can still flip a tied AUC or
 precision comparison.  These tests pin the link-triangle incidence product
 and ``latent_matrix`` bit for bit to straightforward loops, which add each
 cell's terms in the order the engine documents (row-major link order; for a
-latent cell, ascending centre order within each chunk of the two-hop pass),
-and check that ``B`` is bit-symmetric, that one latent plan gives those
-bits under every parameter set, and that neither row blocks, row parts, the
-number of worker threads nor the route a product by the adjacency indicator
-takes changes a bit.  Blocks of node indices and ``score_pairs``, which adds
+latent cell, one sequential sum in ascending centre order), and check that
+``B`` is bit-symmetric, that one latent plan gives those bits under every
+parameter set, and that neither row blocks, row parts, the number of worker
+threads nor the route a product by the adjacency indicator takes changes a
+bit.  Blocks of node indices and ``score_pairs``, which adds
 each pair's terms with ``np.bincount``, give the whole matrix's bits too.
 Row parts cost a row its cells, so cutting a block allocates nothing the
 size of its operand's entries, and each part takes its own operand rows, so
@@ -62,11 +62,11 @@ def loop_lcl(A):
     return out
 
 
-def loop_latent(A, params, chunk=4_000_000):
-    """Chunked two-hop pass over every node's neighbor pairs: within a
-    chunk, each cell adds its terms one after another to 0.0 in ascending
-    order of their centres (``np.add.at`` adds in index order), then the
-    chunk sums in chunk order; the pairs that are linked are dropped."""
+def loop_latent(A, params):
+    """Two-hop pass over every node's neighbor pairs: each cell adds its
+    terms one after another to 0.0 in ascending order of their centres
+    (``np.add.at`` adds in index order); the pairs that are linked are
+    dropped."""
     n = A.n
     floor = decay_floor(params)
     if floor == 0.0:
@@ -76,16 +76,6 @@ def loop_latent(A, params, chunk=4_000_000):
     total = np.zeros(n * n)
     seen = np.zeros(n * n, dtype=bool)
     cells, terms = [], []
-
-    def flush():
-        if cells:
-            part = np.zeros(n * n)
-            np.add.at(part, np.concatenate(cells), np.concatenate(terms))
-            np.add(total, part, out=total)
-            cells.clear()
-            terms.clear()
-
-    buffered = 0
     for z in range(n):
         d = int(deg[z])
         if d < 2:
@@ -99,11 +89,8 @@ def loop_latent(A, params, chunk=4_000_000):
         cells.append(cell[off])
         terms.append(((wt[:, None] + wt[None, :]) / (mu[:, None] + mu[None, :]))[off])
         seen[cell[off]] = True
-        buffered += d * d
-        if buffered >= chunk:
-            flush()
-            buffered = 0
-    flush()
+    if cells:
+        np.add.at(total, np.concatenate(cells), np.concatenate(terms))
 
     adj = W.tocoo()
     seen[adj.row * n + adj.col] = False
@@ -184,7 +171,7 @@ PLAN_PARAMS = [
 ]
 
 
-def check_plan(toy, chunk=4_000_000):
+def check_plan(toy):
     """One plan, the layout's, for every parameter set of one train list."""
     lst = normalize(edge_list(toy.edges, toy.n))
     cfg = SnapshotConfig(period=toy.period)
@@ -193,7 +180,7 @@ def check_plan(toy, chunk=4_000_000):
     plans = []
     for params in PLAN_PARAMS:
         A = build_adjacency(lst, T, params, cfg, layout)
-        assert_same_csr(latent_matrix(A), loop_latent(A, params, chunk))
+        assert_same_csr(latent_matrix(A), loop_latent(A, params))
         plans.append(vars(layout).get("latent_plan"))
     # not built for q = 0, then built once and kept
     assert plans[0] is None
@@ -208,30 +195,26 @@ def test_plan_reused_across_values_on_random_toys():
 
 def test_plan_reused_across_values_on_hub_graph():
     _, A = check_plan(hub_graph())
-    # one chunk whose rows run past 16 terms, beyond which an unstable sort
-    # of a row's columns (SciPy's csr_sort_indices) reorders a cell's terms
+    # rows past 16 terms, beyond which an unstable sort of a row's columns
+    # (SciPy's csr_sort_indices) reorders a cell's terms
     d = np.diff(A.weight_csr.indptr)
-    centre = np.where(d >= 2, d, 0)
-    assert (centre**2).sum() < adjacency._CHUNK
-    assert (A.indicator_csr @ centre).max() > 16
+    assert (A.indicator_csr @ np.where(d >= 2, d, 0)).max() > 16
 
 
-def repeated_cells(plan):
-    """Per row set of a kept plan, its runs on a cell that an earlier
-    chunk's run adds to too (a chunk has one run per cell)."""
-    return [len(cell) - len(np.unique(cell)) for _, _, (_, _, cell, _) in plan.sets]
+def check_term_counts(plan):
+    """Each set of a kept plan holds one term count per kept cell, and one
+    path index per term."""
+    for counts, cols, (_, path, terms) in plan.sets:
+        assert len(terms) == len(cols) == counts.sum()
+        assert len(path) == terms.sum() and (len(terms) == 0 or terms.min() >= 1)
 
 
 def test_plan_with_many_chunks_and_blocks(monkeypatch):
-    monkeypatch.setattr(adjacency, "_CHUNK", 5_000)
     monkeypatch.setattr(adjacency, "_PART", 256)
-    plan, A = check_plan(hub_graph(), chunk=5_000)
-    d = np.diff(A.weight_csr.indptr)
-    chunks = (np.where(d >= 2, d, 0) ** 2).sum() / 5_000
-    assert chunks > 3
-    # many sets, most of them with cells summed across chunks
-    repeated = repeated_cells(plan)
-    assert len(repeated) > 12 and np.count_nonzero(repeated) > len(repeated) / 2
+    plan, A = check_plan(hub_graph())
+    # many sets, each with its cells' term counts
+    assert len(plan.sets) > 100
+    check_term_counts(plan)
     # each set's rows are whole and in order, and own their cells above
     # the diagonal, half of B's
     counts = np.concatenate([counts for counts, _, _ in plan.sets])
@@ -273,7 +256,6 @@ def test_streamed_plan_equals_kept_plan_on_hub_graph():
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_streamed_plan_with_many_chunks_and_blocks(monkeypatch, workers):
-    monkeypatch.setattr(adjacency, "_CHUNK", 5_000)
     monkeypatch.setattr(adjacency, "_PART", 256)
     monkeypatch.setattr(adjacency, "_workers", lambda: workers)
     interval = sys.getswitchinterval()
@@ -282,16 +264,51 @@ def test_streamed_plan_with_many_chunks_and_blocks(monkeypatch, workers):
         plan, A = check_streamed(hub_graph(), PLAN_PARAMS[1:2])
     finally:
         sys.setswitchinterval(interval)
-    repeated = repeated_cells(plan)
-    assert len(repeated) > 12 and np.count_nonzero(repeated) > len(repeated) / 2
-    assert_same_csr(latent_matrix(A), loop_latent(A, PLAN_PARAMS[1], chunk=5_000))
+    assert len(plan.sets) > 100
+    check_term_counts(plan)
+    assert_same_csr(latent_matrix(A), loop_latent(A, PLAN_PARAMS[1]))
+
+
+@pytest.fixture(scope="module")
+def past_4m_paths():
+    """A hub graph of more than 4,000,000 two-hop paths, past which a pass
+    that buffered its paths in chunks of 4M would add many cells' terms in
+    partial sums: the graph, its decay, and the loops' B."""
+    toy = hub_graph(n=1000, rows=45000)
+    params = DecayParams(p=3.0, q=1.0)
+    A, _ = stack(toy, params)
+    d = np.diff(A.weight_csr.indptr)
+    assert (np.where(d >= 2, d, 0) ** 2).sum() > 4_000_000
+    return toy, params, loop_latent(A, params)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("keep_plan", [True, False], ids=["kept", "streamed"])
+def test_one_sum_per_cell_past_4m_paths(monkeypatch, past_4m_paths, workers, keep_plan):
+    """Past 4M paths each cell is still one sum of its terms in ascending
+    centre order: ``B`` and the operand have the loops' bits, and each set
+    of a kept plan holds one term count per kept cell."""
+    monkeypatch.setattr(adjacency, "_workers", lambda: workers)
+    toy, params, ref = past_4m_paths
+    lst = normalize(edge_list(toy.edges, toy.n))
+    cfg = SnapshotConfig(period=toy.period)
+    layout = pair_layout(lst, keep_plan)
+    A = build_adjacency(lst, snapshot_index(lst.t_max, cfg), params, cfg, layout)
+    assert_same_csr(latent_matrix(A), ref)
+    w = degree_vector(A).w
+    M = (A.weight_csr + ref).tocsr()
+    M.data /= w[M.indices]
+    assert_same_csr(latent_matrix(A, w), M)
+    if keep_plan:
+        check_term_counts(layout.latent_plan)
+    else:
+        assert "latent_plan" not in vars(layout)
 
 
 def first_set_summed_last(monkeypatch, keep_plan):
     """The hub graph's adjacency, its decay, and the record of which row set
     ``_run_sums`` sums, with the plan's first row set held back until all
     the others are summed, and the number of sets."""
-    monkeypatch.setattr(adjacency, "_CHUNK", 5_000)
     monkeypatch.setattr(adjacency, "_PART", 256)
     monkeypatch.setattr(adjacency, "_workers", lambda: 3)
     params = DecayParams(p=3.0, q=1.0)
@@ -302,9 +319,9 @@ def first_set_summed_last(monkeypatch, keep_plan):
         lst, snapshot_index(lst.t_max, cfg), params, cfg, pair_layout(lst, keep_plan)
     )
     plan = LatentPlan(pair_layout(lst))
-    # the first set's cells take sums from several chunks; a block's link
+    # the first set's cells sum several terms each; a block's link
     # positions tell its set
-    assert repeated_cells(plan)[0] > 50
+    assert np.count_nonzero(plan.sets[0][2][2] > 1) > 50
     first = plan.sets[0][2][0]
     run_sums = adjacency._run_sums
     others = threading.Semaphore(0)
@@ -327,9 +344,9 @@ def first_set_summed_last(monkeypatch, keep_plan):
 @pytest.mark.parametrize("keep_plan", [True, False], ids=["kept", "streamed"])
 def test_first_row_set_lands_first_when_it_finishes_last(monkeypatch, keep_plan):
     """The plan's first row set is summed after all the others, and its
-    cells still come first, each with its chunk sums in chunk order."""
+    cells still come first, each one sum of its terms."""
     A, params, summed, sets = first_set_summed_last(monkeypatch, keep_plan)
-    assert_same_csr(latent_matrix(A), loop_latent(A, params, chunk=5_000))
+    assert_same_csr(latent_matrix(A), loop_latent(A, params))
     assert summed == [False] * (sets - 1) + [True]
 
 
@@ -338,7 +355,7 @@ def test_first_row_set_lands_first_in_the_operand(monkeypatch, keep_plan):
     """So do its rows of TLPSS's operand, links and cells merged."""
     A, params, summed, sets = first_set_summed_last(monkeypatch, keep_plan)
     w = degree_vector(A).w
-    ref = (A.weight_csr + loop_latent(A, params, chunk=5_000)).tocsr()
+    ref = (A.weight_csr + loop_latent(A, params)).tocsr()
     ref.data /= w[ref.indices]
     assert_same_csr(latent_matrix(A, w), ref)
     assert summed == [False] * (sets - 1) + [True]
@@ -367,18 +384,17 @@ def check_symmetric(toy, params, keep_plan):
 @pytest.mark.parametrize("keep_plan", [True, False], ids=["kept", "streamed"])
 def test_latent_matrix_is_bit_symmetric(monkeypatch, workers, keep_plan):
     """Each unordered pair is summed once, its terms in ascending order of
-    their centres within a chunk, and written to both its cells: on toys,
-    the hub graph, whose rows run past the 16 terms up to which SciPy's
-    sort of a row's columns kept their order, and the hub graph in many
-    chunks and row sets, whose tasks write to one pair of arrays (a kept
-    plan's) while threads take turns often."""
+    their centres, and written to both its cells: on toys, the hub graph,
+    whose rows run past the 16 terms up to which SciPy's sort of a row's
+    columns kept their order, and the hub graph in many row sets, whose
+    tasks write to one pair of arrays (a kept plan's) while threads take
+    turns often."""
     monkeypatch.setattr(adjacency, "_workers", lambda: workers)
     params = DecayParams(p=3.0, q=1.0)
     for trial in range(20):
         check_symmetric(random_toy(seed=59500 + trial, max_nodes=60), params, keep_plan)
     _, B = check_symmetric(hub_graph(), params, keep_plan)
     assert B.nnz > 100_000
-    monkeypatch.setattr(adjacency, "_CHUNK", 5_000)
     monkeypatch.setattr(adjacency, "_PART", 256)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)
@@ -386,16 +402,13 @@ def test_latent_matrix_is_bit_symmetric(monkeypatch, workers, keep_plan):
         A, _ = check_symmetric(hub_graph(), DecayParams(p=0.7, q=7.0), keep_plan)
     finally:
         sys.setswitchinterval(interval)
-    d = np.diff(A.weight_csr.indptr)
-    assert (np.where(d >= 2, d, 0) ** 2).sum() / 5_000 > 3
     assert len(LatentPlan(A.layout).rows) > 100
 
 
 def test_kept_plan_holds_only_cells_above_the_diagonal(monkeypatch):
     """A kept plan's sets hold the cells (x, h) with h > x, B's upper
     triangle, each once."""
-    for chunk, part in [(4_000_000, 2**16), (5_000, 256)]:
-        monkeypatch.setattr(adjacency, "_CHUNK", chunk)
+    for part in [2**16, 256]:
         monkeypatch.setattr(adjacency, "_PART", part)
         for toy in [hub_graph()] + [random_toy(seed=59600 + t, max_nodes=60) for t in range(10)]:
             A, _ = stack(toy, DecayParams(p=3.0, q=1.0))
@@ -527,8 +540,7 @@ def test_row_blocks_equal_whole_matrix_on_hub_graph(params):
 
 
 def test_worker_count_changes_no_bit(monkeypatch):
-    # a plan of many chunks and blocks, and products of several row parts
-    monkeypatch.setattr(adjacency, "_CHUNK", 5_000)
+    # a plan of many row sets, and products of several row parts
     monkeypatch.setattr(adjacency, "_PART", 256)
     params = DecayParams(p=3.0, q=1.0)
     results = []
