@@ -16,18 +16,21 @@ order of the nodes, rows [a0, a1) by columns [a0, k), at most
 next is scored), gathers the positives' and negatives' scores that fall in
 each block, and merges the block's best cells into a running top L for
 precision@L.  The cut is the top's L-th score once it holds L cells, and
-0 before.  Every walk offers the top, by one rule (:func:`_top_cells`), a
-block's best L cells of positive score at or above the cut, found from a
-pool of at most L + ``adjacency._PART`` of the block's scores, never a
-copy of the block.  Every method has a per-node bound, ``S[x, y] <=
-min(b[x], b[y])`` (:func:`~tlpss.scoring.score_bound`), and every walk
-takes its nodes by decreasing bound and scores the upper triangle of the
-first k nodes, those whose bound can still reach the cut, in blocks of
-one shape; the AUC pairs outside the scored blocks are scored directly
+before that the starting cut: 0, or, where the first block would not
+cover every pair, the L-th score among the universe's cells of that
+block's leading square, scored first (:func:`_start`).  Every walk
+offers the top, by one rule (:func:`_top_cells`), a block's best L cells
+of positive score at or above the cut, found from a pool of at most L +
+``adjacency._PART`` of the block's scores, never a copy of the block.
+Every method has a per-node bound, ``S[x, y] <= min(b[x], b[y])``
+(:func:`~tlpss.scoring.score_bound`), and every walk takes its nodes by
+decreasing bound and scores the upper triangle of the first k nodes,
+those whose bound can still reach the cut, in blocks of one shape; the
+AUC pairs outside the scored blocks are scored directly
 (:func:`~tlpss.scoring.score_pairs`), with the whole matrix's bits.  A
 top that holds fewer than L cells when the walk ends holds every pair of
-positive score, and the smallest unlinked keys outside it, all of score 0,
-complete it.  One lexsort by (score descending, key ascending),
+positive score, and the smallest unlinked keys outside it, all of score
+0, complete it.  One lexsort by (score descending, key ascending),
 :func:`_top`, orders both the running top and the L pairs precision@L
 counts.
 """
@@ -298,6 +301,26 @@ def _top_cells(flat: np.ndarray, L: int, floor: float, keys) -> np.ndarray:
     return np.concatenate([best[~tied], ties[:room]])
 
 
+def _start(k: int, L: int, bounded: bool, square) -> float:
+    """The cut a walk over the first ``k`` nodes starts from: 0, or where
+    its first block at cut 0, ``max(1, _BLOCK_CELLS // k)`` rows, would not
+    cover every pair and a cut can leave nodes out (``bounded``: the
+    bounds are not all one value, as JA's are), the L-th score among the
+    universe's cells of that block's leading square, ``square(rows)``
+    (flat, -inf outside the universe), if it holds L of positive score.
+    Those L pairs score at least that, so the top L does too, and no pair
+    whose bound is below it can enter; the walk scores the square again in
+    its first block."""
+    rows = max(1, _BLOCK_CELLS // max(k, 1))
+    if rows >= k - 1 or not bounded:
+        return 0.0
+    flat = square(rows)
+    positive = flat[flat > 0]
+    if len(positive) < L:
+        return 0.0
+    return float(np.partition(positive, len(positive) - L)[len(positive) - L])
+
+
 def _method_top(A, D, method, *, cclp_mode, top_l, auc_keys, train_keys):
     """One method's scores of the pairs ``auc_keys`` and its top ``top_l``
     pairs not linked in train (keys and scores, by :func:`_top`).
@@ -307,11 +330,11 @@ def _method_top(A, D, method, *, cclp_mode, top_l, auc_keys, train_keys):
     scored by :func:`score_matrix` once the previous block is freed, so the
     walk holds one block and its top's pool of at most L + ``_PART``
     scores (:func:`_top_cells`).  The cut is the top's L-th score once
-    it holds L cells, 0 before, and every block offers the top, by one
-    rule, its best L cells of positive score at or above the cut.  The
-    nodes go by decreasing per-node bound (:func:`score_bound`, ``S[x, y]
-    <= min(b[x], b[y])``), and the walk scores the upper triangle of the
-    first k nodes, those whose bound can still reach the cut, in blocks of
+    it holds L cells, the starting cut (:func:`_start`) before, and every
+    block offers the top, by one rule, its best L cells of positive score
+    at or above the cut.  The nodes go by decreasing per-node bound
+    (:func:`score_bound`, ``S[x, y] <= min(b[x], b[y])``), and the walk
+    scores the upper triangle of the first k nodes, those whose bound can still reach the cut, in blocks of
     ``max(1, _BLOCK_CELLS // (k - a0))`` rows; a pair is skipped only when
     its bound is below the cut by more than a relative ``_MARGIN``.  A walk
     that ends with fewer than L cells in the top has scored every pair, so
@@ -335,30 +358,42 @@ def _method_top(A, D, method, *, cclp_mode, top_l, auc_keys, train_keys):
 
     auc_a, auc_b, auc_s = by_row(auc_keys)
     train_a, train_b, _ = by_row(train_keys)
-    scores = np.empty(len(auc_keys))
-    done = np.zeros(len(auc_keys), dtype=bool)
-    top_keys, top_scores = np.empty(0, dtype=np.int64), np.empty(0)
-    a0 = 0
-    while a0 < n:
-        cut = top_scores[-1] if len(top_keys) == top_l else 0.0
-        # the columns are the first k nodes, whose bound can reach the cut
-        k = int(np.searchsorted(down, -cut * (1.0 - _MARGIN), side="right"))
-        if a0 >= k - 1:
-            break
-        a1 = min(k - 1, a0 + max(1, _BLOCK_CELLS // (k - a0)))
+
+    def columns(cut):
+        """The first k nodes, those whose bound can reach ``cut``."""
+        return int(np.searchsorted(down, -cut * (1.0 - _MARGIN), side="right"))
+
+    def score(a0, a1, k):
+        """The block of rows [a0, a1) by columns [a0, k) of the order,
+        flat, its AUC pairs' scores taken, then its cells outside the
+        precision universe set to -inf: its leading triangle (j <= i) and
+        its train-linked cells."""
         block = score_matrix(A, D, method, order[a0:a1], order[a0:k], cclp_mode)
         flat = block.ravel()
         lo, hi = np.searchsorted(auc_a, [a0, a1])
         t = lo + np.flatnonzero(auc_b[lo:hi] < k)
         scores[auc_s[t]] = flat.take((auc_a[t] - a0) * (k - a0) + auc_b[t] - a0)
         done[auc_s[t]] = True
-        # the precision universe is every pair not linked in train: the
-        # block's leading triangle (j <= i) and train-linked cells are out
         h = a1 - a0
         block[:, :h][np.tri(h, dtype=bool)] = -np.inf
         lo, hi = np.searchsorted(train_a, [a0, a1])
         t = lo + np.flatnonzero(train_b[lo:hi] < k)
         flat[(train_a[t] - a0) * (k - a0) + train_b[t] - a0] = -np.inf
+        return flat
+
+    scores = np.empty(len(auc_keys))
+    done = np.zeros(len(auc_keys), dtype=bool)
+    top_keys, top_scores = np.empty(0, dtype=np.int64), np.empty(0)
+    bounded = len(down) > 0 and down[0] < down[-1]
+    start = _start(columns(0.0), top_l, bounded, lambda a1: score(0, a1, a1))
+    a0 = 0
+    while a0 < n:
+        cut = top_scores[-1] if len(top_keys) == top_l else start
+        k = columns(cut)
+        if a0 >= k - 1:
+            break
+        a1 = min(k - 1, a0 + max(1, _BLOCK_CELLS // (k - a0)))
+        flat = score(a0, a1, k)
 
         def keys(cells):
             a, c = np.divmod(cells, k - a0)
@@ -375,7 +410,7 @@ def _method_top(A, D, method, *, cclp_mode, top_l, auc_keys, train_keys):
         keep = _top(top_keys, top_scores, top_l)
         top_keys, top_scores = top_keys[keep], top_scores[keep]
         # no view of this block may outlive it into the next one's scoring
-        del block, flat, best
+        del flat, best
         a0 = a1
     if len(top_keys) < top_l:
         excluded = distinct(np.concatenate([train_keys, top_keys]))

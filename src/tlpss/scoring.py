@@ -15,34 +15,37 @@ of the adjacency's own decay, ``A.params``, and its operand ``(W + B)/w``
 comes from :func:`~tlpss.adjacency.latent_matrix`, which writes it from
 the latent pass's row sets without building ``B``.  Every product is a
 block of rows by columns of one primitive, :func:`_block`, computed in
-row parts cut by :func:`~tlpss.adjacency.parts`, each costing at most
-``_PART`` (a row costs its cells, on the sparse route also its operand
-entries), or in pair parts of at most ``_PART`` terms looked up, on one
-thread per CPU the process may use (:func:`~tlpss.adjacency.pool_map`); a
-cell's bits do not depend on the parts or the threads.  A symmetric
-score's block ``s`` of ``M @ P`` adds the transpose of its leading
-square, where its columns begin with its rows, and gets the rest of its
-transposed half as one sparse product over the swapped rows and columns.
-:func:`score_pairs` scores pairs from the same operands, adding each
-pair's terms in the block products' order, and :func:`score_bound` gives
-every method a per-node bound, ``S[x, y] <= min(b[x], b[y])``, by which
-evaluation leaves out the pairs that cannot reach its top L.
+row parts on one thread per CPU the process may use
+(:func:`~tlpss.adjacency.pool_map`), or in pair parts of at most
+``_PART`` entries read; a cell's bits do not depend on the parts or the
+threads.  A symmetric score's block ``s`` of ``M @ P`` adds the transpose
+of its leading square, where its columns begin with its rows, and gets
+the rest of its transposed half as one swapped product over the swapped
+rows and columns, ``M[cols[h:]] @ P[:, rows]``, on the route its own
+count picks.  :func:`score_pairs` scores pairs from the same operands,
+adding each pair's terms in the block products' order, and
+:func:`score_bound` gives every method a per-node bound, ``S[x, y] <=
+min(b[x], b[y])``, by which evaluation leaves out the pairs that cannot
+reach its top L.
 
 A product whose right factor is the 0/1 adjacency indicator ``P`` (every
 score but PA's and the link-triangle factor of CAR and global CCLP) takes
-one of two routes, chosen per block by counting work in its input.  The
-sparse route is SciPy's sparse x sparse product; its cost is its terms,
-one per entry of the block's rows of the left operand and entry of ``P``'s
-matching row in the block's columns.  The dense-operand route makes a few
-rows of the left operand dense at a time and multiplies them by rows of
-``P`` with SciPy's CSR x dense kernel; its cost is its multiply-adds and
-the cells it makes dense.  A near-dense operand, TLPSS's on a hub-heavy
-graph, does about as many multiply-adds as terms, but as contiguous ones,
-and the route is taken where its cost is at most ``_DENSE_RATIO`` times
-the terms of the block's own rows; a transposed half never takes it.
+one of two routes, chosen per product, forward or swapped, by counting
+work in its input.  The sparse route is SciPy's sparse x sparse product;
+its cost is its terms, one per entry of the product's rows of the left
+operand and entry of ``P``'s matching row in its columns.  The
+dense-operand route scatters a few rows of the left operand into zeros at
+a time and multiplies them by rows of ``P`` with SciPy's CSR x dense
+kernel; its cost is its multiply-adds and the cells it makes dense.  A
+near-dense operand, TLPSS's on a hub-heavy graph, does about as many
+multiply-adds as terms, but as contiguous ones, and the route is taken
+where its cost is at most ``_DENSE_RATIO`` times the product's terms.
 Both routes add each cell's terms in ascending shared index, so they give
-the same bits.  The brute-force per-pair definitions live in
-:mod:`tlpss.oracle`, which the test suite checks the engine against.
+the same bits.  Where the left operand's rows are long and ``P``'s short,
+as TLPSS's are, a pair outside the blocks walks ``P``'s row and bisects
+the operand's (:func:`_pair_lookup`): the same terms in the same order.
+The brute-force per-pair definitions live in :mod:`tlpss.oracle`, which
+the test suite checks the engine against.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from . import adjacency
 from .adjacency import DegreeVector, WeightedAdjacency, latent_matrix, parts, pool_map
@@ -95,6 +99,19 @@ ALL_METHODS = tuple(MethodId)
 # alone 0.072 s against 0.024 s.  The dense route wins up to 11.6 and loses
 # from 23.6, so the cut lies between the two.
 _DENSE_RATIO = 16
+
+# Entries of the left operand a route count reads at most, about: a count
+# reads every s-th row.  Every swapped half's exact count read nearly all
+# of TLPSS's operand at 20k nodes, about 500M entries over a walk's 27
+# blocks in 2.0 s (GraphSpec(20000, 240000), seed 0, 2-vCPU host), and
+# 0.21 s read so; a route only moves time, never bits.
+_COUNTED = 2**18
+
+# A task of the dense-operand route costs at most this many times _PART
+# in multiply-adds and dense cells.  At 20k nodes, where a part makes 3
+# rows dense, a task per part gave the first block's swapped half 6,627
+# tasks, whose queued futures raised the peak RSS from 434 to 446 MB.
+_DENSE_TASK = 2**8
 
 # Rows and columns of the tiles in which a square symmetric score block adds
 # its transpose: 128 KB per tile.  On a random 1,200 x 1,200 array (2-vCPU
@@ -190,57 +207,105 @@ def _take(X: sp.csr_matrix, nodes) -> sp.csr_matrix:
     return sp.csr_matrix((X.data[at], X.indices[at], ptr), shape=(len(nodes), X.shape[1]))
 
 
+def _row_entries(X: sp.csr_matrix, nodes: np.ndarray):
+    """The positions of the rows ``nodes``' entries in ``X``'s arrays, row
+    after row, each row's in its order, and each entry's row, its index in
+    ``nodes``."""
+    start = X.indptr[nodes]
+    sizes = X.indptr[nodes + 1] - start
+    row = np.repeat(np.arange(len(nodes)), sizes)
+    at = np.arange(len(row), dtype=np.int64)
+    at += (start - np.r_[0, np.cumsum(sizes)[:-1]])[row]
+    return at, row
+
+
 def _column_counts(X: sp.csr_matrix, nodes) -> np.ndarray:
-    """Each column's entries in the rows ``nodes`` of ``X``, an index
-    array's rows read a part (:func:`~tlpss.adjacency.parts`) at a time."""
+    """Each column's entries in the rows ``nodes`` of ``X``, read from its
+    column indices alone, an index array's rows a part
+    (:func:`~tlpss.adjacency.parts`) at a time."""
     if isinstance(nodes, range):
         return np.bincount(X.indices[_entries(X, nodes)], minlength=X.shape[1])
     counts = np.zeros(X.shape[1], dtype=np.int64)
     for part in parts(np.r_[0, np.cumsum(np.diff(X.indptr)[nodes])]):
-        counts += np.bincount(X[nodes[_at(part)]].indices, minlength=X.shape[1])
+        at, _ = _row_entries(X, nodes[_at(part)])
+        counts += np.bincount(X.indices[at], minlength=X.shape[1])
     return counts
+
+
+def _terms(M: sp.csr_matrix, rows, qs: np.ndarray) -> float:
+    """The terms of the rows ``rows`` of ``M @ P``, where ``qs`` counts the
+    entries of ``P``'s column k in the product's columns: ``qs[k]`` summed
+    over the entries of ``M``'s rows.  Read on every s-th row, s the
+    smallest that reads at most about ``_COUNTED`` entries, as the read
+    rows' terms per entry times the rows' entries (exact where s is 1),
+    a part (:func:`~tlpss.adjacency.parts`) at a time."""
+    sizes = np.diff(M.indptr)[_at(rows)]
+    step = max(1, -(-int(sizes.sum()) // _COUNTED))
+    read = np.asarray(rows[::step], dtype=np.intp)
+    terms = 0
+    for part in parts(np.r_[0, np.cumsum(sizes[::step])]):
+        at, _ = _row_entries(M, read[_at(part)])
+        terms += int(qs[M.indices[at]].sum())
+    return terms * int(sizes.sum()) / max(1, int(sizes[::step].sum()))
+
+
+def _by_indicator(M: sp.csr_matrix, P: sp.csr_matrix) -> bool:
+    """Whether products of ``M`` by ``P`` may walk ``P``'s rows and keep
+    their bits: both in canonical form (sorted indices, no duplicates) and
+    ``P`` all ones, so that a term ``M[x, k] * 1.0`` is ``M[x, k]`` and
+    ``M``'s row order is ascending k.  ``P`` is the symmetric adjacency
+    indicator, whose row k is its column k."""
+    return M.has_canonical_format and P.has_canonical_format and bool(np.all(P.data == 1.0))
 
 
 def _dense_route(M: sp.csr_matrix, P: sp.csr_matrix, rows, cols) -> bool:
     """Whether the rows ``rows`` by columns ``cols`` of ``M @ P`` (ranges
     or index arrays) take the dense-operand route.  It requires what keeps
-    its bits, checked first: ``M`` and ``P`` in canonical form (sorted
-    indices, no duplicates) and ``P`` all ones.  Then it must cost less
-    than SciPy's sparse product, counted in the input: the route's
+    its bits, checked first (:func:`_by_indicator`).  Then it must cost
+    less than SciPy's sparse product, counted in the input: the route's
     multiply-adds and the cells it makes dense against the sparse
-    product's terms."""
-    if not (M.has_canonical_format and P.has_canonical_format and np.all(P.data == 1.0)):
+    product's terms (:func:`_terms`)."""
+    if not _by_indicator(M, P):
         return False
     qs = _column_counts(P, cols)
     # an entry of M's rows in column k has one term per entry of P's row k
     # in the columns, which by P's symmetry are the entries k of P's rows
     # cols
-    terms = int(_column_counts(M, rows) @ qs)
+    terms = _terms(M, rows, qs)
     return (int(qs.sum()) + P.shape[0]) * len(rows) <= _DENSE_RATIO * terms
 
 
 def _block(M, Y, rows, cols, dense=False, add_to=None):
     """Rows ``rows`` by columns ``cols`` (ranges or index arrays) of the
-    dense ``M @ Y``, or on the sparse route with ``add_to`` that block added
-    into the view ``add_to``, in row parts (:func:`~tlpss.adjacency.parts`)
-    on the threads of :func:`~tlpss.adjacency.pool_map`.  A row costs, on
-    the sparse route (:func:`_sparse_rows`), the cells it writes and the
-    entries of ``M``'s row it copies; on the ``dense`` route
-    (:func:`_dense_rows`) ``M``'s row made dense.  Each part takes its own
-    rows of ``M``.  The sparse route adds each cell's terms in the order of
-    ``M``'s row, which a row or column selection keeps, so the cells have
-    the whole product's bits.  The ``dense`` route takes ``Y[:, cols]`` as
-    the rows ``Y[cols]`` of a symmetric ``Y``."""
+    dense ``M @ Y``, or with ``add_to`` that block added into the view
+    ``add_to``, in row parts on the threads of
+    :func:`~tlpss.adjacency.pool_map`.  On the sparse route
+    (:func:`_sparse_rows`) a row costs the cells it writes and the entries
+    of ``M``'s row it copies, and the parts are those of
+    :func:`~tlpss.adjacency.parts`; on the ``dense`` route
+    (:func:`_dense_rows`) a part makes as many rows dense as fit in
+    ``_PART`` cells, at least one, and a task takes parts costing at most
+    ``_DENSE_TASK`` times ``_PART`` in multiply-adds and dense cells.
+    Each part takes its own rows of ``M``.  The sparse
+    route adds each cell's terms in the order of ``M``'s row, which a row
+    or column selection keeps, so the cells have the whole product's bits.
+    The ``dense`` route takes ``Y[:, cols]`` as the rows ``Y[cols]`` of a
+    symmetric ``Y``."""
     out = np.empty((len(rows), len(cols))) if add_to is None else add_to
+    add = add_to is not None
     if dense:
-        kernel = partial(_dense_rows, M, rows, _take(Y, cols), out)
-        cost = np.full(len(rows), M.shape[1])
+        Q = _take(Y, cols)
+        width = max(1, adjacency._PART // max(1, Q.shape[1]))
+        part = max(1, width * (Q.nnz + Q.shape[1]))
+        step = width * max(1, _DENSE_TASK * adjacency._PART // part)
+        tasks = [range(a, min(a + step, len(rows))) for a in range(0, len(rows), step)]
+        kernel = partial(_dense_rows, M, rows, Q, out, add, width)
     else:
         if not (isinstance(cols, range) and len(cols) == Y.shape[1]):
             Y = Y[:, _at(cols)]
-        kernel = partial(_sparse_rows, M, rows, Y, out, add_to is not None)
-        cost = len(cols) + np.diff(M.indptr)[_at(rows)]
-    list(pool_map(kernel, parts(np.r_[0, np.cumsum(cost)])))
+        kernel = partial(_sparse_rows, M, rows, Y, out, add)
+        tasks = parts(np.r_[0, np.cumsum(len(cols) + np.diff(M.indptr)[_at(rows)])])
+    list(pool_map(kernel, tasks))
     return out
 
 
@@ -260,20 +325,44 @@ def _sparse_rows(M, rows, Y, out, add, part):
         product.toarray(out=out[at])
 
 
-def _dense_rows(M, rows, Q, out, part):
-    """The rows ``part``, a range, of :func:`_block`'s dense-operand route:
-    those of the block's rows ``rows`` of ``M`` made dense and transposed,
-    ``Z``, and ``(Q @ Z).T`` written to ``out[part]``, with
-    SciPy's CSR x dense kernel.  Row i of ``Q @ Z`` adds ``Q[i, k] * Z[k]`` to
-    zeros for each entry k of ``Q``'s row i in ascending order.  With ``Q``
-    all ones, ``1.0 * M[c, k]`` is exact (with or without a fused
-    multiply-add), so cell (c, i) adds the sparse product's terms in its
-    order, ascending shared index, and between them an exact ``+0.0`` for
-    each k where ``M[c, k]`` is not stored, which leaves a sum begun at
-    ``+0.0`` unchanged: the cell has the sparse product's bits."""
-    at = _at(part)
-    Z = np.ascontiguousarray(_take(M, rows[at]).toarray().T)
-    out[at] = (Q @ Z).T
+def _dense_rows(M, rows, Q, out, add, width, task):
+    """The rows ``task``, a range, of :func:`_block`'s dense-operand route,
+    ``width`` of the block's rows ``rows`` of ``M`` at a time: scattered
+    into zeros as the columns of ``Z``, and ``Q @ Z`` from SciPy's CSR x
+    dense kernel (``csr_matvecs``) into zeros, whose transpose is written
+    to, or added into, those rows of ``out``.  Row i of ``Q @ Z`` adds
+    ``Q[i, k] * Z[k]`` to zeros for each entry k of ``Q``'s row i in
+    ascending order.  With ``Q`` all ones, ``1.0 * M[c, k]`` is exact (with
+    or without a fused multiply-add), so cell (c, i) adds the sparse
+    product's terms in its order, ascending shared index, and between them
+    an exact ``+0.0`` for each k where ``M[c, k]`` is not stored, which
+    leaves a sum begun at ``+0.0`` unchanged: the cell has the sparse
+    product's bits.  Added into ``out``, the sum is added as a whole, as
+    the sparse route adds it.  ``Z`` is zeroed once and its scattered cells
+    again after each product."""
+    m, n = Q.shape
+    Z, product = np.zeros(n * width), np.empty(m * width)
+    for a in range(task.start, task.stop, width):
+        part = range(a, min(a + width, task.stop))
+        nodes = _at(rows[_at(part)])
+        start, stop = M.indptr[nodes], M.indptr[1:][nodes]
+        cells, values = adjacency._slices(start, stop, M.indices, M.data)
+        sizes = stop - start
+        # Z is n rows of len(part) cells, the part's row c at column c
+        cells = cells * np.int64(len(part))
+        cells += np.repeat(np.arange(len(part)), sizes)
+        Z[cells] = values
+        QZ = product[: m * len(part)]
+        QZ[:] = 0.0
+        _sparsetools.csr_matvecs(m, n, len(part), Q.indptr, Q.indices, Q.data, Z, QZ)
+        Z[cells] = 0.0
+        QZ = QZ.reshape(m, len(part))
+        if add:
+            # out is a block's transpose, and QZ the block's columns part
+            cols = out[_at(part)].T
+            cols += QZ
+        else:
+            out[_at(part)] = QZ.T
 
 
 def _pair_product(X: sp.csr_matrix, Y: sp.csr_matrix, i: np.ndarray, j: np.ndarray):
@@ -314,6 +403,42 @@ def _pair_product(X: sp.csr_matrix, Y: sp.csr_matrix, i: np.ndarray, j: np.ndarr
     out = np.empty(len(i))
     out[by_j] = sums
     return out
+
+
+def _pair_lookup(X: sp.csr_matrix, P: sp.csr_matrix, i: np.ndarray, j: np.ndarray):
+    """``(X @ P)[i, j]`` for the pairs of index arrays ``i`` and ``j``,
+    where :func:`_by_indicator` holds: each pair walks ``P``'s row j, the
+    nodes k of ``P``'s column j in ascending order, and bisects ``X``'s
+    row i for each, so a pair costs its entries of ``P``, not of ``X``.
+    Its terms are the stored ``X[i, k]`` (times 1.0, exact), added to zero
+    with ``np.bincount`` in ascending k, which is ``X``'s row order: the
+    bits of :func:`_pair_product`.  In parts costing a pair its entries of
+    ``P``, on the threads of :func:`~tlpss.adjacency.pool_map`."""
+    lengths = np.diff(P.indptr)[j]
+    before = np.r_[0, np.cumsum(lengths)]
+    sums = np.empty(len(i))
+
+    def part(pairs):
+        a, b = pairs.start, pairs.stop
+        entry, pair = _row_entries(P, j[a:b])
+        k = P.indices[entry]
+        del entry
+        # the first position of X's row i at or past column k
+        lo = X.indptr[i[a:b]][pair].astype(np.int64)
+        end = X.indptr[i[a:b] + 1][pair].astype(np.int64)
+        hi = end.copy()
+        for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+            active = lo < hi
+            mid = (lo + hi) >> 1
+            below = X.indices[np.minimum(mid, len(X.indices) - 1)] < k
+            np.copyto(lo, mid + 1, where=active & below)
+            np.copyto(hi, mid, where=active & ~below)
+        hit = lo < end
+        hit[hit] = X.indices[lo[hit]] == k[hit]
+        sums[a:b] = np.bincount(pair[hit], weights=X.data[lo[hit]], minlength=b - a)
+
+    list(pool_map(part, parts(before)))
+    return sums
 
 
 def _add_transpose(s: np.ndarray) -> None:
@@ -363,16 +488,19 @@ class _Block:
         whole matrix, the leading square ``s[:h, :h]``, ``h = len(rows)``,
         holds its own transposed half and adds its transpose in tiles
         (:func:`_add_transpose`); otherwise ``h = 0``.  The columns past
-        the square get theirs as one sparse-route product, ``M[cols[h:]] @
-        P[:, rows]``, added into ``s[:, h:].T``, whatever the block's
-        height.  A cell adds the two sums the whole matrix's ``s + s.T``
-        adds, each of its terms in the order of ``M``'s row."""
+        the square get theirs as one swapped product, ``M[cols[h:]] @ P[:,
+        rows]``, added into ``s[:, h:].T``, whatever the block's height, on
+        the route its own count picks.  A cell adds the two sums the whole
+        matrix's ``s + s.T`` adds, each of its terms in the order of ``M``'s
+        row."""
         P, rows, cols = self.P, self.rows, self.cols
         s = self.product(M, P)
         h = len(rows) if np.array_equal(cols[: len(rows)], rows) else 0
         _add_transpose(s[:h, :h])
         if h < len(cols):
-            _block(M, P, cols[h:], rows, add_to=s[:, h:].T)
+            swapped = cols[h:]
+            dense = _dense_route(M, P, swapped, rows)
+            _block(M, P, swapped, rows, dense, add_to=s[:, h:].T)
         s *= 0.5
         return s
 
@@ -388,11 +516,21 @@ class _Pairs:
         return v[self.i], v[self.j]
 
     def product(self, X, Y):
-        return _pair_product(X, Y, self.i, self.j)
+        """``X @ Y`` at the pairs, by :func:`_pair_lookup` where it may walk
+        ``P``'s rows and reads fewer entries so, a bisection step per bit
+        of ``X``'s longest row for each entry of ``P``, than
+        :func:`_pair_product` reads of ``X``'s rows."""
+        i, j = self.i, self.j
+        if Y is self.P and _by_indicator(X, Y):
+            lengths = np.diff(X.indptr)
+            steps = int(lengths.max(initial=0)).bit_length()
+            if np.diff(Y.indptr)[j].sum() * steps < lengths[i].sum():
+                return _pair_lookup(X, Y, i, j)
+        return _pair_product(X, Y, i, j)
 
     def symmetric(self, M):
-        s = _pair_product(M, self.P, self.i, self.j)
-        s += _pair_product(M, self.P, self.j, self.i)
+        s = self.product(M, self.P)
+        s += _Pairs(self.P, self.j, self.i).product(M, self.P)
         s *= 0.5
         return s
 
@@ -499,11 +637,14 @@ def score_matrix(
     """
     rows, cols = _nodes("rows", rows, A.n), _nodes("cols", cols, A.n)
     out = _score(A, D, method, cclp_mode, _Block(A.indicator_csr, rows, cols))
-    # every cell (i, i), found with at most a bool per cell
+    # every cell (i, i): each column's rows of its node, bisected in the
+    # sorted rows
     r, c = (np.arange(x.start, x.stop) if isinstance(x, range) else x for x in (rows, cols))
-    keep = np.flatnonzero(np.bincount(r, minlength=A.n)[c])
-    a, b = np.nonzero(r[:, None] == c[keep])
-    out[a, keep[b]] = 0.0
+    by = np.argsort(r, kind="stable")
+    lo, hi = np.searchsorted(r[by], c, "left"), np.searchsorted(r[by], c, "right")
+    col = np.repeat(np.arange(len(c)), hi - lo)
+    at = np.arange(len(col)) + (lo - np.cumsum(hi - lo) + (hi - lo))[col]
+    out[by[at], col] = 0.0
     return out
 
 

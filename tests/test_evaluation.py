@@ -734,11 +734,21 @@ class TestRowBlocks:
         assert blocked == whole
         # every method in 6 runs walks one shape: blocks of as many rows as
         # fit that many cells of their width, or of one row, the first
-        # against all 48 nodes and no other
+        # against all 48 nodes and no other, or, for a starting cut, first
+        # that block's leading square
         first = [t for t, (_, _, rows, cols) in enumerate(calls) if len(cols) == 48]
-        assert len(first) == 6 * len(ALL_METHODS)
-        assert all(len(calls[t][2]) == max(1, cells // 48) for t in first)
-        assert all(calls[t][0] is not calls[t - 1][0] for t in first[1:])
+        starts = [t for t in range(len(calls)) if t == 0 or calls[t][0] is not calls[t - 1][0]]
+        assert len(starts) == 6 * len(ALL_METHODS)
+        assert set(first) <= set(starts) | {t + 1 for t in starts}
+        for t in starts:
+            rows, cols = calls[t][2:]
+            assert len(rows) == max(1, cells // 48)
+            if len(cols) < 48:
+                assert np.array_equal(rows, cols)
+                # the same order: the first block's rows begin as its do
+                after = calls[t + 1][2]
+                m = min(len(rows), len(after))
+                assert np.array_equal(after[:m], rows[:m])
         assert all(len(rows) * len(cols) <= cells or len(rows) == 1 for *_, rows, cols in calls)
         # a block has fewer candidates (its cells j > i) than top_l = 700
         assert all(len(rows) * len(cols) < 700 for *_, rows, cols in calls)

@@ -631,7 +631,8 @@ def test_row_parts_equal_one_product(monkeypatch):
 
 def test_short_block_copies_a_part_of_the_operand_at_a_time(monkeypatch):
     """A block of two rows against every node gets its transposed half
-    from every other row of TLPSS's operand, two cells each.  With
+    from every other row of TLPSS's operand, two cells each, here on the
+    sparse route.  With
     ``_PART`` of 4,096, those rows are cut into parts that each copy at
     most about ``_PART`` of the operand's entries (or hold one row), and
     the block keeps the whole matrix's bits."""
@@ -640,6 +641,8 @@ def test_short_block_copies_a_part_of_the_operand_at_a_time(monkeypatch):
     full = score_matrix(A, D, MethodId.TLPSS, range(A.n), range(A.n))
     M = A.operands[MethodId.TLPSS][1]
     A.operands.clear()
+    # both halves on the sparse route
+    monkeypatch.setattr(scoring, "_DENSE_RATIO", 0)
     monkeypatch.setattr(adjacency, "_PART", 4096)
     assert M.nnz > 10 * 4096
     copied = []
@@ -890,6 +893,177 @@ def test_dense_route_counts_no_term_of_a_non_canonical_operand(monkeypatch):
     assert scoring._dense_route(M, P, range(n), range(n)) and counted
 
 
+def swapped_halves(M, P, rows, cols):
+    """The swapped product past the leading square of the block ``rows``
+    by ``cols`` (whose columns begin with its rows) added into zeros
+    through their transpose, on the dense route and on the sparse one."""
+    h = len(rows)
+    halves = []
+    for dense in (True, False):
+        half = np.zeros((h, len(cols) - h))
+        scoring._block(M, P, cols[h:], rows, dense, add_to=half.T)
+        halves.append(half)
+    return halves
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_dense_swapped_half_equals_sparse_and_whole_transpose(monkeypatch, workers):
+    """The swapped half on the dense-operand route, ``P[rows] @ Z`` added
+    into the block's columns past its rows, equals the sparse route's and
+    the whole matrix's transpose bit for bit: on random operands with
+    empty rows, with parts of one, two or several rows and a last part
+    narrower than the rest, for ranges and node arrays; and on TLPSS's
+    operand of the hub graph, where a walk of small blocks takes it."""
+    monkeypatch.setattr(adjacency, "_workers", lambda: workers)
+    rng = np.random.default_rng(69000 + workers)
+    n = 60
+    P = random_indicator(rng, n, 0.3)
+    M = operand_with_empty_rows(rng, n, (0, 7, 30, n - 1))
+    whole = (M @ P).toarray()
+    # each cell adds several terms, and their order shows in the bits
+    assert not np.array_equal((reversed_rows(M) @ P).toarray(), whole)
+    order = rng.permutation(n)
+    for width in (1, 2, 7):
+        monkeypatch.setattr(adjacency, "_PART", width * n)
+        # few multiply-adds per task: several tasks, most of several parts
+        monkeypatch.setattr(scoring, "_DENSE_TASK", 40)
+        for r0, r1 in ((0, 1), (0, 7), (5, 31), (n - 6, n - 1)):
+            for rows, cols in ((range(r0, r1), range(r0, n)), (order[r0:r1], order[r0:])):
+                dense, sparse = swapped_halves(M, P, rows, cols)
+                ref = whole.T[np.ix_(np.asarray(rows), np.asarray(cols)[r1 - r0 :])]
+                assert np.array_equal(dense, sparse), (width, r0, r1)
+                assert np.array_equal(dense, ref), (width, r0, r1)
+    # the hub graph's walk, every block's swapped half dense
+    A, D = stack(hub_graph(), DecayParams(p=3.0, q=1.0))
+    full = score_matrix(A, D, MethodId.TLPSS, range(A.n), range(A.n))
+    M = A.operands[MethodId.TLPSS][1]
+    A.operands.clear()
+    monkeypatch.setattr(adjacency, "_PART", 2**16)
+    monkeypatch.setattr(evaluation, "_BLOCK_CELLS", 30_000)
+    monkeypatch.setattr(scoring, "_DENSE_RATIO", 10**12)
+    blocks = []
+    symmetric = scoring._Block.symmetric
+
+    def spied(self, M):
+        blocks.append((self.rows, self.cols))
+        return symmetric(self, M)
+
+    monkeypatch.setattr(scoring._Block, "symmetric", spied)
+    keys = np.flatnonzero(np.triu(np.ones((A.n, A.n), dtype=bool), k=1))
+    scores, _, _ = evaluation._method_top(
+        A, D, MethodId.TLPSS, cclp_mode="local", top_l=100, auc_keys=keys,
+        train_keys=A.layout.keys,
+    )
+    A.operands.clear()
+    assert np.array_equal(scores, full.ravel()[keys])
+    walked = [(rows, cols) for rows, cols in blocks if 1 < len(rows) < len(cols)]
+    assert len(walked) > 2
+    P = A.indicator_csr
+    for rows, cols in walked:
+        dense, sparse = swapped_halves(M, P, rows, cols)
+        assert np.array_equal(dense, sparse)
+        assert np.array_equal(dense, (M @ P).toarray().T[np.ix_(rows, cols[len(rows) :])])
+
+
+def test_pair_lookup_along_the_indicator_equals_the_pair_product(monkeypatch):
+    """Walking ``P``'s row j and bisecting ``X``'s row i gives
+    :func:`_pair_product`'s bits, pair for pair, on random operands with
+    empty rows and on TLPSS's operand of the hub graph, in parts of few
+    terms on two threads; TLPSS's pairs take it, while an operand with
+    each row's columns in descending order, as RA's and CCLP's ``P @
+    diags(...)`` are, and CN's, whose rows are as short as ``P``'s, keep
+    the generic path."""
+    monkeypatch.setattr(adjacency, "_workers", lambda: 2)
+    monkeypatch.setattr(adjacency, "_PART", 500)
+    rng = np.random.default_rng(70000)
+    n = 60
+    # rows of P far shorter than M's, as in TLPSS
+    P = random_indicator(rng, n, 0.08)
+    M = operand_with_empty_rows(rng, n, (0, 7, 30, n - 1))
+    i, j = rng.integers(0, n, size=(2, 4000))
+    ref = scoring._pair_product(M, P, i, j)
+    assert np.array_equal(ref, (M @ P).toarray()[i, j])
+    looked_up = []
+    lookup = scoring._pair_lookup
+    monkeypatch.setattr(
+        scoring, "_pair_lookup", lambda X, *a: looked_up.append(X) or lookup(X, *a)
+    )
+    assert np.array_equal(scoring._Pairs(P, i, j).product(M, P), ref)
+    assert looked_up == [M]
+    # the same operand stored in descending column order keeps the generic
+    # path, which adds in that order
+    unsorted = reversed_rows(M)
+    got = scoring._Pairs(P, i, j).product(unsorted, P)
+    assert np.array_equal(got, (unsorted @ P).toarray()[i, j])
+    assert not np.array_equal(got, ref) and looked_up == [M]
+    A, D = stack(hub_graph(), DecayParams(p=3.0, q=1.0))
+    P = A.indicator_csr
+    i, j = rng.integers(0, A.n, size=(2, 5000))
+    keys = i * A.n + j
+    for method, mode in SCORINGS:
+        full = score_matrix(A, D, method, range(A.n), range(A.n), mode)
+        looked_up.clear()
+        got = score_pairs(A, D, method, keys, mode)
+        operands = dict(A.operands)
+        A.operands.clear()
+        assert np.array_equal(got, full[i, j]), (method, mode)
+        if method is MethodId.TLPSS:
+            ((_, M),) = operands.values()
+            assert looked_up and all(X is M for X in looked_up)
+            assert np.array_equal(lookup(M, P, i, j), scoring._pair_product(M, P, i, j))
+        else:
+            assert looked_up == [], (method, mode)
+    for method in (MethodId.RA_ASF, MethodId.CCLP_ASF):
+        score_pairs(A, D, method, keys)
+        L = A.operands[method][1]
+        A.operands.clear()
+        assert not L.has_canonical_format and not scoring._by_indicator(L, P)
+
+
+def test_probed_walk_equals_the_unprobed_walk(monkeypatch):
+    """A walk that starts from the cut of its first block's leading square
+    returns the unprobed walk's AUC scores, top keys and top scores, key
+    for key and bit for bit, for every scoring on the hub graph in blocks
+    small enough that the first does not cover every pair; the starting
+    cut is positive for most scorings and leaves cells unscored."""
+    monkeypatch.setattr(evaluation, "_BLOCK_CELLS", 30_000)
+    A, D = stack(hub_graph(), DecayParams(p=3.0, q=1.0))
+    rng = np.random.default_rng(71000)
+    i, j = rng.integers(0, A.n, size=(2, 3000))
+    keep = i != j
+    auc_keys = np.minimum(i, j)[keep] * A.n + np.maximum(i, j)[keep]
+    start = evaluation._start
+    starts, cells = [], []
+    sm = evaluation.score_matrix
+
+    def counted(A, D, method, rows, cols, mode):
+        cells.append(len(rows) * len(cols))
+        return sm(A, D, method, rows, cols, mode)
+
+    monkeypatch.setattr(evaluation, "score_matrix", counted)
+    def probed(*args):
+        starts.append(start(*args))
+        return starts[-1]
+
+    saved = 0
+    for method, mode in SCORINGS:
+        got = []
+        for cut in (probed, lambda *args: 0.0):
+            monkeypatch.setattr(evaluation, "_start", cut)
+            cells.clear()
+            got.append(evaluation._method_top(
+                A, D, method, cclp_mode=mode, top_l=100, auc_keys=auc_keys,
+                train_keys=A.layout.keys,
+            ))
+            got[-1] += (sum(cells),)
+            A.operands.clear()
+        (scores, top_keys, top_scores, cut_cells), (ref, ref_keys, ref_top, cells_at_0) = got
+        assert np.array_equal(scores, ref), (method, mode)
+        assert np.array_equal(top_keys, ref_keys) and np.array_equal(top_scores, ref_top)
+        saved += cut_cells < cells_at_0
+    assert sum(cut > 0 for cut in starts) >= len(SCORINGS) // 2 and saved >= 2
+
+
 def test_sparse_transposed_half_of_tlpss_equals_whole_matrix(monkeypatch):
     """On the sparse route, the transposed half of TLPSS's operand, which
     is not symmetric, has the whole product's bits in a block below the
@@ -1003,31 +1177,34 @@ def test_score_pairs_adds_terms_in_the_operand_row_order():
     assert np.array_equal(scoring._block(M, P, rows, cols), whole[np.ix_(rows, cols)])
 
 
-def test_transposed_half_takes_the_sparse_route(monkeypatch):
-    """TLPSS's block (0, 10) on the hub graph goes dense with the cut high
-    enough; its leading square adds its own transpose, and the columns past
-    it get their transposed half on the sparse route whatever the cut, so
-    the dense route only writes.  The block keeps the whole matrix's
-    bits."""
+def test_swapped_half_takes_the_route_its_count_picks(monkeypatch):
+    """TLPSS's block (0, 10) on the hub graph: its leading square adds its
+    own transpose, and the columns past it get their swapped product on
+    the route its own count picks, dense with the cut high enough, sparse
+    with it at 0, with the forward product on the same route.  The block
+    keeps the whole matrix's bits either way."""
     params = DecayParams(p=3.0, q=1.0)
     A, D = stack(hub_graph(), params)
     full = score_matrix(A, D, MethodId.TLPSS, range(A.n), range(A.n))
     A.operands.clear()
-    monkeypatch.setattr(scoring, "_DENSE_RATIO", 10**12)
     routes = []
     for name in ("_dense_rows", "_sparse_rows"):
         kernel = getattr(scoring, name)
 
         def recorded(*args, name=name, kernel=kernel):
-            # _sparse_rows(..., out, add, part): whether the part adds
-            routes.append((name, args[-2] if name == "_sparse_rows" else None))
+            # _dense_rows(M, rows, Q, out, add, width, task) and
+            # _sparse_rows(M, rows, Y, out, add, part): whether it adds
+            routes.append((name, args[4]))
             return kernel(*args)
 
         monkeypatch.setattr(scoring, name, recorded)
-    block = score_matrix(A, D, MethodId.TLPSS, range(0, 10), range(0, A.n))
-    A.operands.clear()
-    assert set(routes) == {("_dense_rows", None), ("_sparse_rows", True)}
-    assert np.array_equal(block, full[0:10, 0:])
+    for ratio, kernel in ((10**12, "_dense_rows"), (0, "_sparse_rows")):
+        monkeypatch.setattr(scoring, "_DENSE_RATIO", ratio)
+        routes.clear()
+        block = score_matrix(A, D, MethodId.TLPSS, range(0, 10), range(0, A.n))
+        A.operands.clear()
+        assert set(routes) == {(kernel, False), (kernel, True)}
+        assert np.array_equal(block, full[0:10, 0:])
 
 
 @pytest.mark.parametrize(
@@ -1036,9 +1213,10 @@ def test_transposed_half_takes_the_sparse_route(monkeypatch):
 def test_walk_block_adds_one_swapped_product_past_its_square(monkeypatch, method):
     """In a walk, of node arrays or, where the bound order is the node
     order (JA), of ranges, every symmetric block's columns begin with its
-    rows.  The route is counted once per block, for the forward product; a
-    non-square block's swapped product takes exactly the columns past its
-    rows, on the sparse route, and a square block takes none."""
+    rows.  The route is counted for the forward product, and for a
+    non-square block's swapped product, which takes exactly the columns
+    past its rows on the route its count picks; a square block takes
+    none."""
     monkeypatch.setattr(evaluation, "_BLOCK_CELLS", 30_000)
     A, D = stack(hub_graph(), DecayParams(p=3.0, q=1.0))
     blocks = []
@@ -1054,8 +1232,9 @@ def test_walk_block_adds_one_swapped_product_past_its_square(monkeypatch, method
         return block(M, Y, rows, cols, dense, add_to)
 
     def spied_route(M, P, rows, cols):
-        blocks[-1][3].append((rows, cols))
-        return dense_route(M, P, rows, cols)
+        dense = dense_route(M, P, rows, cols)
+        blocks[-1][3].append((rows, cols, dense))
+        return dense
 
     monkeypatch.setattr(scoring._Block, "symmetric", spied_symmetric)
     monkeypatch.setattr(scoring, "_block", spied_block)
@@ -1069,11 +1248,15 @@ def test_walk_block_adds_one_swapped_product_past_its_square(monkeypatch, method
     for rows, cols, halves, routes in blocks:
         h = len(rows)
         assert np.array_equal(cols[:h], rows)
-        ((route_rows, route_cols),) = routes
+        (route_rows, route_cols, _), *swapped = routes
         assert route_rows is rows and route_cols is cols
         if h == len(cols):
-            assert halves == []
+            assert halves == [] and swapped == []
         else:
             ((half_rows, half_cols, dense),) = halves
             assert np.array_equal(half_rows, cols[h:]) and len(half_rows) == len(cols) - h
-            assert half_cols is rows and not dense
+            assert half_cols is rows
+            # TLPSS's operand and W are canonical, so the swapped product
+            # is counted too, and takes the route its count picks
+            ((count_rows, count_cols, picked),) = swapped
+            assert count_rows is half_rows and count_cols is rows and dense == picked
